@@ -1037,8 +1037,9 @@ class SetSimilarityIndex:
         """Fetch each distinct candidate once and verify all pairs.
 
         Verification is columnar by default (:attr:`columnar_verify`):
-        each query's whole candidate list is decided by one vectorized
-        sorted-hash intersection (:mod:`repro.exec.columnar`), with the
+        the batch goes through :func:`repro.exec.columnar.verify_batch`,
+        which intersects each distinct candidate once when the queries
+        share candidates and each query's own list otherwise, with the
         packed Hamming kernel estimating pair similarities only when a
         trace is recording (the ``est_in_range`` EXPLAIN aggregate).
         The legacy path instead estimates every pair and verifies
@@ -1059,12 +1060,10 @@ class SetSimilarityIndex:
                 timings["fetch"] = (time.perf_counter() - t_fetch) * 1e3
             fetches_saved = n_pairs - len(distinct)
             if self.columnar_verify:
-                answers_list = [
-                    self._columnar_answers(
-                        query_set, candidates, sigma_low, sigma_high, fetched
-                    )
-                    for query_set, candidates in zip(query_sets, candidates_list)
-                ]
+                answers_list, info = self._columnar_verify(
+                    query_sets, candidates_list, sigma_low, sigma_high, fetched
+                )
+                sp.set(**info)
                 est_in_range = (
                     self._estimate_in_range(
                         candidates_list, distinct, matrix, rows,
@@ -1392,9 +1391,11 @@ class SetSimilarityIndex:
                 fetched = {sid: self.store.get(sid) for sid in sorted(candidates)}
                 if timings is not None:
                     timings["fetch"] = (time.perf_counter() - t_fetch) * 1e3
-                answers = self._columnar_answers(
-                    query_set, candidates, sigma_low, sigma_high, fetched
+                answers_list, info = self._columnar_verify(
+                    [query_set], [candidates], sigma_low, sigma_high, fetched
                 )
+                answers = answers_list[0]
+                sp.set(**info)
             else:
                 answers = []
                 for sid in candidates:
@@ -1410,52 +1411,32 @@ class SetSimilarityIndex:
             )
             return answers
 
-    def _columnar_answers(
+    def _columnar_verify(
         self,
-        query_set: frozenset,
-        candidates: set[int],
+        query_sets: list[frozenset],
+        candidates_list: list[set[int]],
         sigma_low: float,
         sigma_high: float,
         fetched: dict[int, frozenset],
-    ) -> list[tuple[int, float]]:
-        """Exact in-range matches of one query via the columnar kernels.
+    ) -> tuple[list[list[tuple[int, float]]], dict]:
+        """Exact in-range matches via :func:`repro.exec.columnar.verify_batch`.
 
         Candidates must already be fetched (``fetched`` supplies the
-        actual sets for the rare hash-collision fallback); this charges
-        the same per-pair CPU the scalar loop charges and returns the
-        identically sorted answer list.
+        actual sets for the rare hash-collision fallback).  The CSR of
+        whichever sids the kernel asks for is concatenated from the
+        per-set hash arrays on the spot -- per distinct candidate when a
+        batch shares them -- so inserts and deletes maintain nothing.
         """
-        from repro.exec.columnar import (
-            SMALL_VERIFY_CUTOFF, build_csr, hash_set, in_range_answers,
-            intersect_counts, jaccard_values,
-        )
+        from repro.exec.columnar import build_csr, verify_batch
 
-        cand_list = sorted(candidates)
-        if not cand_list:
-            return []
-        if len(cand_list) <= SMALL_VERIFY_CUTOFF:
-            self.io.cpu(
-                sum(self._sizes[sid] for sid in cand_list)
-                + len(cand_list) * len(query_set)
-            )
-            values = [jaccard(fetched[sid], query_set) for sid in cand_list]
-            return in_range_answers(cand_list, values, sigma_low, sigma_high)
-        sizes = np.fromiter(
-            (self._sizes[sid] for sid in cand_list),
-            dtype=np.int64, count=len(cand_list),
+        chashes, set_sizes = self._chashes, self._sizes
+        return verify_batch(
+            query_sets, candidates_list, sigma_low, sigma_high, self.io.stats,
+            csr=lambda sids: build_csr([chashes[sid] for sid in sids.tolist()]),
+            sizes=lambda sids: np.fromiter(
+                (set_sizes[sid] for sid in sids.tolist()),
+                dtype=np.int64, count=len(sids),
+            ),
+            fallback_sids=self._cfallback,
+            get_set=fetched.__getitem__,
         )
-        # Identical accounted CPU to the scalar loop's per-pair
-        # ``cpu(len(stored) + len(query))`` charges, in one sum.
-        self.io.cpu(int(sizes.sum()) + len(cand_list) * len(query_set))
-        query_arr, query_collided = hash_set(query_set)
-        if query_collided:
-            values = [jaccard(fetched[sid], query_set) for sid in cand_list]
-        else:
-            indptr, data = build_csr([self._chashes[sid] for sid in cand_list])
-            inter = intersect_counts(query_arr, indptr, data)
-            values = jaccard_values(len(query_set), sizes, inter)
-            if self._cfallback:
-                for j, sid in enumerate(cand_list):
-                    if sid in self._cfallback:
-                        values[j] = jaccard(fetched[sid], query_set)
-        return in_range_answers(cand_list, values, sigma_low, sigma_high)

@@ -22,13 +22,28 @@ Bit-identity with the scalar path: ``intersection / union`` on Python
 ints and on int64 numpy arrays both perform correctly-rounded IEEE-754
 double division for operands below 2**53, so the produced similarity
 floats are identical to :func:`repro.core.similarity.jaccard`.
+
+:func:`verify_batch` is the one composition of these kernels every
+query path runs (live index, snapshot, executors): per batch it either
+verifies query by query (``pairwise``) or intersects each *distinct*
+candidate once against all the batch's queries (``join``), chosen from
+the batch's own counts.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
+from typing import Callable, Sequence
 
 import numpy as np
+
+from repro.core.similarity import jaccard
+from repro.obs import metrics
+from repro.storage.iomodel import IOStats
+
+_JOIN_BATCHES = metrics.counter("verify.join_batches")
+_PAIRWISE_BATCHES = metrics.counter("verify.pairwise_batches")
 
 
 #: Memo over (type, element) -> hash.  Keyed by type *and* value so a
@@ -45,10 +60,14 @@ def _canonical(element):
 
     Set semantics identify ``1 == 1.0 == True == 1+0j`` as a single
     element, so equal numbers must map to equal hashes (mirroring how
-    Python gives them equal ``hash()``).  Non-builtin numerics
+    Python gives them equal ``hash()``).  Numpy scalars are folded onto
+    the builtin they compare equal to first (``np.int64(5) == 5`` is one
+    element, but its repr is not ``5``).  Other non-builtin numerics
     (``Decimal``, ``Fraction``) are hashed by their own repr -- don't
     mix them cross-type with builtins in one collection.
     """
+    if isinstance(element, np.generic):
+        element = element.item()
     if isinstance(element, bool):
         return int(element)
     if isinstance(element, complex) and element.imag == 0:
@@ -57,6 +76,8 @@ def _canonical(element):
         return int(element)
     return element
 
+
+_NO_HASHES = np.empty(0, dtype=np.uint64)
 
 #: Candidate-list length below which the kernels lose to a plain
 #: Python loop: the pipeline costs ~15 fixed-overhead numpy calls per
@@ -186,20 +207,260 @@ def in_range_answers(
     return answers
 
 
-def jaccard_values(
-    query_len: int, sizes: np.ndarray, inter: np.ndarray
-) -> np.ndarray:
+def jaccard_values(query_len, sizes: np.ndarray, inter: np.ndarray) -> np.ndarray:
     """Exact Jaccard of the query against each candidate, vectorized.
 
     ``sizes[i]`` is candidate ``i``'s cardinality and ``inter[i]`` its
-    intersection count with the query.  Matches
-    :func:`repro.core.similarity.jaccard` bit for bit, including the
-    empty-vs-empty convention (similarity 1).
+    intersection count with the query; ``query_len`` is the query's
+    cardinality (or one per pair, for pairs of several queries).
+    Matches :func:`repro.core.similarity.jaccard` bit for bit, including
+    the empty-vs-empty convention (similarity 1).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     inter = np.asarray(inter, dtype=np.int64)
-    union = sizes + np.int64(query_len) - inter
+    union = sizes + np.asarray(query_len, dtype=np.int64) - inter
     values = np.ones(len(sizes), dtype=np.float64)
     nonempty = union > 0
     values[nonempty] = inter[nonempty] / union[nonempty]
     return values
+
+
+#: Sharing (candidate pairs over distinct candidates) from which the
+#: join is tried.  A join that runs beats pairwise from the start --
+#: verify stage 1.4x faster at sharing 1.4, 1.75x at 2.4, 2.5x at 4.6,
+#: 6x at 37 (live ``query_batch`` on the benchmark's planted collection,
+#: batch size swept 2..64) -- so this is not that crossover.  It bounds
+#: what a try costs when the size rule then rejects it: the distinct CSR
+#: and its search are +35..70% of the verify stage at sharing 1..2.2
+#: (the benchmark's weblog collection, whose Zipf-hot elements reject
+#: every try, batches of 2..64) and about +20% at 4, falling as
+#: 1/sharing (synthetic sets with 32 of 40 elements hot).
+JOIN_MIN_SHARING = 4
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equals in a sorted array."""
+    mask = np.ones(len(values), dtype=bool)
+    mask[1:] = values[1:] != values[:-1]
+    return mask
+
+
+def join_counts(
+    query_arrays: Sequence[np.ndarray],
+    indptr: np.ndarray,
+    data: np.ndarray,
+    max_entries: int,
+) -> tuple[np.ndarray | None, int]:
+    """``|row & query|`` for every (query, row), each row searched once.
+
+    ``query_arrays[q]`` is query ``q``'s sorted duplicate-free hash array
+    and ``(indptr, data)`` the CSR of the rows.  One ``searchsorted`` of
+    ``data`` against the sorted union of the query hashes finds every row
+    element some query holds; only those hits are expanded into
+    (query, row) entries -- one per query holding the element -- and
+    counted into a ``len(query_arrays) x n_rows`` table.
+
+    Returns ``(table, join_size)``.  ``join_size`` is the number of
+    entries the expansion holds, known before it is materialised; when
+    ``join_size``, ``len(data)`` and the table together exceed
+    ``max_entries`` nothing is expanded and ``table`` is None.
+    """
+    n_queries, n_rows = len(query_arrays), len(indptr) - 1
+    lens = np.fromiter(
+        (len(a) for a in query_arrays), dtype=np.int64, count=n_queries
+    )
+    if len(data) == 0 or not lens.any():
+        fits = n_queries * n_rows + len(data) <= max_entries
+        return (
+            np.zeros((n_queries, n_rows), dtype=np.int64) if fits else None
+        ), 0
+    # Inverted view of the queries: the sorted union of their hashes and,
+    # per union element, the run of queries that hold it.
+    hashes = np.concatenate(query_arrays)
+    order = np.argsort(hashes, kind="stable")
+    hashes = hashes[order]
+    holders = np.repeat(np.arange(n_queries, dtype=np.int64), lens)[order]
+    starts = np.flatnonzero(_run_starts(hashes))
+    union = hashes[starts]
+    runs = np.append(starts, len(hashes))
+    pos = np.minimum(np.searchsorted(union, data), len(union) - 1)
+    hit = np.flatnonzero(union[pos] == data)
+    first = runs[pos[hit]]
+    fan = runs[pos[hit] + 1] - first
+    join_size = int(fan.sum())
+    if join_size + n_queries * n_rows + len(data) > max_entries:
+        return None, join_size
+    hit_row = np.searchsorted(indptr, hit, side="right") - 1
+    # Entry e of hit h is the e-th holder of h's element.
+    of_hit = np.repeat(np.arange(len(hit), dtype=np.int64), fan)
+    holder_at = (first - (np.cumsum(fan) - fan))[of_hit] + np.arange(
+        join_size, dtype=np.int64
+    )
+    table = np.bincount(
+        holders[holder_at] * n_rows + hit_row[of_hit],
+        minlength=n_queries * n_rows,
+    )
+    return table.reshape(n_queries, n_rows), join_size
+
+
+def verify_batch(
+    query_sets: Sequence[frozenset],
+    candidates_list: Sequence[set[int]],
+    sigma_low: float,
+    sigma_high: float,
+    io: IOStats,
+    *,
+    csr: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    sizes: Callable[[np.ndarray], np.ndarray],
+    fallback_sids,
+    get_set: Callable[[int], frozenset],
+) -> tuple[list[list[tuple[int, float]]], dict]:
+    """Exact in-range answers of a batch, best-first per query.
+
+    The one verify composition every path runs.  The caller describes
+    its stored sets through four adapters: ``csr(sids)`` is the sorted
+    hash arrays of the given sids (an ascending int64 array) in CSR
+    form, ``sizes(sids)`` their cardinalities, ``fallback_sids`` those
+    whose hash array is unusable (intra-set collision) and
+    ``get_set(sid)`` the actual set, for them and for collided queries.
+    ``io.cpu_ops`` is charged what the scalar loop charges per pair,
+    ``len(stored) + len(query)``.
+
+    Two kernels, same answers, order and charges.  *Pairwise* verifies
+    each query against its own candidates' CSR (:func:`intersect_counts`).
+    *Join* builds the CSR of the batch's distinct candidates once and
+    intersects it with all the queries in one pass (:func:`join_counts`),
+    which pays when the queries share candidates.  The batch picks from
+    its own counts: join when pairs >= ``JOIN_MIN_SHARING`` x distinct
+    and everything the join materialises -- its expansion, whose exact
+    size is known before it is built, the distinct CSR and the count
+    table -- stays within what the pairwise path would touch (pairs x
+    mean set size).  Elements that every query and every candidate hold
+    make the expansion quadratic; the bound is also the memory cap.
+
+    Returns ``(answers_list, info)``; ``info`` names the kernel that ran
+    (``verify_kernel``: ``join`` | ``pairwise``) and the counts it was
+    chosen from (``pairs``, ``distinct``, ``join_size``).
+    """
+    n = len(query_sets)
+    counts = np.fromiter(
+        (len(c) for c in candidates_list), dtype=np.int64, count=n
+    )
+    pairs = int(counts.sum())
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    pair_sid = np.fromiter(
+        chain.from_iterable(candidates_list), dtype=np.int64, count=pairs
+    )
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        pair_sid[a:b].sort()
+    distinct = np.sort(pair_sid)
+    distinct = distinct[_run_starts(distinct)]
+    adapters = dict(
+        csr=csr, sizes=sizes, fallback_sids=fallback_sids, get_set=get_set
+    )
+    answers_list, join_size = None, 0
+    if pairs and pairs >= JOIN_MIN_SHARING * len(distinct):
+        answers_list, join_size = _verify_join(
+            query_sets, counts, pair_sid, distinct, sigma_low, sigma_high,
+            io, **adapters,
+        )
+    joined = answers_list is not None
+    if not joined:
+        answers_list = [
+            _verify_pairwise(
+                query_set, pair_sid[a:b], sigma_low, sigma_high,
+                io, **adapters,
+            )
+            for query_set, a, b in zip(query_sets, bounds[:-1], bounds[1:])
+        ]
+    (_JOIN_BATCHES if joined else _PAIRWISE_BATCHES).inc()
+    return answers_list, {
+        "verify_kernel": "join" if joined else "pairwise",
+        "pairs": pairs, "distinct": len(distinct), "join_size": join_size,
+    }
+
+
+def merge_verify_info(infos: Sequence[dict]) -> dict:
+    """One ``info`` for several :func:`verify_batch` calls (the chunks of
+    a batch, the shards of a fleet): counts summed, ``verify_kernel``
+    ``mixed`` when the calls did not all take the same side."""
+    kernels = {info["verify_kernel"] for info in infos} or {"pairwise"}
+    merged = {"verify_kernel": kernels.pop() if len(kernels) == 1 else "mixed"}
+    for key in ("pairs", "distinct", "join_size"):
+        merged[key] = sum(info[key] for info in infos)
+    return merged
+
+
+def _verify_pairwise(
+    query_set, cand_sids, sigma_low, sigma_high, io,
+    *, csr, sizes, fallback_sids, get_set,
+) -> list[tuple[int, float]]:
+    """One query against its own candidates (ascending sids)."""
+    if len(cand_sids) == 0:
+        return []
+    cand_list = cand_sids.tolist()
+    cand_sizes = sizes(cand_sids)
+    io.cpu_ops += int(cand_sizes.sum()) + len(cand_list) * len(query_set)
+    exact = len(cand_list) <= SMALL_VERIFY_CUTOFF
+    if not exact:
+        query_arr, exact = hash_set(query_set)
+    if exact:
+        values = [jaccard(get_set(sid), query_set) for sid in cand_list]
+    else:
+        inter = intersect_counts(query_arr, *csr(cand_sids))
+        values = jaccard_values(len(query_set), cand_sizes, inter)
+        if fallback_sids:
+            for j, sid in enumerate(cand_list):
+                if sid in fallback_sids:
+                    values[j] = jaccard(get_set(sid), query_set)
+    return in_range_answers(cand_list, values, sigma_low, sigma_high)
+
+
+def _verify_join(
+    query_sets, counts, pair_sid, distinct, sigma_low, sigma_high, io,
+    *, csr, sizes, fallback_sids, get_set,
+) -> tuple[list[list[tuple[int, float]]] | None, int]:
+    """The whole batch through :func:`join_counts`: ``(answers_list,
+    join_size)``, with no answers (and nothing charged) when the join
+    would outgrow the pairwise path."""
+    n = len(query_sets)
+    pair_query = np.repeat(np.arange(n, dtype=np.int64), counts)
+    pair_row = np.searchsorted(distinct, pair_sid)
+    pair_size = sizes(distinct)[pair_row]
+    pairwise_entries = int(pair_size.sum())
+    # A collided query joins as an empty array; its pairs are redone
+    # exactly below, like those of collided stored sets.
+    hashed = [
+        hash_set(q) if c else (_NO_HASHES, False)
+        for q, c in zip(query_sets, counts.tolist())
+    ]
+    collided = np.fromiter((c for _, c in hashed), dtype=bool, count=n)
+    table, join_size = join_counts(
+        [_NO_HASHES if c else arr for arr, c in hashed],
+        *csr(distinct), pairwise_entries,
+    )
+    if table is None:
+        return None, join_size
+    inter = table[pair_query, pair_row]
+    query_len = np.fromiter(
+        (len(q) for q in query_sets), dtype=np.int64, count=n
+    )
+    io.cpu_ops += pairwise_entries + int((counts * query_len).sum())
+    values = jaccard_values(query_len[pair_query], pair_size, inter)
+    exact = collided[pair_query]
+    if fallback_sids:
+        exact |= np.isin(
+            pair_sid, np.fromiter(fallback_sids, dtype=np.int64)
+        )
+    for j in np.flatnonzero(exact).tolist():
+        values[j] = jaccard(
+            get_set(int(pair_sid[j])), query_sets[pair_query[j]]
+        )
+    # Range test and best-first order (sid ties ascending) on arrays;
+    # Python tuples only for the in-range hits.
+    keep = np.flatnonzero((sigma_low <= values) & (values <= sigma_high))
+    keep = keep[np.lexsort((pair_sid[keep], -values[keep], pair_query[keep]))]
+    hits = list(zip(pair_sid[keep].tolist(), values[keep].tolist()))
+    cuts = np.searchsorted(pair_query[keep], np.arange(n + 1)).tolist()
+    return [hits[a:b] for a, b in zip(cuts, cuts[1:])], join_size

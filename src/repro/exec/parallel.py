@@ -63,6 +63,7 @@ import numpy as np
 
 from repro.core.filter_index import record_batch_probe_counters
 from repro.core.index import BatchQueryResult, QueryResult
+from repro.exec.columnar import merge_verify_info
 from repro.hamming.bitvector import complement
 from repro.obs import events, metrics, trace
 from repro.storage.iomodel import IOStats
@@ -302,9 +303,10 @@ class ParallelExecutor:
                 )
                 fetches_saved = 0
                 probe_pages_saved = 0
+                verify_info = {}
             else:
                 (candidates_list, answers_list, fetches_saved,
-                 probe_pages_saved) = self._index_batch(
+                 probe_pages_saved, verify_info) = self._index_batch(
                     query_sets, sigma_low, sigma_high, all_tasks, recording,
                     verify_rows,
                 )
@@ -334,7 +336,10 @@ class ParallelExecutor:
                 pages_saved=pages_saved,
                 fetches_saved=fetches_saved,
                 trace=root,
-                exec_stats=self._exec_stats(all_tasks, strategy, wall0),
+                exec_stats={
+                    **self._exec_stats(all_tasks, strategy, wall0),
+                    **verify_info,
+                },
             )
             # Phase wall milliseconds: summed worker-task durations per
             # stage (fetch accounting happens on the parent inside the
@@ -452,7 +457,7 @@ class ParallelExecutor:
         all_tasks: list[_Task],
         recording: bool,
         verify_rows: Sequence[int] | None = None,
-    ) -> tuple[list[set[int]], list[list[tuple[int, float]]], int, int]:
+    ) -> tuple[list[set[int]], list[list[tuple[int, float]]], int, int, dict]:
         snap = self.snapshot
         n = len(query_sets)
         lo, up = snap.enclosing_points(sigma_low, sigma_high)
@@ -495,11 +500,14 @@ class ParallelExecutor:
                 cands if i in keep else set()
                 for i, cands in enumerate(candidates_list)
             ]
-        answers_list, fetches_saved = self._verify_stage(
+        answers_list, fetches_saved, verify_info = self._verify_stage(
             query_sets, vcands_list, sigma_low, sigma_high,
             matrix, rows, all_tasks, recording,
         )
-        return candidates_list, answers_list, fetches_saved, probe_pages_saved
+        return (
+            candidates_list, answers_list, fetches_saved, probe_pages_saved,
+            verify_info,
+        )
 
     def _embed_stage(
         self,
@@ -641,8 +649,10 @@ class ParallelExecutor:
         rows: list[int],
         all_tasks: list[_Task],
         recording: bool,
-    ) -> tuple[list[list[tuple[int, float]]], int]:
-        """Columnar exact verification, sharded by query chunk."""
+    ) -> tuple[list[list[tuple[int, float]]], int, dict]:
+        """Columnar exact verification, one contiguous query chunk per
+        worker: candidates are shared inside a chunk only, so smaller
+        chunks would forfeit the sharing ``verify_batch`` lives on."""
         snap = self.snapshot
         n = len(query_sets)
         n_pairs = sum(len(c) for c in candidates_list)
@@ -650,7 +660,7 @@ class ParallelExecutor:
             sorted(set().union(*candidates_list)) if candidates_list else []
         )
         fetches_saved = n_pairs - len(distinct)
-        chunks = _chunks(list(range(n)), self.workers * 4)
+        chunks = _chunks(list(range(n)), self.workers)
         tasks = [
             _Task("verify", f"verify[{chunk[0]}:{chunk[-1] + 1}]")
             for chunk in chunks
@@ -658,13 +668,11 @@ class ParallelExecutor:
 
         def make(chunk):
             def body(task: _Task):
-                return [
-                    snap.verify_one(
-                        query_sets[i], candidates_list[i],
-                        sigma_low, sigma_high, task.io,
-                    )
-                    for i in chunk
-                ]
+                return snap.verify_batch(
+                    [query_sets[i] for i in chunk],
+                    [candidates_list[i] for i in chunk],
+                    sigma_low, sigma_high, task.io,
+                )
             return body
 
         specs = None
@@ -672,7 +680,8 @@ class ParallelExecutor:
             specs = [
                 (
                     "verify",
-                    [(query_sets[i], candidates_list[i]) for i in chunk],
+                    [query_sets[i] for i in chunk],
+                    [candidates_list[i] for i in chunk],
                     sigma_low,
                     sigma_high,
                 )
@@ -688,8 +697,12 @@ class ParallelExecutor:
             _apply(snap.cost, fetch_io)
             for task, chunk in zip(tasks, chunks):
                 _apply(snap.cost, task.io)
-                for i, answers in zip(chunk, task.result):
+                for i, answers in zip(chunk, task.result[0]):
                     answers_list[i] = answers
+            info = merge_verify_info([task.result[1] for task in tasks])
+            # Chunks share candidates: the batch's distinct count is not
+            # the sum of theirs.
+            info["distinct"] = len(distinct)
             n_verified = sum(len(a) for a in answers_list)
             if sp.recording:
                 sp.set(
@@ -700,9 +713,10 @@ class ParallelExecutor:
                     est_in_range=snap.estimate_in_range(
                         candidates_list, matrix, rows, sigma_low, sigma_high
                     ),
+                    **info,
                 )
         all_tasks.extend(tasks)
-        return answers_list, fetches_saved
+        return answers_list, fetches_saved, info
 
     # -- observability -----------------------------------------------------
 

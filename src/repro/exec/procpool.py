@@ -12,7 +12,8 @@ A task arrives as a ``spec`` tuple -- ``(stage, *payload)`` -- runs the
 same per-task body the thread backend runs, and returns everything the
 parent needs to merge deterministically:
 
-- the stage result (probe sid lists / embedding matrix / answers);
+- the stage result (probe sid lists / embedding matrix / answers
+  plus the verify kernel's ``info``);
 - the task's private :class:`~repro.storage.iomodel.IOStats`;
 - the task's **full-registry metrics delta**.  Workers are
   single-threaded, so a before/after snapshot of the registry
@@ -55,11 +56,10 @@ def _probe(snap, io, kind, point, t, matrix):
     return snap.filter_probe(kind, point).probe_table(t, matrix, io)
 
 
-def _verify(snap, io, items, sigma_low, sigma_high):
-    return [
-        snap.verify_one(query_set, candidates, sigma_low, sigma_high, io)
-        for query_set, candidates in items
-    ]
+def _verify(snap, io, query_sets, candidates_list, sigma_low, sigma_high):
+    return snap.verify_batch(
+        query_sets, candidates_list, sigma_low, sigma_high, io
+    )
 
 
 def _scan(snap, io, items, sigma_low, sigma_high):

@@ -63,6 +63,7 @@ import numpy as np
 
 from repro.core.index import BatchQueryResult, QueryResult
 from repro.core.minhash import MinHasher, stable_element_hash
+from repro.exec.columnar import merge_verify_info
 from repro.exec.route import (
     ROUTING_FILE,
     ShardRouter,
@@ -1101,6 +1102,14 @@ class ShardedExecutor:
                 for i, (sbatch, _, _) in sorted(shard_batches.items())
             },
         }
+        # The fleet's verify counts, under the names every path uses
+        # (shards hold disjoint sets, so their distinct counts add).
+        verify_infos = [
+            sbatch.exec_stats for sbatch, _, _ in shard_batches.values()
+            if "verify_kernel" in (sbatch.exec_stats or {})
+        ]
+        if verify_infos:
+            stats.update(merge_verify_info(verify_infos))
         stats["route"] = {
             "mode": self.route,
             "active": decision is not None,

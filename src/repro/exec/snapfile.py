@@ -455,7 +455,7 @@ def save_snapshot(snapshot: IndexSnapshot, path) -> Path:
     with trace.span("snapshot_save", path=str(path)) as sp:
         sids = snapshot.sids
         arrays: dict[str, np.ndarray] = {
-            "sid_array": np.asarray(sids, dtype=np.int64),
+            "sid_array": snapshot.sid_array,
             "vector_matrix": snapshot.vector_matrix,
             "set_indptr": snapshot.set_indptr,
             "set_data": snapshot.set_data,

@@ -29,15 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.similarity import jaccard
-from repro.exec.columnar import (
-    SMALL_VERIFY_CUTOFF,
-    gather_csr,
-    hash_set,
-    in_range_answers,
-    intersect_counts,
-    jaccard_values,
-)
+from repro.exec.columnar import gather_csr, verify_batch
 from repro.storage.iomodel import IOStats
 
 
@@ -108,6 +100,7 @@ class IndexSnapshot:
             sfis={p: fi.freeze() for p, fi in index._sfis.items()},
             dfis={p: fi.freeze() for p, fi in index._dfis.items()},
             sids=sids,
+            sid_array=np.asarray(sids, dtype=np.int64),
             row_of=row_of,
             all_sids=frozenset(sids),
             vector_matrix=vector_matrix,
@@ -233,16 +226,38 @@ class IndexSnapshot:
 
     # -- verification ------------------------------------------------------
 
+    def _rows(self, sids) -> np.ndarray:
+        """Row of each stored sid (``sid_array`` is ascending)."""
+        return np.searchsorted(self.sid_array, sids)
+
     def charge_fetches(self, distinct: list[int], io: IOStats) -> None:
         """Charge the measured fetch cost of each distinct candidate."""
         if not distinct:
             return
-        rows = np.fromiter(
-            (self.row_of[sid] for sid in distinct),
-            dtype=np.int64, count=len(distinct),
-        )
+        rows = self._rows(distinct)
         io.random_reads += int(self.fetch_random[rows].sum())
         io.sequential_reads += int(self.fetch_seq[rows].sum())
+
+    def verify_batch(
+        self,
+        query_sets: list[frozenset],
+        candidates_list: list[set[int]],
+        sigma_low: float,
+        sigma_high: float,
+        io: IOStats,
+    ) -> tuple[list[list[tuple[int, float]]], dict]:
+        """Exact in-range matches of a batch (or one worker's chunk of
+        it) through :func:`repro.exec.columnar.verify_batch`, charging
+        the same per-pair CPU the live path charges into ``io``."""
+        return verify_batch(
+            query_sets, candidates_list, sigma_low, sigma_high, io,
+            csr=lambda sids: gather_csr(
+                self.set_indptr, self.set_data, self._rows(sids)
+            ),
+            sizes=lambda sids: self.set_sizes[self._rows(sids)],
+            fallback_sids=self.fallback_sids,
+            get_set=self.sets.__getitem__,
+        )
 
     def verify_one(
         self,
@@ -252,40 +267,11 @@ class IndexSnapshot:
         sigma_high: float,
         io: IOStats,
     ) -> list[tuple[int, float]]:
-        """Exact in-range matches of one query, columnar, charging the
-        same per-pair CPU the live path charges into ``io``."""
-        cand_list = sorted(candidates)
-        if not cand_list:
-            return []
-        if len(cand_list) <= SMALL_VERIFY_CUTOFF:
-            # Small lists: the live path's exact loop (see
-            # ``SetSimilarityIndex._columnar_answers``) -- same charge.
-            io.cpu_ops += (
-                sum(int(self.set_sizes[self.row_of[sid]]) for sid in cand_list)
-                + len(cand_list) * len(query_set)
-            )
-            values = [jaccard(self.sets[sid], query_set) for sid in cand_list]
-            return in_range_answers(cand_list, values, sigma_low, sigma_high)
-        rows = np.fromiter(
-            (self.row_of[sid] for sid in cand_list),
-            dtype=np.int64, count=len(cand_list),
+        """:meth:`verify_batch` for a single query."""
+        answers_list, _ = self.verify_batch(
+            [query_set], [candidates], sigma_low, sigma_high, io
         )
-        sizes = self.set_sizes[rows]
-        io.cpu_ops += int(sizes.sum()) + len(cand_list) * len(query_set)
-        query_arr, query_collided = hash_set(query_set)
-        if query_collided:
-            values = [jaccard(self.sets[sid], query_set) for sid in cand_list]
-        else:
-            sub_indptr, sub_data = gather_csr(
-                self.set_indptr, self.set_data, rows
-            )
-            inter = intersect_counts(query_arr, sub_indptr, sub_data)
-            values = jaccard_values(len(query_set), sizes, inter)
-            if self.fallback_sids:
-                for j, sid in enumerate(cand_list):
-                    if sid in self.fallback_sids:
-                        values[j] = jaccard(self.sets[sid], query_set)
-        return in_range_answers(cand_list, values, sigma_low, sigma_high)
+        return answers_list[0]
 
     def scan_one(
         self,
