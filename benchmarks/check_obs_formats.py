@@ -1,8 +1,9 @@
 """Validate the telemetry export artifacts (CI ``obs-smoke`` gate).
 
-Checks the three files ``bench_obs.py --artifacts DIR`` writes --
-Prometheus text exposition, query-event JSONL, Chrome trace-event
-JSON -- against the validators in :mod:`repro.obs.export`, which pin
+Checks the three files ``repro query --prom-out/--events-out/
+--trace-out`` writes (into ``DIR`` as ``obs_metrics.prom``,
+``obs_events.jsonl``, ``obs_trace.json``) -- Prometheus text
+exposition, query-event JSONL, Chrome trace-event JSON -- against the validators in :mod:`repro.obs.export`, which pin
 the format invariants external tooling relies on (TYPE-declared
 families with cumulative ``le`` buckets; the full event schema on
 every line; well-formed complete events with non-negative
@@ -44,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "dir", nargs="?", type=Path,
-        help="artifact directory from `bench_obs.py --artifacts DIR`",
+        help="directory holding obs_metrics.prom, obs_events.jsonl, obs_trace.json",
     )
     parser.add_argument("--prom", type=Path, help="Prometheus text file")
     parser.add_argument("--events", type=Path, help="query-event JSONL file")

@@ -232,7 +232,8 @@ def _write_telemetry(args: argparse.Namespace, trace_root) -> None:
 def cmd_query(args: argparse.Namespace) -> int:
     """``query``: run similarity range queries against a saved index.
 
-    One query set (a single ``--set``) runs through the scalar path;
+    One query set (a single ``--set``) runs as ``index.query`` (the
+    one-row batch, printed without a position prefix);
     several (repeated ``--set`` and/or ``--sets-file``) run as one
     batched execution sharing bucket reads and candidate fetches, with
     per-query answer blocks prefixed by the query's position.  With

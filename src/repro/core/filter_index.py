@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.filter_function import FilterFunction
 from repro.hamming.bitvector import complement
-from repro.hamming.sampling import BitSampler
+from repro.hamming.sampling import BitSampler, sampled_key_words
 from repro.obs import metrics, trace
 from repro.storage.hashtable import BucketHashTable, hash_words
 from repro.storage.pager import PageManager
@@ -115,6 +115,11 @@ class SimilarityFilterIndex:
         self._samplers = [
             BitSampler(n_bits, self.filter.r, rng) for _ in range(n_tables)
         ]
+        # The l samplers' positions stacked (l, r): a probe extracts and
+        # fingerprints the keys of every table in one vectorized pass.
+        positions = np.stack([s.positions for s in self._samplers])
+        self._word_index = positions // 64
+        self._bit_offset = (positions % 64).astype(np.uint64)
         slots = pager.capacity_for(16)
         n_buckets = max(1, -(-expected_entries // slots)) * 2
         self._tables = [BucketHashTable(pager, n_buckets) for _ in range(n_tables)]
@@ -138,17 +143,13 @@ class SimilarityFilterIndex:
         for sampler, table in zip(self._samplers, self._tables):
             table.insert(sampler.key(vector), sid)
 
-    def insert_many(
-        self, matrix: np.ndarray, sids: Sequence[int], method: str = "bulk"
-    ) -> None:
+    def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> None:
         """Bulk-index the rows of a packed matrix (vectorized keying).
 
-        ``method="bulk"`` (default) loads each table through the
-        vectorized bucket-partitioned path
-        (:meth:`~repro.storage.hashtable.BucketHashTable.bulk_load`),
-        which produces bit-identical chains, directories and accounting
-        to ``method="insert"`` -- the legacy per-entry loop, kept as
-        the equivalence/benchmark baseline.
+        Each table is loaded through the vectorized bucket-partitioned
+        path (:meth:`~repro.storage.hashtable.BucketHashTable.bulk_load_hashed`),
+        which produces chains, directories and accounting bit-identical
+        to inserting the rows one by one, table by table.
 
         The rows of ``matrix`` need not be contiguous (column views and
         strided slices are accepted); ``sids`` must be unique within
@@ -159,23 +160,16 @@ class SimilarityFilterIndex:
             raise ValueError(
                 f"matrix has {matrix.shape[0]} rows but {len(sids)} sids given"
             )
-        if method not in ("bulk", "insert"):
-            raise ValueError(f"unknown insert_many method: {method!r}")
         if len(set(sids)) != len(sids):
             raise ValueError("duplicate sids in insert_many")
         if matrix.shape[0] == 0:
             return
         matrix = np.ascontiguousarray(matrix)
-        if method == "bulk":
-            for sampler, table in zip(self._samplers, self._tables):
-                table.bulk_load_hashed(
-                    hash_words(sampler.key_words(matrix), sampler.key_bytes),
-                    sids,
-                )
-        else:
-            for sampler, table in zip(self._samplers, self._tables):
-                for key, sid in zip(sampler.keys(matrix), sids):
-                    table.insert(key, sid)
+        for sampler, table in zip(self._samplers, self._tables):
+            table.bulk_load_hashed(
+                hash_words(sampler.key_words(matrix), sampler.key_bytes),
+                sids,
+            )
 
     def table_units(self) -> list[tuple]:
         """The independent (sampler, table) build units, one per hash
@@ -189,56 +183,19 @@ class SimilarityFilterIndex:
             table.delete(sampler.key(vector), sid)
 
     def probe(self, query: np.ndarray) -> set[int]:
-        """``SimVector(s*, q)``: union of the matching bucket of each table."""
-        if not trace.is_active():
-            # Untraced fast path: identical to the pre-instrumentation
-            # loop plus aggregate counters (probe cost is per-table, so
-            # per-table bookkeeping must stay out of this branch).
-            sids: set[int] = set()
-            total = 0
-            for sampler, table in zip(self._samplers, self._tables):
-                got = table.probe(sampler.key(query))
-                total += len(got)
-                sids.update(got)
-            _SFI_PROBES.inc()
-            _SFI_CANDIDATES.inc(len(sids))
-            _SFI_DUPLICATES.inc(total - len(sids))
-            return sids
-        with trace.span(
-            "sfi_probe",
-            s_star=self.threshold,
-            sigma=getattr(self, "sigma_point", None),
-            r=self.filter.r,
-            l=len(self._tables),
-        ) as sp:
-            sids = set()
-            total = 0
-            per_table: list[int] = []
-            for sampler, table in zip(self._samplers, self._tables):
-                got = table.probe(sampler.key(query))
-                total += len(got)
-                per_table.append(len(got))
-                _TABLE_CANDIDATES.observe(len(got))
-                sids.update(got)
-            _SFI_PROBES.inc()
-            _SFI_CANDIDATES.inc(len(sids))
-            _SFI_DUPLICATES.inc(total - len(sids))
-            sp.set(
-                tables_probed=len(self._tables),
-                candidates=len(sids),
-                collisions=total - len(sids),
-                table_candidates=per_table,
-                _sids=sids,
-            )
-            return sids
+        """``SimVector(s*, q)``: union of the matching bucket of each
+        table -- the one-row case of :meth:`probe_batch`."""
+        return self.probe_batch(query[None, :])[0]
 
     def probe_batch(self, matrix: np.ndarray) -> list[set[int]]:
         """``SimVector(s*, q)`` for every row of a packed query matrix.
 
-        Equivalent to ``[self.probe(row) for row in matrix]`` but each
-        table extracts all keys in one vectorized pass and probes them
-        with grouped bucket reads
-        (:meth:`~repro.storage.hashtable.BucketHashTable.probe_many`),
+        The sampled-bit keys of all ``l`` tables are extracted and
+        fingerprinted in one vectorized pass (the bulk build's
+        ``key_words`` -> ``hash_words`` path, bit-identical to
+        ``hash_key(sampler.key(row))``), then each table serves its
+        column with grouped bucket reads
+        (:meth:`~repro.storage.hashtable.BucketHashTable.probe_hashed`),
         so a bucket page shared by several queries of the batch is read
         once instead of once per query.
         """
@@ -249,24 +206,36 @@ class SimilarityFilterIndex:
         with trace.span(
             "sfi_probe_batch",
             s_star=self.threshold,
-            sigma=getattr(self, "sigma_point", None),
+            sigma=self.sigma_point,
             r=self.filter.r,
             l=len(self._tables),
             n_queries=n,
         ) as sp:
+            words = sampled_key_words(matrix, self._word_index, self._bit_offset)
+            fingerprints = hash_words(
+                words.reshape(n * len(self._tables), -1),
+                self._samplers[0].key_bytes,
+            ).reshape(n, len(self._tables))
             sids: list[set[int]] = [set() for _ in range(n)]
-            totals = [0] * n
-            for sampler, table in zip(self._samplers, self._tables):
-                for i, got in enumerate(table.probe_many(sampler.keys(matrix))):
-                    totals[i] += len(got)
+            per_table: list[int] = []
+            recording = sp.recording
+            for table, column in zip(self._tables, fingerprints.T.tolist()):
+                hits = 0
+                for i, got in enumerate(table.probe_hashed(column)):
+                    hits += len(got)
                     sids[i].update(got)
+                    if recording:
+                        _TABLE_CANDIDATES.observe(len(got))
+                per_table.append(hits)
             unique = sum(len(s) for s in sids)
-            record_batch_probe_counters("sfi", n, unique, sum(totals) - unique)
-            if sp.recording:
+            collisions = sum(per_table) - unique
+            record_batch_probe_counters("sfi", n, unique, collisions)
+            if recording:
                 sp.set(
                     tables_probed=len(self._tables),
                     candidates=unique,
-                    collisions=sum(totals) - unique,
+                    collisions=collisions,
+                    table_candidates=per_table,
                     pages_saved=_PAGES_SAVED.local_value - saved_before,
                     _sids_per_query=sids,
                 )
@@ -307,7 +276,7 @@ class SimilarityFilterIndex:
         return FrozenFilterProbe(
             kind="sfi",
             threshold=self.threshold,
-            sigma_point=getattr(self, "sigma_point", None),
+            sigma_point=self.sigma_point,
             r=self.filter.r,
             n_bits=self.n_bits,
             samplers=list(self._samplers),
@@ -368,10 +337,8 @@ class DissimilarityFilterIndex:
     def insert(self, vector: np.ndarray, sid: int) -> None:
         self._sfi.insert(vector, sid)
 
-    def insert_many(
-        self, matrix: np.ndarray, sids: Sequence[int], method: str = "bulk"
-    ) -> None:
-        self._sfi.insert_many(matrix, sids, method=method)
+    def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> None:
+        self._sfi.insert_many(matrix, sids)
 
     def table_units(self) -> list[tuple]:
         """The inner SFI's (sampler, table) build units (data vectors
@@ -382,28 +349,8 @@ class DissimilarityFilterIndex:
         self._sfi.delete(vector, sid)
 
     def probe(self, query: np.ndarray) -> set[int]:
-        """``DissimVector(s*, q)``: probe the inner SFI with ``~q``."""
-        if not trace.is_active():
-            sids = self._sfi.probe(complement(query, self.n_bits))
-            _DFI_PROBES.inc()
-            _DFI_CANDIDATES.inc(len(sids))
-            return sids
-        with trace.span(
-            "dfi_probe",
-            s_star=self.threshold,
-            sigma=getattr(self, "sigma_point", None),
-            r=self.r,
-            l=self.n_tables,
-        ) as sp:
-            sids = self._sfi.probe(complement(query, self.n_bits))
-            _DFI_PROBES.inc()
-            _DFI_CANDIDATES.inc(len(sids))
-            sp.set(
-                tables_probed=self.n_tables,
-                candidates=len(sids),
-                _sids=sids,
-            )
-            return sids
+        """``DissimVector(s*, q)``: the one-row case of :meth:`probe_batch`."""
+        return self.probe_batch(query[None, :])[0]
 
     def probe_batch(self, matrix: np.ndarray) -> list[set[int]]:
         """Batch ``DissimVector``: probe the inner SFI with ``~rows``."""
@@ -414,7 +361,7 @@ class DissimilarityFilterIndex:
         with trace.span(
             "dfi_probe_batch",
             s_star=self.threshold,
-            sigma=getattr(self, "sigma_point", None),
+            sigma=self.sigma_point,
             r=self.r,
             l=self.n_tables,
             n_queries=n,

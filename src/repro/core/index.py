@@ -24,9 +24,15 @@ from repro.core.distribution import SimilarityDistribution
 from repro.core.embedding import SetEmbedder
 from repro.core.filter_index import DissimilarityFilterIndex, SimilarityFilterIndex
 from repro.core.optimizer import SFI, IndexPlan, greedy_allocate, plan_index
+from repro.core.query_plan import (
+    combine_candidates,
+    enclosing_points,
+    estimate_in_range,
+    plan_batch,
+)
 from repro.core.similarity import jaccard
 from repro.obs import events, metrics, trace
-from repro.obs.explain import batch_probe_spans, probe_spans
+from repro.obs.explain import probe_spans
 from repro.obs.trace import Span
 from repro.storage.iomodel import IOCostModel, IOStats
 from repro.storage.pager import PageManager
@@ -178,6 +184,132 @@ class BatchQueryResult:
     def __getitem__(self, i: int) -> QueryResult:
         return self.results[i]
 
+    def only(self) -> QueryResult:
+        """The result of a one-row batch -- what ``query()`` returns.
+
+        With a single row there is nothing to attribute, so the row
+        carries the batch's I/O, costs, timings and trace.
+        """
+        (result,) = self.results
+        result.io, result.io_time, result.cpu_time = (
+            self.io, self.io_time, self.cpu_time
+        )
+        result.trace, result.timings = self.trace, self.timings
+        return result
+
+
+def assemble_batch(
+    root: Span | None,
+    cost: IOCostModel,
+    delta: IOStats,
+    answers_list: list[list[tuple[int, float]]],
+    candidates_list: list[set[int]],
+    pages_saved: int,
+    fetches_saved: int,
+    timings: dict[str, float],
+    exec_stats: dict | None = None,
+) -> BatchQueryResult:
+    """Batch epilogue, result half: the :class:`BatchQueryResult` of one
+    executed batch, and -- when it ran traced -- the totals on the root
+    span plus, per filter probe, how many of the (query, candidate)
+    pairs it contributed passed that query's exact verification."""
+    batch = BatchQueryResult(
+        results=[
+            QueryResult(
+                answers=answers,
+                candidates=candidates,
+                io=IOStats(),
+                io_time=0.0,
+                cpu_time=0.0,
+            )
+            for answers, candidates in zip(answers_list, candidates_list)
+        ],
+        io=delta,
+        io_time=cost.io_time(delta),
+        cpu_time=cost.cpu_time(delta),
+        pages_saved=pages_saved,
+        fetches_saved=fetches_saved,
+        trace=root,
+        exec_stats=exec_stats,
+        timings=timings,
+    )
+    if root is None:
+        return batch
+    root.set(
+        n_candidates=batch.n_candidates,
+        n_verified=batch.n_verified,
+        io_time=batch.io_time,
+        cpu_time=batch.cpu_time,
+        total_time=batch.total_time,
+        pages_saved=pages_saved,
+        fetches_saved=fetches_saved,
+    )
+    if timings:
+        root.set(timings={
+            phase: round(ms, 3) for phase, ms in timings.items()
+        })
+    answer_sids = [r.answer_sids for r in batch.results]
+    for cspan in root.find("candidates_batch"):
+        rows = cspan.attrs.get("_rows")
+        if rows is None:
+            continue
+        for span in probe_spans(cspan):
+            per_query = span.attrs.get("_sids_per_query")
+            if per_query is None:
+                continue
+            span.set(survived=sum(
+                len(sids & answer_sids[i])
+                for sids, i in zip(per_query, rows)
+            ))
+    return batch
+
+
+def record_batch(
+    kind: str,
+    batch: BatchQueryResult,
+    wall0: float,
+    *,
+    cache_hits: int,
+    backend: str,
+    workers: int,
+    strategy: str,
+    sigma_low: float,
+    sigma_high: float,
+    timings: dict[str, float] | None = None,
+) -> None:
+    """Batch epilogue, telemetry half: the one ``record_query`` event
+    and the ``query.*`` aggregates of one executed batch, on every
+    execution path.  ``kind="query"`` is the one-row batch behind
+    ``query()``: it counts in ``query.count`` like any row but is not a
+    batch in ``query.batches`` / ``query.batch_size``.
+    """
+    events.record_query(
+        kind,
+        latency_ms=(time.perf_counter() - wall0) * 1e3,
+        sim_time=batch.total_time,
+        n_queries=batch.n_queries,
+        n_candidates=batch.n_candidates,
+        n_verified=batch.n_verified,
+        pages_read=batch.io.random_reads + batch.io.sequential_reads,
+        cache_hits=cache_hits,
+        backend=backend,
+        workers=workers,
+        strategy=strategy,
+        sigma_low=sigma_low,
+        sigma_high=sigma_high,
+        timings=batch.timings if timings is None else timings,
+    )
+    if kind != "query":
+        _QUERY_BATCHES.inc()
+        _BATCH_SIZE.observe(batch.n_queries)
+        _BATCH_FETCHES_SAVED.inc(batch.fetches_saved)
+    _QUERIES.inc(batch.n_queries)
+    _QUERY_CANDIDATES.inc(batch.n_candidates)
+    _QUERY_VERIFIED.inc(batch.n_verified)
+    _QUERY_FALSE_POSITIVES.inc(batch.n_candidates - batch.n_verified)
+    for result in batch.results:
+        _CANDIDATES_PER_QUERY.observe(result.n_candidates)
+
 
 class SetSimilarityIndex:
     """Approximate index for Jaccard-similarity range queries over sets.
@@ -234,16 +366,9 @@ class SetSimilarityIndex:
         self._planner = None
         self._frozen = None
 
-    #: Verify candidates with the vectorized sorted-hash kernels
-    #: (:mod:`repro.exec.columnar`).  Set False on an instance to force
-    #: the legacy per-candidate ``frozenset`` loop -- same answers and
-    #: accounting, slower wall clock (kept for benchmarking).
-    columnar_verify = True
-
     #: Report of the bulk build that materialized this index (phase
     #: timings, per-unit plan times, totals; see
-    #: :func:`repro.exec.build.bulk_load_filters`), or None for
-    #: per-insert builds and indexes loaded from older files.
+    #: :func:`repro.exec.build.bulk_load_filters`).
     build_report: dict | None = None
     #: Root build span when the index was built under tracing
     #: (``explain=True`` or an enclosing ``trace.capture``); not
@@ -316,12 +441,11 @@ class SetSimilarityIndex:
                 sets, plan, dist, k=k, b=b, seed=seed, io=io, workers=workers,
                 codec=codec,
             )
-        if index.build_report is not None:
-            index.build_report["phases"] = {
-                "estimate_distribution_seconds": round(dist_seconds, 6),
-                "plan_index_seconds": round(plan_seconds, 6),
-                **index.build_report.get("phases", {}),
-            }
+        index.build_report["phases"] = {
+            "estimate_distribution_seconds": round(dist_seconds, 6),
+            "plan_index_seconds": round(plan_seconds, 6),
+            **index.build_report["phases"],
+        }
         if root is not None:
             index.build_trace = root
         return index
@@ -338,7 +462,6 @@ class SetSimilarityIndex:
         io: IOCostModel | None = None,
         workers: int = 1,
         explain: bool = False,
-        build_method: str = "bulk",
         codec: str = "full64",
     ) -> "SetSimilarityIndex":
         """Materialize an index from an explicit plan.
@@ -346,17 +469,14 @@ class SetSimilarityIndex:
         Used by ablation experiments that bypass or modify the Fig. 4
         optimizer (e.g. SFI-only placement, uniform allocation).
 
-        ``build_method="bulk"`` (default) loads the filter tables
-        through the vectorized bucket-partitioned pipeline
-        (:func:`repro.exec.build.bulk_load_filters`, ``workers`` wide);
-        ``"insert"`` keeps the legacy per-entry loop.  Both produce
-        bit-identical indexes; the bulk build also attaches
-        :attr:`build_report`.
+        The filter tables are loaded through the vectorized
+        bucket-partitioned pipeline
+        (:func:`repro.exec.build.bulk_load_filters`, ``workers`` wide),
+        bit-identical to inserting every set one by one; the load's
+        report is attached as :attr:`build_report`.
         """
         from repro.exec.build import bulk_load_filters
 
-        if build_method not in ("bulk", "insert"):
-            raise ValueError(f"unknown build_method: {build_method!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         sets = [frozenset(s) for s in sets]
@@ -371,7 +491,6 @@ class SetSimilarityIndex:
             force=explain,
             n_sets=len(sets),
             workers=workers,
-            method=build_method,
         ) as root:
             index._materialize_filters(
                 expected_entries=max(1, len(sets)), seed=seed
@@ -391,23 +510,17 @@ class SetSimilarityIndex:
                         index._sizes[sid] = len(elements)
                         index._set_chash(sid, elements)
                 embed_seconds = time.perf_counter() - t0
-                if build_method == "bulk":
-                    filter_report = bulk_load_filters(
-                        list(index._all_filters()), matrix, sids,
-                        workers=workers,
-                    )
-                else:
-                    for fi in index._all_filters():
-                        fi.insert_many(matrix, sids, method="insert")
-        if build_method == "bulk":
-            index.build_report = {
-                "n_sets": len(sets),
-                "phases": {
-                    "store_load_seconds": round(store_seconds, 6),
-                    "embed_corpus_seconds": round(embed_seconds, 6),
-                },
-                "filters": filter_report,
-            }
+                filter_report = bulk_load_filters(
+                    list(index._all_filters()), matrix, sids, workers=workers
+                )
+        index.build_report = {
+            "n_sets": len(sets),
+            "phases": {
+                "store_load_seconds": round(store_seconds, 6),
+                "embed_corpus_seconds": round(embed_seconds, 6),
+            },
+            "filters": filter_report,
+        }
         index.build_trace = root
         logger.debug(
             "materialized %d SFIs + %d DFIs over %d sets",
@@ -582,117 +695,15 @@ class SetSimilarityIndex:
         resulting span tree is attached as ``result.trace`` and can be
         rendered with :func:`repro.obs.explain.render_trace` /
         :func:`repro.obs.explain.explain_json`.
-        """
-        if not 0.0 <= sigma_low <= sigma_high <= 1.0:
-            raise ValueError(
-                f"invalid similarity range [{sigma_low}, {sigma_high}]"
-            )
-        if strategy not in ("index", "scan", "auto"):
-            raise ValueError(f"unknown strategy: {strategy!r}")
-        if strategy == "auto":
-            strategy = self.planner().choose(sigma_low, sigma_high)
-        wall0 = time.perf_counter()
-        hits_before = _PAGER_CACHE_HITS.local_value
-        timings: dict[str, float] = {}
-        with trace.capture(
-            "query",
-            io=self.io,
-            force=explain,
-            strategy=strategy,
-            sigma_low=sigma_low,
-            sigma_high=sigma_high,
-        ) as root:
-            before = self.io.snapshot()
-            query_set = frozenset(elements)
-            if strategy == "scan":
-                t0 = time.perf_counter()
-                candidates, answers = self._scan_query(
-                    query_set, sigma_low, sigma_high
-                )
-                timings["scan"] = (time.perf_counter() - t0) * 1e3
-            else:
-                t0 = time.perf_counter()
-                candidates = self._candidates(
-                    query_set, sigma_low, sigma_high, timings=timings
-                )
-                # The candidates stage is embed + probe; report probe
-                # as its remainder after the measured embed slice.
-                timings["probe"] = max(
-                    0.0,
-                    (time.perf_counter() - t0) * 1e3
-                    - timings.get("embed", 0.0),
-                )
-                t0 = time.perf_counter()
-                answers = self._verify(
-                    query_set, candidates, sigma_low, sigma_high,
-                    timings=timings,
-                )
-                timings["verify"] = max(
-                    0.0,
-                    (time.perf_counter() - t0) * 1e3
-                    - timings.get("fetch", 0.0),
-                )
-            delta = self.io.snapshot() - before
-            result = QueryResult(
-                answers=answers,
-                candidates=candidates,
-                io=delta,
-                io_time=self.io.io_time(delta),
-                cpu_time=self.io.cpu_time(delta),
-                trace=root,
-                timings=timings,
-            )
-            if root is not None:
-                self._annotate_trace(root, result)
-        events.record_query(
-            "query",
-            latency_ms=(time.perf_counter() - wall0) * 1e3,
-            sim_time=result.total_time,
-            n_queries=1,
-            n_candidates=result.n_candidates,
-            n_verified=result.n_verified,
-            pages_read=delta.random_reads + delta.sequential_reads,
-            cache_hits=_PAGER_CACHE_HITS.local_value - hits_before,
-            backend="sequential",
-            workers=1,
-            strategy=strategy,
-            sigma_low=sigma_low,
-            sigma_high=sigma_high,
-            timings=timings,
-        )
-        _QUERIES.inc()
-        _QUERY_CANDIDATES.inc(result.n_candidates)
-        _QUERY_VERIFIED.inc(result.n_verified)
-        _QUERY_FALSE_POSITIVES.inc(result.n_candidates - result.n_verified)
-        _CANDIDATES_PER_QUERY.observe(result.n_candidates)
-        logger.debug(
-            "query [%.3f, %.3f] strategy=%s: %d answers / %d candidates, "
-            "simulated time %.1f",
-            sigma_low, sigma_high, strategy,
-            result.n_verified, result.n_candidates, result.total_time,
-        )
-        return result
 
-    def _annotate_trace(self, root: Span, result: QueryResult) -> None:
-        """Post-query trace enrichment: totals on the root span and
-        per-probe survivor counts (candidates a filter contributed that
-        passed exact verification)."""
-        root.set(
-            n_candidates=result.n_candidates,
-            n_verified=result.n_verified,
-            io_time=result.io_time,
-            cpu_time=result.cpu_time,
-            total_time=result.total_time,
-        )
-        if result.timings:
-            root.set(timings={
-                phase: round(ms, 3) for phase, ms in result.timings.items()
-            })
-        answer_sids = result.answer_sids
-        for span in probe_spans(root):
-            sids = span.attrs.get("_sids")
-            if sids is not None:
-                span.set(survived=len(sids & answer_sids))
+        This is the one-row case of :meth:`query_batch`: the same
+        pipeline, with the batch-level I/O, costs, timings and trace
+        carried on the returned row, a root span and telemetry event
+        named ``"query"``, and no entry in the ``query.batches`` counter.
+        """
+        return self._run_batch(
+            "query", [elements], sigma_low, sigma_high, strategy, explain
+        ).only()
 
     def planner(self) -> "QueryPlanner":
         """The cost-based planner for this index.
@@ -716,23 +727,6 @@ class SetSimilarityIndex:
             )
         return self._planner
 
-    def _scan_query(
-        self, query_set: frozenset, sigma_low: float, sigma_high: float
-    ) -> tuple[set[int], list[tuple[int, float]]]:
-        """Exact evaluation by sequential scan of the set store."""
-        with trace.span("scan", n_pages=self.store.n_pages) as sp:
-            answers: list[tuple[int, float]] = []
-            candidates: set[int] = set()
-            for sid, stored in self.store.scan():
-                candidates.add(sid)
-                self.io.cpu(len(stored) + len(query_set))
-                similarity = jaccard(stored, query_set)
-                if sigma_low <= similarity <= sigma_high:
-                    answers.append((sid, similarity))
-            answers.sort(key=lambda pair: (-pair[1], pair[0]))
-            sp.set(n_candidates=len(candidates), n_verified=len(answers))
-            return candidates, answers
-
     def query_above(self, elements: Iterable, sigma: float) -> QueryResult:
         """Sets at least ``sigma``-similar to the query."""
         return self.query(elements, sigma, 1.0)
@@ -740,8 +734,6 @@ class SetSimilarityIndex:
     def query_below(self, elements: Iterable, sigma: float) -> QueryResult:
         """Sets at most ``sigma``-similar to the query."""
         return self.query(elements, 0.0, sigma)
-
-    # -- batched query processing ---------------------------------------------
 
     def query_batch(
         self,
@@ -763,11 +755,11 @@ class SetSimilarityIndex:
            batch with grouped bucket lookups, so a bucket page shared
            by several queries is read once instead of once per query;
         3. candidates are fetched once per *distinct* candidate and
-           verified exactly; the packed-matrix Hamming kernel
-           (:func:`~repro.hamming.distance.hamming_similarity_matrix`)
-           computes every pair's estimated similarity in one popcount
-           pass, which orders verification and feeds the batch EXPLAIN
-           aggregates (answer membership stays exactly verified).
+           verified exactly by the columnar kernels
+           (:func:`repro.exec.columnar.verify_batch`); when a trace is
+           recording, the packed-matrix Hamming kernel additionally
+           estimates every pair's similarity for the ``est_in_range``
+           EXPLAIN aggregate (answer membership stays exactly verified).
 
         The batch's simulated page-read total is therefore never
         greater than the equivalent query loop, and strictly smaller
@@ -776,6 +768,21 @@ class SetSimilarityIndex:
         behave as in :meth:`query`; with ``strategy="scan"`` the whole
         collection is read once for the entire batch.
         """
+        return self._run_batch(
+            "query_batch", queries, sigma_low, sigma_high, strategy, explain
+        )
+
+    def _run_batch(
+        self,
+        kind: str,
+        queries: Sequence[Iterable],
+        sigma_low: float,
+        sigma_high: float,
+        strategy: str,
+        explain: bool,
+    ) -> BatchQueryResult:
+        """The query pipeline; ``kind`` names the root span and the
+        telemetry event (``"query"`` for the one-row batch)."""
         if not 0.0 <= sigma_low <= sigma_high <= 1.0:
             raise ValueError(
                 f"invalid similarity range [{sigma_low}, {sigma_high}]"
@@ -790,7 +797,7 @@ class SetSimilarityIndex:
         wall0 = time.perf_counter()
         timings: dict[str, float] = {}
         with trace.capture(
-            "query_batch",
+            kind,
             io=self.io,
             force=explain,
             strategy=strategy,
@@ -809,8 +816,10 @@ class SetSimilarityIndex:
             else:
                 t0 = time.perf_counter()
                 candidates_list, matrix, rows = self._candidates_batch(
-                    query_sets, sigma_low, sigma_high, timings=timings
+                    query_sets, sigma_low, sigma_high, timings
                 )
+                # The candidates stage is embed + probe; report probe
+                # as its remainder after the measured embed slice.
                 timings["probe"] = max(
                     0.0,
                     (time.perf_counter() - t0) * 1e3
@@ -819,12 +828,11 @@ class SetSimilarityIndex:
                 t0 = time.perf_counter()
                 answers_list, fetches_saved = self._verify_batch(
                     query_sets, candidates_list, sigma_low, sigma_high,
-                    matrix, rows, timings=timings,
+                    matrix, rows, timings,
                 )
                 timings["verify"] = max(
                     0.0,
-                    (time.perf_counter() - t0) * 1e3
-                    - timings.get("fetch", 0.0),
+                    (time.perf_counter() - t0) * 1e3 - timings["fetch"],
                 )
             delta = self.io.snapshot() - before
             if strategy == "scan":
@@ -834,57 +842,26 @@ class SetSimilarityIndex:
                 )
             else:
                 pages_saved = _BATCH_PAGES_SAVED.local_value - saved_before
-            batch = BatchQueryResult(
-                results=[
-                    QueryResult(
-                        answers=answers,
-                        candidates=candidates,
-                        io=IOStats(),
-                        io_time=0.0,
-                        cpu_time=0.0,
-                    )
-                    for answers, candidates in zip(answers_list, candidates_list)
-                ],
-                io=delta,
-                io_time=self.io.io_time(delta),
-                cpu_time=self.io.cpu_time(delta),
-                pages_saved=pages_saved,
-                fetches_saved=fetches_saved,
-                trace=root,
-                timings=timings,
+            batch = assemble_batch(
+                root, self.io, delta, answers_list, candidates_list,
+                pages_saved, fetches_saved, timings,
             )
-            if root is not None:
-                self._annotate_batch_trace(root, batch)
-        events.record_query(
-            "query_batch",
-            latency_ms=(time.perf_counter() - wall0) * 1e3,
-            sim_time=batch.total_time,
-            n_queries=batch.n_queries,
-            n_candidates=batch.n_candidates,
-            n_verified=batch.n_verified,
-            pages_read=delta.random_reads + delta.sequential_reads,
+        record_batch(
+            kind,
+            batch,
+            wall0,
             cache_hits=_PAGER_CACHE_HITS.local_value - hits_before,
             backend="sequential",
             workers=1,
             strategy=strategy,
             sigma_low=sigma_low,
             sigma_high=sigma_high,
-            timings=timings,
         )
-        _QUERY_BATCHES.inc()
-        _BATCH_SIZE.observe(batch.n_queries)
-        _BATCH_FETCHES_SAVED.inc(fetches_saved)
-        _QUERIES.inc(batch.n_queries)
-        _QUERY_CANDIDATES.inc(batch.n_candidates)
-        _QUERY_VERIFIED.inc(batch.n_verified)
-        _QUERY_FALSE_POSITIVES.inc(batch.n_candidates - batch.n_verified)
-        for result in batch.results:
-            _CANDIDATES_PER_QUERY.observe(result.n_candidates)
         logger.debug(
-            "query_batch [%.3f, %.3f] strategy=%s: %d queries, %d answers / "
+            "%s [%.3f, %.3f] strategy=%s: %d queries, %d answers / "
             "%d candidates, %d bucket pages + %d fetches saved, "
             "simulated time %.1f",
-            sigma_low, sigma_high, strategy, batch.n_queries,
+            kind, sigma_low, sigma_high, strategy, batch.n_queries,
             batch.n_verified, batch.n_candidates,
             batch.pages_saved, batch.fetches_saved, batch.total_time,
         )
@@ -905,7 +882,7 @@ class SetSimilarityIndex:
     def _scan_query_batch(
         self, query_sets: list[frozenset], sigma_low: float, sigma_high: float
     ) -> tuple[list[set[int]], list[list[tuple[int, float]]]]:
-        """Exact batch evaluation: one sequential pass serves all queries."""
+        """Exact evaluation: one sequential pass serves all queries."""
         n = len(query_sets)
         with trace.span(
             "scan_batch", n_pages=self.store.n_pages, n_queries=n
@@ -932,97 +909,50 @@ class SetSimilarityIndex:
         query_sets: list[frozenset],
         sigma_low: float,
         sigma_high: float,
-        timings: dict[str, float] | None = None,
+        timings: dict[str, float],
     ) -> tuple[list[set[int]], np.ndarray | None, list[int]]:
-        """Batch counterpart of :meth:`_candidates`.
+        """Per-query candidate sets of the range's Section 4.3 plan.
 
-        Returns the per-query candidate sets plus the packed embedding
-        matrix of the non-empty query sets and the batch positions its
-        rows correspond to (for the verification-stage Hamming kernel
-        and trace annotation).
+        Also returns the packed embedding matrix of the non-empty query
+        sets and the batch positions its rows correspond to (for the
+        ``est_in_range`` aggregate and trace annotation).
         """
-        lo, up = self._enclosing_points(sigma_low, sigma_high)
         n = len(query_sets)
+        cut_points = self.plan.cut_points
+        lo, up = enclosing_points(cut_points, sigma_low, sigma_high)
+        plan, probes, pivot, rows = plan_batch(
+            cut_points, self._sfis, self._dfis, query_sets, sigma_low, sigma_high
+        )
+        matrix: np.ndarray | None = None
         with trace.span(
             "candidates_batch", lo=lo, up=up, n_queries=n
         ) as sp:
-            if lo is None and up is None:
-                sp.set(plan="full_collection")
-                return [set(self._vectors) for _ in range(n)], None, []
-            results: list[set[int]] = [set() for _ in range(n)]
-            # Empty query sets cannot be embedded; as in the single
-            # path they contribute no candidates outside the
-            # full-collection plan.
-            rows = [i for i, q in enumerate(query_sets) if q]
-            if not rows:
-                sp.set(plan="empty_queries")
-                return results, None, []
-            t_embed = time.perf_counter()
-            with trace.span(
-                "embed_batch", k=self.embedder.k, n_queries=len(rows)
-            ):
-                matrix = self.embedder.embed_many(
-                    [query_sets[i] for i in rows]
-                )
-                self.io.cpu(self.embedder.k * len(rows))
-            if timings is not None:
+            probed: dict[tuple[str, float], list[set[int]]] = {}
+            if probes:
+                t_embed = time.perf_counter()
+                with trace.span(
+                    "embed_batch", k=self.embedder.k, n_queries=len(rows)
+                ):
+                    matrix = self.embedder.embed_many(
+                        [query_sets[i] for i in rows]
+                    )
+                    self.io.cpu(self.embedder.k * len(rows))
                 timings["embed"] = (time.perf_counter() - t_embed) * 1e3
-
-            def sim(point: float) -> list[set[int]]:
-                return self._sfis[point].probe_batch(matrix)
-
-            def dissim(point: float) -> list[set[int]]:
-                return self._dfis[point].probe_batch(matrix)
-
-            def done(plan: str, per_row: list[set[int]]):
-                for row, i in enumerate(rows):
-                    results[i] = per_row[row]
+                for kind, point in probes:
+                    filters = self._sfis if kind == "sfi" else self._dfis
+                    probed[kind, point] = filters[point].probe_batch(matrix)
+            candidates_list = combine_candidates(
+                plan, probed, probes, n, rows, self._vectors
+            )
+            if sp.recording:
                 sp.set(
                     plan=plan,
-                    n_candidates=sum(len(s) for s in results),
+                    n_candidates=sum(len(s) for s in candidates_list),
                     _rows=rows,
                 )
-                return results, matrix, rows
-
-            if lo is None:
-                if up in self._dfis:
-                    return done("dfi(up)", dissim(up))
-                everything = set(self._vectors)
-                return done(
-                    "complement_sfi(up)", [everything - s for s in sim(up)]
-                )
-            if up is None:
-                if lo in self._sfis:
-                    return done("sfi(lo)", sim(lo))
-                everything = set(self._vectors)
-                return done(
-                    "complement_dfi(lo)", [everything - s for s in dissim(lo)]
-                )
-            if lo in self._sfis and up in self._sfis:
-                low_sets, up_sets = sim(lo), sim(up)
-                return done(
-                    "sfi_difference",
-                    [a - b for a, b in zip(low_sets, up_sets)],
-                )
-            if lo in self._dfis and up in self._dfis:
-                low_sets, up_sets = dissim(lo), dissim(up)
-                return done(
-                    "dfi_difference",
-                    [b - a for a, b in zip(low_sets, up_sets)],
-                )
-            pivot = self._pivot_between(lo, up)
-            sp.set(pivot=pivot)
-            pivot_dissim, lo_dissim = dissim(pivot), dissim(lo)
-            pivot_sim, up_sim = sim(pivot), sim(up)
-            return done(
-                "pivot_union",
-                [
-                    (pd - ld) | (ps - us)
-                    for pd, ld, ps, us in zip(
-                        pivot_dissim, lo_dissim, pivot_sim, up_sim
-                    )
-                ],
-            )
+                if pivot is not None:
+                    sp.set(pivot=pivot)
+        return candidates_list, matrix, rows
 
     def _verify_batch(
         self,
@@ -1032,271 +962,60 @@ class SetSimilarityIndex:
         sigma_high: float,
         matrix: np.ndarray | None,
         rows: list[int],
-        timings: dict[str, float] | None = None,
+        timings: dict[str, float],
     ) -> tuple[list[list[tuple[int, float]]], int]:
         """Fetch each distinct candidate once and verify all pairs.
 
-        Verification is columnar by default (:attr:`columnar_verify`):
-        the batch goes through :func:`repro.exec.columnar.verify_batch`,
+        The batch goes through :func:`repro.exec.columnar.verify_batch`,
         which intersects each distinct candidate once when the queries
-        share candidates and each query's own list otherwise, with the
-        packed Hamming kernel estimating pair similarities only when a
-        trace is recording (the ``est_in_range`` EXPLAIN aggregate).
-        The legacy path instead estimates every pair and verifies
-        most-promising-first with per-pair exact Jaccard.  Both decide
-        membership by exact Jaccard, produce identical answers, and
-        charge accounted CPU identical to the single-query path.
+        share candidates and each query's own list otherwise; membership
+        is decided by exact Jaccard.  The CSR of whichever sids the
+        kernel asks for is concatenated from the per-set hash arrays on
+        the spot, so inserts and deletes maintain nothing; the fetched
+        sets serve the rare hash-collision fallback.
         """
+        from repro.exec.columnar import build_csr, verify_batch
+
         n_pairs = sum(len(c) for c in candidates_list)
         with trace.span(
             "verify_batch",
             n_queries=len(query_sets),
             n_pairs=n_pairs,
         ) as sp:
-            distinct = sorted(set().union(*candidates_list)) if candidates_list else []
+            distinct = sorted(set().union(*candidates_list))
             t_fetch = time.perf_counter()
             fetched = {sid: self.store.get(sid) for sid in distinct}
-            if timings is not None:
-                timings["fetch"] = (time.perf_counter() - t_fetch) * 1e3
+            timings["fetch"] = (time.perf_counter() - t_fetch) * 1e3
             fetches_saved = n_pairs - len(distinct)
-            if self.columnar_verify:
-                answers_list, info = self._columnar_verify(
-                    query_sets, candidates_list, sigma_low, sigma_high, fetched
-                )
-                sp.set(**info)
-                est_in_range = (
-                    self._estimate_in_range(
-                        candidates_list, distinct, matrix, rows,
-                        sigma_low, sigma_high,
-                    )
-                    if sp.recording else 0
-                )
-            else:
-                answers_list, est_in_range = self._verify_pairs_loop(
-                    query_sets, candidates_list, sigma_low, sigma_high,
-                    matrix, rows, fetched, distinct,
-                )
-            n_verified = sum(len(a) for a in answers_list)
-            sp.set(
-                n_candidates=len(distinct),
-                n_verified=n_verified,
-                false_positives=n_pairs - n_verified,
-                fetches_saved=fetches_saved,
-                est_in_range=est_in_range,
+            chashes, set_sizes, vectors = self._chashes, self._sizes, self._vectors
+            answers_list, info = verify_batch(
+                query_sets, candidates_list, sigma_low, sigma_high,
+                self.io.stats,
+                csr=lambda sids: build_csr(
+                    [chashes[sid] for sid in sids.tolist()]
+                ),
+                sizes=lambda sids: np.fromiter(
+                    (set_sizes[sid] for sid in sids.tolist()),
+                    dtype=np.int64, count=len(sids),
+                ),
+                fallback_sids=self._cfallback,
+                get_set=fetched.__getitem__,
             )
+            if sp.recording:
+                n_verified = sum(len(a) for a in answers_list)
+                sp.set(
+                    n_candidates=len(distinct),
+                    n_verified=n_verified,
+                    false_positives=n_pairs - n_verified,
+                    fetches_saved=fetches_saved,
+                    est_in_range=estimate_in_range(
+                        self.embedder, candidates_list, matrix, rows,
+                        lambda sids: np.stack([vectors[sid] for sid in sids]),
+                        sigma_low, sigma_high,
+                    ),
+                    **info,
+                )
             return answers_list, fetches_saved
-
-    def _pair_estimates(
-        self,
-        candidates_list: list[set[int]],
-        distinct: list[int],
-        matrix: np.ndarray | None,
-        rows: list[int],
-    ) -> tuple[np.ndarray | None, list[list[int] | None], list[int]]:
-        """Estimated Jaccard of every (query, candidate) pair at once.
-
-        One popcount kernel over the gathered pair rows; returns the
-        flat estimate array, each query's candidate ordering it was
-        computed over, and each query's offset into the flat array.
-        Wall-clock work only -- never accounted as simulated CPU.
-        """
-        row_of = {i: row for row, i in enumerate(rows)}
-        cand_lists: list[list[int] | None] = [None] * len(candidates_list)
-        pair_vals: np.ndarray | None = None
-        offsets: list[int] = []
-        if rows and distinct:
-            cand_matrix = np.stack([self._vectors[sid] for sid in distinct])
-            col = {sid: j for j, sid in enumerate(distinct)}
-            q_rows: list[int] = []
-            c_cols: list[int] = []
-            offset = 0
-            for i, candidates in enumerate(candidates_list):
-                row = row_of.get(i)
-                if row is None or not candidates:
-                    offsets.append(offset)
-                    continue
-                cand_list = list(candidates)
-                cand_lists[i] = cand_list
-                q_rows.extend([row] * len(cand_list))
-                c_cols.extend(col[sid] for sid in cand_list)
-                offsets.append(offset)
-                offset += len(cand_list)
-            if q_rows:
-                # Codec-calibrated similarity estimate: full64 inverts
-                # Theorem 1 with the fixed-precision collision bias,
-                # b-bit applies the Li & Koenig slot correction.
-                pair_vals = self.embedder.estimate_pairs(
-                    matrix[q_rows], cand_matrix[c_cols]
-                )
-        return pair_vals, cand_lists, offsets
-
-    def _estimate_in_range(
-        self,
-        candidates_list: list[set[int]],
-        distinct: list[int],
-        matrix: np.ndarray | None,
-        rows: list[int],
-        sigma_low: float,
-        sigma_high: float,
-    ) -> int:
-        """How many pairs the Hamming estimate already places in range
-        (the ``est_in_range`` trace aggregate)."""
-        pair_vals, _, _ = self._pair_estimates(
-            candidates_list, distinct, matrix, rows
-        )
-        if pair_vals is None:
-            return 0
-        return int(((sigma_low <= pair_vals) & (pair_vals <= sigma_high)).sum())
-
-    def _verify_pairs_loop(
-        self,
-        query_sets: list[frozenset],
-        candidates_list: list[set[int]],
-        sigma_low: float,
-        sigma_high: float,
-        matrix: np.ndarray | None,
-        rows: list[int],
-        fetched: dict[int, frozenset],
-        distinct: list[int],
-    ) -> tuple[list[list[tuple[int, float]]], int]:
-        """Legacy per-pair verification (``columnar_verify=False``)."""
-        pair_vals, cand_lists, offsets = self._pair_estimates(
-            candidates_list, distinct, matrix, rows
-        )
-        answers_list: list[list[tuple[int, float]]] = []
-        est_in_range = 0
-        for i, (query_set, candidates) in enumerate(
-            zip(query_sets, candidates_list)
-        ):
-            cand_list = cand_lists[i]
-            if cand_list is None or pair_vals is None:
-                ordered = sorted(candidates)
-            else:
-                vals = pair_vals[offsets[i]:offsets[i] + len(cand_list)]
-                est_in_range += int(
-                    ((sigma_low <= vals) & (vals <= sigma_high)).sum()
-                )
-                # Verify most-promising first, ties by sid.
-                ordered = [
-                    sid for _, sid in
-                    sorted(zip((-vals).tolist(), cand_list))
-                ]
-            answers: list[tuple[int, float]] = []
-            for sid in ordered:
-                stored = fetched[sid]
-                self.io.cpu(len(stored) + len(query_set))
-                similarity = jaccard(stored, query_set)
-                if sigma_low <= similarity <= sigma_high:
-                    answers.append((sid, similarity))
-            answers.sort(key=lambda pair: (-pair[1], pair[0]))
-            answers_list.append(answers)
-        return answers_list, est_in_range
-
-    def _annotate_batch_trace(self, root: Span, batch: BatchQueryResult) -> None:
-        """Post-batch trace enrichment: totals on the root span plus
-        per-batch-probe survivor counts (contributed (query, candidate)
-        pairs whose candidate passed that query's exact verification)."""
-        root.set(
-            n_candidates=batch.n_candidates,
-            n_verified=batch.n_verified,
-            io_time=batch.io_time,
-            cpu_time=batch.cpu_time,
-            total_time=batch.total_time,
-            pages_saved=batch.pages_saved,
-            fetches_saved=batch.fetches_saved,
-        )
-        if batch.timings:
-            root.set(timings={
-                phase: round(ms, 3) for phase, ms in batch.timings.items()
-            })
-        answer_sids = [r.answer_sids for r in batch.results]
-        for cspan in root.find("candidates_batch"):
-            rows = cspan.attrs.get("_rows")
-            if rows is None:
-                continue
-            for span in batch_probe_spans(cspan):
-                per_query = span.attrs.get("_sids_per_query")
-                if per_query is None:
-                    continue
-                span.set(survived=sum(
-                    len(sids & answer_sids[i])
-                    for sids, i in zip(per_query, rows)
-                ))
-
-    def _candidates(
-        self,
-        query_set: frozenset,
-        sigma_low: float,
-        sigma_high: float,
-        timings: dict[str, float] | None = None,
-    ) -> set[int]:
-        lo, up = self._enclosing_points(sigma_low, sigma_high)
-        with trace.span("candidates", lo=lo, up=up) as sp:
-            if lo is None and up is None:
-                sp.set(plan="full_collection")
-                return set(self._vectors)
-            if not query_set:
-                # The empty set cannot be embedded (min over nothing); it is
-                # disjoint from every non-empty set, so only a full-range
-                # query can return anything -- handled above.
-                sp.set(plan="empty_query")
-                return set()
-            t_embed = time.perf_counter()
-            with trace.span("embed", k=self.embedder.k):
-                vector = self.embedder.embed(query_set)
-                self.io.cpu(self.embedder.k)
-            if timings is not None:
-                timings["embed"] = (time.perf_counter() - t_embed) * 1e3
-
-            def sim(point: float) -> set[int]:
-                return self._sfis[point].probe(vector)
-
-            def dissim(point: float) -> set[int]:
-                return self._dfis[point].probe(vector)
-
-            def done(plan: str, sids: set[int]) -> set[int]:
-                sp.set(plan=plan, n_candidates=len(sids))
-                return sids
-
-            if lo is None:
-                if up in self._dfis:
-                    return done("dfi(up)", dissim(up))
-                # Inefficient fallback the DFI exists to avoid.
-                return done("complement_sfi(up)", set(self._vectors) - sim(up))
-            if up is None:
-                if lo in self._sfis:
-                    return done("sfi(lo)", sim(lo))
-                return done(
-                    "complement_dfi(lo)", set(self._vectors) - dissim(lo)
-                )
-            if lo in self._sfis and up in self._sfis:
-                return done("sfi_difference", sim(lo) - sim(up))
-            if lo in self._dfis and up in self._dfis:
-                return done("dfi_difference", dissim(up) - dissim(lo))
-            # Mixed case: lo is a pure DFI point, up a pure SFI point; pivot
-            # through the dual-kind point m between them (Section 4.3).
-            pivot = self._pivot_between(lo, up)
-            sp.set(pivot=pivot)
-            low_side = dissim(pivot) - dissim(lo)
-            high_side = sim(pivot) - sim(up)
-            return done("pivot_union", low_side | high_side)
-
-    def _enclosing_points(
-        self, sigma_low: float, sigma_high: float
-    ) -> tuple[float | None, float | None]:
-        """Cut points minimally enclosing the range; None = virtual 0/1."""
-        lo = max((c for c in self.plan.cut_points if c <= sigma_low), default=None)
-        up = min((c for c in self.plan.cut_points if c >= sigma_high), default=None)
-        return lo, up
-
-    def _pivot_between(self, lo: float, up: float) -> float:
-        for point in self.plan.cut_points:
-            if lo <= point <= up and point in self._sfis and point in self._dfis:
-                return point
-        raise RuntimeError(
-            f"no dual-kind pivot between cut points {lo} and {up}; "
-            "the plan is inconsistent"
-        )
 
     def filter_stats(self, detail: bool = False) -> list[dict]:
         """Occupancy/load statistics for every materialized filter.
@@ -1375,68 +1094,3 @@ class SetSimilarityIndex:
         if not isinstance(index, cls):
             raise TypeError(f"{path} does not contain a {cls.__name__}")
         return index
-
-    def _verify(
-        self,
-        query_set: frozenset,
-        candidates: set[int],
-        sigma_low: float,
-        sigma_high: float,
-        timings: dict[str, float] | None = None,
-    ) -> list[tuple[int, float]]:
-        """Fetch candidates from disk and keep exact in-range matches."""
-        with trace.span("verify", n_candidates=len(candidates)) as sp:
-            if self.columnar_verify:
-                t_fetch = time.perf_counter()
-                fetched = {sid: self.store.get(sid) for sid in sorted(candidates)}
-                if timings is not None:
-                    timings["fetch"] = (time.perf_counter() - t_fetch) * 1e3
-                answers_list, info = self._columnar_verify(
-                    [query_set], [candidates], sigma_low, sigma_high, fetched
-                )
-                answers = answers_list[0]
-                sp.set(**info)
-            else:
-                answers = []
-                for sid in candidates:
-                    stored = self.store.get(sid)
-                    self.io.cpu(len(stored) + len(query_set))
-                    similarity = jaccard(stored, query_set)
-                    if sigma_low <= similarity <= sigma_high:
-                        answers.append((sid, similarity))
-                answers.sort(key=lambda pair: (-pair[1], pair[0]))
-            sp.set(
-                n_verified=len(answers),
-                false_positives=len(candidates) - len(answers),
-            )
-            return answers
-
-    def _columnar_verify(
-        self,
-        query_sets: list[frozenset],
-        candidates_list: list[set[int]],
-        sigma_low: float,
-        sigma_high: float,
-        fetched: dict[int, frozenset],
-    ) -> tuple[list[list[tuple[int, float]]], dict]:
-        """Exact in-range matches via :func:`repro.exec.columnar.verify_batch`.
-
-        Candidates must already be fetched (``fetched`` supplies the
-        actual sets for the rare hash-collision fallback).  The CSR of
-        whichever sids the kernel asks for is concatenated from the
-        per-set hash arrays on the spot -- per distinct candidate when a
-        batch shares them -- so inserts and deletes maintain nothing.
-        """
-        from repro.exec.columnar import build_csr, verify_batch
-
-        chashes, set_sizes = self._chashes, self._sizes
-        return verify_batch(
-            query_sets, candidates_list, sigma_low, sigma_high, self.io.stats,
-            csr=lambda sids: build_csr([chashes[sid] for sid in sids.tolist()]),
-            sizes=lambda sids: np.fromiter(
-                (set_sizes[sid] for sid in sids.tolist()),
-                dtype=np.int64, count=len(sids),
-            ),
-            fallback_sids=self._cfallback,
-            get_set=fetched.__getitem__,
-        )

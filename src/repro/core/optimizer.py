@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.distribution import SimilarityDistribution
 from repro.core.embedding import jaccard_to_hamming
 from repro.core.filter_function import FilterFunction, solve_r
+from repro.core.query_plan import enclosing_points
 
 #: Filter kind markers.
 SFI = "sfi"
@@ -416,9 +417,7 @@ class CaptureModel:
 
     def enclosing(self, sigma_low: float, sigma_high: float) -> tuple[float | None, float | None]:
         """Cut points minimally enclosing a range (None = virtual 0/1)."""
-        lo = max((c for c in self.cut_points if c <= sigma_low), default=None)
-        up = min((c for c in self.cut_points if c >= sigma_high), default=None)
-        return lo, up
+        return enclosing_points(self.cut_points, sigma_low, sigma_high)
 
     def _p(self, point: float, kind: str, s_grid: np.ndarray) -> np.ndarray | None:
         f = self._by_point.get(point, {}).get(kind)

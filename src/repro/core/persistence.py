@@ -29,7 +29,9 @@ MAGIC = b"REPRO-SSI"
 #: Bumped to 2 when the key fingerprint changed from blake2b to the
 #: splitmix64 word fold: fingerprints are baked into every stored page,
 #: so version-1 files must fail loudly rather than probe-miss silently.
-FORMAT_VERSION = 2
+#: Bumped to 3 when filter indexes began pickling their samplers'
+#: stacked bit positions (every probe reads them).
+FORMAT_VERSION = 3
 
 #: Indirection for fault-injection in tests (simulating a mid-write
 #: failure without monkeypatching the global ``os`` module).

@@ -81,7 +81,7 @@ def build_units(filters) -> list[BuildUnit]:
     units: list[BuildUnit] = []
     for fi in filters:
         kind = "dfi" if isinstance(fi, DissimilarityFilterIndex) else "sfi"
-        point = getattr(fi, "sigma_point", None)
+        point = fi.sigma_point
         tag = f"{kind}({point:.3f})" if point is not None else kind
         for t, (sampler, table) in enumerate(fi.table_units()):
             units.append(BuildUnit(f"{tag}[t{t}]", sampler, table))
@@ -128,14 +128,9 @@ def bulk_load_filters(
     """Load every filter's hash tables from one embedded corpus matrix.
 
     Equivalent -- chains, page ids and contents, directories, counter
-    and I/O-accounting totals -- to the per-entry loop
-
-    .. code-block:: python
-
-        for fi in filters:
-            fi.insert_many(matrix, sids, method="insert")
-
-    at any ``workers`` value; only wall clock changes.  Returns the
+    and I/O-accounting totals -- to inserting every row into every
+    table one entry at a time (filter-major, table-major), at any
+    ``workers`` value; only wall clock changes.  Returns the
     build report: totals, per-unit plan timings, and the LPT-modeled
     plan-phase makespan at the given worker count.
     """

@@ -62,25 +62,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.filter_index import record_batch_probe_counters
-from repro.core.index import BatchQueryResult, QueryResult
+from repro.core.index import BatchQueryResult, assemble_batch, record_batch
+from repro.core.query_plan import plan_batch
 from repro.exec.columnar import merge_verify_info
 from repro.hamming.bitvector import complement
-from repro.obs import events, metrics, trace
+from repro.obs import metrics, trace
 from repro.storage.iomodel import IOStats
 
 _PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
 _CACHE_HITS = metrics.counter("pager.cache_hits")
-
-# The same instruments the live query path reports to (same names ->
-# same registry objects), so executor batches show up in `repro stats`.
-_QUERIES = metrics.counter("query.count")
-_QUERY_CANDIDATES = metrics.counter("query.candidates")
-_QUERY_VERIFIED = metrics.counter("query.verified_hits")
-_QUERY_FALSE_POSITIVES = metrics.counter("query.false_positives")
-_CANDIDATES_PER_QUERY = metrics.histogram("query.candidates_per_query")
-_QUERY_BATCHES = metrics.counter("query.batches")
-_BATCH_SIZE = metrics.histogram("query.batch_size")
-_BATCH_FETCHES_SAVED = metrics.counter("query.batch_fetches_saved")
 _PARALLEL_BATCHES = metrics.counter("exec.parallel_batches")
 _PARALLEL_TASKS = metrics.counter("exec.parallel_tasks")
 
@@ -222,13 +212,10 @@ class ParallelExecutor:
                 task.io = out["io"]
                 task.seconds = out["seconds"]
                 task.thread = out["worker"]
-                payload = out.get("metrics") or {
-                    "counters": out.get("counters", {})
-                }
-                task.extra = payload.get("counters", {}).get(
+                task.extra = out["metrics"].get("counters", {}).get(
                     "hashtable.probe_pages_saved", 0
                 )
-                deltas.append(payload)
+                deltas.append(out["metrics"])
             metrics.apply_deltas(metrics.merge_registry_deltas(deltas))
             _PARALLEL_TASKS.inc(len(tasks))
             return
@@ -319,65 +306,34 @@ class ParallelExecutor:
             else:
                 pages_saved = probe_pages_saved
             self._emit_worker_spans(all_tasks)
-            batch = BatchQueryResult(
-                results=[
-                    QueryResult(
-                        answers=answers,
-                        candidates=candidates,
-                        io=IOStats(),
-                        io_time=0.0,
-                        cpu_time=0.0,
-                    )
-                    for answers, candidates in zip(answers_list, candidates_list)
-                ],
-                io=delta,
-                io_time=cost.io_time(delta),
-                cpu_time=cost.cpu_time(delta),
-                pages_saved=pages_saved,
-                fetches_saved=fetches_saved,
-                trace=root,
-                exec_stats={
-                    **self._exec_stats(all_tasks, strategy, wall0),
-                    **verify_info,
-                },
-            )
+            exec_stats = {
+                **self._exec_stats(all_tasks, strategy, wall0),
+                **verify_info,
+            }
             # Phase wall milliseconds: summed worker-task durations per
             # stage (fetch accounting happens on the parent inside the
             # verify merge, so the executor reports embed/probe/verify,
             # or scan).
-            batch.timings = {
+            timings = {
                 stage: seconds * 1e3
-                for stage, seconds in
-                batch.exec_stats["stage_seconds"].items()
+                for stage, seconds in exec_stats["stage_seconds"].items()
             }
-            if root is not None:
-                self._annotate(root, batch)
+            batch = assemble_batch(
+                root, cost, delta, answers_list, candidates_list,
+                pages_saved, fetches_saved, timings, exec_stats,
+            )
         if self.record:
-            events.record_query(
+            record_batch(
                 "query_batch",
-                latency_ms=(time.perf_counter() - wall0) * 1e3,
-                sim_time=batch.total_time,
-                n_queries=n,
-                n_candidates=batch.n_candidates,
-                n_verified=batch.n_verified,
-                pages_read=delta.random_reads + delta.sequential_reads,
+                batch,
+                wall0,
                 cache_hits=_CACHE_HITS.value - hits_before,
                 backend=self.backend,
                 workers=self.workers,
                 strategy=strategy,
                 sigma_low=sigma_low,
                 sigma_high=sigma_high,
-                timings=batch.timings,
             )
-            _QUERY_BATCHES.inc()
-            _BATCH_SIZE.observe(n)
-            _BATCH_FETCHES_SAVED.inc(fetches_saved)
-            _QUERIES.inc(n)
-            _QUERY_CANDIDATES.inc(batch.n_candidates)
-            _QUERY_VERIFIED.inc(batch.n_verified)
-            _QUERY_FALSE_POSITIVES.inc(batch.n_candidates - batch.n_verified)
-            for result in batch.results:
-                _CANDIDATES_PER_QUERY.observe(result.n_candidates)
         _PARALLEL_BATCHES.inc()
         return batch
 
@@ -461,12 +417,10 @@ class ParallelExecutor:
         snap = self.snapshot
         n = len(query_sets)
         lo, up = snap.enclosing_points(sigma_low, sigma_high)
-        plan, probes, pivot = snap.plan_probes(sigma_low, sigma_high)
-        rows: list[int] = []
-        if plan != "full_collection":
-            rows = [i for i, q in enumerate(query_sets) if q]
-            if not rows:
-                plan, probes = "empty_queries", []
+        plan, probes, pivot, rows = plan_batch(
+            snap.plan.cut_points, snap.sfis, snap.dfis,
+            query_sets, sigma_low, sigma_high,
+        )
         matrix: np.ndarray | None = None
         with trace.span(
             "candidates_batch", lo=lo, up=up, n_queries=n
@@ -777,35 +731,6 @@ class ParallelExecutor:
                 for task in all_tasks
             ],
         }
-
-    def _annotate(self, root, batch: BatchQueryResult) -> None:
-        """Mirror of the live path's post-batch trace enrichment."""
-        root.set(
-            n_candidates=batch.n_candidates,
-            n_verified=batch.n_verified,
-            io_time=batch.io_time,
-            cpu_time=batch.cpu_time,
-            total_time=batch.total_time,
-            pages_saved=batch.pages_saved,
-            fetches_saved=batch.fetches_saved,
-        )
-        if batch.timings:
-            root.set(timings={
-                phase: round(ms, 3) for phase, ms in batch.timings.items()
-            })
-        answer_sids = [r.answer_sids for r in batch.results]
-        for cspan in root.find("candidates_batch"):
-            rows = cspan.attrs.get("_rows")
-            if rows is None:
-                continue
-            for span in cspan.walk():
-                per_query = span.attrs.get("_sids_per_query")
-                if per_query is None:
-                    continue
-                span.set(survived=sum(
-                    len(sids & answer_sids[i])
-                    for sids, i in zip(per_query, rows)
-                ))
 
     def __repr__(self) -> str:
         return (

@@ -22,9 +22,7 @@ parent needs to merge deterministically:
   histograms; the parent folds the delta into its own registry
   (:func:`repro.obs.metrics.apply_deltas`), making process totals
   indistinguishable from thread-backend totals for every instrument
-  kind.  (The historical payload shipped counters only, silently
-  dropping histogram observations -- e.g. ``sfi.table_candidates`` --
-  at the process boundary.)
+  kind.
 """
 
 from __future__ import annotations
@@ -81,15 +79,10 @@ def run_task(spec: tuple) -> dict:
     t0 = time.perf_counter()
     result = _STAGES[stage](_SNAP, io, *spec[1:])
     seconds = time.perf_counter() - t0
-    after = metrics.registry_values()
-    delta = metrics.registry_delta(before, after)
     return {
         "result": result,
         "io": io,
         "seconds": seconds,
         "worker": f"pid-{os.getpid()}",
-        # Full-registry delta, plus the counter slice under its legacy
-        # key so mixed-version parents keep folding counters.
-        "metrics": delta,
-        "counters": delta.get("counters", {}),
+        "metrics": metrics.registry_delta(before, metrics.registry_values()),
     }

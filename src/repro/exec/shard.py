@@ -61,7 +61,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.index import BatchQueryResult, QueryResult
+from repro.core.index import (
+    BatchQueryResult,
+    QueryResult,
+    assemble_batch,
+    record_batch,
+)
 from repro.core.minhash import MinHasher, stable_element_hash
 from repro.exec.columnar import merge_verify_info
 from repro.exec.route import (
@@ -70,8 +75,8 @@ from repro.exec.route import (
     build_routing,
     load_routing,
 )
-from repro.obs import events, metrics, trace
-from repro.storage.iomodel import IOStats
+from repro.obs import metrics, trace
+from repro.storage.iomodel import IOCostModel, IOStats
 
 SHARD_MANIFEST_FILE = "shard_manifest.json"
 SIDMAP_FILE = "sidmap.bin"
@@ -914,19 +919,9 @@ class ShardedExecutor:
     def query(self, query, sigma_low: float, sigma_high: float,
               strategy: str = "index", explain: bool = False) -> QueryResult:
         """Single-query convenience over :meth:`query_batch`."""
-        batch = self.query_batch(
+        return self.query_batch(
             [query], sigma_low, sigma_high, strategy=strategy, explain=explain
-        )
-        result = batch.results[0]
-        return QueryResult(
-            answers=result.answers,
-            candidates=result.candidates,
-            io=batch.io,
-            io_time=batch.io_time,
-            cpu_time=batch.cpu_time,
-            trace=batch.trace,
-            timings=batch.timings,
-        )
+        ).only()
 
     # -- internals ---------------------------------------------------------
 
@@ -1046,27 +1041,16 @@ class ShardedExecutor:
             # re-sorting the mapped union reproduces the unsharded
             # ordering exactly.
             answers.sort(key=lambda pair: (-pair[1], pair[0]))
-        if self._live:
-            cost = self.sharded.shards[self._live[0]].cost
-            io_time, cpu_time = cost.io_time(io), cost.cpu_time(io)
-        else:
-            io_time = cpu_time = 0.0
-        batch = BatchQueryResult(
-            results=[
-                QueryResult(
-                    answers=answers, candidates=candidates,
-                    io=IOStats(), io_time=0.0, cpu_time=0.0,
-                )
-                for answers, candidates in zip(merged_answers, merged_cands)
-            ],
-            io=io,
-            io_time=io_time,
-            cpu_time=cpu_time,
-            pages_saved=pages_saved,
-            fetches_saved=fetches_saved,
+        # Every shard was built under one cost model; with no live
+        # shard the merged I/O is all zeros and any model prices it 0.
+        cost = (
+            self.sharded.shards[self._live[0]].cost
+            if self._live else IOCostModel()
         )
-        batch.timings = timings
-        return batch
+        return assemble_batch(
+            None, cost, io, merged_answers, merged_cands,
+            pages_saved, fetches_saved, timings,
+        )
 
     def _exec_stats(self, shard_batches, strategy, wall0, merge_seconds,
                     decision=None, route_seconds=0.0):
@@ -1142,20 +1126,6 @@ class ShardedExecutor:
             mean = sum(walls) / len(walls)
             self._m_skew.set(max(walls) / mean if mean > 0 else 1.0)
         _SHARD_BATCHES.inc()
-        # The same aggregates the unsharded batch paths record.
-        q_batches = metrics.counter("query.batches")
-        q_batches.inc()
-        metrics.histogram("query.batch_size").observe(n)
-        metrics.counter("query.batch_fetches_saved").inc(batch.fetches_saved)
-        metrics.counter("query.count").inc(n)
-        metrics.counter("query.candidates").inc(batch.n_candidates)
-        metrics.counter("query.verified_hits").inc(batch.n_verified)
-        metrics.counter("query.false_positives").inc(
-            batch.n_candidates - batch.n_verified
-        )
-        per_query = metrics.histogram("query.candidates_per_query")
-        for result in batch.results:
-            per_query.observe(result.n_candidates)
         event_timings = dict(batch.timings or {})
         if decision is not None:
             # Routing decisions ride the event's free-form timings
@@ -1164,14 +1134,10 @@ class ShardedExecutor:
                 decision.pruned_pairs
             )
             event_timings["route_skipped_shards"] = float(n_skipped)
-        events.record_query(
+        record_batch(
             "sharded_query_batch",
-            latency_ms=(time.perf_counter() - wall0) * 1e3,
-            sim_time=batch.total_time,
-            n_queries=n,
-            n_candidates=batch.n_candidates,
-            n_verified=batch.n_verified,
-            pages_read=batch.io.random_reads + batch.io.sequential_reads,
+            batch,
+            wall0,
             cache_hits=0,
             backend=self.backend,
             workers=self.workers,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import query_plan
 from repro.exec.columnar import gather_csr, verify_batch
 from repro.storage.iomodel import IOStats
 
@@ -118,7 +119,7 @@ class IndexSnapshot:
     def n_sets(self) -> int:
         return len(self.sids)
 
-    # -- plan selection (mirrors SetSimilarityIndex) -----------------------
+    # -- plan selection (repro.core.query_plan over the frozen filters) -----
 
     def choose_strategy(self, sigma_low: float, sigma_high: float) -> str:
         """Cost-based index-vs-scan choice, as captured at freeze time."""
@@ -127,49 +128,17 @@ class IndexSnapshot:
     def enclosing_points(
         self, sigma_low: float, sigma_high: float
     ) -> tuple[float | None, float | None]:
-        lo = max((c for c in self.plan.cut_points if c <= sigma_low), default=None)
-        up = min((c for c in self.plan.cut_points if c >= sigma_high), default=None)
-        return lo, up
-
-    def pivot_between(self, lo: float, up: float) -> float:
-        for point in self.plan.cut_points:
-            if lo <= point <= up and point in self.sfis and point in self.dfis:
-                return point
-        raise RuntimeError(
-            f"no dual-kind pivot between cut points {lo} and {up}; "
-            "the plan is inconsistent"
+        return query_plan.enclosing_points(
+            self.plan.cut_points, sigma_low, sigma_high
         )
 
     def plan_probes(
         self, sigma_low: float, sigma_high: float
     ) -> tuple[str, list[tuple[str, float]], float | None]:
-        """The Section 4.3 plan family for a range and the filter probes
-        it needs.
-
-        Returns ``(plan, probes, pivot)`` where ``probes`` lists the
-        distinct ``(kind, point)`` filters to probe and ``plan`` names
-        the same candidate algebra the live ``_candidates_batch`` runs.
-        """
-        lo, up = self.enclosing_points(sigma_low, sigma_high)
-        if lo is None and up is None:
-            return "full_collection", [], None
-        if lo is None:
-            if up in self.dfis:
-                return "dfi(up)", [("dfi", up)], None
-            return "complement_sfi(up)", [("sfi", up)], None
-        if up is None:
-            if lo in self.sfis:
-                return "sfi(lo)", [("sfi", lo)], None
-            return "complement_dfi(lo)", [("dfi", lo)], None
-        if lo in self.sfis and up in self.sfis:
-            return "sfi_difference", [("sfi", lo), ("sfi", up)], None
-        if lo in self.dfis and up in self.dfis:
-            return "dfi_difference", [("dfi", lo), ("dfi", up)], None
-        pivot = self.pivot_between(lo, up)
-        return (
-            "pivot_union",
-            [("dfi", pivot), ("dfi", lo), ("sfi", pivot), ("sfi", up)],
-            pivot,
+        """``(plan, probes, pivot)`` for a range; see
+        :func:`repro.core.query_plan.plan_probes`."""
+        return query_plan.plan_probes(
+            self.plan.cut_points, self.sfis, self.dfis, sigma_low, sigma_high
         )
 
     def filter_probe(self, kind: str, point: float):
@@ -185,44 +154,11 @@ class IndexSnapshot:
         n_queries: int,
         rows: list[int],
     ) -> list[set[int]]:
-        """Apply the plan family's candidate algebra to the probe results.
-
-        ``probed[(kind, point)][j]`` is query row ``j``'s sid set from
-        that filter; rows are scattered back to batch positions exactly
-        as the live path does.
-        """
-        results: list[set[int]] = [set() for _ in range(n_queries)]
-        if plan == "full_collection":
-            return [set(self.all_sids) for _ in range(n_queries)]
-        if plan == "empty_queries":
-            return results
-        per_row: list[set[int]]
-        if plan in ("dfi(up)", "sfi(lo)"):
-            per_row = probed[probes[0]]
-        elif plan in ("complement_sfi(up)", "complement_dfi(lo)"):
-            everything = set(self.all_sids)
-            per_row = [everything - s for s in probed[probes[0]]]
-        elif plan == "sfi_difference":
-            low_sets, up_sets = probed[probes[0]], probed[probes[1]]
-            per_row = [a - b for a, b in zip(low_sets, up_sets)]
-        elif plan == "dfi_difference":
-            low_sets, up_sets = probed[probes[0]], probed[probes[1]]
-            per_row = [b - a for a, b in zip(low_sets, up_sets)]
-        elif plan == "pivot_union":
-            pivot_dissim, lo_dissim, pivot_sim, up_sim = (
-                probed[p] for p in probes
-            )
-            per_row = [
-                (pd - ld) | (ps - us)
-                for pd, ld, ps, us in zip(
-                    pivot_dissim, lo_dissim, pivot_sim, up_sim
-                )
-            ]
-        else:
-            raise ValueError(f"unknown plan family: {plan!r}")
-        for row, i in enumerate(rows):
-            results[i] = per_row[row]
-        return results
+        """Per-query candidate sets from the probe results; see
+        :func:`repro.core.query_plan.combine_candidates`."""
+        return query_plan.combine_candidates(
+            plan, probed, probes, n_queries, rows, self.all_sids
+        )
 
     # -- verification ------------------------------------------------------
 
@@ -295,26 +231,12 @@ class IndexSnapshot:
         sigma_low: float,
         sigma_high: float,
     ) -> int:
-        """Hamming-estimated in-range pair count (EXPLAIN aggregate);
-        wall-clock only, mirroring the live ``est_in_range``."""
-        if matrix is None or not rows:
-            return 0
-        row_of_query = {i: row for row, i in enumerate(rows)}
-        q_rows: list[int] = []
-        c_rows: list[int] = []
-        for i, candidates in enumerate(candidates_list):
-            row = row_of_query.get(i)
-            if row is None or not candidates:
-                continue
-            for sid in candidates:
-                q_rows.append(row)
-                c_rows.append(self.row_of[sid])
-        if not q_rows:
-            return 0
-        vals = self.embedder.estimate_pairs(
-            matrix[q_rows], self.vector_matrix[c_rows]
+        """Hamming-estimated in-range pair count (EXPLAIN aggregate)."""
+        return query_plan.estimate_in_range(
+            self.embedder, candidates_list, matrix, rows,
+            lambda sids: self.vector_matrix[self._rows(sids)],
+            sigma_low, sigma_high,
         )
-        return int(((sigma_low <= vals) & (vals <= sigma_high)).sum())
 
     def __repr__(self) -> str:
         return (

@@ -77,18 +77,34 @@ class BitSampler:
         :attr:`key_bytes`) so the bulk build fingerprints a whole
         matrix without materializing per-row ``bytes`` objects.
         """
-        _KEYS.inc(matrix.shape[0])
-        bits = (matrix[:, self._word_index] >> self._bit_offset) & np.uint64(1)
-        packed = np.packbits(bits.astype(np.uint8), axis=1)
-        width = packed.shape[1]
-        n_words = -(-width // 8)
-        if width != n_words * 8:
-            padded = np.zeros((packed.shape[0], n_words * 8), dtype=np.uint8)
-            padded[:, :width] = packed
-            packed = padded
-        # packbits may hand back a strided result; the u8 view needs a
-        # contiguous last axis.
-        return np.ascontiguousarray(packed).view("<u8")
+        return sampled_key_words(matrix, self._word_index, self._bit_offset)
 
     def __repr__(self) -> str:
         return f"BitSampler(n_bits={self.n_bits}, r={self.r})"
+
+
+def sampled_key_words(
+    matrix: np.ndarray, word_index: np.ndarray, bit_offset: np.ndarray
+) -> np.ndarray:
+    """Sampled-bit keys of every row of a packed matrix, as words.
+
+    ``word_index`` / ``bit_offset`` locate the sampled positions (word
+    ``positions // 64``, bit ``positions % 64``) and share a shape
+    ``(..., r)``: one sampler's ``(r,)``, or the ``(l, r)`` stack of a
+    whole filter index, whose ``l`` keys per row then come out of one
+    pass.  The result has shape ``(n, ..., ceil(ceil(r / 8) / 8))``:
+    each key's packed bytes as little-endian uint64 words, the last
+    word zero-padded.
+    """
+    _KEYS.inc(matrix.shape[0] * (word_index.size // word_index.shape[-1]))
+    bits = (matrix[:, word_index] >> bit_offset) & np.uint64(1)
+    packed = np.packbits(bits.astype(np.uint8), axis=-1)
+    width = packed.shape[-1]
+    n_words = -(-width // 8)
+    if width != n_words * 8:
+        padded = np.zeros(packed.shape[:-1] + (n_words * 8,), dtype=np.uint8)
+        padded[..., :width] = packed
+        packed = padded
+    # packbits may hand back a strided result; the u8 view needs a
+    # contiguous last axis.
+    return np.ascontiguousarray(packed).view("<u8")

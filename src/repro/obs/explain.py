@@ -23,12 +23,10 @@ from typing import Any
 
 from repro.obs.trace import Span, _jsonable
 
-#: Span names identifying one filter-index probe (SFI or DFI).
-PROBE_SPANS = ("sfi_probe", "dfi_probe")
-
-#: Span names identifying one *batched* filter-index probe: a whole
-#: query batch against one SFI/DFI with grouped bucket reads.
-BATCH_PROBE_SPANS = ("sfi_probe_batch", "dfi_probe_batch")
+#: Span names identifying one filter-index probe: a whole query batch
+#: (one row for ``query()``) against one SFI/DFI with grouped bucket
+#: reads.
+PROBE_SPANS = ("sfi_probe_batch", "dfi_probe_batch")
 
 
 def _fmt_value(value: Any) -> str:
@@ -65,11 +63,9 @@ def buckets_read(span: Span) -> int | None:
 def _describe(span: Span) -> str:
     """One plan-tree line for a span (sans tree decoration)."""
     attrs = span.attrs
-    if span.name in PROBE_SPANS or span.name in BATCH_PROBE_SPANS:
+    if span.name in PROBE_SPANS:
         kind = "SFI" if span.name.startswith("sfi") else "DFI"
         parts = [f"probe {kind}"]
-        if span.name in BATCH_PROBE_SPANS:
-            parts[0] = f"batch-probe {kind}"
         if attrs.get("sigma") is not None:
             parts[0] += f"(σ={attrs['sigma']:.3f})"
         if attrs.get("s_star") is not None:
@@ -118,11 +114,13 @@ def render_trace(trace: Span) -> str:
     return "\n".join(lines)
 
 
-def _outermost(trace: Span, names: tuple[str, ...]) -> list[Span]:
+def probe_spans(trace: Span) -> list[Span]:
+    """Top-level probe spans (a DFI wraps an inner SFI probe; keep the
+    outer one, which carries the user-facing cut point)."""
     found: list[Span] = []
 
     def visit(span: Span) -> None:
-        if span.name in names:
+        if span.name in PROBE_SPANS:
             found.append(span)
             return
         for child in span.children:
@@ -130,40 +128,23 @@ def _outermost(trace: Span, names: tuple[str, ...]) -> list[Span]:
 
     for child in trace.children:
         visit(child)
-    if not found and trace.name in names:
+    if not found and trace.name in PROBE_SPANS:
         found.append(trace)
     return found
-
-
-def probe_spans(trace: Span) -> list[Span]:
-    """Top-level probe spans (a DFI wraps an inner SFI probe; keep the
-    outer one, which carries the user-facing cut point)."""
-    return _outermost(trace, PROBE_SPANS)
-
-
-def batch_probe_spans(trace: Span) -> list[Span]:
-    """Top-level *batch* probe spans of a ``query_batch`` trace.
-
-    As with :func:`probe_spans`, a batched DFI probe wraps the inner
-    batched SFI probe of its complement; only the outer span -- the one
-    carrying the user-facing cut point -- is kept.
-    """
-    return _outermost(trace, BATCH_PROBE_SPANS)
 
 
 def filter_summaries(trace: Span) -> list[dict[str, Any]]:
     """Per-probed-filter statistics extracted from a query trace.
 
-    Handles both single-query probes and the batched probes of a
-    ``query_batch`` trace; batch probe summaries additionally carry the
-    batch aggregates ``n_queries`` (queries served by the one probe)
-    and ``pages_saved`` (bucket pages the grouped reads avoided versus
-    probing each query separately).
+    Besides the filter's parameters and candidate counts, each summary
+    carries ``n_queries`` (queries served by the one probe) and
+    ``pages_saved`` (bucket pages the grouped reads avoided versus
+    probing each query separately; 0 for a single query).
     """
     summaries = []
-    for span in probe_spans(trace) + batch_probe_spans(trace):
+    for span in probe_spans(trace):
         attrs = span.attrs
-        summary = {
+        summaries.append({
             "kind": "SFI" if span.name.startswith("sfi") else "DFI",
             "sigma": attrs.get("sigma"),
             "s_star": attrs.get("s_star"),
@@ -174,12 +155,9 @@ def filter_summaries(trace: Span) -> list[dict[str, Any]]:
             "candidates": attrs.get("candidates"),
             "survived": attrs.get("survived"),
             "duration_ms": round(span.duration_ms, 3),
-        }
-        if span.name in BATCH_PROBE_SPANS:
-            summary["batched"] = True
-            summary["n_queries"] = attrs.get("n_queries")
-            summary["pages_saved"] = attrs.get("pages_saved")
-        summaries.append(summary)
+            "n_queries": attrs.get("n_queries"),
+            "pages_saved": attrs.get("pages_saved"),
+        })
     return summaries
 
 

@@ -1,8 +1,8 @@
 """Request coalescing: many concurrent single queries -> micro-batches.
 
-The batch path is 3-4x cheaper per query than a query loop
-(BENCH_batch.json): one vectorized embedding pass, shared bucket
-reads, one fetch per distinct candidate.  An always-on server can only
+The batch path is several times cheaper per query than a query loop
+(EXPERIMENTS.md, BENCH-BATCH): one vectorized embedding pass, shared
+bucket reads, one fetch per distinct candidate.  An always-on server can only
 cash that in if it *groups* the single queries that arrive together --
 the same amortize-the-fixed-cost argument SuperMinHash and b-bit
 minwise hashing make for signature cost.  This module is that

@@ -9,8 +9,7 @@ counts.  The answers come back attached to their query index, so a
 harness can check them bit-for-bit against a direct ``query_batch`` on
 the same snapshot -- the serving equivalence gate.
 
-Used by ``repro loadgen`` (CLI), ``benchmarks/bench_serve.py`` and the
-``serve-smoke`` CI job.
+Used by ``repro loadgen`` (CLI) and the ``serve-smoke`` CI job.
 """
 
 from __future__ import annotations

@@ -486,18 +486,7 @@ class BucketHashTable:
         Charges one random read for the bucket's head page and one
         sequential read per overflow page.
         """
-        bucket, fingerprint = self._bucket_of(key)
-        chain = self._chains[bucket]
-        for rank, page_id in enumerate(chain):
-            self.pager.read(page_id, sequential=rank > 0)
-        got = self._bucket_directory(bucket).get(fingerprint)
-        # Per-thread shard adds, not .inc(): this runs once per table
-        # per filter probe, and the extra method-call overhead is
-        # measurable at query granularity.
-        _PROBES.shard().count += 1
-        _PROBE_PAGES.shard().count += len(chain)
-        # Copy: callers own their result lists, the memo owns its own.
-        return list(got) if got else []
+        return self.probe_hashed([hash_key(key)])[0]
 
     def probe_many(self, keys: list[bytes]) -> list[list[int]]:
         """Probe many keys, reading each touched bucket page once.
@@ -510,14 +499,16 @@ class BucketHashTable:
         greater than the equivalent probe loop, and strictly smaller
         whenever two keys of the batch share a bucket.
         """
-        results: list[list[int]] = [[] for _ in keys]
+        return self.probe_hashed(hash_keys(keys).tolist())
+
+    def probe_hashed(self, fingerprints: list[int]) -> list[list[int]]:
+        """:meth:`probe_many` for pre-computed ``hash_key`` fingerprints
+        (Python ints), so a filter index can fingerprint the keys of all
+        its tables in one vectorized pass."""
+        results: list[list[int]] = [[] for _ in fingerprints]
         by_bucket: dict[int, list[tuple[int, int]]] = {}
-        # _bucket_of unrolled to a local alias: this loop runs once per
-        # key per table and the extra call frame is measurable at batch
-        # granularity.
-        hk, n_buckets = hash_key, self.n_buckets
-        for i, key in enumerate(keys):
-            fingerprint = hk(key)
+        n_buckets = self.n_buckets
+        for i, fingerprint in enumerate(fingerprints):
             bucket = fingerprint % n_buckets
             if bucket in by_bucket:
                 by_bucket[bucket].append((i, fingerprint))
@@ -537,7 +528,7 @@ class BucketHashTable:
                 # Copy so callers own their lists (two keys of the batch
                 # may share a fingerprint).
                 results[i] = list(got) if got else []
-        _PROBES.shard().count += len(keys)
+        _PROBES.shard().count += len(fingerprints)
         return results
 
     def delete(self, key: bytes, sid: int) -> bool:

@@ -1,9 +1,10 @@
 """Equivalence and report tests for the bulk build pipeline.
 
 The contract under test (repro.exec.build + the bulk paths it drives):
-a bulk-built index is *bit-identical* to the legacy per-entry insert
-build -- same page chains (including page ids), same page contents,
-same bucket directories, same I/O accounting -- at every worker count.
+a bulk-built index is *bit-identical* to one whose tables were filled
+entry by entry through the dynamic insert path -- same page chains
+(including page ids), same page contents, same bucket directories,
+same I/O accounting -- at every worker count.
 """
 
 import numpy as np
@@ -38,6 +39,22 @@ def _build(sets, dist, plan, **kwargs):
     return SetSimilarityIndex.from_plan(
         sets, plan, dist, k=32, b=4, seed=3, **kwargs
     )
+
+
+def _insert_loop(filters, matrix, sids, workers=1):
+    """The reference load: every table filled one entry at a time with
+    the dynamic ``BucketHashTable.insert``, filter-major, table-major --
+    the order the bulk pipeline promises to reproduce."""
+    for fi in filters:
+        for sampler, table in fi.table_units():
+            for vector, sid in zip(matrix, sids):
+                table.insert(sampler.key(vector), sid)
+
+
+def _build_by_insert(monkeypatch, sets, dist, plan):
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.exec.build.bulk_load_filters", _insert_loop)
+        return _build(sets, dist, plan)
 
 
 def _filters_of(index):
@@ -76,22 +93,22 @@ def _assert_bit_identical(a, b):
 
 class TestBuildEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
-    def test_bulk_matches_insert_bit_identical(self, workers):
+    def test_bulk_matches_insert_bit_identical(self, workers, monkeypatch):
         sets = _collection(n_sets=80, seed=7)
         dist, plan = _plan_for(sets)
-        a = _build(sets, dist, plan, build_method="insert")
+        a = _build_by_insert(monkeypatch, sets, dist, plan)
         io_a = a.io.snapshot()  # before any probe perturbs the counters
-        b = _build(sets, dist, plan, build_method="bulk", workers=workers)
+        b = _build(sets, dist, plan, workers=workers)
         io_b = b.io.snapshot()
         assert io_a.as_dict() == io_b.as_dict(), workers
         _assert_bit_identical(a, b)
 
     @pytest.mark.parametrize("seed", [0, 11, 23])
-    def test_query_results_identical(self, seed):
+    def test_query_results_identical(self, seed, monkeypatch):
         sets = _collection(n_sets=50, seed=seed)
         dist, plan = _plan_for(sets)
-        a = _build(sets, dist, plan, build_method="insert")
-        b = _build(sets, dist, plan, build_method="bulk", workers=4)
+        a = _build_by_insert(monkeypatch, sets, dist, plan)
+        b = _build(sets, dist, plan, workers=4)
         rng = np.random.default_rng(seed)
         for _ in range(6):
             q = sets[int(rng.integers(len(sets)))]
@@ -106,15 +123,13 @@ class TestBuildEquivalence:
     def test_empty_collection(self):
         sets = _collection(n_sets=10, seed=5)
         dist, plan = _plan_for(sets)
-        index = _build([], dist, plan, build_method="bulk")
+        index = _build([], dist, plan)
         assert index.n_sets == 0
-        assert index.build_report is None or index.build_report["filters"] is None
+        assert index.build_report["filters"] is None
 
     def test_validation(self):
         sets = _collection(n_sets=5, seed=1)
         dist, plan = _plan_for(sets)
-        with pytest.raises(ValueError):
-            _build(sets, dist, plan, build_method="bogus")
         with pytest.raises(ValueError):
             _build(sets, dist, plan, workers=0)
         with pytest.raises(ValueError):
@@ -125,7 +140,7 @@ class TestBuildReport:
     def test_report_structure(self):
         sets = _collection(n_sets=40, seed=3)
         dist, plan = _plan_for(sets)
-        index = _build(sets, dist, plan, build_method="bulk", workers=2)
+        index = _build(sets, dist, plan, workers=2)
         report = index.build_report
         assert report is not None
         assert report["n_sets"] == len(sets)
@@ -144,12 +159,6 @@ class TestBuildReport:
             assert unit["plan_seconds"] >= 0.0
             assert unit["label"]
 
-    def test_insert_build_attaches_no_report(self):
-        sets = _collection(n_sets=20, seed=9)
-        dist, plan = _plan_for(sets)
-        index = _build(sets, dist, plan, build_method="insert")
-        assert index.build_report is None
-
     def test_build_classmethod_adds_planning_phases(self):
         sets = _collection(n_sets=30, seed=2)
         index = SetSimilarityIndex.build(
@@ -164,13 +173,11 @@ class TestBuildReport:
 
         sets = _collection(n_sets=30, seed=4)
         dist, plan = _plan_for(sets)
-        index = _build(sets, dist, plan, build_method="bulk")
+        index = _build(sets, dist, plan)
         summary = ExperimentHarness(sets, index).build_summary()
         assert summary is not None
         assert "units" not in summary["filters"]
         assert summary["filters"]["entries"] == index.build_report["filters"]["entries"]
-        baseline = _build(sets, dist, plan, build_method="insert")
-        assert ExperimentHarness(sets, baseline).build_summary() is None
 
 
 class TestBuildTrace:

@@ -4,8 +4,8 @@ The kernels replace the per-candidate Python loop with vectorized
 sorted-hash intersection.  The contract is *bit identity*: for any
 sets, ``jaccard_values`` over CSR hash arrays equals
 :func:`repro.core.similarity.jaccard` float for float -- including the
-empty-vs-empty convention -- and the index produces the same answers
-with ``columnar_verify`` on or off.
+empty-vs-empty convention -- and the index's answers and accounted CPU
+equal the per-candidate ``frozenset`` loop's.
 """
 
 from __future__ import annotations
@@ -153,8 +153,21 @@ class TestJaccardValues:
             assert values[i] == jaccard(query, s)  # bitwise ==
 
 
+def _legacy_loop(index, query, candidates, lo, hi):
+    """The per-candidate ``frozenset`` loop the kernels replaced:
+    ``(answers, accounted CPU)`` for one query's candidates."""
+    query = frozenset(query)
+    stored = {sid: index.store.get(sid) for sid in candidates}
+    values = {sid: jaccard(elements, query) for sid, elements in stored.items()}
+    answers = sorted(
+        ((sid, v) for sid, v in values.items() if lo <= v <= hi),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    return answers, sum(len(e) + len(query) for e in stored.values())
+
+
 class TestIndexEquivalence:
-    """``columnar_verify`` flips implementation, never observable output."""
+    """Columnar verification through the index equals the scalar loop."""
 
     @pytest.fixture(scope="class")
     def index(self):
@@ -176,36 +189,24 @@ class TestIndexEquivalence:
         queries.append(frozenset({"unseen", "elements"}))
         queries.append(frozenset())
 
-        assert index.columnar_verify
-        before = index.io.snapshot()
         columnar = index.query_batch(queries, lo, hi)
-        columnar_delta = index.io.snapshot() - before
 
-        index.columnar_verify = False
-        try:
-            before = index.io.snapshot()
-            legacy = index.query_batch(queries, lo, hi)
-            legacy_delta = index.io.snapshot() - before
-        finally:
-            index.columnar_verify = True
-
-        for c, l in zip(columnar.results, legacy.results):
-            assert c.answers == l.answers  # sids AND float similarities
-            assert c.candidates == l.candidates
-        assert columnar.io == legacy.io
-        assert columnar.cpu_time == legacy.cpu_time
-        assert columnar_delta == legacy_delta
+        verify_cpu = 0
+        for query, result in zip(queries, columnar.results):
+            answers, cpu = _legacy_loop(index, query, result.candidates, lo, hi)
+            assert result.answers == answers  # sids AND float similarities
+            verify_cpu += cpu
+        embed_cpu = index.embedder.k * sum(1 for q in queries if q)
+        assert columnar.io.cpu_ops == verify_cpu + embed_cpu
 
     def test_single_query_path_equivalence(self, index):
         query = index.store.get(next(iter(index.sids)))
-        columnar = index.query(query, 0.3, 1.0)
-        index.columnar_verify = False
-        try:
-            legacy = index.query(query, 0.3, 1.0)
-        finally:
-            index.columnar_verify = True
-        assert columnar.answers == legacy.answers
-        assert columnar.candidates == legacy.candidates
+        single = index.query(query, 0.3, 1.0)
+        answers, cpu = _legacy_loop(index, query, single.candidates, 0.3, 1.0)
+        assert single.answers == answers
+        assert single.io.cpu_ops == cpu + index.embedder.k
+        (row,) = index.query_batch([query], 0.3, 1.0).results
+        assert (row.answers, row.candidates) == (single.answers, single.candidates)
 
     def test_collision_fallback_sets_still_exact(self, index, monkeypatch):
         """A set whose hashes collide silently falls back to exact

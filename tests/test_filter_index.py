@@ -190,8 +190,11 @@ class TestInsertMany:
         a, b = self._pair(n_bits)
         matrix = _random_vectors(30, n_bits, seed=52)
         sids = list(range(30))
-        a.insert_many(matrix, sids, method="bulk")
-        b.insert_many(matrix, sids, method="insert")
+        a.insert_many(matrix, sids)
+        # Reference: the dynamic one-entry path, table by table.
+        for sampler, table in b.table_units():
+            for vector, sid in zip(matrix, sids):
+                table.insert(sampler.key(vector), sid)
         io_a = a._tables[0].pager.io.snapshot()
         io_b = b._tables[0].pager.io.snapshot()
         assert io_a.as_dict() == io_b.as_dict()
@@ -211,12 +214,6 @@ class TestInsertMany:
         matrix = _random_vectors(3, 256, seed=55)
         with pytest.raises(ValueError, match="rows"):
             sfi.insert_many(matrix, [1, 2])
-
-    def test_unknown_method_raises(self):
-        sfi, _ = self._pair()
-        matrix = _random_vectors(2, 256, seed=56)
-        with pytest.raises(ValueError, match="method"):
-            sfi.insert_many(matrix, [1, 2], method="turbo")
 
     def test_empty_matrix_is_a_noop(self):
         sfi, _ = self._pair()

@@ -183,3 +183,86 @@ class TestFromPlan:
         assert index.n_sets == 50
         result = index.query(sets[0], 0.9, 1.0)
         assert 0 in result.answer_sids
+
+
+# -- every Section 4.3 plan against a brute-force oracle --------------------
+
+#: ``(case, sigma_low, sigma_high, strategy, plan reached,
+#: (random_reads, sequential_reads, cpu_ops))``.  The I/O triple is the
+#: sum over ``_oracle_queries`` of ``index.query(...).io`` as recorded at
+#: the commit before ``query()`` became the one-row batch: the simulated
+#: cost accounting of the paper's Fig. 7 must not notice which code path
+#: runs a plan.  ``plan`` is None where the scan runs instead.
+PLAN_CASES = [
+    ("full_collection", 0.0, 1.0, "index", "full_collection", (1080, 0, 63831)),
+    ("sfi(lo)", 0.65, 1.0, "index", "sfi(lo)", (99, 0, 3084)),
+    ("dfi(up)", 0.0, 0.25, "index", "dfi(up)", (896, 0, 50249)),
+    ("complement_sfi(up)", 0.0, 0.7, "index", "complement_sfi(up)", (1116, 0, 63183)),
+    ("complement_dfi(lo)", 0.2, 1.0, "index", "complement_dfi(lo)", (538, 0, 29036)),
+    ("sfi_difference", 0.62, 0.7, "index", "sfi_difference", (139, 0, 2244)),
+    ("dfi_difference", 0.16, 0.29, "index", "dfi_difference", (475, 0, 22121)),
+    ("pivot_union", 0.2, 0.7, "index", "pivot_union", (642, 0, 25596)),
+    ("empty_query", 0.65, 1.0, "index", "empty_queries", (0, 0, 0)),
+    ("scan", 0.3, 0.9, "scan", None, (0, 1080, 63831)),
+    ("auto_picks_index", 0.8, 1.0, "auto", "sfi(lo)", (72, 0, 1512)),
+    ("auto_picks_scan", 0.05, 0.95, "auto", None, (0, 1080, 63831)),
+]
+
+
+@pytest.fixture(scope="module")
+def planned_index(clustered_sets):
+    """An explicit plan with two DFI-only points, a dual-kind pivot and
+    two SFI-only points, so every plan family has a range that reaches it."""
+    from repro.core.distribution import SimilarityDistribution
+    from repro.core.optimizer import DFI, SFI, IndexPlan, PlannedFilter
+
+    points = [(0.15, DFI), (0.3, DFI), (0.45, DFI), (0.45, SFI), (0.6, SFI), (0.75, SFI)]
+    plan = IndexPlan(
+        cut_points=[0.15, 0.3, 0.45, 0.6, 0.75],
+        delta=0.45,
+        filters=[PlannedFilter(p, kind, n_tables=6) for p, kind in points],
+        expected_recall=1.0,
+        expected_precision=1.0,
+        b=6,
+    )
+    dist = SimilarityDistribution.from_sets(clustered_sets, n_bins=50)
+    return SetSimilarityIndex.from_plan(clustered_sets, plan, dist, k=48, b=6, seed=11)
+
+
+def _oracle_queries(sets):
+    unseen = frozenset(list(sets[7])[:20]) | {99991, 99992}
+    return [sets[i] for i in range(0, 120, 15)] + [unseen]
+
+
+class TestPlanOracle:
+    @pytest.mark.parametrize(
+        "case,lo,hi,strategy,plan,io", PLAN_CASES, ids=[c[0] for c in PLAN_CASES]
+    )
+    def test_plan_against_brute_force(
+        self, planned_index, clustered_sets, case, lo, hi, strategy, plan, io
+    ):
+        queries = (
+            [frozenset()] if case == "empty_query"
+            else _oracle_queries(clustered_sets)
+        )
+        reads = [0, 0, 0]
+        for q in queries:
+            result = planned_index.query(q, lo, hi, strategy=strategy, explain=True)
+            plans = [s.attrs["plan"] for s in result.trace.find("candidates_batch")]
+            assert plans == ([] if plan is None else [plan])
+            # Answers are exactly the brute-force Jaccard filter of the
+            # candidates (sids, floats and best-first order) ...
+            in_range = [
+                (sid, jaccard(clustered_sets[sid], q)) for sid in result.candidates
+                if lo <= jaccard(clustered_sets[sid], q) <= hi
+            ]
+            in_range.sort(key=lambda pair: (-pair[1], pair[0]))
+            assert result.answers == in_range
+            # ... and never contain a false positive.
+            assert result.answer_sids <= _truth(clustered_sets, q, lo, hi)
+            assert result.io_time == planned_index.io.io_time(result.io)
+            assert result.cpu_time == planned_index.io.cpu_time(result.io)
+            reads[0] += result.io.random_reads
+            reads[1] += result.io.sequential_reads
+            reads[2] += result.io.cpu_ops
+        assert tuple(reads) == io

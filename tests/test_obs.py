@@ -294,14 +294,14 @@ class TestExplain:
 
     def test_probe_spans_skip_inner_sfi_of_dfi(self):
         with trace.capture("query", force=True) as root:
-            with trace.span("candidates"):
-                with trace.span("dfi_probe", s_star=0.3):
-                    with trace.span("sfi_probe", s_star=0.7):
+            with trace.span("candidates_batch"):
+                with trace.span("dfi_probe_batch", s_star=0.3):
+                    with trace.span("sfi_probe_batch", s_star=0.7):
                         pass
-                with trace.span("sfi_probe", s_star=0.9):
+                with trace.span("sfi_probe_batch", s_star=0.9):
                     pass
         names = [(s.name, s.attrs["s_star"]) for s in probe_spans(root)]
-        assert names == [("dfi_probe", 0.3), ("sfi_probe", 0.9)]
+        assert names == [("dfi_probe_batch", 0.3), ("sfi_probe_batch", 0.9)]
 
     def test_explain_json_schema(self, traced_query):
         _, result = traced_query
@@ -329,7 +329,7 @@ class TestExplain:
     def test_scan_strategy_traced(self, traced_query):
         index, _ = traced_query
         result = index.query({1, 2, 3}, 0.0, 1.0, strategy="scan", explain=True)
-        assert list(result.trace.find("scan"))
+        assert list(result.trace.find("scan_batch"))
         assert filter_summaries(result.trace) == []
 
 

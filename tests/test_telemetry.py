@@ -99,10 +99,17 @@ class TestQueryEvents:
     def test_one_event_per_query_call(self, workload):
         index, queries, _ = workload
         seen0 = events.log.stats()["seen"]
+        count, batches = metrics.counter("query.count"), metrics.counter("query.batches")
+        count0, batches0 = count.value, batches.value
         index.query(queries[0], 0.5, 1.0)
         index.query_batch(queries, 0.5, 1.0)
         assert events.log.stats()["seen"] == seen0 + 2
-        batch_event = events.log.events()[-1]
+        # query() is the one-row batch, but it is still one "query"
+        # event and a row in query.count, not a batch in query.batches.
+        assert count.value == count0 + 1 + len(queries)
+        assert batches.value == batches0 + 1
+        single_event, batch_event = events.log.events()[-2:]
+        assert single_event.kind == "query" and single_event.n_queries == 1
         assert batch_event.kind == "query_batch"
         assert batch_event.n_queries == len(queries)
         assert batch_event.backend == "sequential"

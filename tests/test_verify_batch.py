@@ -127,7 +127,7 @@ def _adapters(sets, fallback=()):
 
 
 def _scalar_reference(sets, queries, candidates_list, lo, hi):
-    """The ``columnar_verify=False`` loop: answers and accounted CPU."""
+    """The per-candidate ``frozenset`` loop: answers and accounted CPU."""
     answers_list, cpu_ops = [], 0
     for query, candidates in zip(queries, candidates_list):
         answers = []
@@ -341,12 +341,17 @@ def _verify_attrs(batch):
     return next(batch.trace.find("verify_batch")).attrs
 
 
-def _legacy(index, queries, lo, hi):
-    index.columnar_verify = False
-    try:
-        return index.query_batch(queries, lo, hi)
-    finally:
-        index.columnar_verify = True
+def _assert_exact(sets, index, got, queries, lo, hi):
+    """A traced live batch against the scalar loop over its own
+    candidates: answers (sids, floats AND order) and accounted CPU."""
+    queries = [frozenset(q) for q in queries]
+    want, verify_cpu = _scalar_reference(
+        sets, queries, [r.candidates for r in got.results], lo, hi
+    )
+    assert [r.answers for r in got.results] == want
+    plan = next(got.trace.find("candidates_batch")).attrs["plan"]
+    embedded = 0 if plan == "full_collection" else sum(1 for q in queries if q)
+    assert got.io.cpu_ops == verify_cpu + index.embedder.k * embedded
 
 
 def _assert_same(got, want):
@@ -360,7 +365,7 @@ def _assert_same(got, want):
 class TestEveryPathJoins:
     @pytest.mark.parametrize("lo,hi", RANGES)
     def test_live_batch(self, workload, lo, hi):
-        _, _, _, index, queries = workload
+        sets, _, _, index, queries = workload
         got = index.query_batch(queries, lo, hi, explain=True)
         attrs = _verify_attrs(got)
         assert attrs["verify_kernel"] == "join"
@@ -370,7 +375,7 @@ class TestEveryPathJoins:
             plan = next(got.trace.find("candidates_batch")).attrs["plan"]
             assert plan == "full_collection"
             assert got.results[-1].answers  # the empty query, too
-        _assert_same(got, _legacy(index, queries, lo, hi))
+        _assert_exact(sets, index, got, queries, lo, hi)
         # ...and the one-query-at-a-time loop over the frozen image.
         snap = index.freeze()
         try:
@@ -393,27 +398,27 @@ class TestEveryPathJoins:
     def test_query_below_batch_returns_disjoint_candidates(self, workload):
         """``sigma_low = 0``: candidates with an empty intersection are
         in range and must come back from the join."""
-        _, _, _, index, queries = workload
+        sets, _, _, index, queries = workload
         got = index.query_below_batch(queries, 0.4, explain=True)
         assert _verify_attrs(got)["verify_kernel"] == "join"
         assert any(
             value == 0.0 for r in got.results for _, value in r.answers
         )
-        _assert_same(got, _legacy(index, queries, 0.0, 0.4))
+        _assert_exact(sets, index, got, queries, 0.0, 0.4)
 
     def test_precise_range_lands_on_pairwise(self, workload):
-        _, _, _, index, queries = workload
+        sets, _, _, index, queries = workload
         got = index.query_batch(queries, *PRECISE, explain=True)
         attrs = _verify_attrs(got)
         assert attrs["verify_kernel"] == "pairwise"
         assert attrs["pairs"] < JOIN_MIN_SHARING * attrs["distinct"]
         assert attrs["join_size"] == 0  # not even tried
-        _assert_same(got, _legacy(index, queries, *PRECISE))
+        _assert_exact(sets, index, got, queries, *PRECISE)
 
     def test_single_query_is_the_pairwise_case(self, workload):
         sets, _, _, index, _ = workload
         got = index.query(sets[3], 0.3, 1.0, explain=True)
-        attrs = next(got.trace.find("verify")).attrs
+        attrs = next(got.trace.find("verify_batch")).attrs
         assert attrs["verify_kernel"] == "pairwise"
         assert attrs["pairs"] == attrs["distinct"] == got.n_candidates
 
