@@ -569,7 +569,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
     ``build`` partitions a set file into K shards and persists each as
     its own mmap snapshot under a checksummed shard manifest (with
-    per-shard routing summaries since manifest v2); ``replicate``
+    per-shard routing summaries); ``replicate``
     clones the hottest shards so dispatches balance across copies;
     ``info`` prints the manifest summary; ``verify`` checksums every
     array of every shard and replica.  Serve the result with ``repro
@@ -657,8 +657,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
                   f"sketches, {routing['sig_k']}-coordinate minhash "
                   f"profiles (seed {routing['sig_seed']})")
         else:
-            print("routing:           none (v1 manifest or routing=False "
-                  "build; queries fan out to every shard)")
+            print("routing:           none (routing=False build; "
+                  "queries fan out to every shard)")
         route_shards = (routing or {}).get("shards") or [None] * len(m["shards"])
         for i, entry in enumerate(m["shards"]):
             rs = route_shards[i]

@@ -68,6 +68,26 @@ def record_batch_probe_counters(
     _SFI_DUPLICATES.inc(collisions)
 
 
+def table_fingerprints(
+    matrix: np.ndarray, word_index: np.ndarray, bit_offset: np.ndarray, r: int
+) -> np.ndarray:
+    """``hash_key`` fingerprints of every row's key in each of ``t``
+    tables, as a ``(t, n)`` uint64 array -- one contiguous row per table.
+
+    ``word_index`` / ``bit_offset`` are the ``(t, r)`` stacked sampler
+    positions of the tables (see
+    :func:`~repro.hamming.sampling.sampled_key_words`).  Keys are
+    extracted and fingerprinted in one vectorized pass (the bulk
+    build's ``key_words`` -> ``hash_words`` path, bit-identical to
+    ``hash_key(sampler.key(row))``); the live and the frozen probe both
+    fingerprint through here.
+    """
+    n, t = matrix.shape[0], word_index.shape[0]
+    words = sampled_key_words(matrix, word_index, bit_offset)
+    fingerprints = hash_words(words.reshape(n * t, -1), -(-r // 8))
+    return np.ascontiguousarray(fingerprints.reshape(n, t).T)
+
+
 class SimilarityFilterIndex:
     """``SFI(s*)``: retrieves vectors at least ``s*``-Hamming-similar.
 
@@ -191,10 +211,9 @@ class SimilarityFilterIndex:
         """``SimVector(s*, q)`` for every row of a packed query matrix.
 
         The sampled-bit keys of all ``l`` tables are extracted and
-        fingerprinted in one vectorized pass (the bulk build's
-        ``key_words`` -> ``hash_words`` path, bit-identical to
-        ``hash_key(sampler.key(row))``), then each table serves its
-        column with grouped bucket reads
+        fingerprinted in one vectorized pass
+        (:func:`table_fingerprints`), then each table serves its
+        fingerprints with grouped bucket reads
         (:meth:`~repro.storage.hashtable.BucketHashTable.probe_hashed`),
         so a bucket page shared by several queries of the batch is read
         once instead of once per query.
@@ -211,15 +230,13 @@ class SimilarityFilterIndex:
             l=len(self._tables),
             n_queries=n,
         ) as sp:
-            words = sampled_key_words(matrix, self._word_index, self._bit_offset)
-            fingerprints = hash_words(
-                words.reshape(n * len(self._tables), -1),
-                self._samplers[0].key_bytes,
-            ).reshape(n, len(self._tables))
+            fingerprints = table_fingerprints(
+                matrix, self._word_index, self._bit_offset, self.filter.r
+            )
             sids: list[set[int]] = [set() for _ in range(n)]
             per_table: list[int] = []
             recording = sp.recording
-            for table, column in zip(self._tables, fingerprints.T.tolist()):
+            for table, column in zip(self._tables, fingerprints.tolist()):
                 hits = 0
                 for i, got in enumerate(table.probe_hashed(column)):
                     hits += len(got)
@@ -272,14 +289,14 @@ class SimilarityFilterIndex:
         return stats
 
     def freeze(self) -> "FrozenFilterProbe":
-        """Read-only probe view with all bucket directories pre-built."""
+        """Read-only probe view over every table's fingerprint runs."""
         return FrozenFilterProbe(
             kind="sfi",
             threshold=self.threshold,
             sigma_point=self.sigma_point,
             r=self.filter.r,
             n_bits=self.n_bits,
-            samplers=list(self._samplers),
+            positions=np.stack([s.positions for s in self._samplers]),
             tables=[table.freeze() for table in self._tables],
         )
 
@@ -393,7 +410,7 @@ class DissimilarityFilterIndex:
             sigma_point=self.sigma_point,
             r=self.r,
             n_bits=self.n_bits,
-            samplers=inner.samplers,
+            positions=inner.positions,
             tables=inner.tables,
             complement_query=True,
         )
@@ -408,12 +425,13 @@ class DissimilarityFilterIndex:
 class FrozenFilterProbe:
     """Immutable batch-probe image of one SFI or DFI.
 
-    Holds the filter's bit samplers plus one
-    :class:`~repro.storage.hashtable.FrozenTableView` per hash table.
-    Probing is table-granular so a parallel executor can shard one
-    filter's ``l`` tables across workers; each table probe charges its
-    page reads into the caller's :class:`~repro.storage.iomodel.IOStats`
-    with accounting identical to the live ``probe_batch``.
+    Holds the filter's ``(l, r)`` stacked sampler positions plus one
+    :class:`~repro.storage.hashtable.TableView` per hash table.
+    Probing takes a contiguous range of tables so a parallel executor
+    can shard one filter's ``l`` tables across workers; each table probe
+    charges its page reads into the caller's
+    :class:`~repro.storage.iomodel.IOStats` with accounting identical to
+    the live ``probe_batch``.
 
     ``complement_query`` marks DFI views: the caller must pass the
     *complemented* query matrix (Theorem 2), computed once per batch
@@ -421,24 +439,41 @@ class FrozenFilterProbe:
     """
 
     __slots__ = ("kind", "threshold", "sigma_point", "r", "n_bits",
-                 "samplers", "tables", "complement_query")
+                 "positions", "tables", "complement_query",
+                 "_word_index", "_bit_offset")
 
     def __init__(self, kind, threshold, sigma_point, r, n_bits,
-                 samplers, tables, complement_query=False):
+                 positions, tables, complement_query=False):
         self.kind = kind
         self.threshold = threshold
         self.sigma_point = sigma_point
         self.r = r
         self.n_bits = n_bits
-        self.samplers = samplers
+        self.positions = positions
         self.tables = tables
         self.complement_query = complement_query
+        self._word_index = positions // 64
+        self._bit_offset = (positions % 64).astype(np.uint64)
 
     @property
     def n_tables(self) -> int:
         return len(self.tables)
 
+    def probe_tables(
+        self, start: int, stop: int, matrix: np.ndarray, io
+    ) -> list[list[list[int]]]:
+        """Probe tables ``start .. stop - 1`` with every row of the
+        (pre-complemented for DFIs) packed query matrix; one list of
+        per-row sid lists per table, page charges go to ``io``."""
+        fingerprints = table_fingerprints(
+            matrix, self._word_index[start:stop], self._bit_offset[start:stop],
+            self.r,
+        )
+        return [
+            table.probe_hashed(row, io)
+            for table, row in zip(self.tables[start:stop], fingerprints)
+        ]
+
     def probe_table(self, t: int, matrix: np.ndarray, io) -> list[list[int]]:
-        """Probe table ``t`` with every row of the (pre-complemented for
-        DFIs) packed query matrix; page charges go to ``io``."""
-        return self.tables[t].probe_many(self.samplers[t].keys(matrix), io)
+        """The one-table case of :meth:`probe_tables`."""
+        return self.probe_tables(t, t + 1, matrix, io)[0]

@@ -1057,25 +1057,6 @@ class SetSimilarityIndex:
         state.pop("build_trace", None)
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        """Unpickle, rebuilding state absent from older saved indexes.
-
-        Snapshots are never persisted (``_frozen`` resets to None), and
-        the columnar hash arrays are recomputed from the stored sets if
-        the file predates them -- without perturbing the I/O counters.
-        """
-        self.__dict__.update(state)
-        self._frozen = None
-        if "_chashes" not in state:
-            self._chashes = {}
-            self._cfallback = set()
-            saved = self.io.snapshot()
-            try:
-                for sid, stored in self.store.scan():
-                    self._set_chash(sid, stored)
-            finally:
-                self.io.stats = saved
-
     def save(self, path) -> None:
         """Persist the built index (structures, pages, vectors) to disk."""
         from repro.core.persistence import save_index

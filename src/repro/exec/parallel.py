@@ -2,7 +2,7 @@
 
 :class:`ParallelExecutor` shards one ``query_batch`` across a worker
 thread pool in three stages -- embed (by query chunk), filter probe (by
-hash table), exact verify (by query chunk) -- against an
+range of hash tables), exact verify (by query chunk) -- against an
 :class:`~repro.exec.snapshot.IndexSnapshot`.  The heavy kernels
 (vectorized min-hash, packed Hamming popcounts, columnar sorted-hash
 intersection) are numpy calls that release the GIL, so the shards
@@ -14,11 +14,12 @@ Determinism is the design center, not an afterthought:
   :class:`~repro.storage.iomodel.IOStats`; module counters use their
   per-thread shards (:mod:`repro.obs.metrics`).  Merges are integer
   sums, so totals are independent of scheduling order;
-- probe work is sharded **by table**, never by splitting a batch's
-  keys: a bucket's page chain is read once per (filter, table) for the
-  whole batch regardless of worker count, which keeps page accounting
-  -- including ``pages_saved`` -- bit-identical to the sequential
-  grouped probe;
+- probe work is sharded **by table** (one contiguous range of a
+  filter's tables per worker), never by splitting a batch's keys: a
+  bucket's page chain is read once per (filter, table) for the whole
+  batch regardless of worker count, which keeps page accounting --
+  including ``pages_saved`` -- bit-identical to the sequential grouped
+  probe;
 - embedding a query chunk is a per-set pure function, so chunked
   embeddings concatenate to exactly the full-batch matrix;
 - results are assembled by position, and all floating-point similarity
@@ -84,7 +85,7 @@ def _apply(cost, io: IOStats) -> None:
     stats.cpu_ops += io.cpu_ops
 
 
-def _chunks(items: list, pieces: int) -> list[list]:
+def _chunks(items: Sequence, pieces: int) -> list:
     """Split into at most ``pieces`` contiguous, near-equal chunks."""
     n = len(items)
     pieces = max(1, min(pieces, n))
@@ -511,9 +512,10 @@ class ParallelExecutor:
         all_tasks: list[_Task],
         recording: bool,
     ) -> tuple[dict[tuple[str, float], list[set[int]]], int]:
-        """Probe every planned filter, sharded by hash table.
+        """Probe every planned filter, one task per (filter, worker's
+        contiguous range of its hash tables).
 
-        Each (filter, table) task groups the whole batch's keys by
+        Inside a task every table groups the whole batch's keys by
         bucket exactly as the sequential grouped probe does, so page
         charges and ``pages_saved`` cannot depend on the worker count.
         """
@@ -526,21 +528,25 @@ class ParallelExecutor:
         tasks: list[_Task] = []
         fns = []
         specs: list[tuple] | None = [] if self.backend == "process" else None
-        units: list[tuple[tuple[str, float], int]] = []
+        by_key: dict[tuple[str, float], list[_Task]] = {}
         for key in probes:
             kind, point = key
             fp = snap.filter_probe(kind, point)
             probe_matrix = cmatrix if fp.complement_query else matrix
-            for t in range(fp.n_tables):
-                task = _Task("probe", f"{kind}({point:.3f})[t{t}]")
+            for chunk in _chunks(range(fp.n_tables), self.workers):
+                start, stop = chunk[0], chunk[-1] + 1
+                task = _Task("probe", f"{kind}({point:.3f})[t{start}:{stop}]")
                 tasks.append(task)
-                units.append((key, t))
+                by_key.setdefault(key, []).append(task)
                 if specs is not None:
-                    specs.append(("probe", kind, point, t, probe_matrix))
+                    specs.append(
+                        ("probe", kind, point, start, stop, probe_matrix)
+                    )
 
-                def body(task: _Task, fp=fp, t=t, probe_matrix=probe_matrix):
+                def body(task: _Task, fp=fp, start=start, stop=stop,
+                         probe_matrix=probe_matrix):
                     saved_before = _PAGES_SAVED.local_value
-                    got = fp.probe_table(t, probe_matrix, task.io)
+                    got = fp.probe_tables(start, stop, probe_matrix, task.io)
                     task.extra = _PAGES_SAVED.local_value - saved_before
                     return got
 
@@ -552,9 +558,6 @@ class ParallelExecutor:
         # batch probe records.
         probed: dict[tuple[str, float], list[set[int]]] = {}
         total_saved = 0
-        by_key: dict[tuple[str, float], list[_Task]] = {}
-        for (key, _), task in zip(units, tasks):
-            by_key.setdefault(key, []).append(task)
         for key in probes:
             kind, point = key
             fp = snap.filter_probe(kind, point)
@@ -563,9 +566,10 @@ class ParallelExecutor:
             merged_io = IOStats()
             saved = 0
             for task in by_key[key]:
-                for j, got in enumerate(task.result):
-                    totals += len(got)
-                    sids[j].update(got)
+                for per_row in task.result:
+                    for j, got in enumerate(per_row):
+                        totals += len(got)
+                        sids[j].update(got)
                 merged_io = merged_io + task.io
                 saved += task.extra
             unique = sum(len(s) for s in sids)

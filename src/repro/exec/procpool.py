@@ -12,8 +12,8 @@ A task arrives as a ``spec`` tuple -- ``(stage, *payload)`` -- runs the
 same per-task body the thread backend runs, and returns everything the
 parent needs to merge deterministically:
 
-- the stage result (probe sid lists / embedding matrix / answers
-  plus the verify kernel's ``info``);
+- the stage result (a table range's per-table probe sid lists /
+  embedding matrix / answers plus the verify kernel's ``info``);
 - the task's private :class:`~repro.storage.iomodel.IOStats`;
 - the task's **full-registry metrics delta**.  Workers are
   single-threaded, so a before/after snapshot of the registry
@@ -50,8 +50,8 @@ def _embed(snap, io, query_sets):
     return snap.embedder.embed_many(query_sets)
 
 
-def _probe(snap, io, kind, point, t, matrix):
-    return snap.filter_probe(kind, point).probe_table(t, matrix, io)
+def _probe(snap, io, kind, point, start, stop, matrix):
+    return snap.filter_probe(kind, point).probe_tables(start, stop, matrix, io)
 
 
 def _verify(snap, io, query_sets, candidates_list, sigma_low, sigma_high):

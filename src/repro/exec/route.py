@@ -220,7 +220,7 @@ def sorted_stable(elements):
 
 def load_routing(path, manifest: dict, verify: bool = False):
     """Decode the routing block of a shard manifest; None if absent
-    (v1 manifests, or builds with ``routing=False``)."""
+    (builds with ``routing=False``)."""
     from repro.exec.snapfile import open_arrays
 
     meta = manifest.get("routing")
@@ -250,7 +250,7 @@ def load_routing(path, manifest: dict, verify: bool = False):
         sig_k=int(meta["sig_k"]),
         sig_seed=int(meta["sig_seed"]),
         summaries=summaries,
-        sig_scheme=meta.get("sig_scheme", "minhash"),
+        sig_scheme=meta["sig_scheme"],
     )
 
 

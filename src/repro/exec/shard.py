@@ -38,7 +38,7 @@ independent of input order and ``PYTHONHASHSEED``), with
 ``method="cluster"`` colocating minhash-similar sets -- the layout
 that makes workload weights skewed and the global allocator useful.
 
-Since manifest v2, builds also persist per-shard **routing summaries**
+Builds also persist per-shard **routing summaries**
 (:mod:`repro.exec.route`: size ranges, an element-universe bitset, a
 MinHash universe profile) that let :class:`ShardedExecutor` skip the
 fetch/verify work -- or, opted in, the whole dispatch -- for shards
@@ -81,13 +81,10 @@ from repro.storage.iomodel import IOCostModel, IOStats
 SHARD_MANIFEST_FILE = "shard_manifest.json"
 SIDMAP_FILE = "sidmap.bin"
 FORMAT_NAME = "repro-ssi-shards"
-#: v2 adds the optional ``routing`` block and per-shard ``replicas``
-#: lists; v1 manifests still open (routing falls back to full fan-out).
-#: v3 adds the signature ``codec`` to the ``build`` block (and
-#: ``sig_scheme`` to routing metadata); earlier manifests predate
-#: codecs and open as ``full64``.
+#: v3: optional ``routing`` block (with ``sig_scheme``), per-shard
+#: ``replicas`` lists and the signature ``codec`` in the ``build``
+#: block.  The only version read; rebuild older directories.
 FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
 
 #: splitmix64 increment, used to fold the partition seed into set
 #: fingerprints so different seeds give different (but each stable)
@@ -455,7 +452,7 @@ def replicate_shards(
             sets, assignment, sharded.n_shards, workload, *workload_range,
             k=min(int(build.get("k", 32)), 32), b=int(build.get("b", 6)),
             seed=int(build.get("seed", 0)),
-            codec=build.get("codec", "full64"),
+            codec=build["codec"],
         )
         for entry, weight in zip(entries, weights):
             entry["weight"] = round(float(weight), 6)
@@ -474,7 +471,6 @@ def replicate_shards(
             shutil.copytree(src, dst)
             replicas.append(name)
         entry["replicas"] = replicas
-    manifest["version"] = FORMAT_VERSION
     _write_manifest(path, manifest)
     return manifest
 
@@ -494,8 +490,8 @@ class ShardedSnapshot:
     """An opened K-shard directory: per-shard mapped snapshots plus the
     local-sid -> global-sid maps.  ``shards[i]`` is None for an empty
     shard.  ``routing`` is the decoded
-    :class:`~repro.exec.route.RoutingInfo` (None on v1 manifests or
-    ``routing=False`` builds); ``replicas[i]`` lists the extra opened
+    :class:`~repro.exec.route.RoutingInfo` (None on ``routing=False``
+    builds); ``replicas[i]`` lists the extra opened
     snapshot copies of a replicated shard (the primary is not in the
     list)."""
 
@@ -557,17 +553,17 @@ def open_sharded(path, verify: bool = False) -> "ShardedSnapshot":
             f"{path} is not a sharded index "
             f"(format={manifest.get('format')!r})"
         )
-    if manifest.get("version") not in _SUPPORTED_VERSIONS:
+    if manifest.get("version") != FORMAT_VERSION:
         raise ShardError(
-            f"unsupported shard-manifest version {manifest.get('version')!r}"
+            f"{path} has shard-manifest version {manifest.get('version')!r}; "
+            f"this build reads only version {FORMAT_VERSION} -- rebuild it"
         )
-    # Pre-v3 manifests predate the codec layer (full64 by construction);
-    # an unknown tag fails loudly with the snapshot layer's typed error
+    # An unknown tag fails loudly with the snapshot layer's typed error
     # before any shard bytes are interpreted.
     from repro.core.codec import CodecError, parse_codec
     from repro.exec.snapfile import SnapshotFormatError
 
-    codec_tag = manifest.get("build", {}).get("codec", "full64")
+    codec_tag = manifest.get("build", {}).get("codec")
     try:
         parse_codec(codec_tag)
     except CodecError as exc:
@@ -759,7 +755,7 @@ class ShardedExecutor:
             if route != "full" and routing is not None else None
         )
         #: False when ``route`` asked for routing but the manifest has
-        #: no summaries (v1 builds) -- execution falls back to full
+        #: no summaries (``routing=False`` builds) -- execution falls back to full
         #: fan-out and ``exec_stats["route"]["active"]`` says so.
         self.route_active = self._router is not None
         self._closed = False

@@ -26,8 +26,9 @@ Layout of a snapshot directory::
 The arrays cover everything the hot path touches: the packed ``(N,
 words)`` uint64 vector matrix, the CSR sorted-hash set arrays and set
 sizes, the per-row measured fetch costs, per-table bucket directories
-(chain page counts plus fingerprint runs in CSR form, served by
-:class:`MmapTableView` with page charges identical to the live table),
+(chain page counts plus fingerprint runs in CSR form -- the arrays of a
+:class:`~repro.storage.hashtable.TableView`, written as ``freeze()``
+built them and wrapped in the same class at open),
 and the set elements themselves (int64 or utf-8 CSR when the elements
 allow it).  ``frozenset`` objects needed by the exact-verification
 fallback are materialized lazily, one set at a time, memoized
@@ -56,15 +57,14 @@ from repro.core.codec import CodecError, parse_codec
 from repro.core.filter_index import FrozenFilterProbe
 from repro.exec.snapshot import IndexSnapshot
 from repro.obs import metrics, trace
-from repro.storage.hashtable import hash_key
+from repro.storage.hashtable import TableView
 from repro.storage.iomodel import IOCostModel
 
 FORMAT_NAME = "repro-ssi-snapshot"
-#: v1: original layout.  v2: adds the ``codec`` manifest key (signature
-#: codec of the vector matrix); v1 snapshots predate codecs and open as
-#: ``full64``, which is bit-identical to the v1 layout.
-FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+#: v3: table arrays are whole-table fingerprint runs (no per-bucket
+#: index).  The only version read; re-save older directories from the
+#: live index.
+FORMAT_VERSION = 3
 
 #: Byte alignment of every array in ``arrays.bin`` (cache-line sized,
 #: and a multiple of every dtype's itemsize so views never misalign).
@@ -83,12 +83,6 @@ _BYTES_MAPPED = metrics.counter("snapshot.bytes_mapped")
 #: that set's slice of the element arrays, so this is the mmap
 #: page-fault proxy for the exact-verification fallback path.
 _SETS_MATERIALIZED = metrics.counter("snapshot.sets_materialized")
-
-# The same probe instruments the live and frozen tables move, so a
-# mapped table's counter movements are indistinguishable from theirs.
-_PROBES = metrics.counter("hashtable.probes")
-_PROBE_PAGES = metrics.counter("hashtable.probe_pages")
-_PROBE_PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
 
 
 class SnapshotError(RuntimeError):
@@ -139,8 +133,9 @@ def write_arrays(path, arrays: dict[str, np.ndarray]) -> dict[str, dict]:
 def open_arrays(path, specs: dict[str, dict], verify: bool = False) -> dict[str, np.ndarray]:
     """Map every spec'd array as a read-only view over one ``np.memmap``.
 
-    Structural validation (offsets/lengths fit the file, lengths match
-    dtype x shape) always runs; ``verify=True`` additionally checks
+    Structural validation (offsets are non-negative and item-aligned,
+    offsets/lengths fit the file, lengths match dtype x shape) always
+    runs; ``verify=True`` additionally checks
     every array's crc32 (reads all bytes -- no longer O(ms)).
     """
     size = os.path.getsize(path)
@@ -157,6 +152,11 @@ def open_arrays(path, specs: dict[str, dict], verify: bool = False) -> dict[str,
                 f"array {name!r}: {nbytes} bytes cannot hold "
                 f"shape {shape} of {dtype} ({want} bytes)"
             )
+        if offset < 0 or offset % dtype.itemsize:
+            raise SnapshotFormatError(
+                f"array {name!r}: offset {offset} is negative or not a "
+                f"multiple of the {dtype.itemsize}-byte {dtype} item"
+            )
         if offset + nbytes > size:
             raise SnapshotIntegrityError(
                 f"array {name!r} extends to byte {offset + nbytes} but "
@@ -170,108 +170,19 @@ def open_arrays(path, specs: dict[str, dict], verify: bool = False) -> dict[str,
             raise SnapshotIntegrityError(
                 f"array {name!r} fails its checksum: snapshot is corrupt"
             )
-        arrays[name] = raw.view(dtype).reshape(shape)
+        # Hand out plain ndarray views of the mapping: np.memmap runs
+        # Python-level hooks on every slice, which the table probes and
+        # CSR gathers would pay per access.
+        arrays[name] = raw.view(dtype).reshape(shape).view(np.ndarray)
     return arrays
 
 
-# -- mapped bucket directories ---------------------------------------------
-
-
-class MmapTableView:
-    """One hash table's bucket directory served from mapped arrays.
-
-    The drop-in counterpart of
-    :class:`~repro.storage.hashtable.FrozenTableView`: per bucket a
-    chain page count, plus the bucket's fingerprint *runs* in CSR form
-    -- ``run_fps[bucket_indptr[b]:bucket_indptr[b+1]]`` are the
-    bucket's fingerprints sorted ascending, and run ``p`` owns sids
-    ``run_sids[run_indptr[p]:run_indptr[p+1]]`` in insertion order.
-    ``probe_many`` groups keys by bucket, binary-searches each
-    fingerprint within its bucket's run slice, and charges page reads
-    and module counters exactly as the live/frozen tables do.
-    """
-
-    __slots__ = (
-        "n_buckets", "chain_pages", "bucket_indptr",
-        "run_fps", "run_indptr", "run_sids",
-    )
-
-    def __init__(self, n_buckets, chain_pages, bucket_indptr,
-                 run_fps, run_indptr, run_sids):
-        self.n_buckets = n_buckets
-        self.chain_pages = chain_pages
-        self.bucket_indptr = bucket_indptr
-        self.run_fps = run_fps
-        self.run_indptr = run_indptr
-        self.run_sids = run_sids
-
-    def probe_many(self, keys: list[bytes], io) -> list[list[int]]:
-        """Grouped batch probe, bit-equivalent to ``FrozenTableView``'s."""
-        results: list[list[int]] = [[] for _ in keys]
-        by_bucket: dict[int, list[tuple[int, int]]] = {}
-        hk, n_buckets = hash_key, self.n_buckets
-        for i, key in enumerate(keys):
-            fingerprint = hk(key)
-            bucket = fingerprint % n_buckets
-            if bucket in by_bucket:
-                by_bucket[bucket].append((i, fingerprint))
-            else:
-                by_bucket[bucket] = [(i, fingerprint)]
-        pages_cell = _PROBE_PAGES.shard()
-        saved_cell = _PROBE_PAGES_SAVED.shard()
-        chain_pages, indptr = self.chain_pages, self.bucket_indptr
-        run_fps, run_indptr, run_sids = self.run_fps, self.run_indptr, self.run_sids
-        for bucket, members in by_bucket.items():
-            pages = int(chain_pages[bucket])
-            if pages:
-                io.random_reads += 1
-                io.sequential_reads += pages - 1
-            pages_cell.count += pages
-            saved_cell.count += pages * (len(members) - 1)
-            a, b = int(indptr[bucket]), int(indptr[bucket + 1])
-            if a == b:
-                continue
-            fps = run_fps[a:b]
-            for i, fingerprint in members:
-                pos = int(np.searchsorted(fps, np.uint64(fingerprint)))
-                if pos < b - a and int(fps[pos]) == fingerprint:
-                    run = a + pos
-                    results[i] = run_sids[
-                        int(run_indptr[run]): int(run_indptr[run + 1])
-                    ].tolist()
-        _PROBES.shard().count += len(keys)
-        return results
-
-
-def _table_arrays(view) -> dict[str, np.ndarray]:
-    """Flatten one ``FrozenTableView``'s directories into the CSR run
-    arrays :class:`MmapTableView` serves from."""
-    n_buckets = view.n_buckets
-    bucket_indptr = np.zeros(n_buckets + 1, dtype=np.int64)
-    run_fps: list[int] = []
-    run_lens: list[int] = []
-    run_sids: list[int] = []
-    for bucket in range(n_buckets):
-        directory = view.directories[bucket] or {}
-        items = sorted(directory.items())
-        bucket_indptr[bucket + 1] = bucket_indptr[bucket] + len(items)
-        for fingerprint, sids in items:
-            run_fps.append(fingerprint)
-            run_lens.append(len(sids))
-            run_sids.extend(sids)
-    run_indptr = np.zeros(len(run_fps) + 1, dtype=np.int64)
-    if run_lens:
-        np.cumsum(run_lens, out=run_indptr[1:])
-    return {
-        "chain_pages": np.asarray(view.chain_pages, dtype=np.int64),
-        "bucket_indptr": bucket_indptr,
-        "run_fps": np.array(run_fps, dtype=np.uint64),
-        "run_indptr": run_indptr,
-        "run_sids": np.array(run_sids, dtype=np.int64),
-    }
-
-
-_TABLE_FIELDS = ("chain_pages", "bucket_indptr", "run_fps", "run_indptr", "run_sids")
+#: Per-table arrays (``f###_t###_<field>``) and their dtypes: the
+#: attributes of a :class:`~repro.storage.hashtable.TableView`.
+_TABLE_FIELDS = {
+    "chain_pages": "<i8", "run_fps": "<u8", "run_indptr": "<i8",
+    "run_sids": "<i8",
+}
 
 
 # -- set-element encodings -------------------------------------------------
@@ -474,11 +385,9 @@ def save_snapshot(snapshot: IndexSnapshot, path) -> Path:
         filter_objects: list[dict] = []
         for i, (kind, point) in enumerate(filters):
             fp = snapshot.filter_probe(kind, point)
-            n_buckets: list[int] = []
             for t, view in enumerate(fp.tables):
-                for field, array in _table_arrays(view).items():
-                    arrays[f"f{i:03d}_t{t:03d}_{field}"] = array
-                n_buckets.append(view.n_buckets)
+                for field in _TABLE_FIELDS:
+                    arrays[f"f{i:03d}_t{t:03d}_{field}"] = getattr(view, field)
             filter_meta.append({
                 "kind": kind, "point": point, "threshold": fp.threshold,
                 "sigma_point": fp.sigma_point, "r": fp.r, "l": fp.n_tables,
@@ -487,7 +396,8 @@ def save_snapshot(snapshot: IndexSnapshot, path) -> Path:
                 "kind": kind, "point": point, "threshold": fp.threshold,
                 "sigma_point": fp.sigma_point, "r": fp.r,
                 "n_bits": fp.n_bits, "complement_query": fp.complement_query,
-                "samplers": fp.samplers, "n_buckets": n_buckets,
+                "positions": fp.positions,
+                "n_buckets": [view.n_buckets for view in fp.tables],
             })
         encoding, set_arrays, sets_obj = _encode_sets(
             [snapshot.sets[sid] for sid in sids]
@@ -507,7 +417,7 @@ def save_snapshot(snapshot: IndexSnapshot, path) -> Path:
         manifest = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
-            "codec": getattr(snapshot.embedder, "codec", "full64"),
+            "codec": snapshot.embedder.codec,
             "n_sets": len(sids),
             "n_bits": snapshot.n_bits,
             "scan_pages": snapshot.scan_pages,
@@ -552,6 +462,50 @@ def save_snapshot(snapshot: IndexSnapshot, path) -> Path:
     return path
 
 
+def _open_table(
+    prefix: str, n_buckets: int, specs: dict, arrays: dict, verify: bool
+) -> TableView:
+    """Wrap one table's mapped arrays, refusing a set that cannot be a
+    :class:`~repro.storage.hashtable.TableView`.
+
+    The always-on checks read only the manifest specs (dtypes, and
+    lengths that must fit each other), so opening stays O(ms);
+    ``verify=True`` also reads the arrays to check the order the probe's
+    binary search and run slicing rely on.
+    """
+    for field, dtype in _TABLE_FIELDS.items():
+        spec = specs.get(prefix + field)
+        if spec is None or spec["dtype"] != dtype or len(spec["shape"]) != 1:
+            raise SnapshotFormatError(
+                f"table array {prefix + field!r} must be a 1-d {dtype} "
+                f"array, manifest says {spec}"
+            )
+    n_pages, n_runs, n_indptr, n_sids = (
+        specs[prefix + field]["shape"][0] for field in _TABLE_FIELDS
+    )
+    if n_pages != n_buckets or n_indptr != n_runs + 1:
+        raise SnapshotFormatError(
+            f"table {prefix!r} arrays do not fit each other: {n_pages} "
+            f"chain_pages for {n_buckets} buckets, {n_indptr} run_indptr "
+            f"for {n_runs} run_fps"
+        )
+    view = TableView(
+        n_buckets, *(arrays[prefix + field] for field in _TABLE_FIELDS)
+    )
+    if verify:
+        indptr = view.run_indptr
+        if (
+            np.any(view.run_fps[1:] <= view.run_fps[:-1])
+            or indptr[0] != 0 or indptr[-1] != n_sids
+            or np.any(indptr[1:] < indptr[:-1])
+        ):
+            raise SnapshotIntegrityError(
+                f"table {prefix!r}: run_fps must ascend strictly and "
+                f"run_indptr must rise from 0 to {n_sids}"
+            )
+    return view
+
+
 def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
     """Map a snapshot directory written by :func:`save_snapshot`.
 
@@ -575,15 +529,15 @@ def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
             f"{path} is not a {FORMAT_NAME} snapshot "
             f"(format={manifest.get('format')!r})"
         )
-    if manifest.get("version") not in _SUPPORTED_VERSIONS:
+    if manifest.get("version") != FORMAT_VERSION:
         raise SnapshotFormatError(
             f"{path} has snapshot format version {manifest.get('version')}; "
-            f"this build reads {_SUPPORTED_VERSIONS}"
+            f"this build reads only version {FORMAT_VERSION} -- re-save it "
+            "from the live index"
         )
-    # v1 snapshots predate the codec layer; their vector matrix is the
-    # full64 layout by construction.  Unknown tags fail loudly here so
-    # a stale reader never misinterprets packed bytes.
-    codec_tag = manifest.get("codec", "full64")
+    # Unknown tags fail loudly here so a stale reader never
+    # misinterprets packed bytes.
+    codec_tag = manifest.get("codec")
     try:
         codec_spec = parse_codec(codec_tag)
     except CodecError as exc:
@@ -607,7 +561,7 @@ def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
                 f"{path / OBJECTS_FILE} fails its checksum: snapshot is corrupt"
             )
         objects = pickle.loads(objects_blob)
-        embedder_codec = getattr(objects["embedder"], "codec", "full64")
+        embedder_codec = objects["embedder"].codec
         if parse_codec(embedder_codec).name != codec_spec.name:
             raise SnapshotFormatError(
                 f"{path} manifest declares codec {codec_spec.name!r} but its "
@@ -625,15 +579,16 @@ def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
         sfis: dict[float, FrozenFilterProbe] = {}
         dfis: dict[float, FrozenFilterProbe] = {}
         for i, fo in enumerate(objects["filters"]):
-            tables = []
-            for t, n_buckets in enumerate(fo["n_buckets"]):
-                prefix = f"f{i:03d}_t{t:03d}_"
-                tables.append(MmapTableView(
-                    n_buckets, *(arrays[prefix + field] for field in _TABLE_FIELDS)
-                ))
+            tables = [
+                _open_table(
+                    f"f{i:03d}_t{t:03d}_", n_buckets, manifest["arrays"],
+                    arrays, verify,
+                )
+                for t, n_buckets in enumerate(fo["n_buckets"])
+            ]
             probe = FrozenFilterProbe(
                 fo["kind"], fo["threshold"], fo["sigma_point"], fo["r"],
-                fo["n_bits"], fo["samplers"], tables, fo["complement_query"],
+                fo["n_bits"], fo["positions"], tables, fo["complement_query"],
             )
             (sfis if fo["kind"] == "sfi" else dfis)[fo["point"]] = probe
         state = {
@@ -733,7 +688,7 @@ def byte_breakdown(manifest: dict) -> dict:
     # "other" so the groups partition the total exactly.
     groups["other"] += total - sum(groups.values())
     return {
-        "codec": manifest.get("codec", "full64"),
+        "codec": manifest["codec"],
         "n_sets": n_sets,
         "total_bytes": total,
         "groups": groups,

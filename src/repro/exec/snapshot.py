@@ -6,10 +6,10 @@ counters, and the candidate algebra walks live dicts.  An
 :class:`IndexSnapshot` (``index.freeze()``) converts all of that into
 immutable, pre-computed state:
 
-- every :class:`~repro.storage.hashtable.BucketHashTable` bucket
-  directory pre-built and wrapped in a
-  :class:`~repro.storage.hashtable.FrozenTableView` (pure dict lookups,
-  page charges *accounted* into a caller-supplied ``IOStats``);
+- every :class:`~repro.storage.hashtable.BucketHashTable` flattened
+  into a :class:`~repro.storage.hashtable.TableView` (fingerprint runs
+  in arrays, the same class a mapped snapshot serves from; page charges
+  *accounted* into a caller-supplied ``IOStats``);
 - stored ECC vectors packed into one contiguous ``(N, words)`` uint64
   matrix with a sid -> row map;
 - stored sets materialized twice: as sorted stable-hash uint64 arrays

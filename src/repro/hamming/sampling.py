@@ -62,13 +62,6 @@ class BitSampler:
         bits = (vector[self._word_index] >> self._bit_offset) & np.uint64(1)
         return np.packbits(bits.astype(np.uint8)).tobytes()
 
-    def keys(self, matrix: np.ndarray) -> list[bytes]:
-        """Hash keys for every row of a packed matrix (vectorized)."""
-        _KEYS.inc(matrix.shape[0])
-        bits = (matrix[:, self._word_index] >> self._bit_offset) & np.uint64(1)
-        packed = np.packbits(bits.astype(np.uint8), axis=1)
-        return [row.tobytes() for row in packed]
-
     def key_words(self, matrix: np.ndarray) -> np.ndarray:
         """Every row's key as little-endian uint64 words, never leaving
         numpy: row ``i`` holds the words of ``key(matrix[i])`` with the

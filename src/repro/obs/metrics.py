@@ -485,16 +485,8 @@ class MetricsRegistry:
         Counters add their deltas, gauges adopt the delta's value
         (last-write-wins point samples), histograms fold their count
         states -- instruments are created on demand, and integer count
-        algebra keeps the result independent of fold order.  Accepts
-        the bare counter-dict form too, for symmetry with
-        :meth:`apply_counter_deltas`.
+        algebra keeps the result independent of fold order.
         """
-        if not deltas:
-            return
-        if "counters" not in deltas and "histograms" not in deltas \
-                and "hdr" not in deltas and "gauges" not in deltas:
-            self.apply_counter_deltas(deltas)
-            return
         self.apply_counter_deltas(deltas.get("counters", {}))
         for name, value in deltas.get("gauges", {}).items():
             self.gauge(name).set(value)

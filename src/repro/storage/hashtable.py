@@ -599,33 +599,62 @@ class BucketHashTable:
                 page = self.pager.read(page_id, sequential=True)
                 yield from page.slots
 
-    def freeze(self) -> "FrozenTableView":
-        """A read-only probe view with every bucket directory pre-built.
+    def freeze(self) -> "TableView":
+        """A read-only probe view over this table's fingerprint runs.
 
-        Warms the full fingerprint-directory memo (uncharged, like the
-        memo itself) and snapshots the per-bucket chain lengths.  The
-        view answers probes without touching the pager, charging the
-        exact page reads :meth:`probe`/:meth:`probe_many` would have
-        charged into a caller-supplied :class:`~repro.storage.iomodel.IOStats`
-        -- the building block of a frozen index snapshot.  The view is
-        only valid while the table does not mutate (frozen indexes
-        refuse mutation, which is what makes sharing the directory
-        dicts safe).
+        Flattens the full fingerprint-directory memo (warming it,
+        uncharged, like the memo itself) into runs sorted by
+        fingerprint across the whole table -- a fingerprint lives in
+        exactly one bucket, so the sort is strict -- with each run's
+        sids in slot-scan order, and snapshots the per-bucket chain
+        lengths.  The view answers probes without touching the pager,
+        charging the exact page reads :meth:`probe_hashed` would have
+        charged into a caller-supplied
+        :class:`~repro.storage.iomodel.IOStats` -- the building block of
+        a frozen index snapshot.  It copies what it needs, so later
+        mutation of the table cannot reach it.
         """
+        fps: list[int] = []
+        lens: list[int] = []
+        sids: list[int] = []
         for bucket in range(self.n_buckets):
-            self._bucket_directory(bucket)
-        return FrozenTableView(
+            for fingerprint, run in self._bucket_directory(bucket).items():
+                fps.append(fingerprint)
+                lens.append(len(run))
+                sids.extend(run)
+        run_fps = np.array(fps, dtype=np.uint64)
+        order = np.argsort(run_fps)
+        run_lens = np.array(lens, dtype=np.int64)
+        starts = np.cumsum(run_lens) - run_lens
+        sorted_lens = run_lens[order]
+        run_indptr = np.zeros(len(fps) + 1, dtype=np.int64)
+        np.cumsum(sorted_lens, out=run_indptr[1:])
+        # Entry i of the sorted layout comes from position gather[i] of
+        # the bucket-order sid list: each run moves as one block.
+        gather = np.repeat(starts[order] - run_indptr[:-1], sorted_lens)
+        gather += np.arange(len(sids), dtype=np.int64)
+        return TableView(
             self.n_buckets,
-            [len(chain) for chain in self._chains],
-            list(self._directory),
+            np.array([len(chain) for chain in self._chains], dtype=np.int64),
+            run_fps[order],
+            run_indptr,
+            np.array(sids, dtype=np.int64)[gather],
         )
 
 
-class FrozenTableView:
-    """Immutable bucket-directory image of one :class:`BucketHashTable`.
+class TableView:
+    """Immutable fingerprint-run image of one :class:`BucketHashTable`.
 
-    Probes are pure dictionary lookups over the pre-built directories;
-    page reads are *accounted* (into the ``io`` argument) rather than
+    ``chain_pages[b]`` is bucket ``b``'s page count; ``run_fps`` holds
+    every stored fingerprint once, ascending across the whole table (a
+    fingerprint's bucket is ``fp % n_buckets``, so no per-bucket index
+    is needed), and run ``p`` owns sids
+    ``run_sids[run_indptr[p]:run_indptr[p + 1]]`` in slot-scan order.
+    The arrays may live on the heap (``BucketHashTable.freeze()``) or in
+    a mapped snapshot file (:func:`repro.exec.snapfile.open_snapshot`);
+    the view is the same either way.
+
+    Page reads are *accounted* (into the ``io`` argument) rather than
     performed, with charges identical to the live table: per distinct
     bucket touched, one random read for the head page and sequential
     reads for overflow pages.  Safe for concurrent probing from many
@@ -633,48 +662,54 @@ class FrozenTableView:
     calling thread's counter shards.
     """
 
-    __slots__ = ("n_buckets", "chain_pages", "directories")
+    __slots__ = ("n_buckets", "chain_pages", "run_fps", "run_indptr", "run_sids")
 
-    def __init__(
-        self,
-        n_buckets: int,
-        chain_pages: list[int],
-        directories: list[dict[int, list[int]] | None],
-    ):
+    def __init__(self, n_buckets, chain_pages, run_fps, run_indptr, run_sids):
         self.n_buckets = n_buckets
         self.chain_pages = chain_pages
-        self.directories = directories
+        self.run_fps = run_fps
+        self.run_indptr = run_indptr
+        self.run_sids = run_sids
 
-    def probe_many(self, keys: list[bytes], io) -> list[list[int]]:
+    def probe_hashed(self, fingerprints: np.ndarray, io) -> list[list[int]]:
         """Grouped batch probe, bit-equivalent to the live table's.
 
-        Result ``i`` equals ``BucketHashTable.probe(keys[i])``; the
-        reads charged to ``io`` (an :class:`~repro.storage.iomodel.IOStats`)
-        and the module counters move exactly as
-        :meth:`BucketHashTable.probe_many` would move them.
+        Result ``i`` equals ``BucketHashTable.probe_hashed(fps)[i]``
+        (same sids, same order); the reads charged to ``io`` (an
+        :class:`~repro.storage.iomodel.IOStats`) and the module counters
+        move exactly as the live grouped probe moves them: every
+        distinct bucket's chain is read once, however many fingerprints
+        of the batch land in it.
         """
-        results: list[list[int]] = [[] for _ in keys]
-        by_bucket: dict[int, list[tuple[int, int]]] = {}
-        hk, n_buckets = hash_key, self.n_buckets
-        for i, key in enumerate(keys):
-            fingerprint = hk(key)
-            bucket = fingerprint % n_buckets
-            if bucket in by_bucket:
-                by_bucket[bucket].append((i, fingerprint))
-            else:
-                by_bucket[bucket] = [(i, fingerprint)]
-        pages_cell = _PROBE_PAGES.shard()
-        saved_cell = _PROBE_PAGES_SAVED.shard()
-        for bucket, members in by_bucket.items():
-            pages = self.chain_pages[bucket]
-            if pages:
-                io.random_reads += 1
-                io.sequential_reads += pages - 1
-            directory = self.directories[bucket]
-            pages_cell.count += pages
-            saved_cell.count += pages * (len(members) - 1)
-            for i, fingerprint in members:
-                got = directory.get(fingerprint) if directory else None
-                results[i] = list(got) if got else []
-        _PROBES.shard().count += len(keys)
+        fps = np.asarray(fingerprints, dtype=np.uint64)
+        n = len(fps)
+        results: list[list[int]] = [[] for _ in range(n)]
+        # Group by bucket: after the sort, a bucket's first occurrence
+        # stands for the one read of its chain; every further
+        # occurrence is a read the grouping saved.
+        buckets = np.sort(fps % np.uint64(self.n_buckets)).astype(np.intp)
+        wanted = self.chain_pages[buckets]
+        first = np.ones(n, dtype=bool)
+        np.not_equal(buckets[1:], buckets[:-1], out=first[1:])
+        pages = wanted[first]
+        total = int(pages.sum())
+        heads = int(np.count_nonzero(pages))
+        io.random_reads += heads
+        io.sequential_reads += total - heads
+        _PROBE_PAGES.shard().count += total
+        _PROBE_PAGES_SAVED.shard().count += int(wanted.sum()) - total
+        _PROBES.shard().count += n
+        run_fps = self.run_fps
+        if len(run_fps):
+            pos = np.searchsorted(run_fps, fps)
+            pos[pos == len(run_fps)] = 0
+            hits = (run_fps[pos] == fps).nonzero()[0]
+            runs = pos[hits]
+            run_sids = self.run_sids
+            for i, a, b in zip(
+                hits.tolist(),
+                self.run_indptr[runs].tolist(),
+                self.run_indptr[runs + 1].tolist(),
+            ):
+                results[i] = run_sids[a:b].tolist()
         return results

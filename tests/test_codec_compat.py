@@ -1,13 +1,12 @@
-"""Codec format compatibility: old snapshots open, bad tags fail loudly.
+"""Codec format compatibility: old layouts and bad tags fail loudly.
 
-The compressed-signature codecs bumped the snapshot manifest to
-version 2 (adds the ``codec`` tag) and the shard manifest to version 3
-(adds ``build.codec`` and ``routing.sig_scheme``).  These tests pin
-the promises that bump made:
+Snapshot manifests (version 3) carry the ``codec`` tag and shard
+manifests (version 3) carry ``build.codec`` and ``routing.sig_scheme``.
+These tests pin what a reader promises about them:
 
-* pre-codec images -- snapshot v1, shard manifest v2, pickles without
-  a ``codec`` attribute -- still open and answer identically, treated
-  as ``full64``;
+* exactly one version of each is read: an older snapshot or shard
+  manifest fails at open with a typed error naming the version found
+  and the version read -- nothing converts or defaults an old layout;
 * an unknown codec tag raises a typed ``SnapshotFormatError`` instead
   of silently mis-decoding signature bytes;
 * a manifest/embedder codec disagreement (a doctored or mixed-up
@@ -29,9 +28,8 @@ from repro.exec import (
     open_sharded,
     open_snapshot,
     save_snapshot,
-    verify_snapshot,
 )
-from repro.exec.shard import SHARD_MANIFEST_FILE, build_sharded, verify_sharded
+from repro.exec.shard import SHARD_MANIFEST_FILE, ShardError, build_sharded
 from repro.exec.snapfile import MANIFEST_FILE, byte_breakdown
 
 RANGE = (0.4, 1.0)
@@ -76,27 +74,18 @@ class TestSnapshotCompat:
         sets = _sets()
         _save(_build(sets, codec="bbit:2"), tmp_path / "snap")
         manifest = json.loads((tmp_path / "snap" / MANIFEST_FILE).read_text())
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
         assert manifest["codec"] == "bbit:2"
 
-    def test_v1_manifest_without_codec_opens_as_full64(self, tmp_path):
-        """A pre-codec snapshot (v1, no codec key) must behave unchanged."""
-        sets = _sets()
-        index = _build(sets)
-        _save(index, tmp_path / "snap")
-
-        def to_v1(manifest):
-            manifest["version"] = 1
-            del manifest["codec"]
-
-        _edit_manifest(tmp_path / "snap", to_v1)
-        mapped = open_snapshot(tmp_path / "snap")
-        assert mapped.embedder.codec == "full64"
-        verify_snapshot(tmp_path / "snap")
-        queries = [sets[0], sets[7], sets[19]]
-        want = index.query_batch(queries, *RANGE)
-        with ParallelExecutor(mapped, workers=2) as ex:
-            _assert_batches_identical(ex.query_batch(queries, *RANGE), want)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_manifest_version_fails_loudly(self, tmp_path, version):
+        """An older snapshot is refused by version, not converted."""
+        _save(_build(_sets()), tmp_path / "snap")
+        _edit_manifest(tmp_path / "snap", lambda m: m.update(version=version))
+        with pytest.raises(SnapshotFormatError) as exc:
+            open_snapshot(tmp_path / "snap")
+        assert f"version {version};" in str(exc.value)
+        assert "only version 3" in str(exc.value)
 
     @pytest.mark.parametrize("codec", ["full64", "bbit:2", "superminhash"])
     def test_roundtrip_answers_identical(self, tmp_path, codec):
@@ -165,28 +154,18 @@ class TestShardCompat:
         assert manifest["build"]["codec"] == "bbit:2"
         assert manifest["routing"]["sig_scheme"] == "minhash"
 
-    def test_v2_manifest_without_codec_opens_as_full64(self, tmp_path):
-        """Pre-codec shard directories (manifest v2) answer unchanged."""
-        sets = _sets(seed=8)
-        self._build_sharded(tmp_path, sets)
-        queries = [sets[0], sets[13]]
-        with ShardedExecutor(open_sharded(tmp_path / "s")) as ex:
-            want = ex.query_batch(queries, *RANGE)
-
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_manifest_version_fails_loudly(self, tmp_path, version):
+        """An older shard directory is refused by version, not defaulted."""
+        self._build_sharded(tmp_path, _sets(seed=8))
         manifest_path = tmp_path / "s" / SHARD_MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 2
-        del manifest["build"]["codec"]
-        if manifest.get("routing"):
-            del manifest["routing"]["sig_scheme"]
+        manifest["version"] = version
         manifest_path.write_text(json.dumps(manifest))
-
-        verify_sharded(tmp_path / "s")
-        sharded = open_sharded(tmp_path / "s")
-        if sharded.routing is not None:
-            assert sharded.routing.sig_scheme == "minhash"
-        with ShardedExecutor(sharded) as ex:
-            _assert_batches_identical(ex.query_batch(queries, *RANGE), want)
+        with pytest.raises(ShardError) as exc:
+            open_sharded(tmp_path / "s")
+        assert f"version {version};" in str(exc.value)
+        assert "only version 3" in str(exc.value)
 
     def test_unknown_build_codec_fails_loudly(self, tmp_path):
         sets = _sets(seed=8)

@@ -120,26 +120,6 @@ def test_snapshot_not_pickled_with_index(index, tmp_path):
     assert not loaded.frozen
 
 
-def test_loaded_legacy_state_rebuilds_columnar_arrays(index, tmp_path):
-    """Old pickles without ``_chashes`` are upgraded on load, free of
-    simulated I/O charges."""
-    path = tmp_path / "legacy.ssi"
-    index.save(path)
-    loaded = SetSimilarityIndex.load(path)
-    # Simulate a pre-columnar pickle by stripping the state and
-    # round-tripping through __setstate__.
-    state = loaded.__getstate__()
-    state.pop("_chashes")
-    state.pop("_cfallback", None)
-    downgraded = SetSimilarityIndex.__new__(SetSimilarityIndex)
-    before = state["io"].snapshot()
-    downgraded.__setstate__(state)
-    assert downgraded._chashes.keys() == set(downgraded.sids)
-    assert downgraded.io.snapshot() == before  # rebuild charged nothing
-    query = frozenset(downgraded.store.get(next(iter(downgraded.sids))))
-    assert downgraded.query(query, 0.5, 1.0).answers
-
-
 def test_snapshot_plan_probes_cover_all_families(index):
     """Every plan family the live planner can pick maps to probes."""
     snap = index.freeze()

@@ -12,7 +12,7 @@ from repro.storage.hashtable import (
     hash_key,
     hash_keys,
 )
-from repro.storage.iomodel import IOCostModel
+from repro.storage.iomodel import IOCostModel, IOStats
 from repro.storage.pager import PageManager
 
 
@@ -320,3 +320,64 @@ class TestTailReadAccounting:
         delta = table.pager.io.snapshot() - before
         assert delta.random_reads == 0
         assert sorted(table.probe(b"k")) == [1, 2, 3, 4, 5, 6]
+
+
+_PROBE_COUNTERS = [
+    metrics.counter(f"hashtable.{name}")
+    for name in ("probes", "probe_pages", "probe_pages_saved")
+]
+
+_KEYS = [f"key-{i}".encode() for i in range(12)]
+_table_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.sampled_from(_KEYS), st.integers(0, 9)),
+        st.tuples(st.just("delete"), st.sampled_from(_KEYS), st.integers(0, 9)),
+        st.tuples(
+            st.just("bulk"),
+            st.lists(st.sampled_from(_KEYS), max_size=12),
+            st.integers(10, 90),
+        ),
+    ),
+    max_size=30,
+)
+# Stored keys, keys never stored (misses), with repeats and the
+# empty and one-key batches.
+_probe_keys = st.lists(
+    st.sampled_from(_KEYS + [b"miss-0", b"miss-1", b"miss-2"]), max_size=20
+)
+
+
+class TestFrozenViewEquivalence:
+    """``table.freeze()`` is the live grouped probe over arrays: same
+    sids in the same order, same page charges, same counter movements."""
+
+    @given(_table_ops, st.integers(1, 5), _probe_keys)
+    @settings(max_examples=80, deadline=None)
+    def test_probe_hashed_matches_live(self, operations, n_buckets, probe_keys):
+        # 4 entries per page: overflow chains and emptied buckets occur.
+        table = _table(n_buckets=n_buckets, page_size=64)
+        for op, key, arg in operations:
+            if op == "insert":
+                table.insert(key, arg)
+            elif op == "delete":
+                table.delete(key, arg)
+            else:
+                table.bulk_load(key, list(range(arg, arg + len(key))))
+        view = table.freeze()
+        fps = hash_keys(probe_keys)
+
+        def moved(probe):
+            before = [c.local_value for c in _PROBE_COUNTERS]
+            got = probe()
+            return got, [
+                c.local_value - b for c, b in zip(_PROBE_COUNTERS, before)
+            ]
+
+        io_before = table.pager.io.snapshot()
+        live, live_moved = moved(lambda: table.probe_hashed(fps.tolist()))
+        live_io = table.pager.io.snapshot() - io_before
+        io = IOStats()
+        frozen, frozen_moved = moved(lambda: view.probe_hashed(fps, io))
+        assert frozen == live
+        assert io == live_io
+        assert frozen_moved == live_moved

@@ -458,25 +458,6 @@ class TestFallbacksAndErrors:
             assert got.exec_stats["route"]["active"] is False
         _assert_bit_identical(got, want)
 
-    def test_v1_manifest_opens_and_fans_out(self, tmp_path):
-        sets, queries = _workload(seed=7)
-        plan, dist = _build_plan(sets, 7)
-        want = _baseline(sets, plan, dist, queries, 7)
-        build_sharded(sets, tmp_path / "s", n_shards=3, k=24, b=4, seed=7,
-                      plan=plan, dist=dist)
-        mpath = tmp_path / "s" / SHARD_MANIFEST_FILE
-        manifest = json.loads(mpath.read_text())
-        manifest["version"] = 1
-        manifest.pop("routing")
-        mpath.write_text(json.dumps(manifest))
-        sharded = open_sharded(tmp_path / "s")
-        assert sharded.manifest["version"] == 1
-        assert sharded.routing is None
-        with ShardedExecutor(sharded, route="sketch") as executor:
-            assert not executor.route_active
-            got = executor.query_batch(queries, *RANGE)
-        _assert_bit_identical(got, want)
-
     def test_unsupported_version_rejected(self, tmp_path):
         sets, _ = _workload(seed=1, n_sets=30)
         build_sharded(sets, tmp_path / "s", n_shards=2, k=16, b=4, seed=1,

@@ -45,12 +45,13 @@ class TestBitSampler:
         flipped[int(sampler.positions[0])] = 1
         assert sampler.key(_vec(bits)) != sampler.key(_vec(flipped))
 
-    def test_keys_matches_key(self):
+    def test_key_words_matches_key(self):
         sampler = BitSampler(96, 12, np.random.default_rng(6))
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=(5, 96)).astype(np.uint8)
         matrix = pack_bits(bits)
-        batch = sampler.keys(matrix)
+        words = sampler.key_words(matrix)
+        batch = [row.tobytes()[: sampler.key_bytes] for row in words]
         singles = [sampler.key(matrix[i]) for i in range(5)]
         assert batch == singles
 

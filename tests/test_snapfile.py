@@ -40,6 +40,7 @@ from repro.exec.snapfile import (
     ARRAYS_FILE,
     MANIFEST_FILE,
     OBJECTS_FILE,
+    _TABLE_FIELDS,
     open_arrays,
     write_arrays,
 )
@@ -112,6 +113,29 @@ def test_roundtrip_state_matches_frozen(saved):
         assert set(mapped.dfis) == set(frozen.dfis)
         for sid in frozen.sids:
             assert mapped.sets[sid] == frozen.sets[sid]
+    finally:
+        index.thaw()
+
+
+def test_mapped_tables_equal_frozen_views(saved):
+    """The table arrays a snapshot maps are the ``freeze()`` view's own."""
+    index, _, _, path = saved
+    mapped = open_snapshot(path)
+    frozen = index.freeze()
+    try:
+        for kind, filters in (("sfi", frozen.sfis), ("dfi", frozen.dfis)):
+            for point, want in filters.items():
+                got = mapped.filter_probe(kind, point)
+                np.testing.assert_array_equal(got.positions, want.positions)
+                assert got.complement_query == want.complement_query
+                assert got.n_tables == want.n_tables
+                for g, w in zip(got.tables, want.tables):
+                    assert type(g) is type(w)
+                    assert g.n_buckets == w.n_buckets
+                    for field in _TABLE_FIELDS:
+                        a, b = getattr(g, field), getattr(w, field)
+                        assert a.dtype == b.dtype
+                        np.testing.assert_array_equal(a, b)
     finally:
         index.thaw()
 
@@ -328,6 +352,15 @@ def test_open_arrays_rejects_shape_dtype_mismatch(tmp_path):
         open_arrays(path, bad)
 
 
+@pytest.mark.parametrize("offset", [-64, 4])
+def test_open_arrays_rejects_negative_or_misaligned_offset(tmp_path, offset):
+    path = tmp_path / "arrays.bin"
+    specs = write_arrays(path, {"x": np.arange(10, dtype=np.int64)})
+    bad = {"x": dict(specs["x"], offset=offset)}
+    with pytest.raises(SnapshotFormatError, match="offset"):
+        open_arrays(path, bad)
+
+
 def test_open_arrays_rejects_truncated_file(tmp_path):
     path = tmp_path / "arrays.bin"
     specs = write_arrays(path, {"x": np.arange(100, dtype=np.int64)})
@@ -384,6 +417,62 @@ def test_open_rejects_future_version(saved, tmp_path):
     with pytest.raises(SnapshotFormatError) as exc:
         open_snapshot(bad)
     assert "99" in str(exc.value)
+
+
+def _first_table(manifest: dict) -> str:
+    return next(n for n in manifest["arrays"] if n.endswith("_chain_pages"))[
+        : -len("chain_pages")
+    ]
+
+
+def _shorten(spec: dict) -> None:
+    spec["shape"][0] -= 1
+    spec["nbytes"] -= 8
+
+
+@pytest.mark.parametrize("field,mutate", [
+    ("chain_pages", _shorten),  # one short of n_buckets
+    ("run_indptr", _shorten),  # no longer len(run_fps) + 1
+    ("run_fps", lambda spec: spec.update(dtype="<i8")),
+    ("run_sids", lambda spec: spec.update(shape=[1, spec["shape"][0]])),
+])
+def test_open_rejects_misfit_table_specs(saved, tmp_path, field, mutate):
+    """Checked from the manifest specs alone, at every open."""
+    _, _, _, src = saved
+    bad = _copy_snapshot(src, tmp_path / "bad")
+    manifest = json.loads((bad / MANIFEST_FILE).read_text())
+    name = _first_table(manifest) + field
+    mutate(manifest["arrays"][name])
+    (bad / MANIFEST_FILE).write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotFormatError, match=name[: -len(field)]):
+        open_snapshot(bad)
+
+
+@pytest.mark.parametrize("field,values", [
+    ("run_fps", [5, 5]),  # not strictly ascending
+    ("run_indptr", [0, 2, 1]),  # decreasing
+    ("run_indptr", [1]),  # does not start at 0
+])
+def test_verify_rejects_unordered_table_runs(saved, tmp_path, field, values):
+    """Order inside a table's arrays needs their bytes: verify only."""
+    _, _, _, src = saved
+    bad = _copy_snapshot(src, tmp_path / "bad")
+    manifest = json.loads((bad / MANIFEST_FILE).read_text())
+    prefix = _first_table(manifest)
+    spec = manifest["arrays"][prefix + field]
+    assert spec["shape"][0] >= len(values)
+    data = np.asarray(values, dtype=spec["dtype"]).tobytes()
+    blob = bytearray((bad / ARRAYS_FILE).read_bytes())
+    blob[spec["offset"]: spec["offset"] + len(data)] = data
+    # Keep the checksum honest so only the order check can object.
+    spec["crc32"] = zlib.crc32(
+        bytes(blob[spec["offset"]: spec["offset"] + spec["nbytes"]])
+    )
+    (bad / ARRAYS_FILE).write_bytes(bytes(blob))
+    (bad / MANIFEST_FILE).write_text(json.dumps(manifest))
+    open_snapshot(bad)  # the O(ms) open reads no array bytes
+    with pytest.raises(SnapshotIntegrityError, match=prefix):
+        open_snapshot(bad, verify=True)
 
 
 def test_open_rejects_truncated_arrays(saved, tmp_path):
