@@ -17,6 +17,13 @@ data vectors are stored unmodified.
 
 Both structures are dynamic: vectors can be inserted or deleted at any
 time, which is what the hash-table primitive buys the paper.
+
+Probing is one operation on the live filters and on their frozen image
+(:class:`FrozenFilterProbe`): ``probe_tables(start, stop, matrix, io)``
+fingerprints a range of the filter's tables in one pass, probes them and
+unions the hits per query row.  The query pipeline's probe stage
+(:func:`repro.exec.pipeline.probe_filter`) calls it per worker; the
+public ``probe`` / ``probe_batch`` are that stage over the whole filter.
 """
 
 from __future__ import annotations
@@ -28,13 +35,11 @@ import numpy as np
 from repro.core.filter_function import FilterFunction
 from repro.hamming.bitvector import complement
 from repro.hamming.sampling import BitSampler, sampled_key_words
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.storage.hashtable import BucketHashTable, hash_words
 from repro.storage.pager import PageManager
 
-# Probe instruments (shared across all SFI/DFI instances); per-table
-# candidate-count histograms feed the collision statistics the tuning
-# experiments read.
+# Probe instruments (shared across all SFI/DFI instances).
 _SFI_PROBES = metrics.counter("sfi.probes")
 _SFI_CANDIDATES = metrics.counter("sfi.candidates")
 _SFI_DUPLICATES = metrics.counter("sfi.duplicate_candidates")
@@ -42,10 +47,6 @@ _SFI_BATCHES = metrics.counter("sfi.batch_probes")
 _DFI_PROBES = metrics.counter("dfi.probes")
 _DFI_CANDIDATES = metrics.counter("dfi.candidates")
 _DFI_BATCHES = metrics.counter("dfi.batch_probes")
-_TABLE_CANDIDATES = metrics.histogram("sfi.table_candidates")
-# Shared with the hash-table layer: pages a batched probe avoided by
-# serving several batch members from one bucket read.
-_PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
 
 
 def record_batch_probe_counters(
@@ -53,10 +54,8 @@ def record_batch_probe_counters(
 ) -> None:
     """Apply the filter-level counter deltas of one batched probe.
 
-    Shared by the live ``probe_batch`` paths and the frozen-snapshot
-    executor so both move ``sfi.*``/``dfi.*`` identically.  A DFI probe
-    also moves the SFI counters (the live DFI delegates to its inner
-    SFI), so ``kind="dfi"`` records both families.
+    A DFI is an SFI probed with complemented queries, so ``kind="dfi"``
+    moves both the ``dfi.*`` and the ``sfi.*`` families.
     """
     if kind == "dfi":
         _DFI_BATCHES.inc()
@@ -88,6 +87,53 @@ def table_fingerprints(
     return np.ascontiguousarray(fingerprints.reshape(n, t).T)
 
 
+def _union_rows(tables, columns, n_rows: int, io) -> tuple[list[set[int]], int]:
+    """Probe each table with its column of fingerprints and union the
+    hits per query row in the same pass.
+
+    Returns the per-row sid sets and the hit total over all tables
+    (total minus the sets' sizes is the ``collisions`` count).  Both
+    table kinds answer ``probe_hashed(column, io)``: a
+    :class:`~repro.storage.hashtable.TableView` accounts its page reads
+    into ``io``, a live
+    :class:`~repro.storage.hashtable.BucketHashTable` reads through its
+    pager.
+    """
+    sids: list[set[int]] = [set() for _ in range(n_rows)]
+    hits = 0
+    for table, column in zip(tables, columns):
+        for i, got in enumerate(table.probe_hashed(column, io)):
+            if got:
+                hits += len(got)
+                sids[i].update(got)
+    return sids, hits
+
+
+def _probe_alone(fi, tables, matrix: np.ndarray) -> list[set[int]]:
+    """A live filter's whole-table probe outside any index: the
+    pipeline's probe stage over a view that holds just this filter."""
+    from repro.exec.pipeline import Inline, probe_filter
+
+    if matrix.shape[0] == 0:
+        return []
+    if fi.kind == "dfi":
+        matrix = complement(matrix, fi.n_bits)
+    return probe_filter(
+        _Alone(fi, tables[0].pager.io), Inline, [], fi.kind, fi.sigma_point,
+        matrix,
+    )[0]
+
+
+class _Alone:
+    """What the probe stage asks of a view, for one live filter."""
+
+    def __init__(self, fi, cost):
+        self.fi, self.cost = fi, cost
+
+    def filter_probe(self, kind, point):
+        return self.fi
+
+
 class SimilarityFilterIndex:
     """``SFI(s*)``: retrieves vectors at least ``s*``-Hamming-similar.
 
@@ -112,6 +158,8 @@ class SimilarityFilterIndex:
         Optional Jaccard cut point this filter serves in the overall
         plan; purely observability metadata (surfaced by EXPLAIN).
     """
+
+    kind = "sfi"
 
     def __init__(
         self,
@@ -210,7 +258,20 @@ class SimilarityFilterIndex:
     def probe_batch(self, matrix: np.ndarray) -> list[set[int]]:
         """``SimVector(s*, q)`` for every row of a packed query matrix.
 
-        The sampled-bit keys of all ``l`` tables are extracted and
+        The whole-filter case of the query pipeline's probe stage
+        (:func:`repro.exec.pipeline.probe_filter`): one
+        ``sfi_probe_batch`` span, the ``sfi.*`` counters, and
+        :meth:`probe_tables` over all ``l`` tables.
+        """
+        return _probe_alone(self, self._tables, matrix)
+
+    def probe_tables(
+        self, start: int, stop: int, matrix: np.ndarray, io
+    ) -> tuple[list[set[int]], int]:
+        """Probe tables ``start .. stop - 1`` with every row of a packed
+        query matrix: per-row sid sets and the hit total.
+
+        The sampled-bit keys of the tables are extracted and
         fingerprinted in one vectorized pass
         (:func:`table_fingerprints`), then each table serves its
         fingerprints with grouped bucket reads
@@ -218,45 +279,13 @@ class SimilarityFilterIndex:
         so a bucket page shared by several queries of the batch is read
         once instead of once per query.
         """
-        n = matrix.shape[0]
-        if n == 0:
-            return []
-        saved_before = _PAGES_SAVED.local_value
-        with trace.span(
-            "sfi_probe_batch",
-            s_star=self.threshold,
-            sigma=self.sigma_point,
-            r=self.filter.r,
-            l=len(self._tables),
-            n_queries=n,
-        ) as sp:
-            fingerprints = table_fingerprints(
-                matrix, self._word_index, self._bit_offset, self.filter.r
-            )
-            sids: list[set[int]] = [set() for _ in range(n)]
-            per_table: list[int] = []
-            recording = sp.recording
-            for table, column in zip(self._tables, fingerprints.tolist()):
-                hits = 0
-                for i, got in enumerate(table.probe_hashed(column)):
-                    hits += len(got)
-                    sids[i].update(got)
-                    if recording:
-                        _TABLE_CANDIDATES.observe(len(got))
-                per_table.append(hits)
-            unique = sum(len(s) for s in sids)
-            collisions = sum(per_table) - unique
-            record_batch_probe_counters("sfi", n, unique, collisions)
-            if recording:
-                sp.set(
-                    tables_probed=len(self._tables),
-                    candidates=unique,
-                    collisions=collisions,
-                    table_candidates=per_table,
-                    pages_saved=_PAGES_SAVED.local_value - saved_before,
-                    _sids_per_query=sids,
-                )
-            return sids
+        fingerprints = table_fingerprints(
+            matrix, self._word_index[start:stop], self._bit_offset[start:stop],
+            self.filter.r,
+        )
+        return _union_rows(
+            self._tables[start:stop], fingerprints.tolist(), matrix.shape[0], io
+        )
 
     def table_stats(self, detail: bool = False) -> dict:
         """Aggregate occupancy/load statistics over the ``l`` tables.
@@ -315,6 +344,8 @@ class DissimilarityFilterIndex:
     stream can feed SFIs and DFIs alike.
     """
 
+    kind = "dfi"
+
     def __init__(
         self,
         threshold: float,
@@ -370,32 +401,16 @@ class DissimilarityFilterIndex:
         return self.probe_batch(query[None, :])[0]
 
     def probe_batch(self, matrix: np.ndarray) -> list[set[int]]:
-        """Batch ``DissimVector``: probe the inner SFI with ``~rows``."""
-        n = matrix.shape[0]
-        if n == 0:
-            return []
-        saved_before = _PAGES_SAVED.local_value
-        with trace.span(
-            "dfi_probe_batch",
-            s_star=self.threshold,
-            sigma=self.sigma_point,
-            r=self.r,
-            l=self.n_tables,
-            n_queries=n,
-        ) as sp:
-            sids = self._sfi.probe_batch(complement(matrix, self.n_bits))
-            _DFI_BATCHES.inc()
-            _DFI_PROBES.inc(n)
-            unique = sum(len(s) for s in sids)
-            _DFI_CANDIDATES.inc(unique)
-            if sp.recording:
-                sp.set(
-                    tables_probed=self.n_tables,
-                    candidates=unique,
-                    pages_saved=_PAGES_SAVED.local_value - saved_before,
-                    _sids_per_query=sids,
-                )
-            return sids
+        """Batch ``DissimVector``: the inner tables probed with ``~rows``,
+        under one ``dfi_probe_batch`` span (see the SFI's method)."""
+        return _probe_alone(self, self._sfi._tables, matrix)
+
+    def probe_tables(
+        self, start: int, stop: int, matrix: np.ndarray, io
+    ) -> tuple[list[set[int]], int]:
+        """The inner SFI's table range; ``matrix`` holds the already
+        *complemented* queries (Theorem 2), computed once per batch."""
+        return self._sfi.probe_tables(start, stop, matrix, io)
 
     def table_stats(self, detail: bool = False) -> dict:
         """Occupancy statistics of the underlying tables (see SFI)."""
@@ -461,19 +476,25 @@ class FrozenFilterProbe:
 
     def probe_tables(
         self, start: int, stop: int, matrix: np.ndarray, io
-    ) -> list[list[list[int]]]:
+    ) -> tuple[list[set[int]], int]:
         """Probe tables ``start .. stop - 1`` with every row of the
-        (pre-complemented for DFIs) packed query matrix; one list of
-        per-row sid lists per table, page charges go to ``io``."""
-        fingerprints = table_fingerprints(
+        (pre-complemented for DFIs) packed query matrix: per-row sid
+        sets and the hit total, page charges go to ``io``."""
+        return _union_rows(
+            self.tables[start:stop],
+            self._fingerprints(start, stop, matrix),
+            matrix.shape[0],
+            io,
+        )
+
+    def probe_table(self, t: int, matrix: np.ndarray, io) -> list[list[int]]:
+        """One table's per-row sid lists, as the table returns them."""
+        return self.tables[t].probe_hashed(
+            self._fingerprints(t, t + 1, matrix)[0], io
+        )
+
+    def _fingerprints(self, start: int, stop: int, matrix: np.ndarray):
+        return table_fingerprints(
             matrix, self._word_index[start:stop], self._bit_offset[start:stop],
             self.r,
         )
-        return [
-            table.probe_hashed(row, io)
-            for table, row in zip(self.tables[start:stop], fingerprints)
-        ]
-
-    def probe_table(self, t: int, matrix: np.ndarray, io) -> list[list[int]]:
-        """The one-table case of :meth:`probe_tables`."""
-        return self.probe_tables(t, t + 1, matrix, io)[0]

@@ -7,6 +7,12 @@ the planned SFI/DFI structures over simulated disk pages, and answers
 similarity range queries with the Section 4.3 candidate plans followed
 by exact verification against sets fetched through the B-tree.
 
+The query algorithm itself is :func:`repro.exec.pipeline.run_batch`,
+one staged function shared with the snapshot executors; ``query()`` and
+``query_batch()`` run it over a view of the live index (``_LiveView``)
+on the calling thread.  This module also holds the batch epilogue every
+execution path ends with (:func:`assemble_batch`, :func:`record_batch`).
+
 Dynamic maintenance (insert/delete of whole sets) is supported, as the
 paper claims for the hash-based primitives.
 """
@@ -24,13 +30,6 @@ from repro.core.distribution import SimilarityDistribution
 from repro.core.embedding import SetEmbedder
 from repro.core.filter_index import DissimilarityFilterIndex, SimilarityFilterIndex
 from repro.core.optimizer import SFI, IndexPlan, greedy_allocate, plan_index
-from repro.core.query_plan import (
-    combine_candidates,
-    enclosing_points,
-    estimate_in_range,
-    plan_batch,
-)
-from repro.core.similarity import jaccard
 from repro.obs import events, metrics, trace
 from repro.obs.explain import probe_spans
 from repro.obs.trace import Span
@@ -48,12 +47,6 @@ _CANDIDATES_PER_QUERY = metrics.histogram("query.candidates_per_query")
 _QUERY_BATCHES = metrics.counter("query.batches")
 _BATCH_SIZE = metrics.histogram("query.batch_size")
 _BATCH_FETCHES_SAVED = metrics.counter("query.batch_fetches_saved")
-# Shared with the hash-table layer: bucket pages a grouped batch probe
-# avoided reading (several queries served from one bucket read).
-_BATCH_PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
-# Shared with the pager: buffer-pool hits, bracketed per query with the
-# calling thread's shard (the sequential paths run on one thread).
-_PAGER_CACHE_HITS = metrics.counter("pager.cache_hits")
 
 
 class FrozenIndexError(RuntimeError):
@@ -309,6 +302,70 @@ def record_batch(
     _QUERY_FALSE_POSITIVES.inc(batch.n_candidates - batch.n_verified)
     for result in batch.results:
         _CANDIDATES_PER_QUERY.observe(result.n_candidates)
+
+
+class _LiveView:
+    """The query pipeline's view of a live index, for one batch.
+
+    :mod:`repro.exec.pipeline` lists the operations; here they go
+    through the mutable structures themselves -- the filters' live
+    bucket tables, the set store behind the pager (and its buffer pool,
+    when configured), the per-sid vectors and hash arrays -- so reads
+    charge ``cost`` as they happen and inserts and deletes maintain
+    nothing for the query path.
+    """
+
+    def __init__(self, index: "SetSimilarityIndex"):
+        self.index = index
+        self.cost = index.io
+        self.embedder = index.embedder
+        self.plan = index.plan
+        self.n_bits = index.embedder.dimension
+        self.sfis, self.dfis = index._sfis, index._dfis
+        self.all_sids = index._vectors
+        self.scan_pages = index.store.n_pages
+        self._fetched: dict[int, frozenset] = {}
+
+    @property
+    def planner(self):
+        return self.index.planner()
+
+    def filter_probe(self, kind: str, point: float):
+        return (self.sfis if kind == "sfi" else self.dfis)[point]
+
+    def fetch(self, sids: list[int] | None, io: IOStats) -> None:
+        """Read the given sets (``None``: the whole heap, sequentially)
+        through the store; the pager charges ``cost``, not ``io``.  The
+        sets stay at hand for verification's hash-collision fallback."""
+        store = self.index.store
+        self._fetched = (
+            dict(store.scan()) if sids is None
+            else {sid: store.get(sid) for sid in sids}
+        )
+
+    def verify_batch(self, query_sets, candidates_list, sigma_low, sigma_high, io):
+        """:func:`repro.exec.columnar.verify_batch` over the per-set hash
+        arrays: the CSR of whichever sids the kernel asks for is
+        concatenated on the spot."""
+        from repro.exec.columnar import build_csr, verify_batch
+
+        chashes, set_sizes = self.index._chashes, self.index._sizes
+        return verify_batch(
+            query_sets, candidates_list, sigma_low, sigma_high, io,
+            csr=lambda sids: build_csr(
+                [chashes[sid] for sid in sids.tolist()]
+            ),
+            sizes=lambda sids: np.fromiter(
+                (set_sizes[sid] for sid in sids.tolist()),
+                dtype=np.int64, count=len(sids),
+            ),
+            fallback_sids=self.index._cfallback,
+            get_set=self._fetched.__getitem__,
+        )
+
+    def vectors_of(self, sids: list[int]) -> np.ndarray:
+        vectors = self.index._vectors
+        return np.stack([vectors[sid] for sid in sids])
 
 
 class SetSimilarityIndex:
@@ -701,8 +758,11 @@ class SetSimilarityIndex:
         carried on the returned row, a root span and telemetry event
         named ``"query"``, and no entry in the ``query.batches`` counter.
         """
-        return self._run_batch(
-            "query", [elements], sigma_low, sigma_high, strategy, explain
+        from repro.exec.pipeline import Inline, run_batch
+
+        return run_batch(
+            _LiveView(self), Inline, "query", [elements], sigma_low,
+            sigma_high, strategy, explain,
         ).only()
 
     def planner(self) -> "QueryPlanner":
@@ -768,104 +828,12 @@ class SetSimilarityIndex:
         behave as in :meth:`query`; with ``strategy="scan"`` the whole
         collection is read once for the entire batch.
         """
-        return self._run_batch(
-            "query_batch", queries, sigma_low, sigma_high, strategy, explain
-        )
+        from repro.exec.pipeline import Inline, run_batch
 
-    def _run_batch(
-        self,
-        kind: str,
-        queries: Sequence[Iterable],
-        sigma_low: float,
-        sigma_high: float,
-        strategy: str,
-        explain: bool,
-    ) -> BatchQueryResult:
-        """The query pipeline; ``kind`` names the root span and the
-        telemetry event (``"query"`` for the one-row batch)."""
-        if not 0.0 <= sigma_low <= sigma_high <= 1.0:
-            raise ValueError(
-                f"invalid similarity range [{sigma_low}, {sigma_high}]"
-            )
-        if strategy not in ("index", "scan", "auto"):
-            raise ValueError(f"unknown strategy: {strategy!r}")
-        if strategy == "auto":
-            strategy = self.planner().choose(sigma_low, sigma_high)
-        query_sets = [frozenset(q) for q in queries]
-        saved_before = _BATCH_PAGES_SAVED.local_value
-        hits_before = _PAGER_CACHE_HITS.local_value
-        wall0 = time.perf_counter()
-        timings: dict[str, float] = {}
-        with trace.capture(
-            kind,
-            io=self.io,
-            force=explain,
-            strategy=strategy,
-            sigma_low=sigma_low,
-            sigma_high=sigma_high,
-            n_queries=len(query_sets),
-        ) as root:
-            before = self.io.snapshot()
-            if strategy == "scan":
-                t0 = time.perf_counter()
-                candidates_list, answers_list = self._scan_query_batch(
-                    query_sets, sigma_low, sigma_high
-                )
-                timings["scan"] = (time.perf_counter() - t0) * 1e3
-                fetches_saved = 0
-            else:
-                t0 = time.perf_counter()
-                candidates_list, matrix, rows = self._candidates_batch(
-                    query_sets, sigma_low, sigma_high, timings
-                )
-                # The candidates stage is embed + probe; report probe
-                # as its remainder after the measured embed slice.
-                timings["probe"] = max(
-                    0.0,
-                    (time.perf_counter() - t0) * 1e3
-                    - timings.get("embed", 0.0),
-                )
-                t0 = time.perf_counter()
-                answers_list, fetches_saved = self._verify_batch(
-                    query_sets, candidates_list, sigma_low, sigma_high,
-                    matrix, rows, timings,
-                )
-                timings["verify"] = max(
-                    0.0,
-                    (time.perf_counter() - t0) * 1e3 - timings["fetch"],
-                )
-            delta = self.io.snapshot() - before
-            if strategy == "scan":
-                # One shared collection pass instead of one per query.
-                pages_saved = (delta.random_reads + delta.sequential_reads) * max(
-                    0, len(query_sets) - 1
-                )
-            else:
-                pages_saved = _BATCH_PAGES_SAVED.local_value - saved_before
-            batch = assemble_batch(
-                root, self.io, delta, answers_list, candidates_list,
-                pages_saved, fetches_saved, timings,
-            )
-        record_batch(
-            kind,
-            batch,
-            wall0,
-            cache_hits=_PAGER_CACHE_HITS.local_value - hits_before,
-            backend="sequential",
-            workers=1,
-            strategy=strategy,
-            sigma_low=sigma_low,
-            sigma_high=sigma_high,
+        return run_batch(
+            _LiveView(self), Inline, "query_batch", queries, sigma_low,
+            sigma_high, strategy, explain,
         )
-        logger.debug(
-            "%s [%.3f, %.3f] strategy=%s: %d queries, %d answers / "
-            "%d candidates, %d bucket pages + %d fetches saved, "
-            "simulated time %.1f",
-            kind, sigma_low, sigma_high, strategy, batch.n_queries,
-            batch.n_verified, batch.n_candidates,
-            batch.pages_saved, batch.fetches_saved, batch.total_time,
-        )
-        return batch
 
     def query_above_batch(
         self, queries: Sequence[Iterable], sigma: float, **kwargs
@@ -878,144 +846,6 @@ class SetSimilarityIndex:
     ) -> BatchQueryResult:
         """Batched :meth:`query_below`: sets at most ``sigma``-similar."""
         return self.query_batch(queries, 0.0, sigma, **kwargs)
-
-    def _scan_query_batch(
-        self, query_sets: list[frozenset], sigma_low: float, sigma_high: float
-    ) -> tuple[list[set[int]], list[list[tuple[int, float]]]]:
-        """Exact evaluation: one sequential pass serves all queries."""
-        n = len(query_sets)
-        with trace.span(
-            "scan_batch", n_pages=self.store.n_pages, n_queries=n
-        ) as sp:
-            answers_list: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-            candidates_list: list[set[int]] = [set() for _ in range(n)]
-            for sid, stored in self.store.scan():
-                for i, query_set in enumerate(query_sets):
-                    candidates_list[i].add(sid)
-                    self.io.cpu(len(stored) + len(query_set))
-                    similarity = jaccard(stored, query_set)
-                    if sigma_low <= similarity <= sigma_high:
-                        answers_list[i].append((sid, similarity))
-            for answers in answers_list:
-                answers.sort(key=lambda pair: (-pair[1], pair[0]))
-            sp.set(
-                n_candidates=sum(len(c) for c in candidates_list),
-                n_verified=sum(len(a) for a in answers_list),
-            )
-            return candidates_list, answers_list
-
-    def _candidates_batch(
-        self,
-        query_sets: list[frozenset],
-        sigma_low: float,
-        sigma_high: float,
-        timings: dict[str, float],
-    ) -> tuple[list[set[int]], np.ndarray | None, list[int]]:
-        """Per-query candidate sets of the range's Section 4.3 plan.
-
-        Also returns the packed embedding matrix of the non-empty query
-        sets and the batch positions its rows correspond to (for the
-        ``est_in_range`` aggregate and trace annotation).
-        """
-        n = len(query_sets)
-        cut_points = self.plan.cut_points
-        lo, up = enclosing_points(cut_points, sigma_low, sigma_high)
-        plan, probes, pivot, rows = plan_batch(
-            cut_points, self._sfis, self._dfis, query_sets, sigma_low, sigma_high
-        )
-        matrix: np.ndarray | None = None
-        with trace.span(
-            "candidates_batch", lo=lo, up=up, n_queries=n
-        ) as sp:
-            probed: dict[tuple[str, float], list[set[int]]] = {}
-            if probes:
-                t_embed = time.perf_counter()
-                with trace.span(
-                    "embed_batch", k=self.embedder.k, n_queries=len(rows)
-                ):
-                    matrix = self.embedder.embed_many(
-                        [query_sets[i] for i in rows]
-                    )
-                    self.io.cpu(self.embedder.k * len(rows))
-                timings["embed"] = (time.perf_counter() - t_embed) * 1e3
-                for kind, point in probes:
-                    filters = self._sfis if kind == "sfi" else self._dfis
-                    probed[kind, point] = filters[point].probe_batch(matrix)
-            candidates_list = combine_candidates(
-                plan, probed, probes, n, rows, self._vectors
-            )
-            if sp.recording:
-                sp.set(
-                    plan=plan,
-                    n_candidates=sum(len(s) for s in candidates_list),
-                    _rows=rows,
-                )
-                if pivot is not None:
-                    sp.set(pivot=pivot)
-        return candidates_list, matrix, rows
-
-    def _verify_batch(
-        self,
-        query_sets: list[frozenset],
-        candidates_list: list[set[int]],
-        sigma_low: float,
-        sigma_high: float,
-        matrix: np.ndarray | None,
-        rows: list[int],
-        timings: dict[str, float],
-    ) -> tuple[list[list[tuple[int, float]]], int]:
-        """Fetch each distinct candidate once and verify all pairs.
-
-        The batch goes through :func:`repro.exec.columnar.verify_batch`,
-        which intersects each distinct candidate once when the queries
-        share candidates and each query's own list otherwise; membership
-        is decided by exact Jaccard.  The CSR of whichever sids the
-        kernel asks for is concatenated from the per-set hash arrays on
-        the spot, so inserts and deletes maintain nothing; the fetched
-        sets serve the rare hash-collision fallback.
-        """
-        from repro.exec.columnar import build_csr, verify_batch
-
-        n_pairs = sum(len(c) for c in candidates_list)
-        with trace.span(
-            "verify_batch",
-            n_queries=len(query_sets),
-            n_pairs=n_pairs,
-        ) as sp:
-            distinct = sorted(set().union(*candidates_list))
-            t_fetch = time.perf_counter()
-            fetched = {sid: self.store.get(sid) for sid in distinct}
-            timings["fetch"] = (time.perf_counter() - t_fetch) * 1e3
-            fetches_saved = n_pairs - len(distinct)
-            chashes, set_sizes, vectors = self._chashes, self._sizes, self._vectors
-            answers_list, info = verify_batch(
-                query_sets, candidates_list, sigma_low, sigma_high,
-                self.io.stats,
-                csr=lambda sids: build_csr(
-                    [chashes[sid] for sid in sids.tolist()]
-                ),
-                sizes=lambda sids: np.fromiter(
-                    (set_sizes[sid] for sid in sids.tolist()),
-                    dtype=np.int64, count=len(sids),
-                ),
-                fallback_sids=self._cfallback,
-                get_set=fetched.__getitem__,
-            )
-            if sp.recording:
-                n_verified = sum(len(a) for a in answers_list)
-                sp.set(
-                    n_candidates=len(distinct),
-                    n_verified=n_verified,
-                    false_positives=n_pairs - n_verified,
-                    fetches_saved=fetches_saved,
-                    est_in_range=estimate_in_range(
-                        self.embedder, candidates_list, matrix, rows,
-                        lambda sids: np.stack([vectors[sid] for sid in sids]),
-                        sigma_low, sigma_high,
-                    ),
-                    **info,
-                )
-            return answers_list, fetches_saved
 
     def filter_stats(self, detail: bool = False) -> list[dict]:
         """Occupancy/load statistics for every materialized filter.

@@ -1,0 +1,421 @@
+"""The query pipeline, once: staged, over a view, on a scheduler.
+
+The paper has one query algorithm (Section 4.3): enclose the range with
+cut points, probe the SFI/DFI structures placed there, difference/union
+the probe results, then fetch and verify every candidate exactly.
+:func:`run_batch` is that algorithm for a batch of queries --
+
+    validate, resolve ``auto`` -> root span + I/O bracket ->
+    ``plan_batch`` -> embed -> probe each planned filter -> combine ->
+    verify mask -> fetch -> verify (or: scan) -> assemble -> record
+
+-- and every execution path is a choice of two arguments.
+
+**The view** is where the data lives.  Two classes implement it because
+the storage genuinely differs, and nothing above these operations does:
+
+- ``cost`` (the :class:`~repro.storage.iomodel.IOCostModel` a batch
+  charges), ``embedder``, ``plan``, ``planner``, ``n_bits``,
+  ``sfis`` / ``dfis`` and ``filter_probe(kind, point)`` -- each filter
+  answering ``probe_tables(start, stop, matrix, io)`` -- ``all_sids``,
+  ``scan_pages``;
+- ``fetch(sids, io)``: make the sets of the given sids (``None``: the
+  whole heap, sequentially) available to verification and charge
+  reading them;
+- ``verify_batch(query_sets, candidates_list, lo, hi, io)``;
+- ``vectors_of(sids)`` for the traced ``est_in_range`` aggregate.
+
+:class:`~repro.exec.snapshot.IndexSnapshot` (heap arrays or a mapped
+snapshot file) *accounts* every charge into the ``io`` it is handed;
+the live index's view (:mod:`repro.core.index`) reads through its pager
+and buffer pool, which charge ``cost`` as the reads happen.
+
+**The scheduler** is where a stage's tasks run: ``workers``,
+``backend``, ``run(view, specs)`` and ``report(tasks, strategy,
+wall0)``.  A task is a picklable ``(stage, *payload)`` spec whose body
+lives in :mod:`repro.exec.procpool`; :class:`Inline` runs specs on the
+calling thread (the live index, and a one-worker executor),
+:class:`~repro.exec.parallel.ParallelExecutor` on a thread or process
+pool.  Each stage runs its tasks *inside* its span and folds their
+private charges into ``view.cost`` there, so a span's I/O delta is
+exact whether a charge was accounted by a pool task or made by the live
+pager mid-task.
+
+Work is split so that results cannot depend on the worker count: probe
+tasks take contiguous ranges of one filter's tables (a bucket's chain
+is read once per table for the whole batch), embed and verify tasks
+take contiguous query chunks (embedding is per-set pure; candidates are
+shared inside a verify chunk only, so one chunk per worker), and every
+merge is an integer sum or a positional concatenation.
+"""
+
+from __future__ import annotations
+
+import logging
+import time
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from repro.core.filter_index import record_batch_probe_counters
+from repro.core.index import BatchQueryResult, assemble_batch, record_batch
+from repro.core.query_plan import (
+    combine_candidates,
+    enclosing_points,
+    estimate_in_range,
+    plan_batch,
+)
+from repro.exec.columnar import merge_verify_info
+from repro.exec.procpool import Task, run_task
+from repro.hamming.bitvector import complement
+from repro.obs import metrics, trace
+from repro.storage.iomodel import IOStats
+
+logger = logging.getLogger(__name__)
+
+# Shared with the pager: buffer-pool hits, bracketed per batch with the
+# calling thread's shard (only a live view has a pool, and it runs
+# inline).
+_CACHE_HITS = metrics.counter("pager.cache_hits")
+
+
+class Inline:
+    """The one-worker scheduler: tasks run on the calling thread."""
+
+    workers = 1
+    backend = "sequential"
+
+    @staticmethod
+    def run(view, specs: list[tuple]) -> list[Task]:
+        return [run_task(view, spec) for spec in specs]
+
+    @staticmethod
+    def report(tasks: list[Task], strategy: str, wall0: float) -> None:
+        """No executor-side detail: ``exec_stats`` stays None."""
+
+
+def stage_seconds(tasks: list[Task]) -> dict[str, float]:
+    """Summed task wall seconds per stage."""
+    seconds: dict[str, float] = {}
+    for task in tasks:
+        seconds[task.stage] = seconds.get(task.stage, 0.0) + task.seconds
+    return seconds
+
+
+def _ranges(n: int, pieces: int) -> list[tuple[int, int]]:
+    """At most ``pieces`` contiguous, near-equal ``(start, stop)``
+    ranges covering ``range(n)``."""
+    pieces = max(1, min(pieces, n))
+    bounds = [n * p // pieces for p in range(pieces + 1)]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _apply(cost, io: IOStats) -> None:
+    """Fold privately accumulated charges into the view's cost model."""
+    stats = cost.stats
+    stats.sequential_reads += io.sequential_reads
+    stats.random_reads += io.random_reads
+    stats.page_writes += io.page_writes
+    stats.cpu_ops += io.cpu_ops
+
+
+def _run(view, sched, tasks: list[Task], labelled: list[tuple]) -> list[Task]:
+    """Run one stage's ``(label, spec)`` tasks and fold their charges
+    into ``view.cost`` -- called inside the stage's span."""
+    done = sched.run(view, [spec for _, spec in labelled])
+    for task, (label, _) in zip(done, labelled):
+        task.label = label
+        _apply(view.cost, task.io)
+    tasks.extend(done)
+    return done
+
+
+def _fetch(view, sids: list[int] | None) -> float:
+    """The view's fetch on the calling thread; returns its wall ms."""
+    t0 = time.perf_counter()
+    io = IOStats()
+    view.fetch(sids, io)
+    _apply(view.cost, io)
+    return (time.perf_counter() - t0) * 1e3
+
+
+def run_batch(
+    view,
+    sched,
+    kind: str,
+    queries: Sequence[Iterable],
+    sigma_low: float,
+    sigma_high: float,
+    strategy: str = "index",
+    explain: bool = False,
+    verify_rows: Sequence[int] | None = None,
+    record: bool = True,
+) -> BatchQueryResult:
+    """Answer a batch over one shared range; see the module docstring.
+
+    ``kind`` names the root span and the telemetry event (``"query"``
+    for the one-row batch behind ``index.query()``); ``verify_rows`` and
+    ``record`` are the executor's (see
+    :class:`~repro.exec.parallel.ParallelExecutor`).
+    """
+    if not 0.0 <= sigma_low <= sigma_high <= 1.0:
+        raise ValueError(
+            f"invalid similarity range [{sigma_low}, {sigma_high}]"
+        )
+    if strategy not in ("index", "scan", "auto"):
+        raise ValueError(f"unknown strategy: {strategy!r}")
+    if strategy == "auto":
+        strategy = view.planner.choose(sigma_low, sigma_high)
+    query_sets = [frozenset(q) for q in queries]
+    n = len(query_sets)
+    cost = view.cost
+    wall0 = time.perf_counter()
+    hits_before = _CACHE_HITS.local_value
+    tasks: list[Task] = []
+    with trace.capture(
+        kind,
+        io=cost,
+        force=explain,
+        strategy=strategy,
+        sigma_low=sigma_low,
+        sigma_high=sigma_high,
+        n_queries=n,
+        workers=sched.workers,
+        backend=sched.backend,
+    ) as root:
+        before = cost.snapshot()
+        if strategy == "scan":
+            candidates_list, answers_list, fetch_ms = _scan_stage(
+                view, sched, tasks, query_sets, sigma_low, sigma_high
+            )
+            fetches_saved, verify_info = 0, {}
+            timings = {
+                "scan": fetch_ms + stage_seconds(tasks).get("scan", 0.0) * 1e3
+            }
+        else:
+            candidates_list, matrix, rows, pages_saved = _candidates_stage(
+                view, sched, tasks, query_sets, sigma_low, sigma_high
+            )
+            answers_list, fetches_saved, verify_info, fetch_ms = _verify_stage(
+                view, sched, tasks, query_sets, candidates_list, verify_rows,
+                sigma_low, sigma_high, matrix, rows,
+            )
+            timings = dict.fromkeys(("embed", "probe", "fetch", "verify"), 0.0)
+            timings.update(
+                (stage, seconds * 1e3)
+                for stage, seconds in stage_seconds(tasks).items()
+            )
+            timings["fetch"] = fetch_ms
+        delta = cost.snapshot() - before
+        if strategy == "scan":
+            # One shared collection pass instead of one per query.
+            pages_saved = (delta.random_reads + delta.sequential_reads) * max(
+                0, n - 1
+            )
+        exec_stats = sched.report(tasks, strategy, wall0)
+        if exec_stats is not None:
+            exec_stats.update(verify_info)
+        batch = assemble_batch(
+            root, cost, delta, answers_list, candidates_list,
+            pages_saved, fetches_saved, timings, exec_stats,
+        )
+    if record:
+        record_batch(
+            kind,
+            batch,
+            wall0,
+            cache_hits=_CACHE_HITS.local_value - hits_before,
+            backend=sched.backend,
+            workers=sched.workers,
+            strategy=strategy,
+            sigma_low=sigma_low,
+            sigma_high=sigma_high,
+        )
+    logger.debug(
+        "%s [%.3f, %.3f] strategy=%s: %d queries, %d answers / "
+        "%d candidates, %d bucket pages + %d fetches saved, "
+        "simulated time %.1f",
+        kind, sigma_low, sigma_high, strategy, batch.n_queries,
+        batch.n_verified, batch.n_candidates,
+        batch.pages_saved, batch.fetches_saved, batch.total_time,
+    )
+    return batch
+
+
+def _scan_stage(view, sched, tasks, query_sets, sigma_low, sigma_high):
+    """Exact evaluation: one sequential pass over the heap serves every
+    query; each is then verified against the whole collection."""
+    n = len(query_sets)
+    with trace.span("scan_batch", n_pages=view.scan_pages, n_queries=n) as sp:
+        fetch_ms = _fetch(view, None)
+        done = _run(view, sched, tasks, [
+            (f"scan[{a}:{b}]", ("scan", query_sets[a:b], sigma_low, sigma_high))
+            for a, b in _ranges(n, sched.workers)
+        ])
+        per_query = [pair for task in done for pair in task.result]
+        candidates_list = [candidates for candidates, _ in per_query]
+        answers_list = [answers for _, answers in per_query]
+        sp.set(
+            n_candidates=sum(len(c) for c in candidates_list),
+            n_verified=sum(len(a) for a in answers_list),
+        )
+    return candidates_list, answers_list, fetch_ms
+
+
+def _candidates_stage(view, sched, tasks, query_sets, sigma_low, sigma_high):
+    """Per-query candidate sets of the range's Section 4.3 plan.
+
+    Also returns the packed embedding matrix of the non-empty query
+    sets, the batch positions its rows correspond to (for the
+    ``est_in_range`` aggregate and trace annotation) and the bucket
+    pages the grouped probes saved.
+    """
+    n = len(query_sets)
+    cut_points = view.plan.cut_points
+    lo, up = enclosing_points(cut_points, sigma_low, sigma_high)
+    plan, probes, pivot, rows = plan_batch(
+        cut_points, view.sfis, view.dfis, query_sets, sigma_low, sigma_high
+    )
+    matrix: np.ndarray | None = None
+    pages_saved = 0
+    with trace.span("candidates_batch", lo=lo, up=up, n_queries=n) as sp:
+        probed: dict[tuple[str, float], list[set[int]]] = {}
+        if probes:
+            with trace.span(
+                "embed_batch", k=view.embedder.k, n_queries=len(rows)
+            ):
+                done = _run(view, sched, tasks, [
+                    (
+                        f"embed[{rows[a]}:{rows[b - 1] + 1}]",
+                        ("embed", [query_sets[i] for i in rows[a:b]]),
+                    )
+                    for a, b in _ranges(len(rows), sched.workers)
+                ])
+                matrix = np.concatenate([task.result for task in done])
+            # Theorem 2: DFI probes use the complemented queries;
+            # complement once per batch, not once per filter.
+            cmatrix: np.ndarray | None = None
+            for kind, point in probes:
+                if kind == "dfi" and cmatrix is None:
+                    cmatrix = complement(matrix, view.n_bits)
+                probed[kind, point], saved = probe_filter(
+                    view, sched, tasks, kind, point,
+                    cmatrix if kind == "dfi" else matrix,
+                )
+                pages_saved += saved
+        candidates_list = combine_candidates(
+            plan, probed, probes, n, rows, view.all_sids
+        )
+        if sp.recording:
+            sp.set(
+                plan=plan,
+                n_candidates=sum(len(s) for s in candidates_list),
+                _rows=rows,
+            )
+            if pivot is not None:
+                sp.set(pivot=pivot)
+    return candidates_list, matrix, rows, pages_saved
+
+
+def probe_filter(
+    view, sched, tasks: list[Task], kind: str, point: float | None,
+    matrix: np.ndarray,
+) -> tuple[list[set[int]], int]:
+    """The probe stage for one planned filter: its ``{kind}_probe_batch``
+    span, one task per worker's contiguous range of its hash tables, the
+    per-row union of their hits and the ``sfi.*`` / ``dfi.*`` counters.
+
+    ``matrix`` holds the complemented queries for a DFI.  Returns the
+    per-row sid sets and the bucket pages the grouped reads saved.
+    Inside a task every table groups the whole batch's fingerprints by
+    bucket, so page charges and ``pages_saved`` cannot depend on the
+    worker count.
+    """
+    fp = view.filter_probe(kind, point)
+    n_rows = matrix.shape[0]
+    with trace.span(
+        f"{kind}_probe_batch",
+        s_star=fp.threshold,
+        sigma=fp.sigma_point,
+        r=fp.r,
+        l=fp.n_tables,
+        n_queries=n_rows,
+    ) as sp:
+        done = _run(view, sched, tasks, [
+            (
+                f"{kind}({point})[t{start}:{stop}]",
+                ("probe", kind, point, start, stop, matrix),
+            )
+            for start, stop in _ranges(fp.n_tables, sched.workers)
+        ])
+        sids, hits = done[0].result
+        for task in done[1:]:
+            more, more_hits = task.result
+            hits += more_hits
+            for mine, theirs in zip(sids, more):
+                mine |= theirs
+        unique = sum(len(s) for s in sids)
+        record_batch_probe_counters(kind, n_rows, unique, hits - unique)
+        saved = sum(task.pages_saved for task in done)
+        if sp.recording:
+            sp.set(
+                tables_probed=fp.n_tables,
+                candidates=unique,
+                pages_saved=saved,
+                _sids_per_query=sids,
+            )
+            if kind == "sfi":
+                sp.set(collisions=hits - unique)
+    return sids, saved
+
+
+def _verify_stage(
+    view, sched, tasks, query_sets, candidates_list, verify_rows,
+    sigma_low, sigma_high, matrix, rows,
+):
+    """Fetch each distinct candidate once and verify all pairs exactly
+    (:func:`repro.exec.columnar.verify_batch` per worker chunk)."""
+    n = len(query_sets)
+    if verify_rows is not None:
+        # The router's verify mask: masked rows keep their probe
+        # candidates (reported unchanged) but skip fetch + exact
+        # verification -- they provably hold no in-range answer.
+        keep = set(verify_rows)
+        candidates_list = [
+            cands if i in keep else set()
+            for i, cands in enumerate(candidates_list)
+        ]
+    n_pairs = sum(len(c) for c in candidates_list)
+    with trace.span("verify_batch", n_queries=n, n_pairs=n_pairs) as sp:
+        distinct = sorted(set().union(*candidates_list))
+        fetches_saved = n_pairs - len(distinct)
+        fetch_ms = _fetch(view, distinct)
+        done = _run(view, sched, tasks, [
+            (
+                f"verify[{a}:{b}]",
+                ("verify", query_sets[a:b], candidates_list[a:b],
+                 sigma_low, sigma_high),
+            )
+            for a, b in _ranges(n, sched.workers)
+        ])
+        answers_list = [
+            answers for task in done for answers in task.result[0]
+        ]
+        info = merge_verify_info([task.result[1] for task in done])
+        # Chunks share candidates: the batch's distinct count is not
+        # the sum of theirs.
+        info["distinct"] = len(distinct)
+        if sp.recording:
+            n_verified = sum(len(a) for a in answers_list)
+            sp.set(
+                n_candidates=len(distinct),
+                n_verified=n_verified,
+                false_positives=n_pairs - n_verified,
+                fetches_saved=fetches_saved,
+                est_in_range=estimate_in_range(
+                    view.embedder, candidates_list, matrix, rows,
+                    view.vectors_of, sigma_low, sigma_high,
+                ),
+                **info,
+            )
+    return answers_list, fetches_saved, info, fetch_ms

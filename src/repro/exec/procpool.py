@@ -1,4 +1,13 @@
-"""Worker-process side of the ``backend="process"`` executor.
+"""The query pipeline's task bodies, and the worker-process side of the
+``backend="process"`` scheduler.
+
+A task is its picklable ``(stage, *payload)`` spec.  The four stage
+bodies below are the only task bodies in ``src/``: each takes the view
+it runs against (:mod:`repro.exec.pipeline` lists the operations a view
+offers) and a private :class:`~repro.storage.iomodel.IOStats` to charge,
+and :func:`run_task` is the one runner that brackets a task the same
+way for every scheduler -- inline on the calling thread, on a pool
+thread, or in a worker process.
 
 Every function here is a plain module-level callable so the pool's
 ``spawn`` start method (the only one that is safe on every platform
@@ -6,32 +15,28 @@ and under threads) can pickle references to it.  Each worker process
 initializes once by mapping the shared snapshot directory
 (:func:`worker_init`); because :func:`repro.exec.snapfile.open_snapshot`
 is O(ms) and ``np.memmap`` pages are shared between processes, adding
-a worker costs an interpreter start, not an index copy.
-
-A task arrives as a ``spec`` tuple -- ``(stage, *payload)`` -- runs the
-same per-task body the thread backend runs, and returns everything the
-parent needs to merge deterministically:
-
-- the stage result (a table range's per-table probe sid lists /
-  embedding matrix / answers plus the verify kernel's ``info``);
-- the task's private :class:`~repro.storage.iomodel.IOStats`;
-- the task's **full-registry metrics delta**.  Workers are
-  single-threaded, so a before/after snapshot of the registry
-  (:func:`repro.obs.metrics.registry_values`) brackets exactly this
-  task's movements -- counters, gauges, fixed-bucket *and* HDR
-  histograms; the parent folds the delta into its own registry
-  (:func:`repro.obs.metrics.apply_deltas`), making process totals
-  indistinguishable from thread-backend totals for every instrument
-  kind.
+a worker costs an interpreter start, not an index copy.  A worker runs
+a shipped spec through :func:`run_remote`, which adds the one thing a
+process boundary hides: the task's **full-registry metrics delta**.
+Workers are single-threaded, so a before/after snapshot of the registry
+(:func:`repro.obs.metrics.registry_values`) brackets exactly this
+task's movements -- counters, gauges, fixed-bucket *and* HDR
+histograms; the parent folds the delta into its own registry
+(:func:`repro.obs.metrics.apply_deltas`), making process totals
+indistinguishable from thread-backend totals for every instrument
+kind.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 from repro.obs import metrics
 from repro.storage.iomodel import IOStats
+
+_PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
 
 #: The worker's mapped snapshot, set once per process by ``worker_init``.
 _SNAP = None
@@ -45,44 +50,79 @@ def worker_init(path: str) -> None:
     _SNAP = open_snapshot(path)
 
 
-def _embed(snap, io, query_sets):
-    io.cpu_ops += snap.embedder.k * len(query_sets)
-    return snap.embedder.embed_many(query_sets)
+def _embed(view, io, query_sets):
+    """The packed embedding matrix of a chunk of non-empty query sets."""
+    io.cpu_ops += view.embedder.k * len(query_sets)
+    return view.embedder.embed_many(query_sets)
 
 
-def _probe(snap, io, kind, point, start, stop, matrix):
-    return snap.filter_probe(kind, point).probe_tables(start, stop, matrix, io)
+def _probe(view, io, kind, point, start, stop, matrix):
+    """``(per-row sid sets, hit total)`` of tables ``start .. stop - 1``
+    of one planned filter (``matrix`` pre-complemented for a DFI)."""
+    return view.filter_probe(kind, point).probe_tables(start, stop, matrix, io)
 
 
-def _verify(snap, io, query_sets, candidates_list, sigma_low, sigma_high):
-    return snap.verify_batch(
+def _verify(view, io, query_sets, candidates_list, sigma_low, sigma_high):
+    """``(answers_list, info)`` of a chunk of the batch; candidates are
+    shared inside a chunk only."""
+    return view.verify_batch(
         query_sets, candidates_list, sigma_low, sigma_high, io
     )
 
 
-def _scan(snap, io, items, sigma_low, sigma_high):
+def _scan(view, io, query_sets, sigma_low, sigma_high):
+    """Each query's ``(candidates, answers)`` against the whole
+    collection (CPU charges only; the one shared page pass is the
+    view's ``fetch(None, io)``, charged once by the stage)."""
+    universe = view.all_sids
     return [
-        snap.scan_one(query_set, sigma_low, sigma_high, io)
-        for query_set in items
+        (
+            set(universe),
+            view.verify_batch(
+                [query_set], [universe], sigma_low, sigma_high, io
+            )[0][0],
+        )
+        for query_set in query_sets
     ]
 
 
 _STAGES = {"embed": _embed, "probe": _probe, "verify": _verify, "scan": _scan}
 
 
-def run_task(spec: tuple) -> dict:
-    """Execute one sharded task; see the module docstring for the
-    returned merge payload."""
-    stage = spec[0]
-    io = IOStats()
-    before = metrics.registry_values()
+class Task:
+    """One executed task: its stage result plus what the merge needs --
+    the charges it made (``io``), its wall ``seconds``, the bucket pages
+    its grouped probes saved and the worker that ran it."""
+
+    __slots__ = ("stage", "label", "result", "io", "seconds", "worker",
+                 "pages_saved")
+
+
+def run_task(view, spec: tuple) -> Task:
+    """Run one ``(stage, *payload)`` spec against ``view``.
+
+    The body charges a fresh :class:`IOStats` and the calling thread's
+    counter shards only, so tasks never contend and a merge of their
+    results is independent of scheduling order.  (A live view's pager
+    additionally charges its reads straight to the view's cost model;
+    those tasks only ever run inline.)
+    """
+    task = Task()
+    task.stage, task.label = spec[0], ""
+    task.io = IOStats()
+    saved_before = _PAGES_SAVED.local_value
     t0 = time.perf_counter()
-    result = _STAGES[stage](_SNAP, io, *spec[1:])
-    seconds = time.perf_counter() - t0
-    return {
-        "result": result,
-        "io": io,
-        "seconds": seconds,
-        "worker": f"pid-{os.getpid()}",
-        "metrics": metrics.registry_delta(before, metrics.registry_values()),
-    }
+    task.result = _STAGES[spec[0]](view, task.io, *spec[1:])
+    task.seconds = time.perf_counter() - t0
+    task.pages_saved = _PAGES_SAVED.local_value - saved_before
+    task.worker = threading.current_thread().name
+    return task
+
+
+def run_remote(spec: tuple) -> tuple[Task, dict]:
+    """:func:`run_task` in a worker process, against its mapped
+    snapshot: the task and its full-registry metrics delta."""
+    before = metrics.registry_values()
+    task = run_task(_SNAP, spec)
+    task.worker = f"pid-{os.getpid()}"
+    return task, metrics.registry_delta(before, metrics.registry_values())

@@ -841,6 +841,25 @@ class ShardedExecutor:
         ``strategy="auto"`` is resolved per shard (each shard weighs
         its own scan cost).
         """
+        return self._run_batch(
+            "sharded_query_batch", queries, sigma_low, sigma_high,
+            strategy, explain,
+        )
+
+    def query(self, query, sigma_low: float, sigma_high: float,
+              strategy: str = "index", explain: bool = False) -> QueryResult:
+        """The one-row batch, recorded as a single ``"query"`` like
+        :meth:`repro.core.index.SetSimilarityIndex.query`."""
+        return self._run_batch(
+            "query", [query], sigma_low, sigma_high, strategy, explain
+        ).only()
+
+    # -- internals ---------------------------------------------------------
+
+    def _run_batch(self, kind, queries, sigma_low, sigma_high, strategy,
+                   explain) -> BatchQueryResult:
+        """Route, scatter, merge and record one batch; ``kind`` names
+        its telemetry event."""
         if self._closed:
             raise ShardError("sharded executor is closed")
         if not 0.0 <= sigma_low <= sigma_high <= 1.0:
@@ -908,18 +927,9 @@ class ShardedExecutor:
                         route_pruned_subqueries=decision.pruned_pairs,
                         route_skipped_shards=len(decision.skipped_shards()),
                     )
-        self._record(batch, shard_batches, n, wall0,
+        self._record(kind, batch, shard_batches, n, wall0,
                      sigma_low, sigma_high, strategy, decision)
         return batch
-
-    def query(self, query, sigma_low: float, sigma_high: float,
-              strategy: str = "index", explain: bool = False) -> QueryResult:
-        """Single-query convenience over :meth:`query_batch`."""
-        return self.query_batch(
-            [query], sigma_low, sigma_high, strategy=strategy, explain=explain
-        ).only()
-
-    # -- internals ---------------------------------------------------------
 
     def _scatter(self, query_sets, sigma_low, sigma_high, strategy, explain,
                  decision=None):
@@ -1100,7 +1110,7 @@ class ShardedExecutor:
         }
         return stats
 
-    def _record(self, batch, shard_batches, n, wall0,
+    def _record(self, kind, batch, shard_batches, n, wall0,
                 sigma_low, sigma_high, strategy, decision=None) -> None:
         """One merged telemetry record per sharded batch (the per-shard
         executors ran with ``record=False``), plus the ``metric_prefix``
@@ -1131,7 +1141,7 @@ class ShardedExecutor:
             )
             event_timings["route_skipped_shards"] = float(n_skipped)
         record_batch(
-            "sharded_query_batch",
+            kind,
             batch,
             wall0,
             cache_hits=0,

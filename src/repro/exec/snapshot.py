@@ -20,9 +20,10 @@ immutable, pre-computed state:
   have charged without touching the pager.
 
 Every query-relevant charge is therefore a pure function of the query
-batch, which is what lets :class:`~repro.exec.parallel.ParallelExecutor`
-shard work across threads and still reproduce the sequential path's
-accounting bit for bit.
+batch.  A snapshot is one of the two views the query pipeline runs over
+(:mod:`repro.exec.pipeline` lists the operations; the live index's view
+is the other), and the one whose tasks a thread or process pool can run
+concurrently while reproducing the live path's accounting bit for bit.
 """
 
 from __future__ import annotations
@@ -121,17 +122,6 @@ class IndexSnapshot:
 
     # -- plan selection (repro.core.query_plan over the frozen filters) -----
 
-    def choose_strategy(self, sigma_low: float, sigma_high: float) -> str:
-        """Cost-based index-vs-scan choice, as captured at freeze time."""
-        return self.planner.choose(sigma_low, sigma_high)
-
-    def enclosing_points(
-        self, sigma_low: float, sigma_high: float
-    ) -> tuple[float | None, float | None]:
-        return query_plan.enclosing_points(
-            self.plan.cut_points, sigma_low, sigma_high
-        )
-
     def plan_probes(
         self, sigma_low: float, sigma_high: float
     ) -> tuple[str, list[tuple[str, float]], float | None]:
@@ -174,6 +164,19 @@ class IndexSnapshot:
         io.random_reads += int(self.fetch_random[rows].sum())
         io.sequential_reads += int(self.fetch_seq[rows].sum())
 
+    def fetch(self, sids: list[int] | None, io: IOStats) -> None:
+        """The view's fetch: the sets are already materialized, so only
+        charge what reading them costs -- each given sid's measured
+        fetch, or (``None``) one sequential pass over the heap."""
+        if sids is None:
+            io.sequential_reads += self.scan_pages
+        else:
+            self.charge_fetches(sids, io)
+
+    def vectors_of(self, sids: list[int]) -> np.ndarray:
+        """Stored packed vectors of the given sids, one row each."""
+        return self.vector_matrix[self._rows(sids)]
+
     def verify_batch(
         self,
         query_sets: list[frozenset],
@@ -208,35 +211,6 @@ class IndexSnapshot:
             [query_set], [candidates], sigma_low, sigma_high, io
         )
         return answers_list[0]
-
-    def scan_one(
-        self,
-        query_set: frozenset,
-        sigma_low: float,
-        sigma_high: float,
-        io: IOStats,
-    ) -> tuple[set[int], list[tuple[int, float]]]:
-        """One query's share of a shared sequential scan (CPU charges
-        only; the single page pass is charged once by the caller)."""
-        answers = self.verify_one(
-            query_set, self.all_sids, sigma_low, sigma_high, io
-        )
-        return set(self.all_sids), answers
-
-    def estimate_in_range(
-        self,
-        candidates_list: list[set[int]],
-        matrix: np.ndarray | None,
-        rows: list[int],
-        sigma_low: float,
-        sigma_high: float,
-    ) -> int:
-        """Hamming-estimated in-range pair count (EXPLAIN aggregate)."""
-        return query_plan.estimate_in_range(
-            self.embedder, candidates_list, matrix, rows,
-            lambda sids: self.vector_matrix[self._rows(sids)],
-            sigma_low, sigma_high,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -68,7 +68,7 @@ class QueryEvent:
     """One query (or query batch) as the event log records it."""
 
     ts: float                      #: Unix timestamp at completion.
-    kind: str                      #: ``"query"`` or ``"query_batch"``.
+    kind: str                      #: ``"query"``, ``"serve"`` or a batch kind.
     latency_ms: float              #: End-to-end wall latency.
     sim_time: float                #: Simulated cost (I/O + CPU model).
     n_queries: int                 #: 1, or the batch size.
@@ -309,10 +309,12 @@ def record_query(
     if not log.enabled:
         return None
     timings = timings or {}
-    if kind == "query_batch":
-        _BATCH_WALL.observe(latency_ms)
-    else:
+    # Same rule as ``core.index.record_batch``: every executor kind but
+    # the one-row ``"query"`` is a batch; a served request is a single.
+    if kind in ("query", "serve"):
         _QUERY_WALL.observe(latency_ms)
+    else:
+        _BATCH_WALL.observe(latency_ms)
     share = sim_time / n_queries if n_queries else sim_time
     cell = _QUERY_SIM
     for _ in range(n_queries):

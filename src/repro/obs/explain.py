@@ -14,7 +14,7 @@ the harness expose:
   span tree for drill-down.
 
 The span attributes consumed here are produced by the instrumentation
-in :mod:`repro.core.index` and :mod:`repro.core.filter_index`.
+in :mod:`repro.exec.pipeline` and :mod:`repro.core.index`.
 """
 
 from __future__ import annotations
@@ -115,22 +115,9 @@ def render_trace(trace: Span) -> str:
 
 
 def probe_spans(trace: Span) -> list[Span]:
-    """Top-level probe spans (a DFI wraps an inner SFI probe; keep the
-    outer one, which carries the user-facing cut point)."""
-    found: list[Span] = []
-
-    def visit(span: Span) -> None:
-        if span.name in PROBE_SPANS:
-            found.append(span)
-            return
-        for child in span.children:
-            visit(child)
-
-    for child in trace.children:
-        visit(child)
-    if not found and trace.name in PROBE_SPANS:
-        found.append(trace)
-    return found
+    """The filter-probe spans of a trace, in execution order: one per
+    planned filter (a DFI probe is one ``dfi_probe_batch`` span)."""
+    return [span for span in trace.walk() if span.name in PROBE_SPANS]
 
 
 def filter_summaries(trace: Span) -> list[dict[str, Any]]:

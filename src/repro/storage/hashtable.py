@@ -501,10 +501,15 @@ class BucketHashTable:
         """
         return self.probe_hashed(hash_keys(keys).tolist())
 
-    def probe_hashed(self, fingerprints: list[int]) -> list[list[int]]:
+    def probe_hashed(self, fingerprints: list[int], io=None) -> list[list[int]]:
         """:meth:`probe_many` for pre-computed ``hash_key`` fingerprints
         (Python ints), so a filter index can fingerprint the keys of all
-        its tables in one vectorized pass."""
+        its tables in one vectorized pass.
+
+        ``io`` is accepted so a filter probes live tables and
+        :class:`TableView` images through one call; the live table reads
+        through its pager, which charges the index's cost model.
+        """
         results: list[list[int]] = [[] for _ in fingerprints]
         by_bucket: dict[int, list[tuple[int, int]]] = {}
         n_buckets = self.n_buckets

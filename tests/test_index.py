@@ -189,7 +189,7 @@ class TestFromPlan:
 
 #: ``(case, sigma_low, sigma_high, strategy, plan reached,
 #: (random_reads, sequential_reads, cpu_ops))``.  The I/O triple is the
-#: sum over ``_oracle_queries`` of ``index.query(...).io`` as recorded at
+#: sum over ``oracle_queries`` of ``index.query(...).io`` as recorded at
 #: the commit before ``query()`` became the one-row batch: the simulated
 #: cost accounting of the paper's Fig. 7 must not notice which code path
 #: runs a plan.  ``plan`` is None where the scan runs instead.
@@ -209,8 +209,7 @@ PLAN_CASES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def planned_index(clustered_sets):
+def build_planned_index(sets):
     """An explicit plan with two DFI-only points, a dual-kind pivot and
     two SFI-only points, so every plan family has a range that reaches it."""
     from repro.core.distribution import SimilarityDistribution
@@ -225,11 +224,16 @@ def planned_index(clustered_sets):
         expected_precision=1.0,
         b=6,
     )
-    dist = SimilarityDistribution.from_sets(clustered_sets, n_bins=50)
-    return SetSimilarityIndex.from_plan(clustered_sets, plan, dist, k=48, b=6, seed=11)
+    dist = SimilarityDistribution.from_sets(sets, n_bins=50)
+    return SetSimilarityIndex.from_plan(sets, plan, dist, k=48, b=6, seed=11)
 
 
-def _oracle_queries(sets):
+@pytest.fixture(scope="module")
+def planned_index(clustered_sets):
+    return build_planned_index(clustered_sets)
+
+
+def oracle_queries(sets):
     unseen = frozenset(list(sets[7])[:20]) | {99991, 99992}
     return [sets[i] for i in range(0, 120, 15)] + [unseen]
 
@@ -243,7 +247,7 @@ class TestPlanOracle:
     ):
         queries = (
             [frozenset()] if case == "empty_query"
-            else _oracle_queries(clustered_sets)
+            else oracle_queries(clustered_sets)
         )
         reads = [0, 0, 0]
         for q in queries:

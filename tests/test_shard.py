@@ -220,6 +220,27 @@ class TestScatterGatherEquivalence:
         assert got.exec_stats["merge_seconds"] >= 0.0
         assert got.timings  # per-phase ms survived the merge
 
+    def test_batch_and_single_latency_histograms(self, tmp_path):
+        """A sharded batch is a batch: its whole-batch wall goes to
+        ``query_batch.latency_ms`` only; ``executor.query`` moves what
+        ``index.query`` moves."""
+        from repro.obs import metrics
+
+        sets, queries = _workload(seed=4)
+        plan, dist = _build_plan(sets, 4)
+        build_sharded(sets, tmp_path / "s", n_shards=2, k=24, b=4, seed=4,
+                      plan=plan, dist=dist)
+        single = metrics.hdr("query.latency_ms")
+        batch = metrics.hdr("query_batch.latency_ms")
+        with ShardedExecutor(open_sharded(tmp_path / "s")) as executor:
+            before = single.count, batch.count
+            executor.query_batch(queries, *RANGE)
+            assert (single.count, batch.count) == (before[0], before[1] + 1)
+            batches = metrics.counter("query.batches").value
+            executor.query(queries[0], *RANGE)
+            assert (single.count, batch.count) == (before[0] + 1, before[1] + 1)
+            assert metrics.counter("query.batches").value == batches
+
     def test_empty_shards_tiny_collection(self, tmp_path):
         sets = [frozenset({1, 2, 3}), frozenset({7, 8, 9, 10})]
         build_sharded(sets, tmp_path / "s", n_shards=4, k=16, b=4, seed=0,
