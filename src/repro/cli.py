@@ -913,7 +913,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--workers", type=int, default=1,
         help="serve a batch from a frozen snapshot on this many workers "
-             "(results and accounting are identical at any count)",
+             "(results and accounting are identical at any count); for a "
+             "sharded --snapshot this sizes the fleet's one pool, not a "
+             "pool per shard",
     )
     p_query.add_argument(
         "--backend", choices=("thread", "process"), default="thread",
@@ -1127,7 +1129,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=1,
-        help="executor pool size per micro-batch",
+        help="executor pool size per micro-batch; for a sharded "
+             "directory this sizes the fleet's one pool, whatever the "
+             "shard and replica counts",
     )
     p_serve.add_argument(
         "--backend", choices=("thread", "process"), default="thread",

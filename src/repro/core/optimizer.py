@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.distribution import SimilarityDistribution
 from repro.core.embedding import jaccard_to_hamming
 from repro.core.filter_function import FilterFunction, solve_r
-from repro.core.query_plan import enclosing_points
+from repro.core.query_plan import enclosing_points, plan_probes
 
 #: Filter kind markers.
 SFI = "sfi"
@@ -395,11 +395,11 @@ def uniform_allocate(
 class CaptureModel:
     """Analytic model of a plan's candidate-generation behaviour.
 
-    Mirrors the query planner of Section 4.3: given a query range it
-    selects the minimally enclosing cut points, picks the Sim/Dissim
-    difference (or the mixed pivot plan), and returns the probability,
-    per similarity value, that a set at that similarity enters the
-    candidate list.
+    Evaluates the Section 4.3 plan the executor would run
+    (:func:`repro.core.query_plan.plan_probes` over the planned filters
+    that hold tables) in probability space: given a query range it
+    returns the probability, per similarity value, that a set at that
+    similarity enters the candidate list.
     """
 
     def __init__(
@@ -410,57 +410,49 @@ class CaptureModel:
     ):
         self.cut_points = sorted(cut_points)
         self.b = b
-        self._by_point: dict[float, dict[str, PlannedFilter]] = {}
+        #: kind -> {cut point: filter}: the ``sfis`` / ``dfis`` containers
+        #: ``plan_probes`` reads.
+        self._filters: dict[str, dict[float, PlannedFilter]] = {SFI: {}, DFI: {}}
         for f in filters:
             if f.n_tables > 0:
-                self._by_point.setdefault(f.point, {})[f.kind] = f
+                self._filters[f.kind][f.point] = f
 
     def enclosing(self, sigma_low: float, sigma_high: float) -> tuple[float | None, float | None]:
         """Cut points minimally enclosing a range (None = virtual 0/1)."""
         return enclosing_points(self.cut_points, sigma_low, sigma_high)
 
-    def _p(self, point: float, kind: str, s_grid: np.ndarray) -> np.ndarray | None:
-        f = self._by_point.get(point, {}).get(kind)
-        if f is None:
-            return None
-        return f.collision_probability(s_grid, self.b)
-
-    def _pivot_between(self, lo: float, up: float) -> float | None:
-        for point in self.cut_points:
-            if lo <= point <= up:
-                kinds = self._by_point.get(point, {})
-                if SFI in kinds and DFI in kinds:
-                    return point
-        return None
+    def plan(
+        self, sigma_low: float, sigma_high: float
+    ) -> tuple[str, list[PlannedFilter]]:
+        """The plan family for a range and the filters it probes, in
+        the order :func:`~repro.core.query_plan.plan_probes` lists them."""
+        plan, probes, _ = plan_probes(
+            self.cut_points, self._filters[SFI], self._filters[DFI],
+            sigma_low, sigma_high,
+        )
+        return plan, [self._filters[kind][point] for kind, point in probes]
 
     def capture(self, sigma_low: float, sigma_high: float, s_grid: np.ndarray) -> np.ndarray:
-        """Capture probability over ``s_grid`` for range ``[lo, up]``."""
+        """Capture probability over ``s_grid`` for range ``[lo, up]``:
+        the plan's candidate algebra
+        (:func:`~repro.core.query_plan.combine_candidates`) folded over
+        the probed filters' ``p_{r,l}`` curves."""
         s_grid = np.asarray(s_grid, dtype=np.float64)
-        lo, up = self.enclosing(sigma_low, sigma_high)
-        if lo is None and up is None:
+        plan, filters = self.plan(sigma_low, sigma_high)
+        p = [f.collision_probability(s_grid, self.b) for f in filters]
+        if plan == "full_collection":
             return np.ones_like(s_grid)
-        if lo is None:
-            p_up = self._p(up, DFI, s_grid)
-            if p_up is not None:
-                return p_up
-            return 1.0 - self._p(up, SFI, s_grid)
-        if up is None:
-            p_lo = self._p(lo, SFI, s_grid)
-            if p_lo is not None:
-                return p_lo
-            return 1.0 - self._p(lo, DFI, s_grid)
-        p_lo_sfi, p_up_sfi = self._p(lo, SFI, s_grid), self._p(up, SFI, s_grid)
-        if p_lo_sfi is not None and p_up_sfi is not None:
-            return p_lo_sfi * (1.0 - p_up_sfi)
-        p_lo_dfi, p_up_dfi = self._p(lo, DFI, s_grid), self._p(up, DFI, s_grid)
-        if p_lo_dfi is not None and p_up_dfi is not None:
-            return p_up_dfi * (1.0 - p_lo_dfi)
-        pivot = self._pivot_between(lo, up)
-        if pivot is None:
-            # Inconsistent plan; model as no filtering (full scan).
-            return np.ones_like(s_grid)
-        low_side = self._p(pivot, DFI, s_grid) * (1.0 - p_lo_dfi)
-        high_side = self._p(pivot, SFI, s_grid) * (1.0 - p_up_sfi)
+        if plan in ("dfi(up)", "sfi(lo)"):
+            return p[0]
+        if plan in ("complement_sfi(up)", "complement_dfi(lo)"):
+            return 1.0 - p[0]
+        if plan == "sfi_difference":
+            return p[0] * (1.0 - p[1])
+        if plan == "dfi_difference":
+            return p[1] * (1.0 - p[0])
+        # pivot_union: (dfi(pivot) - dfi(lo)) | (sfi(pivot) - sfi(up)).
+        low_side = p[0] * (1.0 - p[1])
+        high_side = p[2] * (1.0 - p[3])
         return low_side + high_side - low_side * high_side
 
 

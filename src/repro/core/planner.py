@@ -77,9 +77,6 @@ class QueryPlanner:
         self.heap_pages = heap_pages
         self.avg_set_size = avg_set_size
         self._capture = CaptureModel(plan.cut_points, plan.filters, plan.b)
-        self._tables_by_point: dict[tuple[float, str], int] = {
-            (f.point, f.kind): f.n_tables for f in plan.filters
-        }
 
     # -- selectivity -------------------------------------------------------
 
@@ -110,16 +107,10 @@ class QueryPlanner:
     # -- costing -----------------------------------------------------------
 
     def probe_tables(self, sigma_low: float, sigma_high: float) -> int:
-        """Hash tables the Section 4.3 plan would touch for this range."""
-        lo, up = self._capture.enclosing(sigma_low, sigma_high)
-        if lo is None and up is None:
-            return 0
-        points = {p for p in (lo, up) if p is not None}
-        return sum(
-            n
-            for (point, _kind), n in self._tables_by_point.items()
-            if point in points
-        )
+        """Hash tables the Section 4.3 plan probes for this range: the
+        tables of exactly the filters the executor's plan names."""
+        _, filters = self._capture.plan(sigma_low, sigma_high)
+        return sum(f.n_tables for f in filters)
 
     def estimate(self, sigma_low: float, sigma_high: float) -> PlanEstimate:
         """Full cost comparison for one range."""

@@ -9,10 +9,12 @@ This package provides the serving-side counterpart:
   a built index (``index.freeze()``) with every bucket directory
   pre-built, vectors packed into one matrix, and stored sets in a
   columnar CSR hash layout;
-- :class:`~repro.exec.parallel.ParallelExecutor` -- shards a query
-  batch over a worker thread pool against a snapshot, with
-  deterministic merges so answers, page counts and CPU accounting are
-  bit-identical to the sequential ``query_batch`` at any worker count;
+- :class:`~repro.exec.parallel.ParallelExecutor` -- runs the one
+  query pipeline (:mod:`~repro.exec.pipeline`) over a snapshot on a
+  worker pool (:class:`~repro.exec.parallel.WorkerPool`: threads,
+  ``spawn`` processes, or inline at ``workers=1``), with deterministic
+  merges so answers, page counts and CPU accounting are bit-identical
+  to the sequential ``query_batch`` at any worker count;
 - :mod:`~repro.exec.columnar` -- the vectorized sorted-hash-array
   kernels behind exact Jaccard verification (shared with the live
   sequential path);
@@ -32,9 +34,10 @@ This package provides the serving-side counterpart:
   pipeline under one global plan (or a workload-tuned per-shard
   allocation of the global table budget) and saves each as its own
   snapshot under a checksummed shard manifest;
-  :class:`~repro.exec.shard.ShardedExecutor` fans batches out to
-  per-shard ``ParallelExecutor``s and merges deterministically --
-  bit-identical to the unsharded answers on mirror-built manifests.
+  :class:`~repro.exec.shard.ShardedExecutor` runs the same pipeline
+  shard by shard on the caller's thread, every shard on the fleet's
+  one ``WorkerPool``, and merges deterministically -- bit-identical to
+  the unsharded answers on mirror-built manifests.
 """
 
 from repro.exec.build import bulk_load_filters, lpt_makespan

@@ -1,16 +1,22 @@
-"""Pool schedulers for the query pipeline, over a frozen index snapshot.
+"""The pool scheduler of the query pipeline, and the executor that
+binds it to one frozen index snapshot.
 
-:class:`ParallelExecutor` serves ``query_batch`` from an
-:class:`~repro.exec.snapshot.IndexSnapshot` by running the one staged
-pipeline (:func:`repro.exec.pipeline.run_batch`) with itself as the
-scheduler: each stage's tasks -- embed (by query chunk), filter probe
-(by range of one filter's hash tables), exact verify (by query chunk)
--- go to a worker thread pool, to a ``spawn``-based process pool, or,
-with ``workers=1`` on the thread backend, nowhere: they run inline on
-the calling thread exactly as the live index runs them, and no pool is
-created.  The heavy kernels (vectorized min-hash, packed Hamming
-popcounts, columnar sorted-hash intersection) are numpy calls that
-release the GIL, so thread tasks genuinely overlap on multi-core hosts.
+:class:`WorkerPool` is where a stage's tasks run when they do not run
+on the calling thread: each stage's tasks -- embed (by query chunk),
+filter probe (by range of one filter's hash tables), exact verify (by
+query chunk) -- go to a worker thread pool, to a ``spawn``-based
+process pool, or, with ``workers=1`` on the thread backend, nowhere:
+they run inline on the calling thread exactly as the live index runs
+them, and no pool is created.  It holds no snapshot -- ``run(view,
+specs)`` is told which view a stage runs against -- so one pool serves
+every shard of a fleet (:class:`~repro.exec.shard.ShardedExecutor`
+owns exactly one).  :class:`ParallelExecutor` is the one-snapshot case:
+a pool plus the :class:`~repro.exec.snapshot.IndexSnapshot` it serves
+``query_batch`` from, by running the one staged pipeline
+(:func:`repro.exec.pipeline.run_batch`) with itself as the scheduler.
+The heavy kernels (vectorized min-hash, packed Hamming popcounts,
+columnar sorted-hash intersection) are numpy calls that release the
+GIL, so thread tasks genuinely overlap on multi-core hosts.
 
 Determinism is the design center, not an afterthought:
 
@@ -26,10 +32,10 @@ returns answers, candidates, page counts and CPU accounting
 bit-identical to ``index.query_batch(...)`` for every ``w`` -- they are
 the same function over two views.
 
-``backend="process"`` runs tasks in worker processes over a **saved**
-snapshot (:mod:`repro.exec.snapfile`): each worker maps the snapshot
-directory once (O(ms), pages shared between processes) and runs the
-shipped task specs through the same bodies
+``backend="process"`` runs tasks in worker processes over **saved**
+snapshots (:mod:`repro.exec.snapfile`): each worker maps the pool's
+snapshot directories once (O(ms), pages shared between processes) and
+runs the shipped ``(path, spec)`` tasks through the same bodies
 (:mod:`repro.exec.procpool`), returning each task with its
 module-counter deltas.  All merge logic runs on the parent, so the
 bit-identical guarantee -- answers, page counts, CPU accounting,
@@ -59,19 +65,12 @@ _PARALLEL_BATCHES = metrics.counter("exec.parallel_batches")
 _PARALLEL_TASKS = metrics.counter("exec.parallel_tasks")
 
 
-class ParallelExecutor:
-    """Serves ``query_batch`` from a snapshot with a worker pool.
+class WorkerPool:
+    """The pipeline's pool scheduler: ``workers``, ``backend``,
+    ``run(view, specs)``, ``report(tasks, strategy, wall0)``.
 
     Parameters
     ----------
-    snapshot:
-        For ``backend="thread"``: a frozen
-        :class:`~repro.exec.snapshot.IndexSnapshot` (``index.freeze()``
-        or an opened mapped snapshot).  For ``backend="process"``: a
-        :class:`~repro.exec.snapfile.MappedSnapshot`
-        (:func:`~repro.exec.snapfile.open_snapshot`) or the path of a
-        saved snapshot directory -- worker processes re-open it by
-        path, sharing its mmap'd pages.
     workers:
         Pool size.  Any value >= 1 produces bit-identical results and
         accounting; it only changes wall-clock overlap.  One thread
@@ -80,57 +79,40 @@ class ParallelExecutor:
         ``"thread"`` (default) or ``"process"`` (``spawn`` start
         method; genuine multi-core execution of the pure-Python probe
         and verify loops).
-    record:
-        When False, skip the per-batch query-level telemetry (the
-        ``query.*`` aggregate counters and the ``record_query`` event).
-        The scatter-gather :class:`~repro.exec.shard.ShardedExecutor`
-        sets this on its per-shard executors and emits one merged
-        record itself, so a sharded batch counts each query once, not
-        once per shard.  Work-level counters (probe pages, hashtable
-        and ``exec.parallel_*`` counters) always record -- they meter
-        real work, which sharding genuinely multiplies.
+    paths:
+        Process backend only: the saved snapshot directories the
+        workers map at start-up -- every view later handed to
+        :meth:`run` must be one of them, opened by path.
 
     Usable as a context manager; :meth:`close` shuts the pool down.
     """
 
-    def __init__(self, snapshot, workers: int = 1, backend: str = "thread",
-                 record: bool = True):
+    def __init__(self, workers: int = 1, backend: str = "thread",
+                 paths: Sequence = ()):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend: {backend!r}")
         self._pool = None
         if backend == "process":
-            from repro.exec.snapfile import MappedSnapshot, open_snapshot
-
-            if isinstance(snapshot, (str, os.PathLike)):
-                snapshot = open_snapshot(snapshot)
-            if not isinstance(snapshot, MappedSnapshot):
-                raise ValueError(
-                    "backend='process' needs a saved snapshot: "
-                    "save_snapshot(index.freeze(), dir), then pass "
-                    "open_snapshot(dir) or the directory path"
-                )
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn"),
                 initializer=procpool.worker_init,
-                initargs=(str(snapshot.path),),
+                initargs=([str(path) for path in paths],),
             )
         elif workers > 1:
             self._pool = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-exec"
             )
-        self.snapshot = snapshot
         self.workers = workers
         self.backend = backend
-        self.record = record
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
 
-    def __enter__(self) -> "ParallelExecutor":
+    def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -155,7 +137,8 @@ class ParallelExecutor:
             tasks = Inline.run(view, specs)
         elif self.backend == "process":
             futures = [
-                self._pool.submit(procpool.run_remote, spec) for spec in specs
+                self._pool.submit(procpool.run_remote, str(view.path), spec)
+                for spec in specs
             ]
             tasks, deltas = [], []
             for future in futures:
@@ -175,8 +158,10 @@ class ParallelExecutor:
     def report(
         self, tasks: list[procpool.Task], strategy: str, wall0: float
     ) -> dict:
-        """The batch's ``exec_stats``; where a pool ran, also the
+        """The batch's ``exec_stats`` (called once a batch, so it also
+        counts ``exec.parallel_batches``); where a pool ran, also the
         per-worker spans and the shard-merge summary (EXPLAIN)."""
+        _PARALLEL_BATCHES.inc()
         if self._pool is not None:
             self._emit_worker_spans(tasks)
         return {
@@ -195,48 +180,6 @@ class ParallelExecutor:
                 for task in tasks
             ],
         }
-
-    # -- public API --------------------------------------------------------
-
-    def query_batch(
-        self,
-        queries: Sequence[Iterable],
-        sigma_low: float,
-        sigma_high: float,
-        strategy: str = "index",
-        explain: bool = False,
-        verify_rows: Sequence[int] | None = None,
-    ) -> BatchQueryResult:
-        """Answer a batch over one shared range; see the module docstring
-        for the equivalence guarantees.  Parameters and result semantics
-        match :meth:`repro.core.index.SetSimilarityIndex.query_batch`.
-
-        ``verify_rows`` (index strategy only; ignored by scan) limits
-        the fetch/verify stage to the named query rows: other rows keep
-        their full candidate sets but return no answers and charge no
-        fetch I/O.  This is the shard router's verify mask -- sound
-        only when the caller has proven the masked rows can hold no
-        in-range answer on this snapshot, which is exactly what
-        :class:`~repro.exec.route.ShardRouter` establishes per shard.
-        """
-        batch = run_batch(
-            self.snapshot, self, "query_batch", queries, sigma_low,
-            sigma_high, strategy, explain, verify_rows, self.record,
-        )
-        _PARALLEL_BATCHES.inc()
-        return batch
-
-    def query_above_batch(
-        self, queries: Sequence[Iterable], sigma: float, **kwargs
-    ) -> BatchQueryResult:
-        """Batched at-least-``sigma`` queries (cf. ``query_above_batch``)."""
-        return self.query_batch(queries, sigma, 1.0, **kwargs)
-
-    def query_below_batch(
-        self, queries: Sequence[Iterable], sigma: float, **kwargs
-    ) -> BatchQueryResult:
-        """Batched at-most-``sigma`` queries (cf. ``query_below_batch``)."""
-        return self.query_batch(queries, 0.0, sigma, **kwargs)
 
     # -- observability -----------------------------------------------------
 
@@ -271,6 +214,82 @@ class ParallelExecutor:
                 cpu_ops=merged.cpu_ops,
             ):
                 pass
+
+
+class ParallelExecutor(WorkerPool):
+    """Serves ``query_batch`` from one snapshot: a :class:`WorkerPool`
+    bound to the view it schedules for.
+
+    Parameters
+    ----------
+    snapshot:
+        For ``backend="thread"``: a frozen
+        :class:`~repro.exec.snapshot.IndexSnapshot` (``index.freeze()``
+        or an opened mapped snapshot).  For ``backend="process"``: a
+        :class:`~repro.exec.snapfile.MappedSnapshot`
+        (:func:`~repro.exec.snapfile.open_snapshot`) or the path of a
+        saved snapshot directory -- worker processes re-open it by
+        path, sharing its mmap'd pages.
+    workers, backend:
+        The pool; see :class:`WorkerPool`.
+    """
+
+    def __init__(self, snapshot, workers: int = 1, backend: str = "thread"):
+        paths = ()
+        if backend == "process":
+            from repro.exec.snapfile import MappedSnapshot, open_snapshot
+
+            if isinstance(snapshot, (str, os.PathLike)):
+                snapshot = open_snapshot(snapshot)
+            if not isinstance(snapshot, MappedSnapshot):
+                raise ValueError(
+                    "backend='process' needs a saved snapshot: "
+                    "save_snapshot(index.freeze(), dir), then pass "
+                    "open_snapshot(dir) or the directory path"
+                )
+            paths = (snapshot.path,)
+        super().__init__(workers, backend, paths)
+        self.snapshot = snapshot
+
+    # -- public API --------------------------------------------------------
+
+    def query_batch(
+        self,
+        queries: Sequence[Iterable],
+        sigma_low: float,
+        sigma_high: float,
+        strategy: str = "index",
+        explain: bool = False,
+        verify_rows: Sequence[int] | None = None,
+    ) -> BatchQueryResult:
+        """Answer a batch over one shared range; see the module docstring
+        for the equivalence guarantees.  Parameters and result semantics
+        match :meth:`repro.core.index.SetSimilarityIndex.query_batch`.
+
+        ``verify_rows`` (index strategy only; ignored by scan) limits
+        the fetch/verify stage to the named query rows: other rows keep
+        their full candidate sets but return no answers and charge no
+        fetch I/O.  This is the shard router's verify mask -- sound
+        only when the caller has proven the masked rows can hold no
+        in-range answer on this snapshot, which is exactly what
+        :class:`~repro.exec.route.ShardRouter` establishes per shard.
+        """
+        return run_batch(
+            self.snapshot, self, "query_batch", queries, sigma_low,
+            sigma_high, strategy, explain, verify_rows,
+        )
+
+    def query_above_batch(
+        self, queries: Sequence[Iterable], sigma: float, **kwargs
+    ) -> BatchQueryResult:
+        """Batched at-least-``sigma`` queries (cf. ``query_above_batch``)."""
+        return self.query_batch(queries, sigma, 1.0, **kwargs)
+
+    def query_below_batch(
+        self, queries: Sequence[Iterable], sigma: float, **kwargs
+    ) -> BatchQueryResult:
+        """Batched at-most-``sigma`` queries (cf. ``query_below_batch``)."""
+        return self.query_batch(queries, 0.0, sigma, **kwargs)
 
     def __repr__(self) -> str:
         return (

@@ -35,8 +35,10 @@ and buffer pool, which charge ``cost`` as the reads happen.
 wall0)``.  A task is a picklable ``(stage, *payload)`` spec whose body
 lives in :mod:`repro.exec.procpool`; :class:`Inline` runs specs on the
 calling thread (the live index, and a one-worker executor),
-:class:`~repro.exec.parallel.ParallelExecutor` on a thread or process
-pool.  Each stage runs its tasks *inside* its span and folds their
+:class:`~repro.exec.parallel.WorkerPool` on a thread or process pool
+(:class:`~repro.exec.parallel.ParallelExecutor` is that pool bound to
+one snapshot; a shard fleet runs every shard's view on one pool).  Each
+stage runs its tasks *inside* its span and folds their
 private charges into ``view.cost`` there, so a span's I/O delta is
 exact whether a charge was accounted by a pool task or made by the live
 pager mid-task.
@@ -154,9 +156,16 @@ def run_batch(
     """Answer a batch over one shared range; see the module docstring.
 
     ``kind`` names the root span and the telemetry event (``"query"``
-    for the one-row batch behind ``index.query()``); ``verify_rows`` and
-    ``record`` are the executor's (see
-    :class:`~repro.exec.parallel.ParallelExecutor`).
+    for the one-row batch behind ``index.query()``); ``verify_rows`` is
+    the shard router's verify mask (see
+    :meth:`~repro.exec.parallel.ParallelExecutor.query_batch`).
+    ``record=False`` skips the query-level telemetry (the ``query.*``
+    aggregate counters and the ``record_query`` event):
+    :class:`~repro.exec.shard.ShardedExecutor` runs this once per shard
+    and emits one merged record, so a sharded batch counts each query
+    once.  Work-level counters (probe pages, hashtable and
+    ``exec.parallel_*`` counters) always record -- they meter real
+    work, which sharding genuinely multiplies.
     """
     if not 0.0 <= sigma_low <= sigma_high <= 1.0:
         raise ValueError(

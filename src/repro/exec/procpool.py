@@ -12,12 +12,15 @@ thread, or in a worker process.
 Every function here is a plain module-level callable so the pool's
 ``spawn`` start method (the only one that is safe on every platform
 and under threads) can pickle references to it.  Each worker process
-initializes once by mapping the shared snapshot directory
-(:func:`worker_init`); because :func:`repro.exec.snapfile.open_snapshot`
-is O(ms) and ``np.memmap`` pages are shared between processes, adding
-a worker costs an interpreter start, not an index copy.  A worker runs
-a shipped spec through :func:`run_remote`, which adds the one thing a
-process boundary hides: the task's **full-registry metrics delta**.
+initializes once by mapping every snapshot directory its pool serves
+(:func:`worker_init`: one for a ``ParallelExecutor``, every shard and
+replica for a shard fleet, so any worker serves any shard); because
+:func:`repro.exec.snapfile.open_snapshot` is O(ms) and ``np.memmap``
+pages are shared between processes, adding a worker costs an
+interpreter start, not an index copy.  A worker runs a shipped spec
+against the named snapshot through :func:`run_remote`, which adds the
+one thing a process boundary hides: the task's **full-registry metrics
+delta**.
 Workers are single-threaded, so a before/after snapshot of the registry
 (:func:`repro.obs.metrics.registry_values`) brackets exactly this
 task's movements -- counters, gauges, fixed-bucket *and* HDR
@@ -38,16 +41,17 @@ from repro.storage.iomodel import IOStats
 
 _PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
 
-#: The worker's mapped snapshot, set once per process by ``worker_init``.
-_SNAP = None
+#: The worker's mapped snapshots by directory, filled once per process
+#: by ``worker_init``.
+_SNAPS: dict[str, object] = {}
 
 
-def worker_init(path: str) -> None:
-    """Pool initializer: map the snapshot this worker will serve."""
-    global _SNAP
+def worker_init(paths: list[str]) -> None:
+    """Pool initializer: map every snapshot this worker will serve."""
     from repro.exec.snapfile import open_snapshot
 
-    _SNAP = open_snapshot(path)
+    for path in paths:
+        _SNAPS[path] = open_snapshot(path)
 
 
 def _embed(view, io, query_sets):
@@ -119,10 +123,10 @@ def run_task(view, spec: tuple) -> Task:
     return task
 
 
-def run_remote(spec: tuple) -> tuple[Task, dict]:
+def run_remote(path: str, spec: tuple) -> tuple[Task, dict]:
     """:func:`run_task` in a worker process, against its mapped
-    snapshot: the task and its full-registry metrics delta."""
+    snapshot of ``path``: the task and its full-registry metrics delta."""
     before = metrics.registry_values()
-    task = run_task(_SNAP, spec)
+    task = run_task(_SNAPS[path], spec)
     task.worker = f"pid-{os.getpid()}"
     return task, metrics.registry_delta(before, metrics.registry_values())

@@ -47,7 +47,8 @@ the agreement fraction ``a`` between the query's signature and the
 shard-universe signature estimates ``J(q, U)``, hence ``|q ∩ U| ~
 a/(1+a) * (|q| + |U|)``.  The estimate carries MinHash variance (an
 upper-confidence slack of ``1/sqrt(k)`` is added), so sketch routing
-is *not* exact -- callers measure recall (see BENCH-ROUTE).
+is *not* exact -- its recall is measured by
+``tests/test_route.py::test_sketch_recall_measured_on_overlapping_clusters``.
 """
 
 from __future__ import annotations

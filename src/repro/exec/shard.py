@@ -5,10 +5,13 @@ probe/verify path and one global hash-table budget.  This module
 splits a collection into ``K`` shards, builds each with the bulk
 pipeline, persists each as its own :mod:`~repro.exec.snapfile`
 snapshot under a checksummed *shard manifest*, and serves queries by
-scatter-gather: every shard answers the batch with its own
-:class:`~repro.exec.parallel.ParallelExecutor` (thread or process
-backend -- one worker pool per shard), and the parent merges verified
-answers, per-phase timings, IOStats and telemetry deltas.
+scatter-gather: the one query pipeline
+(:func:`repro.exec.pipeline.run_batch`) answers the batch over each
+shard's view in turn, on the caller's thread and on the fleet's one
+scheduler (a :class:`~repro.exec.parallel.WorkerPool`, thread or
+process backend, sized by ``workers`` whatever K is), and the verified
+answers, per-phase timings and IOStats are merged.  The sharded path
+differs from the unsharded one by a router, a sid map and a sort.
 
 Two tuning modes, chosen at build time:
 
@@ -43,18 +46,16 @@ Builds also persist per-shard **routing summaries**
 MinHash universe profile) that let :class:`ShardedExecutor` skip the
 fetch/verify work -- or, opted in, the whole dispatch -- for shards
 whose sound Jaccard upper bound falls below ``sigma_low``; and
-:func:`replicate_shards` clones hot shards so dispatches balance over
-copies via power-of-two-choices.
+:func:`replicate_shards` clones hot shards so dispatches alternate
+over identical copies (fewest dispatches first).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import shutil
 import tempfile
-import threading
 import time
 import zlib
 from pathlib import Path
@@ -69,6 +70,8 @@ from repro.core.index import (
 )
 from repro.core.minhash import MinHasher, stable_element_hash
 from repro.exec.columnar import merge_verify_info
+from repro.exec.parallel import WorkerPool
+from repro.exec.pipeline import run_batch
 from repro.exec.route import (
     ROUTING_FILE,
     ShardRouter,
@@ -424,10 +427,10 @@ def replicate_shards(
     ``replicas`` list, and the manifest is rewritten atomically --
     re-running is idempotent.  Returns the updated manifest.
 
-    Replicas serve reads only: :class:`ShardedExecutor` picks one copy
-    per dispatch by power-of-two-choices on in-flight counters, and
-    because clones are crc-verified identical at open, the pick can
-    never change an answer.
+    Replicas serve reads only: :class:`ShardedExecutor` gives each
+    dispatch to the copy with the fewest dispatches so far, and because
+    clones are crc-verified identical at open, the pick can never
+    change an answer.
     """
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
@@ -493,7 +496,10 @@ class ShardedSnapshot:
     :class:`~repro.exec.route.RoutingInfo` (None on ``routing=False``
     builds); ``replicas[i]`` lists the extra opened
     snapshot copies of a replicated shard (the primary is not in the
-    list)."""
+    list).  ``cost`` is the one :class:`~repro.storage.iomodel.IOCostModel`
+    the fleet was built under: every shard and replica view charges it,
+    so a sharded batch has one I/O bracket and its trace one counter
+    set, whichever shard a span ran against."""
 
     def __init__(self, path, manifest: dict, shards: list,
                  global_sids: list[np.ndarray], routing=None,
@@ -504,6 +510,11 @@ class ShardedSnapshot:
         self.global_sids = global_sids
         self.routing = routing
         self.replicas = replicas or {}
+        views = [s for s in shards if s is not None]
+        views += [r for copies in self.replicas.values() for r in copies]
+        self.cost = views[0].cost if views else IOCostModel()
+        for view in views:
+            view.cost = self.cost
 
     @property
     def n_shards(self) -> int:
@@ -687,9 +698,13 @@ def verify_sharded(path) -> dict:
 class ShardedExecutor:
     """Scatter-gather ``query``/``query_batch`` over a fleet of shards.
 
-    One :class:`~repro.exec.parallel.ParallelExecutor` per live shard
-    (its own ``workers``-wide thread or process pool), scattered from a
-    small thread pool and merged deterministically:
+    A sharded batch is the one query pipeline
+    (:func:`repro.exec.pipeline.run_batch`) run shard by shard, in
+    shard order, on the calling thread -- every shard's view on the
+    fleet's **one** scheduler (a ``workers``-wide
+    :class:`~repro.exec.parallel.WorkerPool`; no pool at all for
+    ``workers=1`` on the thread backend) -- and merged
+    deterministically:
 
     - per-query answers are mapped local->global sid and re-sorted
       best-first (sid ties ascending) -- exactly the order
@@ -697,14 +712,18 @@ class ShardedExecutor:
     - candidates are the union of mapped per-shard candidates;
     - IOStats, ``pages_saved``/``fetches_saved`` and per-phase timings
       are integer/float sums over shards (order-independent);
-    - per-shard executors run with ``record=False`` and this class
-      emits one merged ``record_query`` + ``query.*`` update, so a
-      sharded batch counts every query once.
+    - per-shard runs skip the query-level telemetry (``record=False``)
+      and this class emits one merged ``record_query`` + ``query.*``
+      update, so a sharded batch counts every query once.
 
     On a mirror-built manifest the merged batch is bit-identical to
     the unsharded ``query_batch`` (see the module docstring); on a
     workload-tuned manifest answers remain exact-verified but the
     candidate funnel is per-shard.
+
+    ``workers`` sizes the fleet's one pool, whatever the shard and
+    replica counts; on the process backend every worker maps every
+    shard and replica directory, so any worker serves any shard.
 
     ``route`` selects the shard-routing mode
     (:mod:`repro.exec.route`), applied when the manifest carries
@@ -720,28 +739,27 @@ class ShardedExecutor:
     - ``"sketch"`` -- pruned pairs are dropped from the dispatch
       itself (a shard with no surviving query is not contacted), and
       the MinHash universe profile tightens the bound further.
-      Estimated, not proven: recall is measured in BENCH-ROUTE.
+      Estimated, not proven: its recall is measured by
+      ``tests/test_route.py::test_sketch_recall_measured_on_overlapping_clusters``.
 
-    When a shard has replicas (:func:`replicate_shards`), each
-    dispatch picks one copy by power-of-two-choices on in-flight
-    counters; replicas are crc-verified identical, so the pick never
-    changes an answer, only which mmap serves it.
+    When a shard has replicas (:func:`replicate_shards`) they are
+    extra views of it and each dispatch goes to the copy with the
+    fewest dispatches so far; replicas are crc-verified identical, so
+    the pick never changes an answer, only which mmap serves it.  Like
+    every executor this one answers one batch at a time (a batch
+    brackets the fleet's shared cost model), so nothing here locks.
 
     Telemetry lands under ``metric_prefix`` (default ``"shard"``; the
     query server uses ``"serve.shard"``): per-shard batch-latency HDRs
     and candidate counters, a routed-subqueries counter, a skew gauge
-    (slowest/mean shard wall per batch), ``route.*`` counters
+    (slowest/mean shard wall per batch) and ``route.*`` counters
     (``subqueries_pruned``, ``shards_skipped``,
-    ``replica_dispatches``) and per-shard in-flight gauges.
+    ``replica_dispatches``).
     """
 
     def __init__(self, sharded: ShardedSnapshot, workers: int = 1,
                  backend: str = "thread", metric_prefix: str = "shard",
                  route: str = "safe"):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.exec.parallel import ParallelExecutor
-
         if route not in ("full", "safe", "sketch"):
             raise ValueError(f"unknown route mode: {route!r}")
         self.sharded = sharded
@@ -749,10 +767,9 @@ class ShardedExecutor:
         self.backend = backend
         self.metric_prefix = metric_prefix
         self.route = route
-        routing = getattr(sharded, "routing", None)
         self._router = (
-            ShardRouter(routing)
-            if route != "full" and routing is not None else None
+            ShardRouter(sharded.routing)
+            if route != "full" and sharded.routing is not None else None
         )
         #: False when ``route`` asked for routing but the manifest has
         #: no summaries (``routing=False`` builds) -- execution falls back to full
@@ -760,36 +777,17 @@ class ShardedExecutor:
         self.route_active = self._router is not None
         self._closed = False
         self._live = sharded.live_shards
-        self._executors = {
-            i: ParallelExecutor(
-                sharded.shards[i], workers=workers, backend=backend,
-                record=False,
-            )
+        #: Each live shard's views: the primary, then its replicas.
+        self._views = {
+            i: [sharded.shards[i], *sharded.replicas.get(i, ())]
             for i in self._live
-        }
-        self._replica_execs = {
-            i: [self._executors[i]] + [
-                ParallelExecutor(
-                    rsnap, workers=workers, backend=backend, record=False
-                )
-                for rsnap in getattr(sharded, "replicas", {}).get(i, ())
-            ]
-            for i in self._live
-        }
-        self._inflight = {
-            i: [0] * len(execs) for i, execs in self._replica_execs.items()
         }
         self._dispatches = {
-            i: [0] * len(execs) for i, execs in self._replica_execs.items()
+            i: [0] * len(views) for i, views in self._views.items()
         }
-        self._inflight_lock = threading.Lock()
-        # Seeded: replica picks (hence telemetry) reproduce run-to-run;
-        # answers never depend on the pick because copies are identical.
-        self._pick_rng = random.Random(0)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, len(self._live)),
-            thread_name_prefix="repro-shard",
-        )
+        self._sched = WorkerPool(workers, backend, paths=[
+            view.path for views in self._views.values() for view in views
+        ])
         self._m_batches = metrics.counter(f"{metric_prefix}.batches")
         self._m_routed = metrics.counter(f"{metric_prefix}.routed_subqueries")
         self._m_skew = metrics.gauge(f"{metric_prefix}.wall_skew")
@@ -810,17 +808,10 @@ class ShardedExecutor:
             i: metrics.counter(f"{metric_prefix}.{i:02d}.candidates")
             for i in self._live
         }
-        self._m_inflight = {
-            i: metrics.gauge(f"{metric_prefix}.{i:02d}.in_flight")
-            for i in self._live
-        }
 
     def close(self) -> None:
         self._closed = True
-        for execs in self._replica_execs.values():
-            for executor in execs:
-                executor.close()
-        self._pool.shutdown(wait=True)
+        self._sched.close()
 
     def __enter__(self) -> "ShardedExecutor":
         return self
@@ -884,6 +875,7 @@ class ShardedExecutor:
             route_seconds = time.perf_counter() - wall0
         with trace.capture(
             "sharded_query_batch",
+            io=self.sharded.cost,
             force=explain,
             n_shards=self.sharded.n_shards,
             live_shards=len(self._live),
@@ -910,10 +902,6 @@ class ShardedExecutor:
             if decision is not None:
                 batch.timings["route"] = route_seconds * 1e3
             if root is not None:
-                for i, (sbatch, _, _) in shard_batches.items():
-                    if sbatch.trace is not None:
-                        sbatch.trace.set(shard=i)
-                        root.children.append(sbatch.trace)
                 root.set(
                     n_candidates=batch.n_candidates,
                     n_verified=batch.n_verified,
@@ -933,87 +921,55 @@ class ShardedExecutor:
 
     def _scatter(self, query_sets, sigma_low, sigma_high, strategy, explain,
                  decision=None):
-        """Fan the batch out; returns ``{shard: (batch, seconds, rows)}``
-        where ``rows`` lists the global query rows a sub-batch covers
-        (None = the whole batch, in order)."""
+        """Run the batch on every dispatched shard, in shard order;
+        returns ``{shard: (batch, seconds, rows)}`` where ``rows`` lists
+        the global query rows a sub-batch covers (None = the whole
+        batch, in order).  Each shard's root span nests under the
+        caller's trace, tagged ``shard=``."""
         n = len(query_sets)
-        units: list[tuple] = []  # (shard, queries, rows, verify_rows)
+        shard_batches = {}
         for i in self._live:
-            if decision is None:
-                units.append((i, query_sets, None, None))
-            elif decision.mode == "sketch":
-                rows = decision.kept.get(i, [])
-                if not rows:
-                    continue  # shard not contacted at all
-                if len(rows) == n:
-                    units.append((i, query_sets, None, None))
-                else:
-                    units.append(
-                        (i, [query_sets[r] for r in rows], rows, None)
-                    )
-            else:  # safe: dispatch everything, mask pruned verifies
+            queries, rows, vrows = query_sets, None, None
+            if decision is not None:
                 kept = decision.kept.get(i, [])
-                vrows = None if len(kept) == n else kept
-                units.append((i, query_sets, None, vrows))
-
-        def run(unit):
-            i, qs, rows, vrows = unit
-            executor, slot = self._acquire(i)
+                if decision.mode != "sketch":
+                    # safe: dispatch everything, mask pruned verifies
+                    vrows = None if len(kept) == n else kept
+                elif not kept:
+                    continue  # shard not contacted at all
+                elif len(kept) < n:
+                    queries, rows = [query_sets[r] for r in kept], kept
+            view = self._pick(i)
             t0 = time.perf_counter()
             try:
-                sbatch = executor.query_batch(
-                    qs, sigma_low, sigma_high,
-                    strategy=strategy, explain=explain, verify_rows=vrows,
+                sbatch = run_batch(
+                    view, self._sched, "query_batch", queries, sigma_low,
+                    sigma_high, strategy, explain, vrows, record=False,
                 )
             except Exception as exc:
                 raise ShardError(f"shard {i} failed: {exc}") from exc
-            finally:
-                self._release(i, slot)
-            return i, (sbatch, time.perf_counter() - t0, rows)
+            if sbatch.trace is not None:
+                sbatch.trace.set(shard=i)
+            shard_batches[i] = (sbatch, time.perf_counter() - t0, rows)
+        return shard_batches
 
-        if len(units) <= 1:
-            # Single dispatch (K=1 fleet, or routing left one shard):
-            # run inline and skip the scatter-pool thread hop.
-            return dict(run(unit) for unit in units)
-        futures = [self._pool.submit(run, unit) for unit in units]
-        return dict(future.result() for future in futures)
-
-    def _acquire(self, i: int):
-        """Pick a replica of shard ``i`` (power-of-two-choices on
-        in-flight counters) and mark it busy."""
-        execs = self._replica_execs[i]
-        slot = 0
-        with self._inflight_lock:
-            if len(execs) > 1:
-                # In-flight ties (every dispatch, in a sequential
-                # caller) fall back to total dispatch count, so load
-                # stays balanced even without concurrency.
-                a, b = self._pick_rng.sample(range(len(execs)), 2)
-                slot = min(a, b, key=lambda s: (
-                    self._inflight[i][s], self._dispatches[i][s]
-                ))
-            self._inflight[i][slot] += 1
-            self._dispatches[i][slot] += 1
-            busy = sum(self._inflight[i])
-        if len(execs) > 1:
+    def _pick(self, i: int):
+        """The view serving this dispatch of shard ``i``: of its
+        identical copies, the one with the fewest dispatches so far."""
+        counts = self._dispatches[i]
+        slot = counts.index(min(counts))
+        counts[slot] += 1
+        if len(counts) > 1:
             self._m_replica_dispatches.inc()
-        self._m_inflight[i].set(busy)
-        return execs[slot], slot
-
-    def _release(self, i: int, slot: int) -> None:
-        with self._inflight_lock:
-            self._inflight[i][slot] -= 1
-            busy = sum(self._inflight[i])
-        self._m_inflight[i].set(busy)
+        return self._views[i][slot]
 
     def replica_dispatch_counts(self) -> dict:
         """Per-replica dispatch counts of replicated shards (slot 0 is
-        the primary) -- the load-balance evidence BENCH-ROUTE reports."""
-        with self._inflight_lock:
-            return {
-                i: list(self._dispatches[i])
-                for i in self._live if len(self._replica_execs[i]) > 1
-            }
+        the primary) -- the load-balance evidence."""
+        return {
+            i: list(counts)
+            for i, counts in self._dispatches.items() if len(counts) > 1
+        }
 
     def _merge(self, shard_batches, n: int) -> BatchQueryResult:
         """Deterministic merge; see the class docstring for semantics."""
@@ -1047,14 +1003,8 @@ class ShardedExecutor:
             # re-sorting the mapped union reproduces the unsharded
             # ordering exactly.
             answers.sort(key=lambda pair: (-pair[1], pair[0]))
-        # Every shard was built under one cost model; with no live
-        # shard the merged I/O is all zeros and any model prices it 0.
-        cost = (
-            self.sharded.shards[self._live[0]].cost
-            if self._live else IOCostModel()
-        )
         return assemble_batch(
-            None, cost, io, merged_answers, merged_cands,
+            None, self.sharded.cost, io, merged_answers, merged_cands,
             pages_saved, fetches_saved, timings,
         )
 
@@ -1083,6 +1033,11 @@ class ShardedExecutor:
             "merge_seconds": merge_seconds,
             "shard_wall_seconds": dict(sorted(shard_walls.items())),
             "stage_seconds": stage_seconds,
+            "tasks": [
+                dict(task, shard=i)
+                for i, (sbatch, _, _) in sorted(shard_batches.items())
+                for task in sbatch.exec_stats["tasks"]
+            ],
             "shards": {
                 i: {
                     "wall_seconds": sbatch.exec_stats["wall_seconds"],
@@ -1113,8 +1068,8 @@ class ShardedExecutor:
     def _record(self, kind, batch, shard_batches, n, wall0,
                 sigma_low, sigma_high, strategy, decision=None) -> None:
         """One merged telemetry record per sharded batch (the per-shard
-        executors ran with ``record=False``), plus the ``metric_prefix``
-        fleet instruments."""
+        runs were ``record=False``), plus the ``metric_prefix`` fleet
+        instruments."""
         walls = []
         dispatched_subqueries = 0
         for i, (sbatch, seconds, rows) in shard_batches.items():

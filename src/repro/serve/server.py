@@ -13,8 +13,10 @@ asyncio TCP server speaking the newline-delimited JSON protocol
   ``(low, high, strategy)`` key under a tunable, arrival-rate-adaptive
   window (:mod:`repro.serve.coalescer`),
 - dispatches each micro-batch to a
-  :class:`~repro.exec.parallel.ParallelExecutor` (thread or process
-  backend) on a dedicated dispatch thread -- the event loop never
+  :class:`~repro.exec.parallel.ParallelExecutor` (or, for a sharded
+  directory, a :class:`~repro.exec.shard.ShardedExecutor`; thread or
+  process backend, one ``workers``-wide pool either way) on a
+  dedicated dispatch thread -- the event loop never
   blocks on query work, and batches are serialized because the
   executor mutates shared cost-model state,
 - demultiplexes per-request answers back to their connections.  Each
@@ -73,7 +75,12 @@ _READ_CHUNK = 1 << 16
 
 @dataclass
 class ServeConfig:
-    """Tunables for :class:`QueryServer`; CLI flags map 1:1."""
+    """Tunables for :class:`QueryServer`; CLI flags map 1:1.
+
+    ``workers`` sizes the executor's one pool -- for a sharded
+    directory the fleet's one pool, whatever the shard and replica
+    counts (``workers=1`` on the thread backend: no pool, every stage
+    runs on the dispatch thread)."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 -> ephemeral; read QueryServer.port after start()
@@ -143,12 +150,10 @@ class QueryServer:
                 snapshot, workers=cfg.workers, backend=cfg.backend,
                 metric_prefix="serve.shard", route=cfg.route,
             )
-        elif cfg.backend == "process":
-            self._executor = ParallelExecutor(
-                snapshot, workers=cfg.workers, backend="process"
-            )
         else:
-            self._executor = ParallelExecutor(snapshot, workers=cfg.workers)
+            self._executor = ParallelExecutor(
+                snapshot, workers=cfg.workers, backend=cfg.backend
+            )
         # One dispatch thread: query_batch mutates shared cost-model
         # state, so micro-batches are serialized here while new arrivals
         # keep coalescing behind them.

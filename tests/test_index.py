@@ -270,3 +270,28 @@ class TestPlanOracle:
             reads[1] += result.io.sequential_reads
             reads[2] += result.io.cpu_ops
         assert tuple(reads) == io
+
+    @pytest.mark.parametrize(
+        "lo,hi,plan",
+        [c[1:3] + (c[4],) for c in PLAN_CASES if c[3] == "index"],
+        ids=[c[0] for c in PLAN_CASES if c[3] == "index"],
+    )
+    def test_planner_prices_the_executed_plan(
+        self, planned_index, clustered_sets, lo, hi, plan
+    ):
+        """``QueryPlanner.probe_tables`` counts exactly the tables the
+        executor's plan probes -- the mixed plan reads four filters (the
+        planner used to sum both kinds at the two enclosing points: 12
+        for ``pivot_union`` here, where 24 are probed)."""
+        from repro.obs.explain import probe_spans
+
+        # A non-empty query: ``empty_queries`` is a property of the
+        # batch, not of the range the planner prices.
+        query = oracle_queries(clustered_sets)[0]
+        result = planned_index.query(query, lo, hi, explain=True)
+        probed = sum(
+            span.attrs["tables_probed"] for span in probe_spans(result.trace)
+        )
+        assert planned_index.planner().probe_tables(lo, hi) == probed
+        if plan == "pivot_union":
+            assert probed == 24

@@ -500,13 +500,15 @@ class TestFallbacksAndErrors:
         sets, queries = _workload(seed=1, n_sets=30)
         build_sharded(sets, tmp_path / "s", n_shards=2, k=16, b=4, seed=1,
                       budget=12, sample_pairs=200)
-        with ShardedExecutor(open_sharded(tmp_path / "s")) as executor:
-            victim = max(executor._replica_execs)
+        sharded = open_sharded(tmp_path / "s")
+        victim = max(sharded.live_shards)
 
-            def boom(*args, **kwargs):
-                raise RuntimeError("mmap torn away")
+        def boom(*args, **kwargs):
+            raise RuntimeError("mmap torn away")
 
-            executor._replica_execs[victim][0].query_batch = boom
+        # The failure enters where a real one would: the shard's view.
+        sharded.shards[victim].filter_probe = boom
+        with ShardedExecutor(sharded) as executor:
             with pytest.raises(ShardError,
                                match=f"shard {victim} failed"):
                 executor.query_batch(queries, *RANGE)

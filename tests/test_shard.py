@@ -17,6 +17,7 @@ units for the global budget allocator and manifest integrity checks.
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.core.optimizer import (
 from repro.core.similarity import jaccard
 from repro.data.generators import planted_clusters
 from repro.exec import ParallelExecutor
+from repro.exec.route import ShardRouter
 from repro.exec.shard import (
     SHARD_MANIFEST_FILE,
     ShardError,
@@ -41,8 +43,10 @@ from repro.exec.shard import (
     is_sharded,
     open_sharded,
     partition_sets,
+    replicate_shards,
     verify_sharded,
 )
+from repro.storage.iomodel import IOStats
 
 RANGE = (0.3, 0.9)
 
@@ -262,6 +266,94 @@ class TestScatterGatherEquivalence:
             with pytest.raises(ValueError, match="strategy"):
                 executor.query_batch([frozenset({1})], 0.1, 0.9,
                                      strategy="nope")
+
+
+# -- one scheduler ----------------------------------------------------------
+
+
+class TestOneScheduler:
+    """A sharded batch is the one pipeline run shard by shard on the
+    caller's thread, every shard on the fleet's one scheduler."""
+
+    @pytest.mark.parametrize("route", ("full", "safe", "sketch"))
+    @pytest.mark.parametrize("n_shards", (1, 2, 4))
+    def test_each_shard_span_once_with_exact_io(self, tmp_path, n_shards,
+                                                route):
+        """Regression: with one dispatched unit the shard's span used to
+        hang under the EXPLAIN root twice.  Every dispatched shard's
+        ``query_batch`` span occurs exactly once, directly under the
+        root, tagged ``shard=``; its I/O is that shard's own batch I/O
+        and the shard spans sum to the merged ``batch.io``."""
+        sets, queries = _workload(seed=3)
+        build_sharded(sets, tmp_path / "s", n_shards=n_shards,
+                      partition="cluster", k=24, b=4, seed=3, budget=36,
+                      sample_pairs=1_500)
+        sharded = open_sharded(tmp_path / "s")
+        with ShardedExecutor(sharded, route=route) as executor:
+            batch = executor.query_batch(queries, *RANGE, explain=True)
+        root = batch.trace
+        spans = [s for s in root.walk() if s.name == "query_batch"]
+        assert [s.attrs["shard"] for s in spans] == sorted(
+            batch.exec_stats["shards"]
+        )
+        children = [id(c) for c in root.children]
+        assert len(children) == len(set(children))
+        assert all(id(s) in children for s in spans)
+        # What each shard was dispatched, replayed on the shard alone.
+        decision = None
+        if route != "full":
+            decision = ShardRouter(sharded.routing).route(
+                [frozenset(q) for q in queries], RANGE[0],
+                sharded.live_shards, sketch=(route == "sketch"),
+            )
+        total = IOStats()
+        for span in spans:
+            i = span.attrs["shard"]
+            shard_queries, verify_rows = queries, None
+            if route == "safe":
+                verify_rows = decision.kept.get(i, [])
+            elif route == "sketch":
+                shard_queries = [queries[r] for r in decision.kept[i]]
+            alone = ParallelExecutor(sharded.shards[i]).query_batch(
+                shard_queries, *RANGE, verify_rows=verify_rows
+            )
+            assert span.io_delta == alone.io
+            total = total + span.io_delta
+        assert total == batch.io
+        assert root.io_delta == batch.io
+
+    def test_process_fleet_is_one_pool(self, tmp_path):
+        """``workers`` sizes the fleet's one pool: four shards, one of
+        them replicated, on two worker processes -- not two per shard
+        and replica -- with the answers of the pool-less thread path."""
+        sets, queries = _workload(seed=6)
+        build_sharded(sets, tmp_path / "s", n_shards=4, k=24, b=4, seed=6,
+                      budget=36, sample_pairs=1_500)
+        replicate_shards(tmp_path / "s", top=1, copies=2)
+        sharded = open_sharded(tmp_path / "s")
+        assert sum(len(r) for r in sharded.replicas.values()) == 1
+        with ShardedExecutor(sharded, workers=1, backend="thread") as executor:
+            want = executor.query_batch(queries, *RANGE)
+        with ShardedExecutor(sharded, workers=2, backend="process") as executor:
+            # Two batches, so the replica has its turn; then, because a
+            # spawn worker can take longer to come up than these
+            # batches run, more until the second worker has served.
+            batches, pids = [], set()
+            deadline = time.monotonic() + 60
+            while len(batches) < 2 or (
+                len(pids) < 2 and time.monotonic() < deadline
+            ):
+                batches.append(executor.query_batch(queries, *RANGE))
+                pids |= {t["thread"] for t in batches[-1].exec_stats["tasks"]}
+        assert {t["shard"] for t in batches[0].exec_stats["tasks"]} == set(
+            sharded.live_shards
+        )
+        assert len(pids) == 2 and all(p.startswith("pid-") for p in pids)
+        for batch in batches[:2]:
+            _assert_bit_identical(batch, want)
+            assert batch.io == want.io
+            assert batch.pages_saved == want.pages_saved
+            assert batch.fetches_saved == want.fetches_saved
 
 
 # -- workload tuning -------------------------------------------------------
