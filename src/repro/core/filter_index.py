@@ -77,9 +77,8 @@ def table_fingerprints(
     positions of the tables (see
     :func:`~repro.hamming.sampling.sampled_key_words`).  Keys are
     extracted and fingerprinted in one vectorized pass (the bulk
-    build's ``key_words`` -> ``hash_words`` path, bit-identical to
-    ``hash_key(sampler.key(row))``); the live and the frozen probe both
-    fingerprint through here.
+    build's ``key_words`` -> ``hash_words`` path); the live and the
+    frozen probe, insert and delete all fingerprint through here.
     """
     n, t = matrix.shape[0], word_index.shape[0]
     words = sampled_key_words(matrix, word_index, bit_offset)
@@ -206,10 +205,19 @@ class SimilarityFilterIndex:
         """Entries per table (each vector appears once in every table)."""
         return self._tables[0].n_entries if self._tables else 0
 
+    def _vector_fingerprints(self, vector: np.ndarray) -> list[int]:
+        """One vector's fingerprint in each of the ``l`` tables, from
+        the probe's one :func:`table_fingerprints` pass."""
+        return table_fingerprints(
+            vector[None], self._word_index, self._bit_offset, self.filter.r
+        )[:, 0].tolist()
+
     def insert(self, vector: np.ndarray, sid: int) -> None:
         """Index one packed vector under its set identifier."""
-        for sampler, table in zip(self._samplers, self._tables):
-            table.insert(sampler.key(vector), sid)
+        for table, fingerprint in zip(
+            self._tables, self._vector_fingerprints(vector)
+        ):
+            table.insert_hashed(fingerprint, sid)
 
     def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> None:
         """Bulk-index the rows of a packed matrix (vectorized keying).
@@ -247,8 +255,10 @@ class SimilarityFilterIndex:
 
     def delete(self, vector: np.ndarray, sid: int) -> None:
         """Remove a previously inserted (vector, sid) pair."""
-        for sampler, table in zip(self._samplers, self._tables):
-            table.delete(sampler.key(vector), sid)
+        for table, fingerprint in zip(
+            self._tables, self._vector_fingerprints(vector)
+        ):
+            table.delete_hashed(fingerprint, sid)
 
     def probe(self, query: np.ndarray) -> set[int]:
         """``SimVector(s*, q)``: union of the matching bucket of each

@@ -30,8 +30,11 @@ MAGIC = b"REPRO-SSI"
 #: splitmix64 word fold: fingerprints are baked into every stored page,
 #: so version-1 files must fail loudly rather than probe-miss silently.
 #: Bumped to 3 when filter indexes began pickling their samplers'
-#: stacked bit positions (every probe reads them).
-FORMAT_VERSION = 3
+#: stacked bit positions (every probe reads them).  Bumped to 4 when
+#: hash tables began maintaining their bucket directories on every
+#: write: a version-3 file may carry a stale (``None``) directory that
+#: nothing rebuilds any more.
+FORMAT_VERSION = 4
 
 #: Indirection for fault-injection in tests (simulating a mid-write
 #: failure without monkeypatching the global ``os`` module).

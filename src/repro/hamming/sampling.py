@@ -7,9 +7,9 @@ positions with probability ``s ** r`` (positions are sampled uniformly
 with replacement, matching the analysis of Equation 4), which is what
 turns the hash table into a probabilistic filter.
 
-A :class:`BitSampler` freezes one such sample and extracts the sampled
-bits of any packed vector into a compact ``bytes`` key suitable for
-hashing.
+A :class:`BitSampler` freezes one such sample; :func:`sampled_key_words`
+extracts the sampled bits of packed vectors into compact keys, packed
+as little-endian words ready for hashing.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import numpy as np
 
 from repro.obs import metrics
 
-#: Keys extracted by the bulk (build-time) path.  Probe-time key
-#: extraction is one key per table probe, so it is already counted by
-#: ``hashtable.probes`` and not re-counted in the hot ``key()`` path.
+#: Keys extracted by :func:`sampled_key_words`, one per (row, table):
+#: the bulk build, every probe (live and frozen) and every filter-index
+#: insert and delete -- all key extraction goes through it.
 _KEYS = metrics.counter("hamming.keys_extracted")
 
 
@@ -57,16 +57,11 @@ class BitSampler:
         """Byte width of every key this sampler emits."""
         return -(-self.r // 8)
 
-    def key(self, vector: np.ndarray) -> bytes:
-        """Hash key of a single packed vector: its sampled bits, packed."""
-        bits = (vector[self._word_index] >> self._bit_offset) & np.uint64(1)
-        return np.packbits(bits.astype(np.uint8)).tobytes()
-
     def key_words(self, matrix: np.ndarray) -> np.ndarray:
         """Every row's key as little-endian uint64 words, never leaving
-        numpy: row ``i`` holds the words of ``key(matrix[i])`` with the
-        last word zero-padded.  Feeds
-        :func:`repro.storage.hashtable.hash_words` (with
+        numpy: row ``i`` holds the sampled bits of ``matrix[i]``, packed
+        into :attr:`key_bytes` bytes, with the last word zero-padded.
+        Feeds :func:`repro.storage.hashtable.hash_words` (with
         :attr:`key_bytes`) so the bulk build fingerprints a whole
         matrix without materializing per-row ``bytes`` objects.
         """

@@ -8,6 +8,8 @@ overflow chains so the structure stays correct for any input.
 
 The table is fully dynamic (insert and delete), which is what lets the
 paper claim the overall index "readily supports dynamic operations".
+Every write also patches the bucket's fingerprint directory in place,
+so a read after writes costs what any other read costs.
 
 Each stored entry is a ``(fingerprint, sid)`` pair of 16 bytes.  The
 fingerprint is a 64-bit hash of the full key; matching on it avoids
@@ -19,6 +21,7 @@ assumed to be allocated adjacently.
 
 from __future__ import annotations
 
+from operator import countOf, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ from repro.storage.pager import PageManager
 
 #: Bytes per (fingerprint, sid) entry; determines slots per page.
 ENTRY_BYTES = 16
+_FP = itemgetter(0)
 
 # Hot-path instruments, resolved once at import (see repro.obs.metrics).
 # Candidate counts are deliberately NOT tracked here: the filter index
@@ -153,8 +157,9 @@ class _BulkGroup:
         self.entries = entries
         #: How many lead entries the existing tail page absorbs.
         self.tail_take = tail_take
-        #: Eagerly built fingerprint -> sids map (fresh buckets only;
-        #: None means the bucket had prior entries and stays lazy).
+        #: Fingerprint -> sids runs of ``entries``, each in input order:
+        #: the bucket's whole directory if it was empty, else what
+        #: ``apply_bulk_load`` appends to it.
         self.directory = directory
 
 
@@ -198,12 +203,15 @@ class BucketHashTable:
         # Chains of page ids per bucket; pages allocated lazily.
         self._chains: list[list[int]] = [[] for _ in range(n_buckets)]
         self._n_entries = 0
-        # Memoized fingerprint -> sids image of each bucket's slots,
-        # rebuilt lazily after the bucket mutates (None = stale).  It
-        # is a pure CPU-side accelerator: probes still charge the same
-        # page reads, the directory only replaces re-scanning a slot
-        # list that has not changed since the last probe.
-        self._directory: list[dict[int, list[int]] | None] = [None] * n_buckets
+        # Fingerprint -> sids image of each bucket's slots, maintained
+        # by every write: ``_directory[b]`` always equals the map built
+        # by scanning bucket ``b``'s chain in slot order, each run's
+        # sids in that order.  It is a pure CPU-side accelerator:
+        # probes still charge the same page reads, the directory only
+        # replaces re-scanning the slots.
+        self._directory: list[dict[int, list[int]]] = [
+            {} for _ in range(n_buckets)
+        ]
         # Occupied slots on each bucket's tail page, when known from
         # this table's own last write (-1 = unknown, must read).  Lets
         # consecutive inserts into one bucket skip re-reading a page
@@ -220,19 +228,22 @@ class BucketHashTable:
         """Pages across all bucket chains."""
         return sum(len(chain) for chain in self._chains)
 
-    def _bucket_of(self, key: bytes) -> tuple[int, int]:
-        fingerprint = hash_key(key)
-        return fingerprint % self.n_buckets, fingerprint
-
     def insert(self, key: bytes, sid: int) -> None:
-        """Add a (key, sid) entry.  Duplicates are stored as given.
+        """Add a (key, sid) entry -- the one-key case of
+        :meth:`insert_hashed`."""
+        self.insert_hashed(hash_key(key), sid)
+
+    def insert_hashed(self, fingerprint: int, sid: int) -> None:
+        """Add a (fingerprint, sid) entry for a pre-computed
+        ``hash_key`` fingerprint.  Duplicates are stored as given.
 
         The chain-tail page is re-read (one charged random read) only
         when its fill state is unknown; consecutive inserts into one
         bucket know the tail from their own last write and skip the
-        redundant read entirely.
+        redundant read entirely.  The entry lands in the chain's last
+        slot, so its sid ends its fingerprint's directory run.
         """
-        bucket, fingerprint = self._bucket_of(key)
+        bucket = fingerprint % self.n_buckets
         chain = self._chains[bucket]
         last = None
         if chain:
@@ -254,7 +265,12 @@ class BucketHashTable:
         self.pager.write(last.page_id)
         self._tail_slots[bucket] = len(last.slots)
         self._n_entries += 1
-        self._directory[bucket] = None
+        directory = self._directory[bucket]
+        run = directory.get(fingerprint)
+        if run is None:
+            directory[fingerprint] = [sid]
+        else:
+            run.append(sid)
 
     # -- bulk loading ------------------------------------------------------
 
@@ -284,8 +300,8 @@ class BucketHashTable:
         is array arithmetic, and the page-allocation *order* is derived
         so it matches the sequential per-insert path exactly: a page is
         opened at the first entry (in input order) that lands on it.
-        Fresh buckets also get their fingerprint directory built here,
-        eagerly.
+        Each group's fingerprint runs are built here too, so applying
+        the plan keeps every directory equal to its slots.
 
         Touches no pages and mutates nothing -- plans for independent
         tables may be computed concurrently -- but requires every
@@ -340,48 +356,39 @@ class BucketHashTable:
         )
         sizes_list = sizes.tolist()
         rems_list = rems.tolist()
-        # Directory runs for fresh buckets: a second stable sort by
-        # (bucket, fingerprint) makes every directory list a contiguous
-        # slice (stable, so slices keep input order).  Bucket is the
-        # primary key, so group boundaries coincide with ``bounds`` and
-        # every group's runs are a contiguous run-index range -- each
-        # directory then assembles at C speed from slice objects,
-        # one dict store per distinct fingerprint instead of a
-        # per-entry append loop.
-        run_keys: list[int] = []
-        run_s: list[int] = []
-        run_e: list[int] = []
-        grp_run = [0] * (len(group_buckets) + 1)
-        get_run = [].__getitem__
-        if any(not self._chains[b] for b in group_buckets):
-            order2 = np.lexsort((fps, buckets))
-            fp2 = fps[order2]
-            get_run = sids_arr[order2].tolist().__getitem__
-            b2 = buckets[order2]
-            run_starts = np.flatnonzero(
-                np.r_[True, (b2[1:] != b2[:-1]) | (fp2[1:] != fp2[:-1])]
-            )
-            run_keys = fp2[run_starts].tolist()
-            run_s = run_starts.tolist()
-            run_e = np.append(run_starts[1:], n).tolist()
-            # Every group boundary starts a run, so side="left" lands
-            # exactly on each group's first run index.
-            grp_run = np.searchsorted(run_starts, bounds).tolist()
+        # Directory runs: a second stable sort by (bucket, fingerprint)
+        # makes every run a contiguous slice (stable, so slices keep
+        # input order).  Bucket is the primary key, so group boundaries
+        # coincide with ``bounds`` and every group's runs are a
+        # contiguous run-index range -- each group's runs then assemble
+        # at C speed from slice objects, one dict store per distinct
+        # fingerprint instead of a per-entry append loop.
+        order2 = np.lexsort((fps, buckets))
+        fp2 = fps[order2]
+        get_run = sids_arr[order2].tolist().__getitem__
+        b2 = buckets[order2]
+        run_starts = np.flatnonzero(
+            np.r_[True, (b2[1:] != b2[:-1]) | (fp2[1:] != fp2[:-1])]
+        )
+        run_keys = fp2[run_starts].tolist()
+        run_s = run_starts.tolist()
+        run_e = np.append(run_starts[1:], n).tolist()
+        # Every group boundary starts a run, so side="left" lands
+        # exactly on each group's first run index.
+        grp_run = np.searchsorted(run_starts, bounds).tolist()
         groups: list[_BulkGroup] = []
         pos = 0
         for g, bucket in enumerate(group_buckets):
             size = sizes_list[g]
             entries = all_entries[pos : pos + size]
             pos += size
-            directory: dict[int, list[int]] | None = None
-            if not self._chains[bucket]:
-                a, b = grp_run[g], grp_run[g + 1]
-                directory = dict(
-                    zip(
-                        run_keys[a:b],
-                        map(get_run, map(slice, run_s[a:b], run_e[a:b])),
-                    )
+            a, b = grp_run[g], grp_run[g + 1]
+            directory = dict(
+                zip(
+                    run_keys[a:b],
+                    map(get_run, map(slice, run_s[a:b], run_e[a:b])),
                 )
+            )
             tail_take = rems_list[g]
             if tail_take > size:
                 tail_take = size
@@ -394,8 +401,7 @@ class BucketHashTable:
         Produces chains, page contents, directories, ``n_pages`` and
         write accounting identical to inserting the plan's entries one
         by one (one charged write per entry plus one per allocated
-        page); fresh buckets come out with their directories already
-        built.  Returns a small load report.
+        page).  Returns a small load report.
         """
         pager = self.pager
         slots = self.slots_per_page
@@ -425,10 +431,19 @@ class BucketHashTable:
             self._tail_slots[bucket] = len(
                 pager.peek(self._chains[bucket][-1]).slots
             )
-            # Fresh buckets: install the eagerly built directory (a new
-            # dict, so any frozen view keeps its own).  Buckets with
-            # prior entries follow insert() and go stale.
-            self._directory[bucket] = group.directory
+            # The new entries follow the bucket's old ones in slot
+            # order, so each planned run extends its fingerprint's run
+            # (an empty bucket simply takes the planned directory).
+            directory = self._directory[bucket]
+            if directory:
+                for fingerprint, run in group.directory.items():
+                    have = directory.get(fingerprint)
+                    if have is None:
+                        directory[fingerprint] = run
+                    else:
+                        have.extend(run)
+            else:
+                self._directory[bucket] = group.directory
         self._n_entries += plan.n_entries
         _BULK_ENTRIES.shard().count += plan.n_entries
         _BULK_PAGES.shard().count += len(plan.alloc_buckets)
@@ -445,8 +460,8 @@ class BucketHashTable:
         I/O accounting -- to ``for key, sid in zip(keys, sids):
         self.insert(key, sid)``, but the keys are fingerprinted in one
         pass, partitioned by bucket with a single argsort, and each
-        bucket's page chain is appended in one sweep with its
-        fingerprint directory built eagerly.
+        bucket's page chain and fingerprint directory are appended in
+        one sweep.
         """
         return self.bulk_load_hashed(hash_keys(keys), sids)
 
@@ -460,25 +475,6 @@ class BucketHashTable:
         report = self.apply_bulk_load(self.plan_bulk_load(fps, sids))
         report["tail_reads"] = tail_reads
         return report
-
-    def _bucket_directory(self, bucket: int) -> dict[int, list[int]]:
-        """The bucket's fingerprint -> sids map, rebuilt if stale.
-
-        Built from uncharged page peeks: the caller is responsible for
-        charging the chain's reads (probes do), so the accounting is
-        identical whether the memo is warm or cold.
-        """
-        directory = self._directory[bucket]
-        if directory is None:
-            directory = {}
-            for page_id in self._chains[bucket]:
-                for fp, sid in self.pager.peek(page_id).slots:
-                    if fp in directory:
-                        directory[fp].append(sid)
-                    else:
-                        directory[fp] = [sid]
-            self._directory[bucket] = directory
-        return directory
 
     def probe(self, key: bytes) -> list[int]:
         """Return the sids stored under ``key``.
@@ -525,7 +521,7 @@ class BucketHashTable:
             chain = self._chains[bucket]
             for rank, page_id in enumerate(chain):
                 self.pager.read(page_id, sequential=rank > 0)
-            directory = self._bucket_directory(bucket)
+            directory = self._directory[bucket]
             pages_cell.count += len(chain)
             saved_cell.count += len(chain) * (len(members) - 1)
             for i, fingerprint in members:
@@ -537,20 +533,35 @@ class BucketHashTable:
         return results
 
     def delete(self, key: bytes, sid: int) -> bool:
-        """Remove one (key, sid) entry; returns whether one was found."""
-        bucket, fingerprint = self._bucket_of(key)
+        """Remove one (key, sid) entry -- the one-key case of
+        :meth:`delete_hashed`."""
+        return self.delete_hashed(hash_key(key), sid)
+
+    def delete_hashed(self, fingerprint: int, sid: int) -> bool:
+        """Remove one (fingerprint, sid) entry for a pre-computed
+        ``hash_key`` fingerprint; returns whether one was found.
+
+        The first matching slot in chain order is the hole; compaction
+        moves the chain's last entry into it.  The directory follows
+        the slots: the sid leaves its run (its first occurrence is the
+        hole's), and the moved entry's sid, the last of its run, takes
+        the rank the hole gives it among its fingerprint's slots.
+        """
+        bucket = fingerprint % self.n_buckets
         chain = self._chains[bucket]
         target = (fingerprint, sid)
         for rank, page_id in enumerate(chain):
             page = self.pager.read(page_id, sequential=rank > 0)
-            if target not in page.slots:
+            try:
+                index = page.slots.index(target)
+            except ValueError:
                 continue
-            index = page.slots.index(target)
             # Compact: move the chain's globally last entry into the hole.
             last_page = self.pager.read(chain[-1], sequential=True)
             moved = last_page.slots.pop()
-            if not (page is last_page and index == len(last_page.slots)):
-                # Unless the popped entry *was* the hole, fill the hole.
+            # Unless the popped entry *was* the hole, fill the hole.
+            filled = not (page is last_page and index == len(last_page.slots))
+            if filled:
                 page.slots[index] = moved
                 self.pager.write(page.page_id)
             if not last_page.slots:
@@ -562,7 +573,25 @@ class BucketHashTable:
                 self.pager.write(last_page.page_id)
                 self._tail_slots[bucket] = len(last_page.slots)
             self._n_entries -= 1
-            self._directory[bucket] = None
+            directory = self._directory[bucket]
+            run = directory[fingerprint]
+            if len(run) == 1:
+                del directory[fingerprint]
+            else:
+                run.remove(sid)
+            if filled:
+                moved_fp, moved_sid = moved
+                moved_run = directory[moved_fp]
+                if len(moved_run) > 1:
+                    # It now follows exactly the run's slots before the
+                    # hole (uncharged peeks: those pages were just read).
+                    moved_run.pop()
+                    before = countOf(map(_FP, page.slots[:index]), moved_fp)
+                    for prior in chain[:rank]:
+                        before += countOf(
+                            map(_FP, self.pager.peek(prior).slots), moved_fp
+                        )
+                    moved_run.insert(before, moved_sid)
             return True
         return False
 
@@ -607,12 +636,11 @@ class BucketHashTable:
     def freeze(self) -> "TableView":
         """A read-only probe view over this table's fingerprint runs.
 
-        Flattens the full fingerprint-directory memo (warming it,
-        uncharged, like the memo itself) into runs sorted by
-        fingerprint across the whole table -- a fingerprint lives in
-        exactly one bucket, so the sort is strict -- with each run's
-        sids in slot-scan order, and snapshots the per-bucket chain
-        lengths.  The view answers probes without touching the pager,
+        Flattens the per-bucket fingerprint directories into runs
+        sorted by fingerprint across the whole table -- a fingerprint
+        lives in exactly one bucket, so the sort is strict -- with each
+        run's sids in slot-scan order, and snapshots the per-bucket
+        chain lengths.  The view answers probes without touching the pager,
         charging the exact page reads :meth:`probe_hashed` would have
         charged into a caller-supplied
         :class:`~repro.storage.iomodel.IOStats` -- the building block of
@@ -622,8 +650,8 @@ class BucketHashTable:
         fps: list[int] = []
         lens: list[int] = []
         sids: list[int] = []
-        for bucket in range(self.n_buckets):
-            for fingerprint, run in self._bucket_directory(bucket).items():
+        for directory in self._directory:
+            for fingerprint, run in directory.items():
                 fps.append(fingerprint)
                 lens.append(len(run))
                 sids.extend(run)

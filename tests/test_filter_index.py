@@ -194,7 +194,8 @@ class TestInsertMany:
         # Reference: the dynamic one-entry path, table by table.
         for sampler, table in b.table_units():
             for vector, sid in zip(matrix, sids):
-                table.insert(sampler.key(vector), sid)
+                key = sampler.key_words(vector[None])[0].tobytes()
+                table.insert(key[: sampler.key_bytes], sid)
         io_a = a._tables[0].pager.io.snapshot()
         io_b = b._tables[0].pager.io.snapshot()
         assert io_a.as_dict() == io_b.as_dict()

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.obs import metrics
 from repro.storage.hashtable import (
+    ENTRY_BYTES,
     BucketHashTable,
     UnresolvedTailError,
     hash_key,
@@ -145,50 +147,338 @@ class TestBucketHashTable:
         assert table.n_entries == sum(len(v) for v in model.values())
 
 
-class TestDirectoryInvalidation:
-    """The per-bucket fingerprint directory is a memo over page chains;
-    any mutation of a bucket must drop its memo or probes serve stale
-    (or ghost) entries."""
+def _rebuilt(table, bucket):
+    """Bucket ``bucket``'s directory rebuilt from its slots (uncharged
+    peeks, chain order): what the maintained directory must equal."""
+    image: dict[int, list[int]] = {}
+    for page_id in table._chains[bucket]:
+        for fp, sid in table.pager.peek(page_id).slots:
+            image.setdefault(fp, []).append(sid)
+    return image
 
-    def test_delete_invalidates_bucket_directory(self):
+
+def _assert_directories_current(table):
+    for bucket in range(table.n_buckets):
+        assert table._directory[bucket] == _rebuilt(table, bucket), bucket
+
+
+class TestDirectoryPatches:
+    """Every write patches its bucket's fingerprint directory in place,
+    so the directory always equals the one rebuilt from the slots."""
+
+    def test_delete_patches_run(self):
         table = _table(n_buckets=2)
         table.insert(b"k1", 1)
         table.insert(b"k1", 2)
-        bucket, _ = table._bucket_of(b"k1")
-        assert sorted(table.probe(b"k1")) == [1, 2]  # memo built
-        assert table._directory[bucket] is not None
+        bucket = hash_key(b"k1") % 2
+        assert table.probe(b"k1") == [1, 2]
         assert table.delete(b"k1", 1)
-        assert table._directory[bucket] is None  # memo dropped
+        assert table._directory[bucket] == {hash_key(b"k1"): [2]}
         assert table.probe(b"k1") == [2]  # no ghost entry
+        assert table.delete(b"k1", 2)
+        assert table._directory[bucket] == {}  # an emptied run is dropped
 
-    def test_insert_invalidates_bucket_directory(self):
+    def test_insert_appends_to_run(self):
         table = _table(n_buckets=2)
         table.insert(b"k1", 1)
-        table.probe(b"k1")
-        bucket, _ = table._bucket_of(b"k1")
-        assert table._directory[bucket] is not None
+        directory = table._directory[hash_key(b"k1") % 2]
         table.insert(b"k1", 9)
-        assert table._directory[bucket] is None
-        assert sorted(table.probe(b"k1")) == [1, 9]
+        assert table._directory[hash_key(b"k1") % 2] is directory
+        assert directory[hash_key(b"k1")] == [1, 9]
+        assert table.probe(b"k1") == [1, 9]
 
-    def test_delete_only_invalidates_its_own_bucket(self):
+    def test_delete_touches_only_its_bucket(self):
         table = _table(n_buckets=64)
         keys = [f"key-{i}".encode() for i in range(32)]
         for i, key in enumerate(keys):
             table.insert(key, i)
-        for key in keys:
-            table.probe(key)  # warm every touched bucket's memo
-        victim = keys[0]
-        victim_bucket, _ = table._bucket_of(victim)
-        warmed = {
-            b for b in range(64)
-            if table._directory[b] is not None and b != victim_bucket
+        before = [dict(d) for d in table._directory]
+        victim_bucket = hash_key(keys[0]) % 64
+        assert table.delete(keys[0], 0)
+        for bucket in range(64):
+            if bucket != victim_bucket:
+                assert table._directory[bucket] == before[bucket]
+        _assert_directories_current(table)
+
+    def test_moved_entry_takes_the_hole_rank(self):
+        """Compaction moves the chain's last entry into the hole; its
+        sid moves inside its run to the rank the hole gives it."""
+        table = _table(n_buckets=1, page_size=64)  # 4 entries per page
+        for key, sid in [(b"a", 1), (b"b", 2), (b"a", 3), (b"c", 4), (b"a", 5)]:
+            table.insert(key, sid)
+        assert table.delete(b"b", 2)  # a5 fills slot 1, tail page freed
+        assert table.pager.peek(table._chains[0][0]).slots[1] == (hash_key(b"a"), 5)
+        assert table.probe(b"a") == [1, 5, 3]
+        _assert_directories_current(table)
+
+    def test_bulk_load_extends_non_empty_buckets(self):
+        table = _table(n_buckets=2, page_size=64)
+        for i in range(6):
+            table.insert(b"k", i)
+        table.bulk_load([b"k", b"j", b"k"], [10, 11, 12])
+        assert table.probe(b"k") == [0, 1, 2, 3, 4, 5, 10, 12]
+        _assert_directories_current(table)
+
+
+_HT_COUNTERS = {
+    name: metrics.counter(f"hashtable.{name}")
+    for name in (
+        "probes", "probe_pages", "probe_pages_saved", "tail_reads_skipped",
+        "bulk_entries", "bulk_pages",
+    )
+}
+
+
+def _counter_moves(op):
+    """Run ``op``; its result and the nonzero ``hashtable.*`` moves."""
+    before = {name: c.local_value for name, c in _HT_COUNTERS.items()}
+    result = op()
+    return result, _nonzero(**{
+        name: c.local_value - before[name] for name, c in _HT_COUNTERS.items()
+    })
+
+
+def _nonzero(**moves):
+    return {name: d for name, d in moves.items() if d}
+
+
+class _SlotScanTable:
+    """Reference model: the table's writes and probes restated as their
+    page operations and charges, on a pager of its own, with no
+    directory -- probes scan slots.  Each method returns its result and
+    the ``hashtable.*`` counter moves the table must make, so the live
+    table can be held to both."""
+
+    def __init__(self, n_buckets):
+        self.pager = PageManager(IOCostModel(), page_size=64)
+        self.n_buckets = n_buckets
+        self.slots = self.pager.capacity_for(ENTRY_BYTES)
+        self.chains = [[] for _ in range(n_buckets)]
+        self.tail = [-1] * n_buckets
+
+    def insert(self, fp, sid):
+        bucket = fp % self.n_buckets
+        chain, page, skipped = self.chains[bucket], None, 0
+        if chain:
+            if self.tail[bucket] < 0:
+                page = self.pager.read(chain[-1], sequential=False)
+                if page.is_full:
+                    page = None
+            else:
+                skipped = 1
+                if self.tail[bucket] < self.slots:
+                    page = self.pager.peek(chain[-1])
+        if page is None:
+            page = self.pager.allocate(self.slots)
+            chain.append(page.page_id)
+        page.append((fp, sid))
+        self.pager.write(page.page_id)
+        self.tail[bucket] = len(page.slots)
+        return None, _nonzero(tail_reads_skipped=skipped)
+
+    def delete(self, fp, sid):
+        bucket = fp % self.n_buckets
+        chain = self.chains[bucket]
+        for rank, page_id in enumerate(chain):
+            page = self.pager.read(page_id, sequential=rank > 0)
+            if (fp, sid) not in page.slots:
+                continue
+            index = page.slots.index((fp, sid))
+            last = self.pager.read(chain[-1], sequential=True)
+            moved = last.slots.pop()
+            if not (page is last and index == len(last.slots)):
+                page.slots[index] = moved
+                self.pager.write(page.page_id)
+            if last.slots:
+                self.pager.write(last.page_id)
+                self.tail[bucket] = len(last.slots)
+            else:
+                self.pager.free(chain.pop())
+                self.tail[bucket] = -1
+            return True, {}
+        return False, {}
+
+    def bulk_load(self, fps, sids):
+        touched = sorted({fp % self.n_buckets for fp in fps})
+        tail_reads = 0
+        for bucket in touched:
+            if self.chains[bucket] and self.tail[bucket] < 0:
+                page = self.pager.read(self.chains[bucket][-1], sequential=False)
+                self.tail[bucket] = len(page.slots)
+                tail_reads += 1
+        new_pages = 0
+        for fp, sid in zip(fps, sids):
+            bucket = fp % self.n_buckets
+            chain = self.chains[bucket]
+            if chain and self.tail[bucket] < self.slots:
+                page = self.pager.peek(chain[-1])
+            else:
+                page = self.pager.allocate(self.slots)
+                chain.append(page.page_id)
+                new_pages += 1
+            page.append((fp, sid))
+            self.tail[bucket] = len(page.slots)
+        self.pager.io.write(len(fps))
+        report = {
+            "entries": len(fps), "new_pages": new_pages,
+            "buckets": len(touched), "tail_reads": tail_reads,
         }
-        assert warmed  # 32 keys over 64 buckets: others got warmed
-        assert table.delete(victim, 0)
-        assert table._directory[victim_bucket] is None
-        for b in warmed:
-            assert table._directory[b] is not None
+        return report, _nonzero(bulk_entries=len(fps), bulk_pages=new_pages)
+
+    def probe(self, fps):
+        members: dict[int, list[int]] = {}
+        for i, fp in enumerate(fps):
+            members.setdefault(fp % self.n_buckets, []).append(i)
+        results = [[] for _ in fps]
+        pages = saved = 0
+        for bucket, rows in members.items():
+            chain = self.chains[bucket]
+            slots = []
+            for rank, page_id in enumerate(chain):
+                slots += self.pager.read(page_id, sequential=rank > 0).slots
+            pages += len(chain)
+            saved += len(chain) * (len(rows) - 1)
+            for i in rows:
+                results[i] = [sid for fp, sid in slots if fp == fps[i]]
+        return results, _nonzero(
+            probes=len(fps), probe_pages=pages, probe_pages_saved=saved
+        )
+
+    def entries(self):
+        return [
+            slot for chain in self.chains for page_id in chain
+            for slot in self.pager.peek(page_id).slots
+        ]
+
+
+_WRITE_KEYS = [f"key-{i}".encode() for i in range(6)]
+_MISSES = [b"miss-0", b"miss-1"]
+
+
+class DirectoryMachine(RuleBasedStateMachine):
+    """Interleaved writes of every kind on a 4-entries-a-page table,
+    held after every step to: directories equal to a rebuild from the
+    slots (run order included); pages, tail tracking, I/O and counter
+    moves equal to the slot-scanning reference's; and the live grouped
+    probe equal to the frozen view's."""
+
+    @initialize(n_buckets=st.integers(1, 4))
+    def setup(self, n_buckets):
+        self.table = _table(n_buckets=n_buckets, page_size=64)
+        self.reference = _SlotScanTable(n_buckets)
+        self.next_sid = 100
+
+    def both(self, live, reference):
+        got, moves = _counter_moves(live)
+        want, reference_moves = reference()
+        assert got == want
+        assert moves == reference_moves
+        assert (
+            self.table.pager.io.snapshot().as_dict()
+            == self.reference.pager.io.snapshot().as_dict()
+        )
+        return got
+
+    def _delete(self, fp, sid):
+        return self.both(
+            lambda: self.table.delete_hashed(fp, sid),
+            lambda: self.reference.delete(fp, sid),
+        )
+
+    def _probe(self, keys):
+        fps = hash_keys(keys)
+        io_before = self.table.pager.io.snapshot()
+        live = self.both(
+            lambda: self.table.probe_hashed(fps.tolist()),
+            lambda: self.reference.probe(fps.tolist()),
+        )
+        live_io = self.table.pager.io.snapshot() - io_before
+        io = IOStats()
+        assert self.table.freeze().probe_hashed(fps, io) == live
+        assert io == live_io
+
+    @rule(key=st.sampled_from(_WRITE_KEYS), sid=st.integers(0, 5))
+    def insert(self, key, sid):
+        self.both(
+            lambda: self.table.insert(key, sid),
+            lambda: self.reference.insert(hash_key(key), sid),
+        )
+
+    @rule(data=st.data())
+    def insert_duplicate(self, data):
+        entries = self.reference.entries()
+        if entries:
+            fp, sid = data.draw(st.sampled_from(entries))
+            self.both(
+                lambda: self.table.insert_hashed(fp, sid),
+                lambda: self.reference.insert(fp, sid),
+            )
+
+    @rule(key=st.sampled_from(_WRITE_KEYS), sid=st.integers(0, 5))
+    def delete(self, key, sid):
+        self._delete(hash_key(key), sid)
+
+    @rule(data=st.data())
+    def delete_chain_last(self, data):
+        chains = [c for c in self.reference.chains if c]
+        if chains:
+            chain = data.draw(st.sampled_from(chains))
+            assert self._delete(*self.reference.pager.peek(chain[-1]).slots[-1])
+
+    @rule(data=st.data())
+    def delete_freeing_tail(self, data):
+        buckets = [
+            b for b, c in enumerate(self.reference.chains)
+            if c and len(self.reference.pager.peek(c[-1]).slots) == 1
+        ]
+        if buckets:
+            bucket = data.draw(st.sampled_from(buckets))
+            chain = self.reference.chains[bucket]
+            page_id = data.draw(st.sampled_from(chain))
+            entry = data.draw(st.sampled_from(self.reference.pager.peek(page_id).slots))
+            tail = chain[-1]
+            assert self._delete(*entry)
+            assert tail not in self.table._chains[bucket]
+
+    @rule(key=st.sampled_from(_WRITE_KEYS + _MISSES))
+    def delete_miss(self, key):
+        assert not self._delete(hash_key(key), 999)
+
+    @rule(keys=st.lists(st.sampled_from(_WRITE_KEYS), max_size=8))
+    def bulk_load(self, keys):
+        sids = list(range(self.next_sid, self.next_sid + len(keys)))
+        self.next_sid += len(keys)
+        self.both(
+            lambda: self.table.bulk_load(keys, sids),
+            lambda: self.reference.bulk_load(hash_keys(keys).tolist(), sids),
+        )
+
+    @rule(keys=st.lists(st.sampled_from(_WRITE_KEYS + _MISSES), max_size=8))
+    def probe(self, keys):
+        self._probe(keys)
+
+    @invariant()
+    def directories_equal_slots(self):
+        _assert_directories_current(self.table)
+        assert self.table._chains == self.reference.chains
+        for chain in self.reference.chains:
+            for page_id in chain:
+                assert (
+                    self.table.pager.peek(page_id).slots
+                    == self.reference.pager.peek(page_id).slots
+                )
+        assert self.table._tail_slots == self.reference.tail
+        assert self.table.n_entries == len(self.reference.entries())
+
+    @invariant()
+    def live_probe_equals_frozen(self):
+        self._probe(_WRITE_KEYS + _MISSES)
+
+
+TestDirectoryMaintenance = DirectoryMachine.TestCase
+TestDirectoryMaintenance.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
 
 
 def _keyed_workload(n, seed):
@@ -234,9 +524,7 @@ class TestBulkLoadEquivalence:
         keys, sids = _keyed_workload(30, 4)
         bulk = _table(n_buckets=4, page_size=64)
         bulk.bulk_load(keys, sids)
-        for bucket, chain in enumerate(bulk._chains):
-            if chain:
-                assert bulk._directory[bucket] is not None
+        _assert_directories_current(bulk)
 
     def test_bulk_load_onto_existing_entries(self):
         keys, sids = _keyed_workload(50, 5)

@@ -58,6 +58,17 @@ class TestSaveLoad:
         with pytest.raises(PersistenceError):
             load_index(path)
 
+    def test_older_version_names_both(self, small_index, tmp_path):
+        """A version-3 file (which may carry stale bucket directories)
+        fails at load, naming its version and the one this build reads."""
+        path = tmp_path / "old.ssi"
+        save_index(small_index, path)
+        blob = path.read_bytes()
+        path.write_bytes(MAGIC + (3).to_bytes(2, "little") + blob[len(MAGIC) + 2 :])
+        assert FORMAT_VERSION == 4
+        with pytest.raises(PersistenceError, match="format version 3; this build reads 4"):
+            load_index(path)
+
     def test_load_type_check(self, tmp_path):
         path = tmp_path / "notindex.ssi"
         save_index({"just": "a dict"}, path)

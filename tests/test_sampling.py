@@ -11,11 +11,16 @@ def _vec(bits):
     return pack_bits(np.array(bits, dtype=np.uint8))
 
 
+def _key(sampler, vector):
+    """One packed vector's key bytes, through the one-row matrix."""
+    return sampler.key_words(vector[None])[0].tobytes()[: sampler.key_bytes]
+
+
 class TestBitSampler:
     def test_key_is_deterministic(self):
         sampler = BitSampler(128, 10, np.random.default_rng(0))
         v = _vec([i % 2 for i in range(128)])
-        assert sampler.key(v) == sampler.key(v)
+        assert _key(sampler, v) == _key(sampler, v)
 
     def test_same_seed_same_positions(self):
         a = BitSampler(64, 5, np.random.default_rng(7))
@@ -26,7 +31,7 @@ class TestBitSampler:
         sampler = BitSampler(200, 16, np.random.default_rng(1))
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, size=200).astype(np.uint8)
-        assert sampler.key(_vec(bits)) == sampler.key(_vec(bits.copy()))
+        assert _key(sampler, _vec(bits)) == _key(sampler, _vec(bits.copy()))
 
     def test_key_depends_only_on_sampled_positions(self):
         sampler = BitSampler(100, 8, np.random.default_rng(3))
@@ -36,31 +41,35 @@ class TestBitSampler:
         untouched = [i for i in range(100) if i not in set(sampler.positions.tolist())]
         for i in untouched:
             other[i] = 1 - other[i]
-        assert sampler.key(_vec(bits)) == sampler.key(_vec(other))
+        assert _key(sampler, _vec(bits)) == _key(sampler, _vec(other))
 
     def test_key_changes_when_sampled_bit_flips(self):
         sampler = BitSampler(100, 8, np.random.default_rng(5))
         bits = np.zeros(100, dtype=np.uint8)
         flipped = bits.copy()
         flipped[int(sampler.positions[0])] = 1
-        assert sampler.key(_vec(bits)) != sampler.key(_vec(flipped))
+        assert _key(sampler, _vec(bits)) != _key(sampler, _vec(flipped))
 
     def test_key_words_matches_key(self):
+        """A matrix's key rows equal its rows keyed one at a time, and
+        are the sampled bits in position order, packed MSB first."""
         sampler = BitSampler(96, 12, np.random.default_rng(6))
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=(5, 96)).astype(np.uint8)
         matrix = pack_bits(bits)
         words = sampler.key_words(matrix)
         batch = [row.tobytes()[: sampler.key_bytes] for row in words]
-        singles = [sampler.key(matrix[i]) for i in range(5)]
+        singles = [_key(sampler, matrix[i]) for i in range(5)]
         assert batch == singles
+        packed = [np.packbits(row[sampler.positions]).tobytes() for row in bits]
+        assert batch == packed
 
     def test_r_larger_than_n_bits_allowed(self):
         """Sampling with replacement permits r > D."""
         sampler = BitSampler(8, 20, np.random.default_rng(8))
         assert sampler.r == 20
         v = _vec([1] * 8)
-        assert isinstance(sampler.key(v), bytes)
+        assert len(_key(sampler, v)) == sampler.key_bytes == 3
 
     def test_positions_in_range(self):
         sampler = BitSampler(50, 200, np.random.default_rng(9))
@@ -87,7 +96,7 @@ class TestBitSampler:
             flips = rng.random(n_bits) > similarity
             other[flips] ^= 1
             actual_s = 1.0 - flips.mean()
-            if sampler.key(_vec(base)) == sampler.key(_vec(other)):
+            if _key(sampler, _vec(base)) == _key(sampler, _vec(other)):
                 hits += 1
         expected = actual_s**r
         assert abs(hits / trials - expected) < 0.08

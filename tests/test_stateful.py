@@ -1,12 +1,16 @@
 """Stateful property tests: structures vs oracle models under random
 operation sequences (hypothesis RuleBasedStateMachine)."""
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.index import SetSimilarityIndex
 from repro.core.similarity import jaccard
+from repro.exec import ParallelExecutor
 from repro.storage.btree import BTree
 from repro.storage.iomodel import IOCostModel
 from repro.storage.pager import PageManager
@@ -16,7 +20,9 @@ element_sets = st.frozensets(st.integers(0, 60), min_size=1, max_size=12)
 
 class IndexMachine(RuleBasedStateMachine):
     """Insert/delete/query an index; answers must be a (verified)
-    subset of brute force, and exact-match queries must self-hit."""
+    subset of brute force, and exact-match queries must self-hit.  A
+    frozen snapshot and a pickle round trip, cut after any writes, must
+    answer as the live index does."""
 
     @initialize()
     def setup(self):
@@ -60,6 +66,43 @@ class IndexMachine(RuleBasedStateMachine):
         # The query's own (identical) set always collides in every table.
         if high == 1.0:
             assert sid in result.answer_sids
+
+    def _drawn_query(self, data):
+        low, high = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        query_set = self.model[data.draw(st.sampled_from(sorted(self.model)))]
+        return query_set, low, high
+
+    @rule(data=st.data())
+    def freeze_thaw(self, data):
+        """A frozen snapshot answers as the live index it was cut from,
+        whatever writes came before; thaw lets writes resume."""
+        if not self.model:
+            return
+        query_set, low, high = self._drawn_query(data)
+        live = self.index.query(query_set, low, high)
+        try:
+            with ParallelExecutor(self.index.freeze(), workers=1) as executor:
+                frozen = executor.query_batch([query_set], low, high)
+        finally:
+            self.index.thaw()
+        assert frozen.results[0].answers == live.answers
+
+    @rule(data=st.data())
+    def save_load(self, data):
+        """A pickle round trip answers as the index it was saved from,
+        and the loaded index carries on as the machine's index."""
+        if not self.model:
+            return
+        query_set, low, high = self._drawn_query(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.ssi"
+            self.index.save(path)
+            loaded = SetSimilarityIndex.load(path)
+        assert (
+            loaded.query(query_set, low, high).answers
+            == self.index.query(query_set, low, high).answers
+        )
+        self.index = loaded
 
     @invariant()
     def sizes_agree(self):
