@@ -48,13 +48,12 @@ snapshot (:mod:`repro.serve`): concurrent newline-delimited-JSON
 clients, micro-batched ``query_batch`` dispatch under a tunable
 window, admission control with typed ``overloaded`` responses, and a
 graceful drain on SIGTERM.  ``loadgen`` is its closed-loop benchmark
-client (QPS + latency percentiles + observed batch sizes).  The
-one-shot ``snapshot serve`` has been removed; ``serve`` + ``loadgen``
-(or ``query --snapshot``) replace it.  ``shard build`` partitions a
-collection into K independent per-shard snapshots under a checksummed
-manifest (:mod:`repro.exec.shard`); ``serve --shards`` / ``query``
-over a shard directory answer by scatter-gather, bit-identically to
-the unsharded index under the default mirror tuning.
+client (QPS + latency percentiles + observed batch sizes).  ``shard
+build`` partitions a collection into K independent per-shard snapshots
+under a checksummed manifest (:mod:`repro.exec.shard`); ``serve
+--shards`` / ``query`` over a shard directory answer by
+scatter-gather, bit-identically to the unsharded index under the
+default mirror tuning.
 
 Telemetry: ``query`` accepts ``--prom-out`` (Prometheus text
 exposition of the full metrics registry), ``--events-out`` (the
@@ -351,7 +350,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
           f"codec={getattr(index.embedder, 'codec', 'full64')}, "
           f"D={index.embedder.dimension} bits")
     sig_bytes = sum(v.nbytes for v in index._vectors.values())
-    verify_bytes = sum(a.nbytes for a in index._chashes.values())
+    arena = index._hashes
+    verify_bytes = arena.data.itemsize * int(
+        arena.lens[list(index._vectors)].sum()
+    )
     n_live = max(1, index.n_sets)
     print(f"bytes:             signatures {sig_bytes:,} "
           f"({sig_bytes / n_live:.1f}/set), "
@@ -488,9 +490,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
     ``save`` freezes a pickle-loaded index into a mapped-array
     directory; ``info`` prints the manifest summary (O(ms) open);
-    ``verify`` checksums every array.  The one-shot ``serve``
-    subcommand is gone -- ``repro serve`` owns the service codec -- and
-    now only prints a pointer at the replacement.
+    ``verify`` checksums every array.
     """
     if args.snapshot_command == "save":
         index = SetSimilarityIndex.load(args.index)
@@ -537,31 +537,19 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
             print(f"  {f['kind'].upper()} @ {f['point']:.3f}: "
                   f"l={f['l']}, r={f['r']}, s*={f['threshold']:.3f}")
         return 0
-    if args.snapshot_command == "verify":
-        from repro.exec import SnapshotError, verify_snapshot
+    from repro.exec import SnapshotError, verify_snapshot
 
-        try:
-            summary = verify_snapshot(args.path)
-        except SnapshotError as exc:
-            print(f"FAILED: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"OK: {summary['n_arrays']} arrays "
-            f"({summary['arrays_bytes']:,} bytes), {summary['n_sets']} sets, "
-            f"{summary['filters']} filters -- all checksums pass"
-        )
-        return 0
-    # serve: removed in favor of the always-on `repro serve`.  The
-    # subcommand still parses (so old invocations reach this message
-    # instead of an argparse usage dump) but always errors.
+    try:
+        summary = verify_snapshot(args.path)
+    except SnapshotError as exc:
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return 1
     print(
-        "error: 'snapshot serve' has been removed. Use "
-        "'repro serve --snapshot DIR' for the always-on coalescing query "
-        "service and 'repro loadgen' to drive it; 'repro query "
-        "--snapshot DIR' answers a one-shot batch from a mapped snapshot.",
-        file=sys.stderr,
+        f"OK: {summary['n_arrays']} arrays "
+        f"({summary['arrays_bytes']:,} bytes), {summary['n_sets']} sets, "
+        f"{summary['filters']} filters -- all checksums pass"
     )
-    return 2
+    return 0
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
@@ -999,29 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_snap_verify.add_argument("--path", required=True, help="snapshot directory")
     p_snap_verify.set_defaults(func=cmd_snapshot)
-
-    # Removed subcommand: kept parseable (with its old flags accepted
-    # and ignored) so stale scripts get the pointer at `repro serve`
-    # rather than an argparse usage dump.
-    p_snap_serve = snap_sub.add_parser(
-        "serve", help="removed -- use `repro serve` / `repro loadgen`"
-    )
-    p_snap_serve.add_argument("--path", help=argparse.SUPPRESS)
-    p_snap_serve.add_argument("--set", action="append", help=argparse.SUPPRESS)
-    p_snap_serve.add_argument("--sets-file", help=argparse.SUPPRESS)
-    p_snap_serve.add_argument("--low", type=float, default=0.5,
-                              help=argparse.SUPPRESS)
-    p_snap_serve.add_argument("--high", type=float, default=1.0,
-                              help=argparse.SUPPRESS)
-    p_snap_serve.add_argument("--strategy", default="index",
-                              help=argparse.SUPPRESS)
-    p_snap_serve.add_argument("--workers", type=int, default=1,
-                              help=argparse.SUPPRESS)
-    p_snap_serve.add_argument("--backend", default="thread",
-                              help=argparse.SUPPRESS)
-    p_snap_serve.add_argument("--json-lines", action="store_true",
-                              help=argparse.SUPPRESS)
-    p_snap_serve.set_defaults(func=cmd_snapshot)
 
     p_shard = sub.add_parser(
         "shard",

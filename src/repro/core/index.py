@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -307,12 +308,16 @@ def record_batch(
 class _LiveView:
     """The query pipeline's view of a live index, for one batch.
 
-    :mod:`repro.exec.pipeline` lists the operations; here they go
-    through the mutable structures themselves -- the filters' live
-    bucket tables, the set store behind the pager (and its buffer pool,
-    when configured), the per-sid vectors and hash arrays -- so reads
-    charge ``cost`` as they happen and inserts and deletes maintain
-    nothing for the query path.
+    :mod:`repro.exec.pipeline` lists the operations; here they run over
+    the mutable structures themselves -- the filters' live bucket
+    tables, the per-sid vectors, and the hash arena (plus collision
+    fallback set) that insert and delete keep current, which verify
+    gathers from as a snapshot gathers from its CSR.  A fetch charges
+    the set store's page rule, exactly what reading the sets through
+    the store costs; a set is read (uncharged) only when exact
+    verification needs its elements.  Behind a buffer pool charges
+    depend on what the pool holds, so there a fetch reads the sets
+    through the pager, which charges ``cost`` as it goes.
     """
 
     def __init__(self, index: "SetSimilarityIndex"):
@@ -324,7 +329,6 @@ class _LiveView:
         self.sfis, self.dfis = index._sfis, index._dfis
         self.all_sids = index._vectors
         self.scan_pages = index.store.n_pages
-        self._fetched: dict[int, frozenset] = {}
 
     @property
     def planner(self):
@@ -334,33 +338,29 @@ class _LiveView:
         return (self.sfis if kind == "sfi" else self.dfis)[point]
 
     def fetch(self, sids: list[int] | None, io: IOStats) -> None:
-        """Read the given sets (``None``: the whole heap, sequentially)
-        through the store; the pager charges ``cost``, not ``io``.  The
-        sets stay at hand for verification's hash-collision fallback."""
+        """Charge reading the given sets (``None``: the whole heap,
+        sequentially): one random read plus ``span - 1`` sequential
+        reads per set, or through the buffer pool when there is one."""
         store = self.index.store
-        self._fetched = (
-            dict(store.scan()) if sids is None
-            else {sid: store.get(sid) for sid in sids}
-        )
+        if self.index.pager.cache_pages:
+            deque(store.scan() if sids is None else map(store.get, sids), 0)
+        elif sids is None:
+            io.sequential_reads += self.scan_pages
+        elif sids:
+            spans = store.set_pages(self.index._hashes.size[sids])
+            io.random_reads += len(sids)
+            io.sequential_reads += int(spans.sum()) - len(sids)
 
     def verify_batch(self, query_sets, candidates_list, sigma_low, sigma_high, io):
-        """:func:`repro.exec.columnar.verify_batch` over the per-set hash
-        arrays: the CSR of whichever sids the kernel asks for is
-        concatenated on the spot."""
-        from repro.exec.columnar import build_csr, verify_batch
+        """:func:`repro.exec.columnar.verify_batch` over the hash arena."""
+        from repro.exec.columnar import stored_rows, verify_batch
 
-        chashes, set_sizes = self.index._chashes, self.index._sizes
+        index, arena = self.index, self.index._hashes
         return verify_batch(
             query_sets, candidates_list, sigma_low, sigma_high, io,
-            csr=lambda sids: build_csr(
-                [chashes[sid] for sid in sids.tolist()]
-            ),
-            sizes=lambda sids: np.fromiter(
-                (set_sizes[sid] for sid in sids.tolist()),
-                dtype=np.int64, count=len(sids),
-            ),
-            fallback_sids=self.index._cfallback,
-            get_set=self._fetched.__getitem__,
+            **stored_rows(arena.start, arena.data, arena.size, lens=arena.lens),
+            fallback_sids=index._cfallback,
+            get_set=index.store.peek,
         )
 
     def vectors_of(self, sids: list[int]) -> np.ndarray:
@@ -405,6 +405,8 @@ class SetSimilarityIndex:
         pager: PageManager,
         store: SetStore,
     ):
+        from repro.exec.columnar import HashArena
+
         self.embedder = embedder
         self.plan = plan
         self.distribution = distribution
@@ -412,11 +414,11 @@ class SetSimilarityIndex:
         self.io = pager.io
         self.store = store
         self._vectors: dict[int, np.ndarray] = {}
-        self._sizes: dict[int, int] = {}
-        # Columnar verification state: per sid the sorted uint64
-        # element-hash array, plus the sids whose array is unusable
-        # because two distinct elements collided (exact fallback).
-        self._chashes: dict[int, np.ndarray] = {}
+        # Columnar verification state: per sid the size and sorted
+        # uint64 element-hash array, plus the sids whose array is
+        # unusable because two distinct elements collided (exact
+        # fallback).
+        self._hashes = HashArena()
         self._cfallback: set[int] = set()
         self._sfis: dict[float, SimilarityFilterIndex] = {}
         self._dfis: dict[float, DissimilarityFilterIndex] = {}
@@ -564,7 +566,6 @@ class SetSimilarityIndex:
                     matrix = embedder.embed_many(sets)
                     for sid, row, elements in zip(sids, matrix, sets):
                         index._vectors[sid] = row
-                        index._sizes[sid] = len(elements)
                         index._set_chash(sid, elements)
                 embed_seconds = time.perf_counter() - t0
                 filter_report = bulk_load_filters(
@@ -609,11 +610,11 @@ class SetSimilarityIndex:
         yield from self._dfis.values()
 
     def _set_chash(self, sid: int, elements) -> None:
-        """Maintain the columnar hash array (and fallback flag) for a set."""
+        """Store a set's columnar hash row (and fallback flag)."""
         from repro.exec.columnar import hash_set
 
         arr, collided = hash_set(elements)
-        self._chashes[sid] = arr
+        self._hashes.put(sid, arr, len(elements))
         if collided:
             self._cfallback.add(sid)
 
@@ -640,7 +641,6 @@ class SetSimilarityIndex:
         sid = self.store.insert(stored)
         vector = self.embedder.embed(stored)
         self._vectors[sid] = vector
-        self._sizes[sid] = len(stored)
         self._set_chash(sid, stored)
         for fi in self._all_filters():
             fi.insert(vector, sid)
@@ -657,8 +657,6 @@ class SetSimilarityIndex:
             raise KeyError(f"unknown sid: {sid}")
         self._invalidate()
         vector = self._vectors.pop(sid)
-        self._sizes.pop(sid, None)
-        self._chashes.pop(sid, None)
         self._cfallback.discard(sid)
         for fi in self._all_filters():
             fi.delete(vector, sid)
@@ -775,7 +773,8 @@ class SetSimilarityIndex:
 
         if self._planner is None:
             avg_size = (
-                float(np.mean(list(self._sizes.values()))) if self._sizes else 1.0
+                float(np.mean(self._hashes.size[list(self._vectors)]))
+                if self._vectors else 1.0
             )
             self._planner = QueryPlanner(
                 plan=self.plan,

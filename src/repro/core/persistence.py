@@ -33,8 +33,9 @@ MAGIC = b"REPRO-SSI"
 #: stacked bit positions (every probe reads them).  Bumped to 4 when
 #: hash tables began maintaining their bucket directories on every
 #: write: a version-3 file may carry a stale (``None``) directory that
-#: nothing rebuilds any more.
-FORMAT_VERSION = 4
+#: nothing rebuilds any more.  Bumped to 5 when the per-sid hash-array
+#: and size dicts became one hash arena.
+FORMAT_VERSION = 5
 
 #: Indirection for fault-injection in tests (simulating a mid-write
 #: failure without monkeypatching the global ``os`` module).

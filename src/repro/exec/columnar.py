@@ -150,15 +150,19 @@ def build_csr(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gather_csr(
-    indptr: np.ndarray, data: np.ndarray, rows: np.ndarray
+    indptr: np.ndarray, data: np.ndarray, rows: np.ndarray,
+    lens: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sub-CSR of the given rows, in the given order, without a Python loop.
 
     The classic repeat/arange gather: absolute element indices are the
     repeated row starts plus each element's offset within its row.
+    Given ``lens``, ``indptr[r]`` is only row ``r``'s start and
+    ``lens[r]`` its length, so rows may sit anywhere in ``data`` (a
+    :class:`HashArena`); otherwise a row ends where the next begins.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    lens = indptr[rows + 1] - indptr[rows]
+    lens = indptr[rows + 1] - indptr[rows] if lens is None else lens[rows]
     sub_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(lens, out=sub_indptr[1:])
     total = int(sub_indptr[-1])
@@ -169,6 +173,68 @@ def gather_csr(
     )
     sub_data = data[np.repeat(indptr[rows], lens) + offsets]
     return sub_indptr, sub_data
+
+
+def stored_rows(starts, data, sizes, rows=None, lens=None) -> dict:
+    """:func:`verify_batch`'s ``csr`` / ``sizes`` adapters over stored
+    hash rows, one gather and one fancy index each: a candidate's row
+    is ``rows(sids)`` (default: its sid) of ``starts`` / ``sizes`` /
+    ``lens``, as :func:`gather_csr` reads them."""
+    at = (lambda sids: sids) if rows is None else rows
+    return {
+        "csr": lambda sids: gather_csr(starts, data, at(sids), lens),
+        "sizes": lambda sids: sizes[at(sids)],
+    }
+
+
+def _grown(array: np.ndarray, need: int) -> np.ndarray:
+    """``array`` copied into zeroed room for at least ``need`` entries
+    (doubling, so appends are amortised O(1))."""
+    out = np.zeros(max(need, 2 * len(array)), dtype=array.dtype)
+    out[: len(array)] = array
+    return out
+
+
+class HashArena:
+    """Every stored set's :func:`hash_set` array in one growable uint64
+    arena, with per-sid ``start`` / ``lens`` / ``size`` arrays indexed
+    by sid: set ``sid``'s row is ``data[start[sid]:start[sid] +
+    lens[sid]]`` and ``size[sid]`` its cardinality.
+
+    A row is written once, when its set is stored.  A deleted sid's row
+    stays behind unreferenced, as its heap record does.  A pickle holds
+    only the rows in use, not the spare capacity.
+    """
+
+    def __init__(self):
+        self.data = np.empty(0, dtype=np.uint64)
+        self.start = np.zeros(0, dtype=np.int64)
+        self.lens = np.zeros(0, dtype=np.int64)
+        self.size = np.zeros(0, dtype=np.int64)
+        self.used = 0
+        self.rows = 0
+
+    def put(self, sid: int, hashes: np.ndarray, size: int) -> None:
+        """Store set ``sid``'s sorted hash array and cardinality."""
+        end = self.used + len(hashes)
+        if end > len(self.data):
+            self.data = _grown(self.data, end)
+        if sid >= len(self.start):
+            self.start, self.lens, self.size = (
+                _grown(a, sid + 1) for a in (self.start, self.lens, self.size)
+            )
+        self.data[self.used:end] = hashes
+        self.start[sid], self.lens[sid], self.size[sid] = (
+            self.used, len(hashes), size
+        )
+        self.used, self.rows = end, max(self.rows, sid + 1)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["data"] = self.data[: self.used]
+        for name in ("start", "lens", "size"):
+            state[name] = state[name][: self.rows]
+        return state
 
 
 def intersect_counts(
@@ -197,14 +263,17 @@ def in_range_answers(
     cand_list, values, sigma_low: float, sigma_high: float
 ) -> list[tuple[int, float]]:
     """Filter (sid, similarity) pairs to the range, sorted best-first
-    (sid ties ascending) -- the order every verification path produces."""
-    answers = [
-        (sid, float(value))
-        for sid, value in zip(cand_list, values)
-        if sigma_low <= value <= sigma_high
-    ]
-    answers.sort(key=lambda pair: (-pair[1], pair[0]))
-    return answers
+    (sid ties ascending) -- the order every verification path produces.
+
+    ``cand_list`` holds distinct sids and ``values`` their similarities
+    (an array or a list of floats).  The range test and the order run on
+    arrays; Python tuples are built for the in-range hits only.
+    """
+    sids = np.asarray(cand_list, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    keep = np.flatnonzero((sigma_low <= values) & (values <= sigma_high))
+    keep = keep[np.lexsort((sids[keep], -values[keep]))]
+    return list(zip(sids[keep].tolist(), values[keep].tolist()))
 
 
 def jaccard_values(query_len, sizes: np.ndarray, inter: np.ndarray) -> np.ndarray:
@@ -414,7 +483,7 @@ def _verify_pairwise(
             for j, sid in enumerate(cand_list):
                 if sid in fallback_sids:
                     values[j] = jaccard(get_set(sid), query_set)
-    return in_range_answers(cand_list, values, sigma_low, sigma_high)
+    return in_range_answers(cand_sids, values, sigma_low, sigma_high)
 
 
 def _verify_join(

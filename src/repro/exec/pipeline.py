@@ -19,16 +19,19 @@ the storage genuinely differs, and nothing above these operations does:
   ``sfis`` / ``dfis`` and ``filter_probe(kind, point)`` -- each filter
   answering ``probe_tables(start, stop, matrix, io)`` -- ``all_sids``,
   ``scan_pages``;
-- ``fetch(sids, io)``: make the sets of the given sids (``None``: the
-  whole heap, sequentially) available to verification and charge
-  reading them;
-- ``verify_batch(query_sets, candidates_list, lo, hi, io)``;
+- ``fetch(sids, io)``: charge reading the sets of the given sids
+  (``None``: the whole heap, sequentially);
+- ``verify_batch(query_sets, candidates_list, lo, hi, io)``: exact
+  verification over the view's per-set hash rows, which reads a set's
+  elements only on the exact fallback paths;
 - ``vectors_of(sids)`` for the traced ``est_in_range`` aggregate.
 
-:class:`~repro.exec.snapshot.IndexSnapshot` (heap arrays or a mapped
-snapshot file) *accounts* every charge into the ``io`` it is handed;
-the live index's view (:mod:`repro.core.index`) reads through its pager
-and buffer pool, which charge ``cost`` as the reads happen.
+Both views *account* each fetch into the ``io`` they are handed, from
+the set store's page rule (a snapshot froze it into arrays; the live
+view applies it to the sizes in its hash arena).  The one exception is
+a live index behind a buffer pool: cached reads make charges depend on
+read order, so its fetch reads the sets through the pager, which
+charges ``cost`` as the reads happen.
 
 **The scheduler** is where a stage's tasks run: ``workers``,
 ``backend``, ``run(view, specs)`` and ``report(tasks, strategy,

@@ -12,12 +12,14 @@ immutable, pre-computed state:
   *accounted* into a caller-supplied ``IOStats``);
 - stored ECC vectors packed into one contiguous ``(N, words)`` uint64
   matrix with a sid -> row map;
-- stored sets materialized twice: as sorted stable-hash uint64 arrays
-  in CSR ``(indptr, data)`` layout for columnar exact verification, and
-  as the actual ``frozenset`` objects for the hash-collision fallback;
-- per-set fetch costs and the heap scan cost *measured once* at freeze
-  time, so serving a query charges exactly what the live index would
-  have charged without touching the pager.
+- the live index's hash arena gathered, in sid order, into one CSR
+  ``(indptr, data)`` of sorted stable-hash uint64 arrays for columnar
+  exact verification; the sets themselves are read (uncharged) from
+  the store only when the exact fallback asks for one;
+- per-set fetch costs and the heap scan cost taken from the set store's
+  page rule (:meth:`~repro.storage.setstore.SetStore.set_pages`), so
+  serving a query charges exactly what the live index charges, without
+  touching the pager.
 
 Every query-relevant charge is therefore a pure function of the query
 batch.  A snapshot is one of the two views the query pipeline runs over
@@ -31,8 +33,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import query_plan
-from repro.exec.columnar import gather_csr, verify_batch
+from repro.exec.columnar import gather_csr, stored_rows, verify_batch
 from repro.storage.iomodel import IOStats
+
+
+class _StoredSets:
+    """``sid -> frozenset`` read from a frozen index's set store,
+    uncharged (the snapshot charges fetches from its cost arrays)."""
+
+    __slots__ = ("peek",)
+
+    def __init__(self, store):
+        self.peek = store.peek
+
+    def __getitem__(self, sid: int) -> frozenset:
+        return self.peek(sid)
 
 
 class IndexSnapshot:
@@ -60,39 +75,16 @@ class IndexSnapshot:
                 "could not reproduce the live accounting"
             )
         sids = sorted(index._vectors)
+        sid_array = np.asarray(sids, dtype=np.int64)
         row_of = {sid: row for row, sid in enumerate(sids)}
         n_words = index.embedder.n_words
         vector_matrix = (
             np.stack([index._vectors[sid] for sid in sids])
             if sids else np.empty((0, n_words), dtype=np.uint64)
         )
-        indptr = np.zeros(len(sids) + 1, dtype=np.int64)
-        if sids:
-            np.cumsum([len(index._chashes[sid]) for sid in sids], out=indptr[1:])
-        data = (
-            np.concatenate([index._chashes[sid] for sid in sids])
-            if sids and indptr[-1]
-            else np.empty(0, dtype=np.uint64)
-        )
-        sizes = np.fromiter(
-            (index._sizes[sid] for sid in sids), dtype=np.int64, count=len(sids)
-        )
-        # Measure each set's fetch cost (B-tree lookup + heap record
-        # read) once, capturing the actual sets along the way; the
-        # charges are rolled back so freezing is cost-free.
-        fetch_random = np.zeros(len(sids), dtype=np.int64)
-        fetch_seq = np.zeros(len(sids), dtype=np.int64)
-        sets: dict[int, frozenset] = {}
-        saved = index.io.snapshot()
-        try:
-            for row, sid in enumerate(sids):
-                before = index.io.snapshot()
-                sets[sid] = index.store.get(sid)
-                delta = index.io.snapshot() - before
-                fetch_random[row] = delta.random_reads
-                fetch_seq[row] = delta.sequential_reads
-        finally:
-            index.io.stats = saved
+        arena = index._hashes
+        indptr, data = gather_csr(arena.start, arena.data, sid_array, arena.lens)
+        sizes = arena.size[sid_array]
         return cls(
             embedder=index.embedder,
             plan=index.plan,
@@ -102,7 +94,7 @@ class IndexSnapshot:
             sfis={p: fi.freeze() for p, fi in index._sfis.items()},
             dfis={p: fi.freeze() for p, fi in index._dfis.items()},
             sids=sids,
-            sid_array=np.asarray(sids, dtype=np.int64),
+            sid_array=sid_array,
             row_of=row_of,
             all_sids=frozenset(sids),
             vector_matrix=vector_matrix,
@@ -110,9 +102,9 @@ class IndexSnapshot:
             set_data=data,
             set_sizes=sizes,
             fallback_sids=frozenset(index._cfallback),
-            sets=sets,
-            fetch_random=fetch_random,
-            fetch_seq=fetch_seq,
+            sets=_StoredSets(index.store),
+            fetch_random=np.ones(len(sids), dtype=np.int64),
+            fetch_seq=index.store.set_pages(sizes) - 1,
             scan_pages=index.store.n_pages,
         )
 
@@ -190,10 +182,9 @@ class IndexSnapshot:
         the same per-pair CPU the live path charges into ``io``."""
         return verify_batch(
             query_sets, candidates_list, sigma_low, sigma_high, io,
-            csr=lambda sids: gather_csr(
-                self.set_indptr, self.set_data, self._rows(sids)
+            **stored_rows(
+                self.set_indptr, self.set_data, self.set_sizes, self._rows
             ),
-            sizes=lambda sids: self.set_sizes[self._rows(sids)],
             fallback_sids=self.fallback_sids,
             get_set=self.sets.__getitem__,
         )

@@ -6,8 +6,8 @@ thread/process executors are bit-identical to the sequential path.
 This package converts those savings into a *service*:
 
 - :mod:`~repro.serve.protocol` -- the newline-delimited JSON codec
-  (typed errors, size limits) shared by the server, the load
-  generator and the one-shot ``snapshot serve`` path;
+  (typed errors, size limits) shared by the server and the load
+  generator;
 - :mod:`~repro.serve.coalescer` -- the micro-batching state machine
   (:class:`~repro.serve.coalescer.CoalescerCore`, synchronous and
   property-tested) plus its asyncio wrapper

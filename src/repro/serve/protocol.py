@@ -3,10 +3,9 @@
 One request per line, one response per line, matched by the client's
 ``id`` (responses may arrive out of submission order when requests are
 pipelined on one connection).  The same codec backs the always-on
-server (:mod:`repro.serve.server`), the load generator
-(:mod:`repro.serve.loadgen`) and the one-shot ``snapshot serve`` CLI
-path, so every entry point validates and serializes queries
-identically.
+server (:mod:`repro.serve.server`) and the load generator
+(:mod:`repro.serve.loadgen`), so both ends validate and serialize
+queries identically.
 
 Request::
 

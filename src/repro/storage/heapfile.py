@@ -69,6 +69,10 @@ class HeapFile:
             self.pager.io.read_sequential(rid.n_pages - 1)
         return page.slots[rid.slot]
 
+    def peek(self, rid: RecordId) -> Any:
+        """One record, charging nothing."""
+        return self.pager.peek(rid.page_id).slots[rid.slot]
+
     def scan(self) -> Iterator[tuple[RecordId, Any]]:
         """Yield every record in file order at sequential I/O cost."""
         for rid in self._records:

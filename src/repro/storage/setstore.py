@@ -11,11 +11,21 @@ Elements are assumed to be URL-string-sized values (64 bytes, matching
 the paper's HTTP-log strings), so a 4 KiB page holds 64 of them --
 ``page span = ceil(|S| / 64)``.  Pass ``element_bytes`` to model other
 element types.
+
+The sid B-tree is held fully in memory (the regime the paper's
+crossover estimate assumes: a candidate lookup costs just its data
+pages), so without a buffer pool a set's fetch charge is a pure
+function of its size: one random read plus ``span - 1`` sequential
+reads (:meth:`SetStore.set_pages`).  Views that know the sizes charge
+that rule directly and read a set through :meth:`SetStore.peek` only
+when they need its elements.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.storage.btree import BTree
 from repro.storage.heapfile import HeapFile, RecordId
@@ -33,23 +43,21 @@ class SetStore:
         pager: PageManager,
         min_degree: int = 64,
         element_bytes: int = ELEMENT_BYTES,
-        btree_cache: str = "all",
     ):
         self.pager = pager
         self._elements_per_page = pager.capacity_for(element_bytes)
         self._heap = HeapFile(pager, record_pages=self._set_pages)
-        # The sid index is small and scorching hot (every candidate
-        # fetch touches it); the paper's crossover estimate charges a
-        # candidate lookup as one data-page random read, i.e. a fully
-        # cached B-tree.  Pass btree_cache="inner"/"none" for colder
-        # costings.
-        self._btree = BTree(pager, min_degree=min_degree, cache=btree_cache)
+        self._btree = BTree(pager, min_degree=min_degree, cache="all")
         self._live: set[int] = set()
         self._next_sid = 0
 
+    def set_pages(self, sizes):
+        """Heap pages a set of each given size spans (element-wise over
+        an array): what :meth:`get` reads, the first page at random."""
+        return np.maximum(1, -(-sizes // self._elements_per_page))
+
     def _set_pages(self, record) -> int:
-        sid, elements = record
-        return max(1, -(-len(elements) // self._elements_per_page))
+        return int(self.set_pages(len(record[1])))
 
     def insert(self, elements: Iterable) -> int:
         """Store a set, returning its new set identifier."""
@@ -72,6 +80,11 @@ class SetStore:
         if stored_sid != sid:
             raise KeyError(f"sid {sid} resolved to record of sid {stored_sid}")
         return elements
+
+    def peek(self, sid: int) -> frozenset:
+        """The set ``sid``, charging nothing: for a reader that charged
+        its fetch by :meth:`set_pages` already."""
+        return self._heap.peek(self._btree.search(sid))[1]
 
     def delete(self, sid: int) -> None:
         """Remove a set identifier from the index.

@@ -82,11 +82,16 @@ def _assert_bit_identical(a, b):
                         ta.pager.peek(pid).slots == tb.pager.peek(pid).slots
                     ), key
             assert ta._directory == tb._directory, key
-    assert a._sizes == b._sizes
     assert set(a._vectors) == set(b._vectors)
     for sid in a._vectors:
         assert np.array_equal(a._vectors[sid], b._vectors[sid])
-        assert np.array_equal(a._chashes[sid], b._chashes[sid])
+    ha, hb = a._hashes, b._hashes
+    assert (ha.used, ha.rows) == (hb.used, hb.rows)
+    assert np.array_equal(ha.data[: ha.used], hb.data[: hb.used])
+    for name in ("start", "lens", "size"):
+        assert np.array_equal(
+            getattr(ha, name)[: ha.rows], getattr(hb, name)[: hb.rows]
+        )
 
 
 class TestBuildEquivalence:

@@ -209,23 +209,6 @@ class TestSnapshotCommands:
         assert rc == 0
         assert "all checksums pass" in capsys.readouterr().out
 
-    def test_snapshot_serve_removed(self, built_index_path, tmp_path, capsys):
-        """Old `snapshot serve` command lines parse but error with a
-        pointer at `repro serve`."""
-        snap_dir = tmp_path / "snap.d"
-        assert main(["snapshot", "save", "--index", str(built_index_path),
-                     "--out", str(snap_dir)]) == 0
-        capsys.readouterr()
-        rc = main(
-            ["snapshot", "serve", "--path", str(snap_dir),
-             "--set", "apple banana cherry", "--low", "0.9", "--high", "1.0"]
-        )
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert "removed" in captured.err
-        assert "repro serve --snapshot" in captured.err
-
     def test_verify_reports_corruption(self, built_index_path, tmp_path, capsys):
         snap_dir = tmp_path / "snap.d"
         assert main(

@@ -213,13 +213,13 @@ class TestIndexEquivalence:
         ``frozenset`` verification and still answers correctly."""
         sid = next(iter(index.sids))
         elements = index.store.get(sid)
-        # Corrupt the stored array as a collision would: shorter than
+        # Corrupt the stored row as a collision would: shorter than
         # the set, and mark the sid for fallback.
-        index._chashes[sid] = index._chashes[sid][:-1].copy()
+        index._hashes.lens[sid] -= 1
         index._cfallback.add(sid)
         try:
             result = index.query(elements, 0.9, 1.0)
             assert any(s == sid and v == 1.0 for s, v in result.answers)
         finally:
-            index._chashes[sid] = hash_set(elements)[0]
+            index._hashes.lens[sid] += 1
             index._cfallback.discard(sid)

@@ -59,14 +59,14 @@ class TestSaveLoad:
             load_index(path)
 
     def test_older_version_names_both(self, small_index, tmp_path):
-        """A version-3 file (which may carry stale bucket directories)
+        """A version-4 file (per-sid hash-array dicts, no hash arena)
         fails at load, naming its version and the one this build reads."""
         path = tmp_path / "old.ssi"
         save_index(small_index, path)
         blob = path.read_bytes()
-        path.write_bytes(MAGIC + (3).to_bytes(2, "little") + blob[len(MAGIC) + 2 :])
-        assert FORMAT_VERSION == 4
-        with pytest.raises(PersistenceError, match="format version 3; this build reads 4"):
+        path.write_bytes(MAGIC + (4).to_bytes(2, "little") + blob[len(MAGIC) + 2 :])
+        assert FORMAT_VERSION == 5
+        with pytest.raises(PersistenceError, match="format version 4; this build reads 5"):
             load_index(path)
 
     def test_load_type_check(self, tmp_path):

@@ -14,9 +14,7 @@ serializes via ``repr``).
 The robustness half attacks the protocol: malformed JSON, invalid
 requests, oversized lines, half-closed sockets, pipelining, slow
 clients and overload must all produce *typed* errors (or correct
-answers) and leave the server serving.  A regression test pins the
-*removal* of the one-shot ``snapshot serve`` CLI invocation: old
-command lines still parse but get an error pointing at this service.
+answers) and leave the server serving.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import main as cli_main
 from repro.core.index import SetSimilarityIndex
 from repro.data.generators import planted_clusters
 from repro.serve import QueryServer, ServeConfig, protocol, run_loadgen
@@ -458,39 +455,6 @@ class TestOverloadAndDrain:
         assert metrics.hdr("serve.request_latency_ms").count > 0
         assert metrics.hdr("serve.queue_wait_ms").count > 0
         assert metrics.histogram("serve.batch_size").count >= server.stats()["batches"]
-
-
-# ---------------------------------------------------------------------------
-# Removed one-shot path: old invocations get a pointer, never answers
-# ---------------------------------------------------------------------------
-
-
-class TestOneShotSnapshotServeRemoved:
-    def test_old_invocation_errors_with_pointer(self, workload, capsys):
-        """`snapshot serve` is gone: the old flags still parse, but the
-        command errors (rc 2) and points at the replacement service."""
-        _, queries, path = workload
-        probe = " ".join(str(e) for e in sorted(queries[0]))
-        rc = cli_main([
-            "snapshot", "serve", "--path", str(path),
-            "--set", probe, "--low", "0.4",
-        ])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""  # no answers from the removed path
-        assert "removed" in captured.err
-        assert "repro serve --snapshot" in captured.err
-        assert "loadgen" in captured.err
-
-    def test_json_lines_flag_also_errors(self, workload, capsys):
-        _, _, path = workload
-        rc = cli_main([
-            "snapshot", "serve", "--path", str(path),
-            "--set", "a b", "--json-lines",
-        ])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "removed" in captured.err
 
 
 # ---------------------------------------------------------------------------

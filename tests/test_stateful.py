@@ -1,6 +1,8 @@
 """Stateful property tests: structures vs oracle models under random
 operation sequences (hypothesis RuleBasedStateMachine)."""
 
+import numpy as np
+
 import tempfile
 from pathlib import Path
 
@@ -8,11 +10,12 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core.index import SetSimilarityIndex
+from repro.core.index import SetSimilarityIndex, _LiveView
 from repro.core.similarity import jaccard
 from repro.exec import ParallelExecutor
+from repro.exec.columnar import hash_set
 from repro.storage.btree import BTree
-from repro.storage.iomodel import IOCostModel
+from repro.storage.iomodel import IOCostModel, IOStats
 from repro.storage.pager import PageManager
 
 element_sets = st.frozensets(st.integers(0, 60), min_size=1, max_size=12)
@@ -22,7 +25,9 @@ class IndexMachine(RuleBasedStateMachine):
     """Insert/delete/query an index; answers must be a (verified)
     subset of brute force, and exact-match queries must self-hit.  A
     frozen snapshot and a pickle round trip, cut after any writes, must
-    answer as the live index does."""
+    answer (and, frozen, charge) as the live index does, and the hash
+    arena and fetch charges the live view verifies from must match the
+    set store after every step."""
 
     @initialize()
     def setup(self):
@@ -86,6 +91,7 @@ class IndexMachine(RuleBasedStateMachine):
         finally:
             self.index.thaw()
         assert frozen.results[0].answers == live.answers
+        assert frozen.io == live.io
 
     @rule(data=st.data())
     def save_load(self, data):
@@ -108,6 +114,24 @@ class IndexMachine(RuleBasedStateMachine):
     def sizes_agree(self):
         assert self.index.n_sets == len(self.model)
         assert self.index.sids == set(self.model)
+
+    @invariant()
+    def arena_and_charges_match_store(self):
+        """Every live sid's arena row is the hash array of its stored
+        set, and the fetch the live view charges is what reading that
+        set through the store costs."""
+        index, arena = self.index, self.index._hashes
+        view = _LiveView(index)
+        for sid, elements in self.model.items():
+            start, length = arena.start[sid], arena.lens[sid]
+            row = arena.data[start:start + length]
+            assert np.array_equal(row, hash_set(elements)[0])
+            assert arena.size[sid] == length == len(elements)
+            before = index.io.snapshot()
+            assert index.store.get(sid) == elements
+            charged = IOStats()
+            view.fetch([sid], charged)
+            assert charged == index.io.snapshot() - before
 
 
 class BTreeMachine(RuleBasedStateMachine):
