@@ -21,27 +21,24 @@ Usage (after ``pip install -e .``)::
 
 The input format for ``build`` is one set per line, elements separated
 by whitespace (elements are treated as opaque strings); ``build
---workers N`` fans the filter-table bulk loads out over ``N`` planning
-threads (bit-identical index at any count) and ``build --explain``
-prints the traced build phases.  ``query``
+--explain`` prints the traced build phases.  ``query``
 prints one ``sid<TAB>similarity`` line per answer; with ``--explain``
 it appends the traced plan tree.  Repeating ``--set`` (or giving
 ``--sets-file``) runs all query sets as one *batch* through
 ``query_batch`` -- shared bucket reads, one fetch per distinct
 candidate -- printing ``query_index<TAB>sid<TAB>similarity`` lines.
-``--workers N`` serves the batch from a frozen snapshot
-(``index.freeze()``) on ``N`` threads; answers and simulated costs are
-identical at any worker count.  ``explain`` runs the query purely
+``explain`` runs the query purely
 for its plan tree (or structured JSON with ``--json``).  ``-v``/``-vv``
 raise log verbosity (INFO/DEBUG) on the ``repro`` logger hierarchy.
 
 ``snapshot save`` writes a zero-copy mmap snapshot directory
 (:mod:`repro.exec.snapfile`) that ``serve`` / ``query
 --snapshot DIR`` open in O(ms) -- no pickle deserialization pass.
-``--backend process`` serves the batch from worker *processes* that
-each map the same snapshot (spawn start method, genuine multi-core);
-answers and accounting stay bit-identical to the sequential path at
-any worker count and backend.
+Query work runs on the calling thread unless ``--backend process``
+serves the batch from ``--workers N`` worker *processes* that each map
+the same snapshot (spawn start method, genuine multi-core); answers
+and accounting stay bit-identical to the in-process path at any worker
+count and backend.
 
 ``serve`` runs the always-on coalescing query service over a mapped
 snapshot (:mod:`repro.serve`): concurrent newline-delimited-JSON
@@ -95,9 +92,7 @@ def read_sets(path: Path) -> list[frozenset[str]]:
 def cmd_build(args: argparse.Namespace) -> int:
     """``build``: index a one-set-per-line file and save it.
 
-    The filter tables are bulk-loaded through the vectorized pipeline;
-    ``--workers N`` plans the independent (filter, table) units on
-    ``N`` threads (the index is bit-identical at any count).
+    The filter tables are bulk-loaded through the vectorized pipeline.
     ``--explain`` traces the build and appends its phase tree plus the
     build report.
     """
@@ -110,7 +105,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         b=args.bits,
         seed=args.seed,
         sample_pairs=args.sample_pairs,
-        workers=args.workers,
         explain=args.explain,
         codec=args.codec,
     )
@@ -127,10 +121,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     if report is not None and report.get("filters") is not None:
         f = report["filters"]
         print(
-            f"build: {f['entries']} entries over {f['n_units']} table units "
-            f"({f['new_pages']} pages), workers={f['workers']}, "
-            f"plan {f['plan_busy_seconds']:.3f}s busy / "
-            f"{f['modeled_plan_makespan']:.3f}s modeled makespan, "
+            f"build: {f['entries']} entries ({f['new_pages']} pages), "
+            f"plan {f['plan_wall_seconds']:.3f}s, "
             f"apply {f['apply_wall_seconds']:.3f}s"
         )
     if args.explain:
@@ -165,15 +157,16 @@ def _snapshot_batch(path, query_sets, args, explain: bool):
     if is_sharded(path):
         sharded = open_sharded(path)
         open_ms = (time.perf_counter() - t0) * 1e3
-        print(
-            f"# sharded index {path}: opened in {open_ms:.1f} ms "
-            f"({sharded.n_sets} sets over {sharded.n_shards} shards), "
-            f"backend={args.backend}, workers={args.workers}, route={route}",
-            file=sys.stderr,
-        )
         with ShardedExecutor(
             sharded, workers=args.workers, backend=args.backend, route=route
         ) as executor:
+            print(
+                f"# sharded index {path}: opened in {open_ms:.1f} ms "
+                f"({sharded.n_sets} sets over {sharded.n_shards} shards), "
+                f"backend={args.backend}, workers={executor.workers}, "
+                f"route={route}",
+                file=sys.stderr,
+            )
             batch = executor.query_batch(
                 query_sets, args.low, args.high,
                 strategy=args.strategy, explain=explain,
@@ -189,14 +182,15 @@ def _snapshot_batch(path, query_sets, args, explain: bool):
             return batch
     snapshot = open_snapshot(path)
     open_ms = (time.perf_counter() - t0) * 1e3
-    print(
-        f"# snapshot {path}: opened in {open_ms:.1f} ms ({snapshot.n_sets} sets), "
-        f"backend={args.backend}, workers={args.workers}",
-        file=sys.stderr,
-    )
     with ParallelExecutor(
         snapshot, workers=args.workers, backend=args.backend
     ) as executor:
+        print(
+            f"# snapshot {path}: opened in {open_ms:.1f} ms "
+            f"({snapshot.n_sets} sets), backend={args.backend}, "
+            f"workers={executor.workers}",
+            file=sys.stderr,
+        )
         return executor.query_batch(
             query_sets, args.low, args.high,
             strategy=args.strategy, explain=explain,
@@ -237,8 +231,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     batched execution sharing bucket reads and candidate fetches, with
     per-query answer blocks prefixed by the query's position.  With
     ``--snapshot DIR`` the queries are served from a mapped snapshot
-    (always as a batch) on ``--workers`` threads or -- with
-    ``--backend process`` -- worker processes.
+    (always as a batch) on the calling thread or -- with ``--backend
+    process`` -- on ``--workers`` worker processes.
     """
     query_sets = [frozenset(s.split()) for s in (args.set or [])]
     if args.sets_file:
@@ -282,23 +276,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
         trace_root = result.trace
     else:
-        if args.workers > 1:
-            from repro.exec import ParallelExecutor
-
-            snapshot = index.freeze()
-            try:
-                with ParallelExecutor(snapshot, workers=args.workers) as ex:
-                    batch = ex.query_batch(
-                        query_sets, args.low, args.high,
-                        strategy=args.strategy, explain=explain,
-                    )
-            finally:
-                index.thaw()
-        else:
-            batch = index.query_batch(
-                query_sets, args.low, args.high,
-                strategy=args.strategy, explain=explain,
-            )
+        batch = index.query_batch(
+            query_sets, args.low, args.high,
+            strategy=args.strategy, explain=explain,
+        )
         _print_batch(batch)
         trace_root = batch.trace
     if args.explain:
@@ -579,7 +560,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
             sample_pairs=args.sample_pairs,
             workload=workload,
             workload_range=(args.workload_low, args.workload_high),
-            workers=args.workers,
             codec=args.codec,
         )
         live = sum(1 for e in manifest["shards"] if not e.get("empty"))
@@ -708,7 +688,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"# serving {server.snapshot.n_sets} sets on "
             f"{config.host}:{server.port} -- backend={config.backend} "
-            f"workers={config.workers} max_batch={config.max_batch} "
+            f"workers={server.stats()['workers']} max_batch={config.max_batch} "
             f"max_wait={config.max_wait_ms}ms max_pending={config.max_pending}",
             file=sys.stderr, flush=True,
         )
@@ -860,11 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--sample-pairs", type=int, default=100_000)
     p_build.add_argument(
-        "--workers", type=int, default=1,
-        help="plan the filter-table bulk loads on this many threads "
-             "(the built index is identical at any count)",
-    )
-    p_build.add_argument(
         "--explain", action="store_true",
         help="trace the build and append its phase tree",
     )
@@ -900,15 +875,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument(
         "--workers", type=int, default=1,
-        help="serve a batch from a frozen snapshot on this many workers "
-             "(results and accounting are identical at any count); for a "
-             "sharded --snapshot this sizes the fleet's one pool, not a "
-             "pool per shard",
+        help="worker processes for --backend process (results and "
+             "accounting are identical at any count); for a sharded "
+             "--snapshot this sizes the fleet's one pool.  The thread "
+             "backend runs on the calling thread and ignores it",
     )
     p_query.add_argument(
         "--backend", choices=("thread", "process"), default="thread",
-        help="worker pool backend; 'process' maps a saved --snapshot "
-             "from each worker process (genuine multi-core)",
+        help="'thread' runs query work on the calling thread; 'process' "
+             "maps a saved --snapshot from each worker process (genuine "
+             "multi-core)",
     )
     p_query.add_argument(
         "--prom-out", metavar="FILE",
@@ -1033,9 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_shard_build.add_argument("--workload-low", type=float, default=0.5)
     p_shard_build.add_argument("--workload-high", type=float, default=1.0)
-    p_shard_build.add_argument(
-        "--workers", type=int, default=1, help="bulk-build worker threads"
-    )
     p_shard_build.set_defaults(func=cmd_shard)
 
     p_shard_replicate = shard_sub.add_parser(
@@ -1094,14 +1067,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=1,
-        help="executor pool size per micro-batch; for a sharded "
+        help="worker processes for --backend process; for a sharded "
              "directory this sizes the fleet's one pool, whatever the "
-             "shard and replica counts",
+             "shard and replica counts.  The thread backend runs every "
+             "batch on the dispatch thread and ignores it",
     )
     p_serve.add_argument(
         "--backend", choices=("thread", "process"), default="thread",
-        help="'process' serves batches from spawn workers mapping the "
-             "same snapshot",
+        help="'thread' runs batches on the dispatch thread; 'process' "
+             "serves them from spawn workers mapping the same snapshot",
     )
     p_serve.add_argument(
         "--max-batch", type=int, default=64,

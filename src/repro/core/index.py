@@ -390,11 +390,6 @@ class SetSimilarityIndex:
     sample_pairs:
         If given, estimate the similarity distribution from this many
         sampled pairs (Lemma 1) instead of all pairs.
-    workers:
-        Thread-pool width for the bulk filter build (plans for the
-        independent (filter, table) units are computed concurrently;
-        the pager replay stays sequential).  Any value >= 1 yields a
-        bit-identical index.
     """
 
     def __init__(
@@ -451,7 +446,6 @@ class SetSimilarityIndex:
         io: IOCostModel | None = None,
         allocator=greedy_allocate,
         max_per_filter: int | None = None,
-        workers: int = 1,
         explain: bool = False,
         codec: str = "full64",
     ) -> "SetSimilarityIndex":
@@ -465,7 +459,7 @@ class SetSimilarityIndex:
         )
         io = io if io is not None else IOCostModel()
         with trace.capture(
-            "build", io=io, force=explain, n_sets=len(sets), workers=workers
+            "build", io=io, force=explain, n_sets=len(sets)
         ) as root:
             t0 = time.perf_counter()
             with trace.span(
@@ -497,8 +491,7 @@ class SetSimilarityIndex:
                 plan.n_intervals, plan.tables_used, plan.expected_recall,
             )
             index = cls.from_plan(
-                sets, plan, dist, k=k, b=b, seed=seed, io=io, workers=workers,
-                codec=codec,
+                sets, plan, dist, k=k, b=b, seed=seed, io=io, codec=codec,
             )
         index.build_report["phases"] = {
             "estimate_distribution_seconds": round(dist_seconds, 6),
@@ -519,7 +512,6 @@ class SetSimilarityIndex:
         b: int = 6,
         seed: int = 0,
         io: IOCostModel | None = None,
-        workers: int = 1,
         explain: bool = False,
         codec: str = "full64",
     ) -> "SetSimilarityIndex":
@@ -530,14 +522,12 @@ class SetSimilarityIndex:
 
         The filter tables are loaded through the vectorized
         bucket-partitioned pipeline
-        (:func:`repro.exec.build.bulk_load_filters`, ``workers`` wide),
-        bit-identical to inserting every set one by one; the load's
-        report is attached as :attr:`build_report`.
+        (:func:`repro.exec.build.bulk_load_filters`), bit-identical to
+        inserting every set one by one; the load's report is attached
+        as :attr:`build_report`.
         """
         from repro.exec.build import bulk_load_filters
 
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         sets = [frozenset(s) for s in sets]
         io = io if io is not None else IOCostModel()
         pager = PageManager(io)
@@ -545,11 +535,7 @@ class SetSimilarityIndex:
         embedder = SetEmbedder(k=k, b=b, seed=seed, codec=codec)
         index = cls(embedder, plan, distribution, pager, store)
         with trace.capture(
-            "build_index",
-            io=io,
-            force=explain,
-            n_sets=len(sets),
-            workers=workers,
+            "build_index", io=io, force=explain, n_sets=len(sets)
         ) as root:
             index._materialize_filters(
                 expected_entries=max(1, len(sets)), seed=seed
@@ -569,7 +555,7 @@ class SetSimilarityIndex:
                         index._set_chash(sid, elements)
                 embed_seconds = time.perf_counter() - t0
                 filter_report = bulk_load_filters(
-                    list(index._all_filters()), matrix, sids, workers=workers
+                    list(index._all_filters()), matrix, sids
                 )
         index.build_report = {
             "n_sets": len(sets),
@@ -670,9 +656,9 @@ class SetSimilarityIndex:
 
         The snapshot pre-builds every bucket directory, packs the
         stored vectors into one matrix and materializes the columnar
-        CSR verification layout, so it can serve ``query_batch`` from
-        many threads (see :class:`~repro.exec.parallel.ParallelExecutor`)
-        with accounting identical to this index's sequential path.
+        CSR verification layout, so it can serve ``query_batch`` through
+        an executor (see :class:`~repro.exec.parallel.ParallelExecutor`)
+        with accounting identical to this index's own path.
         While frozen, :meth:`insert`/:meth:`delete` raise
         :class:`FrozenIndexError`; call :meth:`thaw` to resume
         mutation (existing snapshots must then be discarded).

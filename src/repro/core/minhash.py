@@ -33,15 +33,43 @@ import numpy as np
 MERSENNE_PRIME = (1 << 31) - 1
 
 
+def canonical_element(element):
+    """Fold builtin numerics that compare equal onto one value.
+
+    Set semantics identify ``1 == 1.0 == True == 1+0j`` as a single
+    element, so equal numbers must map to equal hashes (mirroring how
+    Python gives them equal ``hash()``).  Numpy scalars are folded onto
+    the builtin they compare equal to first (``np.int64(5) == 5`` is one
+    element, but its repr is not ``5``).  Other non-builtin numerics
+    (``Decimal``, ``Fraction``) are hashed by their own repr -- don't
+    mix them cross-type with builtins in one collection.
+    """
+    if isinstance(element, np.generic):
+        element = element.item()
+    if isinstance(element, bool):
+        return int(element)
+    if isinstance(element, complex) and element.imag == 0:
+        element = element.real
+    if isinstance(element, float) and element.is_integer():
+        return int(element)
+    return element
+
+
 def stable_element_hash(element) -> int:
     """Map an arbitrary hashable element to a stable 64-bit integer.
 
     Unlike builtin ``hash``, the result does not depend on
     ``PYTHONHASHSEED``, so signatures are reproducible across runs --
-    a requirement for a persistent index.
+    a requirement for a persistent index.  Elements that compare equal
+    hash equally (:func:`canonical_element`); ints take a fast path.
     """
+    if not isinstance(element, (int, np.integer)):
+        element = canonical_element(element)
     if isinstance(element, (int, np.integer)):
-        payload = b"i" + int(element).to_bytes(16, "little", signed=True)
+        try:
+            payload = b"i" + int(element).to_bytes(16, "little", signed=True)
+        except OverflowError:  # beyond 128 bits, e.g. int(1e300)
+            payload = b"I" + str(int(element)).encode()
     elif isinstance(element, bytes):
         payload = b"b" + element
     elif isinstance(element, str):

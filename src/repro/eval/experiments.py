@@ -69,9 +69,6 @@ class ExperimentConfig:
     #: Optional cap on any single filter's hash tables; bounds probe
     #: cost per query (see greedy_allocate) at small collection scales.
     max_per_filter: int | None = None
-    #: Thread-pool width for the bulk filter build (the built index is
-    #: bit-identical at any count; only build wall clock changes).
-    workers: int = 1
 
     def scaled(self, **overrides) -> "ExperimentConfig":
         return replace(self, **overrides)
@@ -101,7 +98,6 @@ def build_harness(name: str, config: ExperimentConfig) -> ExperimentHarness:
         seed=config.seed,
         sample_pairs=config.sample_pairs,
         max_per_filter=config.max_per_filter,
-        workers=config.workers,
     )
     return ExperimentHarness(sets, index)
 

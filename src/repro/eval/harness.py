@@ -185,18 +185,13 @@ class ExperimentHarness:
         (the per-query I/O split of a shared bucket read is arbitrary).
         Records are returned in workload order.
 
-        ``workers > 1`` freezes the index into a snapshot and serves
-        every group through :class:`repro.exec.ParallelExecutor` on
-        that many threads; answers and simulated costs are identical
-        to the sequential path at any worker count.
-
+        On the ``thread`` backend every group runs on the live index,
+        on the calling thread, and ``workers`` is ignored.
         ``backend="process"`` saves the frozen snapshot to
         ``snapshot_dir`` (a temporary directory if ``None``) as a
         zero-copy :mod:`repro.exec.snapfile` image and serves every
-        group from spawn worker *processes* that each map it --
-        results and accounting remain identical to the sequential
-        path.  Unlike the thread backend this always engages the
-        executor, even at ``workers=1``.
+        group from ``workers`` spawn worker *processes* that each map
+        it -- results and accounting remain identical to the live path.
         """
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend: {backend!r}")
@@ -218,11 +213,6 @@ class ExperimentHarness:
                 executor = ParallelExecutor(
                     snapshot_dir, workers=workers, backend="process"
                 )
-            elif workers > 1:
-                from repro.exec import ParallelExecutor
-
-                executor = ParallelExecutor(self.index.freeze(), workers=workers)
-                frozen = True
             return self._run_batch_groups(
                 queries, measure_scan, collect_trace, executor
             )

@@ -1,4 +1,4 @@
-"""Execution engine: frozen index snapshots and parallel batch queries.
+"""Execution engine: frozen index snapshots and executor batch queries.
 
 The live :class:`~repro.core.index.SetSimilarityIndex` mutates shared
 storage structures (bucket-directory memos, page chains, counters) even
@@ -11,17 +11,16 @@ This package provides the serving-side counterpart:
   columnar CSR hash layout;
 - :class:`~repro.exec.parallel.ParallelExecutor` -- runs the one
   query pipeline (:mod:`~repro.exec.pipeline`) over a snapshot on a
-  worker pool (:class:`~repro.exec.parallel.WorkerPool`: threads,
-  ``spawn`` processes, or inline at ``workers=1``), with deterministic
-  merges so answers, page counts and CPU accounting are bit-identical
-  to the sequential ``query_batch`` at any worker count;
+  :class:`~repro.exec.parallel.WorkerPool` (inline on the calling
+  thread, or a pool of ``spawn`` processes), with deterministic merges
+  so answers, page counts and CPU accounting are bit-identical to the
+  sequential ``query_batch`` at any worker count;
 - :mod:`~repro.exec.columnar` -- the vectorized sorted-hash-array
   kernels behind exact Jaccard verification (shared with the live
   sequential path);
 - :mod:`~repro.exec.build` -- the build-side counterpart: bulk filter
-  construction with parallel per-table planning and a deterministic
-  sequential apply, bit-identical to the per-insert path at any worker
-  count;
+  construction that plans every table, then applies the plans in a
+  fixed order, bit-identical to the per-insert path;
 - :mod:`~repro.exec.snapfile` -- zero-copy persistence for snapshots:
   :func:`~repro.exec.snapfile.save_snapshot` writes a directory of
   aligned raw arrays + a checksummed JSON manifest,
@@ -40,7 +39,7 @@ This package provides the serving-side counterpart:
   the unsharded answers on mirror-built manifests.
 """
 
-from repro.exec.build import bulk_load_filters, lpt_makespan
+from repro.exec.build import bulk_load_filters
 from repro.exec.columnar import build_csr, hash_set, intersect_counts, jaccard_values
 from repro.exec.parallel import ParallelExecutor
 from repro.exec.shard import (
@@ -77,7 +76,6 @@ __all__ = [
     "build_sharded",
     "bulk_load_filters",
     "is_sharded",
-    "lpt_makespan",
     "build_csr",
     "hash_set",
     "intersect_counts",

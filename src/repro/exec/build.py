@@ -1,38 +1,27 @@
-"""Bulk index construction: parallel planning, deterministic apply.
+"""Bulk index construction: plan every table, then apply in order.
 
-The build-side counterpart of :mod:`repro.exec.parallel`.  Loading a
-filter index is one independent unit of work per (filter, hash table):
+Loading a filter index is one unit of work per (filter, hash table):
 extract the table's keys from the embedded corpus matrix, fingerprint
 them, and lay the entries out page by page.  All of that is pure CPU
 over arrays (:meth:`~repro.storage.hashtable.BucketHashTable.plan_bulk_load`
-touches no pages), so the units fan out over a thread pool; the pager
-replay (:meth:`~repro.storage.hashtable.BucketHashTable.apply_bulk_load`)
-then runs on the calling thread in a fixed filter-major, table-major
-order -- the exact order the sequential per-insert build walks the
-tables.
+touches no pages), so the plan phase is one loop over the units on the
+calling thread; the pager replay
+(:meth:`~repro.storage.hashtable.BucketHashTable.apply_bulk_load`) then
+runs in a fixed filter-major, table-major order -- the exact order the
+sequential per-insert build walks the tables.
 
-Determinism follows the PR-3 playbook: worker tasks mutate nothing
-shared (counter updates go to per-thread shards), every pager touch
-happens in the sequential apply phase, and page ids come out of the
-plans' sequential-equivalent allocation schedules.  Consequently
-``bulk_load_filters(..., workers=w)`` produces chains, page contents,
-directories and I/O accounting bit-identical to the per-entry insert
-loop for every ``w``.
-
-Wall-clock parallel speedup is *modeled*, not promised: a unit's plan
-is numpy kernels (bit extraction, splitmix64 word mixing, argsort)
-which release the GIL for large corpora but interleave with Python
-glue at small ones, so the report carries per-unit plan times plus an
-LPT-packed makespan (:func:`lpt_makespan`) -- what a ``workers``-wide
-pool delivers where the kernels overlap.
+Determinism: planning touches no pager, every pager touch happens in
+the apply phase, and page ids come out of the plans'
+sequential-equivalent allocation schedules.  Consequently
+``bulk_load_filters`` produces chains, page contents, directories and
+I/O accounting bit-identical to the per-entry insert loop.  The report
+carries each unit's plan time and the wall of both phases.
 """
 
 from __future__ import annotations
 
 import gc
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -43,22 +32,22 @@ from repro.storage.hashtable import UnresolvedTailError, hash_words
 
 _BUILD_UNITS = metrics.counter("build.units")
 _BUILD_ENTRIES = metrics.counter("build.entries")
-#: Units whose plan needed a sequential re-plan because a target
-#: bucket's tail-page fill state was unknown at fan-out time.
+#: Units whose plan needed a re-plan in the apply phase because a
+#: target bucket's tail-page fill state was unknown at plan time.
 _BUILD_REPLANS = metrics.counter("build.tail_replans")
 
 
 class BuildUnit:
     """One (filter, table) slice of a bulk build.
 
-    Carries the unit through both phases: the worker fills ``plan``
-    (or, when the table has buckets with unread tails, leaves the raw
-    ``fingerprints`` for a sequential re-plan), the apply phase fills
+    Carries the unit through both phases: the plan phase fills
+    ``plan`` (or, when the table has buckets with unread tails, leaves
+    the raw ``fingerprints`` for a re-plan), the apply phase fills
     ``report``.
     """
 
     __slots__ = ("label", "sampler", "table", "plan", "fingerprints",
-                 "seconds", "thread", "report")
+                 "seconds", "report")
 
     def __init__(self, label: str, sampler, table):
         self.label = label
@@ -67,7 +56,6 @@ class BuildUnit:
         self.plan = None
         self.fingerprints = None
         self.seconds = 0.0
-        self.thread = ""
         self.report = None
 
 
@@ -88,26 +76,9 @@ def build_units(filters) -> list[BuildUnit]:
     return units
 
 
-def lpt_makespan(task_seconds: Sequence[float], workers: int) -> float:
-    """Longest-processing-time-first packing of tasks onto lanes.
-
-    Same model as the query-side bench: the makespan a ``workers``-wide
-    pool achieves on these task durations where the kernels overlap.
-    """
-    if not task_seconds or workers <= 1:
-        return sum(task_seconds)
-    lanes = [0.0] * workers
-    for seconds in sorted(task_seconds, reverse=True):
-        lanes[lanes.index(min(lanes))] += seconds
-    return max(lanes)
-
-
 def _plan_unit(unit: BuildUnit, matrix: np.ndarray, sids: Sequence[int]) -> None:
-    """Phase-1 body: keys -> fingerprints -> page-layout plan.
-
-    Runs on a worker thread; touches no pages and nothing shared (the
-    key-extraction counter uses the calling thread's shard).
-    """
+    """Plan-phase body: keys -> fingerprints -> page-layout plan.
+    Touches no pages."""
     t0 = time.perf_counter()
     sampler = unit.sampler
     fps = hash_words(sampler.key_words(matrix), sampler.key_bytes)
@@ -119,27 +90,19 @@ def _plan_unit(unit: BuildUnit, matrix: np.ndarray, sids: Sequence[int]) -> None
         # the apply phase, after the charged tail reads.
         unit.fingerprints = fps
     unit.seconds = time.perf_counter() - t0
-    unit.thread = threading.current_thread().name
 
 
-def bulk_load_filters(
-    filters, matrix: np.ndarray, sids: Sequence[int], workers: int = 1
-) -> dict:
+def bulk_load_filters(filters, matrix: np.ndarray, sids: Sequence[int]) -> dict:
     """Load every filter's hash tables from one embedded corpus matrix.
 
     Equivalent -- chains, page ids and contents, directories, counter
     and I/O-accounting totals -- to inserting every row into every
-    table one entry at a time (filter-major, table-major), at any
-    ``workers`` value; only wall clock changes.  Returns the
-    build report: totals, per-unit plan timings, and the LPT-modeled
-    plan-phase makespan at the given worker count.
+    table one entry at a time (filter-major, table-major).  Returns the
+    build report: totals, per-unit plan timings and the wall of the
+    plan and apply phases.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     units = build_units(filters)
-    with trace.span(
-        "filter_build", n_units=len(units), n_sets=len(sids), workers=workers
-    ) as sp:
+    with trace.span("filter_build", n_units=len(units), n_sets=len(sids)) as sp:
         # Nearly every object a bulk load allocates (page entry tuples,
         # directory lists) is still live when the load finishes, so the
         # generational collector's mid-load passes only re-scan a
@@ -150,23 +113,11 @@ def bulk_load_filters(
             gc.disable()
         try:
             plan_wall0 = time.perf_counter()
-            if workers > 1 and len(units) > 1:
-                with ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-build"
-                ) as pool:
-                    futures = [
-                        pool.submit(_plan_unit, unit, matrix, sids)
-                        for unit in units
-                    ]
-                    for future in futures:
-                        future.result()
-            else:
-                for unit in units:
-                    _plan_unit(unit, matrix, sids)
+            for unit in units:
+                _plan_unit(unit, matrix, sids)
             plan_wall = time.perf_counter() - plan_wall0
-            # Apply phase: sequential, in unit order, so pager
-            # allocations interleave across tables exactly as the
-            # per-insert path's.
+            # Apply phase: in unit order, so pager allocations
+            # interleave across tables exactly as the per-insert path's.
             apply_wall0 = time.perf_counter()
             entries = new_pages = tail_reads = replans = 0
             for unit in units:
@@ -189,37 +140,23 @@ def bulk_load_filters(
         _BUILD_ENTRIES.inc(entries)
         if replans:
             _BUILD_REPLANS.inc(replans)
-        unit_seconds = [unit.seconds for unit in units]
-        report = {
-            "workers": workers,
+        if sp.recording:
+            sp.set(entries=entries, new_pages=new_pages, tail_reads=tail_reads)
+        return {
             "n_units": len(units),
             "entries": entries,
             "new_pages": new_pages,
             "tail_reads": tail_reads,
             "tail_replans": replans,
             "plan_wall_seconds": round(plan_wall, 6),
-            "plan_busy_seconds": round(sum(unit_seconds), 6),
             "apply_wall_seconds": round(apply_wall, 6),
-            "modeled_plan_makespan": round(
-                lpt_makespan(unit_seconds, workers), 6
-            ),
             "units": [
                 {
                     "label": unit.label,
                     "entries": unit.report["entries"],
                     "new_pages": unit.report["new_pages"],
                     "plan_seconds": round(unit.seconds, 6),
-                    "thread": unit.thread,
                 }
                 for unit in units
             ],
         }
-        if sp.recording:
-            sp.set(
-                entries=entries,
-                new_pages=new_pages,
-                tail_reads=tail_reads,
-                plan_busy_seconds=report["plan_busy_seconds"],
-                modeled_plan_makespan=report["modeled_plan_makespan"],
-            )
-        return report

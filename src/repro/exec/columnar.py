@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.minhash import canonical_element
 from repro.core.similarity import jaccard
 from repro.obs import metrics
 from repro.storage.iomodel import IOStats
@@ -48,33 +49,10 @@ _PAIRWISE_BATCHES = metrics.counter("verify.pairwise_batches")
 
 #: Memo over (type, element) -> hash.  Keyed by type *and* value so a
 #: hit and a miss always produce the same digest (exotic numeric types
-#: outside the builtin canonicalization below must not depend on what
-#: happens to be cached).  Cleared wholesale at the bound; reads and
-#: writes are GIL-atomic, so worker threads at worst recompute.
+#: outside the builtin canonicalization must not depend on what happens
+#: to be cached).  Cleared wholesale at the bound.
 _MEMO: dict = {}
 _MEMO_MAX = 1 << 20
-
-
-def _canonical(element):
-    """Fold builtin numerics that compare equal onto one value.
-
-    Set semantics identify ``1 == 1.0 == True == 1+0j`` as a single
-    element, so equal numbers must map to equal hashes (mirroring how
-    Python gives them equal ``hash()``).  Numpy scalars are folded onto
-    the builtin they compare equal to first (``np.int64(5) == 5`` is one
-    element, but its repr is not ``5``).  Other non-builtin numerics
-    (``Decimal``, ``Fraction``) are hashed by their own repr -- don't
-    mix them cross-type with builtins in one collection.
-    """
-    if isinstance(element, np.generic):
-        element = element.item()
-    if isinstance(element, bool):
-        return int(element)
-    if isinstance(element, complex) and element.imag == 0:
-        element = element.real
-    if isinstance(element, float) and element.is_integer():
-        return int(element)
-    return element
 
 
 _NO_HASHES = np.empty(0, dtype=np.uint64)
@@ -93,7 +71,7 @@ def element_hash(element) -> int:
     The digest input is type-tagged so ``1`` and ``"1"`` -- distinct
     set elements -- map to distinct hashes, while builtin numerics
     that *are* the same set element (``1``, ``1.0``, ``True``) map to
-    the same hash (see :func:`_canonical`).
+    the same hash (see :func:`repro.core.minhash.canonical_element`).
     """
     key = (type(element), element)
     try:
@@ -102,7 +80,7 @@ def element_hash(element) -> int:
         got, key = None, None
     if got is not None:
         return got
-    element = _canonical(element)
+    element = canonical_element(element)
     tag = "num" if isinstance(element, (int, float, complex)) else type(element).__name__
     data = f"{tag}\x00{element!r}".encode("utf-8", "surrogatepass")
     value = int.from_bytes(

@@ -1,29 +1,27 @@
-"""The pool scheduler of the query pipeline, and the executor that
-binds it to one frozen index snapshot.
+"""The executors' scheduler -- the calling thread or a process pool --
+and the executor that binds it to one frozen index snapshot.
 
-:class:`WorkerPool` is where a stage's tasks run when they do not run
-on the calling thread: each stage's tasks -- embed (by query chunk),
-filter probe (by range of one filter's hash tables), exact verify (by
-query chunk) -- go to a worker thread pool, to a ``spawn``-based
-process pool, or, with ``workers=1`` on the thread backend, nowhere:
-they run inline on the calling thread exactly as the live index runs
-them, and no pool is created.  It holds no snapshot -- ``run(view,
-specs)`` is told which view a stage runs against -- so one pool serves
-every shard of a fleet (:class:`~repro.exec.shard.ShardedExecutor`
-owns exactly one).  :class:`ParallelExecutor` is the one-snapshot case:
-a pool plus the :class:`~repro.exec.snapshot.IndexSnapshot` it serves
+:class:`WorkerPool` is one of the pipeline's two schedulers.  On the
+``thread`` backend (the default) a stage's tasks -- embed (by query
+chunk), filter probe (by range of one filter's hash tables), exact
+verify (by query chunk) -- run inline on the calling thread, exactly
+as the live index runs them, and no pool exists whatever ``workers``
+says: the scheduler reports ``workers=1``, so task splits,
+``exec_stats``, events and EXPLAIN describe what ran.  On the
+``process`` backend they go to a ``spawn``-based pool of ``workers``
+processes.  It holds no snapshot -- ``run(view, specs)`` is told which
+view a stage runs against -- so one scheduler serves every shard of a
+fleet (:class:`~repro.exec.shard.ShardedExecutor` owns exactly one).
+:class:`ParallelExecutor` is the one-snapshot case: a scheduler plus
+the :class:`~repro.exec.snapshot.IndexSnapshot` it serves
 ``query_batch`` from, by running the one staged pipeline
 (:func:`repro.exec.pipeline.run_batch`) with itself as the scheduler.
-The heavy kernels (vectorized min-hash, packed Hamming popcounts,
-columnar sorted-hash intersection) are numpy calls that release the
-GIL, so thread tasks genuinely overlap on multi-core hosts.
 
 Determinism is the design center, not an afterthought:
 
 - every task charges simulated I/O into its **own**
-  :class:`~repro.storage.iomodel.IOStats`; module counters use their
-  per-thread shards (:mod:`repro.obs.metrics`).  Merges are integer
-  sums, so totals are independent of scheduling order;
+  :class:`~repro.storage.iomodel.IOStats`.  Merges are integer sums, so
+  totals are independent of scheduling order;
 - the pipeline splits work so that results cannot depend on the worker
   count (see its module docstring), and assembles results by position.
 
@@ -43,8 +41,8 @@ bit-identical guarantee -- answers, page counts, CPU accounting,
 count; only the wall clock changes, because worker processes dodge the
 GIL on the pure-Python probe/verify loops.
 
-Where a pool ran, the trace additionally carries per-worker spans and a
-shard-merge summary under ``parallel_exec``.
+Where a process pool ran, the trace additionally carries per-worker
+spans and a shard-merge summary under ``parallel_exec``.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 from repro.core.index import BatchQueryResult
@@ -66,19 +64,21 @@ _PARALLEL_TASKS = metrics.counter("exec.parallel_tasks")
 
 
 class WorkerPool:
-    """The pipeline's pool scheduler: ``workers``, ``backend``,
+    """The pipeline's executor scheduler: ``workers``, ``backend``,
     ``run(view, specs)``, ``report(tasks, strategy, wall0)``.
 
     Parameters
     ----------
     workers:
-        Pool size.  Any value >= 1 produces bit-identical results and
-        accounting; it only changes wall-clock overlap.  One thread
-        worker needs no pool: its tasks run on the calling thread.
+        Process-pool size.  Any value >= 1 produces bit-identical
+        results and accounting; it only changes wall clock.  The thread
+        backend has no pool, so there it is accepted and ignored, and
+        :attr:`workers` reads 1.
     backend:
-        ``"thread"`` (default) or ``"process"`` (``spawn`` start
-        method; genuine multi-core execution of the pure-Python probe
-        and verify loops).
+        ``"thread"`` (default): every task runs on the calling thread.
+        ``"process"``: a ``spawn`` pool of ``workers`` processes
+        (genuine multi-core execution of the pure-Python probe and
+        verify loops).
     paths:
         Process backend only: the saved snapshot directories the
         workers map at start-up -- every view later handed to
@@ -101,10 +101,8 @@ class WorkerPool:
                 initializer=procpool.worker_init,
                 initargs=([str(path) for path in paths],),
             )
-        elif workers > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-exec"
-            )
+        else:
+            workers = 1
         self.workers = workers
         self.backend = backend
 
@@ -135,7 +133,7 @@ class WorkerPool:
         """
         if self._pool is None:
             tasks = Inline.run(view, specs)
-        elif self.backend == "process":
+        else:
             futures = [
                 self._pool.submit(procpool.run_remote, str(view.path), spec)
                 for spec in specs
@@ -146,12 +144,6 @@ class WorkerPool:
                 tasks.append(task)
                 deltas.append(delta)
             metrics.apply_deltas(metrics.merge_registry_deltas(deltas))
-        else:
-            futures = [
-                self._pool.submit(procpool.run_task, view, spec)
-                for spec in specs
-            ]
-            tasks = [future.result() for future in futures]
         _PARALLEL_TASKS.inc(len(tasks))
         return tasks
 
@@ -159,8 +151,8 @@ class WorkerPool:
         self, tasks: list[procpool.Task], strategy: str, wall0: float
     ) -> dict:
         """The batch's ``exec_stats`` (called once a batch, so it also
-        counts ``exec.parallel_batches``); where a pool ran, also the
-        per-worker spans and the shard-merge summary (EXPLAIN)."""
+        counts ``exec.parallel_batches``); where a process pool ran, also
+        the per-worker spans and the shard-merge summary (EXPLAIN)."""
         _PARALLEL_BATCHES.inc()
         if self._pool is not None:
             self._emit_worker_spans(tasks)
@@ -190,11 +182,11 @@ class WorkerPool:
         ) as sp:
             if not sp.recording:
                 return
-            by_thread: dict[str, list[procpool.Task]] = {}
+            by_worker: dict[str, list[procpool.Task]] = {}
             for task in all_tasks:
-                by_thread.setdefault(task.worker, []).append(task)
-            for name in sorted(by_thread):
-                tasks = by_thread[name]
+                by_worker.setdefault(task.worker, []).append(task)
+            for name in sorted(by_worker):
+                tasks = by_worker[name]
                 with trace.span(
                     "worker",
                     thread=name,
@@ -231,7 +223,7 @@ class ParallelExecutor(WorkerPool):
         saved snapshot directory -- worker processes re-open it by
         path, sharing its mmap'd pages.
     workers, backend:
-        The pool; see :class:`WorkerPool`.
+        The scheduler; see :class:`WorkerPool`.
     """
 
     def __init__(self, snapshot, workers: int = 1, backend: str = "thread"):

@@ -36,14 +36,15 @@ charges ``cost`` as the reads happen.
 **The scheduler** is where a stage's tasks run: ``workers``,
 ``backend``, ``run(view, specs)`` and ``report(tasks, strategy,
 wall0)``.  A task is a picklable ``(stage, *payload)`` spec whose body
-lives in :mod:`repro.exec.procpool`; :class:`Inline` runs specs on the
-calling thread (the live index, and a one-worker executor),
-:class:`~repro.exec.parallel.WorkerPool` on a thread or process pool
-(:class:`~repro.exec.parallel.ParallelExecutor` is that pool bound to
-one snapshot; a shard fleet runs every shard's view on one pool).  Each
-stage runs its tasks *inside* its span and folds their
-private charges into ``view.cost`` there, so a span's I/O delta is
-exact whether a charge was accounted by a pool task or made by the live
+lives in :mod:`repro.exec.procpool`.  There are two places to run
+them: on the calling thread (:class:`Inline` for the live index, and
+:class:`~repro.exec.parallel.WorkerPool` on its ``thread`` backend),
+or in a ``spawn`` process pool (``WorkerPool`` on its ``process``
+backend).  :class:`~repro.exec.parallel.ParallelExecutor` is a
+``WorkerPool`` bound to one snapshot; a shard fleet runs every shard's
+view on one.  Each stage runs its tasks *inside* its span and folds
+their private charges into ``view.cost`` there, so a span's I/O delta
+is exact whether a charge was accounted by a task or made by the live
 pager mid-task.
 
 Work is split so that results cannot depend on the worker count: probe
@@ -85,10 +86,10 @@ _CACHE_HITS = metrics.counter("pager.cache_hits")
 
 
 class Inline:
-    """The one-worker scheduler: tasks run on the calling thread."""
+    """The live index's scheduler: tasks run on the calling thread."""
 
     workers = 1
-    backend = "sequential"
+    backend = "thread"
 
     @staticmethod
     def run(view, specs: list[tuple]) -> list[Task]:

@@ -6,8 +6,8 @@ bodies below are the only task bodies in ``src/``: each takes the view
 it runs against (:mod:`repro.exec.pipeline` lists the operations a view
 offers) and a private :class:`~repro.storage.iomodel.IOStats` to charge,
 and :func:`run_task` is the one runner that brackets a task the same
-way for every scheduler -- inline on the calling thread, on a pool
-thread, or in a worker process.
+way for both schedulers -- inline on the calling thread, or in a
+worker process.
 
 Every function here is a plain module-level callable so the pool's
 ``spawn`` start method (the only one that is safe on every platform
@@ -26,8 +26,7 @@ Workers are single-threaded, so a before/after snapshot of the registry
 task's movements -- counters, gauges, fixed-bucket *and* HDR
 histograms; the parent folds the delta into its own registry
 (:func:`repro.obs.metrics.apply_deltas`), making process totals
-indistinguishable from thread-backend totals for every instrument
-kind.
+indistinguishable from in-process totals for every instrument kind.
 """
 
 from __future__ import annotations
@@ -106,10 +105,10 @@ def run_task(view, spec: tuple) -> Task:
     """Run one ``(stage, *payload)`` spec against ``view``.
 
     The body charges a fresh :class:`IOStats` and the calling thread's
-    counter shards only, so tasks never contend and a merge of their
-    results is independent of scheduling order.  (A live view's pager
-    additionally charges its reads straight to the view's cost model;
-    those tasks only ever run inline.)
+    counter cells only, so a merge of task results is independent of
+    scheduling order.  (A live view's pager additionally charges its
+    reads straight to the view's cost model; those tasks only ever run
+    inline.)
     """
     task = Task()
     task.stage, task.label = spec[0], ""

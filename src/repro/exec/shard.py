@@ -8,8 +8,9 @@ snapshot under a checksummed *shard manifest*, and serves queries by
 scatter-gather: the one query pipeline
 (:func:`repro.exec.pipeline.run_batch`) answers the batch over each
 shard's view in turn, on the caller's thread and on the fleet's one
-scheduler (a :class:`~repro.exec.parallel.WorkerPool`, thread or
-process backend, sized by ``workers`` whatever K is), and the verified
+scheduler (a :class:`~repro.exec.parallel.WorkerPool`: inline on the
+thread backend, or one process pool sized by ``workers`` whatever K
+is), and the verified
 answers, per-phase timings and IOStats are merged.  The sharded path
 differs from the unsharded one by a router, a sid map and a sort.
 
@@ -225,7 +226,6 @@ def build_sharded(
     sample_pairs: int | None = None,
     workload=None,
     workload_range: tuple[float, float] = (0.5, 1.0),
-    workers: int = 1,
     plan=None,
     dist=None,
     routing: bool = True,
@@ -340,7 +340,7 @@ def build_sharded(
             continue
         index = SetSimilarityIndex.from_plan(
             shard_sets[i], plans[i], shard_dists[i],
-            k=k, b=b, seed=seed, workers=workers, codec=codec,
+            k=k, b=b, seed=seed, codec=codec,
         )
         shard_dir = out / entry["dir"]
         save_snapshot(index.freeze(), shard_dir)
@@ -701,10 +701,9 @@ class ShardedExecutor:
     A sharded batch is the one query pipeline
     (:func:`repro.exec.pipeline.run_batch`) run shard by shard, in
     shard order, on the calling thread -- every shard's view on the
-    fleet's **one** scheduler (a ``workers``-wide
-    :class:`~repro.exec.parallel.WorkerPool`; no pool at all for
-    ``workers=1`` on the thread backend) -- and merged
-    deterministically:
+    fleet's **one** scheduler (a :class:`~repro.exec.parallel.WorkerPool`:
+    no pool at all on the thread backend, one ``workers``-wide process
+    pool on the process backend) -- and merged deterministically:
 
     - per-query answers are mapped local->global sid and re-sorted
       best-first (sid ties ascending) -- exactly the order
@@ -721,9 +720,10 @@ class ShardedExecutor:
     workload-tuned manifest answers remain exact-verified but the
     candidate funnel is per-shard.
 
-    ``workers`` sizes the fleet's one pool, whatever the shard and
-    replica counts; on the process backend every worker maps every
-    shard and replica directory, so any worker serves any shard.
+    ``workers`` sizes the fleet's one process pool, whatever the shard
+    and replica counts (on the thread backend it is ignored and
+    :attr:`workers` reads 1); every worker process maps every shard and
+    replica directory, so any worker serves any shard.
 
     ``route`` selects the shard-routing mode
     (:mod:`repro.exec.route`), applied when the manifest carries
@@ -763,7 +763,6 @@ class ShardedExecutor:
         if route not in ("full", "safe", "sketch"):
             raise ValueError(f"unknown route mode: {route!r}")
         self.sharded = sharded
-        self.workers = workers
         self.backend = backend
         self.metric_prefix = metric_prefix
         self.route = route
@@ -788,6 +787,7 @@ class ShardedExecutor:
         self._sched = WorkerPool(workers, backend, paths=[
             view.path for views in self._views.values() for view in views
         ])
+        self.workers = self._sched.workers
         self._m_batches = metrics.counter(f"{metric_prefix}.batches")
         self._m_routed = metrics.counter(f"{metric_prefix}.routed_subqueries")
         self._m_skew = metrics.gauge(f"{metric_prefix}.wall_skew")

@@ -50,10 +50,9 @@ DEFAULT_SLOW_CAPACITY = 512
 DEFAULT_SLOW_MS = 100.0
 
 # The latency instruments every query path records into.  Simulated
-# time is the paper's cost unit and is bit-identical across the
-# sequential / thread / process backends, so its quantiles are the
-# cross-backend equivalence surface; wall-clock instruments describe
-# the host.
+# time is the paper's cost unit and is bit-identical across the thread
+# and process backends, so its quantiles are the cross-backend
+# equivalence surface; wall-clock instruments describe the host.
 _QUERY_SIM = metrics.hdr("query.sim_time")
 _QUERY_WALL = metrics.hdr("query.latency_ms")
 _BATCH_WALL = metrics.hdr("query_batch.latency_ms")
@@ -76,8 +75,8 @@ class QueryEvent:
     n_verified: int                #: Funnel out: exact in-range answers.
     pages_read: int                #: Simulated pages (random + sequential).
     cache_hits: int                #: Buffer-pool hits during the query.
-    backend: str                   #: ``sequential`` / ``thread`` / ``process``.
-    workers: int                   #: Worker-pool width (1 = sequential).
+    backend: str                   #: ``thread`` (in-process) / ``process``.
+    workers: int                   #: Process-pool width (1 in-process).
     strategy: str                  #: ``index`` / ``scan``.
     sigma_low: float
     sigma_high: float

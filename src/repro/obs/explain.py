@@ -163,7 +163,7 @@ def build_summaries(trace: Span) -> list[dict[str, Any]]:
     ``store_load``, ``embed_corpus``, ``filter_build``) with its
     duration, I/O delta and phase attributes -- e.g. the
     ``filter_build`` entry carries entries loaded, pages allocated and
-    the modeled plan-phase makespan.  JSON-safe, in phase order.
+    tail pages read.  JSON-safe, in phase order.
     """
     summaries = []
     for name in BUILD_PHASE_SPANS:

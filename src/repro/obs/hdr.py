@@ -29,8 +29,9 @@ What makes it the serving-telemetry instrument is its *algebra*:
 
 Thread model mirrors :class:`~repro.obs.metrics.Counter`: observations
 go to a per-thread shard (a private dict; no hot-path locking) and
-every read aggregates the shards, so concurrent recording from a
-worker pool is exact.
+every read aggregates the shards, so ``repro serve``'s event-loop and
+dispatch threads, which observe the same latency instruments, record
+exactly.
 
 Zero and negative values land in a dedicated zero bucket (latencies
 and counts are non-negative; a clock that reads 0.0 must not vanish).

@@ -24,9 +24,15 @@ rather than discarding them, so cached references stay live.
 
 Thread model: counters **and histograms** are sharded per thread --
 each thread mutates a private cell and reads aggregate the cells, so
-concurrent recording from a worker pool is exact without hot-path
-locking (a cell is only ever mutated by its owning thread).  Gauges
-are last-write-wins point samples and are not sharded.
+recording from several threads is exact without hot-path locking (a
+cell is only ever mutated by its owning thread).  Query work runs on
+one thread, but ``repro serve`` has two that record into the same
+instruments: the event loop's per-request ``record_query("serve")``
+and the dispatch thread's per-batch record both observe
+``query.sim_time``, for example.  The private cell also gives
+:attr:`Counter.local_value`, the calling thread's own count, which the
+query pipeline brackets ``pager.cache_hits`` with.  Gauges are
+last-write-wins point samples and are not sharded.
 
 Cross-process folding: :meth:`MetricsRegistry.registry_values`
 snapshots every instrument (counters, gauges, histograms, HDR
@@ -36,7 +42,7 @@ a delta into another registry.  A single-threaded worker process
 brackets a task with two snapshots and ships the difference to the
 parent -- integer bucket/count algebra makes the fold exact and
 order-independent, so process-backend totals are indistinguishable
-from thread-backend totals for every instrument kind (the historical
+from in-process totals for every instrument kind (the historical
 counter-only fold silently dropped histogram and gauge movement).
 
 All instruments are registered in a module-level default registry
@@ -170,8 +176,8 @@ class Histogram:
 
     Like :class:`Counter`, observations land in the calling thread's
     private :class:`_HistogramShard` and every read aggregates the
-    shards -- a thread-pool worker observing (e.g. per-table candidate
-    counts during a sharded probe) loses nothing to races.  For
+    shards, so ``repro serve``'s loop and dispatch threads observing
+    one histogram lose nothing to races.  For
     latency-style distributions that need accurate tail quantiles use
     :class:`~repro.obs.hdr.HdrHistogram` instead (log-spaced buckets,
     bounded relative error); this class keeps the hand-picked buckets

@@ -14,11 +14,12 @@ asyncio TCP server speaking the newline-delimited JSON protocol
   window (:mod:`repro.serve.coalescer`),
 - dispatches each micro-batch to a
   :class:`~repro.exec.parallel.ParallelExecutor` (or, for a sharded
-  directory, a :class:`~repro.exec.shard.ShardedExecutor`; thread or
-  process backend, one ``workers``-wide pool either way) on a
-  dedicated dispatch thread -- the event loop never
-  blocks on query work, and batches are serialized because the
-  executor mutates shared cost-model state,
+  directory, a :class:`~repro.exec.shard.ShardedExecutor`) on a
+  dedicated dispatch thread -- the event loop never blocks on query
+  work, and batches are serialized because the executor mutates shared
+  cost-model state.  On the thread backend the batch runs on that
+  dispatch thread; on the process backend it fans out to one
+  ``workers``-wide process pool,
 - demultiplexes per-request answers back to their connections.  Each
   request's response is written by its own connection task under a
   per-connection lock, so one slow client can only stall itself.
@@ -77,10 +78,10 @@ _READ_CHUNK = 1 << 16
 class ServeConfig:
     """Tunables for :class:`QueryServer`; CLI flags map 1:1.
 
-    ``workers`` sizes the executor's one pool -- for a sharded
+    ``workers`` sizes the process backend's one pool -- for a sharded
     directory the fleet's one pool, whatever the shard and replica
-    counts (``workers=1`` on the thread backend: no pool, every stage
-    runs on the dispatch thread)."""
+    counts.  The thread backend has no pool: every stage runs on the
+    dispatch thread, and ``workers`` is ignored."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 -> ephemeral; read QueryServer.port after start()
@@ -176,7 +177,8 @@ class QueryServer:
         logger.info(
             "serving snapshot (%d sets) on %s:%d -- backend=%s workers=%d "
             "max_batch=%d max_wait=%.1fms max_pending=%d",
-            snapshot.n_sets, cfg.host, self.port, cfg.backend, cfg.workers,
+            snapshot.n_sets, cfg.host, self.port, cfg.backend,
+            self._executor.workers,
             cfg.max_batch, cfg.max_wait_ms, cfg.max_pending,
         )
 
@@ -407,7 +409,7 @@ class QueryServer:
             pages_read=0,  # charged on the batch event the executor records
             cache_hits=0,
             backend=self.config.backend,
-            workers=self.config.workers,
+            workers=self._executor.workers,
             strategy=request.strategy,
             sigma_low=request.low,
             sigma_high=request.high,
@@ -441,7 +443,7 @@ class QueryServer:
             "n_sets": self.snapshot.n_sets,
             **shard_info,
             "backend": self.config.backend,
-            "workers": self.config.workers,
+            "workers": self._executor.workers,
             "max_batch": core.max_batch,
             "max_wait_ms": core.max_wait * 1e3,
             "max_pending": core.max_pending,

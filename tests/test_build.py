@@ -4,7 +4,7 @@ The contract under test (repro.exec.build + the bulk paths it drives):
 a bulk-built index is *bit-identical* to one whose tables were filled
 entry by entry through the dynamic insert path -- same page chains
 (including page ids), same page contents, same bucket directories,
-same I/O accounting -- at every worker count.
+same I/O accounting.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from repro.core.distribution import SimilarityDistribution
 from repro.core.index import SetSimilarityIndex
 from repro.core.optimizer import plan_index
-from repro.exec.build import build_units, bulk_load_filters, lpt_makespan
+from repro.exec.build import build_units, bulk_load_filters
 from repro.obs.explain import BUILD_PHASE_SPANS, build_summaries
 
 
@@ -41,7 +41,7 @@ def _build(sets, dist, plan, **kwargs):
     )
 
 
-def _insert_loop(filters, matrix, sids, workers=1):
+def _insert_loop(filters, matrix, sids):
     """The reference load: every table filled one entry at a time with
     the dynamic ``BucketHashTable.insert``, filter-major, table-major --
     the order the bulk pipeline promises to reproduce."""
@@ -95,15 +95,14 @@ def _assert_bit_identical(a, b):
 
 
 class TestBuildEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
-    def test_bulk_matches_insert_bit_identical(self, workers, monkeypatch):
+    def test_bulk_matches_insert_bit_identical(self, monkeypatch):
         sets = _collection(n_sets=80, seed=7)
         dist, plan = _plan_for(sets)
         a = _build_by_insert(monkeypatch, sets, dist, plan)
         io_a = a.io.snapshot()  # before any probe perturbs the counters
-        b = _build(sets, dist, plan, workers=workers)
+        b = _build(sets, dist, plan)
         io_b = b.io.snapshot()
-        assert io_a.as_dict() == io_b.as_dict(), workers
+        assert io_a.as_dict() == io_b.as_dict()
         _assert_bit_identical(a, b)
 
     @pytest.mark.parametrize("seed", [0, 11, 23])
@@ -111,7 +110,7 @@ class TestBuildEquivalence:
         sets = _collection(n_sets=50, seed=seed)
         dist, plan = _plan_for(sets)
         a = _build_by_insert(monkeypatch, sets, dist, plan)
-        b = _build(sets, dist, plan, workers=4)
+        b = _build(sets, dist, plan)
         rng = np.random.default_rng(seed)
         for _ in range(6):
             q = sets[int(rng.integers(len(sets)))]
@@ -131,19 +130,23 @@ class TestBuildEquivalence:
         assert index.build_report["filters"] is None
 
     def test_validation(self):
+        """The build has no ``workers`` option: the plan phase is one
+        loop on the calling thread, so every entry point rejects it."""
         sets = _collection(n_sets=5, seed=1)
         dist, plan = _plan_for(sets)
-        with pytest.raises(ValueError):
-            _build(sets, dist, plan, workers=0)
-        with pytest.raises(ValueError):
-            bulk_load_filters([], np.zeros((0, 1), dtype=np.uint8), [], workers=0)
+        with pytest.raises(TypeError):
+            _build(sets, dist, plan, workers=2)
+        with pytest.raises(TypeError):
+            SetSimilarityIndex.build(sets, budget=40, workers=2)
+        with pytest.raises(TypeError):
+            bulk_load_filters([], np.zeros((0, 1), dtype=np.uint8), [], workers=2)
 
 
 class TestBuildReport:
     def test_report_structure(self):
         sets = _collection(n_sets=40, seed=3)
         dist, plan = _plan_for(sets)
-        index = _build(sets, dist, plan, workers=2)
+        index = _build(sets, dist, plan)
         report = index.build_report
         assert report is not None
         assert report["n_sets"] == len(sets)
@@ -152,7 +155,10 @@ class TestBuildReport:
         }
         filters = report["filters"]
         n_units = len(build_units(list(index._all_filters())))
-        assert filters["workers"] == 2
+        assert set(filters) == {
+            "n_units", "entries", "new_pages", "tail_reads", "tail_replans",
+            "plan_wall_seconds", "apply_wall_seconds", "units",
+        }
         assert filters["n_units"] == n_units
         assert filters["entries"] == len(sets) * n_units
         assert filters["tail_replans"] == 0  # fresh tables: tails known
@@ -165,7 +171,7 @@ class TestBuildReport:
     def test_build_classmethod_adds_planning_phases(self):
         sets = _collection(n_sets=30, seed=2)
         index = SetSimilarityIndex.build(
-            sets, budget=40, recall_target=0.85, k=32, b=4, seed=1, workers=2
+            sets, budget=40, recall_target=0.85, k=32, b=4, seed=1
         )
         phases = index.build_report["phases"]
         assert "estimate_distribution_seconds" in phases
@@ -217,22 +223,3 @@ class TestBuildTrace:
         index.save(path)
         loaded = SetSimilarityIndex.load(path)
         assert loaded.build_trace is None
-
-
-class TestLptMakespan:
-    def test_single_worker_is_sum(self):
-        assert lpt_makespan([3.0, 1.0, 2.0], 1) == pytest.approx(6.0)
-
-    def test_no_tasks(self):
-        assert lpt_makespan([], 4) == 0.0
-
-    def test_bounded_by_max_and_sum(self):
-        tasks = [5.0, 3.0, 3.0, 2.0, 1.0]
-        for workers in (2, 3, 8):
-            span = lpt_makespan(tasks, workers)
-            assert max(tasks) <= span <= sum(tasks)
-
-    def test_more_workers_never_slower(self):
-        tasks = [4.0, 3.0, 2.0, 2.0, 1.0, 1.0]
-        spans = [lpt_makespan(tasks, w) for w in (1, 2, 3, 4)]
-        assert spans == sorted(spans, reverse=True)

@@ -94,7 +94,7 @@ class TestSnapshotCompat:
         _save(index, tmp_path / "snap")
         queries = [sets[0], sets[11]]
         want = index.query_batch(queries, *RANGE)
-        with ParallelExecutor(open_snapshot(tmp_path / "snap"), workers=2) as ex:
+        with ParallelExecutor(open_snapshot(tmp_path / "snap")) as ex:
             _assert_batches_identical(ex.query_batch(queries, *RANGE), want)
 
     def test_unknown_codec_tag_fails_loudly(self, tmp_path):

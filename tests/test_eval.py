@@ -81,6 +81,8 @@ class TestHarness:
         assert all(math.isnan(s.recall) for s in summaries)
 
     def test_run_batch_workers_match_sequential(self, harness):
+        """The thread backend ignores ``workers``: every group runs on
+        the live index, so the records match run for run."""
         queries = QueryWorkload(len(harness.sets), seed=6).sample(6)
         sequential = harness.run_batch(queries, measure_scan=False)
         threaded = harness.run_batch(queries, measure_scan=False, workers=3)

@@ -66,7 +66,7 @@ def test_freeze_after_mutation_is_fresh(index):
     second = index.freeze()
     try:
         assert second is not first
-        with ParallelExecutor(second, workers=2) as ex:
+        with ParallelExecutor(second) as ex:
             batch = ex.query_batch([new_set], lo, hi)
         sequential = index.query_batch([new_set], lo, hi)
         assert batch.results[0].answers == sequential.results[0].answers
@@ -78,7 +78,7 @@ def test_freeze_after_mutation_is_fresh(index):
     index.delete(sid)
     third = index.freeze()
     try:
-        with ParallelExecutor(third, workers=2) as ex:
+        with ParallelExecutor(third) as ex:
             batch = ex.query_batch([new_set], lo, hi)
         assert all(s != sid for s, _ in batch.results[0].answers)
     finally:

@@ -1,13 +1,15 @@
-"""Parallel executor equivalence: bit-identical to sequential at any width.
+"""Executor equivalence: bit-identical to the live index.
 
-The parallel engine (:class:`repro.exec.ParallelExecutor` over a
-:meth:`~repro.core.index.SetSimilarityIndex.freeze` snapshot) is a
-*scheduling* change only.  For every workload it must return exactly
-the answers, candidate sets, simulated page counts and CPU accounting
-of the sequential ``query_batch`` -- at 1, 2, 4 or 8 workers alike.
-These tests pin that contract over randomized workloads and all three
-execution strategies, plus the thread-safety of the sharded module
-counters the engine leans on.
+The executor (:class:`repro.exec.ParallelExecutor` over a
+:meth:`~repro.core.index.SetSimilarityIndex.freeze` snapshot) runs the
+live index's pipeline over another view.  For every workload it must
+return exactly the answers, candidate sets, simulated page counts and
+CPU accounting of the live ``query_batch``.  These tests pin that
+contract over randomized workloads and all three execution strategies;
+that the thread backend runs inline whatever ``workers`` says; and the
+thread-safety of the per-thread metric cells that ``repro serve``'s two
+threads record into.  The process backend's suites are in
+``test_procexec.py``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from repro.exec import ParallelExecutor
 from repro.obs import metrics
 
 #: Randomized-equivalence coverage: one workload per seed (>= 12 per
-#: the acceptance bar), each checked at every worker count.
+#: the acceptance bar).
 SEEDS = range(12)
-
-WORKER_COUNTS = (1, 2, 4, 8)
 
 #: Ranges cycled per seed so every plan family (sfi, dfi, complements,
 #: differences, pivot union, full collection) comes up.
@@ -87,7 +87,7 @@ def _assert_batches_identical(got, want):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_parallel_matches_sequential(seed):
-    """Every worker count reproduces sequential ``query_batch`` exactly."""
+    """The executor reproduces the live ``query_batch`` exactly."""
     index, queries, lo, hi = _build_workload(seed)
     strategy = STRATEGIES[seed % len(STRATEGIES)]
 
@@ -97,16 +97,15 @@ def test_parallel_matches_sequential(seed):
 
     snapshot = index.freeze()
     try:
-        for workers in WORKER_COUNTS:
-            with ParallelExecutor(snapshot, workers=workers) as ex:
-                before = index.io.snapshot()
-                parallel = ex.query_batch(queries, lo, hi, strategy=strategy)
-                par_delta = index.io.snapshot() - before
-            _assert_batches_identical(parallel, sequential)
-            assert par_delta == seq_delta
-            stats = parallel.exec_stats
-            assert stats is not None and stats["workers"] == workers
-            assert stats["strategy"] in ("index", "scan")
+        with ParallelExecutor(snapshot) as ex:
+            before = index.io.snapshot()
+            parallel = ex.query_batch(queries, lo, hi, strategy=strategy)
+            par_delta = index.io.snapshot() - before
+        _assert_batches_identical(parallel, sequential)
+        assert par_delta == seq_delta
+        stats = parallel.exec_stats
+        assert stats is not None and stats["workers"] == 1
+        assert stats["strategy"] in ("index", "scan")
     finally:
         index.thaw()
 
@@ -120,7 +119,7 @@ def test_parallel_explain_matches_sequential_summaries(seed):
     sequential = index.query_batch(queries, lo, hi, explain=True)
     snapshot = index.freeze()
     try:
-        with ParallelExecutor(snapshot, workers=4) as ex:
+        with ParallelExecutor(snapshot) as ex:
             parallel = ex.query_batch(queries, lo, hi, explain=True)
     finally:
         index.thaw()
@@ -133,25 +132,18 @@ def test_parallel_explain_matches_sequential_summaries(seed):
         for key in ("kind", "tables_probed", "buckets_read",
                     "candidates", "pages_saved"):
             assert p.get(key) == s.get(key), key
-    # Worker activity is surfaced in the parallel trace.
-    names = set()
-
-    def walk(span):
-        names.add(span.name)
-        for child in span.children:
-            walk(child)
-
-    walk(parallel.trace)
-    assert "parallel_exec" in names
-    assert "worker" in names
-    assert "shard_merge" in names
+    # No pool ran, so the trace has no worker spans: EXPLAIN describes
+    # what ran (process-pool worker spans: test_procexec.py).
+    names = {span.name for span in parallel.trace.walk()}
+    assert parallel.trace.attrs["workers"] == 1
+    assert not names & {"parallel_exec", "worker", "shard_merge"}
 
 
 def test_parallel_wrappers_and_validation():
     index, queries, _, _ = _build_workload(2)
     snapshot = index.freeze()
     try:
-        with ParallelExecutor(snapshot, workers=2) as ex:
+        with ParallelExecutor(snapshot) as ex:
             above = ex.query_above_batch(queries, 0.6)
             below = ex.query_below_batch(queries, 0.3)
             with pytest.raises(ValueError):
@@ -170,7 +162,7 @@ def test_parallel_empty_batch():
     index, _, _, _ = _build_workload(3)
     snapshot = index.freeze()
     try:
-        with ParallelExecutor(snapshot, workers=4) as ex:
+        with ParallelExecutor(snapshot) as ex:
             empty = ex.query_batch([], 0.5, 1.0)
     finally:
         index.thaw()
@@ -193,7 +185,7 @@ def test_mutation_during_parallel_service_raises():
     index, queries, lo, hi = _build_workload(5)
     snapshot = index.freeze()
     try:
-        with ParallelExecutor(snapshot, workers=2) as ex:
+        with ParallelExecutor(snapshot) as ex:
             ex.query_batch(queries, lo, hi)
             with pytest.raises(FrozenIndexError):
                 index.insert(frozenset({"x", "y"}))
@@ -206,7 +198,55 @@ def test_mutation_during_parallel_service_raises():
     assert sid in index.sids
 
 
-# -- sharded counter thread safety (satellite) -------------------------
+# -- thread backend: inline at any ``workers`` ----------------------------
+
+
+def _counter_deltas(before: dict, after: dict) -> dict:
+    return {
+        name: value - before.get(name, 0)
+        for name, value in after.items() if value != before.get(name, 0)
+    }
+
+
+def test_thread_backend_workers_start_no_thread(tmp_path):
+    """``workers`` sizes only the process pool.  On the thread backend an
+    executor asked for 4 workers starts no thread, reports ``workers=1``
+    and runs exactly what ``workers=1`` runs: answers, candidates,
+    ``IOStats``, saved pages and fetches, and every counter delta."""
+    from repro.exec.shard import ShardedExecutor, build_sharded, open_sharded
+
+    index, queries, lo, hi = _build_workload(1)
+    sets = [index.store.get(sid) for sid in sorted(index.sids)]
+    build_sharded(
+        sets, tmp_path / "fleet", n_shards=2, budget=36, recall_target=0.8,
+        k=24, b=4, seed=1, sample_pairs=2_000,
+    )
+    sharded = open_sharded(tmp_path / "fleet")
+    snapshot = index.freeze()
+    try:
+        for make in (
+            lambda w: ParallelExecutor(snapshot, workers=w),
+            lambda w: ShardedExecutor(sharded, workers=w),
+        ):
+            runs = {}
+            for workers in (1, 4):
+                threads = threading.active_count()
+                before = metrics.registry.counter_values()
+                with make(workers) as ex:
+                    batch = ex.query_batch(queries, lo, hi)
+                    assert threading.active_count() == threads
+                    assert ex.workers == 1
+                after = metrics.registry.counter_values()
+                assert batch.exec_stats["workers"] == 1
+                runs[workers] = (batch, _counter_deltas(before, after))
+            (one, one_counters), (four, four_counters) = runs[1], runs[4]
+            _assert_batches_identical(four, one)
+            assert four_counters == one_counters
+    finally:
+        index.thaw()
+
+
+# -- per-thread metric cells ------------------------------------------------
 
 
 def test_sharded_counters_exact_under_threads():
@@ -254,7 +294,7 @@ def test_sharded_counter_local_value_is_thread_local():
 
 
 def test_module_counters_consistent_under_concurrent_probes():
-    """Live probe counters aggregate exactly across worker threads."""
+    """The executor's probes count exactly what the live index's do."""
     index, queries, lo, hi = _build_workload(7)
     probes = metrics.counter("hashtable.probes")
     pages = metrics.counter("hashtable.probe_pages")
@@ -266,7 +306,7 @@ def test_module_counters_consistent_under_concurrent_probes():
 
     snapshot = index.freeze()
     try:
-        with ParallelExecutor(snapshot, workers=8) as ex:
+        with ParallelExecutor(snapshot) as ex:
             parallel = ex.query_batch(queries, lo, hi)
     finally:
         index.thaw()

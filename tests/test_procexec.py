@@ -132,7 +132,7 @@ def test_thread_backend_over_mapped_snapshot(workload):
     """The default thread backend also serves a mapped snapshot."""
     index, queries, path = workload
     sequential = index.query_batch(queries, 0.4, 0.9)
-    with ParallelExecutor(open_snapshot(path), workers=4) as ex:
+    with ParallelExecutor(open_snapshot(path)) as ex:
         assert ex.backend == "thread"
         served = ex.query_batch(queries, 0.4, 0.9)
     _assert_batches_identical(served, sequential)

@@ -242,11 +242,11 @@ class TestSafeModeBitIdentity:
         )
         sharded = open_sharded(tmp_path / "s")
         with ShardedExecutor(
-            sharded, workers=2, backend="thread", route="full"
+            sharded, backend="thread", route="full"
         ) as full_exec:
             full = full_exec.query_batch(queries, *RANGE)
         with ShardedExecutor(
-            sharded, workers=2, backend="thread", route="safe"
+            sharded, backend="thread", route="safe"
         ) as safe_exec:
             assert safe_exec.route_active
             safe = safe_exec.query_batch(queries, *RANGE)

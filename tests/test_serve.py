@@ -5,7 +5,8 @@ wire codec) and scheduling (micro-batch coalescing) on top of
 ``query_batch`` -- none of which may change a single answer.  The
 equivalence suite pins that: for seeded workloads, answers returned
 through a live :class:`repro.serve.server.QueryServer` -- under any
-coalescing window, workers 1/2/4, thread and process backends -- are
+coalescing window, on the thread backend (inline on the dispatch
+thread, whatever ``workers`` asks) and on 1/2/4 process workers -- are
 bit-identical to a direct ``query_batch`` on the same snapshot,
 including exact D_S similarity values and per-request answer ordering
 (floats survive the JSON round trip exactly because ``json``
@@ -93,11 +94,14 @@ def _assert_equivalent(result, direct, queries):
 class TestServingEquivalence:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_thread_backend_workers(self, workload, workers):
+        """The thread backend ignores ``workers``: batches run on the
+        dispatch thread, and the server reports the one worker."""
         index, queries, path = workload
         direct = index.query_batch(queries, 0.4, 1.0)
         config = ServeConfig(workers=workers, max_batch=8, max_wait_ms=2.0)
-        result, _ = run(_serve_burst(path, queries, 0.4, 1.0, config))
+        result, server = run(_serve_burst(path, queries, 0.4, 1.0, config))
         _assert_equivalent(result, direct, queries)
+        assert server.stats()["workers"] == 1
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_process_backend_workers(self, workload, workers):

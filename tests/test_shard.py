@@ -156,7 +156,7 @@ class TestScatterGatherEquivalence:
             plan=plan, dist=dist,
         )
         with ShardedExecutor(
-            open_sharded(tmp_path / "s"), workers=2, backend="thread"
+            open_sharded(tmp_path / "s"), backend="thread"
         ) as executor:
             got = executor.query_batch(queries, *RANGE)
         _assert_bit_identical(got, want)
@@ -501,7 +501,7 @@ class TestShardedServe:
                       plan=plan, dist=dist)
 
         async def run():
-            server = QueryServer(tmp_path / "s", ServeConfig(port=0, workers=2))
+            server = QueryServer(tmp_path / "s", ServeConfig(port=0))
             await server.start()
             stats = server.stats()
             result = await run_loadgen(

@@ -166,7 +166,7 @@ def test_mapped_snapshot_serves_identically(saved, lo, hi):
     index, _, queries, path = saved
     sequential = index.query_batch(queries, lo, hi)
     mapped = open_snapshot(path)
-    with ParallelExecutor(mapped, workers=2) as ex:
+    with ParallelExecutor(mapped) as ex:
         served = ex.query_batch(queries, lo, hi)
     _assert_batches_identical(served, sequential)
 
@@ -175,7 +175,7 @@ def test_mapped_snapshot_scan_strategy(saved):
     index, _, queries, path = saved
     sequential = index.query_batch(queries, 0.3, 0.9, strategy="scan")
     mapped = open_snapshot(path)
-    with ParallelExecutor(mapped, workers=3) as ex:
+    with ParallelExecutor(mapped) as ex:
         served = ex.query_batch(queries, 0.3, 0.9, strategy="scan")
     _assert_batches_identical(served, sequential)
 
@@ -224,7 +224,7 @@ def test_string_elements_use_utf8_encoding(tmp_path):
     for sid in mapped.sids:
         assert mapped.sets[sid] == index.store.get(sid)
     sequential = index.query_batch(queries, 0.2, 0.9)
-    with ParallelExecutor(mapped, workers=2) as ex:
+    with ParallelExecutor(mapped) as ex:
         _assert_batches_identical(ex.query_batch(queries, 0.2, 0.9), sequential)
 
 
@@ -239,7 +239,7 @@ def test_mixed_elements_fall_back_to_pickle(tmp_path):
     for sid in mapped.sids:
         assert mapped.sets[sid] == index.store.get(sid)
     sequential = index.query_batch(queries, 0.2, 0.9)
-    with ParallelExecutor(mapped, workers=2) as ex:
+    with ParallelExecutor(mapped) as ex:
         _assert_batches_identical(ex.query_batch(queries, 0.2, 0.9), sequential)
 
 
@@ -270,7 +270,7 @@ def test_tiny_collection_with_mostly_empty_tables(tmp_path):
     queries = [frozenset({1, 2, 3}), frozenset({99}), frozenset()]
     for lo, hi in [(0.5, 1.0), (0.0, 1.0), (0.0, 0.4)]:
         sequential = index.query_batch(queries, lo, hi)
-        with ParallelExecutor(mapped, workers=2) as ex:
+        with ParallelExecutor(mapped) as ex:
             _assert_batches_identical(ex.query_batch(queries, lo, hi), sequential)
 
 

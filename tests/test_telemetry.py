@@ -6,8 +6,8 @@ populates ``result.timings``; every path records exactly one event per
 user-facing call; and the ``query.sim_time`` HDR histogram -- fed with
 the paper's backend-invariant simulated cost -- accumulates the *same
 distribution* (identical bucket counts, hence identical p50/p90/p99/
-p999) whether a workload runs sequentially, on thread workers, or on
-process workers.
+p999) whether a workload runs on the live index, on an executor over
+its frozen snapshot, or on process workers.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class TestTimings:
 
     def test_executor_batch_carries_stage_timings(self, workload):
         index, queries, _ = workload
-        with ParallelExecutor(index.freeze(), workers=2) as ex:
+        with ParallelExecutor(index.freeze()) as ex:
             batch = ex.query_batch(queries, 0.5, 1.0)
         index.thaw()
         assert batch.timings
@@ -112,19 +112,20 @@ class TestQueryEvents:
         assert single_event.kind == "query" and single_event.n_queries == 1
         assert batch_event.kind == "query_batch"
         assert batch_event.n_queries == len(queries)
-        assert batch_event.backend == "sequential"
+        assert batch_event.backend == "thread"
+        assert batch_event.workers == 1
         assert batch_event.timings
 
     def test_executor_batch_records_one_event(self, workload):
         index, queries, _ = workload
         seen0 = events.log.stats()["seen"]
-        with ParallelExecutor(index.freeze(), workers=2) as ex:
+        with ParallelExecutor(index.freeze()) as ex:
             ex.query_batch(queries, 0.5, 1.0)
         index.thaw()
         assert events.log.stats()["seen"] == seen0 + 1
         event = events.log.events()[-1]
         assert event.backend == "thread"
-        assert event.workers == 2
+        assert event.workers == 1
         assert event.n_queries == len(queries)
 
     def test_event_funnel_matches_result(self, workload):
@@ -138,20 +139,20 @@ class TestQueryEvents:
 
 class TestCrossBackendQuantiles:
     """The acceptance criterion: identical sim-time distribution --
-    bucket for bucket, hence quantile for quantile -- across the
-    sequential, thread and process execution paths."""
+    bucket for bucket, hence quantile for quantile -- across the live
+    index, an executor over its frozen snapshot, and process workers."""
 
     RANGES = [(0.5, 1.0), (0.2, 0.8), (0.0, 1.0)]
 
     def _run_all_backends(self, workload):
         index, queries, path = workload
 
-        def sequential():
+        def live():
             for lo, hi in self.RANGES:
                 index.query_batch(queries, lo, hi)
 
-        def threaded():
-            with ParallelExecutor(index.freeze(), workers=3) as ex:
+        def frozen():
+            with ParallelExecutor(index.freeze()) as ex:
                 for lo, hi in self.RANGES:
                     ex.query_batch(queries, lo, hi)
             index.thaw()
@@ -162,16 +163,16 @@ class TestCrossBackendQuantiles:
                     ex.query_batch(queries, lo, hi)
 
         return {
-            "sequential": sim_delta(sequential),
-            "thread": sim_delta(threaded),
+            "live": sim_delta(live),
+            "frozen": sim_delta(frozen),
             "process": sim_delta(process),
         }
 
     def test_sim_time_distribution_identical(self, workload):
         deltas = self._run_all_backends(workload)
-        reference = deltas["sequential"]
+        reference = deltas["live"]
         assert reference["count"] == len(self.RANGES) * len(workload[1])
-        for backend in ("thread", "process"):
+        for backend in ("frozen", "process"):
             assert deltas[backend]["counts"] == reference["counts"], backend
             assert deltas[backend]["zero_count"] == reference["zero_count"]
             assert deltas[backend]["count"] == reference["count"]
@@ -185,8 +186,8 @@ class TestCrossBackendQuantiles:
             quantiles[backend] = [
                 hist.quantile(q) for q in (0.5, 0.9, 0.99, 0.999)
             ]
-        assert quantiles["thread"] == quantiles["sequential"]
-        assert quantiles["process"] == quantiles["sequential"]
+        assert quantiles["frozen"] == quantiles["live"]
+        assert quantiles["process"] == quantiles["live"]
 
 
 class TestRegistryAcrossProcesses:
