@@ -21,13 +21,16 @@ time, which is what the hash-table primitive buys the paper.
 Probing is one operation on the live filters and on their frozen image
 (:class:`FrozenFilterProbe`): ``probe_tables(start, stop, matrix, io)``
 fingerprints a range of the filter's tables in one pass, probes them and
-unions the hits per query row.  The query pipeline's probe stage
+returns the hits as one candidate CSR over the query rows (each row's
+sids ascending and unique; no per-row Python set is built).  The query
+pipeline's probe stage
 (:func:`repro.exec.pipeline.probe_filter`) calls it per worker; the
 public ``probe`` / ``probe_batch`` are that stage over the whole filter.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +39,7 @@ from repro.core.filter_function import FilterFunction
 from repro.hamming.bitvector import complement
 from repro.hamming.sampling import BitSampler, sampled_key_words
 from repro.obs import metrics
-from repro.storage.hashtable import BucketHashTable, hash_words
+from repro.storage.hashtable import BucketHashTable, TableStack, hash_words
 from repro.storage.pager import PageManager
 
 # Probe instruments (shared across all SFI/DFI instances).
@@ -86,41 +89,49 @@ def table_fingerprints(
     return np.ascontiguousarray(fingerprints.reshape(n, t).T)
 
 
-def _union_rows(tables, columns, n_rows: int, io) -> tuple[list[set[int]], int]:
-    """Probe each table with its column of fingerprints and union the
-    hits per query row in the same pass.
+def _probe_live(tables, columns, n_rows: int, io):
+    """Probe each live table with its column of fingerprints and collect
+    every hit as flat ``(row, sid)`` arrays.
 
-    Returns the per-row sid sets and the hit total over all tables
-    (total minus the sets' sizes is the ``collisions`` count).  Both
-    table kinds answer ``probe_hashed(column, io)``: a
-    :class:`~repro.storage.hashtable.TableView` accounts its page reads
-    into ``io``, a live
-    :class:`~repro.storage.hashtable.BucketHashTable` reads through its
-    pager.
+    A :class:`~repro.storage.hashtable.BucketHashTable` reads through
+    its pager (which charges the index's cost model), so ``io`` is only
+    passed along.
     """
-    sids: list[set[int]] = [set() for _ in range(n_rows)]
-    hits = 0
+    per_row: list[list[int]] = [[] for _ in range(n_rows)]
     for table, column in zip(tables, columns):
-        for i, got in enumerate(table.probe_hashed(column, io)):
-            if got:
-                hits += len(got)
-                sids[i].update(got)
-    return sids, hits
+        for hits, got in zip(per_row, table.probe_hashed(column, io)):
+            hits += got
+    counts = [len(hits) for hits in per_row]
+    return (
+        np.repeat(np.arange(n_rows, dtype=np.int64), counts),
+        np.fromiter(chain.from_iterable(per_row), dtype=np.int64, count=sum(counts)),
+    )
+
+
+def _hits_csr(rows: np.ndarray, sids: np.ndarray, n_rows: int):
+    """``(candidate CSR, hit total)`` of a probe's flat hits: the hit
+    total minus the CSR's size is the ``collisions`` count."""
+    from repro.exec.columnar import pairs_csr
+
+    return pairs_csr(rows, sids, n_rows), len(sids)
 
 
 def _probe_alone(fi, tables, matrix: np.ndarray) -> list[set[int]]:
     """A live filter's whole-table probe outside any index: the
-    pipeline's probe stage over a view that holds just this filter."""
+    pipeline's probe stage over a view that holds just this filter,
+    its candidate rows returned as sets."""
+    from repro.exec.columnar import csr_split
     from repro.exec.pipeline import Inline, probe_filter
 
     if matrix.shape[0] == 0:
         return []
     if fi.kind == "dfi":
         matrix = complement(matrix, fi.n_bits)
-    return probe_filter(
+    csr, _ = probe_filter(
         _Alone(fi, tables[0].pager.io), Inline, [], fi.kind, fi.sigma_point,
         matrix,
-    )[0]
+    )
+    return [set(row.tolist()) for row in csr_split(*csr)]
 
 
 class _Alone:
@@ -275,11 +286,10 @@ class SimilarityFilterIndex:
         """
         return _probe_alone(self, self._tables, matrix)
 
-    def probe_tables(
-        self, start: int, stop: int, matrix: np.ndarray, io
-    ) -> tuple[list[set[int]], int]:
+    def probe_tables(self, start: int, stop: int, matrix: np.ndarray, io):
         """Probe tables ``start .. stop - 1`` with every row of a packed
-        query matrix: per-row sid sets and the hit total.
+        query matrix: the candidate CSR over the matrix rows (see
+        :func:`repro.exec.columnar.pairs_csr`) and the hit total.
 
         The sampled-bit keys of the tables are extracted and
         fingerprinted in one vectorized pass
@@ -293,8 +303,12 @@ class SimilarityFilterIndex:
             matrix, self._word_index[start:stop], self._bit_offset[start:stop],
             self.filter.r,
         )
-        return _union_rows(
-            self._tables[start:stop], fingerprints.tolist(), matrix.shape[0], io
+        n_rows = matrix.shape[0]
+        return _hits_csr(
+            *_probe_live(
+                self._tables[start:stop], fingerprints.tolist(), n_rows, io
+            ),
+            n_rows,
         )
 
     def table_stats(self, detail: bool = False) -> dict:
@@ -328,7 +342,8 @@ class SimilarityFilterIndex:
         return stats
 
     def freeze(self) -> "FrozenFilterProbe":
-        """Read-only probe view over every table's fingerprint runs."""
+        """Read-only probe view over every table's fingerprint runs,
+        stacked into one :class:`~repro.storage.hashtable.TableStack`."""
         return FrozenFilterProbe(
             kind="sfi",
             threshold=self.threshold,
@@ -336,7 +351,9 @@ class SimilarityFilterIndex:
             r=self.filter.r,
             n_bits=self.n_bits,
             positions=np.stack([s.positions for s in self._samplers]),
-            tables=[table.freeze() for table in self._tables],
+            stack=TableStack.from_views(
+                [table.freeze() for table in self._tables]
+            ),
         )
 
     def __repr__(self) -> str:
@@ -415,9 +432,7 @@ class DissimilarityFilterIndex:
         under one ``dfi_probe_batch`` span (see the SFI's method)."""
         return _probe_alone(self, self._sfi._tables, matrix)
 
-    def probe_tables(
-        self, start: int, stop: int, matrix: np.ndarray, io
-    ) -> tuple[list[set[int]], int]:
+    def probe_tables(self, start: int, stop: int, matrix: np.ndarray, io):
         """The inner SFI's table range; ``matrix`` holds the already
         *complemented* queries (Theorem 2), computed once per batch."""
         return self._sfi.probe_tables(start, stop, matrix, io)
@@ -436,7 +451,7 @@ class DissimilarityFilterIndex:
             r=self.r,
             n_bits=self.n_bits,
             positions=inner.positions,
-            tables=inner.tables,
+            stack=inner.stack,
             complement_query=True,
         )
 
@@ -450,13 +465,14 @@ class DissimilarityFilterIndex:
 class FrozenFilterProbe:
     """Immutable batch-probe image of one SFI or DFI.
 
-    Holds the filter's ``(l, r)`` stacked sampler positions plus one
-    :class:`~repro.storage.hashtable.TableView` per hash table.
-    Probing takes a contiguous range of tables so a parallel executor
-    can shard one filter's ``l`` tables across workers; each table probe
-    charges its page reads into the caller's
-    :class:`~repro.storage.iomodel.IOStats` with accounting identical to
-    the live ``probe_batch``.
+    Holds the filter's ``(l, r)`` stacked sampler positions plus its
+    tables' fingerprint runs stacked into one
+    :class:`~repro.storage.hashtable.TableStack` (``tables`` lists the
+    per-table :class:`~repro.storage.hashtable.TableView` slices of it).
+    Probing takes a contiguous range of tables so a process pool can
+    split one filter's ``l`` tables across workers; page charges go
+    into the caller's :class:`~repro.storage.iomodel.IOStats` with
+    accounting identical to the live ``probe_batch``.
 
     ``complement_query`` marks DFI views: the caller must pass the
     *complemented* query matrix (Theorem 2), computed once per batch
@@ -464,42 +480,48 @@ class FrozenFilterProbe:
     """
 
     __slots__ = ("kind", "threshold", "sigma_point", "r", "n_bits",
-                 "positions", "tables", "complement_query",
+                 "positions", "stack", "complement_query",
                  "_word_index", "_bit_offset")
 
     def __init__(self, kind, threshold, sigma_point, r, n_bits,
-                 positions, tables, complement_query=False):
+                 positions, stack, complement_query=False):
         self.kind = kind
         self.threshold = threshold
         self.sigma_point = sigma_point
         self.r = r
         self.n_bits = n_bits
         self.positions = positions
-        self.tables = tables
+        self.stack = stack
         self.complement_query = complement_query
         self._word_index = positions // 64
         self._bit_offset = (positions % 64).astype(np.uint64)
 
     @property
     def n_tables(self) -> int:
-        return len(self.tables)
+        return self.stack.n_tables
 
-    def probe_tables(
-        self, start: int, stop: int, matrix: np.ndarray, io
-    ) -> tuple[list[set[int]], int]:
+    @property
+    def tables(self) -> list:
+        """Every table's :class:`~repro.storage.hashtable.TableView`."""
+        return [self.stack.table(t) for t in range(self.n_tables)]
+
+    def probe_tables(self, start: int, stop: int, matrix: np.ndarray, io):
         """Probe tables ``start .. stop - 1`` with every row of the
-        (pre-complemented for DFIs) packed query matrix: per-row sid
-        sets and the hit total, page charges go to ``io``."""
-        return _union_rows(
-            self.tables[start:stop],
-            self._fingerprints(start, stop, matrix),
-            matrix.shape[0],
-            io,
+        (pre-complemented for DFIs) packed query matrix, all tables in
+        one :meth:`~repro.storage.hashtable.TableStack.probe` pass: the
+        candidate CSR over the matrix rows and the hit total; page
+        charges go to ``io``."""
+        n_rows = matrix.shape[0]
+        return _hits_csr(
+            *self.stack.probe(
+                start, stop, self._fingerprints(start, stop, matrix), io
+            ),
+            n_rows,
         )
 
     def probe_table(self, t: int, matrix: np.ndarray, io) -> list[list[int]]:
         """One table's per-row sid lists, as the table returns them."""
-        return self.tables[t].probe_hashed(
+        return self.stack.table(t).probe_hashed(
             self._fingerprints(t, t + 1, matrix)[0], io
         )
 

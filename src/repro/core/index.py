@@ -70,7 +70,10 @@ class QueryResult:
     exact, so there are no false positives; filter false negatives may
     be missing).  ``candidates`` is the sid set the filters produced
     before verification -- its size is what the paper's precision
-    metric measures against.
+    metric measures against.  The query paths store it as the query's
+    row of the batch's candidate CSR (an ascending sid array, also
+    readable as :attr:`candidate_sids`) and build the ``set`` only when
+    ``candidates`` is read; a caller may pass a set instead.
 
     ``n_candidates`` / ``n_verified`` carry those counts directly
     (derived automatically when not given, so existing construction
@@ -99,9 +102,17 @@ class QueryResult:
 
     def __post_init__(self) -> None:
         if self.n_candidates < 0:
-            self.n_candidates = len(self.candidates)
+            self.n_candidates = len(self._candidates)
         if self.n_verified < 0:
             self.n_verified = len(self.answers)
+
+    @property
+    def candidate_sids(self) -> np.ndarray:
+        """The candidate sids as an ascending int64 array."""
+        got = self._candidates
+        if isinstance(got, np.ndarray):
+            return got
+        return np.array(sorted(got), dtype=np.int64)
 
     @property
     def total_time(self) -> float:
@@ -112,6 +123,25 @@ class QueryResult:
     def answer_sids(self) -> set[int]:
         """The answer set identifiers (without similarities)."""
         return {sid for sid, _ in self.answers}
+
+
+def _candidates_set(self: QueryResult) -> set[int]:
+    got = self._candidates
+    if isinstance(got, np.ndarray):
+        got = self._candidates = set(got.tolist())
+    return got
+
+
+def _store_candidates(self: QueryResult, candidates) -> None:
+    self._candidates = candidates
+
+
+# ``candidates`` stays a dataclass field (constructor argument, equality,
+# repr), read through a property so a CSR row becomes a set on first read.
+QueryResult.candidates = property(
+    _candidates_set, _store_candidates,
+    doc="The candidate sid set (built from the CSR row when first read).",
+)
 
 
 @dataclass
@@ -128,7 +158,10 @@ class BatchQueryResult:
     ``pages_saved`` counts bucket pages the grouped probes did not read
     (versus looping :meth:`~SetSimilarityIndex.query`); ``fetches_saved``
     counts candidate fetches avoided because a candidate was shared by
-    several queries of the batch.
+    several queries of the batch.  ``candidate_csr`` is the batch's
+    candidate CSR (``(indptr, sids)``, one row per query, see
+    :func:`repro.exec.columnar.pairs_csr`) that the rows' ``candidates``
+    are views of, when the batch came from the query pipeline.
     """
 
     results: list[QueryResult]
@@ -149,6 +182,7 @@ class BatchQueryResult:
     timings: dict[str, float] = field(
         default_factory=dict, repr=False, compare=False
     )
+    candidate_csr: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_queries(self) -> int:
@@ -197,26 +231,30 @@ def assemble_batch(
     cost: IOCostModel,
     delta: IOStats,
     answers_list: list[list[tuple[int, float]]],
-    candidates_list: list[set[int]],
+    candidates: tuple[np.ndarray, np.ndarray],
     pages_saved: int,
     fetches_saved: int,
     timings: dict[str, float],
     exec_stats: dict | None = None,
 ) -> BatchQueryResult:
     """Batch epilogue, result half: the :class:`BatchQueryResult` of one
-    executed batch, and -- when it ran traced -- the totals on the root
-    span plus, per filter probe, how many of the (query, candidate)
-    pairs it contributed passed that query's exact verification."""
+    executed batch (``candidates`` its candidate CSR; each row's
+    ``candidates`` is a view of it), and -- when it ran traced -- the
+    totals on the root span plus, per filter probe, how many of the
+    (query, candidate) pairs it contributed passed that query's exact
+    verification."""
+    from repro.exec.columnar import csr_rows, csr_split
+
     batch = BatchQueryResult(
         results=[
             QueryResult(
                 answers=answers,
-                candidates=candidates,
+                candidates=row,
                 io=IOStats(),
                 io_time=0.0,
                 cpu_time=0.0,
             )
-            for answers, candidates in zip(answers_list, candidates_list)
+            for answers, row in zip(answers_list, csr_split(*candidates))
         ],
         io=delta,
         io_time=cost.io_time(delta),
@@ -226,6 +264,7 @@ def assemble_batch(
         trace=root,
         exec_stats=exec_stats,
         timings=timings,
+        candidate_csr=candidates,
     )
     if root is None:
         return batch
@@ -242,19 +281,32 @@ def assemble_batch(
         root.set(timings={
             phase: round(ms, 3) for phase, ms in timings.items()
         })
-    answer_sids = [r.answer_sids for r in batch.results]
+    # (batch row, sid) of every answer, as keys a probe's hits are
+    # looked up in; both sides sort as ``row * span + sid``.
+    answer_rows = np.repeat(
+        np.arange(len(answers_list), dtype=np.int64),
+        [len(answers) for answers in answers_list],
+    )
+    answer_sids = np.fromiter(
+        (sid for answers in answers_list for sid, _ in answers),
+        dtype=np.int64, count=len(answer_rows),
+    )
     for cspan in root.find("candidates_batch"):
         rows = cspan.attrs.get("_rows")
         if rows is None:
             continue
         for span in probe_spans(cspan):
-            per_query = span.attrs.get("_sids_per_query")
-            if per_query is None:
+            probe = span.attrs.get("_probe_csr")
+            if probe is None:
                 continue
-            span.set(survived=sum(
-                len(sids & answer_sids[i])
-                for sids, i in zip(per_query, rows)
-            ))
+            indptr, sids = probe
+            width = 1 + max(
+                int(sids.max(initial=0)), int(answer_sids.max(initial=0))
+            )
+            hit_rows = np.asarray(rows, dtype=np.int64)[csr_rows(indptr)]
+            span.set(survived=int(np.isin(
+                hit_rows * width + sids, answer_rows * width + answer_sids
+            ).sum()))
     return batch
 
 
@@ -327,45 +379,56 @@ class _LiveView:
         self.plan = index.plan
         self.n_bits = index.embedder.dimension
         self.sfis, self.dfis = index._sfis, index._dfis
-        self.all_sids = index._vectors
         self.scan_pages = index.store.n_pages
 
     @property
     def planner(self):
         return self.index.planner()
 
+    @property
+    def sid_array(self) -> np.ndarray:
+        """Every stored sid, ascending."""
+        vectors = self.index._vectors
+        return np.sort(np.fromiter(vectors, dtype=np.int64, count=len(vectors)))
+
     def filter_probe(self, kind: str, point: float):
         return (self.sfis if kind == "sfi" else self.dfis)[point]
 
-    def fetch(self, sids: list[int] | None, io: IOStats) -> None:
-        """Charge reading the given sets (``None``: the whole heap,
-        sequentially): one random read plus ``span - 1`` sequential
-        reads per set, or through the buffer pool when there is one."""
+    def fetch(self, sids, io: IOStats) -> None:
+        """Charge reading the given sets (a sequence or array of sids;
+        ``None``: the whole heap, sequentially): one random read plus
+        ``span - 1`` sequential reads per set, or through the buffer
+        pool when there is one."""
         store = self.index.store
         if self.index.pager.cache_pages:
-            deque(store.scan() if sids is None else map(store.get, sids), 0)
+            deque(
+                store.scan() if sids is None
+                else map(store.get, np.asarray(sids).tolist()),
+                0,
+            )
         elif sids is None:
             io.sequential_reads += self.scan_pages
-        elif sids:
+        elif len(sids):
             spans = store.set_pages(self.index._hashes.size[sids])
             io.random_reads += len(sids)
             io.sequential_reads += int(spans.sum()) - len(sids)
 
-    def verify_batch(self, query_sets, candidates_list, sigma_low, sigma_high, io):
-        """:func:`repro.exec.columnar.verify_batch` over the hash arena."""
+    def verify_batch(self, query_sets, candidates, sigma_low, sigma_high, io):
+        """:func:`repro.exec.columnar.verify_batch` of a candidate CSR
+        over the hash arena."""
         from repro.exec.columnar import stored_rows, verify_batch
 
         index, arena = self.index, self.index._hashes
         return verify_batch(
-            query_sets, candidates_list, sigma_low, sigma_high, io,
+            query_sets, candidates, sigma_low, sigma_high, io,
             **stored_rows(arena.start, arena.data, arena.size, lens=arena.lens),
             fallback_sids=index._cfallback,
             get_set=index.store.peek,
         )
 
-    def vectors_of(self, sids: list[int]) -> np.ndarray:
+    def vectors_of(self, sids: np.ndarray) -> np.ndarray:
         vectors = self.index._vectors
-        return np.stack([vectors[sid] for sid in sids])
+        return np.stack([vectors[sid] for sid in sids.tolist()])
 
 
 class SetSimilarityIndex:

@@ -7,7 +7,9 @@ two points carry different filter kinds, by a union through the
 dual-kind pivot point between them).  Which plan a range gets depends
 only on the plan's cut points and on which filter kinds exist at them,
 so the live index and the frozen snapshots share these functions:
-``sfis`` / ``dfis`` are any containers keyed by cut point.
+``sfis`` / ``dfis`` are any containers keyed by cut point.  Probe
+results and candidates are candidate CSRs over query rows
+(:func:`repro.exec.columnar.pairs_csr`), and the algebra runs on them.
 """
 
 from __future__ import annotations
@@ -110,89 +112,136 @@ def plan_batch(
     return plan, probes, pivot, rows
 
 
+def _keys(csr, span: int) -> np.ndarray:
+    """A CSR's entries as ascending ``row * span + sid`` keys."""
+    from repro.exec.columnar import csr_rows
+
+    indptr, sids = csr
+    return csr_rows(indptr) * span + sids
+
+
+def _difference(a, b):
+    """Row-wise ``a - b`` of two candidate CSRs over the same rows."""
+    from repro.exec.columnar import csr_from_counts, csr_rows
+
+    indptr, sids = a
+    if len(sids) == 0 or len(b[1]) == 0:
+        return a
+    span = 1 + max(int(sids.max()), int(b[1].max()))
+    keys, drop = _keys(a, span), _keys(b, span)
+    pos = np.minimum(np.searchsorted(drop, keys), len(drop) - 1)
+    keep = drop[pos] != keys
+    return (
+        csr_from_counts(np.bincount(
+            csr_rows(indptr)[keep], minlength=len(indptr) - 1
+        )),
+        sids[keep],
+    )
+
+
+def _union(a, b):
+    """Row-wise ``a | b`` of two candidate CSRs over the same rows."""
+    from repro.exec.columnar import csr_rows, pairs_csr
+
+    return pairs_csr(
+        np.concatenate([csr_rows(a[0]), csr_rows(b[0])]),
+        np.concatenate([a[1], b[1]]),
+        len(a[0]) - 1,
+    )
+
+
+def _everything(all_sids: np.ndarray, n_rows: int):
+    """The CSR of ``n_rows`` rows that each hold every stored sid."""
+    return (
+        np.arange(n_rows + 1, dtype=np.int64) * len(all_sids),
+        np.tile(all_sids, n_rows),
+    )
+
+
 def combine_candidates(
     plan: str,
-    probed: dict[tuple[str, float], list[set[int]]],
+    probed: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]],
     probes: list[tuple[str, float]],
     n_queries: int,
     rows: list[int],
-    all_sids: Iterable[int],
-) -> list[set[int]]:
+    all_sids: Callable[[], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply a plan's candidate algebra to its probe results.
 
-    ``probed[(kind, point)][j]`` is the sid set that filter returned
-    for the ``j``-th *non-empty* query; ``rows[j]`` is that query's
-    batch position.  Empty query sets cannot be embedded and are
-    disjoint from every stored set, so outside ``full_collection`` they
-    keep an empty candidate set (``plan="empty_queries"`` when the
-    whole batch is empty).
+    Every operand and the result is a candidate CSR (see
+    :func:`repro.exec.columnar.pairs_csr`): ``probed[(kind, point)]``
+    has one row per *non-empty* query, ``rows[j]`` (ascending) being
+    the batch position of row ``j``, and the result has one row per
+    query of the batch.  Set difference and union run on the rows'
+    ascending ``row * span + sid`` keys, so no per-query set is built.
+    ``all_sids()`` is the ascending array of every stored sid, asked
+    for only by the plans that need it.  Empty query sets cannot be
+    embedded and are disjoint from every stored set, so outside
+    ``full_collection`` they keep no candidates
+    (``plan="empty_queries"`` when the whole batch is empty).
     """
+    from repro.exec.columnar import csr_from_counts
+
     if plan == "full_collection":
-        return [set(all_sids) for _ in range(n_queries)]
-    results: list[set[int]] = [set() for _ in range(n_queries)]
+        return _everything(all_sids(), n_queries)
     if plan == "empty_queries":
-        return results
-    per_row: list[set[int]]
+        return np.zeros(n_queries + 1, dtype=np.int64), np.empty(0, np.int64)
     if plan in ("dfi(up)", "sfi(lo)"):
         per_row = probed[probes[0]]
     elif plan in ("complement_sfi(up)", "complement_dfi(lo)"):
-        everything = set(all_sids)
-        per_row = [everything - s for s in probed[probes[0]]]
+        per_row = _difference(_everything(all_sids(), len(rows)), probed[probes[0]])
     elif plan == "sfi_difference":
-        low_sets, up_sets = probed[probes[0]], probed[probes[1]]
-        per_row = [a - b for a, b in zip(low_sets, up_sets)]
+        per_row = _difference(probed[probes[0]], probed[probes[1]])
     elif plan == "dfi_difference":
-        low_sets, up_sets = probed[probes[0]], probed[probes[1]]
-        per_row = [b - a for a, b in zip(low_sets, up_sets)]
+        per_row = _difference(probed[probes[1]], probed[probes[0]])
     elif plan == "pivot_union":
         pivot_dissim, lo_dissim, pivot_sim, up_sim = (
             probed[p] for p in probes
         )
-        per_row = [
-            (pd - ld) | (ps - us)
-            for pd, ld, ps, us in zip(
-                pivot_dissim, lo_dissim, pivot_sim, up_sim
-            )
-        ]
+        per_row = _union(
+            _difference(pivot_dissim, lo_dissim),
+            _difference(pivot_sim, up_sim),
+        )
     else:
         raise ValueError(f"unknown plan family: {plan!r}")
-    for row, i in enumerate(rows):
-        results[i] = per_row[row]
-    return results
+    indptr, sids = per_row
+    counts = np.zeros(n_queries, dtype=np.int64)
+    counts[rows] = np.diff(indptr)
+    return csr_from_counts(counts), sids
 
 
 def estimate_in_range(
     embedder,
-    candidates_list: list[set[int]],
+    candidates: tuple[np.ndarray, np.ndarray],
     matrix: np.ndarray | None,
     rows: list[int],
-    vectors_of: Callable[[list[int]], np.ndarray],
+    vectors_of: Callable[[np.ndarray], np.ndarray],
     sigma_low: float,
     sigma_high: float,
 ) -> int:
     """How many (query, candidate) pairs the Hamming estimate already
     places in range -- the ``est_in_range`` EXPLAIN aggregate.
 
-    ``matrix`` holds the embedded non-empty queries (``rows`` their
-    batch positions) and ``vectors_of(sids)`` the stored vectors of the
-    given sids, one row each.  Wall-clock work only: never accounted as
-    simulated CPU.
+    ``candidates`` is the batch's candidate CSR, ``matrix`` holds the
+    embedded non-empty queries (``rows`` their batch positions) and
+    ``vectors_of(sids)`` the stored vectors of the given ascending sids,
+    one row each.  Wall-clock work only: never accounted as simulated
+    CPU.
     """
+    from repro.exec.columnar import csr_rows, sorted_unique
+
     if matrix is None or not rows:
         return 0
-    row_of_query = {i: row for row, i in enumerate(rows)}
-    distinct = sorted(set().union(*candidates_list))
-    col = {sid: j for j, sid in enumerate(distinct)}
-    q_rows: list[int] = []
-    c_cols: list[int] = []
-    for i, candidates in enumerate(candidates_list):
-        row = row_of_query.get(i)
-        if row is None or not candidates:
-            continue
-        q_rows.extend([row] * len(candidates))
-        c_cols.extend(col[sid] for sid in candidates)
-    if not q_rows:
+    indptr, sids = candidates
+    matrix_row = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    matrix_row[rows] = np.arange(len(rows), dtype=np.int64)
+    q_rows = matrix_row[csr_rows(indptr)]
+    embedded = q_rows >= 0
+    q_rows, sids = q_rows[embedded], sids[embedded]
+    if len(sids) == 0:
         return 0
+    distinct = sorted_unique(sids)
+    c_cols = np.searchsorted(distinct, sids)
     # Codec-calibrated estimate: full64 inverts Theorem 1 with the
     # fixed-precision collision bias, b-bit applies the Li & Koenig
     # slot correction.

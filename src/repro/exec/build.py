@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.filter_index import DissimilarityFilterIndex
+from repro.exec.columnar import sorted_unique
 from repro.obs import metrics, trace
 from repro.storage.hashtable import UnresolvedTailError, hash_words
 
@@ -123,7 +124,7 @@ def bulk_load_filters(filters, matrix: np.ndarray, sids: Sequence[int]) -> dict:
             for unit in units:
                 if unit.plan is None:
                     fps = unit.fingerprints
-                    touched = np.unique(
+                    touched = sorted_unique(
                         fps % np.uint64(unit.table.n_buckets)
                     ).astype(np.int64)
                     tail_reads += unit.table.resolve_tails(touched.tolist())

@@ -292,6 +292,90 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return mask
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d integer array: ascending, each value once.
+
+    ``np.sort`` plus a run mask.  On int64 this is 15-40x faster than
+    ``np.unique`` on numpy 2.4 (0.98 vs 20.8 ms at 82k elements), which
+    is why the candidate CSR code below never calls the latter.
+    """
+    values = np.sort(values)
+    return values[_run_starts(values)]
+
+
+# -- candidate CSR -----------------------------------------------------------
+#
+# A batch's candidates travel as one CSR over its query rows: ``(indptr,
+# sids)``, row ``i`` owning ``sids[indptr[i]:indptr[i + 1]]``, ascending
+# and unique.  Sids are non-negative int64, so a row's entries and the
+# whole CSR sort as the keys ``row * span + sid`` for any ``span`` above
+# the largest sid -- the form the plan algebra and every merge use.
+
+
+def csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of a CSR with this ``indptr``."""
+    return np.repeat(
+        np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)
+    )
+
+
+def csr_from_counts(counts: np.ndarray) -> np.ndarray:
+    """The ``indptr`` of rows holding ``counts`` entries each."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def pairs_csr(
+    rows: np.ndarray, sids: np.ndarray, n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate CSR over ``n_rows`` rows of ``(row, sid)`` pairs
+    given in any order, repeats dropped: one sort of combined keys."""
+    sids = np.asarray(sids, dtype=np.int64)
+    if len(sids) == 0:
+        return np.zeros(n_rows + 1, dtype=np.int64), sids
+    if n_rows == 1:  # a single query's probe: the keys are the sids
+        sids = sorted_unique(sids)
+        return np.array([0, len(sids)], dtype=np.int64), sids
+    span = int(sids.max()) + 1
+    keys = sorted_unique(np.asarray(rows, dtype=np.int64) * span + sids)
+    rows = keys // span
+    return (
+        csr_from_counts(np.bincount(rows, minlength=n_rows)),
+        keys - rows * span,
+    )
+
+
+def csr_of(rows: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate CSR of per-row sid collections (sets, lists or
+    arrays): the adapter for callers that hold Python sets."""
+    counts = [len(row) for row in rows]
+    sids = np.fromiter(
+        chain.from_iterable(rows), dtype=np.int64, count=sum(counts)
+    )
+    return pairs_csr(
+        np.repeat(np.arange(len(rows), dtype=np.int64), counts), sids,
+        len(rows),
+    )
+
+
+def csr_split(indptr: np.ndarray, sids: np.ndarray) -> list[np.ndarray]:
+    """Each row's sids, as views into ``sids``."""
+    bounds = indptr.tolist()
+    return [sids[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def csr_slice(
+    csr: tuple[np.ndarray, np.ndarray], start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``start .. stop - 1`` of a CSR, as a CSR of their own."""
+    indptr, sids = csr
+    return (
+        indptr[start:stop + 1] - indptr[start],
+        sids[indptr[start]:indptr[stop]],
+    )
+
+
 def join_counts(
     query_arrays: Sequence[np.ndarray],
     indptr: np.ndarray,
@@ -352,7 +436,7 @@ def join_counts(
 
 def verify_batch(
     query_sets: Sequence[frozenset],
-    candidates_list: Sequence[set[int]],
+    candidates: tuple[np.ndarray, np.ndarray],
     sigma_low: float,
     sigma_high: float,
     io: IOStats,
@@ -364,7 +448,9 @@ def verify_batch(
 ) -> tuple[list[list[tuple[int, float]]], dict]:
     """Exact in-range answers of a batch, best-first per query.
 
-    The one verify composition every path runs.  The caller describes
+    The one verify composition every path runs.  ``candidates`` is the
+    batch's candidate CSR (see :func:`pairs_csr`): one row per query,
+    sids ascending and unique.  The caller describes
     its stored sets through four adapters: ``csr(sids)`` is the sorted
     hash arrays of the given sids (an ascending int64 array) in CSR
     form, ``sizes(sids)`` their cardinalities, ``fallback_sids`` those
@@ -389,20 +475,10 @@ def verify_batch(
     (``verify_kernel``: ``join`` | ``pairwise``) and the counts it was
     chosen from (``pairs``, ``distinct``, ``join_size``).
     """
-    n = len(query_sets)
-    counts = np.fromiter(
-        (len(c) for c in candidates_list), dtype=np.int64, count=n
-    )
-    pairs = int(counts.sum())
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    pair_sid = np.fromiter(
-        chain.from_iterable(candidates_list), dtype=np.int64, count=pairs
-    )
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        pair_sid[a:b].sort()
-    distinct = np.sort(pair_sid)
-    distinct = distinct[_run_starts(distinct)]
+    bounds, pair_sid = candidates
+    counts = np.diff(bounds)
+    pairs = len(pair_sid)
+    distinct = sorted_unique(pair_sid)
     adapters = dict(
         csr=csr, sizes=sizes, fallback_sids=fallback_sids, get_set=get_set
     )

@@ -17,11 +17,11 @@ the storage genuinely differs, and nothing above these operations does:
 - ``cost`` (the :class:`~repro.storage.iomodel.IOCostModel` a batch
   charges), ``embedder``, ``plan``, ``planner``, ``n_bits``,
   ``sfis`` / ``dfis`` and ``filter_probe(kind, point)`` -- each filter
-  answering ``probe_tables(start, stop, matrix, io)`` -- ``all_sids``,
-  ``scan_pages``;
-- ``fetch(sids, io)``: charge reading the sets of the given sids
-  (``None``: the whole heap, sequentially);
-- ``verify_batch(query_sets, candidates_list, lo, hi, io)``: exact
+  answering ``probe_tables(start, stop, matrix, io)`` -- ``sid_array``
+  (every stored sid, ascending), ``scan_pages``;
+- ``fetch(sids, io)``: charge reading the sets of the given ascending
+  sid array (``None``: the whole heap, sequentially);
+- ``verify_batch(query_sets, candidates, lo, hi, io)``: exact
   verification over the view's per-set hash rows, which reads a set's
   elements only on the exact fallback paths;
 - ``vectors_of(sids)`` for the traced ``est_in_range`` aggregate.
@@ -47,6 +47,12 @@ their private charges into ``view.cost`` there, so a span's I/O delta
 is exact whether a charge was accounted by a task or made by the live
 pager mid-task.
 
+A batch's candidates are one CSR over its query rows from probe to
+result (:func:`repro.exec.columnar.pairs_csr`: each row's sids ascending
+and unique): probes return one, the plan algebra combines them, verify
+chunks slice it, and :class:`~repro.core.index.QueryResult` rows are
+views into it.
+
 Work is split so that results cannot depend on the worker count: probe
 tasks take contiguous ranges of one filter's tables (a bucket's chain
 is read once per table for the whole batch), embed and verify tasks
@@ -71,7 +77,14 @@ from repro.core.query_plan import (
     estimate_in_range,
     plan_batch,
 )
-from repro.exec.columnar import merge_verify_info
+from repro.exec.columnar import (
+    csr_from_counts,
+    csr_rows,
+    csr_slice,
+    merge_verify_info,
+    pairs_csr,
+    sorted_unique,
+)
 from repro.exec.procpool import Task, run_task
 from repro.hamming.bitvector import complement
 from repro.obs import metrics, trace
@@ -136,7 +149,7 @@ def _run(view, sched, tasks: list[Task], labelled: list[tuple]) -> list[Task]:
     return done
 
 
-def _fetch(view, sids: list[int] | None) -> float:
+def _fetch(view, sids: np.ndarray | None) -> float:
     """The view's fetch on the calling thread; returns its wall ms."""
     t0 = time.perf_counter()
     io = IOStats()
@@ -198,7 +211,7 @@ def run_batch(
     ) as root:
         before = cost.snapshot()
         if strategy == "scan":
-            candidates_list, answers_list, fetch_ms = _scan_stage(
+            candidates, answers_list, fetch_ms = _scan_stage(
                 view, sched, tasks, query_sets, sigma_low, sigma_high
             )
             fetches_saved, verify_info = 0, {}
@@ -206,11 +219,11 @@ def run_batch(
                 "scan": fetch_ms + stage_seconds(tasks).get("scan", 0.0) * 1e3
             }
         else:
-            candidates_list, matrix, rows, pages_saved = _candidates_stage(
+            candidates, matrix, rows, pages_saved = _candidates_stage(
                 view, sched, tasks, query_sets, sigma_low, sigma_high
             )
             answers_list, fetches_saved, verify_info, fetch_ms = _verify_stage(
-                view, sched, tasks, query_sets, candidates_list, verify_rows,
+                view, sched, tasks, query_sets, candidates, verify_rows,
                 sigma_low, sigma_high, matrix, rows,
             )
             timings = dict.fromkeys(("embed", "probe", "fetch", "verify"), 0.0)
@@ -229,7 +242,7 @@ def run_batch(
         if exec_stats is not None:
             exec_stats.update(verify_info)
         batch = assemble_batch(
-            root, cost, delta, answers_list, candidates_list,
+            root, cost, delta, answers_list, candidates,
             pages_saved, fetches_saved, timings, exec_stats,
         )
     if record:
@@ -265,18 +278,21 @@ def _scan_stage(view, sched, tasks, query_sets, sigma_low, sigma_high):
             (f"scan[{a}:{b}]", ("scan", query_sets[a:b], sigma_low, sigma_high))
             for a, b in _ranges(n, sched.workers)
         ])
-        per_query = [pair for task in done for pair in task.result]
-        candidates_list = [candidates for candidates, _ in per_query]
-        answers_list = [answers for _, answers in per_query]
+        answers_list = [answers for task in done for answers in task.result]
+        universe = view.sid_array
+        candidates = (
+            np.arange(n + 1, dtype=np.int64) * len(universe),
+            np.tile(universe, n),
+        )
         sp.set(
-            n_candidates=sum(len(c) for c in candidates_list),
+            n_candidates=len(candidates[1]),
             n_verified=sum(len(a) for a in answers_list),
         )
-    return candidates_list, answers_list, fetch_ms
+    return candidates, answers_list, fetch_ms
 
 
 def _candidates_stage(view, sched, tasks, query_sets, sigma_low, sigma_high):
-    """Per-query candidate sets of the range's Section 4.3 plan.
+    """The batch's candidate CSR under the range's Section 4.3 plan.
 
     Also returns the packed embedding matrix of the non-empty query
     sets, the batch positions its rows correspond to (for the
@@ -292,7 +308,7 @@ def _candidates_stage(view, sched, tasks, query_sets, sigma_low, sigma_high):
     matrix: np.ndarray | None = None
     pages_saved = 0
     with trace.span("candidates_batch", lo=lo, up=up, n_queries=n) as sp:
-        probed: dict[tuple[str, float], list[set[int]]] = {}
+        probed: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
         if probes:
             with trace.span(
                 "embed_batch", k=view.embedder.k, n_queries=len(rows)
@@ -316,30 +332,27 @@ def _candidates_stage(view, sched, tasks, query_sets, sigma_low, sigma_high):
                     cmatrix if kind == "dfi" else matrix,
                 )
                 pages_saved += saved
-        candidates_list = combine_candidates(
-            plan, probed, probes, n, rows, view.all_sids
+        candidates = combine_candidates(
+            plan, probed, probes, n, rows, lambda: view.sid_array
         )
         if sp.recording:
-            sp.set(
-                plan=plan,
-                n_candidates=sum(len(s) for s in candidates_list),
-                _rows=rows,
-            )
+            sp.set(plan=plan, n_candidates=len(candidates[1]), _rows=rows)
             if pivot is not None:
                 sp.set(pivot=pivot)
-    return candidates_list, matrix, rows, pages_saved
+    return candidates, matrix, rows, pages_saved
 
 
 def probe_filter(
     view, sched, tasks: list[Task], kind: str, point: float | None,
     matrix: np.ndarray,
-) -> tuple[list[set[int]], int]:
+) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """The probe stage for one planned filter: its ``{kind}_probe_batch``
     span, one task per worker's contiguous range of its hash tables, the
     per-row union of their hits and the ``sfi.*`` / ``dfi.*`` counters.
 
     ``matrix`` holds the complemented queries for a DFI.  Returns the
-    per-row sid sets and the bucket pages the grouped reads saved.
+    candidate CSR over the matrix rows and the bucket pages the grouped
+    reads saved.
     Inside a task every table groups the whole batch's fingerprints by
     bucket, so page charges and ``pages_saved`` cannot depend on the
     worker count.
@@ -361,13 +374,16 @@ def probe_filter(
             )
             for start, stop in _ranges(fp.n_tables, sched.workers)
         ])
-        sids, hits = done[0].result
-        for task in done[1:]:
-            more, more_hits = task.result
-            hits += more_hits
-            for mine, theirs in zip(sids, more):
-                mine |= theirs
-        unique = sum(len(s) for s in sids)
+        csr, hits = done[0].result
+        if len(done) > 1:
+            parts = [task.result[0] for task in done]
+            hits = sum(task.result[1] for task in done)
+            csr = pairs_csr(
+                np.concatenate([csr_rows(indptr) for indptr, _ in parts]),
+                np.concatenate([sids for _, sids in parts]),
+                n_rows,
+            )
+        unique = len(csr[1])
         record_batch_probe_counters(kind, n_rows, unique, hits - unique)
         saved = sum(task.pages_saved for task in done)
         if sp.recording:
@@ -375,38 +391,41 @@ def probe_filter(
                 tables_probed=fp.n_tables,
                 candidates=unique,
                 pages_saved=saved,
-                _sids_per_query=sids,
+                _probe_csr=csr,
             )
             if kind == "sfi":
                 sp.set(collisions=hits - unique)
-    return sids, saved
+    return csr, saved
 
 
 def _verify_stage(
-    view, sched, tasks, query_sets, candidates_list, verify_rows,
+    view, sched, tasks, query_sets, candidates, verify_rows,
     sigma_low, sigma_high, matrix, rows,
 ):
     """Fetch each distinct candidate once and verify all pairs exactly
-    (:func:`repro.exec.columnar.verify_batch` per worker chunk)."""
+    (:func:`repro.exec.columnar.verify_batch` per worker chunk of the
+    candidate CSR)."""
     n = len(query_sets)
     if verify_rows is not None:
         # The router's verify mask: masked rows keep their probe
         # candidates (reported unchanged) but skip fetch + exact
         # verification -- they provably hold no in-range answer.
-        keep = set(verify_rows)
-        candidates_list = [
-            cands if i in keep else set()
-            for i, cands in enumerate(candidates_list)
-        ]
-    n_pairs = sum(len(c) for c in candidates_list)
+        indptr, sids = candidates
+        keep = np.zeros(n, dtype=bool)
+        keep[list(verify_rows)] = True
+        candidates = (
+            csr_from_counts(np.where(keep, np.diff(indptr), 0)),
+            sids[keep[csr_rows(indptr)]],
+        )
+    n_pairs = len(candidates[1])
     with trace.span("verify_batch", n_queries=n, n_pairs=n_pairs) as sp:
-        distinct = sorted(set().union(*candidates_list))
+        distinct = sorted_unique(candidates[1])
         fetches_saved = n_pairs - len(distinct)
         fetch_ms = _fetch(view, distinct)
         done = _run(view, sched, tasks, [
             (
                 f"verify[{a}:{b}]",
-                ("verify", query_sets[a:b], candidates_list[a:b],
+                ("verify", query_sets[a:b], csr_slice(candidates, a, b),
                  sigma_low, sigma_high),
             )
             for a, b in _ranges(n, sched.workers)
@@ -426,7 +445,7 @@ def _verify_stage(
                 false_positives=n_pairs - n_verified,
                 fetches_saved=fetches_saved,
                 est_in_range=estimate_in_range(
-                    view.embedder, candidates_list, matrix, rows,
+                    view.embedder, candidates, matrix, rows,
                     view.vectors_of, sigma_low, sigma_high,
                 ),
                 **info,

@@ -35,6 +35,8 @@ import os
 import threading
 import time
 
+import numpy as np
+
 from repro.obs import metrics
 from repro.storage.iomodel import IOStats
 
@@ -60,31 +62,28 @@ def _embed(view, io, query_sets):
 
 
 def _probe(view, io, kind, point, start, stop, matrix):
-    """``(per-row sid sets, hit total)`` of tables ``start .. stop - 1``
-    of one planned filter (``matrix`` pre-complemented for a DFI)."""
+    """``(candidate CSR, hit total)`` of tables ``start .. stop - 1`` of
+    one planned filter (``matrix`` pre-complemented for a DFI)."""
     return view.filter_probe(kind, point).probe_tables(start, stop, matrix, io)
 
 
-def _verify(view, io, query_sets, candidates_list, sigma_low, sigma_high):
-    """``(answers_list, info)`` of a chunk of the batch; candidates are
-    shared inside a chunk only."""
-    return view.verify_batch(
-        query_sets, candidates_list, sigma_low, sigma_high, io
-    )
+def _verify(view, io, query_sets, candidates, sigma_low, sigma_high):
+    """``(answers_list, info)`` of a chunk of the batch (``candidates``
+    is the chunk's candidate CSR); candidates are shared inside a chunk
+    only."""
+    return view.verify_batch(query_sets, candidates, sigma_low, sigma_high, io)
 
 
 def _scan(view, io, query_sets, sigma_low, sigma_high):
-    """Each query's ``(candidates, answers)`` against the whole
-    collection (CPU charges only; the one shared page pass is the
-    view's ``fetch(None, io)``, charged once by the stage)."""
-    universe = view.all_sids
+    """Each query's answers against the whole collection (CPU charges
+    only; the one shared page pass is the view's ``fetch(None, io)``,
+    charged once by the stage)."""
+    universe = view.sid_array
+    everything = (np.array([0, len(universe)], dtype=np.int64), universe)
     return [
-        (
-            set(universe),
-            view.verify_batch(
-                [query_set], [universe], sigma_low, sigma_high, io
-            )[0][0],
-        )
+        view.verify_batch(
+            [query_set], everything, sigma_low, sigma_high, io
+        )[0][0]
         for query_set in query_sets
     ]
 

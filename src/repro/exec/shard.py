@@ -70,7 +70,12 @@ from repro.core.index import (
     record_batch,
 )
 from repro.core.minhash import MinHasher, stable_element_hash
-from repro.exec.columnar import merge_verify_info
+from repro.exec.columnar import (
+    csr_rows,
+    merge_verify_info,
+    pairs_csr,
+    sorted_unique,
+)
 from repro.exec.parallel import WorkerPool
 from repro.exec.pipeline import run_batch
 from repro.exec.route import (
@@ -648,7 +653,7 @@ def open_sharded(path, verify: bool = False) -> "ShardedSnapshot":
     )
     if len(merged) != manifest["n_sets"] or (
         len(merged) and (
-            np.unique(merged).size != len(merged)
+            sorted_unique(merged).size != len(merged)
             or int(merged.min()) != 0
             or int(merged.max()) != len(merged) - 1
         )
@@ -708,7 +713,9 @@ class ShardedExecutor:
     - per-query answers are mapped local->global sid and re-sorted
       best-first (sid ties ascending) -- exactly the order
       ``in_range_answers`` gives every unsharded verification path;
-    - candidates are the union of mapped per-shard candidates;
+    - candidates are the union of mapped per-shard candidates: every
+      shard's candidate CSR mapped through its ``global_sids`` in one
+      gather, concatenated and sort-uniqued into the batch's CSR;
     - IOStats, ``pages_saved``/``fetches_saved`` and per-phase timings
       are integer/float sums over shards (order-independent);
     - per-shard runs skip the query-level telemetry (``record=False``)
@@ -974,22 +981,26 @@ class ShardedExecutor:
     def _merge(self, shard_batches, n: int) -> BatchQueryResult:
         """Deterministic merge; see the class docstring for semantics."""
         merged_answers: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        merged_cands: list[set[int]] = [set() for _ in range(n)]
+        cand_rows: list[np.ndarray] = []
+        cand_sids: list[np.ndarray] = []
         io = IOStats()
         pages_saved = 0
         fetches_saved = 0
         timings: dict[str, float] = {}
         for i, (sbatch, _, rows) in sorted(shard_batches.items()):
             gsids = self.sharded.global_sids[i]
+            indptr, sids = sbatch.candidate_csr
+            local_rows = csr_rows(indptr)
+            cand_rows.append(
+                local_rows if rows is None
+                else np.asarray(rows, dtype=np.int64)[local_rows]
+            )
+            cand_sids.append(gsids[sids])
             row_of = rows if rows is not None else range(len(sbatch.results))
             for q, result in zip(row_of, sbatch.results):
                 if result.answers:
                     merged_answers[q].extend(
                         (int(gsids[sid]), sim) for sid, sim in result.answers
-                    )
-                if result.candidates:
-                    merged_cands[q].update(
-                        int(gsids[sid]) for sid in result.candidates
                     )
             io = io + sbatch.io
             pages_saved += sbatch.pages_saved
@@ -1003,8 +1014,14 @@ class ShardedExecutor:
             # re-sorting the mapped union reproduces the unsharded
             # ordering exactly.
             answers.sort(key=lambda pair: (-pair[1], pair[0]))
+        empty = [np.empty(0, dtype=np.int64)]
+        candidates = pairs_csr(
+            np.concatenate(empty + cand_rows),
+            np.concatenate(empty + cand_sids),
+            n,
+        )
         return assemble_batch(
-            None, self.sharded.cost, io, merged_answers, merged_cands,
+            None, self.sharded.cost, io, merged_answers, candidates,
             pages_saved, fetches_saved, timings,
         )
 

@@ -25,10 +25,12 @@ Layout of a snapshot directory::
 
 The arrays cover everything the hot path touches: the packed ``(N,
 words)`` uint64 vector matrix, the CSR sorted-hash set arrays and set
-sizes, the per-row measured fetch costs, per-table bucket directories
-(chain page counts plus fingerprint runs in CSR form -- the arrays of a
-:class:`~repro.storage.hashtable.TableView`, written as ``freeze()``
-built them and wrapped in the same class at open),
+sizes, the per-row measured fetch costs, per-filter bucket directories
+(chain page counts plus fingerprint runs in CSR form, every table of a
+filter stacked into one array per field -- the arrays of a
+:class:`~repro.storage.hashtable.TableStack`, written as ``freeze()``
+built them and wrapped in the same class at open; the manifest's filter
+entry names each table's bucket count and run offsets),
 and the set elements themselves (int64 or utf-8 CSR when the elements
 allow it).  ``frozenset`` objects needed by the exact-verification
 fallback are materialized lazily, one set at a time, memoized
@@ -57,14 +59,14 @@ from repro.core.codec import CodecError, parse_codec
 from repro.core.filter_index import FrozenFilterProbe
 from repro.exec.snapshot import IndexSnapshot
 from repro.obs import metrics, trace
-from repro.storage.hashtable import TableView
+from repro.storage.hashtable import TableStack
 from repro.storage.iomodel import IOCostModel
 
 FORMAT_NAME = "repro-ssi-snapshot"
-#: v3: table arrays are whole-table fingerprint runs (no per-bucket
-#: index).  The only version read; re-save older directories from the
-#: live index.
-FORMAT_VERSION = 3
+#: v4: a filter's tables are stacked (one array per field per filter,
+#: table bounds in the manifest's ``n_buckets`` / ``run_offsets``).
+#: The only version read; re-save older directories from the live index.
+FORMAT_VERSION = 4
 
 #: Byte alignment of every array in ``arrays.bin`` (cache-line sized,
 #: and a multiple of every dtype's itemsize so views never misalign).
@@ -177,8 +179,9 @@ def open_arrays(path, specs: dict[str, dict], verify: bool = False) -> dict[str,
     return arrays
 
 
-#: Per-table arrays (``f###_t###_<field>``) and their dtypes: the
-#: attributes of a :class:`~repro.storage.hashtable.TableView`.
+#: Per-filter stacked table arrays (``f###_<field>``) and their dtypes:
+#: the array attributes of a :class:`~repro.storage.hashtable.TableStack`
+#: (and of each :class:`~repro.storage.hashtable.TableView` slice of it).
 _TABLE_FIELDS = {
     "chain_pages": "<i8", "run_fps": "<u8", "run_indptr": "<i8",
     "run_sids": "<i8",
@@ -256,7 +259,7 @@ class MappedSnapshot(IndexSnapshot):
     Query semantics, page charges and counter movements are identical
     to a live ``index.freeze()`` snapshot -- the executor equivalence
     suites run unchanged over either.  Derived Python objects the hot
-    path needs (`row_of`, `all_sids`, the fallback ``frozenset``
+    path needs (`row_of`, the fallback ``frozenset``
     objects) are built lazily on first use and cached; concurrent first
     touches from the thread backend may build one twice, but the
     results are identical so the race is benign.
@@ -280,13 +283,6 @@ class MappedSnapshot(IndexSnapshot):
             got = self.__dict__["_row_of"] = {
                 sid: row for row, sid in enumerate(self.sids)
             }
-        return got
-
-    @property
-    def all_sids(self) -> frozenset:
-        got = self.__dict__.get("_all_sids")
-        if got is None:
-            got = self.__dict__["_all_sids"] = frozenset(self.sids)
         return got
 
     @property
@@ -385,19 +381,19 @@ def save_snapshot(snapshot: IndexSnapshot, path) -> Path:
         filter_objects: list[dict] = []
         for i, (kind, point) in enumerate(filters):
             fp = snapshot.filter_probe(kind, point)
-            for t, view in enumerate(fp.tables):
-                for field in _TABLE_FIELDS:
-                    arrays[f"f{i:03d}_t{t:03d}_{field}"] = getattr(view, field)
+            for field in _TABLE_FIELDS:
+                arrays[f"f{i:03d}_{field}"] = getattr(fp.stack, field)
             filter_meta.append({
                 "kind": kind, "point": point, "threshold": fp.threshold,
                 "sigma_point": fp.sigma_point, "r": fp.r, "l": fp.n_tables,
+                "n_buckets": fp.stack.n_buckets.tolist(),
+                "run_offsets": fp.stack.run_offsets.tolist(),
             })
             filter_objects.append({
                 "kind": kind, "point": point, "threshold": fp.threshold,
                 "sigma_point": fp.sigma_point, "r": fp.r,
                 "n_bits": fp.n_bits, "complement_query": fp.complement_query,
                 "positions": fp.positions,
-                "n_buckets": [view.n_buckets for view in fp.tables],
             })
         encoding, set_arrays, sets_obj = _encode_sets(
             [snapshot.sets[sid] for sid in sids]
@@ -462,14 +458,29 @@ def save_snapshot(snapshot: IndexSnapshot, path) -> Path:
     return path
 
 
-def _open_table(
-    prefix: str, n_buckets: int, specs: dict, arrays: dict, verify: bool
-) -> TableView:
-    """Wrap one table's mapped arrays, refusing a set that cannot be a
-    :class:`~repro.storage.hashtable.TableView`.
+def _offsets(prefix: str, meta: dict, key: str, length: int) -> list[int]:
+    """A filter's manifest list of table bounds, refused unless it is
+    ``length`` integers."""
+    got = meta.get(key)
+    if (
+        not isinstance(got, list) or len(got) != length
+        or not all(type(v) is int for v in got)
+    ):
+        raise SnapshotFormatError(
+            f"filter {prefix!r}: manifest {key!r} must list {length} "
+            f"integers, found {got!r}"
+        )
+    return got
 
-    The always-on checks read only the manifest specs (dtypes, and
-    lengths that must fit each other), so opening stays O(ms);
+
+def _open_stack(
+    prefix: str, meta: dict, specs: dict, arrays: dict, verify: bool
+) -> TableStack:
+    """Wrap one filter's mapped table arrays, refusing a set that cannot
+    be a :class:`~repro.storage.hashtable.TableStack`.
+
+    The always-on checks read only the manifest (dtypes, table bounds,
+    and lengths that must fit each other), so opening stays O(ms);
     ``verify=True`` also reads the arrays to check the order the probe's
     binary search and run slicing rely on.
     """
@@ -483,27 +494,49 @@ def _open_table(
     n_pages, n_runs, n_indptr, n_sids = (
         specs[prefix + field]["shape"][0] for field in _TABLE_FIELDS
     )
-    if n_pages != n_buckets or n_indptr != n_runs + 1:
+    n_tables = meta.get("l")
+    if type(n_tables) is not int or n_tables < 1:
         raise SnapshotFormatError(
-            f"table {prefix!r} arrays do not fit each other: {n_pages} "
-            f"chain_pages for {n_buckets} buckets, {n_indptr} run_indptr "
-            f"for {n_runs} run_fps"
+            f"filter {prefix!r}: table count {n_tables!r} is not positive"
         )
-    view = TableView(
-        n_buckets, *(arrays[prefix + field] for field in _TABLE_FIELDS)
+    n_buckets = _offsets(prefix, meta, "n_buckets", n_tables)
+    run_offsets = _offsets(prefix, meta, "run_offsets", n_tables + 1)
+    if (
+        min(n_buckets) < 1 or run_offsets[0] != 0
+        or any(b < a for a, b in zip(run_offsets, run_offsets[1:]))
+        or run_offsets[-1] != n_runs
+    ):
+        raise SnapshotFormatError(
+            f"filter {prefix!r}: table bounds out of range -- every "
+            "n_buckets must be positive and run_offsets must rise from 0 "
+            f"to the {n_runs} runs"
+        )
+    if n_pages != sum(n_buckets) or n_indptr != n_runs + 1:
+        raise SnapshotFormatError(
+            f"filter {prefix!r} arrays do not fit each other: {n_pages} "
+            f"chain_pages for {sum(n_buckets)} buckets, {n_indptr} "
+            f"run_indptr for {n_runs} run_fps"
+        )
+    stack = TableStack(
+        n_buckets, arrays[prefix + "chain_pages"], run_offsets,
+        *(arrays[prefix + field] for field in ("run_fps", "run_indptr", "run_sids")),
     )
     if verify:
-        indptr = view.run_indptr
+        fps, indptr = stack.run_fps, stack.run_indptr
+        # Strictly ascending inside each table; a table starts afresh.
+        rises = fps[1:] > fps[:-1]
+        cuts = np.asarray(run_offsets[1:-1], dtype=np.int64)
+        rises[cuts[(cuts > 0) & (cuts < n_runs)] - 1] = True
         if (
-            np.any(view.run_fps[1:] <= view.run_fps[:-1])
+            not rises.all()
             or indptr[0] != 0 or indptr[-1] != n_sids
             or np.any(indptr[1:] < indptr[:-1])
         ):
             raise SnapshotIntegrityError(
-                f"table {prefix!r}: run_fps must ascend strictly and "
-                f"run_indptr must rise from 0 to {n_sids}"
+                f"filter {prefix!r}: run_fps must ascend strictly within "
+                f"each table and run_indptr must rise from 0 to {n_sids}"
             )
-    return view
+    return stack
 
 
 def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
@@ -578,17 +611,18 @@ def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
         cost_spec = manifest["cost"]
         sfis: dict[float, FrozenFilterProbe] = {}
         dfis: dict[float, FrozenFilterProbe] = {}
-        for i, fo in enumerate(objects["filters"]):
-            tables = [
-                _open_table(
-                    f"f{i:03d}_t{t:03d}_", n_buckets, manifest["arrays"],
-                    arrays, verify,
-                )
-                for t, n_buckets in enumerate(fo["n_buckets"])
-            ]
+        if len(manifest["filters"]) != len(objects["filters"]):
+            raise SnapshotFormatError(
+                f"{path} manifest lists {len(manifest['filters'])} filters "
+                f"but {OBJECTS_FILE} holds {len(objects['filters'])}"
+            )
+        for i, (meta, fo) in enumerate(zip(manifest["filters"], objects["filters"])):
+            stack = _open_stack(
+                f"f{i:03d}_", meta, manifest["arrays"], arrays, verify
+            )
             probe = FrozenFilterProbe(
                 fo["kind"], fo["threshold"], fo["sigma_point"], fo["r"],
-                fo["n_bits"], fo["positions"], tables, fo["complement_query"],
+                fo["n_bits"], fo["positions"], stack, fo["complement_query"],
             )
             (sfis if fo["kind"] == "sfi" else dfis)[fo["point"]] = probe
         state = {
@@ -649,7 +683,7 @@ def verify_snapshot(path) -> dict:
 
 
 #: ``byte_breakdown`` group of each fixed-name array.  Bucket directory
-#: arrays (``f###_t###_*``) are grouped by prefix instead.
+#: arrays (``f###_*``) are grouped by prefix instead.
 _BREAKDOWN_GROUPS = {
     "vector_matrix": "signatures",
     "set_indptr": "verify_csr",
@@ -680,7 +714,7 @@ def byte_breakdown(manifest: dict) -> dict:
     for name, spec in manifest["arrays"].items():
         group = _BREAKDOWN_GROUPS.get(name)
         if group is None:
-            group = "buckets" if name.startswith("f") and "_t" in name else "other"
+            group = "buckets" if name[0] == "f" and name[1:4].isdigit() else "other"
         groups[group] += int(spec["nbytes"])
     n_sets = int(manifest["n_sets"])
     total = int(manifest["arrays_bytes"])

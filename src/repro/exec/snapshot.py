@@ -33,7 +33,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import query_plan
-from repro.exec.columnar import gather_csr, stored_rows, verify_batch
+from repro.exec.columnar import (
+    csr_of,
+    csr_split,
+    gather_csr,
+    stored_rows,
+    verify_batch,
+)
 from repro.storage.iomodel import IOStats
 
 
@@ -96,7 +102,6 @@ class IndexSnapshot:
             sids=sids,
             sid_array=sid_array,
             row_of=row_of,
-            all_sids=frozenset(sids),
             vector_matrix=vector_matrix,
             set_indptr=indptr,
             set_data=data,
@@ -136,11 +141,14 @@ class IndexSnapshot:
         n_queries: int,
         rows: list[int],
     ) -> list[set[int]]:
-        """Per-query candidate sets from the probe results; see
-        :func:`repro.core.query_plan.combine_candidates`."""
-        return query_plan.combine_candidates(
-            plan, probed, probes, n_queries, rows, self.all_sids
+        """Per-query candidate sets from per-row probe sets: the set
+        adapter over :func:`repro.core.query_plan.combine_candidates`,
+        which runs the algebra on candidate CSRs."""
+        candidates = query_plan.combine_candidates(
+            plan, {key: csr_of(sets) for key, sets in probed.items()},
+            probes, n_queries, rows, lambda: self.sid_array,
         )
+        return [set(row.tolist()) for row in csr_split(*candidates)]
 
     # -- verification ------------------------------------------------------
 
@@ -148,15 +156,16 @@ class IndexSnapshot:
         """Row of each stored sid (``sid_array`` is ascending)."""
         return np.searchsorted(self.sid_array, sids)
 
-    def charge_fetches(self, distinct: list[int], io: IOStats) -> None:
-        """Charge the measured fetch cost of each distinct candidate."""
-        if not distinct:
+    def charge_fetches(self, distinct, io: IOStats) -> None:
+        """Charge the measured fetch cost of each distinct candidate (a
+        sequence or array of sids)."""
+        if not len(distinct):
             return
         rows = self._rows(distinct)
         io.random_reads += int(self.fetch_random[rows].sum())
         io.sequential_reads += int(self.fetch_seq[rows].sum())
 
-    def fetch(self, sids: list[int] | None, io: IOStats) -> None:
+    def fetch(self, sids: np.ndarray | None, io: IOStats) -> None:
         """The view's fetch: the sets are already materialized, so only
         charge what reading them costs -- each given sid's measured
         fetch, or (``None``) one sequential pass over the heap."""
@@ -172,16 +181,17 @@ class IndexSnapshot:
     def verify_batch(
         self,
         query_sets: list[frozenset],
-        candidates_list: list[set[int]],
+        candidates: tuple[np.ndarray, np.ndarray],
         sigma_low: float,
         sigma_high: float,
         io: IOStats,
     ) -> tuple[list[list[tuple[int, float]]], dict]:
         """Exact in-range matches of a batch (or one worker's chunk of
-        it) through :func:`repro.exec.columnar.verify_batch`, charging
-        the same per-pair CPU the live path charges into ``io``."""
+        it) given its candidate CSR, through
+        :func:`repro.exec.columnar.verify_batch`, charging the same
+        per-pair CPU the live path charges into ``io``."""
         return verify_batch(
-            query_sets, candidates_list, sigma_low, sigma_high, io,
+            query_sets, candidates, sigma_low, sigma_high, io,
             **stored_rows(
                 self.set_indptr, self.set_data, self.set_sizes, self._rows
             ),
@@ -197,9 +207,9 @@ class IndexSnapshot:
         sigma_high: float,
         io: IOStats,
     ) -> list[tuple[int, float]]:
-        """:meth:`verify_batch` for a single query."""
+        """:meth:`verify_batch` for a single query and its candidate set."""
         answers_list, _ = self.verify_batch(
-            [query_set], [candidates], sigma_low, sigma_high, io
+            [query_set], csr_of([candidates]), sigma_low, sigma_high, io
         )
         return answers_list[0]
 

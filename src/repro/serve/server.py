@@ -242,7 +242,8 @@ class QueryServer:
 
     async def _dispatch_batch(self, key, payloads) -> list[dict[str, Any]]:
         """Run one micro-batch on the executor's dispatch thread and
-        slice the batch result back into per-request answers."""
+        slice the batch result back into per-request answers (with the
+        candidate sids, ascending, only for requests that asked)."""
         low, high, strategy = key
         loop = asyncio.get_running_loop()
         batch = await loop.run_in_executor(
@@ -260,7 +261,10 @@ class QueryServer:
             results.append({
                 "answers": result.answers,
                 "n_candidates": result.n_candidates,
-                "candidates": result.candidates,
+                "candidates": (
+                    result.candidate_sids.tolist()
+                    if payload.get("return_candidates") else None
+                ),
                 "batch_size": payload.get("batch_size", n),
                 "queue_ms": payload.get("queue_ms", 0.0),
                 "sim_share": sim_share,
@@ -367,7 +371,9 @@ class QueryServer:
             return
         try:
             result = await self._coalescer.submit(
-                request.key, {"set": request.elements}
+                request.key,
+                {"set": request.elements,
+                 "return_candidates": request.return_candidates},
             )
         except OverloadedError as exc:
             _ERRORS.inc()
@@ -395,9 +401,7 @@ class QueryServer:
             n_candidates=result["n_candidates"],
             batch_size=result["batch_size"],
             queue_ms=result["queue_ms"],
-            candidates=(
-                sorted(result["candidates"]) if request.return_candidates else None
-            ),
+            candidates=result["candidates"],
         )
         events.record_query(
             "serve",

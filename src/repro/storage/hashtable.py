@@ -469,8 +469,10 @@ class BucketHashTable:
         self, fingerprints: np.ndarray, sids: Sequence[int]
     ) -> dict:
         """:meth:`bulk_load` for pre-computed ``hash_key`` fingerprints."""
+        from repro.exec.columnar import sorted_unique
+
         fps = np.ascontiguousarray(fingerprints, dtype=np.uint64)
-        touched = np.unique(fps % np.uint64(self.n_buckets)).astype(np.int64)
+        touched = sorted_unique(fps % np.uint64(self.n_buckets)).astype(np.int64)
         tail_reads = self.resolve_tails(touched.tolist())
         report = self.apply_bulk_load(self.plan_bulk_load(fps, sids))
         report["tail_reads"] = tail_reads
@@ -675,6 +677,29 @@ class BucketHashTable:
         )
 
 
+def _charge_grouped(buckets: np.ndarray, chain_pages: np.ndarray, io) -> None:
+    """Charge a grouped probe of ``buckets`` (indices into
+    ``chain_pages``, one per probed key) as the live table charges it.
+
+    Every distinct bucket's chain is read once: one random read for the
+    head page, sequential reads for overflow pages.  After the sort a
+    bucket's first occurrence stands for that read and every further
+    occurrence is a read the grouping saved.
+    """
+    buckets = np.sort(buckets)
+    wanted = chain_pages[buckets]
+    first = np.ones(len(buckets), dtype=bool)
+    np.not_equal(buckets[1:], buckets[:-1], out=first[1:])
+    pages = wanted[first]
+    total = int(pages.sum())
+    heads = int(np.count_nonzero(pages))
+    io.random_reads += heads
+    io.sequential_reads += total - heads
+    _PROBE_PAGES.shard().count += total
+    _PROBE_PAGES_SAVED.shard().count += int(wanted.sum()) - total
+    _PROBES.shard().count += len(buckets)
+
+
 class TableView:
     """Immutable fingerprint-run image of one :class:`BucketHashTable`.
 
@@ -683,9 +708,12 @@ class TableView:
     fingerprint's bucket is ``fp % n_buckets``, so no per-bucket index
     is needed), and run ``p`` owns sids
     ``run_sids[run_indptr[p]:run_indptr[p + 1]]`` in slot-scan order.
-    The arrays may live on the heap (``BucketHashTable.freeze()``) or in
-    a mapped snapshot file (:func:`repro.exec.snapfile.open_snapshot`);
-    the view is the same either way.
+    ``BucketHashTable.freeze()`` builds one standalone; the tables of a
+    frozen filter are zero-copy slices of its :class:`TableStack`, whose
+    ``run_sids`` they share (so their ``run_indptr`` need not start at
+    0).  The arrays may live on the heap or in a mapped snapshot file
+    (:func:`repro.exec.snapfile.open_snapshot`); the view is the same
+    either way.
 
     Page reads are *accounted* (into the ``io`` argument) rather than
     performed, with charges identical to the live table: per distinct
@@ -717,21 +745,10 @@ class TableView:
         fps = np.asarray(fingerprints, dtype=np.uint64)
         n = len(fps)
         results: list[list[int]] = [[] for _ in range(n)]
-        # Group by bucket: after the sort, a bucket's first occurrence
-        # stands for the one read of its chain; every further
-        # occurrence is a read the grouping saved.
-        buckets = np.sort(fps % np.uint64(self.n_buckets)).astype(np.intp)
-        wanted = self.chain_pages[buckets]
-        first = np.ones(n, dtype=bool)
-        np.not_equal(buckets[1:], buckets[:-1], out=first[1:])
-        pages = wanted[first]
-        total = int(pages.sum())
-        heads = int(np.count_nonzero(pages))
-        io.random_reads += heads
-        io.sequential_reads += total - heads
-        _PROBE_PAGES.shard().count += total
-        _PROBE_PAGES_SAVED.shard().count += int(wanted.sum()) - total
-        _PROBES.shard().count += n
+        _charge_grouped(
+            (fps % np.uint64(self.n_buckets)).astype(np.intp),
+            self.chain_pages, io,
+        )
         run_fps = self.run_fps
         if len(run_fps):
             pos = np.searchsorted(run_fps, fps)
@@ -746,3 +763,100 @@ class TableView:
             ):
                 results[i] = run_sids[a:b].tolist()
         return results
+
+
+class TableStack:
+    """The :class:`TableView` arrays of one filter's ``l`` tables, stacked.
+
+    Table ``t`` owns buckets ``bucket_offsets[t] .. bucket_offsets[t + 1]
+    - 1`` of ``chain_pages`` and runs ``run_offsets[t] .. run_offsets[t +
+    1] - 1`` of ``run_fps`` (ascending within the table); any run ``p``
+    owns ``run_sids[run_indptr[p]:run_indptr[p + 1]]``, one ``indptr``
+    over every table's runs.  :meth:`table` is table ``t``'s
+    :class:`TableView` as zero-copy slices, and :meth:`probe` serves a
+    range of tables in one pass whose charges and counter moves equal
+    those of probing each table's view in turn.
+    """
+
+    __slots__ = ("n_buckets", "bucket_offsets", "chain_pages", "run_offsets",
+                 "run_fps", "run_indptr", "run_sids")
+
+    def __init__(self, n_buckets, chain_pages, run_offsets, run_fps,
+                 run_indptr, run_sids):
+        self.n_buckets = np.asarray(n_buckets, dtype=np.int64)
+        self.bucket_offsets = np.zeros(len(self.n_buckets) + 1, dtype=np.int64)
+        np.cumsum(self.n_buckets, out=self.bucket_offsets[1:])
+        self.chain_pages = chain_pages
+        self.run_offsets = np.asarray(run_offsets, dtype=np.int64)
+        self.run_fps = run_fps
+        self.run_indptr = run_indptr
+        self.run_sids = run_sids
+
+    @classmethod
+    def from_views(cls, views: Sequence[TableView]) -> "TableStack":
+        """Stack standalone views (``BucketHashTable.freeze()``'s, whose
+        ``run_indptr`` starts at 0 over their own ``run_sids``)."""
+        run_offsets = np.zeros(len(views) + 1, dtype=np.int64)
+        np.cumsum([len(v.run_fps) for v in views], out=run_offsets[1:])
+        sid_offsets = np.cumsum([0] + [len(v.run_sids) for v in views])
+        indptr = [np.zeros(1, dtype=np.int64)] + [
+            v.run_indptr[1:] + base for v, base in zip(views, sid_offsets)
+        ]
+        return cls(
+            [v.n_buckets for v in views],
+            np.concatenate([v.chain_pages for v in views]),
+            run_offsets,
+            np.concatenate([v.run_fps for v in views]),
+            np.concatenate(indptr),
+            np.concatenate([v.run_sids for v in views]),
+        )
+
+    @property
+    def n_tables(self) -> int:
+        return len(self.n_buckets)
+
+    def table(self, t: int) -> TableView:
+        """Table ``t``'s view: slices of the stacked arrays."""
+        b0, b1 = self.bucket_offsets[t:t + 2].tolist()
+        r0, r1 = self.run_offsets[t:t + 2].tolist()
+        return TableView(
+            int(self.n_buckets[t]), self.chain_pages[b0:b1],
+            self.run_fps[r0:r1], self.run_indptr[r0:r1 + 1], self.run_sids,
+        )
+
+    def probe(
+        self, start: int, stop: int, fingerprints: np.ndarray, io
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Probe tables ``start .. stop - 1``, ``fingerprints[k]`` holding
+        every query row's fingerprint in table ``start + k``.
+
+        Returns every hit as parallel ``(row, sid)`` arrays, one entry per
+        sid of each matching run (the rows of
+        :meth:`TableView.probe_hashed`, flattened across tables).  Bucket
+        reads are grouped per table -- the tables' bucket ranges are
+        disjoint, so one sort of global bucket indices groups them all --
+        and run lookup is one ``searchsorted`` per table; the sid gather
+        is one pass over all tables.
+        """
+        from repro.exec.columnar import gather_csr
+
+        n_tables, n_rows = fingerprints.shape
+        buckets = (
+            fingerprints % self.n_buckets[start:stop, None].astype(np.uint64)
+        ).astype(np.int64)
+        buckets += self.bucket_offsets[start:stop, None]
+        _charge_grouped(buckets.ravel(), self.chain_pages, io)
+        bounds = self.run_offsets[start:stop + 1].tolist()
+        run_fps = self.run_fps
+        pos = np.empty((n_tables, n_rows), dtype=np.int64)
+        for k in range(n_tables):
+            a, b = bounds[k], bounds[k + 1]
+            pos[k] = np.searchsorted(run_fps[a:b], fingerprints[k])
+            pos[k] += a
+        inside = pos < np.asarray(bounds[1:], dtype=np.int64)[:, None]
+        runs = pos[inside]
+        rows = np.nonzero(inside)[1]
+        hit = run_fps[runs] == fingerprints[inside]
+        runs, rows = runs[hit], rows[hit]
+        indptr, sids = gather_csr(self.run_indptr, self.run_sids, runs)
+        return np.repeat(rows, np.diff(indptr)), sids

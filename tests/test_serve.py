@@ -230,6 +230,32 @@ def _query_line(rid, elements, low=0.4, high=1.0):
 
 
 class TestProtocolRobustness:
+    def test_candidates_only_when_asked(self, live_server, workload):
+        """Pipelined requests that coalesce into shared batches: those
+        with ``return_candidates`` get the direct batch's candidate sids,
+        ascending; the others carry no ``candidates`` key at all."""
+        server, call = live_server
+        index, queries, _ = workload
+        direct = index.query_batch(queries, 0.4, 1.0)
+        lines = [
+            protocol.encode_request(
+                i, q, 0.4, 1.0, return_candidates=(i % 2 == 0)
+            )
+            for i, q in enumerate(queries)
+        ]
+        replies = {
+            r["id"]: r
+            for r in call(_raw_session(server.port, lines, len(lines)))
+        }
+        for i in range(len(queries)):
+            assert replies[i]["ok"], replies[i]
+            if i % 2 == 0:
+                assert replies[i]["candidates"] == sorted(
+                    direct.results[i].candidates
+                )
+            else:
+                assert "candidates" not in replies[i]
+
     def test_malformed_json_is_typed_and_survivable(self, live_server, workload):
         server, call = live_server
         _, queries, _ = workload

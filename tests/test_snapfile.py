@@ -96,7 +96,7 @@ def test_roundtrip_state_matches_frozen(saved):
         assert mapped.n_sets == frozen.n_sets
         assert mapped.sids == frozen.sids
         assert mapped.row_of == frozen.row_of
-        assert mapped.all_sids == frozen.all_sids
+        np.testing.assert_array_equal(mapped.sid_array, frozen.sid_array)
         assert mapped.fallback_sids == frozen.fallback_sids
         np.testing.assert_array_equal(mapped.vector_matrix, frozen.vector_matrix)
         np.testing.assert_array_equal(mapped.set_indptr, frozen.set_indptr)

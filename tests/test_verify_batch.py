@@ -28,6 +28,7 @@ from repro.exec.columnar import (
     JOIN_MIN_SHARING,
     SMALL_VERIFY_CUTOFF,
     build_csr,
+    csr_of,
     element_hash,
     hash_set,
     intersect_counts,
@@ -147,7 +148,7 @@ def _check(sets, queries, candidates_list, lo, hi, kernel, fallback=()):
     adapters = _adapters(sets, fallback)
     io = IOStats()
     answers_list, info = verify_batch(
-        queries, candidates_list, lo, hi, io, **adapters
+        queries, csr_of(candidates_list), lo, hi, io, **adapters
     )
     assert info["verify_kernel"] == kernel
     assert info["pairs"] == sum(len(c) for c in candidates_list)
@@ -156,7 +157,7 @@ def _check(sets, queries, candidates_list, lo, hi, kernel, fallback=()):
     loop = []
     for query, candidates in zip(queries, candidates_list):
         one, one_info = verify_batch(
-            [query], [candidates], lo, hi, loop_io, **adapters
+            [query], csr_of([candidates]), lo, hi, loop_io, **adapters
         )
         assert one_info["verify_kernel"] == "pairwise"  # sharing is 1
         loop.append(one[0])
@@ -227,9 +228,11 @@ class TestTheRule:
         before = joined.value, pairwise.value
         adapters = _adapters(sets)
         verify_batch(
-            sets[:8], [set(everything)] * 8, 0.5, 1.0, IOStats(), **adapters
+            sets[:8], csr_of([everything] * 8), 0.5, 1.0, IOStats(), **adapters
         )
-        verify_batch(sets[:1], [everything], 0.5, 1.0, IOStats(), **adapters)
+        verify_batch(
+            sets[:1], csr_of([everything]), 0.5, 1.0, IOStats(), **adapters
+        )
         assert (joined.value, pairwise.value) == (before[0] + 1, before[1] + 1)
 
 
@@ -242,7 +245,8 @@ class TestEdgesThroughTheJoin:
     def test_sigma_low_zero_returns_disjoint_candidates(self):
         sets, queries, candidates_list = self._batch()
         answers_list, info = verify_batch(
-            queries, candidates_list, 0.0, 0.2, IOStats(), **_adapters(sets)
+            queries, csr_of(candidates_list), 0.0, 0.2, IOStats(),
+            **_adapters(sets),
         )
         assert info["verify_kernel"] == "join"
         # Other clusters' sets have an empty intersection: in range.
@@ -257,7 +261,8 @@ class TestEdgesThroughTheJoin:
         for lo, hi in ((0.0, 1.0), (0.5, 1.0), (0.0, 0.0)):
             _check(sets, queries, candidates_list, lo, hi, "join")
         answers_list, _ = verify_batch(
-            queries, candidates_list, 1.0, 1.0, IOStats(), **_adapters(sets)
+            queries, csr_of(candidates_list), 1.0, 1.0, IOStats(),
+            **_adapters(sets),
         )
         # Empty versus empty is similarity 1, and only that pair is.
         assert answers_list[-1] == [(empty_sid, 1.0)]
@@ -288,7 +293,7 @@ class TestEdgesThroughTheJoin:
         candidates_list = [set(range(len(sets))) for _ in queries]
         _check(sets, queries, candidates_list, 0.3, 1.0, "join", fallback={victim})
         answers_list, _ = verify_batch(
-            queries, candidates_list, 0.3, 1.0, IOStats(),
+            queries, csr_of(candidates_list), 0.3, 1.0, IOStats(),
             **_adapters(sets, fallback={victim}),
         )
         assert answers_list[-1][0] == (victim, 1.0)
@@ -386,8 +391,8 @@ class TestEveryPathJoins:
                 for q, c in zip(queries, candidates_list)
             ]
             answers_list, info = snap.verify_batch(
-                [frozenset(q) for q in queries], candidates_list, lo, hi,
-                batch_io,
+                [frozenset(q) for q in queries], csr_of(candidates_list), lo,
+                hi, batch_io,
             )
         finally:
             index.thaw()
