@@ -2,19 +2,18 @@
 
 Usage (after ``pip install -e .``)::
 
-    python -m repro.cli [-v] build   --input sets.txt --output index.ssi [options]
-    python -m repro.cli query   --index index.ssi --set "a b c" --low 0.4 --high 0.9 [--explain]
-    python -m repro.cli explain --index index.ssi --set "a b c" --low 0.4 --high 0.9 [--json]
-    python -m repro.cli stats   --index index.ssi
+    python -m repro.cli [-v] build   --input sets.txt --output index.d [options]
+    python -m repro.cli query   --index index.d --set "a b c" --low 0.4 --high 0.9 [--explain]
+    python -m repro.cli explain --index index.d --set "a b c" --low 0.4 --high 0.9 [--json]
+    python -m repro.cli stats   --index index.d
     python -m repro.cli demo    [--n-sets 500]
-    python -m repro.cli snapshot save   --index index.ssi --out snap.d
-    python -m repro.cli snapshot info   --path snap.d
-    python -m repro.cli snapshot verify --path snap.d
+    python -m repro.cli snapshot info   --path index.d
+    python -m repro.cli snapshot verify --path index.d
     python -m repro.cli shard build  --input sets.txt --out fleet.d --shards 4 [--partition cluster --tune workload]
     python -m repro.cli shard info   --path fleet.d
     python -m repro.cli shard verify --path fleet.d
     python -m repro.cli stats   --shards fleet.d
-    python -m repro.cli serve   --snapshot snap.d [--port 7407 --workers N --backend process --max-batch 64]
+    python -m repro.cli serve   --snapshot index.d [--port 7407 --workers N --backend process --max-batch 64]
     python -m repro.cli serve   --shards fleet.d [--port 7407 ...]
     python -m repro.cli loadgen --port 7407 --sets-file queries.txt --connections 16 --total 2000
     python -m repro.cli top     --events events.jsonl [--follow] [--window 60]
@@ -31,9 +30,10 @@ candidate -- printing ``query_index<TAB>sid<TAB>similarity`` lines.
 for its plan tree (or structured JSON with ``--json``).  ``-v``/``-vv``
 raise log verbosity (INFO/DEBUG) on the ``repro`` logger hierarchy.
 
-``snapshot save`` writes a zero-copy mmap snapshot directory
-(:mod:`repro.exec.snapfile`) that ``serve`` / ``query
---snapshot DIR`` open in O(ms) -- no pickle deserialization pass.
+``build --output DIR`` saves the index as a snapshot directory
+(:mod:`repro.exec.snapfile`), the one on-disk format: ``query --index``
+/ ``explain`` / ``stats`` thaw it into a live index, while ``serve`` /
+``query --snapshot DIR`` map it in O(ms) without reading it whole.
 Query work runs on the calling thread unless ``--backend process``
 serves the batch from ``--workers N`` worker *processes* that each map
 the same snapshot (spawn start method, genuine multi-core); answers
@@ -246,23 +246,17 @@ def cmd_query(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     explain = args.explain or args.explain_json or bool(args.trace_out)
-    if args.snapshot:
-        batch = _snapshot_batch(args.snapshot, query_sets, args, explain)
-        _print_batch(batch)
-        trace_root = batch.trace
-        if args.explain:
-            print(render_trace(trace_root))
-        if args.explain_json:
-            print(json.dumps(explain_json(trace_root), indent=2))
-        _write_telemetry(args, trace_root)
-        return 0
-    if args.backend == "process":
+    if args.backend == "process" and not args.snapshot:
         print("error: --backend process requires --snapshot "
               "(worker processes map a saved snapshot directory)",
               file=sys.stderr)
         return 2
-    index = SetSimilarityIndex.load(args.index)
-    if len(query_sets) == 1:
+    if args.snapshot:
+        batch = _snapshot_batch(args.snapshot, query_sets, args, explain)
+        _print_batch(batch)
+        trace_root = batch.trace
+    elif len(query_sets) == 1:
+        index = SetSimilarityIndex.load(args.index)
         result = index.query(
             query_sets[0], args.low, args.high,
             strategy=args.strategy, explain=explain,
@@ -276,7 +270,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
         trace_root = result.trace
     else:
-        batch = index.query_batch(
+        batch = SetSimilarityIndex.load(args.index).query_batch(
             query_sets, args.low, args.high,
             strategy=args.strategy, explain=explain,
         )
@@ -467,27 +461,11 @@ def _print_histogram_tables() -> None:
 
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
-    """``snapshot``: save/inspect/verify zero-copy snapshots.
+    """``snapshot``: inspect/verify a saved index's snapshot directory.
 
-    ``save`` freezes a pickle-loaded index into a mapped-array
-    directory; ``info`` prints the manifest summary (O(ms) open);
-    ``verify`` checksums every array.
+    ``info`` prints the manifest summary (O(ms) open); ``verify``
+    checksums every array.
     """
-    if args.snapshot_command == "save":
-        index = SetSimilarityIndex.load(args.index)
-        t0 = time.perf_counter()
-        index.save_snapshot(args.out)
-        seconds = time.perf_counter() - t0
-        from repro.exec.snapfile import MANIFEST_FILE
-
-        manifest = json.loads((Path(args.out) / MANIFEST_FILE).read_text())
-        print(
-            f"snapshot {args.out}: {manifest['n_sets']} sets, "
-            f"{len(manifest['arrays'])} arrays, "
-            f"{manifest['arrays_bytes']:,} array bytes "
-            f"(elements as {manifest['sets_encoding']}) in {seconds:.2f}s"
-        )
-        return 0
     if args.snapshot_command == "info":
         from repro.exec import open_snapshot
 
@@ -826,7 +804,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build an index from a set file")
     p_build.add_argument("--input", required=True, help="one set per line")
-    p_build.add_argument("--output", required=True, help="index file to write")
+    p_build.add_argument(
+        "--output", required=True, help="index (snapshot) directory to write"
+    )
     p_build.add_argument("--budget", type=int, default=500, help="hash-table budget")
     p_build.add_argument("--recall", type=float, default=0.9, help="recall target")
     p_build.add_argument("--k", type=int, default=100, help="min-hash signature length")
@@ -846,10 +826,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.set_defaults(func=cmd_build)
 
     p_query = sub.add_parser("query", help="run similarity range queries")
-    p_query.add_argument("--index", help="a saved index file (pickle format)")
+    p_query.add_argument(
+        "--index", help="a saved index directory, thawed into a live index"
+    )
     p_query.add_argument(
         "--snapshot",
-        help="a zero-copy snapshot directory (see `snapshot save`); "
+        help="a saved index directory, mapped zero-copy instead: "
              "opened in O(ms) and always served as a batch",
     )
     p_query.add_argument(
@@ -928,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser(
         "stats", help="describe a built index or a shard manifest"
     )
-    p_stats.add_argument("--index", help="a saved index file (pickle format)")
+    p_stats.add_argument("--index", help="a saved index directory")
     p_stats.add_argument(
         "--shards", metavar="DIR",
         help="a sharded-index directory: print per-shard occupancy and "
@@ -941,16 +923,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.set_defaults(func=cmd_demo)
 
     p_snap = sub.add_parser(
-        "snapshot", help="zero-copy mmap snapshots: save, inspect, verify"
+        "snapshot", help="inspect and verify a saved index directory"
     )
     snap_sub = p_snap.add_subparsers(dest="snapshot_command", required=True)
-
-    p_snap_save = snap_sub.add_parser(
-        "save", help="freeze a saved index into a mapped-array directory"
-    )
-    p_snap_save.add_argument("--index", required=True, help="a saved index file")
-    p_snap_save.add_argument("--out", required=True, help="snapshot directory to write")
-    p_snap_save.set_defaults(func=cmd_snapshot)
 
     p_snap_info = snap_sub.add_parser(
         "info", help="print a snapshot's manifest summary"
@@ -1056,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--snapshot", "--shards", dest="snapshot", required=True,
-        help="snapshot directory (snapshot save) or sharded-index "
+        help="saved index directory (build --output) or sharded-index "
              "directory (shard build) -- sharded layouts are "
              "auto-detected and served scatter-gather",
     )

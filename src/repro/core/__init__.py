@@ -47,7 +47,6 @@ from repro.core.estimator import (
     estimate_interval,
     required_signature_length,
 )
-from repro.core.persistence import load_index, save_index
 from repro.core.planner import PlanEstimate, QueryPlanner
 from repro.core.similarity import containment, dice, jaccard, jaccard_distance, overlap
 from repro.core.weighted import (
@@ -90,10 +89,8 @@ __all__ = [
     "chernoff_error_bound",
     "containment",
     "estimate_interval",
-    "load_index",
     "quantize",
     "required_signature_length",
-    "save_index",
     "weighted_jaccard",
     "dice",
     "evaluate_plan",

@@ -92,12 +92,6 @@ class SetEmbedder:
         self.b = b
         self.seed = seed
 
-    def __setstate__(self, state: dict) -> None:
-        # Pre-codec pickles (index saves, snapshot objects.pkl) carry
-        # no ``codec`` attribute; they are full64 by construction.
-        state.setdefault("codec", "full64")
-        self.__dict__.update(state)
-
     @property
     def m(self) -> int:
         """Bits per signature slot (codeword length for full64)."""

@@ -489,7 +489,7 @@ class SetSimilarityIndex:
     build_report: dict | None = None
     #: Root build span when the index was built under tracing
     #: (``explain=True`` or an enclosing ``trace.capture``); not
-    #: persisted by :meth:`save`.
+    #: saved by :meth:`save`.
     build_trace = None
 
     # -- construction ------------------------------------------------------
@@ -737,14 +737,13 @@ class SetSimilarityIndex:
         """Release the active snapshot and allow mutation again."""
         self._frozen = None
 
-    def save_snapshot(self, path) -> None:
-        """Write a zero-copy mmap snapshot directory to ``path``.
-
-        Freezes the index, serializes the frozen image via
-        :func:`repro.exec.snapfile.save_snapshot` (aligned raw arrays
-        plus a checksummed manifest), and restores the previous
-        frozen/thawed state.  ``repro.exec.open_snapshot(path)`` then
-        maps it back in O(ms) for thread- or process-backend serving.
+    def save(self, path) -> None:
+        """Write the index to ``path`` as a snapshot directory (the one
+        on-disk format, :mod:`repro.exec.snapfile`) of its frozen image,
+        then restore the previous frozen/thawed state.  :meth:`load`
+        thaws it back into a live index; ``repro.exec.open_snapshot``
+        maps it in O(ms) for serving.  An index behind a buffer pool
+        cannot freeze, so saving it raises :class:`FrozenIndexError`.
         """
         from repro.exec.snapfile import save_snapshot
 
@@ -755,6 +754,62 @@ class SetSimilarityIndex:
         finally:
             if not was_frozen:
                 self.thaw()
+
+    #: :meth:`save` under the name the snapshot API uses.
+    save_snapshot = save
+
+    @classmethod
+    def load(cls, path) -> "SetSimilarityIndex":
+        """The index saved at ``path`` by :meth:`save`, thawed into a
+        live index through the bulk build path.
+
+        The snapshot is opened and fully verified; nothing is
+        re-embedded or re-hashed.  The store takes the sets under their
+        own sids (numbering on from the saved next sid), the hash arena
+        the verify CSR, and each filter table its stored fingerprint
+        runs in sid order (``bulk_load_hashed``).  Everything is copied
+        off the mapping.  The result is a fresh bulk build of the saved
+        contents: the saved index itself when that was bulk-built; a
+        churned index keeps its sids but takes a bulk build's page
+        layout, and so its I/O charges.
+        """
+        from repro.exec.build import gc_suspended
+        from repro.exec.columnar import HashArena
+        from repro.exec.snapfile import SnapshotFormatError, open_snapshot
+
+        snap = open_snapshot(path, verify=True)
+        pager = PageManager(snap.cost, page_size=snap.page_size)
+        store = SetStore(pager)
+        index = cls(snap.embedder, snap.plan, snap.planner.distribution, pager, store)
+        sids = snap.sid_array
+        with gc_suspended():
+            store.load(sids.tolist(), snap.all_sets(), snap.next_sid)
+            index._vectors = dict(zip(sids.tolist(), np.array(snap.vector_matrix)))
+            index._hashes = HashArena.from_csr(
+                sids, snap.set_indptr, snap.set_data, snap.set_sizes
+            )
+            index._cfallback = set(snap.fallback_array.tolist())
+            index._materialize_filters(
+                expected_entries=max(1, len(sids)), seed=snap.embedder.seed
+            )
+            for kind, filters in (("sfi", index._sfis), ("dfi", index._dfis)):
+                for point, fi in filters.items():
+                    probe, units = snap.filter_probe(kind, point), fi.table_units()
+                    if not np.array_equal(
+                        np.stack([sampler.positions for sampler, _ in units]),
+                        probe.positions,
+                    ):
+                        raise SnapshotFormatError(
+                            f"{path}: {kind}({point}) bit positions do not "
+                            "match the embedder seed's")
+                    for t, (_, table) in enumerate(units):
+                        view = probe.stack.table(t)
+                        first, last = view.run_indptr[[0, -1]].tolist()
+                        owners = view.run_sids[first:last]
+                        order = np.argsort(owners, kind="stable")
+                        fps = np.repeat(view.run_fps, np.diff(view.run_indptr))
+                        table.bulk_load_hashed(fps[order], owners[order])
+        return index
 
     @property
     def frozen(self) -> bool:
@@ -922,34 +977,3 @@ class SetSimilarityIndex:
             f"intervals={self.plan.n_intervals}, "
             f"tables={self.plan.tables_used})"
         )
-
-    # -- persistence ------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # Snapshots are derived, reference-sharing views; persist the
-        # index unfrozen rather than serializing one.  Build traces are
-        # session-local observability and drop back to the class
-        # default (None) on load.
-        state["_frozen"] = None
-        state.pop("build_trace", None)
-        return state
-
-    def save(self, path) -> None:
-        """Persist the built index (structures, pages, vectors) to disk."""
-        from repro.core.persistence import save_index
-
-        save_index(self, path)
-
-    @classmethod
-    def load(cls, path) -> "SetSimilarityIndex":
-        """Load an index previously written by :meth:`save`.
-
-        Only load files you trust -- the on-disk format embeds a pickle.
-        """
-        from repro.core.persistence import load_index
-
-        index = load_index(path)
-        if not isinstance(index, cls):
-            raise TypeError(f"{path} does not contain a {cls.__name__}")
-        return index

@@ -201,12 +201,13 @@ class ExperimentHarness:
         try:
             if backend == "process":
                 import tempfile
+                from pathlib import Path
 
                 from repro.exec import ParallelExecutor, save_snapshot
 
                 if snapshot_dir is None:
                     tmpdir = tempfile.TemporaryDirectory(prefix="repro-snap-")
-                    snapshot_dir = tmpdir.name
+                    snapshot_dir = Path(tmpdir.name) / "snap"
                 snapshot = self.index.freeze()
                 frozen = True
                 save_snapshot(snapshot, snapshot_dir)

@@ -21,12 +21,14 @@ This package provides the serving-side counterpart:
 - :mod:`~repro.exec.build` -- the build-side counterpart: bulk filter
   construction that plans every table, then applies the plans in a
   fixed order, bit-identical to the per-insert path;
-- :mod:`~repro.exec.snapfile` -- zero-copy persistence for snapshots:
-  :func:`~repro.exec.snapfile.save_snapshot` writes a directory of
-  aligned raw arrays + a checksummed JSON manifest,
+- :mod:`~repro.exec.snapfile` -- the one on-disk format:
+  :func:`~repro.exec.snapfile.save_snapshot` (behind
+  ``SetSimilarityIndex.save``) writes a directory of aligned raw arrays
+  + a checksummed JSON manifest,
   :func:`~repro.exec.snapfile.open_snapshot` maps it back in O(ms)
-  with ``np.memmap`` (a :class:`~repro.exec.snapfile.MappedSnapshot`),
-  the substrate of ``ParallelExecutor(..., backend="process")``;
+  with ``np.memmap`` (a :class:`~repro.exec.snapfile.MappedSnapshot`,
+  the substrate of ``ParallelExecutor(..., backend="process")``), and
+  ``SetSimilarityIndex.load`` thaws it into a live index;
 - :mod:`~repro.exec.shard` -- scatter-gather over a K-shard fleet:
   :func:`~repro.exec.shard.build_sharded` partitions a collection
   (hash or minhash-clustered), builds each shard with the bulk

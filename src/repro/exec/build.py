@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gc
 import time
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +94,21 @@ def _plan_unit(unit: BuildUnit, matrix: np.ndarray, sids: Sequence[int]) -> None
     unit.seconds = time.perf_counter() - t0
 
 
+@contextmanager
+def gc_suspended():
+    """Suspend cyclic GC for a bulk load: nearly every object it
+    allocates (page entry tuples, directory lists, stored sets) is still
+    live when it finishes, so mid-load collections only re-scan a
+    growing heap for garbage that is not there."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def bulk_load_filters(filters, matrix: np.ndarray, sids: Sequence[int]) -> dict:
     """Load every filter's hash tables from one embedded corpus matrix.
 
@@ -104,15 +120,7 @@ def bulk_load_filters(filters, matrix: np.ndarray, sids: Sequence[int]) -> dict:
     """
     units = build_units(filters)
     with trace.span("filter_build", n_units=len(units), n_sets=len(sids)) as sp:
-        # Nearly every object a bulk load allocates (page entry tuples,
-        # directory lists) is still live when the load finishes, so the
-        # generational collector's mid-load passes only re-scan a
-        # growing heap for garbage that is not there.  Suspend cyclic
-        # GC for the load; the normal schedule resumes afterwards.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_suspended():
             plan_wall0 = time.perf_counter()
             for unit in units:
                 _plan_unit(unit, matrix, sids)
@@ -134,9 +142,6 @@ def bulk_load_filters(filters, matrix: np.ndarray, sids: Sequence[int]) -> dict:
                 entries += unit.report["entries"]
                 new_pages += unit.report["new_pages"]
             apply_wall = time.perf_counter() - apply_wall0
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         _BUILD_UNITS.inc(len(units))
         _BUILD_ENTRIES.inc(entries)
         if replans:

@@ -180,8 +180,7 @@ class HashArena:
     lens[sid]]`` and ``size[sid]`` its cardinality.
 
     A row is written once, when its set is stored.  A deleted sid's row
-    stays behind unreferenced, as its heap record does.  A pickle holds
-    only the rows in use, not the spare capacity.
+    stays behind unreferenced, as its heap record does.
     """
 
     def __init__(self):
@@ -207,12 +206,21 @@ class HashArena:
         )
         self.used, self.rows = end, max(self.rows, sid + 1)
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["data"] = self.data[: self.used]
-        for name in ("start", "lens", "size"):
-            state[name] = state[name][: self.rows]
-        return state
+    @classmethod
+    def from_csr(cls, sids, indptr, data, sizes) -> "HashArena":
+        """An arena holding row ``i`` of the CSR ``(indptr, data)`` (and
+        cardinality ``sizes[i]``) as set ``sids[i]``'s, copied."""
+        arena = cls()
+        arena.rows = int(sids[-1]) + 1 if len(sids) else 0
+        arena.data = np.array(data, dtype=np.uint64)
+        arena.start, arena.lens, arena.size = (
+            np.zeros(arena.rows, dtype=np.int64) for _ in range(3)
+        )
+        arena.start[sids] = indptr[:-1]
+        arena.lens[sids] = np.diff(indptr)
+        arena.size[sids] = sizes
+        arena.used = len(arena.data)
+        return arena
 
 
 def intersect_counts(

@@ -236,7 +236,7 @@ class ParallelExecutor(WorkerPool):
             if not isinstance(snapshot, MappedSnapshot):
                 raise ValueError(
                     "backend='process' needs a saved snapshot: "
-                    "save_snapshot(index.freeze(), dir), then pass "
+                    "index.save(dir), then pass "
                     "open_snapshot(dir) or the directory path"
                 )
             paths = (snapshot.path,)

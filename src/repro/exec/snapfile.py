@@ -1,72 +1,83 @@
-"""Zero-copy on-disk snapshots of a frozen index.
+"""Snapshot directories: the one on-disk format of a built index.
 
-A pickle of the whole index (:mod:`repro.core.persistence`) costs a
-full deserialization pass on every cold start -- O(index size) before
-the first query can run, with every byte copied onto the Python heap.
-This module instead serializes an
-:class:`~repro.exec.snapshot.IndexSnapshot` as a **directory of aligned
-raw numpy arrays** plus a small JSON manifest, so that
-:func:`open_snapshot` only parses the manifest, unpickles a few small
-parameter objects (embedder, plan, planner, bit samplers) and builds
-``np.memmap`` views over one arrays file.  Opening is O(milliseconds)
-regardless of collection size; array bytes are paged in lazily by the
-OS as queries touch them, and every process that opens the same
-snapshot shares one page cache -- the substrate of the
-``backend="process"`` executor (:mod:`repro.exec.parallel`).
+``SetSimilarityIndex.save(path)`` writes a frozen
+:class:`~repro.exec.snapshot.IndexSnapshot` (``index.freeze()``) as a
+**directory of aligned raw numpy arrays** plus a JSON manifest;
+``SetSimilarityIndex.load(path)`` thaws it back into a live index
+through the bulk build path.  :func:`open_snapshot` maps the same
+directory for serving: it parses the manifest and builds ``np.memmap``
+views over one arrays file, so opening is O(ms) regardless of
+collection size, array bytes are paged in as queries touch them, and
+every process that opens the snapshot shares one page cache (the
+substrate of the ``backend="process"`` executor).  Reading a snapshot
+never runs stored code: every byte is JSON or a typed array.
 
 Layout of a snapshot directory::
 
-    manifest.json   format name + version, per-array dtype/shape/
-                    offset/crc32, cost-model constants, filter summary
+    manifest.json   format name + version; embedder parameters (k, b,
+                    seed, codec), the plan, the D_S histogram, planner
+                    and cost-model constants, the next sid to assign,
+                    per-filter parameters and table bounds; per array
+                    its dtype/shape/offset/crc32
     arrays.bin      every array, 64-byte aligned, in manifest order
-    objects.pkl     small Python state: embedder, plan, planner,
-                    per-filter samplers/thresholds (crc-checked)
-    sets.pkl        only when set elements defy a columnar encoding
 
-The arrays cover everything the hot path touches: the packed ``(N,
-words)`` uint64 vector matrix, the CSR sorted-hash set arrays and set
-sizes, the per-row measured fetch costs, per-filter bucket directories
-(chain page counts plus fingerprint runs in CSR form, every table of a
-filter stacked into one array per field -- the arrays of a
-:class:`~repro.storage.hashtable.TableStack`, written as ``freeze()``
-built them and wrapped in the same class at open; the manifest's filter
-entry names each table's bucket count and run offsets),
-and the set elements themselves (int64 or utf-8 CSR when the elements
-allow it).  ``frozenset`` objects needed by the exact-verification
-fallback are materialized lazily, one set at a time, memoized
-(``snapshot.sets_materialized`` counts them -- a proxy for element
-pages actually faulted in).
+The arrays: the packed ``(N, words)`` uint64 vector matrix, the CSR
+sorted-hash set arrays and set sizes, the per-row fetch costs, per
+filter (``f###_<field>``) its ``(l, r)`` sampled bit positions and its
+:class:`~repro.storage.hashtable.TableStack` arrays (the manifest names
+each table's bucket count and run offsets), and the set elements,
+columnar: ``int64`` when every element is a builtin int in int64 range,
+else ``tagged`` -- a type tag and a byte payload per element, for ints
+of any size, floats, complex numbers, strs and bytes; any other element
+type is refused at save with :class:`SnapshotError`.  The exact
+verification fallback materializes ``frozenset`` objects lazily, one
+set at a time (``snapshot.sets_materialized`` counts them).
 
-Integrity: structural checks (format, version, file sizes, offsets)
-always run at open and catch truncation; per-array crc32 verification
-is opt-in (``verify=True`` / :func:`verify_snapshot`) to keep opening
-O(ms).  ``objects.pkl`` is always crc-checked before unpickling --- but
-as with the pickle persistence, only open snapshots you trust.
+A save is staged in a sibling directory and committed by pointing
+``path`` -- a symlink -- at it with one atomic rename: a failed save
+leaves an earlier snapshot at ``path`` as it was, and a process that
+mapped the old one keeps its pages.
+
+Integrity: format, version, file sizes, disjoint array extents, every
+array's dtype, rank and shape, and the type and range of every manifest
+field are checked at every open.  Per-array crc32 and content checks
+are opt-in (``verify=True`` / :func:`verify_snapshot`) to keep opening
+O(ms); ``load`` reads every byte anyway, so it always verifies.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
-import pickle
-import tempfile
+import shutil
+import struct
+import uuid
 import zlib
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.codec import CodecError, parse_codec
+from repro.core.codec import CodecError
+from repro.core.distribution import SimilarityDistribution
+from repro.core.embedding import SetEmbedder
 from repro.core.filter_index import FrozenFilterProbe
+from repro.core.optimizer import IndexPlan, PlannedFilter
+from repro.core.planner import QueryPlanner
 from repro.exec.snapshot import IndexSnapshot
 from repro.obs import metrics, trace
 from repro.storage.hashtable import TableStack
 from repro.storage.iomodel import IOCostModel
 
 FORMAT_NAME = "repro-ssi-snapshot"
-#: v4: a filter's tables are stacked (one array per field per filter,
-#: table bounds in the manifest's ``n_buckets`` / ``run_offsets``).
-#: The only version read; re-save older directories from the live index.
-FORMAT_VERSION = 4
+#: v5: the one on-disk format -- embedder, plan, D_S and planner
+#: statistics in the manifest, sampled bit positions as arrays, set
+#: elements ``int64`` or ``tagged``, and the next sid to assign, so a
+#: live index thaws from it.  The only version read; re-save older
+#: directories from a live index.
+FORMAT_VERSION = 5
 
 #: Byte alignment of every array in ``arrays.bin`` (cache-line sized,
 #: and a multiple of every dtype's itemsize so views never misalign).
@@ -74,8 +85,10 @@ ALIGNMENT = 64
 
 MANIFEST_FILE = "manifest.json"
 ARRAYS_FILE = "arrays.bin"
-OBJECTS_FILE = "objects.pkl"
-SETS_FILE = "sets.pkl"
+
+#: Indirection for fault injection in tests (a failing write without
+#: monkeypatching the global ``os`` module).
+_fsync = os.fsync
 
 _SAVES = metrics.counter("snapshot.saves")
 _OPENS = metrics.counter("snapshot.opens")
@@ -88,11 +101,13 @@ _SETS_MATERIALIZED = metrics.counter("snapshot.sets_materialized")
 
 
 class SnapshotError(RuntimeError):
-    """A path is not a usable snapshot (missing/garbled files)."""
+    """A path is not a usable snapshot (missing/garbled files), or an
+    index cannot be saved as one."""
 
 
 class SnapshotFormatError(SnapshotError):
-    """The snapshot's format name or version is not one this build reads."""
+    """The snapshot's format, version or manifest is not one this build
+    reads."""
 
 
 class SnapshotIntegrityError(SnapshotError):
@@ -128,47 +143,67 @@ def write_arrays(path, arrays: dict[str, np.ndarray]) -> dict[str, dict]:
             }
             offset += len(data)
         f.flush()
-        os.fsync(f.fileno())
+        _fsync(f.fileno())
     return specs
+
+
+def _parse_spec(name: str, spec) -> tuple:
+    """``(dtype, shape, offset, nbytes)`` of a well-typed, consistent spec."""
+    try:
+        dtype, shape = np.dtype(spec["dtype"]), tuple(spec["shape"])
+        offset, nbytes = spec["offset"], spec["nbytes"]
+        typed = type(spec["dtype"]) is str and all(
+            type(v) is int for v in (offset, nbytes, *shape)
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotFormatError(f"array {name!r}: malformed spec {spec!r}") from exc
+    if (
+        not typed or dtype.kind not in "biufc" or min(shape, default=0) < 0
+        or offset < 0 or offset % dtype.itemsize
+        or nbytes != math.prod(shape) * dtype.itemsize
+    ):
+        raise SnapshotFormatError(
+            f"array {name!r}: {nbytes} bytes at offset {offset} cannot "
+            f"hold shape {shape} of {dtype}"
+        )
+    return dtype, shape, offset, nbytes
 
 
 def open_arrays(path, specs: dict[str, dict], verify: bool = False) -> dict[str, np.ndarray]:
     """Map every spec'd array as a read-only view over one ``np.memmap``.
 
-    Structural validation (offsets are non-negative and item-aligned,
-    offsets/lengths fit the file, lengths match dtype x shape) always
-    runs; ``verify=True`` additionally checks
+    Structural validation (well-typed specs, offsets non-negative and
+    item-aligned, lengths matching dtype x shape, extents inside the
+    file and disjoint) always runs; ``verify=True`` additionally checks
     every array's crc32 (reads all bytes -- no longer O(ms)).
     """
     size = os.path.getsize(path)
+    parsed = {name: _parse_spec(name, spec) for name, spec in specs.items()}
+    end, last = 0, None
+    for name, (_, _, offset, nbytes) in sorted(
+        parsed.items(), key=lambda item: item[1][2]
+    ):
+        if not nbytes:
+            continue
+        if offset < end:
+            raise SnapshotFormatError(
+                f"array {name!r} at byte {offset} overlaps {last!r}, "
+                f"which ends at byte {end}"
+            )
+        end, last = offset + nbytes, name
+    if end > size:
+        raise SnapshotIntegrityError(
+            f"array {last!r} extends to byte {end} but {path} holds "
+            f"only {size}: truncated arrays file"
+        )
     buf = np.memmap(path, dtype=np.uint8, mode="r") if size else None
     arrays: dict[str, np.ndarray] = {}
-    for name, spec in specs.items():
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        nbytes = int(spec["nbytes"])
-        offset = int(spec["offset"])
-        want = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if nbytes != want:
-            raise SnapshotFormatError(
-                f"array {name!r}: {nbytes} bytes cannot hold "
-                f"shape {shape} of {dtype} ({want} bytes)"
-            )
-        if offset < 0 or offset % dtype.itemsize:
-            raise SnapshotFormatError(
-                f"array {name!r}: offset {offset} is negative or not a "
-                f"multiple of the {dtype.itemsize}-byte {dtype} item"
-            )
-        if offset + nbytes > size:
-            raise SnapshotIntegrityError(
-                f"array {name!r} extends to byte {offset + nbytes} but "
-                f"{path} holds only {size}: truncated arrays file"
-            )
+    for name, (dtype, shape, offset, nbytes) in parsed.items():
         if nbytes == 0:
             arrays[name] = np.empty(shape, dtype=dtype)
             continue
         raw = buf[offset: offset + nbytes]
-        if verify and zlib.crc32(raw) != spec["crc32"]:
+        if verify and zlib.crc32(raw) != specs[name].get("crc32"):
             raise SnapshotIntegrityError(
                 f"array {name!r} fails its checksum: snapshot is corrupt"
             )
@@ -187,65 +222,113 @@ _TABLE_FIELDS = {
     "run_sids": "<i8",
 }
 
+#: Dtype and shape of every fixed-name array, checked at every open: a
+#: dimension is ``"n"`` (the set count), ``"n+1"``, ``"words"`` (packed
+#: vector width), ``"tags+1"``, or None (any length).
+_ARRAY_TYPES = {
+    "sid_array": ("<i8", ("n",)), "vector_matrix": ("<u8", ("n", "words")),
+    "set_indptr": ("<i8", ("n+1",)), "set_data": ("<u8", (None,)),
+    "set_sizes": ("<i8", ("n",)), "fetch_random": ("<i8", ("n",)),
+    "fetch_seq": ("<i8", ("n",)), "fallback_array": ("<i8", (None,)),
+}
+#: The element arrays of each set encoding, typed the same way.
+_ELEMENT_ARRAYS = {
+    "int64": {"elem_indptr": ("<i8", ("n+1",)), "elem_data": ("<i8", (None,))},
+    "tagged": {
+        "elem_indptr": ("<i8", ("n+1",)), "elem_tags": ("|u1", (None,)),
+        "elem_bytes_indptr": ("<i8", ("tags+1",)), "elem_bytes": ("|u1", (None,)),
+    },
+}
+_COSTS = ("seq_cost", "random_cost", "cpu_cost")
+#: An embedder is immutable and costs more to build than the rest of an
+#: open, so the snapshots of one process (a fleet's shards) share them.
+_embedder = lru_cache(maxsize=64)(SetEmbedder)
+
 
 # -- set-element encodings -------------------------------------------------
 
+#: The ``tagged`` element types, a type's tag being its index: each
+#: with its payload encoder and decoder.
+_TAGGED = (
+    (int, lambda e: e.to_bytes(e.bit_length() // 8 + 1, "little", signed=True),
+     lambda p: int.from_bytes(p, "little", signed=True)),
+    (float, struct.Struct("<d").pack, lambda p: struct.unpack("<d", p)[0]),
+    (complex, lambda e: struct.pack("<2d", e.real, e.imag),
+     lambda p: complex(*struct.unpack("<2d", p))),
+    (str, lambda e: e.encode("utf-8", "surrogatepass"),
+     lambda p: p.decode("utf-8", "surrogatepass")),
+    (bytes, bytes, bytes),
+)
+_TAG_OF = {kind: tag for tag, (kind, _, _) in enumerate(_TAGGED)}
+
+
+def _csr_indptr(lengths) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
 
 def _encode_sets(sets_in_order: list[frozenset]):
-    """Columnar encoding of the stored sets, if their elements allow it.
+    """``(encoding, arrays)``: the stored sets' elements, columnar.
 
-    Returns ``(encoding, arrays, sets_obj)``: ``"int64"``/``"utf8"``
-    with CSR arrays when every element is a builtin int in int64 range
-    / a builtin str, else ``"pickle"`` with the original dict shipped
-    in ``sets.pkl`` (loaded lazily at serve time).
+    ``"int64"`` when every element is a builtin int in int64 range,
+    else ``"tagged"``; an element of any other type raises
+    :class:`SnapshotError` before anything is written.
     """
+    indptr = _csr_indptr([len(s) for s in sets_in_order])
     if all(
         type(e) is int and -(2 ** 63) <= e < 2 ** 63
         for s in sets_in_order for e in s
     ):
-        indptr = np.zeros(len(sets_in_order) + 1, dtype=np.int64)
-        if sets_in_order:
-            np.cumsum([len(s) for s in sets_in_order], out=indptr[1:])
-        data = np.empty(int(indptr[-1]), dtype=np.int64)
-        for row, s in enumerate(sets_in_order):
-            data[int(indptr[row]): int(indptr[row + 1])] = sorted(s)
-        return "int64", {"elem_indptr": indptr, "elem_data": data}, None
-    if all(type(e) is str for s in sets_in_order for e in s):
-        indptr = np.zeros(len(sets_in_order) + 1, dtype=np.int64)
-        if sets_in_order:
-            np.cumsum([len(s) for s in sets_in_order], out=indptr[1:])
-        encoded = [e.encode("utf-8") for s in sets_in_order for e in sorted(s)]
-        str_indptr = np.zeros(len(encoded) + 1, dtype=np.int64)
-        if encoded:
-            np.cumsum([len(b) for b in encoded], out=str_indptr[1:])
-        str_data = np.frombuffer(b"".join(encoded), dtype=np.uint8).copy()
-        return "utf8", {
-            "elem_indptr": indptr,
-            "str_indptr": str_indptr,
-            "str_data": str_data,
-        }, None
-    return "pickle", {}, dict(
-        zip(range(len(sets_in_order)), sets_in_order)
-    )
+        data = np.fromiter(
+            (e for s in sets_in_order for e in sorted(s)),
+            dtype=np.int64, count=int(indptr[-1]),
+        )
+        return "int64", {"elem_indptr": indptr, "elem_data": data}
+    tags, payloads = [], []
+    for s in sets_in_order:
+        for e in s:
+            tag = _TAG_OF.get(type(e))
+            if tag is None:
+                raise SnapshotError(
+                    f"cannot save set element {e!r} of type {type(e).__name__}: "
+                    "a snapshot stores int, float, complex, str and bytes elements"
+                )
+            tags.append(tag)
+            payloads.append(_TAGGED[tag][1](e))
+    return "tagged", {
+        "elem_indptr": indptr,
+        "elem_tags": np.asarray(tags, dtype=np.uint8),
+        "elem_bytes_indptr": _csr_indptr([len(p) for p in payloads]),
+        "elem_bytes": np.frombuffer(b"".join(payloads), dtype=np.uint8),
+    }
 
 
-class _LazySets:
-    """``sid -> frozenset`` mapping that materializes (and memoizes)
-    each set on first access -- the exact-verification fallback touches
-    only the sets it needs, so cold serving never pages in the whole
-    element file."""
+def _decode_tagged(tags: np.ndarray, bounds: np.ndarray, blob: np.ndarray) -> list:
+    """The elements of a run of ``tagged`` entries: ``tags`` and their
+    ``len(tags) + 1`` payload ``bounds`` into ``blob``."""
+    base = int(bounds[0])
+    raw = blob[base:int(bounds[-1])].tobytes()
+    cuts = (bounds - base).tolist()
+    decode = [d for _, _, d in _TAGGED]
+    try:
+        return [
+            decode[tag](raw[cuts[i]:cuts[i + 1]])
+            for i, tag in enumerate(tags.tolist())
+        ]
+    except (IndexError, ValueError, struct.error) as exc:
+        raise SnapshotIntegrityError(f"corrupt tagged set elements: {exc}") from exc
 
-    __slots__ = ("_load", "_memo")
+
+class _LazySets(dict):
+    """``sid -> frozenset``, each set materialized (and memoized) on first
+    access: cold serving never pages in the whole element file."""
 
     def __init__(self, load):
+        super().__init__()
         self._load = load
-        self._memo: dict[int, frozenset] = {}
 
-    def __getitem__(self, sid: int) -> frozenset:
-        got = self._memo.get(sid)
-        if got is None:
-            got = self._memo[sid] = self._load(sid)
-            _SETS_MATERIALIZED.inc()
+    def __missing__(self, sid: int) -> frozenset:
+        got = self[sid] = self._load(sid)
+        _SETS_MATERIALIZED.inc()
         return got
 
 
@@ -258,280 +341,226 @@ class MappedSnapshot(IndexSnapshot):
 
     Query semantics, page charges and counter movements are identical
     to a live ``index.freeze()`` snapshot -- the executor equivalence
-    suites run unchanged over either.  Derived Python objects the hot
-    path needs (`row_of`, the fallback ``frozenset``
-    objects) are built lazily on first use and cached; concurrent first
-    touches from the thread backend may build one twice, but the
-    results are identical so the race is benign.
+    suites run unchanged over either.  Python objects the hot path
+    derives from the arrays are built on first use and cached.
     """
 
-    @property
-    def n_sets(self) -> int:
-        return int(self.sid_array.shape[0])
-
-    @property
-    def sids(self) -> list[int]:
-        got = self.__dict__.get("_sids")
-        if got is None:
-            got = self.__dict__["_sids"] = self.sid_array.tolist()
-        return got
-
-    @property
-    def row_of(self) -> dict[int, int]:
-        got = self.__dict__.get("_row_of")
-        if got is None:
-            got = self.__dict__["_row_of"] = {
-                sid: row for row, sid in enumerate(self.sids)
-            }
-        return got
-
-    @property
-    def fallback_sids(self) -> frozenset:
-        got = self.__dict__.get("_fallback_sids")
-        if got is None:
-            got = self.__dict__["_fallback_sids"] = frozenset(
-                self.fallback_array.tolist()
-            )
-        return got
-
-    @property
+    @cached_property
     def sets(self) -> _LazySets:
-        got = self.__dict__.get("_sets")
-        if got is None:
-            got = self.__dict__["_sets"] = _LazySets(self._set_loader())
-        return got
-
-    def _set_loader(self):
-        encoding = self.sets_encoding
-        if encoding == "int64":
-            indptr, data, row_of = self.elem_indptr, self.elem_data, self.row_of
-
-            def load(sid: int) -> frozenset:
-                row = row_of[sid]
-                return frozenset(
-                    data[int(indptr[row]): int(indptr[row + 1])].tolist()
-                )
-        elif encoding == "utf8":
-            indptr, row_of = self.elem_indptr, self.row_of
-            str_indptr, str_data = self.str_indptr, self.str_data
-
-            def load(sid: int) -> frozenset:
-                row = row_of[sid]
-                return frozenset(
-                    str_data[int(str_indptr[e]): int(str_indptr[e + 1])]
-                    .tobytes().decode("utf-8")
-                    for e in range(int(indptr[row]), int(indptr[row + 1]))
-                )
-        elif encoding == "pickle":
-            path, row_of = self.path, self.row_of
-            memo: dict = {}
-
-            def load(sid: int) -> frozenset:
-                if not memo:
-                    blob = (Path(path) / SETS_FILE).read_bytes()
-                    memo.update(pickle.loads(blob))
-                return memo[row_of[sid]]
-        else:
-            raise SnapshotFormatError(f"unknown sets encoding: {encoding!r}")
-        return load
-
-    def __repr__(self) -> str:
-        return (
-            f"MappedSnapshot(path={str(self.path)!r}, n_sets={self.n_sets}, "
-            f"sfis={len(self.sfis)}, dfis={len(self.dfis)})"
+        row_of = self.row_of
+        return _LazySets(
+            lambda sid: frozenset(self._elements(row_of[sid], row_of[sid] + 1))
         )
 
+    def _elements(self, start: int, stop: int) -> list:
+        """The elements of rows ``start .. stop - 1``, concatenated."""
+        a, b = self.elem_indptr[[start, stop]].tolist()
+        if self.sets_encoding == "int64":
+            return self.elem_data[a:b].tolist()
+        return _decode_tagged(
+            self.elem_tags[a:b], self.elem_bytes_indptr[a:b + 1], self.elem_bytes
+        )
 
-# -- save / open -----------------------------------------------------------
+    def all_sets(self) -> list[frozenset]:
+        """Every stored set, in row (ascending sid) order, decoded in one pass."""
+        flat = self._elements(0, self.n_sets)
+        bounds = self.elem_indptr.tolist()
+        return [frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+# -- save ------------------------------------------------------------------
 
 
 def save_snapshot(snapshot: IndexSnapshot, path) -> Path:
-    """Serialize a frozen snapshot as a mapped-array directory.
-
-    ``snapshot`` is an ``index.freeze()`` image (a
-    :class:`MappedSnapshot` cannot be re-saved; save from the live
-    index it came from).  The manifest is written last, atomically, so
-    a crashed save never leaves an openable half-snapshot.
-    """
+    """Serialize an ``index.freeze()`` image (not a :class:`MappedSnapshot`:
+    save from the live index) as a snapshot directory at ``path``,
+    staged beside it and committed atomically (:func:`_commit`): a failed
+    save leaves whatever was at ``path`` untouched and nothing behind."""
     if isinstance(snapshot, MappedSnapshot):
         raise SnapshotError(
             "cannot re-save a mapped snapshot; save from a live index.freeze()"
         )
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.is_dir() and not path.is_symlink() and any(path.iterdir()):
+        raise SnapshotError(f"{path} is a non-empty directory; refusing to replace it")
     with trace.span("snapshot_save", path=str(path)) as sp:
         sids = snapshot.sids
-        arrays: dict[str, np.ndarray] = {
-            "sid_array": snapshot.sid_array,
-            "vector_matrix": snapshot.vector_matrix,
-            "set_indptr": snapshot.set_indptr,
-            "set_data": snapshot.set_data,
-            "set_sizes": snapshot.set_sizes,
-            "fetch_random": snapshot.fetch_random,
-            "fetch_seq": snapshot.fetch_seq,
-            "fallback_array": np.asarray(
-                sorted(snapshot.fallback_sids), dtype=np.int64
-            ),
-        }
-        filters = (
-            [("sfi", p) for p in sorted(snapshot.sfis)]
-            + [("dfi", p) for p in sorted(snapshot.dfis)]
-        )
-        filter_meta: list[dict] = []
-        filter_objects: list[dict] = []
-        for i, (kind, point) in enumerate(filters):
-            fp = snapshot.filter_probe(kind, point)
-            for field in _TABLE_FIELDS:
-                arrays[f"f{i:03d}_{field}"] = getattr(fp.stack, field)
-            filter_meta.append({
-                "kind": kind, "point": point, "threshold": fp.threshold,
-                "sigma_point": fp.sigma_point, "r": fp.r, "l": fp.n_tables,
-                "n_buckets": fp.stack.n_buckets.tolist(),
-                "run_offsets": fp.stack.run_offsets.tolist(),
-            })
-            filter_objects.append({
-                "kind": kind, "point": point, "threshold": fp.threshold,
-                "sigma_point": fp.sigma_point, "r": fp.r,
-                "n_bits": fp.n_bits, "complement_query": fp.complement_query,
-                "positions": fp.positions,
-            })
-        encoding, set_arrays, sets_obj = _encode_sets(
-            [snapshot.sets[sid] for sid in sids]
-        )
+        encoding, set_arrays = _encode_sets([snapshot.sets[sid] for sid in sids])
+        arrays = {name: getattr(snapshot, name) for name in _ARRAY_TYPES}
         arrays.update(set_arrays)
-        specs = write_arrays(path / ARRAYS_FILE, arrays)
-        objects_blob = pickle.dumps(
-            {
-                "embedder": snapshot.embedder,
-                "plan": snapshot.plan,
-                "planner": snapshot.planner,
-                "filters": filter_objects,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        (path / OBJECTS_FILE).write_bytes(objects_blob)
+        filter_meta: list[dict] = []
+        for kind, filters in (("sfi", snapshot.sfis), ("dfi", snapshot.dfis)):
+            for point in sorted(filters):
+                fp, prefix = filters[point], f"f{len(filter_meta):03d}_"
+                arrays[prefix + "positions"] = fp.positions
+                for field in _TABLE_FIELDS:
+                    arrays[prefix + field] = getattr(fp.stack, field)
+                filter_meta.append({
+                    "kind": kind, "point": point, "threshold": fp.threshold,
+                    "sigma_point": fp.sigma_point, "r": fp.r, "l": fp.n_tables,
+                    "n_buckets": fp.stack.n_buckets.tolist(),
+                    "run_offsets": fp.stack.run_offsets.tolist(),
+                })
+        embedder, planner, cost = snapshot.embedder, snapshot.planner, snapshot.cost
         manifest = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
-            "codec": snapshot.embedder.codec,
+            "codec": embedder.codec,
+            "embedder": {"k": embedder.k, "b": embedder.b, "seed": embedder.seed},
+            "plan": dataclasses.asdict(snapshot.plan),
+            "distribution": {
+                "mass": planner.distribution.mass.tolist(),
+                "n_sets": planner.distribution.n_sets,
+            },
+            "avg_set_size": planner.avg_set_size,
             "n_sets": len(sids),
+            "next_sid": snapshot.next_sid,
             "n_bits": snapshot.n_bits,
             "scan_pages": snapshot.scan_pages,
-            "cost": {
-                "seq_cost": snapshot.cost.seq_cost,
-                "random_cost": snapshot.cost.random_cost,
-                "cpu_cost": snapshot.cost.cpu_cost,
-            },
+            "page_size": snapshot.page_size,
+            "cost": {key: getattr(cost, key) for key in _COSTS},
             "sets_encoding": encoding,
-            "objects_crc32": zlib.crc32(objects_blob),
-            "arrays_bytes": os.path.getsize(path / ARRAYS_FILE),
             "filters": filter_meta,
-            "arrays": specs,
         }
-        if sets_obj is not None:
-            sets_blob = pickle.dumps(sets_obj, protocol=pickle.HIGHEST_PROTOCOL)
-            (path / SETS_FILE).write_bytes(sets_blob)
-            manifest["sets_crc32"] = zlib.crc32(sets_blob)
-        # Commit point: the manifest names everything, so a snapshot
-        # either opens completely or (no/partial manifest) not at all.
-        fd, tmp = tempfile.mkstemp(dir=path, prefix=MANIFEST_FILE + ".", suffix=".tmp")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        staged = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}")
+        staged.mkdir()
         try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(manifest, f, indent=1)
+            manifest["arrays"] = write_arrays(staged / ARRAYS_FILE, arrays)
+            manifest["arrays_bytes"] = os.path.getsize(staged / ARRAYS_FILE)
+            with open(staged / MANIFEST_FILE, "w") as f:
+                json.dump(manifest, f)
                 f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path / MANIFEST_FILE)
+                _fsync(f.fileno())
+            _commit(staged, path)
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            shutil.rmtree(staged, ignore_errors=True)
             raise
         if sp.recording:
-            sp.set(
-                n_arrays=len(specs),
-                arrays_bytes=manifest["arrays_bytes"],
-                n_sets=len(sids),
-                sets_encoding=encoding,
-            )
+            sp.set(n_arrays=len(arrays), arrays_bytes=manifest["arrays_bytes"],
+                   n_sets=len(sids), sets_encoding=encoding)
     _SAVES.inc()
     return path
 
 
-def _offsets(prefix: str, meta: dict, key: str, length: int) -> list[int]:
-    """A filter's manifest list of table bounds, refused unless it is
-    ``length`` integers."""
-    got = meta.get(key)
+def _commit(staged: Path, path: Path) -> None:
+    """Point ``path`` (a symlink) at the staged directory with one atomic
+    rename, then remove the generation it replaced (or an empty dir)."""
+    link = staged.with_name(staged.name + ".link")
+    os.symlink(staged.name, link)
+    old = None
+    try:
+        if path.is_symlink():
+            target = os.readlink(path)
+            if "/" not in target and target.startswith(f".{path.name}."):
+                old = path.with_name(target)
+        elif path.is_dir():
+            path.rmdir()
+        os.replace(link, path)
+    except BaseException:
+        link.unlink(missing_ok=True)
+        raise
+    if old is not None:
+        shutil.rmtree(old, ignore_errors=True)
+
+
+# -- open ------------------------------------------------------------------
+
+_REAL = (int, float)
+
+
+def _get(where, key, kinds, lo=None, hi=None, name: str = ""):
+    """``where[key]`` if it is one of ``kinds`` (never a bool standing
+    in for a number) inside ``[lo, hi]``; else a
+    :class:`SnapshotFormatError` naming the manifest field."""
+    try:
+        value = where[key]
+    except (KeyError, IndexError, TypeError):
+        value = None
     if (
-        not isinstance(got, list) or len(got) != length
-        or not all(type(v) is int for v in got)
+        not isinstance(value, kinds) or isinstance(value, bool)
+        or lo is not None and not lo <= value
+        or hi is not None and not value <= hi
     ):
         raise SnapshotFormatError(
-            f"filter {prefix!r}: manifest {key!r} must list {length} "
-            f"integers, found {got!r}"
+            f"manifest field {name}{key!r} is missing or out of range: {value!r}"
         )
-    return got
+    return value
+
+
+def _each(where, key, kinds, lo=None, hi=None, name: str = "", min_len: int = 0):
+    """``where[key]``: a list of at least ``min_len`` numbers of ``kinds``
+    (``int`` or ``_REAL``) inside ``[lo, hi]``."""
+    values = _get(where, key, list, name=name)
+    try:
+        array = np.asarray(values, dtype=None if values else np.int64)
+        ok = (
+            len(values) >= min_len and array.ndim == 1
+            and array.dtype.kind in ("i" if kinds is int else "if")
+            and (not values or (lo is None or lo <= array.min())
+                 and (hi is None or array.max() <= hi))
+        )
+    except (ValueError, TypeError):
+        ok = False
+    if not ok:
+        raise SnapshotFormatError(f"manifest field {name}{key!r} is not a list of "
+                                  f"at least {min_len} {kinds} in [{lo}, {hi}]")
+    return values
+
+
+def _check_array(specs: dict, name: str, dtype: str, shape: tuple) -> None:
+    """Refuse an array whose manifest spec is not the dtype and shape
+    (``None``: any length) the layout fixes."""
+    spec = specs.get(name)
+    got = spec.get("shape") if isinstance(spec, dict) else None
+    if (
+        not isinstance(got, list) or spec.get("dtype") != dtype or len(got) != len(shape)
+        or any(want not in (None, have) for want, have in zip(shape, got))
+    ):
+        raise SnapshotFormatError(
+            f"array {name!r} must be a {dtype} array of shape {shape} "
+            f"(None: any), manifest says {spec}"
+        )
 
 
 def _open_stack(
     prefix: str, meta: dict, specs: dict, arrays: dict, verify: bool
 ) -> TableStack:
-    """Wrap one filter's mapped table arrays, refusing a set that cannot
-    be a :class:`~repro.storage.hashtable.TableStack`.
-
-    The always-on checks read only the manifest (dtypes, table bounds,
-    and lengths that must fit each other), so opening stays O(ms);
+    """Wrap one filter's mapped table arrays as a
+    :class:`~repro.storage.hashtable.TableStack`, refusing arrays and
+    table bounds that do not fit each other (from the manifest alone);
     ``verify=True`` also reads the arrays to check the order the probe's
-    binary search and run slicing rely on.
-    """
+    binary search and run slicing rely on."""
     for field, dtype in _TABLE_FIELDS.items():
-        spec = specs.get(prefix + field)
-        if spec is None or spec["dtype"] != dtype or len(spec["shape"]) != 1:
-            raise SnapshotFormatError(
-                f"table array {prefix + field!r} must be a 1-d {dtype} "
-                f"array, manifest says {spec}"
-            )
+        _check_array(specs, prefix + field, dtype, (None,))
     n_pages, n_runs, n_indptr, n_sids = (
         specs[prefix + field]["shape"][0] for field in _TABLE_FIELDS
     )
-    n_tables = meta.get("l")
-    if type(n_tables) is not int or n_tables < 1:
-        raise SnapshotFormatError(
-            f"filter {prefix!r}: table count {n_tables!r} is not positive"
-        )
-    n_buckets = _offsets(prefix, meta, "n_buckets", n_tables)
-    run_offsets = _offsets(prefix, meta, "run_offsets", n_tables + 1)
+    n_buckets = _each(meta, "n_buckets", int, 1, name=prefix, min_len=1)
+    run_offsets = _each(meta, "run_offsets", int, 0, name=prefix, min_len=1)
     if (
-        min(n_buckets) < 1 or run_offsets[0] != 0
+        len(n_buckets) != meta["l"] or len(run_offsets) != meta["l"] + 1
+        or run_offsets[0] != 0 or run_offsets[-1] != n_runs
         or any(b < a for a, b in zip(run_offsets, run_offsets[1:]))
-        or run_offsets[-1] != n_runs
+        or n_pages != sum(n_buckets) or n_indptr != n_runs + 1
     ):
         raise SnapshotFormatError(
-            f"filter {prefix!r}: table bounds out of range -- every "
-            "n_buckets must be positive and run_offsets must rise from 0 "
-            f"to the {n_runs} runs"
-        )
-    if n_pages != sum(n_buckets) or n_indptr != n_runs + 1:
-        raise SnapshotFormatError(
-            f"filter {prefix!r} arrays do not fit each other: {n_pages} "
-            f"chain_pages for {sum(n_buckets)} buckets, {n_indptr} "
-            f"run_indptr for {n_runs} run_fps"
+            f"filter {prefix!r}: its {meta['l']} tables' bounds do not fit "
+            f"its arrays ({n_pages} chain_pages for buckets {n_buckets}, "
+            f"{n_indptr} run_indptr and run_offsets {run_offsets} for "
+            f"{n_runs} run_fps)"
         )
     stack = TableStack(
         n_buckets, arrays[prefix + "chain_pages"], run_offsets,
         *(arrays[prefix + field] for field in ("run_fps", "run_indptr", "run_sids")),
     )
     if verify:
-        fps, indptr = stack.run_fps, stack.run_indptr
+        fps = stack.run_fps
         # Strictly ascending inside each table; a table starts afresh.
         rises = fps[1:] > fps[:-1]
         cuts = np.asarray(run_offsets[1:-1], dtype=np.int64)
         rises[cuts[(cuts > 0) & (cuts < n_runs)] - 1] = True
-        if (
-            not rises.all()
-            or indptr[0] != 0 or indptr[-1] != n_sids
-            or np.any(indptr[1:] < indptr[:-1])
-        ):
+        if not rises.all() or not _rises(stack.run_indptr, n_sids):
             raise SnapshotIntegrityError(
                 f"filter {prefix!r}: run_fps must ascend strictly within "
                 f"each table and run_indptr must rise from 0 to {n_sids}"
@@ -539,129 +568,184 @@ def _open_stack(
     return stack
 
 
-def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
-    """Map a snapshot directory written by :func:`save_snapshot`.
+def _rises(indptr: np.ndarray, end: int) -> bool:
+    """Whether a CSR ``indptr`` rises (weakly) from 0 to ``end``."""
+    return bool(
+        len(indptr) and indptr[0] == 0 and indptr[-1] == end
+        and not np.any(indptr[1:] < indptr[:-1])
+    )
 
-    O(ms) regardless of collection size: only the manifest and the
-    small object pickle are read eagerly; every array is an
-    ``np.memmap`` view paged in on use.  ``verify=True`` additionally
-    checksums every array (reads everything).
-    """
-    path = Path(path)
+
+def _plan(doc: dict) -> IndexPlan:
+    """The index plan from its manifest JSON."""
+    at, b = "plan.", doc.get("b")
+    return IndexPlan(
+        cut_points=_each(doc, "cut_points", _REAL, 0.0, 1.0, at),
+        filters=[
+            PlannedFilter(
+                _get(f, "point", _REAL, 0.0, 1.0, at), _get(f, "kind", str, name=at),
+                _get(f, "n_tables", int, 0, name=at),
+            )
+            for f in _get(doc, "filters", list, name=at)
+        ],
+        b=b if b is None else _get(doc, "b", int, 1, name=at),
+        met_target=doc.get("met_target") is not False,
+        **{key: _get(doc, key, _REAL, name=at)
+           for key in ("delta", "expected_recall", "expected_precision")},
+    )
+
+
+def _check_contents(snap: "MappedSnapshot") -> None:
+    """The array contents a ``verify=True`` open checks -- everything a
+    thaw indexes with: sid order, CSR bounds, element tags, positions."""
+    sids, tagged = snap.sid_array, snap.sets_encoding == "tagged"
+    if not (
+        (snap.n_sets == 0 or sids[0] >= 0 and sids[-1] < snap.next_sid)
+        and not np.any(sids[1:] <= sids[:-1])
+        and _rises(snap.set_indptr, len(snap.set_data))
+        and np.all(np.diff(snap.set_indptr) <= snap.set_sizes)
+        and np.isin(snap.fallback_array, sids).all()
+        and _rises(snap.elem_indptr, len(snap.elem_tags if tagged else snap.elem_data))
+        and (not tagged or _rises(snap.elem_bytes_indptr, len(snap.elem_bytes))
+             and not np.any(snap.elem_tags >= len(_TAGGED)))
+        and all(
+            ((0 <= fp.positions) & (fp.positions < snap.n_bits)).all()
+            for fp in (*snap.sfis.values(), *snap.dfis.values())
+        )
+    ):
+        raise SnapshotIntegrityError(
+            f"{snap.path}: arrays are inconsistent (sid order, CSR bounds, "
+            "set sizes, element tags or bit positions)"
+        )
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest of a snapshot directory, refused unless it names
+    this format and version."""
     manifest_path = path / MANIFEST_FILE
     if not manifest_path.is_file():
-        raise SnapshotError(
-            f"{path} is not a snapshot directory (no {MANIFEST_FILE})"
-        )
+        raise SnapshotError(f"{path} is not a snapshot directory (no {MANIFEST_FILE})")
     try:
         manifest = json.loads(manifest_path.read_text())
     except (ValueError, UnicodeDecodeError) as exc:
         raise SnapshotFormatError(f"{manifest_path} is not valid JSON: {exc}") from exc
-    if manifest.get("format") != FORMAT_NAME:
-        raise SnapshotFormatError(
-            f"{path} is not a {FORMAT_NAME} snapshot "
-            f"(format={manifest.get('format')!r})"
-        )
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
+        raise SnapshotFormatError(f"{path} is not a {FORMAT_NAME} snapshot")
     if manifest.get("version") != FORMAT_VERSION:
         raise SnapshotFormatError(
             f"{path} has snapshot format version {manifest.get('version')}; "
             f"this build reads only version {FORMAT_VERSION} -- re-save it "
             "from the live index"
         )
-    # Unknown tags fail loudly here so a stale reader never
-    # misinterprets packed bytes.
-    codec_tag = manifest.get("codec")
-    try:
-        codec_spec = parse_codec(codec_tag)
-    except CodecError as exc:
-        raise SnapshotFormatError(
-            f"{path} uses unsupported signature codec {codec_tag!r}: {exc}"
-        ) from exc
+    return manifest
+
+
+def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
+    """Map a snapshot directory written by :func:`save_snapshot`.
+
+    O(ms) regardless of collection size: only the manifest is read
+    eagerly; every array is an ``np.memmap`` view paged in on use.
+    ``verify=True`` additionally checksums every array and checks the
+    arrays' contents against each other (reads everything).
+    """
+    path = Path(path)
+    manifest = _read_manifest(path)
     with trace.span("snapshot_open", path=str(path), verify=verify) as sp:
+        # An unknown codec fails loudly here so a stale reader never
+        # misinterprets packed bytes.
+        emb = manifest.get("embedder")
+        try:
+            embedder = _embedder(
+                k=_get(emb, "k", int, 1, 1 << 20, "embedder."),
+                b=_get(emb, "b", int, 1, 64, "embedder."),
+                seed=_get(emb, "seed", int, 0, name="embedder."),
+                codec=_get(manifest, "codec", str),
+            )
+        except (CodecError, ValueError) as exc:
+            raise SnapshotFormatError(
+                f"{path}: unsupported embedder or signature codec: {exc}"
+            ) from exc
+        n_bits = manifest.get("n_bits")
+        if n_bits != embedder.dimension or type(n_bits) is not int:
+            raise SnapshotFormatError(
+                f"{path}: {n_bits!r} embedding bits, but the embedder (codec "
+                f"{embedder.codec!r}) embeds into {embedder.dimension}"
+            )
         arrays_path = path / ARRAYS_FILE
         if not arrays_path.is_file():
             raise SnapshotIntegrityError(f"{path} is missing {ARRAYS_FILE}")
         size = os.path.getsize(arrays_path)
-        if size != manifest["arrays_bytes"]:
+        if size != _get(manifest, "arrays_bytes", int, 0):
             raise SnapshotIntegrityError(
                 f"{arrays_path} holds {size} bytes, manifest expects "
                 f"{manifest['arrays_bytes']}: truncated or rewritten"
             )
-        arrays = open_arrays(arrays_path, manifest["arrays"], verify=verify)
-        objects_blob = (path / OBJECTS_FILE).read_bytes()
-        if zlib.crc32(objects_blob) != manifest["objects_crc32"]:
-            raise SnapshotIntegrityError(
-                f"{path / OBJECTS_FILE} fails its checksum: snapshot is corrupt"
+        specs = _get(manifest, "arrays", dict)
+        n = _get(manifest, "n_sets", int, 0)
+        encoding = manifest.get("sets_encoding")
+        if encoding not in _ELEMENT_ARRAYS:
+            raise SnapshotFormatError(f"unknown sets encoding: {encoding!r}")
+        named = {**_ARRAY_TYPES, **_ELEMENT_ARRAYS[encoding]}
+        dims = {None: None, "n": n, "n+1": n + 1, "words": embedder.n_words}
+        for name, (dtype, shape) in named.items():
+            if name == "elem_bytes_indptr":
+                dims["tags+1"] = specs["elem_tags"]["shape"][0] + 1
+            _check_array(specs, name, dtype, tuple(dims[d] for d in shape))
+        arrays = open_arrays(arrays_path, specs, verify=verify)
+        probes: dict[tuple[str, float], FrozenFilterProbe] = {}
+        for i, meta in enumerate(_get(manifest, "filters", list)):
+            prefix = f"f{i:03d}_"
+            kind = _get(meta, "kind", str, name=prefix)
+            if kind not in ("sfi", "dfi"):
+                raise SnapshotFormatError(f"filter {prefix!r}: unknown kind {kind!r}")
+            r, l = (_get(meta, key, int, 1, name=prefix) for key in ("r", "l"))
+            _check_array(specs, prefix + "positions", "<i8", (l, r))
+            probes[kind, _get(meta, "point", _REAL, 0.0, 1.0, prefix)] = FrozenFilterProbe(
+                kind, _get(meta, "threshold", _REAL, 0.0, 1.0, prefix),
+                _get(meta, "sigma_point", _REAL, 0.0, 1.0, prefix), r, n_bits,
+                arrays[prefix + "positions"],
+                _open_stack(prefix, meta, specs, arrays, verify), kind == "dfi",
             )
-        objects = pickle.loads(objects_blob)
-        embedder_codec = objects["embedder"].codec
-        if parse_codec(embedder_codec).name != codec_spec.name:
-            raise SnapshotFormatError(
-                f"{path} manifest declares codec {codec_spec.name!r} but its "
-                f"embedder uses {embedder_codec!r}: snapshot is inconsistent"
-            )
-        if manifest["sets_encoding"] == "pickle":
-            sets_path = path / SETS_FILE
-            if not sets_path.is_file():
-                raise SnapshotIntegrityError(f"{path} is missing {SETS_FILE}")
-            if verify and zlib.crc32(sets_path.read_bytes()) != manifest["sets_crc32"]:
-                raise SnapshotIntegrityError(
-                    f"{sets_path} fails its checksum: snapshot is corrupt"
-                )
-        cost_spec = manifest["cost"]
-        sfis: dict[float, FrozenFilterProbe] = {}
-        dfis: dict[float, FrozenFilterProbe] = {}
-        if len(manifest["filters"]) != len(objects["filters"]):
-            raise SnapshotFormatError(
-                f"{path} manifest lists {len(manifest['filters'])} filters "
-                f"but {OBJECTS_FILE} holds {len(objects['filters'])}"
-            )
-        for i, (meta, fo) in enumerate(zip(manifest["filters"], objects["filters"])):
-            stack = _open_stack(
-                f"f{i:03d}_", meta, manifest["arrays"], arrays, verify
-            )
-            probe = FrozenFilterProbe(
-                fo["kind"], fo["threshold"], fo["sigma_point"], fo["r"],
-                fo["n_bits"], fo["positions"], stack, fo["complement_query"],
-            )
-            (sfis if fo["kind"] == "sfi" else dfis)[fo["point"]] = probe
-        state = {
-            "path": path,
-            "manifest": manifest,
-            "sets_encoding": manifest["sets_encoding"],
-            "embedder": objects["embedder"],
-            "plan": objects["plan"],
-            "planner": objects["planner"],
-            "cost": IOCostModel(
-                seq_cost=cost_spec["seq_cost"],
-                random_cost=cost_spec["random_cost"],
-                cpu_cost=cost_spec["cpu_cost"],
+        plan = _plan(_get(manifest, "plan", dict))
+        if {key: probe.n_tables for key, probe in probes.items()} != {
+            (f.kind, f.point): f.n_tables for f in plan.filters if f.n_tables
+        }:
+            raise SnapshotFormatError(f"{path}: the filters do not match the plan")
+        dist = manifest.get("distribution")
+        cost = IOCostModel(**{
+            key: _get(manifest.get("cost"), key, _REAL, 0.0, name="cost.")
+            for key in _COSTS
+        })
+        scan_pages = _get(manifest, "scan_pages", int, 0)
+        snap = MappedSnapshot(
+            path=path,
+            manifest=manifest,
+            sets_encoding=encoding,
+            embedder=embedder,
+            plan=plan,
+            planner=QueryPlanner(
+                plan,
+                SimilarityDistribution(
+                    _each(dist, "mass", _REAL, 0.0, name="distribution.", min_len=1),
+                    _get(dist, "n_sets", int, 0, name="distribution."),
+                ),
+                cost, n, scan_pages, _get(manifest, "avg_set_size", _REAL, 0.0),
             ),
-            "n_bits": manifest["n_bits"],
-            "scan_pages": manifest["scan_pages"],
-            "sfis": sfis,
-            "dfis": dfis,
-            "sid_array": arrays["sid_array"],
-            "vector_matrix": arrays["vector_matrix"],
-            "set_indptr": arrays["set_indptr"],
-            "set_data": arrays["set_data"],
-            "set_sizes": arrays["set_sizes"],
-            "fetch_random": arrays["fetch_random"],
-            "fetch_seq": arrays["fetch_seq"],
-            "fallback_array": arrays["fallback_array"],
-        }
-        for field in ("elem_indptr", "elem_data", "str_indptr", "str_data"):
-            if field in arrays:
-                state[field] = arrays[field]
-        snap = MappedSnapshot(**state)
-        mapped_bytes = sum(int(s["nbytes"]) for s in manifest["arrays"].values())
+            cost=cost,
+            n_bits=n_bits,
+            scan_pages=scan_pages,
+            next_sid=_get(manifest, "next_sid", int, n),
+            page_size=_get(manifest, "page_size", int, 1),
+            sfis={p: probe for (k, p), probe in probes.items() if k == "sfi"},
+            dfis={p: probe for (k, p), probe in probes.items() if k == "dfi"},
+            **{name: arrays[name] for name in named},
+        )
+        if verify:
+            _check_contents(snap)
+        mapped_bytes = sum(int(s["nbytes"]) for s in specs.values())
         if sp.recording:
-            sp.set(
-                n_arrays=len(arrays),
-                bytes_mapped=mapped_bytes,
-                n_sets=snap.n_sets,
-                sets_encoding=manifest["sets_encoding"],
-            )
+            sp.set(n_arrays=len(arrays), bytes_mapped=mapped_bytes,
+                   n_sets=snap.n_sets, sets_encoding=encoding)
     _OPENS.inc()
     _ARRAYS_MAPPED.inc(len(arrays))
     _BYTES_MAPPED.inc(mapped_bytes)
@@ -682,22 +766,13 @@ def verify_snapshot(path) -> dict:
     }
 
 
-#: ``byte_breakdown`` group of each fixed-name array.  Bucket directory
-#: arrays (``f###_*``) are grouped by prefix instead.
-_BREAKDOWN_GROUPS = {
-    "vector_matrix": "signatures",
-    "set_indptr": "verify_csr",
-    "set_data": "verify_csr",
-    "set_sizes": "verify_csr",
-    "elem_indptr": "verify_csr",
-    "elem_data": "verify_csr",
-    "str_indptr": "verify_csr",
-    "str_data": "verify_csr",
-    "fallback_array": "verify_csr",
-    "sid_array": "other",
-    "fetch_random": "other",
-    "fetch_seq": "other",
-}
+def _group(name: str) -> str:
+    """``byte_breakdown`` group of one array."""
+    if name == "vector_matrix":
+        return "signatures"
+    if name[0] == "f" and name[1:4].isdigit():
+        return "buckets"
+    return "other" if name in ("sid_array", "fetch_random", "fetch_seq") else "verify_csr"
 
 
 def byte_breakdown(manifest: dict) -> dict:
@@ -712,10 +787,7 @@ def byte_breakdown(manifest: dict) -> dict:
     """
     groups = {"signatures": 0, "verify_csr": 0, "buckets": 0, "other": 0}
     for name, spec in manifest["arrays"].items():
-        group = _BREAKDOWN_GROUPS.get(name)
-        if group is None:
-            group = "buckets" if name[0] == "f" and name[1:4].isdigit() else "other"
-        groups[group] += int(spec["nbytes"])
+        groups[_group(name)] += int(spec["nbytes"])
     n_sets = int(manifest["n_sets"])
     total = int(manifest["arrays_bytes"])
     # Alignment padding between arrays is real file bytes; charge it to

@@ -30,6 +30,8 @@ concurrently while reproducing the live path's accounting bit for bit.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.core import query_plan
@@ -82,7 +84,6 @@ class IndexSnapshot:
             )
         sids = sorted(index._vectors)
         sid_array = np.asarray(sids, dtype=np.int64)
-        row_of = {sid: row for row, sid in enumerate(sids)}
         n_words = index.embedder.n_words
         vector_matrix = (
             np.stack([index._vectors[sid] for sid in sids])
@@ -99,23 +100,37 @@ class IndexSnapshot:
             n_bits=index.embedder.dimension,
             sfis={p: fi.freeze() for p, fi in index._sfis.items()},
             dfis={p: fi.freeze() for p, fi in index._dfis.items()},
-            sids=sids,
             sid_array=sid_array,
-            row_of=row_of,
             vector_matrix=vector_matrix,
             set_indptr=indptr,
             set_data=data,
             set_sizes=sizes,
-            fallback_sids=frozenset(index._cfallback),
+            fallback_array=np.array(sorted(index._cfallback), dtype=np.int64),
             sets=_StoredSets(index.store),
             fetch_random=np.ones(len(sids), dtype=np.int64),
             fetch_seq=index.store.set_pages(sizes) - 1,
             scan_pages=index.store.n_pages,
+            next_sid=index.store.next_sid,
+            page_size=index.pager.page_size,
         )
 
     @property
     def n_sets(self) -> int:
-        return len(self.sids)
+        return len(self.sid_array)
+
+    @cached_property
+    def sids(self) -> list[int]:
+        """Every stored sid, ascending."""
+        return self.sid_array.tolist()
+
+    @cached_property
+    def row_of(self) -> dict[int, int]:
+        return {sid: row for row, sid in enumerate(self.sids)}
+
+    @cached_property
+    def fallback_sids(self) -> frozenset:
+        """Sids whose hash row collided: verified on their elements."""
+        return frozenset(self.fallback_array.tolist())
 
     # -- plan selection (repro.core.query_plan over the frozen filters) -----
 

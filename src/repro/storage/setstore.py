@@ -45,8 +45,11 @@ class SetStore:
         element_bytes: int = ELEMENT_BYTES,
     ):
         self.pager = pager
-        self._elements_per_page = pager.capacity_for(element_bytes)
-        self._heap = HeapFile(pager, record_pages=self._set_pages)
+        self._elements_per_page = per_page = pager.capacity_for(element_bytes)
+        # No bound method: a store <-> heap cycle outlives a dropped index.
+        self._heap = HeapFile(
+            pager, record_pages=lambda record: max(1, -(-len(record[1]) // per_page))
+        )
         self._btree = BTree(pager, min_degree=min_degree, cache="all")
         self._live: set[int] = set()
         self._next_sid = 0
@@ -56,22 +59,32 @@ class SetStore:
         an array): what :meth:`get` reads, the first page at random."""
         return np.maximum(1, -(-sizes // self._elements_per_page))
 
-    def _set_pages(self, record) -> int:
-        return int(self.set_pages(len(record[1])))
+    @property
+    def next_sid(self) -> int:
+        """The identifier the next :meth:`insert` assigns."""
+        return self._next_sid
+
+    def _put(self, sid: int, stored: frozenset) -> None:
+        self._btree.insert(sid, self._heap.append((sid, stored)))
+        self._live.add(sid)
 
     def insert(self, elements: Iterable) -> int:
         """Store a set, returning its new set identifier."""
-        stored = frozenset(elements)
         sid = self._next_sid
         self._next_sid += 1
-        rid = self._heap.append((sid, stored))
-        self._btree.insert(sid, rid)
-        self._live.add(sid)
+        self._put(sid, frozenset(elements))
         return sid
 
     def insert_many(self, sets: Iterable[Iterable]) -> list[int]:
         """Bulk-load a collection, returning the assigned sids in order."""
         return [self.insert(s) for s in sets]
+
+    def load(self, sids: Iterable[int], sets: Iterable[frozenset], next_sid: int) -> None:
+        """Bulk-load saved sets under their own (ascending) identifiers,
+        then number on from ``next_sid`` -- a saved store, reloaded."""
+        for sid, stored in zip(sids, sets):
+            self._put(sid, stored)
+        self._next_sid = next_sid
 
     def get(self, sid: int) -> frozenset:
         """Fetch one set by identifier (B-tree lookup + record read)."""

@@ -429,7 +429,8 @@ def test_stacked_tables_are_the_bucket_bytes(views):
         if name[0] == "f" and name[1:4].isdigit()
     )
     assert byte_breakdown(manifest)["groups"]["buckets"] == stacked > 0
-    assert len(manifest["arrays"]) < 4 * len(manifest["filters"]) + 16
+    # Five arrays a filter: its bit positions and its four stacked fields.
+    assert len(manifest["arrays"]) < 5 * len(manifest["filters"]) + 16
 
 
 @pytest.mark.parametrize("edit", HOSTILE.values(), ids=HOSTILE)

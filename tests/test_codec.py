@@ -1,6 +1,6 @@
 """Unit tests for the signature codec layer (b-bit minwise, SuperMinHash)."""
 
-import pickle
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from repro.core.embedding import SetEmbedder
 from repro.core.index import SetSimilarityIndex
 from repro.core.maintenance import rebuild
 from repro.core.minhash import MinHasher, SuperMinHasher
+from repro.exec.snapfile import MANIFEST_FILE, SnapshotFormatError, open_snapshot
 
 
 def _jaccard(a, b):
@@ -367,23 +368,36 @@ class TestSetEmbedderCodecs:
             )
             assert np.allclose(many, pairs)
 
-    def test_unpickle_without_codec_defaults_to_full64(self):
-        """Pre-codec pickles (old snapshots) must open as full64."""
-        emb = SetEmbedder(k=8, b=4, seed=1)
-        state = dict(emb.__dict__)
-        del state["codec"]
-        revived = SetEmbedder.__new__(SetEmbedder)
-        revived.__setstate__(state)
-        assert revived.codec == "full64"
-        s = {"a", "b", "c"}
-        assert np.array_equal(revived.embed(s), emb.embed(s))
+    def test_manifest_without_codec_is_refused(self, tmp_path):
+        """A snapshot manifest that names no codec fails typed at open
+        instead of being read as some default packing."""
+        index = SetSimilarityIndex.build(
+            [{f"s{i}{j}" for j in range(6 + i)} for i in range(8)],
+            budget=8, recall_target=0.7, k=8, b=4, seed=1, codec="bbit:2",
+        )
+        index.save(tmp_path / "snap")
+        manifest = json.loads((tmp_path / "snap" / MANIFEST_FILE).read_text())
+        del manifest["codec"]
+        (tmp_path / "snap" / MANIFEST_FILE).write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotFormatError, match="codec"):
+            open_snapshot(tmp_path / "snap")
 
-    def test_pickle_roundtrip_preserves_codec(self):
-        emb = SetEmbedder(k=8, b=4, seed=1, codec="bbit:2")
-        revived = pickle.loads(pickle.dumps(emb))
-        assert revived.codec == "bbit:2"
-        s = {"a", "b"}
-        assert np.array_equal(revived.embed(s), emb.embed(s))
+    def test_json_roundtrip_preserves_codec(self, tmp_path):
+        """The manifest's JSON embedder parameters rebuild the embedder
+        exactly: same codec, same embeddings."""
+        sets = [{f"s{i}{j}" for j in range(6 + i)} for i in range(8)]
+        index = SetSimilarityIndex.build(
+            sets, budget=8, recall_target=0.7, k=8, b=4, seed=1, codec="bbit:2",
+        )
+        index.save(tmp_path / "snap")
+        for emb in (
+            SetSimilarityIndex.load(tmp_path / "snap").embedder,
+            open_snapshot(tmp_path / "snap").embedder,
+        ):
+            assert emb.codec == "bbit:2"
+            assert (emb.k, emb.b, emb.seed) == (8, 4, 1)
+            s = {"a", "b"}
+            assert np.array_equal(emb.embed(s), index.embedder.embed(s))
 
     def test_repr_mentions_codec(self):
         assert "bbit:2" in repr(SetEmbedder(codec="bbit:2"))

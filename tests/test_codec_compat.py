@@ -1,6 +1,6 @@
 """Codec format compatibility: old layouts and bad tags fail loudly.
 
-Snapshot manifests (version 4) carry the ``codec`` tag and shard
+Snapshot manifests (version 5) carry the ``codec`` tag and shard
 manifests (version 3) carry ``build.codec`` and ``routing.sig_scheme``.
 These tests pin what a reader promises about them:
 
@@ -74,10 +74,10 @@ class TestSnapshotCompat:
         sets = _sets()
         _save(_build(sets, codec="bbit:2"), tmp_path / "snap")
         manifest = json.loads((tmp_path / "snap" / MANIFEST_FILE).read_text())
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         assert manifest["codec"] == "bbit:2"
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_manifest_version_fails_loudly(self, tmp_path, version):
         """An older snapshot is refused by version, not converted."""
         _save(_build(_sets()), tmp_path / "snap")
@@ -85,7 +85,7 @@ class TestSnapshotCompat:
         with pytest.raises(SnapshotFormatError) as exc:
             open_snapshot(tmp_path / "snap")
         assert f"version {version};" in str(exc.value)
-        assert "only version 4" in str(exc.value)
+        assert "only version 5" in str(exc.value)
 
     @pytest.mark.parametrize("codec", ["full64", "bbit:2", "superminhash"])
     def test_roundtrip_answers_identical(self, tmp_path, codec):

@@ -1,14 +1,17 @@
-"""Tests for index save/load."""
+"""Tests for index save/load: the snapshot directory is the one format."""
+
+import json
 
 import pytest
 
 from repro.core.index import SetSimilarityIndex
-from repro.core.persistence import (
+from repro.exec.snapfile import (
+    ARRAYS_FILE,
     FORMAT_VERSION,
-    MAGIC,
-    PersistenceError,
-    load_index,
-    save_index,
+    MANIFEST_FILE,
+    SnapshotError,
+    SnapshotFormatError,
+    SnapshotIntegrityError,
 )
 
 
@@ -19,140 +22,161 @@ def small_index(clustered_sets):
     )
 
 
+@pytest.fixture
+def saved(small_index, tmp_path):
+    path = tmp_path / "index.d"
+    small_index.save(path)
+    return path
+
+
+def _rewrite_manifest(path, **changes):
+    manifest = json.loads((path / MANIFEST_FILE).read_text())
+    manifest.update(changes)
+    (path / MANIFEST_FILE).write_text(json.dumps(manifest))
+
+
 class TestSaveLoad:
-    def test_roundtrip_answers_identical(self, small_index, clustered_sets, tmp_path):
-        path = tmp_path / "index.ssi"
-        small_index.save(path)
-        loaded = SetSimilarityIndex.load(path)
+    def test_roundtrip_answers_identical(self, small_index, clustered_sets, saved):
+        loaded = SetSimilarityIndex.load(saved)
         q = clustered_sets[0]
         original = small_index.query(q, 0.3, 1.0)
         restored = loaded.query(q, 0.3, 1.0)
         assert restored.answers == original.answers
         assert restored.candidates == original.candidates
+        assert restored.io == original.io
 
-    def test_loaded_index_supports_updates(self, small_index, clustered_sets, tmp_path):
-        path = tmp_path / "index.ssi"
-        small_index.save(path)
-        loaded = SetSimilarityIndex.load(path)
+    def test_loaded_index_supports_updates(self, small_index, saved):
+        loaded = SetSimilarityIndex.load(saved)
         sid = loaded.insert({1, 2, 3, 4})
+        assert sid == small_index.store.next_sid  # the sid the original gives
         assert sid in loaded.query({1, 2, 3, 4}, 0.9, 1.0).answer_sids
         loaded.delete(sid)
         assert loaded.n_sets == small_index.n_sets
+        assert loaded.sids == small_index.sids
 
-    def test_plan_preserved(self, small_index, tmp_path):
-        path = tmp_path / "index.ssi"
-        small_index.save(path)
-        loaded = SetSimilarityIndex.load(path)
-        assert loaded.plan.cut_points == small_index.plan.cut_points
+    def test_plan_preserved(self, small_index, saved):
+        loaded = SetSimilarityIndex.load(saved)
+        assert loaded.plan == small_index.plan
         assert loaded.plan.tables_used == small_index.plan.tables_used
+        assert loaded.embedder.codec == small_index.embedder.codec
+        assert (loaded.embedder.k, loaded.embedder.b, loaded.embedder.seed) == (
+            small_index.embedder.k, small_index.embedder.b, small_index.embedder.seed
+        )
+        assert loaded.planner().estimate(0.4, 1.0) == small_index.planner().estimate(0.4, 1.0)
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "garbage.bin"
-        path.write_bytes(b"NOT-AN-INDEX" + b"\x00" * 50)
-        with pytest.raises(PersistenceError):
-            load_index(path)
+    def test_bad_magic(self, saved, tmp_path):
+        garbage = tmp_path / "garbage.bin"
+        garbage.write_bytes(b"NOT-AN-INDEX" + b"\x00" * 50)
+        with pytest.raises(SnapshotError):
+            SetSimilarityIndex.load(garbage)
+        _rewrite_manifest(saved, format="somebody-elses-format")
+        with pytest.raises(SnapshotFormatError):
+            SetSimilarityIndex.load(saved)
 
-    def test_bad_version(self, tmp_path):
-        path = tmp_path / "future.ssi"
-        path.write_bytes(MAGIC + (FORMAT_VERSION + 1).to_bytes(2, "little") + b"x")
-        with pytest.raises(PersistenceError):
-            load_index(path)
+    def test_bad_version(self, saved):
+        _rewrite_manifest(saved, version=FORMAT_VERSION + 1)
+        with pytest.raises(SnapshotFormatError):
+            SetSimilarityIndex.load(saved)
 
-    def test_older_version_names_both(self, small_index, tmp_path):
-        """A version-4 file (per-sid hash-array dicts, no hash arena)
-        fails at load, naming its version and the one this build reads."""
-        path = tmp_path / "old.ssi"
-        save_index(small_index, path)
-        blob = path.read_bytes()
-        path.write_bytes(MAGIC + (4).to_bytes(2, "little") + blob[len(MAGIC) + 2 :])
+    def test_older_version_names_both(self, saved):
+        """A version-4 directory (object pickle beside its arrays) fails
+        at load, naming its version and the one this build reads."""
+        _rewrite_manifest(saved, version=4)
         assert FORMAT_VERSION == 5
-        with pytest.raises(PersistenceError, match="format version 4; this build reads 5"):
-            load_index(path)
+        with pytest.raises(SnapshotFormatError, match="version 4; this build reads only version 5"):
+            SetSimilarityIndex.load(saved)
 
-    def test_load_type_check(self, tmp_path):
-        path = tmp_path / "notindex.ssi"
-        save_index({"just": "a dict"}, path)
-        with pytest.raises(TypeError):
-            SetSimilarityIndex.load(path)
+    def test_load_type_check(self, saved):
+        """A manifest that is JSON but not an object is refused, typed."""
+        (saved / MANIFEST_FILE).write_text("[1, 2, 3]")
+        with pytest.raises(SnapshotFormatError):
+            SetSimilarityIndex.load(saved)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_index(tmp_path / "nope.ssi")
+        with pytest.raises(SnapshotError):
+            SetSimilarityIndex.load(tmp_path / "nope.d")
 
 
 class TestShortFiles:
-    """Truncated headers raise PersistenceError, never a surprise."""
+    """Truncated files raise a SnapshotError, never a surprise."""
 
     @pytest.mark.parametrize(
-        "blob",
-        [
-            b"",
-            b"R",
-            MAGIC,  # magic but no version bytes
-            MAGIC + b"\x02",  # only half the version field
-        ],
+        "keep",
+        [0, 1, len('{"format": "repro-ssi-snapshot"'), 0.5],
         ids=["empty", "one-byte", "magic-only", "half-version"],
     )
-    def test_short_header(self, tmp_path, blob):
-        path = tmp_path / "short.ssi"
-        path.write_bytes(blob)
-        with pytest.raises(PersistenceError, match="shorter|bad magic"):
-            load_index(path)
+    def test_short_header(self, saved, keep):
+        blob = (saved / MANIFEST_FILE).read_bytes()
+        keep = int(len(blob) * keep) if isinstance(keep, float) else keep
+        (saved / MANIFEST_FILE).write_bytes(blob[:keep])
+        with pytest.raises(SnapshotFormatError):
+            SetSimilarityIndex.load(saved)
 
-    def test_truncated_payload(self, small_index, tmp_path):
-        path = tmp_path / "index.ssi"
-        save_index(small_index, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(MAGIC) + 2 + 10])
-        with pytest.raises(PersistenceError):
-            load_index(path)
+    def test_truncated_payload(self, saved):
+        blob = (saved / ARRAYS_FILE).read_bytes()
+        (saved / ARRAYS_FILE).write_bytes(blob[: len(blob) // 3])
+        with pytest.raises(SnapshotIntegrityError):
+            SetSimilarityIndex.load(saved)
 
-    def test_header_only(self, tmp_path):
-        path = tmp_path / "headeronly.ssi"
-        path.write_bytes(MAGIC + FORMAT_VERSION.to_bytes(2, "little"))
-        with pytest.raises(PersistenceError, match="truncated"):
-            load_index(path)
+    def test_header_only(self, saved):
+        (saved / ARRAYS_FILE).unlink()
+        with pytest.raises(SnapshotIntegrityError, match="missing"):
+            SetSimilarityIndex.load(saved)
 
 
 class TestCrashSafety:
-    """A failed save must leave a pre-existing file byte-identical."""
+    """A failed save must leave a pre-existing snapshot as it was."""
 
     def test_fsync_failure_preserves_existing_file(
-        self, small_index, tmp_path, monkeypatch
+        self, small_index, clustered_sets, tmp_path, monkeypatch
     ):
-        import repro.core.persistence as persistence
+        import repro.exec.snapfile as snapfile
 
-        path = tmp_path / "index.ssi"
-        save_index(small_index, path)
-        good = path.read_bytes()
+        path = tmp_path / "index.d"
+        small_index.save(path)
+        good = {name: (path / name).read_bytes() for name in (MANIFEST_FILE, ARRAYS_FILE)}
+        q = clustered_sets[0]
+        want = small_index.query(q, 0.3, 1.0).answers
+        changed = SetSimilarityIndex.load(path)
+        changed.insert(q | {10 ** 6})
 
         def exploding_fsync(fd):
             raise OSError("simulated device failure mid-write")
 
-        monkeypatch.setattr(persistence, "_fsync", exploding_fsync)
+        monkeypatch.setattr(snapfile, "_fsync", exploding_fsync)
         with pytest.raises(OSError, match="simulated"):
-            save_index(small_index, path)
-        assert path.read_bytes() == good  # untouched
-        assert list(tmp_path.glob("*.tmp")) == []  # staging file removed
-        loaded = SetSimilarityIndex.load(path)
-        assert loaded.n_sets == small_index.n_sets
+            changed.save(path)
+        assert {name: (path / name).read_bytes() for name in good} == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [path.name, path.resolve().name]
+        )  # the staged directory is gone
+        assert SetSimilarityIndex.load(path).query(q, 0.3, 1.0).answers == want
 
-    def test_unpicklable_index_fails_before_touching_target(self, tmp_path):
-        path = tmp_path / "index.ssi"
-        path.write_bytes(b"precious")
-        with pytest.raises(Exception):
-            save_index({"bad": lambda: None}, path)  # lambdas don't pickle
-        assert path.read_bytes() == b"precious"
-        assert list(tmp_path.glob("*.tmp")) == []
+    def test_unpicklable_index_fails_before_touching_target(
+        self, small_index, tmp_path
+    ):
+        """An element type the format cannot hold (a tuple) fails the
+        save before anything at the target is touched."""
+        path = tmp_path / "index.d"
+        small_index.save(path)
+        good = (path / ARRAYS_FILE).read_bytes()
+        bad = SetSimilarityIndex.build(
+            [frozenset({(1, 2), 3}), frozenset({3, 4})],
+            budget=6, recall_target=0.7, k=8, b=4, seed=0,
+        )
+        with pytest.raises(SnapshotError, match="tuple"):
+            bad.save(path)
+        assert (path / ARRAYS_FILE).read_bytes() == good
+        assert len(list(tmp_path.iterdir())) == 2
 
     def test_failed_first_save_leaves_nothing(self, small_index, tmp_path, monkeypatch):
-        import repro.core.persistence as persistence
+        import repro.exec.snapfile as snapfile
 
-        path = tmp_path / "fresh.ssi"
+        path = tmp_path / "fresh.d"
         monkeypatch.setattr(
-            persistence, "_fsync", lambda fd: (_ for _ in ()).throw(OSError("boom"))
+            snapfile, "_fsync", lambda fd: (_ for _ in ()).throw(OSError("boom"))
         )
         with pytest.raises(OSError):
-            save_index(small_index, path)
+            small_index.save(path)
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []

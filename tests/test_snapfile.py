@@ -5,17 +5,17 @@ a checksummed manifest; ``open_snapshot`` maps it back as a
 :class:`~repro.exec.snapfile.MappedSnapshot` that must behave exactly
 like the in-memory ``index.freeze()`` snapshot -- same answers, same
 simulated page charges, same counter movements.  These tests pin the
-round trip (including the int64 / utf-8 / pickle set-element
-encodings and lazy set materialization), property-test the raw array
-pack layer across dtypes and shapes, and check that every corruption
-mode -- wrong format, wrong version, truncation, flipped bytes,
-garbled object pickles -- fails loudly with the right exception.
+round trip (including the int64 / tagged set-element encodings and
+lazy set materialization), property-test the raw array pack layer
+across dtypes and shapes, and check that every corruption mode --
+wrong format, wrong version, truncation, flipped bytes, overlapping
+extents, dtype lies, out-of-range manifest fields -- fails loudly with
+a :class:`~repro.exec.snapfile.SnapshotError`.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import zlib
 from pathlib import Path
 
@@ -37,10 +37,12 @@ from repro.exec import (
     verify_snapshot,
 )
 from repro.exec.snapfile import (
+    _ARRAY_TYPES,
+    _TABLE_FIELDS,
     ARRAYS_FILE,
     MANIFEST_FILE,
-    OBJECTS_FILE,
-    _TABLE_FIELDS,
+    _decode_tagged,
+    _encode_sets,
     open_arrays,
     write_arrays,
 )
@@ -185,7 +187,7 @@ def test_sets_materialize_lazily(saved):
     mapped = open_snapshot(path)
     counter = metrics.counter("snapshot.sets_materialized")
     base = counter.value
-    assert mapped.__dict__.get("_sets") is None  # nothing touched yet
+    assert "sets" not in mapped.__dict__  # nothing touched yet
     sid = mapped.sids[3]
     first = mapped.sets[sid]
     assert counter.value == base + 1
@@ -213,47 +215,82 @@ def test_cold_open_is_fast_and_counted(saved):
 # -- element encodings -----------------------------------------------------
 
 
-def test_string_elements_use_utf8_encoding(tmp_path):
-    index, sets, queries = _build_index(seed=2, elements="str")
-    path = tmp_path / "snap"
-    index.save_snapshot(path)
+def _assert_tagged_roundtrip(index, queries, path):
+    """``index`` saved at ``path`` uses the tagged encoding, and both
+    the mapped snapshot and the thawed index give back every set and
+    serve identically."""
+    index.save(path)
     manifest = json.loads((path / MANIFEST_FILE).read_text())
-    assert manifest["sets_encoding"] == "utf8"
-    assert not (path / "sets.pkl").exists()
+    assert manifest["sets_encoding"] == "tagged"
+    assert sorted(p.name for p in path.iterdir()) == [ARRAYS_FILE, MANIFEST_FILE]
     mapped = open_snapshot(path)
+    loaded = SetSimilarityIndex.load(path)
     for sid in mapped.sids:
-        assert mapped.sets[sid] == index.store.get(sid)
+        assert mapped.sets[sid] == index.store.get(sid) == loaded.store.get(sid)
     sequential = index.query_batch(queries, 0.2, 0.9)
     with ParallelExecutor(mapped) as ex:
         _assert_batches_identical(ex.query_batch(queries, 0.2, 0.9), sequential)
+    _assert_batches_identical(loaded.query_batch(queries, 0.2, 0.9), sequential)
 
 
-def test_mixed_elements_fall_back_to_pickle(tmp_path):
-    index, sets, queries = _build_index(seed=3, elements="mixed")
-    path = tmp_path / "snap"
-    index.save_snapshot(path)
-    manifest = json.loads((path / MANIFEST_FILE).read_text())
-    assert manifest["sets_encoding"] == "pickle"
-    assert (path / "sets.pkl").exists()
-    mapped = open_snapshot(path)
-    for sid in mapped.sids:
-        assert mapped.sets[sid] == index.store.get(sid)
-    sequential = index.query_batch(queries, 0.2, 0.9)
-    with ParallelExecutor(mapped) as ex:
-        _assert_batches_identical(ex.query_batch(queries, 0.2, 0.9), sequential)
+def test_string_elements_use_tagged_encoding(tmp_path):
+    index, _, queries = _build_index(seed=2, elements="str")
+    _assert_tagged_roundtrip(index, queries, tmp_path / "snap")
 
 
-def test_huge_int_elements_fall_back_to_pickle(tmp_path):
-    sets = [frozenset({2 ** 70 + i, i}) for i in range(30)]
+def test_mixed_elements_use_tagged_encoding(tmp_path):
+    index, _, queries = _build_index(seed=3, elements="mixed")
+    _assert_tagged_roundtrip(index, queries, tmp_path / "snap")
+
+
+def test_huge_int_elements_use_tagged_encoding(tmp_path):
+    sets = [frozenset({2 ** 70 + i, -(2 ** 64) - i, i}) for i in range(30)]
     index = SetSimilarityIndex.build(
         sets, budget=12, recall_target=0.7, k=16, b=4, seed=0, sample_pairs=500
     )
-    path = tmp_path / "snap"
-    index.save_snapshot(path)
-    manifest = json.loads((path / MANIFEST_FILE).read_text())
-    assert manifest["sets_encoding"] == "pickle"
-    mapped = open_snapshot(path)
-    assert mapped.sets[mapped.sids[0]] == index.store.get(mapped.sids[0])
+    _assert_tagged_roundtrip(index, sets[:4], tmp_path / "snap")
+
+
+def test_unsupported_element_type_is_refused_at_save(tmp_path):
+    """A tuple element has no columnar encoding: the save fails with a
+    typed error and writes nothing."""
+    sets = [frozenset({(1, 2), 3}), frozenset({3, 4}), frozenset({4, 5})]
+    index = SetSimilarityIndex.build(
+        sets, budget=6, recall_target=0.7, k=8, b=4, seed=0
+    )
+    with pytest.raises(SnapshotError, match="tuple"):
+        index.save(tmp_path / "snap")
+    assert list(tmp_path.iterdir()) == []
+
+
+#: The element domain a snapshot stores: ints of any size, floats,
+#: complex numbers, strs and bytes.
+_ELEMENTS = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.sampled_from([0, -1, 2 ** 63 - 1, 2 ** 63, -(2 ** 63) - 1]),
+    st.floats(allow_nan=False),
+    st.complex_numbers(allow_nan=False),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+)
+
+
+@given(st.lists(st.frozensets(_ELEMENTS, max_size=6), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_tagged_encoding_roundtrips_the_element_domain(sets):
+    _, arrays = _encode_sets(sets)
+    if "elem_tags" not in arrays:
+        return
+    flat = _decode_tagged(
+        arrays["elem_tags"], arrays["elem_bytes_indptr"], arrays["elem_bytes"]
+    )
+    bounds = arrays["elem_indptr"].tolist()
+    got = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    want = [list(s) for s in sets]
+    assert got == want
+    assert [[type(e) for e in row] for row in got] == [
+        [type(e) for e in row] for row in want
+    ]
 
 
 def test_tiny_collection_with_mostly_empty_tables(tmp_path):
@@ -358,6 +395,16 @@ def test_open_arrays_rejects_negative_or_misaligned_offset(tmp_path, offset):
     specs = write_arrays(path, {"x": np.arange(10, dtype=np.int64)})
     bad = {"x": dict(specs["x"], offset=offset)}
     with pytest.raises(SnapshotFormatError, match="offset"):
+        open_arrays(path, bad)
+
+
+def test_open_arrays_rejects_overlapping_extents(tmp_path):
+    path = tmp_path / "arrays.bin"
+    specs = write_arrays(path, {
+        "x": np.arange(16, dtype=np.int64), "y": np.arange(16, dtype=np.int64),
+    })
+    bad = {"x": specs["x"], "y": dict(specs["y"], offset=specs["x"]["offset"] + 64)}
+    with pytest.raises(SnapshotFormatError, match="overlaps"):
         open_arrays(path, bad)
 
 
@@ -492,16 +539,6 @@ def test_open_rejects_missing_arrays_file(saved, tmp_path):
         open_snapshot(bad)
 
 
-def test_open_rejects_corrupt_objects_pickle(saved, tmp_path):
-    _, _, _, src = saved
-    bad = _copy_snapshot(src, tmp_path / "bad")
-    blob = bytearray((bad / OBJECTS_FILE).read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    (bad / OBJECTS_FILE).write_bytes(bytes(blob))
-    with pytest.raises(SnapshotIntegrityError):
-        open_snapshot(bad)
-
-
 def test_verify_catches_silent_array_corruption(saved, tmp_path):
     """A flipped array byte passes the O(ms) open but fails verify."""
     _, _, _, src = saved
@@ -528,35 +565,136 @@ def test_verify_snapshot_summary(saved):
     assert summary["filters"] >= 1
 
 
+def _exploding_dump(*args, **kwargs):
+    raise RuntimeError("disk full")
+
+
 def test_crashed_save_leaves_no_openable_snapshot(tmp_path, monkeypatch):
-    """Dying before the manifest commit point leaves nothing to open."""
-    import repro.exec.snapfile as snapfile
-
+    """Dying before the commit point leaves nothing to open."""
     index, _, _ = _build_index(seed=5)
-    real_dumps = pickle.dumps
-
-    def exploding_dumps(obj, *a, **kw):
-        raise RuntimeError("disk full")
-
-    monkeypatch.setattr(snapfile.pickle, "dumps", exploding_dumps)
+    monkeypatch.setattr(json, "dump", _exploding_dump)
     with pytest.raises(RuntimeError):
         index.save_snapshot(tmp_path / "snap")
-    monkeypatch.setattr(snapfile.pickle, "dumps", real_dumps)
+    monkeypatch.undo()
     assert not (tmp_path / "snap" / MANIFEST_FILE).exists()
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(SnapshotError):
         open_snapshot(tmp_path / "snap")
-    # A rerun into the same directory succeeds and opens cleanly.
+    # A rerun into the same place succeeds and opens cleanly.
     index.save_snapshot(tmp_path / "snap")
     assert open_snapshot(tmp_path / "snap").n_sets == len(index.sids)
 
 
-def test_objects_crc_mismatch_names_objects_file(saved, tmp_path):
+def test_failed_resave_keeps_old_snapshot(tmp_path, monkeypatch):
+    """A re-save that dies before its commit point leaves the snapshot
+    already at the path openable and answering as before."""
+    index, sets, queries = _build_index(seed=7)
+    path = tmp_path / "snap"
+    index.save_snapshot(path)
+    want = index.query_batch(queries, 0.2, 0.9)
+    for s in sets[:5]:
+        index.insert(s | {10 ** 6})
+    monkeypatch.setattr(json, "dump", _exploding_dump)
+    with pytest.raises(RuntimeError):
+        index.save_snapshot(path)
+    monkeypatch.undo()
+    with ParallelExecutor(open_snapshot(path, verify=True)) as ex:
+        _assert_batches_identical(ex.query_batch(queries, 0.2, 0.9), want)
+    assert SetSimilarityIndex.load(path).sids == set(range(len(sets)))
+
+
+@pytest.mark.parametrize("name", sorted(
+    set(_ARRAY_TYPES) - {"positions", "elem_tags", "elem_bytes_indptr", "elem_bytes"}
+))
+def test_open_rejects_fixed_array_dtype_lies(saved, tmp_path, name):
+    """A fixed-name array whose manifest dtype differs from the layout's
+    is refused at every open, even when its byte length still fits."""
     _, _, _, src = saved
     bad = _copy_snapshot(src, tmp_path / "bad")
     manifest = json.loads((bad / MANIFEST_FILE).read_text())
-    manifest["objects_crc32"] = (manifest["objects_crc32"] + 1) % 2 ** 32
+    spec = manifest["arrays"][name]
+    spec["dtype"] = {"<i8": "<f8", "<u8": "<i8", "|u1": "|i1"}[spec["dtype"]]
     (bad / MANIFEST_FILE).write_text(json.dumps(manifest))
-    with pytest.raises(SnapshotIntegrityError) as exc:
+    with pytest.raises(SnapshotFormatError, match=name):
         open_snapshot(bad)
-    assert OBJECTS_FILE in str(exc.value)
-    assert zlib.crc32(b"") == 0  # keep the zlib import honest
+
+
+# -- fuzzing the manifest and the arrays file ------------------------------
+
+#: (manifest path, lie): every one must be refused with a SnapshotError.
+_FIELD_LIES = [
+    (("n_sets",), -1), (("n_sets",), "35"), (("n_sets",), 10 ** 9),
+    (("next_sid",), -1), (("next_sid",), 0), (("n_bits",), 7),
+    (("scan_pages",), -2), (("page_size",), 0), (("avg_set_size",), "x"),
+    (("embedder",), None), (("embedder", "k"), 0), (("embedder", "k"), 2 ** 40),
+    (("embedder", "b"), 99), (("embedder", "seed"), -1),
+    (("codec",), "bogus"), (("sets_encoding",), "pickle"),
+    (("cost",), []), (("cost", "random_cost"), "x"),
+    (("distribution", "mass"), []), (("distribution", "mass"), [-1.0]),
+    (("distribution", "n_sets"), None), (("plan",), []),
+    (("plan", "filters"), "x"), (("plan", "cut_points"), [2.0]),
+    (("plan", "filters", 0, "kind"), 5), (("plan", "filters", 0, "n_tables"), -1),
+    (("plan", "filters", 0, "n_tables"), 999), (("filters",), {}),
+    (("filters", 0), "sfi"), (("filters", 0, "kind"), "xfi"),
+    (("filters", 0, "r"), 0), (("filters", 0, "r"), 999), (("filters", 0, "l"), 0),
+    (("filters", 0, "threshold"), 1.5), (("filters", 0, "point"), "a"),
+    (("filters", 0, "n_buckets"), "x"), (("filters", 0, "run_offsets"), [0]),
+    (("arrays",), []), (("arrays", "sid_array"), None),
+    (("arrays", "set_sizes", "shape"), [1, 35]), (("arrays_bytes",), "big"),
+    (("version",), None), (("format",), None),
+]
+
+
+def _lie(manifest: dict, where: tuple, value) -> None:
+    for key in where[:-1]:
+        manifest = manifest[key]
+    manifest[where[-1]] = value
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_fuzzed_snapshots_fail_typed(saved, tmp_path_factory, data):
+    """Manifest and arrays-file truncation, overlapping extents, dtype
+    lies and out-of-range manifest fields: opening and loading each
+    raises a SnapshotError subclass -- never a bare KeyError or
+    ValueError, and never a silently wrong index."""
+    _, _, _, src = saved
+    bad = _copy_snapshot(src, tmp_path_factory.mktemp("fuzz") / "bad")
+    manifest = json.loads((bad / MANIFEST_FILE).read_text())
+    specs = manifest["arrays"]
+    filled = sorted(name for name, spec in specs.items() if spec["nbytes"])
+    case = data.draw(st.sampled_from(
+        ["manifest_cut", "arrays_cut", "overlap", "dtype_lie", "field_lie"]
+    ))
+    if case == "manifest_cut":
+        blob = (bad / MANIFEST_FILE).read_bytes()
+        (bad / MANIFEST_FILE).write_bytes(
+            blob[: data.draw(st.integers(0, len(blob) - 1))]
+        )
+    else:
+        if case == "arrays_cut":
+            blob = (bad / ARRAYS_FILE).read_bytes()
+            keep = data.draw(st.integers(0, len(blob) - 1))
+            (bad / ARRAYS_FILE).write_bytes(blob[:keep])
+            manifest["arrays_bytes"] = keep  # the manifest lies along
+        elif case == "overlap":
+            a, b = data.draw(st.lists(
+                st.sampled_from(filled), min_size=2, max_size=2, unique=True
+            ))
+            item = np.dtype(specs[b]["dtype"]).itemsize
+            specs[b]["offset"] = specs[a]["offset"] + item * data.draw(
+                st.integers(0, specs[a]["nbytes"] // item - 1)
+            )
+        elif case == "dtype_lie":
+            name = data.draw(st.sampled_from(filled))
+            dtype = specs[name]["dtype"]
+            same_size = [
+                d for d in ("<i8", "<u8", "<f8", ">i8", "|u1", "|i1", "|b1")
+                if d != dtype and np.dtype(d).itemsize == np.dtype(dtype).itemsize
+            ]
+            specs[name]["dtype"] = data.draw(st.sampled_from(same_size))
+        else:
+            _lie(manifest, *data.draw(st.sampled_from(_FIELD_LIES)))
+        (bad / MANIFEST_FILE).write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotError):
+        SetSimilarityIndex.load(bad)
