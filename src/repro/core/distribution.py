@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.minhash import MinHasher
+from repro.core.minhash import MinHasher, hash_rows
 from repro.core.similarity import jaccard
 
 
@@ -47,7 +47,7 @@ def exact_pairwise_similarities(sets: Sequence[frozenset]) -> np.ndarray:
     Bit-identical to :func:`_exact_pairwise_loop` (same ``(i, j)``,
     ``i < j``, row-major order) but computed by co-occurrence counting
     over the collection's hashed elements
-    (:func:`repro.exec.columnar.hash_set`): every element occurrence is
+    (:func:`repro.core.minhash.hash_rows`): every element occurrence is
     tagged with its row, one global sort groups equal elements, and
     each group's within-group row pairs are accumulated straight into
     the condensed pair vector (pass ``k`` matches occurrences ``k``
@@ -60,24 +60,13 @@ def exact_pairwise_similarities(sets: Sequence[frozenset]) -> np.ndarray:
     ~2^-64 per element pair) fall back to exact per-pair ``jaccard``
     for every pair involving them.
     """
-    from repro.exec.columnar import hash_set
-
     n = len(sets)
     n_pairs = n * (n - 1) // 2
     if n_pairs == 0:
         return np.empty(0, dtype=np.float64)
-    arrays = []
-    collided_ids = []
-    for i, s in enumerate(sets):
-        arr, c = hash_set(s)
-        arrays.append(arr)
-        if c:
-            collided_ids.append(i)
-    lengths = np.fromiter((a.size for a in arrays), dtype=np.int64, count=n)
-    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    flat = (
-        np.concatenate(arrays) if rows.size else np.empty(0, dtype=np.uint64)
-    )
+    indptr, flat, collided = hash_rows(sets)
+    collided_ids = np.flatnonzero(collided).tolist()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     order = np.argsort(flat, kind="stable")
     svals = flat[order]
     # Stable sort keeps rows ascending within an equal-value run (rows

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.codec import make_hasher, make_packer, parse_codec
 from repro.core.ecc import HadamardCode
+from repro.core.minhash import hash_rows
 
 
 def jaccard_to_hamming(s: float, b: int | None = None) -> float:
@@ -133,10 +134,16 @@ class SetEmbedder:
 
     def embed_many(self, sets: Iterable[Iterable]) -> np.ndarray:
         """Packed embeddings of many sets, shape ``(N, n_words)``."""
-        signatures = self.hasher.signature_matrix(sets)
-        if signatures.shape[0] == 0:
+        indptr, data, _ = hash_rows(sets)
+        return self.embed_hashes(indptr, data)
+
+    def embed_hashes(self, indptr: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+        """Packed embeddings of the sets whose element hashes are the
+        rows of a :func:`~repro.core.minhash.hash_rows` CSR, shape
+        ``(N, n_words)``."""
+        if len(indptr) == 1:
             return np.empty((0, self.n_words), dtype=np.uint64)
-        return self.code.encode_many(signatures)
+        return self.code.encode_many(self.hasher.signature_csr(indptr, hashes))
 
     def embed_signature(self, signature: np.ndarray) -> np.ndarray:
         """Embed an existing signature (useful when both are needed)."""

@@ -8,10 +8,11 @@ per shard:
 
 * the exact ``[size_min, size_max]`` range of set sizes in the shard;
 * a membership bitset over the shard's element universe -- every
-  distinct element's :func:`~repro.exec.columnar.element_hash` is
-  avalanched (splitmix64) into an ``m``-bit table (``m`` a power of
-  two, sized to <= 12.5% fill at build time), so a query element whose
-  bit is clear is *provably absent* from every set in the shard;
+  distinct element's :func:`~repro.core.minhash.stable_element_hash`
+  (the hash its signatures come from) is avalanched (splitmix64) into
+  an ``m``-bit table (``m`` a power of two, sized to <= 12.5% fill at
+  build time), so a query element whose bit is clear is *provably
+  absent* from every set in the shard;
 * a ``k``-coordinate MinHash signature of the shard's universe (the
   D_S-profile used by the opt-in ``sketch`` mode).
 
@@ -59,7 +60,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exec.columnar import element_hash
+from repro.core.minhash import hash_rows
+from repro.hamming.splitmix import mix64_array
 
 #: Per-shard routing summaries (bitset words + universe signatures),
 #: written next to the shard manifest by ``build_sharded``.
@@ -75,21 +77,6 @@ SIG_SEED_OFFSET = 9173
 
 _MIN_BITS = 1 << 10
 _MAX_BITS = 1 << 22
-
-
-def mix64(values) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over a uint64 array.
-
-    The scalar twin lives in :mod:`repro.exec.shard`; this one rides
-    numpy's wrapping uint64 arithmetic for whole element arrays.
-    """
-    x = np.array(values, dtype=np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
 
 
 def jaccard_upper_bound(
@@ -116,14 +103,9 @@ def _pick_bits(max_universe: int) -> int:
     return min(_MAX_BITS, 1 << (target - 1).bit_length())
 
 
-def _bit_positions(elements, m_bits: int):
-    """(word index, word mask) arrays for a collection of elements."""
-    hashes = np.fromiter(
-        (element_hash(e) for e in elements),
-        dtype=np.uint64,
-        count=len(elements),
-    )
-    pos = mix64(hashes) & np.uint64(m_bits - 1)
+def _bit_positions(hashes: np.ndarray, m_bits: int):
+    """(word index, word mask) arrays for an array of element hashes."""
+    pos = mix64_array(hashes) & np.uint64(m_bits - 1)
     return (pos >> np.uint64(6)).astype(np.int64), (
         np.uint64(1) << (pos & np.uint64(63))
     )
@@ -178,6 +160,10 @@ def build_routing(
     universes = [
         frozenset().union(*ss) if ss else frozenset() for ss in shard_sets
     ]
+    # One hash pass over every stored set; a shard's bits and universe
+    # signature are read off its sets' rows.
+    indptr, data, _ = hash_rows([s for ss in shard_sets for s in ss])
+    ends = np.cumsum([len(ss) for ss in shard_sets]).tolist()
     m_bits = _pick_bits(max((len(u) for u in universes), default=0))
     sig_seed = seed + SIG_SEED_OFFSET
     hasher = make_hasher(sig_scheme, sig_k, sig_seed)
@@ -189,9 +175,12 @@ def build_routing(
             continue
         words = np.zeros(m_bits // 64, dtype=np.uint64)
         if universe:
-            widx, wmask = _bit_positions(sorted_stable(universe), m_bits)
+            hashes = data[indptr[ends[i] - len(ss)]:indptr[ends[i]]]
+            widx, wmask = _bit_positions(hashes, m_bits)
             np.bitwise_or.at(words, widx, wmask)
-            arrays[f"route{i:03d}_sig"] = hasher.signature(universe)
+            arrays[f"route{i:03d}_sig"] = hasher.signature_csr(
+                np.array([0, len(hashes)]), hashes
+            )[0]
         arrays[f"route{i:03d}_bits"] = words
         sizes = [len(s) for s in ss]
         entries.append({
@@ -207,16 +196,6 @@ def build_routing(
         "shards": entries,
     }
     return meta, arrays
-
-
-def sorted_stable(elements):
-    """Deterministic element order for mixed-type universes.
-
-    Sorting by ``(type name, repr)`` never compares unlike types, so
-    the bit-build order -- hence ``routing.bin`` bytes -- is stable for
-    a given universe regardless of set/dict iteration order.
-    """
-    return sorted(elements, key=lambda e: (type(e).__name__, repr(e)))
 
 
 def load_routing(path, manifest: dict, verify: bool = False):
@@ -291,8 +270,12 @@ class ShardRouter:
         )
 
     def route(
-        self, query_sets, sigma_low: float, shard_ids, sketch: bool = False
+        self, query_sets, sigma_low: float, shard_ids, sketch: bool = False,
+        hashes=None,
     ) -> RouteDecision:
+        """The decision for a batch; ``hashes`` is its queries'
+        :func:`~repro.core.minhash.hash_rows` CSR when the caller has
+        already hashed them (a fleet prepares each batch once)."""
         info = self.routing
         shard_ids = list(shard_ids)
         kept: dict[int, list[int]] = {i: [] for i in shard_ids}
@@ -310,26 +293,18 @@ class ShardRouter:
         pruned = 0
         n_pairs = len(summarized) * len(query_sets)
         slack = 1.0 / math.sqrt(info.sig_k) if info.sig_k > 0 else 0.0
-        # One batched hashing pass for every query element (the
-        # per-query splitmix positions are slices of it), and -- in
-        # sketch mode -- one vectorized ``signature_matrix`` pass over
-        # the whole batch (bit-identical to per-set ``signature``).
-        offsets = [0]
-        all_elems: list = []
-        for q in query_sets:
-            all_elems.extend(q)
-            offsets.append(len(all_elems))
-        widx_all, wmask_all = (
-            _bit_positions(all_elems, info.m_bits) if all_elems
-            else (None, None)
-        )
+        # One hash row per query (the per-query splitmix positions are
+        # slices of one array), and -- in sketch mode -- the whole
+        # batch's universe-profile signatures from the same hashes.
+        offsets, data, _ = hash_rows(query_sets) if hashes is None else hashes
+        widx_all, wmask_all = _bit_positions(data, info.m_bits)
         qsigs: dict[int, np.ndarray] = {}
         sig_stack = have_sig = n_universe = None
         if sketch and summarized:
-            nonempty = [r for r, q in enumerate(query_sets) if q]
+            nonempty = np.flatnonzero(np.diff(offsets)).tolist()
             if nonempty:
-                matrix = self._hasher.signature_matrix(
-                    [query_sets[r] for r in nonempty]
+                matrix = self._hasher.signature_csr(
+                    np.append(offsets[nonempty], offsets[-1]), data
                 )
                 qsigs = {r: matrix[j] for j, r in enumerate(nonempty)}
             have_sig = np.array([

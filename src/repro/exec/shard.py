@@ -69,7 +69,7 @@ from repro.core.index import (
     assemble_batch,
     record_batch,
 )
-from repro.core.minhash import MinHasher, stable_element_hash
+from repro.core.minhash import MinHasher, hash_rows
 from repro.exec.columnar import (
     csr_rows,
     merge_verify_info,
@@ -77,29 +77,27 @@ from repro.exec.columnar import (
     sorted_unique,
 )
 from repro.exec.parallel import WorkerPool
-from repro.exec.pipeline import run_batch
+from repro.exec.pipeline import prepare_batch, run_batch
 from repro.exec.route import (
     ROUTING_FILE,
     ShardRouter,
     build_routing,
     load_routing,
 )
+from repro.hamming.splitmix import GOLDEN, MASK64, mix64_array
 from repro.obs import metrics, trace
 from repro.storage.iomodel import IOCostModel, IOStats
 
 SHARD_MANIFEST_FILE = "shard_manifest.json"
 SIDMAP_FILE = "sidmap.bin"
 FORMAT_NAME = "repro-ssi-shards"
-#: v3: optional ``routing`` block (with ``sig_scheme``), per-shard
-#: ``replicas`` lists and the signature ``codec`` in the ``build``
-#: block.  The only version read; rebuild older directories.
-FORMAT_VERSION = 3
-
-#: splitmix64 increment, used to fold the partition seed into set
-#: fingerprints so different seeds give different (but each stable)
-#: partitions.
-_GOLDEN = 0x9E3779B97F4A7C15
-_MASK = (1 << 64) - 1
+#: v4: routing bitsets set from the one element hash
+#: (:func:`~repro.core.minhash.stable_element_hash`), shard snapshots
+#: at snapshot format 6; since v3 an optional ``routing`` block (with
+#: ``sig_scheme``), per-shard ``replicas`` lists and the signature
+#: ``codec`` in the ``build`` block.  The only version read; rebuild
+#: older directories.
+FORMAT_VERSION = 4
 
 _SHARD_BATCHES = metrics.counter("exec.shard_batches")
 
@@ -108,25 +106,21 @@ class ShardError(RuntimeError):
     """Sharded-manifest problem: format, integrity or usage."""
 
 
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer: avalanche a 64-bit value."""
-    x &= _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
+def set_fingerprints(sets, seed: int = 0) -> np.ndarray:
+    """Stable 64-bit content fingerprint of every set, as uint64.
 
-
-def set_fingerprint(elements, seed: int = 0) -> int:
-    """Stable 64-bit content fingerprint of a set.
-
-    XOR of per-element stable hashes (order-independent), avalanched
-    with the seed folded in.  Reproducible across processes and input
-    permutations -- the property hash partitioning stands on.
+    XOR of the set's element hashes (order-independent), avalanched
+    with the seed folded in (times the splitmix64 increment, so
+    different seeds give different but each stable partitions).
+    Reproducible across processes and input permutations -- the
+    property hash partitioning stands on.
     """
-    acc = 0
-    for element in elements:
-        acc ^= stable_element_hash(element)
-    return _mix64(acc ^ ((seed * _GOLDEN) & _MASK))
+    indptr, data, _ = hash_rows(sets)
+    acc = np.zeros(len(indptr) - 1, dtype=np.uint64)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    if len(nonempty):
+        acc[nonempty] = np.bitwise_xor.reduceat(data, indptr[nonempty])
+    return mix64_array(acc ^ np.uint64((seed * GOLDEN) & MASK64))
 
 
 def partition_sets(
@@ -147,10 +141,9 @@ def partition_sets(
     sets = [s if isinstance(s, frozenset) else frozenset(s) for s in sets]
     n = len(sets)
     if method == "hash":
-        return np.array(
-            [set_fingerprint(s, seed) % n_shards for s in sets],
-            dtype=np.int64,
-        ).reshape(n)
+        return (set_fingerprints(sets, seed) % np.uint64(n_shards)).astype(
+            np.int64
+        )
     if method != "cluster":
         raise ValueError(f"unknown partition method: {method!r}")
     assignment = np.zeros(n, dtype=np.int64)
@@ -708,7 +701,10 @@ class ShardedExecutor:
     shard order, on the calling thread -- every shard's view on the
     fleet's **one** scheduler (a :class:`~repro.exec.parallel.WorkerPool`:
     no pool at all on the thread backend, one ``workers``-wide process
-    pool on the process backend) -- and merged deterministically:
+    pool on the process backend) -- from one prepared batch (hashed
+    once, and embedded once when a shard will probe: every shard
+    shares ``k``, ``b``, seed and codec) that the router and every
+    shard's stages read -- and merged deterministically:
 
     - per-query answers are mapped local->global sid and re-sorted
       best-first (sid ties ascending) -- exactly the order
@@ -869,17 +865,20 @@ class ShardedExecutor:
         query_sets = [frozenset(q) for q in queries]
         n = len(query_sets)
         wall0 = time.perf_counter()
+        prepared = self._prepare(query_sets, sigma_low, sigma_high, strategy)
+        prepare_seconds = time.perf_counter() - wall0
         # Routing applies to the index path only: "scan" reads every
         # heap page regardless, and "auto" may resolve to scan per
         # shard, so both fan out in full.
         decision = None
         route_seconds = 0.0
         if self._router is not None and strategy == "index" and self._live:
+            route0 = time.perf_counter()
             decision = self._router.route(
                 query_sets, sigma_low, self._live,
-                sketch=(self.route == "sketch"),
+                sketch=(self.route == "sketch"), hashes=prepared.hashes,
             )
-            route_seconds = time.perf_counter() - wall0
+            route_seconds = time.perf_counter() - route0
         with trace.capture(
             "sharded_query_batch",
             io=self.sharded.cost,
@@ -896,7 +895,7 @@ class ShardedExecutor:
         ) as root:
             shard_batches = self._scatter(
                 query_sets, sigma_low, sigma_high, strategy, explain,
-                decision,
+                decision, prepared,
             )
             merge0 = time.perf_counter()
             batch = self._merge(shard_batches, n)
@@ -904,8 +903,10 @@ class ShardedExecutor:
             batch.trace = root
             batch.exec_stats = self._exec_stats(
                 shard_batches, strategy, wall0, merge_seconds,
-                decision, route_seconds,
+                decision, route_seconds, prepare_seconds,
             )
+            if batch.timings is not None and "embed" in batch.timings:
+                batch.timings["embed"] += prepare_seconds * 1e3
             if decision is not None:
                 batch.timings["route"] = route_seconds * 1e3
             if root is not None:
@@ -926,17 +927,32 @@ class ShardedExecutor:
                      sigma_low, sigma_high, strategy, decision)
         return batch
 
+    def _prepare(self, query_sets, sigma_low, sigma_high, strategy):
+        """The batch hashed once and, when some shard will probe,
+        embedded once (:func:`~repro.exec.pipeline.prepare_batch`):
+        every shard shares ``k``, ``b``, seed and codec, so one
+        embedding serves the whole fleet."""
+        views = [self._views[i][0] for i in self._live]
+        embed = strategy != "scan" and any(
+            view.plan_probes(sigma_low, sigma_high)[1] for view in views
+        )
+        embedder = views[0].embedder if views else None
+        return prepare_batch(embedder, query_sets, embed=embed)
+
     def _scatter(self, query_sets, sigma_low, sigma_high, strategy, explain,
-                 decision=None):
-        """Run the batch on every dispatched shard, in shard order;
-        returns ``{shard: (batch, seconds, rows)}`` where ``rows`` lists
-        the global query rows a sub-batch covers (None = the whole
-        batch, in order).  Each shard's root span nests under the
-        caller's trace, tagged ``shard=``."""
+                 decision, prepared):
+        """Run the batch on every dispatched shard, in shard order, each
+        from the one ``prepared`` batch (sliced by rows under sketch
+        routing); returns ``{shard: (batch, seconds, rows)}`` where
+        ``rows`` lists the global query rows a sub-batch covers (None =
+        the whole batch, in order).  Each shard's root span nests under
+        the caller's trace, tagged ``shard=``."""
         n = len(query_sets)
         shard_batches = {}
         for i in self._live:
-            queries, rows, vrows = query_sets, None, None
+            queries, rows, vrows, shard_prepared = (
+                query_sets, None, None, prepared
+            )
             if decision is not None:
                 kept = decision.kept.get(i, [])
                 if decision.mode != "sketch":
@@ -946,12 +962,14 @@ class ShardedExecutor:
                     continue  # shard not contacted at all
                 elif len(kept) < n:
                     queries, rows = [query_sets[r] for r in kept], kept
+                    shard_prepared = prepared.take(kept)
             view = self._pick(i)
             t0 = time.perf_counter()
             try:
                 sbatch = run_batch(
                     view, self._sched, "query_batch", queries, sigma_low,
                     sigma_high, strategy, explain, vrows, record=False,
+                    prepared=shard_prepared,
                 )
             except Exception as exc:
                 raise ShardError(f"shard {i} failed: {exc}") from exc
@@ -1026,14 +1044,15 @@ class ShardedExecutor:
         )
 
     def _exec_stats(self, shard_batches, strategy, wall0, merge_seconds,
-                    decision=None, route_seconds=0.0):
+                    decision, route_seconds, prepare_seconds):
         # Live shards routing skipped entirely report a 0.0 wall: the
         # fleet did no work for them this batch.
         shard_walls = {i: 0.0 for i in self._live}
         shard_walls.update({
             i: seconds for i, (_, seconds, _) in sorted(shard_batches.items())
         })
-        stage_seconds: dict[str, float] = {}
+        # The batch was hashed and embedded once, before the scatter.
+        stage_seconds: dict[str, float] = {"embed": prepare_seconds}
         for _, (sbatch, _, _) in sorted(shard_batches.items()):
             for stage, seconds in (
                 (sbatch.exec_stats or {}).get("stage_seconds", {}).items()

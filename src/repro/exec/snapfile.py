@@ -22,7 +22,10 @@ Layout of a snapshot directory::
     arrays.bin      every array, 64-byte aligned, in manifest order
 
 The arrays: the packed ``(N, words)`` uint64 vector matrix, the CSR
-sorted-hash set arrays and set sizes, the per-row fetch costs, per
+of each set's sorted element hashes (the one element hash,
+:func:`~repro.core.minhash.stable_element_hash`, whose values the
+signatures were computed from; a lone-surrogate ``str`` hashes as it is
+stored) and set sizes, the per-row fetch costs, per
 filter (``f###_<field>``) its ``(l, r)`` sampled bit positions and its
 :class:`~repro.storage.hashtable.TableStack` arrays (the manifest names
 each table's bucket count and run offsets), and the set elements,
@@ -72,12 +75,14 @@ from repro.storage.hashtable import TableStack
 from repro.storage.iomodel import IOCostModel
 
 FORMAT_NAME = "repro-ssi-snapshot"
-#: v5: the one on-disk format -- embedder, plan, D_S and planner
-#: statistics in the manifest, sampled bit positions as arrays, set
-#: elements ``int64`` or ``tagged``, and the next sid to assign, so a
-#: live index thaws from it.  The only version read; re-save older
-#: directories from a live index.
-FORMAT_VERSION = 5
+#: v6: the verify rows (``set_data``) hold the one element hash,
+#: :func:`~repro.core.minhash.stable_element_hash` -- the values the
+#: signatures are computed from.  Since v5 the one on-disk format:
+#: embedder, plan, D_S and planner statistics in the manifest, sampled
+#: bit positions as arrays, set elements ``int64`` or ``tagged``, and
+#: the next sid to assign, so a live index thaws from it.  The only
+#: version read; re-save older directories from a live index.
+FORMAT_VERSION = 6
 
 #: Byte alignment of every array in ``arrays.bin`` (cache-line sized,
 #: and a multiple of every dtype's itemsize so views never misalign).

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.hamming.splitmix import GOLDEN, mix64, mix64_array
 from repro.obs import metrics
 from repro.storage.pager import PageManager
 
@@ -58,28 +59,13 @@ _BULK_PAGES = metrics.counter("hashtable.bulk_pages")
 # cryptographic digest this is pure word arithmetic, so the bulk build
 # can fingerprint a whole key matrix with numpy (:func:`hash_words`)
 # while the scalar :func:`hash_key` stays bit-identical word for word.
-_SPLIT_GOLDEN = 0x9E3779B97F4A7C15
-_SPLIT_MIX1 = 0xBF58476D1CE4E5B9
-_SPLIT_MIX2 = 0x94D049BB133111EB
-_MASK64 = (1 << 64) - 1
-# uint64 copies for the vectorized form (numpy wraps mod 2**64, which
-# is exactly the & _MASK64 of the scalar form).
-_V30, _V27, _V31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_VMIX1, _VMIX2 = np.uint64(_SPLIT_MIX1), np.uint64(_SPLIT_MIX2)
-
-
-def _mix64(z: int) -> int:
-    """The splitmix64 finalizer on one Python int (mod 2**64)."""
-    z = ((z ^ (z >> 30)) * _SPLIT_MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SPLIT_MIX2) & _MASK64
-    return z ^ (z >> 31)
 
 
 def hash_key(key: bytes) -> int:
     """Stable 64-bit hash of a key (independent of PYTHONHASHSEED)."""
-    h = _mix64((len(key) * _SPLIT_GOLDEN) & _MASK64)
+    h = mix64(len(key) * GOLDEN)
     for i in range(0, len(key), 8):
-        h = _mix64(h ^ int.from_bytes(key[i : i + 8], "little"))
+        h = mix64(h ^ int.from_bytes(key[i : i + 8], "little"))
     return h
 
 
@@ -96,14 +82,11 @@ def hash_words(words: np.ndarray, key_bytes: int) -> np.ndarray:
     words = np.ascontiguousarray(words, dtype=np.uint64)
     h = np.full(
         words.shape[0],
-        _mix64((key_bytes * _SPLIT_GOLDEN) & _MASK64),
+        mix64(key_bytes * GOLDEN),
         dtype=np.uint64,
     )
     for j in range(words.shape[1]):
-        z = h ^ words[:, j]
-        z = (z ^ (z >> _V30)) * _VMIX1
-        z = (z ^ (z >> _V27)) * _VMIX2
-        h = z ^ (z >> _V31)
+        h = mix64_array(h ^ words[:, j])
     return h
 
 

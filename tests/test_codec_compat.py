@@ -1,7 +1,7 @@
 """Codec format compatibility: old layouts and bad tags fail loudly.
 
-Snapshot manifests (version 5) carry the ``codec`` tag and shard
-manifests (version 3) carry ``build.codec`` and ``routing.sig_scheme``.
+Snapshot manifests (version 6) carry the ``codec`` tag and shard
+manifests (version 4) carry ``build.codec`` and ``routing.sig_scheme``.
 These tests pin what a reader promises about them:
 
 * exactly one version of each is read: an older snapshot or shard
@@ -74,18 +74,19 @@ class TestSnapshotCompat:
         sets = _sets()
         _save(_build(sets, codec="bbit:2"), tmp_path / "snap")
         manifest = json.loads((tmp_path / "snap" / MANIFEST_FILE).read_text())
-        assert manifest["version"] == 5
+        assert manifest["version"] == 6
         assert manifest["codec"] == "bbit:2"
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_manifest_version_fails_loudly(self, tmp_path, version):
-        """An older snapshot is refused by version, not converted."""
+        """An older snapshot is refused by version, not converted: a
+        version-5 directory's verify rows hold another element hash."""
         _save(_build(_sets()), tmp_path / "snap")
         _edit_manifest(tmp_path / "snap", lambda m: m.update(version=version))
         with pytest.raises(SnapshotFormatError) as exc:
             open_snapshot(tmp_path / "snap")
         assert f"version {version};" in str(exc.value)
-        assert "only version 5" in str(exc.value)
+        assert "only version 6" in str(exc.value)
 
     @pytest.mark.parametrize("codec", ["full64", "bbit:2", "superminhash"])
     def test_roundtrip_answers_identical(self, tmp_path, codec):
@@ -150,13 +151,15 @@ class TestShardCompat:
     def test_manifest_records_codec_and_scheme(self, tmp_path):
         sets = _sets(seed=8)
         manifest = self._build_sharded(tmp_path, sets, codec="bbit:2")
-        assert manifest["version"] == 3
+        assert manifest["version"] == 4
         assert manifest["build"]["codec"] == "bbit:2"
         assert manifest["routing"]["sig_scheme"] == "minhash"
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_manifest_version_fails_loudly(self, tmp_path, version):
-        """An older shard directory is refused by version, not defaulted."""
+        """An older shard directory is refused by version, not defaulted:
+        a version-3 directory's routing bits come from another element
+        hash."""
         self._build_sharded(tmp_path, _sets(seed=8))
         manifest_path = tmp_path / "s" / SHARD_MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
@@ -165,7 +168,7 @@ class TestShardCompat:
         with pytest.raises(ShardError) as exc:
             open_sharded(tmp_path / "s")
         assert f"version {version};" in str(exc.value)
-        assert "only version 3" in str(exc.value)
+        assert "only version 4" in str(exc.value)
 
     def test_unknown_build_codec_fails_loudly(self, tmp_path):
         sets = _sets(seed=8)

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.minhash import stable_element_hash as element_hash
 from repro.core.similarity import jaccard
 from repro.exec.columnar import (
     build_csr,
-    element_hash,
     gather_csr,
     hash_set,
     intersect_counts,
@@ -58,7 +58,7 @@ class TestHashing:
     def test_collision_flag(self, monkeypatch):
         """Two distinct elements forced onto one hash trip the flag."""
         monkeypatch.setattr(
-            "repro.exec.columnar.element_hash", lambda e: 42
+            "repro.core.minhash.stable_element_hash", lambda e: 42
         )
         _, collided = hash_set(frozenset({"x", "y"}))
         assert collided

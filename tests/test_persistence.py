@@ -79,11 +79,12 @@ class TestSaveLoad:
             SetSimilarityIndex.load(saved)
 
     def test_older_version_names_both(self, saved):
-        """A version-4 directory (object pickle beside its arrays) fails
-        at load, naming its version and the one this build reads."""
-        _rewrite_manifest(saved, version=4)
-        assert FORMAT_VERSION == 5
-        with pytest.raises(SnapshotFormatError, match="version 4; this build reads only version 5"):
+        """A version-5 directory (verify rows under another element
+        hash) fails at load, naming its version and the one this build
+        reads."""
+        _rewrite_manifest(saved, version=5)
+        assert FORMAT_VERSION == 6
+        with pytest.raises(SnapshotFormatError, match="version 5; this build reads only version 6"):
             SetSimilarityIndex.load(saved)
 
     def test_load_type_check(self, saved):

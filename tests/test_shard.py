@@ -322,6 +322,82 @@ class TestOneScheduler:
         assert total == batch.io
         assert root.io_delta == batch.io
 
+    @pytest.mark.parametrize("route", ("full", "safe"))
+    def test_fleet_prepares_each_batch_once(self, tmp_path, monkeypatch,
+                                            route):
+        """A K=3 batch hashes each distinct query element once (one
+        digest per distinct value, in one hash pass) and signs once:
+        the router and every shard's embed, verify and scan read the
+        one prepared batch.  Answers and I/O are the unprepared path's."""
+        import hashlib
+
+        from repro.core import minhash
+
+        sets, queries = _workload(seed=4)
+        queries = queries + [sets[7] | {5_000_000, 5_000_001}]
+        build_sharded(sets, tmp_path / "s", n_shards=3, k=24, b=4, seed=4,
+                      budget=36, sample_pairs=1_500)
+        sharded = open_sharded(tmp_path / "s")
+        assert len(sharded.live_shards) == 3
+        unprepared = [
+            ParallelExecutor(sharded.shards[i]).query_batch(queries, *RANGE)
+            for i in sharded.live_shards
+        ]
+
+        digests = []
+
+        class Counted:
+            def __init__(self, state):
+                self.state = state
+
+            def copy(self):
+                return Counted(self.state.copy())
+
+            def update(self, data):
+                self.state.update(data)
+
+            def digest(self):
+                digests.append(1)
+                return self.state.digest()
+
+        class CountingHashlib:
+            @staticmethod
+            def blake2b(*args, **kwargs):
+                return Counted(hashlib.blake2b(*args, **kwargs))
+
+        passes, signings = [], []
+        real_pass = minhash.stable_hashes
+        real_sign = minhash.MinHasher.signature_csr
+        monkeypatch.setattr(minhash, "hashlib", CountingHashlib)
+        monkeypatch.setattr(
+            minhash, "stable_hashes",
+            lambda elements: passes.append(len(elements)) or real_pass(elements),
+        )
+        monkeypatch.setattr(
+            minhash.MinHasher, "signature_csr",
+            lambda self, *a, **kw: signings.append(1) or real_sign(self, *a, **kw),
+        )
+        with ShardedExecutor(sharded, route=route) as executor:
+            batch = executor.query_batch(queries, *RANGE)
+            scanned = executor.query_batch(queries, *RANGE, strategy="scan")
+        distinct = set().union(*queries)
+        assert passes == [sum(map(len, queries))] * 2
+        assert len(digests) == 2 * len(distinct)
+        assert len(signings) == 1  # the scan batch is hashed, not signed
+        if route == "full":
+            assert batch.io == sum((b.io for b in unprepared), IOStats())
+        for q, result in enumerate(batch.results):
+            want = sorted(
+                (
+                    (int(sharded.global_sids[i][sid]), sim)
+                    for i, alone in zip(sharded.live_shards, unprepared)
+                    for sid, sim in alone.results[q].answers
+                ),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            assert result.answers == want
+            assert set(want) <= set(scanned.results[q].answers)
+
     def test_process_fleet_is_one_pool(self, tmp_path):
         """``workers`` sizes the fleet's one pool: four shards, one of
         them replicated, on two worker processes -- not two per shard
