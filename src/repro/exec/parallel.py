@@ -2,9 +2,9 @@
 and the executor that binds it to one frozen index snapshot.
 
 :class:`WorkerPool` is one of the pipeline's two schedulers.  On the
-``thread`` backend (the default) a stage's tasks -- embed (by query
-chunk), filter probe (by range of one filter's hash tables), exact
-verify (by query chunk) -- run inline on the calling thread, exactly
+``thread`` backend (the default) a stage's tasks -- filter probe (by
+range of one filter's hash tables), exact verify or scan (by query
+chunk) -- run inline on the calling thread, exactly
 as the live index runs them, and no pool exists whatever ``workers``
 says: the scheduler reports ``workers=1``, so task splits,
 ``exec_stats``, events and EXPLAIN describe what ran.  On the
