@@ -9,7 +9,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli demo    [--n-sets 500]
     python -m repro.cli snapshot info   --path index.d
     python -m repro.cli snapshot verify --path index.d
-    python -m repro.cli shard build  --input sets.txt --out fleet.d --shards 4 [--partition cluster --tune workload]
+    python -m repro.cli shard build  --input sets.txt --out fleet.d --shards 4
     python -m repro.cli shard info   --path fleet.d
     python -m repro.cli shard verify --path fleet.d
     python -m repro.cli stats   --shards fleet.d
@@ -46,11 +46,11 @@ clients, micro-batched ``query_batch`` dispatch under a tunable
 window, admission control with typed ``overloaded`` responses, and a
 graceful drain on SIGTERM.  ``loadgen`` is its closed-loop benchmark
 client (QPS + latency percentiles + observed batch sizes).  ``shard
-build`` partitions a collection into K independent per-shard snapshots
-under a checksummed manifest (:mod:`repro.exec.shard`); ``serve
---shards`` / ``query`` over a shard directory answer by
-scatter-gather, bit-identically to the unsharded index under the
-default mirror tuning.
+build`` hash-partitions a collection into K per-shard snapshots of one
+global plan under a checksummed manifest (:mod:`repro.exec.shard`);
+``serve --shards`` / ``query`` over a shard directory answer by
+scatter-gather with safe routing, bit-identically to the unsharded
+index.
 
 Telemetry: ``query`` accepts ``--prom-out`` (Prometheus text
 exposition of the full metrics registry), ``--events-out`` (the
@@ -148,37 +148,32 @@ def _print_batch(batch) -> None:
 def _snapshot_batch(path, query_sets, args, explain: bool):
     """Open a mapped snapshot (or shard fleet) and serve one batch on
     the chosen backend.  Sharded directories are auto-detected and
-    scatter-gathered with the ``--route`` mode."""
+    scatter-gathered."""
     from repro.exec import ParallelExecutor, open_snapshot
     from repro.exec.shard import ShardedExecutor, is_sharded, open_sharded
 
-    route = getattr(args, "route", "safe")
     t0 = time.perf_counter()
     if is_sharded(path):
         sharded = open_sharded(path)
         open_ms = (time.perf_counter() - t0) * 1e3
         with ShardedExecutor(
-            sharded, workers=args.workers, backend=args.backend, route=route
+            sharded, workers=args.workers, backend=args.backend
         ) as executor:
             print(
                 f"# sharded index {path}: opened in {open_ms:.1f} ms "
                 f"({sharded.n_sets} sets over {sharded.n_shards} shards), "
-                f"backend={args.backend}, workers={executor.workers}, "
-                f"route={route}",
+                f"backend={args.backend}, workers={executor.workers}",
                 file=sys.stderr,
             )
             batch = executor.query_batch(
                 query_sets, args.low, args.high,
                 strategy=args.strategy, explain=explain,
             )
-            rstats = batch.exec_stats["route"]
-            if rstats["active"]:
-                print(
-                    f"# routing ({rstats['mode']}): "
-                    f"{rstats['subqueries_pruned']} subqueries pruned, "
-                    f"{rstats['shards_skipped']} shards skipped",
-                    file=sys.stderr,
-                )
+            print(
+                f"# routing: {batch.exec_stats['route']['subqueries_pruned']}"
+                " (query, shard) verifies pruned",
+                file=sys.stderr,
+            )
             return batch
     snapshot = open_snapshot(path)
     open_ms = (time.perf_counter() - t0) * 1e3
@@ -307,8 +302,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """``stats``: describe a saved index's plan, parameters and tables.
 
     With ``--shards DIR`` it instead describes a shard manifest:
-    per-shard occupancy and the budget-allocation matrix (which
-    filters got how many tables in each shard).
+    per-shard occupancy and the global plan's filter table, which every
+    shard runs.
     """
     if getattr(args, "shards", None):
         if args.index:
@@ -361,65 +356,47 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _shard_stats(path: str) -> int:
-    """Per-shard occupancy and budget-allocation tables for ``stats``."""
+    """Per-shard occupancy and the global filter table for ``stats``."""
     from repro.exec.shard import open_sharded
+
+    print(f"sharded index:     {path}")
+    _print_fleet(open_sharded(path))
+    return 0
+
+
+def _print_fleet(sharded) -> None:
+    """What ``stats --shards`` and ``shard info`` print about a fleet:
+    occupancy, per-shard sizes and bytes, and the global plan's filter
+    table, which every shard runs."""
     from repro.exec.snapfile import MANIFEST_FILE
 
-    sharded = open_sharded(path)
     m = sharded.manifest
-    print(f"sharded index:     {path}")
+    gp = m["global_plan"]
     print(f"sets:              {m['n_sets']} over {m['n_shards']} shards "
           f"({len(sharded.live_shards)} live)")
-    print(f"partition:         {m['partition']['method']} "
-          f"(seed {m['partition']['seed']}); tuning: {m['tune']}")
-    print(f"codec:             {m.get('build', {}).get('codec', 'full64')}")
-    gp = m["global_plan"]
-    print(f"global budget:     {m['build']['budget']} tables "
-          f"({gp['tables_used']} used by the global plan, "
-          f"expected recall {gp['expected_recall']:.3f})")
-    routing = m.get("routing")
-    if routing:
-        print(f"routing:           {routing['m_bits']}-bit universe sketches, "
-              f"{routing['sig_k']}-coordinate "
-              f"{routing.get('sig_scheme', 'minhash')} profiles")
-    else:
-        print("routing:           none (rebuild to add summaries)")
+    print(f"partition:         hash (seed {m['partition']['seed']})")
+    print(f"codec:             {m['build']['codec']}")
+    print(f"global plan:       {gp['tables_used']} of {m['build']['budget']} "
+          f"budgeted tables, expected recall {gp['expected_recall']:.3f}, "
+          f"cuts {[round(c, 3) for c in gp['cut_points']]}")
+    print(f"routing:           {m['routing']['m_bits']}-bit universe bitsets")
     print("per-shard occupancy:")
-    header = (
-        f"  {'shard':<12}{'sets':>8}{'weight':>9}{'tables':>8}"
-        f"{'recall':>9}{'arrays':>12}{'sizes':>12}{'replicas':>9}"
-    )
-    print(header)
-    route_shards = (routing or {}).get("shards") or [None] * len(m["shards"])
-    for i, entry in enumerate(m["shards"]):
-        if entry.get("empty"):
-            nbytes = 0
-        else:
-            shard_manifest = json.loads(
-                (Path(path) / entry["dir"] / MANIFEST_FILE).read_text()
-            )
-            nbytes = shard_manifest["arrays_bytes"]
-        rs = route_shards[i]
-        sizes = f"{rs['size_min']}-{rs['size_max']}" if rs else "-"
+    print(f"  {'shard':<12}{'sets':>8}{'arrays':>12}{'sizes':>12}")
+    for entry, summary in zip(m["shards"], sharded.routing.summaries):
+        nbytes, sizes = 0, "-"
+        if summary is not None:
+            nbytes = json.loads(
+                (sharded.path / entry["dir"] / MANIFEST_FILE).read_text()
+            )["arrays_bytes"]
+            sizes = f"{summary.size_min}-{summary.size_max}"
         print(
-            f"  {entry['dir']:<12}{entry['n_sets']:>8}"
-            f"{entry['weight']:>9.3f}{entry['tables']:>8}"
-            f"{entry['expected_recall']:>9.3f}{nbytes:>12,}"
-            f"{sizes:>12}{1 + len(entry.get('replicas', [])):>9}"
-            + ("  (empty)" if entry.get("empty") else "")
+            f"  {entry['dir']:<12}{entry['n_sets']:>8}{nbytes:>12,}"
+            f"{sizes:>12}" + ("  (empty)" if summary is None else "")
         )
-    print("budget allocation (tables per filter x shard):")
-    filters = m["shards"][0]["filters"]
-    labels = [f"{f['kind'].upper()}@{f['point']:.3f}" for f in filters]
-    print("  " + f"{'filter':<14}" + "".join(
-        f"{entry['dir'][-3:]:>8}" for entry in m["shards"]
-    ))
-    for row, label in enumerate(labels):
-        print("  " + f"{label:<14}" + "".join(
-            f"{entry['filters'][row]['n_tables']:>8}"
-            for entry in m["shards"]
-        ))
-    return 0
+    print("budget allocation (tables per filter, every shard):")
+    for f in gp["filters"]:
+        print(f"  {f['kind'].upper()} @ {f['point']:.3f}: "
+              f"{f['n_tables']} tables")
 
 
 def _print_histogram_tables() -> None:
@@ -512,72 +489,44 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
-    """``shard``: build/replicate/inspect/verify sharded indexes.
+    """``shard``: build/inspect/verify sharded indexes.
 
-    ``build`` partitions a set file into K shards and persists each as
-    its own mmap snapshot under a checksummed shard manifest (with
-    per-shard routing summaries); ``replicate``
-    clones the hottest shards so dispatches balance across copies;
-    ``info`` prints the manifest summary; ``verify`` checksums every
-    array of every shard and replica.  Serve the result with ``repro
-    serve --snapshot DIR`` (sharded directories are auto-detected).
+    ``build`` hash-partitions a set file into K shards and persists
+    each as its own mmap snapshot of the one global plan under a
+    checksummed shard manifest (with per-shard routing summaries);
+    ``info`` prints the manifest summary; ``verify`` checks the routing
+    summaries and checksums every array of every shard.  Serve the
+    result with ``repro serve --snapshot DIR`` (sharded directories are
+    auto-detected).
     """
     if args.shard_command == "build":
         from repro.exec.shard import build_sharded
 
-        sets = read_sets(Path(args.input))
-        workload = read_sets(Path(args.workload)) if args.workload else None
         manifest = build_sharded(
-            sets, args.out,
+            read_sets(Path(args.input)), args.out,
             n_shards=args.shards,
-            partition=args.partition,
-            tune=args.tune,
             budget=args.budget,
             recall_target=args.recall,
             k=args.k, b=args.bits, seed=args.seed,
             sample_pairs=args.sample_pairs,
-            workload=workload,
-            workload_range=(args.workload_low, args.workload_high),
             codec=args.codec,
         )
         live = sum(1 for e in manifest["shards"] if not e.get("empty"))
+        gp = manifest["global_plan"]
         print(
             f"sharded index {args.out}: {manifest['n_sets']} sets over "
             f"{manifest['n_shards']} shards ({live} live), "
-            f"partition={args.partition} tune={args.tune}, built in "
+            f"{gp['tables_used']} tables per shard, expected recall "
+            f"{gp['expected_recall']:.3f}, built in "
             f"{manifest['build_seconds']:.2f}s"
         )
         for entry in manifest["shards"]:
             print(
-                f"  {entry['dir']}: {entry['n_sets']} sets, "
-                f"{entry['tables']} tables, weight {entry['weight']:.3f}, "
-                f"expected recall {entry['expected_recall']:.3f}"
+                f"  {entry['dir']}: {entry['n_sets']} sets"
                 + (" (empty)" if entry.get("empty") else "")
             )
-        if manifest.get("routing"):
-            routing = manifest["routing"]
-            print(
-                f"  routing: {routing['m_bits']}-bit universe sketches + "
-                f"{routing['sig_k']}-coordinate "
-                f"{routing.get('sig_scheme', 'minhash')} profiles per shard"
-            )
-        return 0
-    if args.shard_command == "replicate":
-        from repro.exec.shard import replicate_shards
-
-        workload = read_sets(Path(args.workload)) if args.workload else None
-        manifest = replicate_shards(
-            args.path, top=args.top, copies=args.copies,
-            workload=workload,
-            workload_range=(args.workload_low, args.workload_high),
-        )
-        for entry in manifest["shards"]:
-            if entry.get("replicas"):
-                print(
-                    f"{entry['dir']} (weight {entry['weight']:.3f}) -> "
-                    f"{1 + len(entry['replicas'])} copies: "
-                    + ", ".join(entry["replicas"])
-                )
+        print(f"  routing: {manifest['routing']['m_bits']}-bit universe "
+              "bitsets per shard")
         return 0
     if args.shard_command == "info":
         from repro.exec.shard import open_sharded
@@ -588,35 +537,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
         m = sharded.manifest
         print(f"sharded index:     {args.path} (opened in {open_ms:.1f} ms)")
         print(f"format:            {m['format']} v{m['version']}")
-        print(f"sets:              {m['n_sets']} over {m['n_shards']} shards "
-              f"({len(sharded.live_shards)} live)")
-        print(f"partition:         {m['partition']['method']} "
-              f"(seed {m['partition']['seed']})")
-        print(f"tuning:            {m['tune']}")
-        gp = m["global_plan"]
-        print(f"global plan:       {gp['tables_used']} tables, "
-              f"expected recall {gp['expected_recall']:.3f}, "
-              f"cuts {[round(c, 3) for c in gp['cut_points']]}")
-        routing = m.get("routing")
-        if routing:
-            print(f"routing:           {routing['m_bits']}-bit universe "
-                  f"sketches, {routing['sig_k']}-coordinate minhash "
-                  f"profiles (seed {routing['sig_seed']})")
-        else:
-            print("routing:           none (routing=False build; "
-                  "queries fan out to every shard)")
-        route_shards = (routing or {}).get("shards") or [None] * len(m["shards"])
-        for i, entry in enumerate(m["shards"]):
-            rs = route_shards[i]
-            extra = f", sizes {rs['size_min']}-{rs['size_max']}" if rs else ""
-            if entry.get("replicas"):
-                extra += f", {1 + len(entry['replicas'])} copies"
-            print(
-                f"  {entry['dir']}: {entry['n_sets']} sets, "
-                f"{entry['tables']} tables, weight {entry['weight']:.3f}"
-                + extra
-                + (" (empty)" if entry.get("empty") else "")
-            )
+        _print_fleet(sharded)
         return 0
     # verify
     from repro.exec.shard import ShardError, verify_sharded
@@ -657,7 +578,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_wait_ms=args.max_wait_ms,
         max_pending=args.max_pending,
         adaptive=not args.no_adaptive,
-        route=args.route,
     )
 
     async def main() -> None:
@@ -881,13 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the traced span tree as Chrome trace-event JSON "
              "(chrome://tracing / Perfetto); implies tracing",
     )
-    p_query.add_argument(
-        "--route", choices=("full", "safe", "sketch"), default="safe",
-        help="shard routing when --snapshot is a sharded index: 'safe' "
-             "skips provably-empty verification (bit-identical answers), "
-             "'sketch' also skips whole shards via minhash profiles, "
-             "'full' disables routing",
-    )
     p_query.set_defaults(func=cmd_query)
 
     p_explain = sub.add_parser(
@@ -914,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument(
         "--shards", metavar="DIR",
         help="a sharded-index directory: print per-shard occupancy and "
-             "the budget-allocation matrix instead",
+             "the global plan's filter table instead",
     )
     p_stats.set_defaults(func=cmd_stats)
 
@@ -946,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_sub = p_shard.add_subparsers(dest="shard_command", required=True)
 
     p_shard_build = shard_sub.add_parser(
-        "build", help="partition a set file into K per-shard snapshots"
+        "build", help="hash-partition a set file into K per-shard snapshots"
     )
     p_shard_build.add_argument("--input", required=True, help="one set per line")
     p_shard_build.add_argument(
@@ -954,17 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_shard_build.add_argument(
         "--shards", type=int, default=4, help="number of shards (K)"
-    )
-    p_shard_build.add_argument(
-        "--partition", choices=("hash", "cluster"), default="hash",
-        help="'cluster' colocates minhash-similar sets (pairs with "
-             "--tune workload)",
-    )
-    p_shard_build.add_argument(
-        "--tune", choices=("mirror", "workload"), default="mirror",
-        help="'mirror' builds every shard from the one global plan "
-             "(bit-identical merged answers); 'workload' re-splits the "
-             "global table budget across shards by workload weight",
     )
     p_shard_build.add_argument("--budget", type=int, default=500,
                                help="global hash-table budget")
@@ -977,38 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_shard_build.add_argument("--seed", type=int, default=0)
     p_shard_build.add_argument("--sample-pairs", type=int, default=100_000)
-    p_shard_build.add_argument(
-        "--workload", metavar="FILE",
-        help="query sets (one per line) used to weight shards under "
-             "--tune workload",
-    )
-    p_shard_build.add_argument("--workload-low", type=float, default=0.5)
-    p_shard_build.add_argument("--workload-high", type=float, default=1.0)
     p_shard_build.set_defaults(func=cmd_shard)
-
-    p_shard_replicate = shard_sub.add_parser(
-        "replicate",
-        help="clone the hottest shards so dispatch can balance across "
-             "byte-identical replicas",
-    )
-    p_shard_replicate.add_argument("--path", required=True,
-                                   help="sharded-index directory")
-    p_shard_replicate.add_argument(
-        "--top", type=int, default=1,
-        help="replicate the N heaviest live shards",
-    )
-    p_shard_replicate.add_argument(
-        "--copies", type=int, default=2,
-        help="total copies per replicated shard (primary included)",
-    )
-    p_shard_replicate.add_argument(
-        "--workload", metavar="FILE",
-        help="query sets (one per line): re-estimate shard weights from "
-             "this workload instead of the build-time weights",
-    )
-    p_shard_replicate.add_argument("--workload-low", type=float, default=0.5)
-    p_shard_replicate.add_argument("--workload-high", type=float, default=1.0)
-    p_shard_replicate.set_defaults(func=cmd_shard)
 
     p_shard_info = shard_sub.add_parser(
         "info", help="print a shard manifest summary"
@@ -1044,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes for --backend process; for a sharded "
              "directory this sizes the fleet's one pool, whatever the "
-             "shard and replica counts.  The thread backend runs every "
+             "shard count.  The thread backend runs every "
              "batch on the dispatch thread and ignores it",
     )
     p_serve.add_argument(
@@ -1077,11 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--events-out", metavar="FILE",
         help="on drain, write captured query events as JSON Lines",
-    )
-    p_serve.add_argument(
-        "--route", choices=("full", "safe", "sketch"), default="safe",
-        help="shard routing for sharded layouts (see `repro query "
-             "--route`); ignored for plain snapshots",
     )
     p_serve.set_defaults(func=cmd_serve)
 

@@ -266,71 +266,6 @@ def _greedy_over_curves(
     return alloc, used
 
 
-def allocate_global_budget(
-    shard_filters: list[list[PlannedFilter]],
-    budget: int,
-    dists: list[SimilarityDistribution],
-    weights: list[float] | None = None,
-    b: int | None = None,
-    band: float = 0.05,
-    max_per_filter: int | None = None,
-) -> list[int]:
-    """Lemma 6 lifted to a fleet of shards under one global budget.
-
-    Each shard brings its own filter list (the global plan's cut
-    points, per-shard copies), its own similarity distribution (the
-    pair mass of the sets *it* holds), and a workload weight (the
-    estimated fraction of query answer mass that lands on it).  All
-    (shard, filter) units compete in one greedy: a table goes to the
-    unit whose *weighted* expected-error drop per table is largest, so
-    hot shards -- more answer mass at stake per unit of residual error
-    -- soak up more of the budget.
-
-    Every unit is seeded with one table first (a zero-table filter
-    breaks its shard's probe planning), so ``budget`` must cover at
-    least one table per (shard, filter) pair.  Mutates ``n_tables`` in
-    place and returns the per-shard table totals.
-    """
-    n_shards = len(shard_filters)
-    if len(dists) != n_shards:
-        raise ValueError(
-            f"{n_shards} shards but {len(dists)} distributions"
-        )
-    if weights is None:
-        weights = [1.0] * n_shards
-    if len(weights) != n_shards or any(w < 0 for w in weights):
-        raise ValueError(f"need {n_shards} non-negative weights, got {weights}")
-    units = [
-        (s, f) for s, filters in enumerate(shard_filters) for f in filters
-    ]
-    if not units:
-        return [0] * n_shards
-    if budget < len(units):
-        raise ValueError(
-            f"global budget {budget} cannot seed one table for each of "
-            f"{len(units)} (shard, filter) units"
-        )
-    # Relative scale is all that matters; normalize to mean 1 so `band`
-    # and epsilon thresholds keep their single-shard meaning.
-    total_w = sum(weights) or 1.0
-    scale = [w * n_shards / total_w for w in weights]
-    max_tables = budget - (len(units) - 1)
-    if max_per_filter is not None:
-        max_tables = max(1, min(max_tables, max_per_filter))
-    curves = [
-        np.minimum.accumulate(
-            _error_curve(f, dists[s], b, band, max_tables)
-        ) * scale[s]
-        for s, f in units
-    ]
-    alloc, _ = _greedy_over_curves(curves, budget, max_tables)
-    per_shard = [0] * n_shards
-    for (s, f), l in zip(units, alloc):
-        f.n_tables = l
-        per_shard[s] += l
-    return per_shard
-
-
 @lru_cache(maxsize=4096)
 def _solve_r_vector(threshold: float, max_tables: int) -> tuple[int, ...]:
     """``solve_r(threshold, l)`` for l = 1..max_tables, memoized --

@@ -29,16 +29,17 @@ This package provides the serving-side counterpart:
   with ``np.memmap`` (a :class:`~repro.exec.snapfile.MappedSnapshot`,
   the substrate of ``ParallelExecutor(..., backend="process")``), and
   ``SetSimilarityIndex.load`` thaws it into a live index;
-- :mod:`~repro.exec.shard` -- scatter-gather over a K-shard fleet:
-  :func:`~repro.exec.shard.build_sharded` partitions a collection
-  (hash or minhash-clustered), builds each shard with the bulk
-  pipeline under one global plan (or a workload-tuned per-shard
-  allocation of the global table budget) and saves each as its own
-  snapshot under a checksummed shard manifest;
+- :mod:`~repro.exec.shard` -- scatter-gather over a K-shard fleet of
+  one shape: :func:`~repro.exec.shard.build_sharded` hash-partitions a
+  collection, builds every shard with the bulk pipeline from the one
+  global plan and saves each as its own snapshot under a checksummed
+  shard manifest with per-shard routing summaries
+  (:mod:`~repro.exec.route`);
   :class:`~repro.exec.shard.ShardedExecutor` runs the same pipeline
   shard by shard on the caller's thread, every shard on the fleet's
-  one ``WorkerPool``, and merges deterministically -- bit-identical to
-  the unsharded answers on mirror-built manifests.
+  one ``WorkerPool``, skips verification for (query, shard) pairs the
+  routing bound rules out, and merges deterministically --
+  bit-identical to the unsharded answers.
 """
 
 from repro.exec.build import bulk_load_filters

@@ -89,7 +89,6 @@ from repro.exec.columnar import (
     csr_from_counts,
     csr_rows,
     csr_slice,
-    gather_csr,
     merge_verify_info,
     pairs_csr,
     sorted_unique,
@@ -144,19 +143,6 @@ class Prepared:
         """The hash CSR of queries ``start .. stop - 1``."""
         indptr, data, collided = self.hashes
         return (*csr_slice((indptr, data), start, stop), collided[start:stop])
-
-    def take(self, rows: Sequence[int]) -> "Prepared":
-        """The prepared sub-batch of the given query rows, in order."""
-        indptr, data, collided = self.hashes
-        rows = np.asarray(rows, dtype=np.int64)
-        sub_indptr, sub_data = gather_csr(indptr, data, rows)
-        matrix = self.matrix
-        if matrix is not None:
-            nonempty = np.diff(indptr) > 0
-            matrix = matrix[
-                (np.cumsum(nonempty) - 1)[rows[nonempty[rows]]]
-            ]
-        return Prepared((sub_indptr, sub_data, collided[rows]), matrix)
 
 
 def prepare_batch(embedder, query_sets: Sequence[frozenset],

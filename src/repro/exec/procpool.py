@@ -13,8 +13,8 @@ Every function here is a plain module-level callable so the pool's
 ``spawn`` start method (the only one that is safe on every platform
 and under threads) can pickle references to it.  Each worker process
 initializes once by mapping every snapshot directory its pool serves
-(:func:`worker_init`: one for a ``ParallelExecutor``, every shard and
-replica for a shard fleet, so any worker serves any shard); because
+(:func:`worker_init`: one for a ``ParallelExecutor``, every shard for
+a shard fleet, so any worker serves any shard); because
 :func:`repro.exec.snapfile.open_snapshot` is O(ms) and ``np.memmap``
 pages are shared between processes, adding a worker costs an
 interpreter start, not an index copy.  A worker runs a shipped spec

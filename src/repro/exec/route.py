@@ -1,10 +1,9 @@
 """Shard routing: sound per-shard Jaccard upper bounds from tiny summaries.
 
-PR 8's scatter-gather fans every batch out to all ``K`` shards, so the
-fleet pays ``K`` probe/verify costs even when most shards provably
-contain nothing in the query's similarity range.  This module computes,
-at ``build_sharded`` time, a few hundred bytes of **routing summary**
-per shard:
+A fleet runs every batch on every live shard, so it pays ``K``
+fetch/verify costs even when most shards provably contain nothing in
+the query's similarity range.  This module computes, at
+``build_sharded`` time, a small **routing summary** per live shard:
 
 * the exact ``[size_min, size_max]`` range of set sizes in the shard;
 * a membership bitset over the shard's element universe -- every
@@ -12,9 +11,7 @@ per shard:
   (the hash its signatures come from) is avalanched (splitmix64) into
   an ``m``-bit table (``m`` a power of two, sized to <= 12.5% fill at
   build time), so a query element whose bit is clear is *provably
-  absent* from every set in the shard;
-* a ``k``-coordinate MinHash signature of the shard's universe (the
-  D_S-profile used by the opt-in ``sketch`` mode).
+  absent* from every set in the shard.
 
 :class:`ShardRouter` turns a summary into a **sound upper bound** on
 ``max_{S in shard} J(q, S)``:
@@ -33,28 +30,21 @@ clamp(t, size_min, size_max)``:
 
     ``bound = min(s*, t) / (s* + |q| - min(s*, t))``
 
-A shard is prunable for a query iff ``bound < sigma_low`` (strictly --
-``sigma_low = 0`` never prunes).  Because the bound is an upper bound
-on the *true* Jaccard of every set in the shard, a pruned (query,
-shard) pair can contribute no in-range answer: skipping its
-verification (``route="safe"``) or its whole dispatch
-(``route="sketch"``) loses nothing.  The empty query is handled
-exactly: it matches only empty sets (``J = 1``, the engine-wide
-empty-vs-empty convention), so its bound is 1.0 iff the shard holds an
-empty set.
+A (query, shard) pair is prunable iff ``bound < sigma_low`` (strictly
+-- ``sigma_low = 0`` never prunes).  Because the bound is an upper
+bound on the *true* Jaccard of every set in the shard, a pruned pair
+can contribute no in-range answer: skipping its verification loses
+nothing.  The empty query is handled exactly: it matches only empty
+sets (``J = 1``, the engine-wide empty-vs-empty convention), so its
+bound is 1.0 iff the shard holds an empty set.
 
-``sketch`` mode additionally tightens ``c`` with the MinHash profile:
-the agreement fraction ``a`` between the query's signature and the
-shard-universe signature estimates ``J(q, U)``, hence ``|q ∩ U| ~
-a/(1+a) * (|q| + |U|)``.  The estimate carries MinHash variance (an
-upper-confidence slack of ``1/sqrt(k)`` is added), so sketch routing
-is *not* exact -- its recall is measured by
-``tests/test_route.py::test_sketch_recall_measured_on_overlapping_clusters``.
+The bound is only as sound as the summary, so :func:`load_routing`
+checks every summary against the shard it describes before a fleet
+serves a query.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,20 +53,16 @@ import numpy as np
 from repro.core.minhash import hash_rows
 from repro.hamming.splitmix import mix64_array
 
-#: Per-shard routing summaries (bitset words + universe signatures),
-#: written next to the shard manifest by ``build_sharded``.
+#: Per-shard routing bitsets, written next to the shard manifest by
+#: ``build_sharded``.
 ROUTING_FILE = "routing.bin"
-
-#: MinHash coordinates in the per-shard universe profile.
-DEFAULT_SIG_K = 32
-
-#: Folded into the build seed for the routing MinHasher, so the
-#: router's permutations are independent of the index embedding's
-#: (which derive from ``seed + 7919 * (offset + 1)``).
-SIG_SEED_OFFSET = 9173
 
 _MIN_BITS = 1 << 10
 _MAX_BITS = 1 << 22
+
+
+class RoutingError(ValueError):
+    """A routing block that does not describe its fleet."""
 
 
 def jaccard_upper_bound(
@@ -117,137 +103,125 @@ class ShardSummary:
 
     size_min: int
     size_max: int
-    n_universe: int
     bits: np.ndarray  # uint64 words, m_bits / 64 of them
-    signature: np.ndarray | None  # uint64 (sig_k,), None if universe empty
 
 
 @dataclass
 class RoutingInfo:
-    """All shard summaries plus the shared hashing parameters."""
+    """All shard summaries plus the shared bitset width."""
 
     m_bits: int
-    sig_k: int
-    sig_seed: int
     summaries: list  # ShardSummary | None per shard (None = empty shard)
-    #: Signature generator of the universe profiles ("minhash" or
-    #: "superminhash") -- the index codec's generator, so sketch-mode
-    #: agreement estimates share the builder's variance profile.
-    #: Pre-v3 manifests omit the key and default to "minhash".
-    sig_scheme: str = "minhash"
 
 
-def build_routing(
-    shard_sets, seed: int = 0, sig_k: int = DEFAULT_SIG_K,
-    sig_scheme: str = "minhash",
-) -> tuple[dict, dict]:
+def build_routing(shard_sets) -> tuple[dict, dict]:
     """Compute routing summaries for a partitioned collection.
 
     Returns ``(meta, arrays)``: the JSON-safe manifest block (sans
     array specs -- the caller persists ``arrays`` via ``write_arrays``
     and attaches the specs) and the uint64 arrays for ``routing.bin``.
-
-    ``sig_scheme`` picks the universe-profile generator; sharded
-    builds pass their codec's generator so the router's sketch
-    estimates reuse the same signature scheme as the index.
     """
-    from repro.core.codec import make_hasher
-
     shard_sets = [
         [s if isinstance(s, frozenset) else frozenset(s) for s in ss]
         for ss in shard_sets
     ]
-    universes = [
-        frozenset().union(*ss) if ss else frozenset() for ss in shard_sets
-    ]
-    # One hash pass over every stored set; a shard's bits and universe
-    # signature are read off its sets' rows.
+    # One hash pass over every stored set; a shard's bits are read off
+    # its sets' rows.
     indptr, data, _ = hash_rows([s for ss in shard_sets for s in ss])
     ends = np.cumsum([len(ss) for ss in shard_sets]).tolist()
-    m_bits = _pick_bits(max((len(u) for u in universes), default=0))
-    sig_seed = seed + SIG_SEED_OFFSET
-    hasher = make_hasher(sig_scheme, sig_k, sig_seed)
+    m_bits = _pick_bits(max(
+        (len(frozenset().union(*ss)) for ss in shard_sets if ss), default=0
+    ))
     arrays: dict[str, np.ndarray] = {}
     entries: list[dict | None] = []
-    for i, (ss, universe) in enumerate(zip(shard_sets, universes)):
+    for i, ss in enumerate(shard_sets):
         if not ss:
             entries.append(None)  # empty shard: never dispatched
             continue
         words = np.zeros(m_bits // 64, dtype=np.uint64)
-        if universe:
-            hashes = data[indptr[ends[i] - len(ss)]:indptr[ends[i]]]
-            widx, wmask = _bit_positions(hashes, m_bits)
-            np.bitwise_or.at(words, widx, wmask)
-            arrays[f"route{i:03d}_sig"] = hasher.signature_csr(
-                np.array([0, len(hashes)]), hashes
-            )[0]
+        widx, wmask = _bit_positions(
+            data[indptr[ends[i] - len(ss)]:indptr[ends[i]]], m_bits
+        )
+        np.bitwise_or.at(words, widx, wmask)
         arrays[f"route{i:03d}_bits"] = words
         sizes = [len(s) for s in ss]
-        entries.append({
-            "size_min": min(sizes),
-            "size_max": max(sizes),
-            "n_universe": len(universe),
-        })
-    meta = {
-        "m_bits": m_bits,
-        "sig_k": sig_k,
-        "sig_seed": sig_seed,
-        "sig_scheme": sig_scheme,
-        "shards": entries,
-    }
-    return meta, arrays
+        entries.append({"size_min": min(sizes), "size_max": max(sizes)})
+    return {"m_bits": m_bits, "shards": entries}, arrays
 
 
-def load_routing(path, manifest: dict, verify: bool = False):
-    """Decode the routing block of a shard manifest; None if absent
-    (builds with ``routing=False``)."""
+def load_routing(path, meta, set_sizes, verify: bool = False) -> RoutingInfo:
+    """Decode and check the routing block of a shard manifest.
+
+    ``set_sizes`` holds, per shard, the mapped ``set_sizes`` array of
+    its snapshot (None for an empty shard).  A summary that
+    understates a shard's sizes or elements would prune pairs that
+    hold answers, so every field is checked against the shard it
+    describes: ``m_bits`` a power of two in ``[2^10, 2^22]``, exactly
+    one summary per live shard and none per empty shard, each bits
+    array ``m_bits / 64`` uint64 words, and ``size_min`` / ``size_max``
+    the integer min / max of the shard's ``set_sizes``.  Raises
+    :class:`RoutingError` on any mismatch.
+    """
     from repro.exec.snapfile import open_arrays
 
-    meta = manifest.get("routing")
-    if not meta:
-        return None
+    if not isinstance(meta, dict):
+        raise RoutingError("shard manifest has no routing block")
+    m_bits = meta.get("m_bits")
+    if (
+        type(m_bits) is not int or not _MIN_BITS <= m_bits <= _MAX_BITS
+        or m_bits & (m_bits - 1)
+    ):
+        raise RoutingError(
+            f"m_bits {m_bits!r} is not a power of two in "
+            f"[{_MIN_BITS}, {_MAX_BITS}]"
+        )
+    entries = meta.get("shards")
+    if not isinstance(entries, list) or len(entries) != len(set_sizes):
+        raise RoutingError(
+            f"routing block does not list one entry per shard "
+            f"({len(set_sizes)})"
+        )
+    specs = meta.get("arrays")
+    if not isinstance(specs, dict):
+        raise RoutingError("routing block has no array specs")
     arrays = (
-        open_arrays(Path(path) / ROUTING_FILE, meta["arrays"], verify=verify)
-        if meta.get("arrays") else {}
+        open_arrays(Path(path) / ROUTING_FILE, specs, verify=verify)
+        if specs else {}
     )
     summaries: list = []
-    for i, entry in enumerate(meta["shards"]):
-        if entry is None:
+    for i, (entry, sizes) in enumerate(zip(entries, set_sizes)):
+        bits = arrays.get(f"route{i:03d}_bits")
+        if sizes is None:
+            if entry is not None or bits is not None:
+                raise RoutingError(f"empty shard {i} has a routing summary")
             summaries.append(None)
             continue
-        sig = arrays.get(f"route{i:03d}_sig")
-        summaries.append(ShardSummary(
-            size_min=int(entry["size_min"]),
-            size_max=int(entry["size_max"]),
-            n_universe=int(entry["n_universe"]),
-            bits=np.asarray(arrays[f"route{i:03d}_bits"], dtype=np.uint64),
-            signature=(
-                np.asarray(sig, dtype=np.uint64) if sig is not None else None
-            ),
-        ))
-    return RoutingInfo(
-        m_bits=int(meta["m_bits"]),
-        sig_k=int(meta["sig_k"]),
-        sig_seed=int(meta["sig_seed"]),
-        summaries=summaries,
-        sig_scheme=meta["sig_scheme"],
-    )
+        if not isinstance(entry, dict) or bits is None:
+            raise RoutingError(f"live shard {i} has no routing summary")
+        if bits.dtype != np.uint64 or bits.shape != (m_bits // 64,):
+            raise RoutingError(
+                f"shard {i}: bitset of {bits.dtype} {bits.shape} for "
+                f"{m_bits} bits"
+            )
+        want = (int(sizes.min()), int(sizes.max()))
+        got = (entry.get("size_min"), entry.get("size_max"))
+        if any(type(v) is not int for v in got) or got != want:
+            raise RoutingError(
+                f"shard {i}: routing sizes {got[0]!r}-{got[1]!r}, but its "
+                f"sets hold {want[0]}-{want[1]} elements"
+            )
+        summaries.append(ShardSummary(*want, bits=bits))
+    return RoutingInfo(m_bits=m_bits, summaries=summaries)
 
 
 @dataclass
 class RouteDecision:
     """Which (query, shard) pairs survive routing for one batch."""
 
-    mode: str  # "safe" | "sketch"
     kept: dict  # shard index -> sorted list of surviving query rows
     n_queries: int
     n_pairs: int  # (query, live shard) pairs considered
     pruned_pairs: int
-
-    def skipped_shards(self) -> list[int]:
-        """Shards with no surviving query (undispatched in sketch
-        mode; fully verify-masked in safe mode)."""
-        return [i for i, rows in self.kept.items() if not rows]
 
 
 class ShardRouter:
@@ -255,23 +229,14 @@ class ShardRouter:
 
     ``route(...)`` evaluates the sound bound of the module docstring
     for every (query, live shard) pair and keeps the pair iff
-    ``bound >= sigma_low``.  With ``sketch=True`` the MinHash universe
-    profile additionally tightens ``c`` -- deeper pruning, estimated
-    rather than proven, so only the opt-in ``route="sketch"`` path
-    uses it.
+    ``bound >= sigma_low``.
     """
 
     def __init__(self, routing: RoutingInfo):
-        from repro.core.codec import make_hasher
-
         self.routing = routing
-        self._hasher = make_hasher(
-            routing.sig_scheme, routing.sig_k, routing.sig_seed
-        )
 
     def route(
-        self, query_sets, sigma_low: float, shard_ids, sketch: bool = False,
-        hashes=None,
+        self, query_sets, sigma_low: float, shard_ids, hashes=None,
     ) -> RouteDecision:
         """The decision for a batch; ``hashes`` is its queries'
         :func:`~repro.core.minhash.hash_rows` CSR when the caller has
@@ -279,75 +244,25 @@ class ShardRouter:
         info = self.routing
         shard_ids = list(shard_ids)
         kept: dict[int, list[int]] = {i: [] for i in shard_ids}
-        # Shards with summaries, their bitsets stacked so each query
-        # computes every shard's overlap cap in one numpy expression
-        # (the decision must stay far below one shard's probe wall).
-        # A live shard without a summary (a foreign manifest) is never
-        # pruned -- kept blind for every query.
-        summarized = [i for i in shard_ids if info.summaries[i] is not None]
-        blind = [i for i in shard_ids if info.summaries[i] is None]
-        bits = (
-            np.stack([info.summaries[i].bits for i in summarized])
-            if summarized else None
-        )
+        # The shards' bitsets stacked, so each query computes every
+        # shard's overlap cap in one numpy expression (the decision
+        # must stay far below one shard's probe wall).
+        bits = np.stack([info.summaries[i].bits for i in shard_ids])
         pruned = 0
-        n_pairs = len(summarized) * len(query_sets)
-        slack = 1.0 / math.sqrt(info.sig_k) if info.sig_k > 0 else 0.0
-        # One hash row per query (the per-query splitmix positions are
-        # slices of one array), and -- in sketch mode -- the whole
-        # batch's universe-profile signatures from the same hashes.
+        # One hash row per query: the per-query splitmix positions are
+        # slices of one array.
         offsets, data, _ = hash_rows(query_sets) if hashes is None else hashes
         widx_all, wmask_all = _bit_positions(data, info.m_bits)
-        qsigs: dict[int, np.ndarray] = {}
-        sig_stack = have_sig = n_universe = None
-        if sketch and summarized:
-            nonempty = np.flatnonzero(np.diff(offsets)).tolist()
-            if nonempty:
-                matrix = self._hasher.signature_csr(
-                    np.append(offsets[nonempty], offsets[-1]), data
-                )
-                qsigs = {r: matrix[j] for j, r in enumerate(nonempty)}
-            have_sig = np.array([
-                info.summaries[i].signature is not None for i in summarized
-            ])
-            sig_stack = np.stack([
-                info.summaries[i].signature
-                if info.summaries[i].signature is not None
-                else np.zeros(info.sig_k, dtype=np.uint64)
-                for i in summarized
-            ])
-            n_universe = np.array([
-                info.summaries[i].n_universe for i in summarized
-            ], dtype=np.float64)
         for r, q in enumerate(query_sets):
-            for i in blind:
-                kept[i].append(r)
-            if not summarized:
-                continue
             q_size = len(q)
             if q_size == 0:
-                counts = np.zeros(len(summarized), dtype=np.int64)
+                counts = np.zeros(len(shard_ids), dtype=np.int64)
             else:
                 sl = slice(offsets[r], offsets[r + 1])
                 counts = np.count_nonzero(
                     bits[:, widx_all[sl]] & wmask_all[np.newaxis, sl], axis=1
                 )
-            qsig = qsigs.get(r)
-            if qsig is not None:
-                # Tighten every shard's cap at once: the J(q, U)
-                # agreement estimate a -> |q ∩ U| ~ a/(1+a) *
-                # (|q| + |U|), padded by the signature's sampling noise
-                # (slack) before it may shrink c.
-                a = np.minimum(
-                    1.0, (sig_stack == qsig).mean(axis=1) + slack
-                )
-                c_sig = np.ceil(a / (1.0 + a) * (q_size + n_universe))
-                counts = np.where(
-                    have_sig,
-                    np.minimum(counts, c_sig.astype(np.int64)),
-                    counts,
-                )
-            for j, i in enumerate(summarized):
+            for j, i in enumerate(shard_ids):
                 summary = info.summaries[i]
                 bound = jaccard_upper_bound(
                     q_size, int(counts[j]), summary.size_min,
@@ -358,9 +273,8 @@ class ShardRouter:
                 else:
                     kept[i].append(r)
         return RouteDecision(
-            mode="sketch" if sketch else "safe",
             kept=kept,
             n_queries=len(query_sets),
-            n_pairs=n_pairs,
+            n_pairs=len(shard_ids) * len(query_sets),
             pruned_pairs=pruned,
         )

@@ -1,61 +1,45 @@
 """Sharded scatter-gather execution over independent mmap snapshots.
 
 One snapshot per process caps throughput at a single index's
-probe/verify path and one global hash-table budget.  This module
-splits a collection into ``K`` shards, builds each with the bulk
-pipeline, persists each as its own :mod:`~repro.exec.snapfile`
-snapshot under a checksummed *shard manifest*, and serves queries by
-scatter-gather: the one query pipeline
-(:func:`repro.exec.pipeline.run_batch`) answers the batch over each
-shard's view in turn, on the caller's thread and on the fleet's one
-scheduler (a :class:`~repro.exec.parallel.WorkerPool`: inline on the
-thread backend, or one process pool sized by ``workers`` whatever K
-is), and the verified
-answers, per-phase timings and IOStats are merged.  The sharded path
+probe/verify path.  This module splits a collection into ``K`` shards
+and serves it as one *fleet*, and there is one fleet shape:
+
+* **Hash-partitioned.**  A set's shard is a stable content fingerprint
+  of its elements modulo ``K`` -- independent of input order and
+  ``PYTHONHASHSEED``, so rebuilds and permutations place every set
+  alike.
+* **Mirror-built.**  Every shard materializes the **same** global plan
+  with the same build seed, through the bulk pipeline, and is persisted
+  as its own :mod:`~repro.exec.snapfile` snapshot under a checksummed
+  *shard manifest*.  A set's membership in a bucket is
+  ``hash_key(sampled query bits) == hash_key(sampled set bits)``, which
+  depends only on the plan's samplers (seeded ``seed + 7919 * (offset
+  + 1)`` per filter) and never on bucket counts or which shard holds
+  the set.  The union of per-shard candidates is therefore *exactly*
+  the unsharded candidate set -- fingerprint-collision false positives
+  included -- and with exact verification on top, a merged batch is
+  bit-identical (similarities, candidates, ordering) to the unsharded
+  engine's at any K, worker count and backend.
+* **Safe-routed.**  Builds persist per-shard routing summaries
+  (:mod:`repro.exec.route`: set-size range and an element-universe
+  bitset), checked against their shards at open.  Every live shard
+  runs every batch; a (query, shard) pair whose sound Jaccard upper
+  bound falls below ``sigma_low`` skips fetch and exact verification,
+  which provably loses no answer.
+
+:class:`ShardedExecutor` answers a batch by running the one query
+pipeline (:func:`repro.exec.pipeline.run_batch`) over each shard's view
+in turn, on the caller's thread and on the fleet's one scheduler (a
+:class:`~repro.exec.parallel.WorkerPool`: inline on the thread backend,
+or one process pool sized by ``workers`` whatever K is), and merges the
+verified answers, per-phase timings and IOStats.  The sharded path
 differs from the unsharded one by a router, a sid map and a sort.
-
-Two tuning modes, chosen at build time:
-
-* ``tune="mirror"`` (default) -- every shard materializes the **same**
-  global plan with the same build seed.  A set's membership in a
-  bucket is ``hash_key(sampled query bits) == hash_key(sampled set
-  bits)``, which depends only on the plan's samplers (seeded
-  ``seed + 7919 * (offset + 1)`` per filter) and never on bucket
-  counts or which shard holds the set.  The union of per-shard
-  candidates is therefore *exactly* the unsharded candidate set --
-  including fingerprint-collision false positives -- and with exact
-  verification on top, a merged scatter-gather batch is bit-identical
-  (similarities, candidates, ordering) to the equivalent single-index
-  ``query_batch`` at any K, worker count and backend.
-
-* ``tune="workload"`` -- the Lemma 6 greedy allocator lifted to a
-  *global* budget (:func:`repro.core.optimizer.allocate_global_budget`):
-  each shard's own pair-similarity distribution plus a workload weight
-  (estimated answer mass routed to it) compete for tables, so hot
-  shards get more of the budget.  Per-shard table counts then differ,
-  which deliberately trades the bit-equivalence guarantee for recall
-  where the workload needs it (answers remain exact-verified; only the
-  candidate funnel is tuned per shard).
-
-Partitioning is hash-based by default (a stable content fingerprint,
-independent of input order and ``PYTHONHASHSEED``), with
-``method="cluster"`` colocating minhash-similar sets -- the layout
-that makes workload weights skewed and the global allocator useful.
-
-Builds also persist per-shard **routing summaries**
-(:mod:`repro.exec.route`: size ranges, an element-universe bitset, a
-MinHash universe profile) that let :class:`ShardedExecutor` skip the
-fetch/verify work -- or, opted in, the whole dispatch -- for shards
-whose sound Jaccard upper bound falls below ``sigma_low``; and
-:func:`replicate_shards` clones hot shards so dispatches alternate
-over identical copies (fewest dispatches first).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
 import time
 import zlib
@@ -69,7 +53,7 @@ from repro.core.index import (
     assemble_batch,
     record_batch,
 )
-from repro.core.minhash import MinHasher, hash_rows
+from repro.core.minhash import hash_rows
 from repro.exec.columnar import (
     csr_rows,
     merge_verify_info,
@@ -80,6 +64,7 @@ from repro.exec.parallel import WorkerPool
 from repro.exec.pipeline import prepare_batch, run_batch
 from repro.exec.route import (
     ROUTING_FILE,
+    RoutingError,
     ShardRouter,
     build_routing,
     load_routing,
@@ -91,19 +76,26 @@ from repro.storage.iomodel import IOCostModel, IOStats
 SHARD_MANIFEST_FILE = "shard_manifest.json"
 SIDMAP_FILE = "sidmap.bin"
 FORMAT_NAME = "repro-ssi-shards"
-#: v4: routing bitsets set from the one element hash
-#: (:func:`~repro.core.minhash.stable_element_hash`), shard snapshots
-#: at snapshot format 6; since v3 an optional ``routing`` block (with
-#: ``sig_scheme``), per-shard ``replicas`` lists and the signature
-#: ``codec`` in the ``build`` block.  The only version read; rebuild
-#: older directories.
-FORMAT_VERSION = 4
+#: v5: one fleet shape -- no ``tune`` key and no per-shard plan
+#: (every shard runs ``global_plan``, which lists its filters); the
+#: ``routing`` block is required and holds size ranges and bitsets
+#: only.  Shard snapshots are at snapshot format 6.  The only version
+#: read; rebuild older directories.
+FORMAT_VERSION = 5
 
 _SHARD_BATCHES = metrics.counter("exec.shard_batches")
 
 
 class ShardError(RuntimeError):
     """Sharded-manifest problem: format, integrity or usage."""
+
+
+def _only(name: str, value: str, allowed: str) -> None:
+    """Reject any value but the one fleet shape's for a kept keyword."""
+    if value != allowed:
+        raise ValueError(
+            f"unknown {name}: {value!r} (a fleet is only {allowed!r})"
+        )
 
 
 def set_fingerprints(sets, seed: int = 0) -> np.ndarray:
@@ -123,88 +115,16 @@ def set_fingerprints(sets, seed: int = 0) -> np.ndarray:
     return mix64_array(acc ^ np.uint64((seed * GOLDEN) & MASK64))
 
 
-def partition_sets(
-    sets, n_shards: int, method: str = "hash", seed: int = 0
-) -> np.ndarray:
-    """Assign every set to exactly one shard; returns shape-(N,) int64.
-
-    ``method="hash"``: content-fingerprint modulo ``n_shards`` --
-    stable under input permutation and across rebuilds.
-    ``method="cluster"``: order sets by their minhash signature
-    (fixed-seed) and cut the order into ``n_shards`` near-equal
-    contiguous chunks, so minhash-similar sets land together --
-    deterministic for a given input list, and the layout that lets
-    workload-aware tuning concentrate budget on hot shards.
-    """
+def partition_sets(sets, n_shards: int, seed: int = 0) -> np.ndarray:
+    """Assign every set to exactly one shard; returns shape-(N,) int64:
+    its content fingerprint modulo ``n_shards`` -- stable under input
+    permutation and across rebuilds."""
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     sets = [s if isinstance(s, frozenset) else frozenset(s) for s in sets]
-    n = len(sets)
-    if method == "hash":
-        return (set_fingerprints(sets, seed) % np.uint64(n_shards)).astype(
-            np.int64
-        )
-    if method != "cluster":
-        raise ValueError(f"unknown partition method: {method!r}")
-    assignment = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return assignment
-    hasher = MinHasher(k=8, seed=seed)
-    keys = np.zeros((n, hasher.k), dtype=np.uint64)
-    nonempty = [i for i, s in enumerate(sets) if s]
-    if nonempty:
-        keys[nonempty] = hasher.signature_matrix([sets[i] for i in nonempty])
-    # Lexicographic sort by signature; ties (identical signatures,
-    # e.g. every empty set) stay in input order, keeping the result
-    # deterministic for a given input list.
-    order = np.lexsort(keys.T[::-1])
-    bounds = [n * p // n_shards for p in range(n_shards + 1)]
-    for shard, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        assignment[order[a:b]] = shard
-    return assignment
-
-
-def estimate_workload_weights(
-    sets,
-    assignment: np.ndarray,
-    n_shards: int,
-    workload,
-    sigma_low: float,
-    sigma_high: float,
-    k: int = 32,
-    b: int = 6,
-    seed: int = 0,
-    codec: str = "full64",
-) -> list[float]:
-    """Per-shard answer-mass estimate for a query workload.
-
-    Embeds the collection and the workload's query sets once (the same
-    codec and embedding the index uses), estimates every (query, set)
-    Jaccard similarity from the packed vectors, and counts, per shard,
-    the pairs estimated to fall in ``[sigma_low, sigma_high]`` -- the
-    answer mass the workload routes to that shard.  Laplace-smoothed
-    so no shard weighs zero (every shard still needs a sane floor of
-    tables for the queries that do reach it).
-    """
-    from repro.core.embedding import SetEmbedder
-
-    sets = [s if isinstance(s, frozenset) else frozenset(s) for s in sets]
-    queries = [frozenset(q) for q in workload]
-    counts = np.ones(n_shards, dtype=np.float64)  # +1 smoothing
-    live = [i for i, s in enumerate(sets) if s]
-    live_queries = [q for q in queries if q]
-    if live and live_queries:
-        embedder = SetEmbedder(k=k, b=b, seed=seed, codec=codec)
-        matrix = embedder.embed_many([sets[i] for i in live])
-        shard_of = np.asarray(assignment, dtype=np.int64)[live]
-        for q in live_queries:
-            # Codec-calibrated hamming_to_jaccard, vectorized over the
-            # collection.
-            sims = embedder.estimate_many(matrix, embedder.embed(q))
-            hit = (sims >= sigma_low) & (sims <= sigma_high)
-            np.add.at(counts, shard_of[hit], 1.0)
-    total = float(counts.sum())
-    return [float(c) / total for c in counts]
+    return (set_fingerprints(sets, seed) % np.uint64(n_shards)).astype(
+        np.int64
+    )
 
 
 # -- build -----------------------------------------------------------------
@@ -222,42 +142,30 @@ def build_sharded(
     b: int = 6,
     seed: int = 0,
     sample_pairs: int | None = None,
-    workload=None,
-    workload_range: tuple[float, float] = (0.5, 1.0),
     plan=None,
     dist=None,
-    routing: bool = True,
     codec: str = "full64",
 ) -> dict:
-    """Partition, build and persist a K-shard index under ``out``.
+    """Partition, build and persist a K-shard fleet under ``out``.
 
     One global distribution estimate and one global plan (reused via
     ``plan=``/``dist=`` when the caller already built the unsharded
     index from the same parameters -- the plan is deterministic, so
     passing it only skips recomputation).  Every shard is built through
     the bulk pipeline from that plan -- identical cut points and build
-    seed, hence identical samplers, in every shard (``tune="mirror"``)
-    -- or from a per-shard re-allocated copy under the global greedy
-    (``tune="workload"``, optionally weighted by a ``workload`` list of
-    query sets over ``workload_range``).  Returns the written manifest.
+    seed, hence identical samplers, in every shard.  ``partition`` and
+    ``tune`` accept only ``"hash"`` and ``"mirror"``, the one fleet
+    shape.  Returns the written manifest.
     """
+    from repro.core.codec import parse_codec
     from repro.core.distribution import SimilarityDistribution
     from repro.core.index import SetSimilarityIndex
-    from repro.core.optimizer import (
-        IndexPlan,
-        PlannedFilter,
-        allocate_global_budget,
-        average_recall,
-        evaluate_ranges,
-        plan_index,
-    )
-    from repro.core.codec import parse_codec
+    from repro.core.optimizer import plan_index
     from repro.exec.snapfile import MANIFEST_FILE, save_snapshot, write_arrays
 
-    if tune not in ("mirror", "workload"):
-        raise ValueError(f"unknown tune mode: {tune!r}")
+    _only("partition method", partition, "hash")
+    _only("tune mode", tune, "mirror")
     spec = parse_codec(codec)
-    plan_b = spec.bias_bits(b)
     sets = [s if isinstance(s, frozenset) else frozenset(s) for s in sets]
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,96 +175,39 @@ def build_sharded(
             sets, sample_pairs=sample_pairs, seed=seed
         )
     if plan is None:
-        plan = plan_index(dist, budget, recall_target=recall_target, b=plan_b)
-    assignment = partition_sets(sets, n_shards, method=partition, seed=seed)
+        plan = plan_index(
+            dist, budget, recall_target=recall_target, b=spec.bias_bits(b)
+        )
+    assignment = partition_sets(sets, n_shards, seed=seed)
     shard_sets: list[list[frozenset]] = [[] for _ in range(n_shards)]
     shard_gsids: list[list[int]] = [[] for _ in range(n_shards)]
     for gsid, (s, a) in enumerate(zip(sets, assignment)):
         shard_sets[int(a)].append(s)
         shard_gsids[int(a)].append(gsid)
 
-    if tune == "workload":
-        shard_dists = [
-            SimilarityDistribution.from_sets(
-                ss, sample_pairs=sample_pairs, seed=seed
-            ) if len(ss) > 1 else dist
-            for ss in shard_sets
-        ]
-        if workload:
-            weights = estimate_workload_weights(
-                sets, assignment, n_shards, workload, *workload_range,
-                k=min(k, 32), b=b, seed=seed, codec=codec,
-            )
-        else:
-            n_total = max(1, len(sets))
-            weights = [max(1, len(ss)) / n_total for ss in shard_sets]
-        shard_filters = [
-            [PlannedFilter(f.point, f.kind) for f in plan.filters]
-            for _ in range(n_shards)
-        ]
-        allocate_global_budget(
-            shard_filters, budget, shard_dists, weights, b=plan_b
-        )
-        plans = []
-        for filters, sdist in zip(shard_filters, shard_dists):
-            stats = evaluate_ranges(plan.cut_points, filters, sdist, plan_b)
-            recall = average_recall(stats)
-            plans.append(IndexPlan(
-                cut_points=list(plan.cut_points),
-                delta=plan.delta,
-                filters=filters,
-                expected_recall=recall,
-                expected_precision=plan.expected_precision,
-                b=plan.b,
-                met_target=recall >= recall_target,
-            ))
-    else:
-        weights = [
-            len(ss) / max(1, len(sets)) for ss in shard_sets
-        ]
-        plans = [plan] * n_shards
-        shard_dists = [dist] * n_shards
-
     shard_entries: list[dict] = []
-    for i in range(n_shards):
-        entry: dict = {
-            "dir": f"shard-{i:03d}",
-            "n_sets": len(shard_sets[i]),
-            "weight": round(float(weights[i]), 6),
-            "tables": plans[i].tables_used,
-            "expected_recall": round(plans[i].expected_recall, 6),
-            "filters": [
-                {"point": f.point, "kind": f.kind, "n_tables": f.n_tables}
-                for f in plans[i].filters
-            ],
-        }
-        if not shard_sets[i]:
+    for i, ss in enumerate(shard_sets):
+        entry: dict = {"dir": f"shard-{i:03d}", "n_sets": len(ss)}
+        shard_entries.append(entry)
+        if not ss:
             # An empty shard contributes nothing to any query; there is
             # no snapshot to build and scatter-gather skips it.
             entry["empty"] = True
-            shard_entries.append(entry)
             continue
         index = SetSimilarityIndex.from_plan(
-            shard_sets[i], plans[i], shard_dists[i],
-            k=k, b=b, seed=seed, codec=codec,
+            ss, plan, dist, k=k, b=b, seed=seed, codec=codec,
         )
         shard_dir = out / entry["dir"]
         save_snapshot(index.freeze(), shard_dir)
         entry["manifest_crc32"] = zlib.crc32(
             (shard_dir / MANIFEST_FILE).read_bytes()
         )
-        shard_entries.append(entry)
 
-    routing_meta = None
-    if routing:
-        routing_meta, routing_arrays = build_routing(
-            shard_sets, seed=seed, sig_scheme=spec.generator
-        )
-        routing_meta["arrays"] = (
-            write_arrays(out / ROUTING_FILE, routing_arrays)
-            if routing_arrays else {}
-        )
-
+    routing_meta, routing_arrays = build_routing(shard_sets)
+    routing_meta["arrays"] = (
+        write_arrays(out / ROUTING_FILE, routing_arrays)
+        if routing_arrays else {}
+    )
     sidmap_specs = write_arrays(out / SIDMAP_FILE, {
         f"shard{i:03d}_sids": np.asarray(shard_gsids[i], dtype=np.int64)
         for i in range(n_shards)
@@ -367,7 +218,6 @@ def build_sharded(
         "n_shards": n_shards,
         "n_sets": len(sets),
         "partition": {"method": partition, "seed": seed},
-        "tune": tune,
         "build": {
             "budget": budget, "recall_target": recall_target,
             "k": k, "b": b, "seed": seed, "sample_pairs": sample_pairs,
@@ -378,6 +228,10 @@ def build_sharded(
             "delta": plan.delta,
             "tables_used": plan.tables_used,
             "expected_recall": round(plan.expected_recall, 6),
+            "filters": [
+                {"point": f.point, "kind": f.kind, "n_tables": f.n_tables}
+                for f in plan.filters
+            ],
         },
         "sidmap": sidmap_specs,
         "routing": routing_meta,
@@ -389,9 +243,8 @@ def build_sharded(
 
 
 def _write_manifest(out: Path, manifest: dict) -> None:
-    """Atomic shard-manifest (re)write: a crashed build or replicate
-    never leaves an openable half-written directory (snapfile
-    discipline)."""
+    """Atomic shard-manifest write: a crashed build never leaves an
+    openable half-written directory (snapfile discipline)."""
     payload = json.dumps(manifest, indent=2).encode()
     fd, tmp_path = tempfile.mkstemp(dir=out, prefix=".shard_manifest-")
     try:
@@ -404,76 +257,6 @@ def _write_manifest(out: Path, manifest: dict) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-
-
-def replicate_shards(
-    path,
-    top: int = 1,
-    copies: int = 2,
-    workload=None,
-    workload_range: tuple[float, float] = (0.5, 1.0),
-) -> dict:
-    """Clone the ``top`` hottest shards to ``copies`` total replicas.
-
-    Shard heat is the manifest's per-shard ``weight`` (set-count share
-    for mirror builds, estimated answer mass for workload-tuned
-    builds); passing a ``workload`` list of query sets re-estimates the
-    weights against the current collection via
-    :func:`estimate_workload_weights` first and persists them.  Each
-    clone is a byte-for-byte ``copytree`` of the shard snapshot
-    directory (``shard-XXX-rNN``), recorded in the entry's
-    ``replicas`` list, and the manifest is rewritten atomically --
-    re-running is idempotent.  Returns the updated manifest.
-
-    Replicas serve reads only: :class:`ShardedExecutor` gives each
-    dispatch to the copy with the fewest dispatches so far, and because
-    clones are crc-verified identical at open, the pick can never
-    change an answer.
-    """
-    if top < 1:
-        raise ValueError(f"top must be >= 1, got {top}")
-    if copies < 2:
-        raise ValueError(f"copies must be >= 2, got {copies}")
-    sharded = open_sharded(path)
-    path = Path(path)
-    manifest = sharded.manifest
-    entries = manifest["shards"]
-    if workload is not None:
-        build = manifest.get("build", {})
-        sets: list[frozenset] = [frozenset()] * sharded.n_sets
-        assignment = np.zeros(sharded.n_sets, dtype=np.int64)
-        for i in sharded.live_shards:
-            snap = sharded.shards[i]
-            gsids = sharded.global_sids[i]
-            for row, sid in enumerate(snap.sids):
-                gsid = int(gsids[row])
-                sets[gsid] = snap.sets[sid]
-                assignment[gsid] = i
-        weights = estimate_workload_weights(
-            sets, assignment, sharded.n_shards, workload, *workload_range,
-            k=min(int(build.get("k", 32)), 32), b=int(build.get("b", 6)),
-            seed=int(build.get("seed", 0)),
-            codec=build["codec"],
-        )
-        for entry, weight in zip(entries, weights):
-            entry["weight"] = round(float(weight), 6)
-    live = [i for i in sharded.live_shards]
-    live.sort(key=lambda i: (-entries[i]["weight"], i))
-    hot = live[:top]
-    for i in hot:
-        entry = entries[i]
-        src = path / entry["dir"]
-        replicas = []
-        for c in range(1, copies):
-            name = f"{entry['dir']}-r{c:02d}"
-            dst = path / name
-            if dst.exists():
-                shutil.rmtree(dst)
-            shutil.copytree(src, dst)
-            replicas.append(name)
-        entry["replicas"] = replicas
-    _write_manifest(path, manifest)
-    return manifest
 
 
 # -- open / verify ---------------------------------------------------------
@@ -490,26 +273,21 @@ def is_sharded(path) -> bool:
 class ShardedSnapshot:
     """An opened K-shard directory: per-shard mapped snapshots plus the
     local-sid -> global-sid maps.  ``shards[i]`` is None for an empty
-    shard.  ``routing`` is the decoded
-    :class:`~repro.exec.route.RoutingInfo` (None on ``routing=False``
-    builds); ``replicas[i]`` lists the extra opened
-    snapshot copies of a replicated shard (the primary is not in the
-    list).  ``cost`` is the one :class:`~repro.storage.iomodel.IOCostModel`
-    the fleet was built under: every shard and replica view charges it,
-    so a sharded batch has one I/O bracket and its trace one counter
-    set, whichever shard a span ran against."""
+    shard.  ``routing`` is the decoded, checked
+    :class:`~repro.exec.route.RoutingInfo`.  ``cost`` is the one
+    :class:`~repro.storage.iomodel.IOCostModel` the fleet was built
+    under: every shard view charges it, so a sharded batch has one I/O
+    bracket and its trace one counter set, whichever shard a span ran
+    against."""
 
     def __init__(self, path, manifest: dict, shards: list,
-                 global_sids: list[np.ndarray], routing=None,
-                 replicas: dict | None = None):
+                 global_sids: list[np.ndarray], routing):
         self.path = Path(path)
         self.manifest = manifest
         self.shards = shards
         self.global_sids = global_sids
         self.routing = routing
-        self.replicas = replicas or {}
         views = [s for s in shards if s is not None]
-        views += [r for copies in self.replicas.values() for r in copies]
         self.cost = views[0].cost if views else IOCostModel()
         for view in views:
             view.cost = self.cost
@@ -538,9 +316,11 @@ def open_sharded(path, verify: bool = False) -> "ShardedSnapshot":
     """Open a sharded directory written by :func:`build_sharded`.
 
     Always checks the format header, each shard's recorded snapshot
-    -manifest crc32, and the sid-map structure (every global sid in
-    exactly one shard); ``verify=True`` additionally checksums every
-    mapped array of every shard (reads all bytes).
+    -manifest crc32, the sid-map structure (every global sid in
+    exactly one shard) and the routing block against the shards it
+    summarizes (:func:`~repro.exec.route.load_routing`);
+    ``verify=True`` additionally checksums every mapped array of every
+    shard (reads all bytes).
     """
     from repro.exec.snapfile import (
         MANIFEST_FILE,
@@ -588,7 +368,6 @@ def open_sharded(path, verify: bool = False) -> "ShardedSnapshot":
     sidmap = open_arrays(path / SIDMAP_FILE, manifest["sidmap"], verify=verify)
     shards: list = []
     global_sids: list[np.ndarray] = []
-    replicas: dict[int, list] = {}
     for i, entry in enumerate(entries):
         gsids = sidmap.get(f"shard{i:03d}_sids")
         if gsids is None:
@@ -621,25 +400,6 @@ def open_sharded(path, verify: bool = False) -> "ShardedSnapshot":
                 f"{len(gsids)} global sids"
             )
         shards.append(snap)
-        for name in entry.get("replicas", ()):
-            replica_dir = path / name
-            try:
-                crc = zlib.crc32((replica_dir / MANIFEST_FILE).read_bytes())
-            except OSError as exc:
-                raise ShardError(f"shard {i} replica {name}: {exc}") from exc
-            if crc != entry.get("manifest_crc32"):
-                # A replica that drifted from its primary could change
-                # answers depending on which copy serves a dispatch.
-                raise ShardError(
-                    f"shard {i} replica {name} is not identical to its "
-                    "primary (manifest checksum mismatch)"
-                )
-            try:
-                replicas.setdefault(i, []).append(
-                    open_snapshot(replica_dir, verify=verify)
-                )
-            except SnapshotError as exc:
-                raise ShardError(f"shard {i} replica {name}: {exc}") from exc
     merged = (
         np.concatenate([g for g in global_sids if len(g)])
         if any(len(g) for g in global_sids) else np.empty(0, dtype=np.int64)
@@ -656,19 +416,21 @@ def open_sharded(path, verify: bool = False) -> "ShardedSnapshot":
             f"{len(merged)} mapped sids for {manifest['n_sets']} sets"
         )
     try:
-        routing = load_routing(path, manifest, verify=verify)
-    except (OSError, KeyError, SnapshotError) as exc:
-        raise ShardError(f"unreadable routing summaries: {exc}") from exc
-    return ShardedSnapshot(
-        path, manifest, shards, global_sids,
-        routing=routing, replicas=replicas,
-    )
+        routing = load_routing(
+            path, manifest.get("routing"),
+            [None if s is None else s.set_sizes for s in shards],
+            verify=verify,
+        )
+    except (OSError, SnapshotError, RoutingError) as exc:
+        raise ShardError(f"invalid routing summaries: {exc}") from exc
+    return ShardedSnapshot(path, manifest, shards, global_sids, routing)
 
 
 def verify_sharded(path) -> dict:
-    """Full integrity pass: shard-manifest checks plus a crc32 of every
-    array in every shard snapshot.  Returns a summary dict; raises
-    :class:`ShardError` / snapshot errors on any mismatch."""
+    """Full integrity pass: shard-manifest and routing checks plus a
+    crc32 of every array in every shard snapshot.  Returns a summary
+    dict; raises :class:`ShardError` / snapshot errors on any
+    mismatch."""
     from repro.exec.snapfile import verify_snapshot
 
     sharded = open_sharded(path, verify=True)
@@ -684,9 +446,6 @@ def verify_sharded(path) -> dict:
         "live_shards": len(sharded.live_shards),
         "n_arrays": arrays,
         "arrays_bytes": array_bytes,
-        "tune": sharded.manifest["tune"],
-        "routing": sharded.routing is not None,
-        "n_replicas": sum(len(r) for r in sharded.replicas.values()),
     }
 
 
@@ -697,7 +456,7 @@ class ShardedExecutor:
     """Scatter-gather ``query``/``query_batch`` over a fleet of shards.
 
     A sharded batch is the one query pipeline
-    (:func:`repro.exec.pipeline.run_batch`) run shard by shard, in
+    (:func:`repro.exec.pipeline.run_batch`) run on every live shard, in
     shard order, on the calling thread -- every shard's view on the
     fleet's **one** scheduler (a :class:`~repro.exec.parallel.WorkerPool`:
     no pool at all on the thread backend, one ``workers``-wide process
@@ -718,90 +477,47 @@ class ShardedExecutor:
       and this class emits one merged ``record_query`` + ``query.*``
       update, so a sharded batch counts every query once.
 
-    On a mirror-built manifest the merged batch is bit-identical to
-    the unsharded ``query_batch`` (see the module docstring); on a
-    workload-tuned manifest answers remain exact-verified but the
-    candidate funnel is per-shard.
+    The merged batch is bit-identical to the unsharded engine's (see
+    the module docstring).
 
     ``workers`` sizes the fleet's one process pool, whatever the shard
-    and replica counts (on the thread backend it is ignored and
-    :attr:`workers` reads 1); every worker process maps every shard and
-    replica directory, so any worker serves any shard.
+    count (on the thread backend it is ignored and :attr:`workers`
+    reads 1); every worker process maps every shard directory, so any
+    worker serves any shard.
 
-    ``route`` selects the shard-routing mode
-    (:mod:`repro.exec.route`), applied when the manifest carries
-    routing summaries and ``strategy`` resolves to the index path:
-
-    - ``"full"`` -- no routing; every shard gets every query.
-    - ``"safe"`` (default) -- every shard is still dispatched (probes
-      are unchanged, so candidates stay bit-identical to full
-      fan-out), but (query, shard) pairs whose sound Jaccard upper
-      bound falls below ``sigma_low`` skip fetch + exact verification.
-      Answers are bit-identical to full fan-out: a pruned pair
-      provably holds no in-range answer.
-    - ``"sketch"`` -- pruned pairs are dropped from the dispatch
-      itself (a shard with no surviving query is not contacted), and
-      the MinHash universe profile tightens the bound further.
-      Estimated, not proven: its recall is measured by
-      ``tests/test_route.py::test_sketch_recall_measured_on_overlapping_clusters``.
-
-    When a shard has replicas (:func:`replicate_shards`) they are
-    extra views of it and each dispatch goes to the copy with the
-    fewest dispatches so far; replicas are crc-verified identical, so
-    the pick never changes an answer, only which mmap serves it.  Like
-    every executor this one answers one batch at a time (a batch
-    brackets the fleet's shared cost model), so nothing here locks.
+    Routing (:mod:`repro.exec.route`) applies when ``strategy`` is
+    ``"index"``: every live shard still runs the whole batch (probes
+    are unchanged, so candidates stay bit-identical), but (query,
+    shard) pairs whose sound Jaccard upper bound falls below
+    ``sigma_low`` skip fetch and exact verification.  ``route`` accepts
+    only ``"safe"``.  Like every executor this one answers one batch at
+    a time (a batch brackets the fleet's shared cost model), so
+    nothing here locks.
 
     Telemetry lands under ``metric_prefix`` (default ``"shard"``; the
     query server uses ``"serve.shard"``): per-shard batch-latency HDRs
-    and candidate counters, a routed-subqueries counter, a skew gauge
-    (slowest/mean shard wall per batch) and ``route.*`` counters
-    (``subqueries_pruned``, ``shards_skipped``,
-    ``replica_dispatches``).
+    and candidate counters, a skew gauge (slowest/mean shard wall per
+    batch) and the ``route.subqueries_pruned`` counter.
     """
 
     def __init__(self, sharded: ShardedSnapshot, workers: int = 1,
                  backend: str = "thread", metric_prefix: str = "shard",
                  route: str = "safe"):
-        if route not in ("full", "safe", "sketch"):
-            raise ValueError(f"unknown route mode: {route!r}")
+        _only("route mode", route, "safe")
         self.sharded = sharded
         self.backend = backend
         self.metric_prefix = metric_prefix
-        self.route = route
-        self._router = (
-            ShardRouter(sharded.routing)
-            if route != "full" and sharded.routing is not None else None
-        )
-        #: False when ``route`` asked for routing but the manifest has
-        #: no summaries (``routing=False`` builds) -- execution falls back to full
-        #: fan-out and ``exec_stats["route"]["active"]`` says so.
-        self.route_active = self._router is not None
+        self._router = ShardRouter(sharded.routing)
         self._closed = False
         self._live = sharded.live_shards
-        #: Each live shard's views: the primary, then its replicas.
-        self._views = {
-            i: [sharded.shards[i], *sharded.replicas.get(i, ())]
-            for i in self._live
-        }
-        self._dispatches = {
-            i: [0] * len(views) for i, views in self._views.items()
-        }
         self._sched = WorkerPool(workers, backend, paths=[
-            view.path for views in self._views.values() for view in views
+            sharded.shards[i].path for i in self._live
         ])
         self.workers = self._sched.workers
         self._m_batches = metrics.counter(f"{metric_prefix}.batches")
-        self._m_routed = metrics.counter(f"{metric_prefix}.routed_subqueries")
         self._m_skew = metrics.gauge(f"{metric_prefix}.wall_skew")
         self._m_pruned = metrics.counter(
             f"{metric_prefix}.route.subqueries_pruned"
-        )
-        self._m_skipped = metrics.counter(
-            f"{metric_prefix}.route.shards_skipped"
-        )
-        self._m_replica_dispatches = metrics.counter(
-            f"{metric_prefix}.route.replica_dispatches"
         )
         self._m_latency = {
             i: metrics.hdr(f"{metric_prefix}.{i:02d}.batch_ms")
@@ -869,14 +585,13 @@ class ShardedExecutor:
         prepare_seconds = time.perf_counter() - wall0
         # Routing applies to the index path only: "scan" reads every
         # heap page regardless, and "auto" may resolve to scan per
-        # shard, so both fan out in full.
+        # shard, so both verify in full.
         decision = None
         route_seconds = 0.0
-        if self._router is not None and strategy == "index" and self._live:
+        if strategy == "index" and self._live:
             route0 = time.perf_counter()
             decision = self._router.route(
-                query_sets, sigma_low, self._live,
-                sketch=(self.route == "sketch"), hashes=prepared.hashes,
+                query_sets, sigma_low, self._live, hashes=prepared.hashes,
             )
             route_seconds = time.perf_counter() - route0
         with trace.capture(
@@ -888,7 +603,6 @@ class ShardedExecutor:
             workers=self.workers,
             backend=self.backend,
             strategy=strategy,
-            route=self.route,
             sigma_low=sigma_low,
             sigma_high=sigma_high,
             n_queries=n,
@@ -918,12 +632,8 @@ class ShardedExecutor:
                     merge_ms=round(merge_seconds * 1e3, 3),
                 )
                 if decision is not None:
-                    root.set(
-                        route_mode=decision.mode,
-                        route_pruned_subqueries=decision.pruned_pairs,
-                        route_skipped_shards=len(decision.skipped_shards()),
-                    )
-        self._record(kind, batch, shard_batches, n, wall0,
+                    root.set(route_pruned_subqueries=decision.pruned_pairs)
+        self._record(kind, batch, shard_batches, wall0,
                      sigma_low, sigma_high, strategy, decision)
         return batch
 
@@ -932,7 +642,7 @@ class ShardedExecutor:
         embedded once (:func:`~repro.exec.pipeline.prepare_batch`):
         every shard shares ``k``, ``b``, seed and codec, so one
         embedding serves the whole fleet."""
-        views = [self._views[i][0] for i in self._live]
+        views = [self.sharded.shards[i] for i in self._live]
         embed = strategy != "scan" and any(
             view.plan_probes(sigma_low, sigma_high)[1] for view in views
         )
@@ -941,60 +651,29 @@ class ShardedExecutor:
 
     def _scatter(self, query_sets, sigma_low, sigma_high, strategy, explain,
                  decision, prepared):
-        """Run the batch on every dispatched shard, in shard order, each
-        from the one ``prepared`` batch (sliced by rows under sketch
-        routing); returns ``{shard: (batch, seconds, rows)}`` where
-        ``rows`` lists the global query rows a sub-batch covers (None =
-        the whole batch, in order).  Each shard's root span nests under
-        the caller's trace, tagged ``shard=``."""
-        n = len(query_sets)
+        """Run the whole batch on every live shard, in shard order, each
+        from the one ``prepared`` batch, verifying only the rows the
+        router kept for it; returns ``{shard: (batch, seconds)}``.  Each
+        shard's root span nests under the caller's trace, tagged
+        ``shard=``."""
         shard_batches = {}
         for i in self._live:
-            queries, rows, vrows, shard_prepared = (
-                query_sets, None, None, prepared
-            )
-            if decision is not None:
-                kept = decision.kept.get(i, [])
-                if decision.mode != "sketch":
-                    # safe: dispatch everything, mask pruned verifies
-                    vrows = None if len(kept) == n else kept
-                elif not kept:
-                    continue  # shard not contacted at all
-                elif len(kept) < n:
-                    queries, rows = [query_sets[r] for r in kept], kept
-                    shard_prepared = prepared.take(kept)
-            view = self._pick(i)
+            vrows = None
+            if decision is not None and len(decision.kept[i]) < len(query_sets):
+                vrows = decision.kept[i]
             t0 = time.perf_counter()
             try:
                 sbatch = run_batch(
-                    view, self._sched, "query_batch", queries, sigma_low,
-                    sigma_high, strategy, explain, vrows, record=False,
-                    prepared=shard_prepared,
+                    self.sharded.shards[i], self._sched, "query_batch",
+                    query_sets, sigma_low, sigma_high, strategy, explain,
+                    vrows, record=False, prepared=prepared,
                 )
             except Exception as exc:
                 raise ShardError(f"shard {i} failed: {exc}") from exc
             if sbatch.trace is not None:
                 sbatch.trace.set(shard=i)
-            shard_batches[i] = (sbatch, time.perf_counter() - t0, rows)
+            shard_batches[i] = (sbatch, time.perf_counter() - t0)
         return shard_batches
-
-    def _pick(self, i: int):
-        """The view serving this dispatch of shard ``i``: of its
-        identical copies, the one with the fewest dispatches so far."""
-        counts = self._dispatches[i]
-        slot = counts.index(min(counts))
-        counts[slot] += 1
-        if len(counts) > 1:
-            self._m_replica_dispatches.inc()
-        return self._views[i][slot]
-
-    def replica_dispatch_counts(self) -> dict:
-        """Per-replica dispatch counts of replicated shards (slot 0 is
-        the primary) -- the load-balance evidence."""
-        return {
-            i: list(counts)
-            for i, counts in self._dispatches.items() if len(counts) > 1
-        }
 
     def _merge(self, shard_batches, n: int) -> BatchQueryResult:
         """Deterministic merge; see the class docstring for semantics."""
@@ -1005,21 +684,15 @@ class ShardedExecutor:
         pages_saved = 0
         fetches_saved = 0
         timings: dict[str, float] = {}
-        for i, (sbatch, _, rows) in sorted(shard_batches.items()):
+        for i, (sbatch, _) in sorted(shard_batches.items()):
             gsids = self.sharded.global_sids[i]
             indptr, sids = sbatch.candidate_csr
-            local_rows = csr_rows(indptr)
-            cand_rows.append(
-                local_rows if rows is None
-                else np.asarray(rows, dtype=np.int64)[local_rows]
-            )
+            cand_rows.append(csr_rows(indptr))
             cand_sids.append(gsids[sids])
-            row_of = rows if rows is not None else range(len(sbatch.results))
-            for q, result in zip(row_of, sbatch.results):
-                if result.answers:
-                    merged_answers[q].extend(
-                        (int(gsids[sid]), sim) for sid, sim in result.answers
-                    )
+            for answers, result in zip(merged_answers, sbatch.results):
+                answers.extend(
+                    (int(gsids[sid]), sim) for sid, sim in result.answers
+                )
             io = io + sbatch.io
             pages_saved += sbatch.pages_saved
             fetches_saved += sbatch.fetches_saved
@@ -1045,15 +718,10 @@ class ShardedExecutor:
 
     def _exec_stats(self, shard_batches, strategy, wall0, merge_seconds,
                     decision, route_seconds, prepare_seconds):
-        # Live shards routing skipped entirely report a 0.0 wall: the
-        # fleet did no work for them this batch.
-        shard_walls = {i: 0.0 for i in self._live}
-        shard_walls.update({
-            i: seconds for i, (_, seconds, _) in sorted(shard_batches.items())
-        })
+        ordered = sorted(shard_batches.items())
         # The batch was hashed and embedded once, before the scatter.
         stage_seconds: dict[str, float] = {"embed": prepare_seconds}
-        for _, (sbatch, _, _) in sorted(shard_batches.items()):
+        for _, (sbatch, _) in ordered:
             for stage, seconds in (
                 (sbatch.exec_stats or {}).get("stage_seconds", {}).items()
             ):
@@ -1067,11 +735,11 @@ class ShardedExecutor:
             "strategy": strategy,
             "wall_seconds": time.perf_counter() - wall0,
             "merge_seconds": merge_seconds,
-            "shard_wall_seconds": dict(sorted(shard_walls.items())),
+            "shard_wall_seconds": {i: seconds for i, (_, seconds) in ordered},
             "stage_seconds": stage_seconds,
             "tasks": [
                 dict(task, shard=i)
-                for i, (sbatch, _, _) in sorted(shard_batches.items())
+                for i, (sbatch, _) in ordered
                 for task in sbatch.exec_stats["tasks"]
             ],
             "shards": {
@@ -1080,57 +748,46 @@ class ShardedExecutor:
                     "n_candidates": sbatch.n_candidates,
                     "n_verified": sbatch.n_verified,
                 }
-                for i, (sbatch, _, _) in sorted(shard_batches.items())
+                for i, (sbatch, _) in ordered
             },
         }
         # The fleet's verify counts, under the names every path uses
         # (shards hold disjoint sets, so their distinct counts add).
         verify_infos = [
-            sbatch.exec_stats for sbatch, _, _ in shard_batches.values()
+            sbatch.exec_stats for _, (sbatch, _) in ordered
             if "verify_kernel" in (sbatch.exec_stats or {})
         ]
         if verify_infos:
             stats.update(merge_verify_info(verify_infos))
         stats["route"] = {
-            "mode": self.route,
-            "active": decision is not None,
             "route_seconds": route_seconds,
             "subqueries_pruned": decision.pruned_pairs if decision else 0,
-            "shards_skipped": len(self._live) - len(shard_batches),
-            "replicas": self.replica_dispatch_counts(),
         }
         return stats
 
-    def _record(self, kind, batch, shard_batches, n, wall0,
-                sigma_low, sigma_high, strategy, decision=None) -> None:
+    def _record(self, kind, batch, shard_batches, wall0,
+                sigma_low, sigma_high, strategy, decision) -> None:
         """One merged telemetry record per sharded batch (the per-shard
         runs were ``record=False``), plus the ``metric_prefix`` fleet
         instruments."""
         walls = []
-        dispatched_subqueries = 0
-        for i, (sbatch, seconds, rows) in shard_batches.items():
+        for i, (sbatch, seconds) in shard_batches.items():
             self._m_latency[i].observe(seconds * 1e3)
             self._m_candidates[i].inc(sbatch.n_candidates)
             walls.append(seconds)
-            dispatched_subqueries += len(rows) if rows is not None else n
         self._m_batches.inc()
-        self._m_routed.inc(dispatched_subqueries)
-        n_skipped = len(self._live) - len(shard_batches)
-        if decision is not None:
-            self._m_pruned.inc(decision.pruned_pairs)
-            self._m_skipped.inc(n_skipped)
         if walls:
             mean = sum(walls) / len(walls)
             self._m_skew.set(max(walls) / mean if mean > 0 else 1.0)
         _SHARD_BATCHES.inc()
         event_timings = dict(batch.timings or {})
         if decision is not None:
-            # Routing decisions ride the event's free-form timings
+            # The routing decision rides the event's free-form timings
             # payload (the schema's fixed fields stay fixed).
+            self._m_pruned.inc(decision.pruned_pairs)
             event_timings["route_pruned_subqueries"] = float(
                 decision.pruned_pairs
             )
-            event_timings["route_skipped_shards"] = float(n_skipped)
         record_batch(
             kind,
             batch,

@@ -79,9 +79,9 @@ class ServeConfig:
     """Tunables for :class:`QueryServer`; CLI flags map 1:1.
 
     ``workers`` sizes the process backend's one pool -- for a sharded
-    directory the fleet's one pool, whatever the shard and replica
-    counts.  The thread backend has no pool: every stage runs on the
-    dispatch thread, and ``workers`` is ignored."""
+    directory the fleet's one pool, whatever the shard count.  The
+    thread backend has no pool: every stage runs on the dispatch
+    thread, and ``workers`` is ignored."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 -> ephemeral; read QueryServer.port after start()
@@ -91,7 +91,6 @@ class ServeConfig:
     max_wait_ms: float = 2.0
     max_pending: int = 1024
     adaptive: bool = True
-    route: str = "safe"  # shard routing mode (sharded snapshots only)
     max_line_bytes: int = protocol.MAX_LINE_BYTES
     drain_grace_s: float = 5.0
 
@@ -149,7 +148,7 @@ class QueryServer:
             # routing counters, wall-skew gauge).
             self._executor = ShardedExecutor(
                 snapshot, workers=cfg.workers, backend=cfg.backend,
-                metric_prefix="serve.shard", route=cfg.route,
+                metric_prefix="serve.shard",
             )
         else:
             self._executor = ParallelExecutor(
@@ -436,12 +435,6 @@ class QueryServer:
                 "sharded": True,
                 "n_shards": self.snapshot.n_shards,
                 "live_shards": len(self.snapshot.live_shards),
-                "tune": self.snapshot.manifest["tune"],
-                "route": self.config.route,
-                "routing_summaries": self.snapshot.routing is not None,
-                "n_replicas": sum(
-                    len(r) for r in self.snapshot.replicas.values()
-                ),
             }
         return {
             "n_sets": self.snapshot.n_sets,

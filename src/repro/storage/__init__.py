@@ -27,7 +27,6 @@ Components:
 """
 
 from repro.storage.btree import BTree
-from repro.storage.extendible import ExtendibleHashTable
 from repro.storage.hashtable import BucketHashTable
 from repro.storage.heapfile import HeapFile
 from repro.storage.iomodel import IOCostModel, IOStats
@@ -37,7 +36,6 @@ from repro.storage.setstore import SetStore
 __all__ = [
     "BTree",
     "BucketHashTable",
-    "ExtendibleHashTable",
     "HeapFile",
     "IOCostModel",
     "IOStats",

@@ -26,7 +26,6 @@ from repro.core.index import _LiveView
 from repro.core.query_plan import combine_candidates
 from repro.exec import ParallelExecutor, open_snapshot
 from repro.exec.columnar import csr_of, csr_split, sorted_unique
-from repro.exec.route import ShardRouter
 from repro.exec.shard import ShardedExecutor, build_sharded, open_sharded
 from repro.exec.snapfile import (
     MANIFEST_FILE,
@@ -284,51 +283,24 @@ def fleets(clustered_sets, tmp_path_factory):
 SHARD_RANGE = (0.3, 1.0)
 
 
-@pytest.mark.parametrize("route", ["full", "safe", "sketch"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_sharded_merge_equals_unsharded(fleets, clustered_sets, k, route):
+def test_sharded_merge_equals_unsharded(fleets, clustered_sets, k):
     index, by_k = fleets
     sharded = by_k[k]
     queries = oracle_queries(clustered_sets) + [
         frozenset({424242, 434343}), frozenset(),
     ]
-    with ShardedExecutor(sharded, route=route) as executor:
+    with ShardedExecutor(sharded) as executor:
         got = executor.query_batch(queries, *SHARD_RANGE)
     _assert_well_formed(got.candidate_csr, len(queries))
     for row, result in zip(csr_split(*got.candidate_csr), got.results):
         np.testing.assert_array_equal(result.candidate_sids, row)
-    if route != "sketch":
-        want = index.query_batch(queries, *SHARD_RANGE)
-        for g, w in zip(got.results, want.results):
-            assert g.answers == w.answers
-            assert g.candidates == w.candidates
-        return
-    # Sketch routing drops pruned queries from a shard's dispatch: the
-    # merge must equal a set-based merge of each shard's sub-batch.
-    decision = ShardRouter(sharded.routing).route(
-        [frozenset(q) for q in queries], SHARD_RANGE[0], sharded.live_shards,
-        sketch=True,
-    )
-    assert any(
-        len(decision.kept.get(i, [])) < len(queries) for i in sharded.live_shards
-    )
-    want_cands = [set() for _ in queries]
-    want_answers = [[] for _ in queries]
-    for i in sharded.live_shards:
-        kept = decision.kept.get(i, [])
-        if not kept:
-            continue
-        alone = ParallelExecutor(sharded.shards[i]).query_batch(
-            [queries[r] for r in kept], *SHARD_RANGE
-        )
-        gsids = sharded.global_sids[i].tolist()
-        for r, result in zip(kept, alone.results):
-            want_cands[r] |= {gsids[sid] for sid in result.candidates}
-            want_answers[r] += [(gsids[sid], sim) for sid, sim in result.answers]
-    for answers in want_answers:
-        answers.sort(key=lambda pair: (-pair[1], pair[0]))
-    assert [r.candidates for r in got.results] == want_cands
-    assert [r.answers for r in got.results] == want_answers
+    want = index.query_batch(queries, *SHARD_RANGE)
+    for g, w in zip(got.results, want.results):
+        assert g.answers == w.answers
+        assert g.candidates == w.candidates
+    # The foreign and empty queries are routed away from every shard.
+    assert got.exec_stats["route"]["subqueries_pruned"] >= 2 * k
 
 
 # -- results and fetch charging ----------------------------------------------

@@ -317,19 +317,24 @@ class TestShardCommands:
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
 
-    def test_workload_tuned_build(self, shard_sets_file, tmp_path, capsys):
-        shard_dir = tmp_path / "tuned.d"
-        rc = main([
+    def test_verify_reports_tampered_routing(self, shard_sets_file, tmp_path,
+                                             capsys):
+        import json
+
+        shard_dir = tmp_path / "shards.d"
+        assert main([
             "shard", "build", "--input", str(shard_sets_file),
-            "--out", str(shard_dir), "--shards", "2",
-            "--partition", "cluster", "--tune", "workload",
-            "--budget", "24", "--k", "16", "--bits", "4",
-            "--sample-pairs", "500",
-            "--workload", str(shard_sets_file),
-            "--workload-low", "0.3", "--workload-high", "0.9",
-        ])
-        assert rc == 0
-        assert "tune=workload" in capsys.readouterr().out
+            "--out", str(shard_dir), "--shards", "2", "--budget", "16",
+            "--k", "16", "--bits", "4", "--sample-pairs", "500",
+        ]) == 0
+        manifest_path = shard_dir / "shard_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["routing"]["shards"]:
+            entry["size_max"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["shard", "verify", "--path", str(shard_dir)]) == 1
+        assert "routing" in capsys.readouterr().err
 
     def test_stats_rejects_index_and_shards_together(self, capsys):
         rc = main(["stats", "--index", "a", "--shards", "b"])

@@ -148,18 +148,21 @@ class TestShardCompat:
             budget=16, sample_pairs=500, codec=codec,
         )
 
-    def test_manifest_records_codec_and_scheme(self, tmp_path):
+    def test_manifest_records_codec(self, tmp_path):
         sets = _sets(seed=8)
         manifest = self._build_sharded(tmp_path, sets, codec="bbit:2")
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         assert manifest["build"]["codec"] == "bbit:2"
-        assert manifest["routing"]["sig_scheme"] == "minhash"
+        # Version 5 drops the universe profiles: bits and sizes only.
+        assert set(manifest["routing"]) == {"m_bits", "shards", "arrays"}
+        open_sharded(tmp_path / "s")  # version 5 is read
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_manifest_version_fails_loudly(self, tmp_path, version):
         """An older shard directory is refused by version, not defaulted:
         a version-3 directory's routing bits come from another element
-        hash."""
+        hash, and a version-4 one carries per-shard plans and replicas
+        that version 5 no longer reads."""
         self._build_sharded(tmp_path, _sets(seed=8))
         manifest_path = tmp_path / "s" / SHARD_MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
@@ -168,7 +171,7 @@ class TestShardCompat:
         with pytest.raises(ShardError) as exc:
             open_sharded(tmp_path / "s")
         assert f"version {version};" in str(exc.value)
-        assert "only version 4" in str(exc.value)
+        assert "only version 5" in str(exc.value)
 
     def test_unknown_build_codec_fails_loudly(self, tmp_path):
         sets = _sets(seed=8)

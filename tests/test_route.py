@@ -1,16 +1,17 @@
-"""Shard routing: sound bounds, safe-mode bit-identity, replicas.
+"""Shard routing: sound bounds, safe-routing bit-identity, checked summaries.
 
 The routing layer (:mod:`repro.exec.route`) prunes (query, shard)
 pairs whose Jaccard upper bound falls below ``sigma_low``.  The
 load-bearing guarantee is soundness: the bound dominates the true
-Jaccard of *every* set in the shard, so ``route="safe"`` -- which only
-masks verification for pruned pairs while dispatching every probe --
-answers bit-identically to full fan-out, candidates and ordering
-included.  These tests pin the bound's math directly, the bit-identity
-across 12 seeds x K in {2, 4, 8} on the thread backend (plus a process
--backend pass), the degenerate ranges (empty query, ``sigma_low ==
-sigma_high``, ``sigma_low = 0`` never prunes), the opt-in sketch
-mode's measured recall, replica cloning/balancing, and the executor's
+Jaccard of *every* set in the shard, so safe routing -- which only
+masks verification for pruned pairs while every live shard still runs
+every probe -- answers bit-identically to the unsharded engine,
+candidates and ordering included.  These tests pin the bound's math
+directly, the bit-identity on hash-partitioned fleets across 12 seeds x
+K in {2, 4, 8} on the thread backend (plus a process-backend pass), the
+degenerate ranges (empty query, ``sigma_low == sigma_high``,
+``sigma_low = 0`` never prunes), the open-time checks that refuse a
+routing block which does not describe its shards, and the executor's
 error paths (closed executor, dead shard).
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from repro.core.similarity import jaccard
 from repro.data.generators import planted_clusters
 from repro.exec import ParallelExecutor
 from repro.exec.route import (
+    ROUTING_FILE,
     RoutingInfo,
     ShardRouter,
     ShardSummary,
@@ -41,7 +44,6 @@ from repro.exec.shard import (
     ShardedExecutor,
     build_sharded,
     open_sharded,
-    replicate_shards,
     verify_sharded,
 )
 
@@ -63,7 +65,7 @@ def _workload(seed: int, n_sets: int = 90, n_queries: int = 6):
 def _disjoint_workload(seed: int, n_clusters: int = 4, per: int = 20):
     """Clusters over pairwise-disjoint element universes: a query drawn
     from one cluster provably has J = 0 against every other cluster's
-    sets, so a cluster-partitioned fleet is maximally prunable."""
+    sets, so shards holding one cluster each are maximally prunable."""
     rng = random.Random(seed)
     sets, queries = [], []
     for c in range(n_clusters):
@@ -72,8 +74,7 @@ def _disjoint_workload(seed: int, n_clusters: int = 4, per: int = 20):
         members = []
         for _ in range(per):
             # 3-element mutations of a prototype: within-cluster J is
-            # high (>= ~0.7, enough for the minhash partitioner to
-            # colocate the cluster), across clusters exactly 0.
+            # high, across clusters exactly 0.
             keep = rng.sample(proto, 21)
             fresh = rng.sample([e for e in base if e not in proto], 3)
             members.append(frozenset(keep + fresh))
@@ -158,25 +159,19 @@ class TestJaccardUpperBound:
 
 
 class TestShardRouter:
-    def _router(self, shard_sets, seed=0):
+    def _router(self, shard_sets):
         # Build summaries in memory (open_sharded maps them from
         # routing.bin; the router only sees decoded arrays either way).
-        meta, arrays = build_routing(shard_sets, seed=seed)
-        summaries = []
-        for i, entry in enumerate(meta["shards"]):
-            if entry is None:
-                summaries.append(None)
-                continue
-            summaries.append(ShardSummary(
+        meta, arrays = build_routing(shard_sets)
+        summaries = [
+            None if entry is None else ShardSummary(
                 size_min=entry["size_min"], size_max=entry["size_max"],
-                n_universe=entry["n_universe"],
                 bits=arrays[f"route{i:03d}_bits"],
-                signature=arrays.get(f"route{i:03d}_sig"),
-            ))
-        return ShardRouter(RoutingInfo(
-            m_bits=meta["m_bits"], sig_k=meta["sig_k"],
-            sig_seed=meta["sig_seed"], summaries=summaries,
-        ))
+            )
+            for i, entry in enumerate(meta["shards"])
+        ]
+        return ShardRouter(RoutingInfo(m_bits=meta["m_bits"],
+                                       summaries=summaries))
 
     def test_sigma_low_zero_never_prunes(self):
         sets, queries = _disjoint_workload(seed=1)
@@ -184,7 +179,8 @@ class TestShardRouter:
         router = self._router(shard_sets)
         decision = router.route(queries, 0.0, [0, 1, 2])
         assert decision.pruned_pairs == 0
-        assert decision.skipped_shards() == []
+        assert all(rows == list(range(len(queries)))
+                   for rows in decision.kept.values())
 
     def test_disjoint_clusters_fully_pruned(self):
         sets, queries = _disjoint_workload(seed=2, n_clusters=3)
@@ -202,31 +198,14 @@ class TestShardRouter:
         decision = router.route([frozenset()], 0.5, [0, 1])
         assert decision.kept == {0: [], 1: [0]}
 
-    def test_missing_summary_keeps_blind(self):
-        sets, queries = _disjoint_workload(seed=3, n_clusters=2)
-        router = self._router([sets[:20], sets[20:]])
-        router.routing.summaries[1] = None  # simulate a foreign manifest
-        decision = router.route(queries, 0.9, [0, 1])
-        # No summary for shard 1: every query is kept for it, blind.
-        assert decision.kept[1] == list(range(len(queries)))
 
-    def test_sketch_prunes_at_least_as_much(self):
-        sets, queries = _disjoint_workload(seed=4)
-        shard_sets = [sets[:20], sets[20:40], sets[40:60], sets[60:]]
-        router = self._router(shard_sets)
-        safe = router.route(queries, 0.5, [0, 1, 2, 3])
-        sketch = router.route(queries, 0.5, [0, 1, 2, 3], sketch=True)
-        assert sketch.mode == "sketch" and safe.mode == "safe"
-        assert sketch.pruned_pairs >= safe.pruned_pairs
-
-
-# -- safe mode: bit-identity under routing ---------------------------------
+# -- safe routing: bit-identity on hash fleets ------------------------------
 
 
 class TestSafeModeBitIdentity:
-    """``route="safe"`` must equal full fan-out bit for bit: answers,
-    candidate sets and ordering -- the pruning only skips verification
-    work that provably returns nothing."""
+    """A hash-partitioned fleet must equal the unsharded engine bit for
+    bit: answers, candidate sets and ordering -- routing only skips
+    verification work that provably returns nothing."""
 
     pruned_counts: list = []  # aggregate evidence routing fired
 
@@ -237,61 +216,54 @@ class TestSafeModeBitIdentity:
         plan, dist = _build_plan(sets, seed)
         want = _baseline(sets, plan, dist, queries, seed)
         build_sharded(
-            sets, tmp_path / "s", n_shards=n_shards, partition="cluster",
-            k=24, b=4, seed=seed, plan=plan, dist=dist,
+            sets, tmp_path / "s", n_shards=n_shards, k=24, b=4, seed=seed,
+            plan=plan, dist=dist,
         )
         sharded = open_sharded(tmp_path / "s")
-        with ShardedExecutor(
-            sharded, backend="thread", route="full"
-        ) as full_exec:
-            full = full_exec.query_batch(queries, *RANGE)
-        with ShardedExecutor(
-            sharded, backend="thread", route="safe"
-        ) as safe_exec:
-            assert safe_exec.route_active
-            safe = safe_exec.query_batch(queries, *RANGE)
-        _assert_bit_identical(safe, want)
-        _assert_bit_identical(safe, full)
-        stats = safe.exec_stats["route"]
-        assert stats["mode"] == "safe" and stats["active"]
-        # Safe mode dispatches every live shard regardless of pruning.
-        assert stats["shards_skipped"] == 0
-        self.pruned_counts.append(stats["subqueries_pruned"])
+        with ShardedExecutor(sharded, backend="thread") as executor:
+            got = executor.query_batch(queries, *RANGE)
+        _assert_bit_identical(got, want)
+        # Every live shard runs the whole batch, however much is pruned.
+        assert set(got.exec_stats["shards"]) == set(sharded.live_shards)
+        self.pruned_counts.append(got.exec_stats["route"]["subqueries_pruned"])
 
     def test_routing_actually_pruned_during_sweep(self):
         # The sweep above is only meaningful evidence if the router
-        # pruned real work somewhere across the 36 builds.
-        assert sum(self.pruned_counts) > 0
+        # pruned real work in every one of the 36 builds: the empty and
+        # the foreign query of each workload are bounded away from
+        # every shard.
+        assert len(self.pruned_counts) == 36
+        assert min(self.pruned_counts) > 0
 
     @pytest.mark.parametrize("seed", (0, 7))
-    @pytest.mark.parametrize("n_shards", (2, 8))
+    @pytest.mark.parametrize("n_shards", (2, 4, 8))
     def test_process_backend_bit_identical(self, tmp_path, seed, n_shards):
         sets, queries = _workload(seed)
         plan, dist = _build_plan(sets, seed)
         want = _baseline(sets, plan, dist, queries, seed)
         build_sharded(
-            sets, tmp_path / "s", n_shards=n_shards, partition="cluster",
-            k=24, b=4, seed=seed, plan=plan, dist=dist,
+            sets, tmp_path / "s", n_shards=n_shards, k=24, b=4, seed=seed,
+            plan=plan, dist=dist,
         )
         with ShardedExecutor(
             open_sharded(tmp_path / "s"), workers=1, backend="process",
-            route="safe",
         ) as executor:
             got = executor.query_batch(queries, *RANGE)
         _assert_bit_identical(got, want)
+        assert got.exec_stats["route"]["subqueries_pruned"] > 0
 
     def test_degenerate_sigma_range_bit_identical(self, tmp_path):
         sets, queries = _workload(seed=3)
         plan, dist = _build_plan(sets, 3)
         index = SetSimilarityIndex.from_plan(sets, plan, dist, k=24, b=4,
                                              seed=3)
-        build_sharded(sets, tmp_path / "s", n_shards=4, partition="cluster",
-                      k=24, b=4, seed=3, plan=plan, dist=dist)
+        build_sharded(sets, tmp_path / "s", n_shards=4, k=24, b=4, seed=3,
+                      plan=plan, dist=dist)
         sharded = open_sharded(tmp_path / "s")
         base_exec = ParallelExecutor(index.freeze(), workers=1)
         for lo, hi in ((0.5, 0.5), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)):
             want = base_exec.query_batch(queries, lo, hi)
-            with ShardedExecutor(sharded, route="safe") as executor:
+            with ShardedExecutor(sharded) as executor:
                 got = executor.query_batch(queries, lo, hi)
             _assert_bit_identical(got, want)
             if lo == 0.0:
@@ -303,161 +275,122 @@ class TestSafeModeBitIdentity:
         plan, dist = _build_plan(sets, 6)
         build_sharded(sets, tmp_path / "s", n_shards=3, k=24, b=4, seed=6,
                       plan=plan, dist=dist)
-        with ShardedExecutor(open_sharded(tmp_path / "s"),
-                             route="sketch") as executor:
+        with ShardedExecutor(open_sharded(tmp_path / "s")) as executor:
             got = executor.query_batch(queries, *RANGE, strategy="scan")
             assert got.exec_stats["route"]["subqueries_pruned"] == 0
             assert "route" not in got.timings
 
     def test_explain_carries_routing_decision(self, tmp_path):
-        sets, queries = _disjoint_workload(seed=8)
-        build_sharded(sets, tmp_path / "s", n_shards=4, partition="cluster",
-                      k=16, b=4, seed=8, budget=24, sample_pairs=400)
-        with ShardedExecutor(open_sharded(tmp_path / "s"),
-                             route="safe") as executor:
+        # The workload's empty and foreign queries are pruned on every
+        # shard of a hash fleet.
+        sets, queries = _workload(seed=8)
+        build_sharded(sets, tmp_path / "s", n_shards=4, k=16, b=4, seed=8,
+                      budget=24, sample_pairs=400)
+        with ShardedExecutor(open_sharded(tmp_path / "s")) as executor:
             got = executor.query_batch(queries, 0.5, 1.0, explain=True)
-        assert got.trace.attrs["route"] == "safe"
-        assert got.trace.attrs["route_mode"] == "safe"
         assert got.trace.attrs["route_pruned_subqueries"] > 0
         assert got.timings["route"] >= 0.0
 
 
-# -- sketch mode -----------------------------------------------------------
+# -- the routing block is checked at open -----------------------------------
 
 
-class TestSketchMode:
-    def test_disjoint_clusters_skip_shards_with_full_recall(self, tmp_path):
-        sets, queries = _disjoint_workload(seed=11)
-        # Query two of the four clusters: the other two clusters'
-        # shards have no surviving query, so sketch mode undispatches
-        # them outright.
-        queries = queries[:2]
-        build_sharded(sets, tmp_path / "s", n_shards=4, partition="cluster",
-                      k=24, b=4, seed=11, budget=36, sample_pairs=800)
-        sharded = open_sharded(tmp_path / "s")
-        with ShardedExecutor(sharded, route="full") as executor:
-            want = executor.query_batch(queries, 0.5, 1.0)
-        with ShardedExecutor(sharded, route="sketch") as executor:
-            got = executor.query_batch(queries, 0.5, 1.0)
-        stats = got.exec_stats["route"]
-        assert stats["mode"] == "sketch"
-        assert stats["shards_skipped"] > 0  # genuinely undispatched
-        want_pairs = {
-            (r, sid) for r, res in enumerate(want.results)
-            for sid, _ in res.answers
-        }
-        got_pairs = {
-            (r, sid) for r, res in enumerate(got.results)
-            for sid, _ in res.answers
-        }
-        recall = len(got_pairs & want_pairs) / max(1, len(want_pairs))
-        assert want_pairs  # the workload must produce answers to measure
-        assert recall == 1.0  # disjoint universes: pruning is provable
-
-    def test_sketch_recall_measured_on_overlapping_clusters(self, tmp_path):
-        sets, queries = _workload(seed=10, n_queries=8)
-        plan, dist = _build_plan(sets, 10)
-        build_sharded(sets, tmp_path / "s", n_shards=4, partition="cluster",
-                      k=24, b=4, seed=10, plan=plan, dist=dist)
-        sharded = open_sharded(tmp_path / "s")
-        with ShardedExecutor(sharded, route="full") as executor:
-            want = executor.query_batch(queries, *RANGE)
-        with ShardedExecutor(sharded, route="sketch") as executor:
-            got = executor.query_batch(queries, *RANGE)
-        want_pairs = {
-            (r, sid) for r, res in enumerate(want.results)
-            for sid, _ in res.answers
-        }
-        got_pairs = {
-            (r, sid) for r, res in enumerate(got.results)
-            for sid, _ in res.answers
-        }
-        assert got_pairs <= want_pairs  # sketch can only lose answers
-        recall = len(got_pairs & want_pairs) / max(1, len(want_pairs))
-        assert recall >= 0.9  # measured, with 1/sqrt(k) UCB slack
+def _tamper(path, edit):
+    """Apply ``edit(manifest, routing_block)`` to a fleet's manifest."""
+    manifest_path = path / SHARD_MANIFEST_FILE
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest, manifest["routing"])
+    manifest_path.write_text(json.dumps(manifest))
 
 
-# -- replication -----------------------------------------------------------
+def _shorten_bits(routing, path, i):
+    """Point shard ``i``'s bitset spec at its first half, crc included,
+    so only the length is wrong."""
+    spec = routing["arrays"][f"route{i:03d}_bits"]
+    spec["shape"] = [spec["shape"][0] // 2]
+    spec["nbytes"] //= 2
+    blob = (path / ROUTING_FILE).read_bytes()
+    spec["crc32"] = zlib.crc32(
+        blob[spec["offset"]:spec["offset"] + spec["nbytes"]]
+    )
 
 
-class TestReplication:
-    def _build(self, tmp_path, seed=12):
-        sets, queries = _disjoint_workload(seed=seed)
-        build_sharded(sets, tmp_path / "s", n_shards=4, partition="cluster",
-                      k=16, b=4, seed=seed, budget=24, sample_pairs=400)
-        return tmp_path / "s", queries
-
-    def test_replicate_roundtrip_and_answers_identical(self, tmp_path):
-        path, queries = self._build(tmp_path)
-        with ShardedExecutor(open_sharded(path), route="full") as executor:
-            want = executor.query_batch(queries, 0.5, 1.0)
-        manifest = replicate_shards(path, top=2, copies=2)
-        assert sum(bool(e.get("replicas")) for e in manifest["shards"]) == 2
-        sharded = open_sharded(path)
-        assert sum(len(r) for r in sharded.replicas.values()) == 2
-        assert verify_sharded(path)["n_replicas"] == 2
-        with ShardedExecutor(sharded, route="full") as executor:
-            got = executor.query_batch(queries, 0.5, 1.0)
-        _assert_bit_identical(got, want)
-
-    def test_replicate_idempotent(self, tmp_path):
-        path, _ = self._build(tmp_path)
-        first = replicate_shards(path, top=1, copies=3)
-        second = replicate_shards(path, top=1, copies=3)
-        assert first["shards"] == second["shards"]
-        open_sharded(path, verify=True)  # replica arrays checksum clean
-
-    def test_replica_dispatch_balanced(self, tmp_path):
-        path, queries = self._build(tmp_path)
-        replicate_shards(path, top=4, copies=2)  # every shard x2
-        with ShardedExecutor(open_sharded(path), route="full") as executor:
-            for _ in range(30):
-                executor.query_batch(queries, 0.5, 1.0)
-            counts = executor.replica_dispatch_counts()
-        assert set(counts) == {0, 1, 2, 3}
-        for slots in counts.values():
-            mean = sum(slots) / len(slots)
-            assert max(slots) / mean <= 1.5  # the BENCH-ROUTE gate
-
-    def test_drifted_replica_rejected(self, tmp_path):
-        path, _ = self._build(tmp_path)
-        replicate_shards(path, top=1, copies=2)
-        manifest = json.loads((path / SHARD_MANIFEST_FILE).read_text())
-        name = next(e["replicas"][0] for e in manifest["shards"]
-                    if e.get("replicas"))
-        replica_manifest = path / name / "manifest.json"
-        replica_manifest.write_text(
-            replica_manifest.read_text().replace("{", "{ ", 1)
+class TestRoutingValidation:
+    def test_tampered_routing_block_raises_typed_error(self, tmp_path):
+        """A routing block that understates a shard could prune pairs
+        holding answers; every such edit is refused at open and by
+        ``verify_sharded``, so none can return fewer answers."""
+        sets = planted_clusters(
+            n_clusters=12, per_cluster=8, base_size=24, universe=3000,
+            mutation_rate=0.2, seed=13,
         )
-        with pytest.raises(ShardError, match="not identical"):
-            open_sharded(path)
+        fleet = tmp_path / "fleet"
+        build_sharded(sets, fleet, n_shards=4, k=24, b=4, seed=13,
+                      budget=36, recall_target=0.85, sample_pairs=2000)
+        tiny = tmp_path / "tiny"  # two sets over four shards: some empty
+        build_sharded([frozenset({1, 2, 3}), frozenset({7, 8, 9, 10})], tiny,
+                      n_shards=4, k=16, b=4, seed=0, budget=12,
+                      sample_pairs=50)
+        tiny_entries = json.loads((tiny / SHARD_MANIFEST_FILE).read_text())
+        empty = next(i for i, e in enumerate(tiny_entries["shards"])
+                     if e.get("empty"))
+        live = next(i for i, e in enumerate(tiny_entries["shards"])
+                    if not e.get("empty"))
 
-    def test_validation(self, tmp_path):
-        path, _ = self._build(tmp_path)
-        with pytest.raises(ValueError, match="top"):
-            replicate_shards(path, top=0)
-        with pytest.raises(ValueError, match="copies"):
-            replicate_shards(path, copies=1)
+        def each_live(field, value):
+            def edit(_, routing):
+                for entry in routing["shards"]:
+                    if entry is not None:
+                        entry[field] = value(entry[field])
+            return edit
+
+        def set_key(key, value):
+            return lambda _, routing: routing.__setitem__(key, value)
+
+        edits = {
+            "size_max to 1": (fleet, each_live("size_max", lambda v: 1)),
+            "size_max + 1": (fleet, each_live("size_max", lambda v: v + 1)),
+            "size_min + 1": (fleet, each_live("size_min", lambda v: v + 1)),
+            "size_min as float": (fleet, each_live("size_min", float)),
+            "m_bits halved": (fleet, lambda _, r: r.__setitem__(
+                "m_bits", r["m_bits"] // 2)),
+            "m_bits not a power of two": (fleet, lambda _, r: r.__setitem__(
+                "m_bits", r["m_bits"] + 64)),
+            "m_bits above 2^22": (fleet, set_key("m_bits", 1 << 23)),
+            "m_bits below 2^10": (fleet, set_key("m_bits", 1 << 9)),
+            "no routing block": (fleet, lambda m, _: m.__setitem__(
+                "routing", None)),
+            "missing summary": (fleet, lambda _, r: r["shards"].__setitem__(
+                1, None)),
+            "missing bitset": (fleet, lambda _, r: r["arrays"].pop(
+                "route002_bits")),
+            "extra entry": (fleet, lambda _, r: r["shards"].append(
+                dict(r["shards"][0]))),
+            "summary for an empty shard": (tiny, lambda _, r: r[
+                "shards"].__setitem__(empty, dict(r["shards"][live]))),
+            "short bitset": (fleet, lambda _, r: _shorten_bits(r, fleet, 3)),
+            "bitset read as floats": (fleet, lambda _, r: r["arrays"][
+                "route000_bits"].__setitem__("dtype", "<f8")),
+        }
+        for name, (path, edit) in edits.items():
+            manifest_path = path / SHARD_MANIFEST_FILE
+            pristine = manifest_path.read_text()
+            open_sharded(path)  # the untouched fleet opens
+            _tamper(path, edit)
+            with pytest.raises(ShardError, match="routing"):
+                open_sharded(path)
+            with pytest.raises(ShardError, match="routing"):
+                verify_sharded(path)
+            manifest_path.write_text(pristine)
+        # Restored, every fleet opens and verifies again.
+        verify_sharded(fleet)
+        verify_sharded(tiny)
 
 
 # -- fallbacks and error paths ---------------------------------------------
 
 
 class TestFallbacksAndErrors:
-    def test_routing_disabled_build_falls_back_to_full(self, tmp_path):
-        sets, queries = _workload(seed=5)
-        plan, dist = _build_plan(sets, 5)
-        want = _baseline(sets, plan, dist, queries, 5)
-        build_sharded(sets, tmp_path / "s", n_shards=3, k=24, b=4, seed=5,
-                      plan=plan, dist=dist, routing=False)
-        sharded = open_sharded(tmp_path / "s")
-        assert sharded.routing is None
-        with ShardedExecutor(sharded, route="safe") as executor:
-            assert not executor.route_active
-            got = executor.query_batch(queries, *RANGE)
-            assert got.exec_stats["route"]["active"] is False
-        _assert_bit_identical(got, want)
-
     def test_unsupported_version_rejected(self, tmp_path):
         sets, _ = _workload(seed=1, n_sets=30)
         build_sharded(sets, tmp_path / "s", n_shards=2, k=16, b=4, seed=1,

@@ -1,7 +1,8 @@
 """Sharded scatter-gather: partitioning invariants and bit-equivalence.
 
-The load-bearing guarantee of :mod:`repro.exec.shard` is that a
-mirror-built shard fleet answers exactly like the unsharded index:
+The load-bearing guarantee of :mod:`repro.exec.shard` is that a shard
+fleet -- hash-partitioned, every shard built from the one global plan,
+safe-routed -- answers exactly like the unsharded index:
 candidate membership is ``hash_key(sampled query bits) ==
 hash_key(sampled set bits)``, which depends only on the plan's
 samplers (seeded per filter offset) and never on bucket counts or
@@ -10,8 +11,9 @@ global candidate set, false positives included, and merged verified
 answers match bit for bit.  These tests pin that across 12 seeds x
 K in {1, 2, 4} on the thread backend, plus a spawn-cost-bounded
 process-backend pass, alongside hypothesis properties for the
-partitioner (total, disjoint, rebuild-stable, permutation-stable) and
-units for the global budget allocator and manifest integrity checks.
+partitioner (total, disjoint, rebuild-stable, permutation-stable), the
+build keywords that accept only the one fleet shape, and manifest
+integrity checks.
 """
 
 from __future__ import annotations
@@ -26,12 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.distribution import SimilarityDistribution
 from repro.core.index import SetSimilarityIndex
-from repro.core.optimizer import (
-    PlannedFilter,
-    allocate_global_budget,
-    plan_index,
-)
-from repro.core.similarity import jaccard
+from repro.core.optimizer import plan_index
 from repro.data.generators import planted_clusters
 from repro.exec import ParallelExecutor
 from repro.exec.route import ShardRouter
@@ -43,7 +40,6 @@ from repro.exec.shard import (
     is_sharded,
     open_sharded,
     partition_sets,
-    replicate_shards,
     verify_sharded,
 )
 from repro.storage.iomodel import IOStats
@@ -96,19 +92,17 @@ class TestPartitioning:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_every_set_in_exactly_one_shard(self, sets, n_shards, seed):
-        for method in ("hash", "cluster"):
-            assignment = partition_sets(sets, n_shards, method=method, seed=seed)
-            assert assignment.shape == (len(sets),)
-            assert ((assignment >= 0) & (assignment < n_shards)).all()
+        assignment = partition_sets(sets, n_shards, seed=seed)
+        assert assignment.shape == (len(sets),)
+        assert ((assignment >= 0) & (assignment < n_shards)).all()
 
     @given(sets=sets_strategy, n_shards=st.integers(1, 8),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_stable_across_rebuilds(self, sets, n_shards, seed):
-        for method in ("hash", "cluster"):
-            a1 = partition_sets(sets, n_shards, method=method, seed=seed)
-            a2 = partition_sets(list(sets), n_shards, method=method, seed=seed)
-            assert (a1 == a2).all()
+        a1 = partition_sets(sets, n_shards, seed=seed)
+        a2 = partition_sets(list(sets), n_shards, seed=seed)
+        assert (a1 == a2).all()
 
     @given(sets=st.lists(
         st.frozensets(st.integers(0, 400), min_size=1, max_size=20),
@@ -123,22 +117,29 @@ class TestPartitioning:
         for new_pos, old_pos in enumerate(perm):
             assert a2[new_pos] == a1[old_pos]
 
-    def test_cluster_partition_handles_empty_sets(self):
-        sets = [frozenset(), frozenset({1, 2}), frozenset(), frozenset({3})]
-        assignment = partition_sets(sets, 2, method="cluster", seed=0)
-        assert assignment.shape == (4,)
-
-    def test_cluster_partition_colocates_near_duplicates(self):
-        sets, _ = _workload(seed=3, n_sets=60)
-        assignment = partition_sets(sets, 4, method="cluster", seed=0)
-        sizes = np.bincount(assignment, minlength=4)
-        assert sizes.min() >= 10  # near-equal contiguous chunks
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="n_shards"):
             partition_sets([frozenset({1})], 0)
-        with pytest.raises(ValueError, match="method"):
-            partition_sets([frozenset({1})], 2, method="nope")
+
+    @pytest.mark.parametrize(
+        "value", ("cluster", "workload", "full", "sketch", "nope", "")
+    )
+    def test_kept_keywords_accept_only_the_one_fleet_shape(self, tmp_path,
+                                                          value):
+        """``partition``, ``tune`` and ``route`` stay as keywords that
+        name the one fleet shape; any other value raises."""
+        sets, _ = _workload(seed=1, n_sets=30)
+        kwargs = dict(k=16, b=4, seed=1, budget=12, sample_pairs=200)
+        with pytest.raises(ValueError, match="partition"):
+            build_sharded(sets, tmp_path / "p", 2, partition=value, **kwargs)
+        with pytest.raises(ValueError, match="tune"):
+            build_sharded(sets, tmp_path / "t", 2, tune=value, **kwargs)
+        build_sharded(sets, tmp_path / "s", 2, partition="hash",
+                      tune="mirror", **kwargs)
+        sharded = open_sharded(tmp_path / "s")
+        with pytest.raises(ValueError, match="route"):
+            ShardedExecutor(sharded, route=value)
+        ShardedExecutor(sharded, route="safe").close()
 
 
 # -- mirror-mode bit-equivalence -------------------------------------------
@@ -275,60 +276,48 @@ class TestOneScheduler:
     """A sharded batch is the one pipeline run shard by shard on the
     caller's thread, every shard on the fleet's one scheduler."""
 
-    @pytest.mark.parametrize("route", ("full", "safe", "sketch"))
     @pytest.mark.parametrize("n_shards", (1, 2, 4))
-    def test_each_shard_span_once_with_exact_io(self, tmp_path, n_shards,
-                                                route):
+    def test_each_shard_span_once_with_exact_io(self, tmp_path, n_shards):
         """Regression: with one dispatched unit the shard's span used to
-        hang under the EXPLAIN root twice.  Every dispatched shard's
+        hang under the EXPLAIN root twice.  Every live shard's
         ``query_batch`` span occurs exactly once, directly under the
         root, tagged ``shard=``; its I/O is that shard's own batch I/O
-        and the shard spans sum to the merged ``batch.io``."""
+        (run alone with the rows routing kept for it) and the shard
+        spans sum to the merged ``batch.io``."""
         sets, queries = _workload(seed=3)
-        build_sharded(sets, tmp_path / "s", n_shards=n_shards,
-                      partition="cluster", k=24, b=4, seed=3, budget=36,
-                      sample_pairs=1_500)
+        build_sharded(sets, tmp_path / "s", n_shards=n_shards, k=24, b=4,
+                      seed=3, budget=36, sample_pairs=1_500)
         sharded = open_sharded(tmp_path / "s")
-        with ShardedExecutor(sharded, route=route) as executor:
+        with ShardedExecutor(sharded) as executor:
             batch = executor.query_batch(queries, *RANGE, explain=True)
         root = batch.trace
         spans = [s for s in root.walk() if s.name == "query_batch"]
-        assert [s.attrs["shard"] for s in spans] == sorted(
-            batch.exec_stats["shards"]
-        )
+        assert [s.attrs["shard"] for s in spans] == sharded.live_shards
         children = [id(c) for c in root.children]
         assert len(children) == len(set(children))
         assert all(id(s) in children for s in spans)
         # What each shard was dispatched, replayed on the shard alone.
-        decision = None
-        if route != "full":
-            decision = ShardRouter(sharded.routing).route(
-                [frozenset(q) for q in queries], RANGE[0],
-                sharded.live_shards, sketch=(route == "sketch"),
-            )
+        decision = ShardRouter(sharded.routing).route(
+            [frozenset(q) for q in queries], RANGE[0], sharded.live_shards,
+        )
+        assert decision.pruned_pairs > 0  # the empty and foreign queries
         total = IOStats()
         for span in spans:
             i = span.attrs["shard"]
-            shard_queries, verify_rows = queries, None
-            if route == "safe":
-                verify_rows = decision.kept.get(i, [])
-            elif route == "sketch":
-                shard_queries = [queries[r] for r in decision.kept[i]]
             alone = ParallelExecutor(sharded.shards[i]).query_batch(
-                shard_queries, *RANGE, verify_rows=verify_rows
+                queries, *RANGE, verify_rows=decision.kept[i]
             )
             assert span.io_delta == alone.io
             total = total + span.io_delta
         assert total == batch.io
         assert root.io_delta == batch.io
 
-    @pytest.mark.parametrize("route", ("full", "safe"))
-    def test_fleet_prepares_each_batch_once(self, tmp_path, monkeypatch,
-                                            route):
+    def test_fleet_prepares_each_batch_once(self, tmp_path, monkeypatch):
         """A K=3 batch hashes each distinct query element once (one
         digest per distinct value, in one hash pass) and signs once:
         the router and every shard's embed, verify and scan read the
-        one prepared batch.  Answers and I/O are the unprepared path's."""
+        one prepared batch.  Answers and I/O are the unprepared path's
+        with the same rows verified."""
         import hashlib
 
         from repro.core import minhash
@@ -339,8 +328,13 @@ class TestOneScheduler:
                       budget=36, sample_pairs=1_500)
         sharded = open_sharded(tmp_path / "s")
         assert len(sharded.live_shards) == 3
+        decision = ShardRouter(sharded.routing).route(
+            [frozenset(q) for q in queries], RANGE[0], sharded.live_shards,
+        )
         unprepared = [
-            ParallelExecutor(sharded.shards[i]).query_batch(queries, *RANGE)
+            ParallelExecutor(sharded.shards[i]).query_batch(
+                queries, *RANGE, verify_rows=decision.kept[i]
+            )
             for i in sharded.live_shards
         ]
 
@@ -377,15 +371,14 @@ class TestOneScheduler:
             minhash.MinHasher, "signature_csr",
             lambda self, *a, **kw: signings.append(1) or real_sign(self, *a, **kw),
         )
-        with ShardedExecutor(sharded, route=route) as executor:
+        with ShardedExecutor(sharded) as executor:
             batch = executor.query_batch(queries, *RANGE)
             scanned = executor.query_batch(queries, *RANGE, strategy="scan")
         distinct = set().union(*queries)
         assert passes == [sum(map(len, queries))] * 2
         assert len(digests) == 2 * len(distinct)
         assert len(signings) == 1  # the scan batch is hashed, not signed
-        if route == "full":
-            assert batch.io == sum((b.io for b in unprepared), IOStats())
+        assert batch.io == sum((b.io for b in unprepared), IOStats())
         for q, result in enumerate(batch.results):
             want = sorted(
                 (
@@ -399,21 +392,19 @@ class TestOneScheduler:
             assert set(want) <= set(scanned.results[q].answers)
 
     def test_process_fleet_is_one_pool(self, tmp_path):
-        """``workers`` sizes the fleet's one pool: four shards, one of
-        them replicated, on two worker processes -- not two per shard
-        and replica -- with the answers of the pool-less thread path."""
+        """``workers`` sizes the fleet's one pool: four shards on two
+        worker processes -- not two per shard -- with the answers of the
+        pool-less thread path."""
         sets, queries = _workload(seed=6)
         build_sharded(sets, tmp_path / "s", n_shards=4, k=24, b=4, seed=6,
                       budget=36, sample_pairs=1_500)
-        replicate_shards(tmp_path / "s", top=1, copies=2)
         sharded = open_sharded(tmp_path / "s")
-        assert sum(len(r) for r in sharded.replicas.values()) == 1
         with ShardedExecutor(sharded, workers=1, backend="thread") as executor:
             want = executor.query_batch(queries, *RANGE)
         with ShardedExecutor(sharded, workers=2, backend="process") as executor:
-            # Two batches, so the replica has its turn; then, because a
-            # spawn worker can take longer to come up than these
-            # batches run, more until the second worker has served.
+            # Two batches; then, because a spawn worker can take longer
+            # to come up than these batches run, more until the second
+            # worker has served.
             batches, pids = [], set()
             deadline = time.monotonic() + 60
             while len(batches) < 2 or (
@@ -430,80 +421,6 @@ class TestOneScheduler:
             assert batch.io == want.io
             assert batch.pages_saved == want.pages_saved
             assert batch.fetches_saved == want.fetches_saved
-
-
-# -- workload tuning -------------------------------------------------------
-
-
-class TestWorkloadTuning:
-    def test_budget_respected_and_answers_exact(self, tmp_path):
-        sets, queries = _workload(seed=4)
-        manifest = build_sharded(
-            sets, tmp_path / "w", n_shards=3, partition="cluster",
-            tune="workload", budget=36, recall_target=0.85, k=24, b=4,
-            seed=4, sample_pairs=1_500, workload=queries,
-            workload_range=RANGE,
-        )
-        assert sum(e["tables"] for e in manifest["shards"]) <= 36
-        with ShardedExecutor(open_sharded(tmp_path / "w")) as executor:
-            got = executor.query_batch(queries, *RANGE)
-        # Tuned shards trade the bit-equivalence guarantee, never
-        # exactness: every merged answer is a true in-range pair.
-        for query, result in zip(queries, got.results):
-            for sid, sim in result.answers:
-                assert sim == pytest.approx(jaccard(query, sets[sid]), abs=0)
-                assert RANGE[0] <= sim <= RANGE[1]
-
-    def test_skewed_weights_shift_tables(self, tmp_path):
-        sets, _ = _workload(seed=6)
-        # Hammer one cluster so its shard is hot.
-        hot_queries = [sets[0]] * 20
-        manifest = build_sharded(
-            sets, tmp_path / "w", n_shards=3, partition="cluster",
-            tune="workload", budget=36, k=24, b=4, seed=6,
-            sample_pairs=1_500, workload=hot_queries, workload_range=RANGE,
-        )
-        entries = manifest["shards"]
-        hot = max(entries, key=lambda e: e["weight"])
-        cold = min(entries, key=lambda e: e["weight"])
-        assert hot["weight"] > cold["weight"]
-        assert hot["tables"] >= cold["tables"]
-
-
-class TestGlobalAllocator:
-    def _dist(self, seed=0):
-        sets, _ = _workload(seed=seed, n_sets=40)
-        return SimilarityDistribution.from_sets(sets, sample_pairs=800, seed=seed)
-
-    def test_budget_bound_and_floor(self):
-        dist = self._dist()
-        shard_filters = [
-            [PlannedFilter(0.5, "sfi"), PlannedFilter(0.5, "dfi")]
-            for _ in range(3)
-        ]
-        totals = allocate_global_budget(shard_filters, 30, [dist] * 3)
-        assert sum(totals) <= 30
-        for filters in shard_filters:
-            for f in filters:
-                assert f.n_tables >= 1
-
-    def test_weights_bias_allocation(self):
-        dist = self._dist()
-        shard_filters = [[PlannedFilter(0.5, "sfi")] for _ in range(2)]
-        totals = allocate_global_budget(
-            shard_filters, 20, [dist, dist], weights=[10.0, 1.0]
-        )
-        assert totals[0] >= totals[1]
-
-    def test_validation(self):
-        dist = self._dist()
-        with pytest.raises(ValueError):
-            allocate_global_budget([[PlannedFilter(0.5, "sfi")]], 20, [dist, dist])
-        with pytest.raises(ValueError):
-            allocate_global_budget(
-                [[PlannedFilter(0.5, "sfi")]] * 2, 1, [dist] * 2
-            )
-        assert allocate_global_budget([], 10, []) == []
 
 
 # -- manifest integrity ----------------------------------------------------

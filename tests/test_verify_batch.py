@@ -497,9 +497,9 @@ class TestEveryPathJoins:
 
 
 def _disjoint_clusters(seed: int, n_clusters: int = 4, per: int = 20, n_queries: int = 8):
-    """Clusters over disjoint element universes, several queries each:
-    a cluster-partitioned fleet prunes every cross-cluster (query,
-    shard) pair, and the queries a shard keeps share its sets."""
+    """Clusters over disjoint element universes, several queries each,
+    every stored set of size 24: the queries a shard keeps share its
+    sets."""
     rng = random.Random(seed)
     sets, queries = [], []
     for c in range(n_clusters):
@@ -521,19 +521,28 @@ def _disjoint_clusters(seed: int, n_clusters: int = 4, per: int = 20, n_queries:
 
 
 def test_safe_route_masked_rows_inside_a_joined_chunk(tmp_path):
-    """``route="safe"`` hands a shard the whole batch with the pruned
-    rows' candidates emptied; the rows it keeps still join, and the
-    answers equal full fan-out's."""
+    """Safe routing hands a shard the whole batch with the pruned rows'
+    candidates emptied; the rows it keeps still join, and the answers
+    equal the unsharded engine's.  The 19-element subsets of stored
+    sets are candidates, yet the size bound (19/24 < 0.8) prunes them
+    on every shard of the hash fleet."""
+    from repro.core.distribution import SimilarityDistribution
+    from repro.core.optimizer import plan_index
+
     sets, queries = _disjoint_clusters(seed=8)
+    rng = random.Random(8)
+    queries += [frozenset(rng.sample(sorted(s), 19)) for s in rng.sample(sets, 8)]
+    rng.shuffle(queries)
+    dist = SimilarityDistribution.from_sets(sets, sample_pairs=400, seed=8)
+    plan = plan_index(dist, 24, recall_target=0.9, b=4)
+    index = SetSimilarityIndex.from_plan(sets, plan, dist, k=16, b=4, seed=8)
+    want = ParallelExecutor(index.freeze()).query_batch(queries, 0.8, 1.0)
     build_sharded(
-        sets, tmp_path / "s", n_shards=4, partition="cluster",
-        k=16, b=4, seed=8, budget=24, sample_pairs=400,
+        sets, tmp_path / "s", n_shards=4, k=16, b=4, seed=8,
+        plan=plan, dist=dist,
     )
-    sharded = open_sharded(tmp_path / "s")
-    with ShardedExecutor(sharded, route="full") as executor:
-        want = executor.query_batch(queries, 0.5, 1.0)
-    with ShardedExecutor(sharded, route="safe") as executor:
-        got = executor.query_batch(queries, 0.5, 1.0)
+    with ShardedExecutor(open_sharded(tmp_path / "s")) as executor:
+        got = executor.query_batch(queries, 0.8, 1.0)
     for g, w in zip(got.results, want.results):
         assert g.answers == w.answers
         assert g.candidates == w.candidates
