@@ -121,9 +121,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     if report is not None and report.get("filters") is not None:
         f = report["filters"]
         print(
-            f"build: {f['entries']} entries ({f['new_pages']} pages), "
-            f"plan {f['plan_wall_seconds']:.3f}s, "
-            f"apply {f['apply_wall_seconds']:.3f}s"
+            f"build: {f['entries']} entries ({f['new_pages']} pages) "
+            f"in {f['wall_seconds']:.3f}s"
         )
     if args.explain:
         print(render_trace(index.build_trace))
@@ -317,7 +316,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     plan = index.plan
     print(f"sets indexed:      {index.n_sets}")
     print(f"embedding:         k={index.embedder.k}, b={index.embedder.b}, "
-          f"codec={getattr(index.embedder, 'codec', 'full64')}, "
+          f"codec={index.embedder.codec}, "
           f"D={index.embedder.dimension} bits")
     sig_bytes = sum(v.nbytes for v in index._vectors.values())
     arena = index._hashes
@@ -455,7 +454,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
         print(f"format:            {m['format']} v{m['version']}")
         print(f"sets:              {m['n_sets']} (elements as {m['sets_encoding']})")
         print(f"arrays:            {len(m['arrays'])} mapped, {m['arrays_bytes']:,} bytes")
-        print(f"codec:             {m.get('codec', 'full64')}")
+        print(f"codec:             {m['codec']}")
         print(f"embedding bits:    D={m['n_bits']}")
         from repro.exec.snapfile import byte_breakdown
 

@@ -79,9 +79,9 @@ def table_fingerprints(
     ``word_index`` / ``bit_offset`` are the ``(t, r)`` stacked sampler
     positions of the tables (see
     :func:`~repro.hamming.sampling.sampled_key_words`).  Keys are
-    extracted and fingerprinted in one vectorized pass (the bulk
-    build's ``key_words`` -> ``hash_words`` path); the live and the
-    frozen probe, insert and delete all fingerprint through here.
+    extracted and fingerprinted in one vectorized pass; the bulk load,
+    the live and the frozen probe, insert and delete all fingerprint
+    through here.
     """
     n, t = matrix.shape[0], word_index.shape[0]
     words = sampled_key_words(matrix, word_index, bit_offset)
@@ -190,14 +190,15 @@ class SimilarityFilterIndex:
         self.sigma_point = sigma_point
         self.filter = FilterFunction.for_threshold(threshold, n_tables)
         rng = np.random.default_rng(seed)
-        self._samplers = [
-            BitSampler(n_bits, self.filter.r, rng) for _ in range(n_tables)
-        ]
-        # The l samplers' positions stacked (l, r): a probe extracts and
-        # fingerprints the keys of every table in one vectorized pass.
-        positions = np.stack([s.positions for s in self._samplers])
-        self._word_index = positions // 64
-        self._bit_offset = (positions % 64).astype(np.uint64)
+        #: The l tables' sampled bit positions stacked (l, r): a probe
+        #: extracts and fingerprints the keys of every table in one
+        #: vectorized pass.
+        self.positions = np.stack([
+            BitSampler(n_bits, self.filter.r, rng).positions
+            for _ in range(n_tables)
+        ])
+        self._word_index = self.positions // 64
+        self._bit_offset = (self.positions % 64).astype(np.uint64)
         slots = pager.capacity_for(16)
         n_buckets = max(1, -(-expected_entries // slots)) * 2
         self._tables = [BucketHashTable(pager, n_buckets) for _ in range(n_tables)]
@@ -230,13 +231,17 @@ class SimilarityFilterIndex:
         ):
             table.insert_hashed(fingerprint, sid)
 
-    def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> None:
+    def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> dict:
         """Bulk-index the rows of a packed matrix (vectorized keying).
 
-        Each table is loaded through the vectorized bucket-partitioned
-        path (:meth:`~repro.storage.hashtable.BucketHashTable.bulk_load_hashed`),
-        which produces chains, directories and accounting bit-identical
-        to inserting the rows one by one, table by table.
+        Table by table, the rows' keys are fingerprinted
+        (:func:`table_fingerprints`, one table's keys alive at a time)
+        and loaded in one
+        :meth:`~repro.storage.hashtable.BucketHashTable.bulk_load_hashed`
+        call, which produces chains, directories and accounting
+        bit-identical to inserting the rows one by one, table by table.
+        Returns the load's totals: tables, entries, new pages and tail
+        pages read.
 
         The rows of ``matrix`` need not be contiguous (column views and
         strided slices are accepted); ``sids`` must be unique within
@@ -249,20 +254,18 @@ class SimilarityFilterIndex:
             )
         if len(set(sids)) != len(sids):
             raise ValueError("duplicate sids in insert_many")
-        if matrix.shape[0] == 0:
-            return
-        matrix = np.ascontiguousarray(matrix)
-        for sampler, table in zip(self._samplers, self._tables):
-            table.bulk_load_hashed(
-                hash_words(sampler.key_words(matrix), sampler.key_bytes),
-                sids,
-            )
-
-    def table_units(self) -> list[tuple]:
-        """The independent (sampler, table) build units, one per hash
-        table -- what a parallel bulk build fans out over (see
-        :mod:`repro.exec.build`)."""
-        return list(zip(self._samplers, self._tables))
+        report = dict.fromkeys(("entries", "new_pages", "tail_reads"), 0)
+        if matrix.shape[0]:
+            matrix = np.ascontiguousarray(matrix)
+            for t, table in enumerate(self._tables):
+                fingerprints = table_fingerprints(
+                    matrix, self._word_index[t : t + 1],
+                    self._bit_offset[t : t + 1], self.filter.r,
+                )[0]
+                loaded = table.bulk_load_hashed(fingerprints, sids)
+                for key in report:
+                    report[key] += loaded[key]
+        return {"tables": len(self._tables), **report}
 
     def delete(self, vector: np.ndarray, sid: int) -> None:
         """Remove a previously inserted (vector, sid) pair."""
@@ -350,7 +353,7 @@ class SimilarityFilterIndex:
             sigma_point=self.sigma_point,
             r=self.filter.r,
             n_bits=self.n_bits,
-            positions=np.stack([s.positions for s in self._samplers]),
+            positions=self.positions,
             stack=TableStack.from_views(
                 [table.freeze() for table in self._tables]
             ),
@@ -412,13 +415,8 @@ class DissimilarityFilterIndex:
     def insert(self, vector: np.ndarray, sid: int) -> None:
         self._sfi.insert(vector, sid)
 
-    def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> None:
-        self._sfi.insert_many(matrix, sids)
-
-    def table_units(self) -> list[tuple]:
-        """The inner SFI's (sampler, table) build units (data vectors
-        are stored unmodified; only probes complement the query)."""
-        return self._sfi.table_units()
+    def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> dict:
+        return self._sfi.insert_many(matrix, sids)
 
     def delete(self, vector: np.ndarray, sid: int) -> None:
         self._sfi.delete(vector, sid)

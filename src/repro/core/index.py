@@ -19,9 +19,11 @@ paper claims for the hash-based primitives.
 
 from __future__ import annotations
 
+import gc
 import logging
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -40,6 +42,22 @@ from repro.storage.pager import PageManager
 from repro.storage.setstore import SetStore
 
 logger = logging.getLogger(__name__)
+
+
+@contextmanager
+def gc_suspended():
+    """Suspend cyclic GC for a bulk load: nearly every object it
+    allocates (page entry tuples, directory lists, stored sets) is still
+    live when it finishes, so mid-load collections only re-scan a
+    growing heap for garbage that is not there."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
 
 _QUERIES = metrics.counter("query.count")
 _QUERY_CANDIDATES = metrics.counter("query.candidates")
@@ -487,8 +505,7 @@ class SetSimilarityIndex:
         self._frozen = None
 
     #: Report of the bulk build that materialized this index (phase
-    #: timings, per-unit plan times, totals; see
-    #: :func:`repro.exec.build.bulk_load_filters`).
+    #: timings and the filter load's totals; see :meth:`from_plan`).
     build_report: dict | None = None
     #: Root build span when the index was built under tracing
     #: (``explain=True`` or an enclosing ``trace.capture``); not
@@ -586,13 +603,14 @@ class SetSimilarityIndex:
         Used by ablation experiments that bypass or modify the Fig. 4
         optimizer (e.g. SFI-only placement, uniform allocation).
 
-        The filter tables are loaded through the vectorized
-        bucket-partitioned pipeline
-        (:func:`repro.exec.build.bulk_load_filters`), bit-identical to
-        inserting every set one by one; the load's report is attached
-        as :attr:`build_report`.
+        Every filter is loaded by one
+        :meth:`~repro.core.filter_index.SimilarityFilterIndex.insert_many`
+        call, filter-major and table-major -- the order the per-insert
+        path walks the tables, so chains, page ids, directories and I/O
+        accounting are bit-identical to inserting every set one by one.
+        The load's totals and wall time are attached as
+        :attr:`build_report`.
         """
-        from repro.exec.build import bulk_load_filters
         from repro.exec.columnar import HashArena
 
         sets = [frozenset(s) for s in sets]
@@ -627,9 +645,18 @@ class SetSimilarityIndex:
                     )
                     index._cfallback = set(sid_array[collided].tolist())
                 embed_seconds = time.perf_counter() - t0
-                filter_report = bulk_load_filters(
-                    list(index._all_filters()), matrix, sids
+                t0 = time.perf_counter()
+                filter_report = dict.fromkeys(
+                    ("tables", "entries", "new_pages", "tail_reads"), 0
                 )
+                with trace.span("filter_build", n_sets=len(sids)) as sp:
+                    with gc_suspended():
+                        for fi in index._all_filters():
+                            for key, value in fi.insert_many(matrix, sids).items():
+                                filter_report[key] += value
+                    if sp.recording:
+                        sp.set(**filter_report)
+                filter_report["wall_seconds"] = round(time.perf_counter() - t0, 6)
         index.build_report = {
             "n_sets": len(sets),
             "phases": {
@@ -779,7 +806,6 @@ class SetSimilarityIndex:
         churned index keeps its sids but takes a bulk build's page
         layout, and so its I/O charges.
         """
-        from repro.exec.build import gc_suspended
         from repro.exec.columnar import HashArena
         from repro.exec.snapfile import SnapshotFormatError, open_snapshot
 
@@ -800,16 +826,14 @@ class SetSimilarityIndex:
             )
             for kind, filters in (("sfi", index._sfis), ("dfi", index._dfis)):
                 for point, fi in filters.items():
-                    probe, units = snap.filter_probe(kind, point), fi.table_units()
-                    if not np.array_equal(
-                        np.stack([sampler.positions for sampler, _ in units]),
-                        probe.positions,
-                    ):
+                    # A DFI stores data vectors unmodified in its inner SFI.
+                    sfi = fi._sfi if kind == "dfi" else fi
+                    probe = snap.filter_probe(kind, point)
+                    if not np.array_equal(sfi.positions, probe.positions):
                         raise SnapshotFormatError(
                             f"{path}: {kind}({point}) bit positions do not "
                             "match the embedder seed's")
-                    for t, (_, table) in enumerate(units):
-                        view = probe.stack.table(t)
+                    for table, view in zip(sfi._tables, probe.tables):
                         first, last = view.run_indptr[[0, -1]].tolist()
                         owners = view.run_sids[first:last]
                         order = np.argsort(owners, kind="stable")

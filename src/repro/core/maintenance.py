@@ -158,5 +158,5 @@ def rebuild(
         b=index.embedder.b,
         seed=seed,
         sample_pairs=sample_pairs,
-        codec=getattr(index.embedder, "codec", "full64"),
+        codec=index.embedder.codec,
     )

@@ -94,20 +94,11 @@ class ExperimentHarness:
         """JSON-safe summary of how the harness's index was built.
 
         The index's :attr:`~repro.core.index.SetSimilarityIndex.build_report`
-        with the per-unit detail collapsed to totals -- the build-side
+        (phase timings and the filter load's totals) -- the build-side
         analogue of ``record.trace_summary``, attachable to benchmark
         artifacts.  None for per-insert builds and loaded indexes.
         """
-        report = self.index.build_report
-        if report is None:
-            return None
-        summary = {k: v for k, v in report.items() if k != "filters"}
-        filters = report.get("filters")
-        if filters is not None:
-            summary["filters"] = {
-                k: v for k, v in filters.items() if k != "units"
-            }
-        return summary
+        return self.index.build_report
 
     def run_query(
         self,

@@ -18,9 +18,6 @@ This package provides the serving-side counterpart:
 - :mod:`~repro.exec.columnar` -- the vectorized sorted-hash-array
   kernels behind exact Jaccard verification (shared with the live
   sequential path);
-- :mod:`~repro.exec.build` -- the build-side counterpart: bulk filter
-  construction that plans every table, then applies the plans in a
-  fixed order, bit-identical to the per-insert path;
 - :mod:`~repro.exec.snapfile` -- the one on-disk format:
   :func:`~repro.exec.snapfile.save_snapshot` (behind
   ``SetSimilarityIndex.save``) writes a directory of aligned raw arrays
@@ -31,7 +28,7 @@ This package provides the serving-side counterpart:
   ``SetSimilarityIndex.load`` thaws it into a live index;
 - :mod:`~repro.exec.shard` -- scatter-gather over a K-shard fleet of
   one shape: :func:`~repro.exec.shard.build_sharded` hash-partitions a
-  collection, builds every shard with the bulk pipeline from the one
+  collection, bulk-builds every shard from the one
   global plan and saves each as its own snapshot under a checksummed
   shard manifest with per-shard routing summaries
   (:mod:`~repro.exec.route`);
@@ -42,7 +39,6 @@ This package provides the serving-side counterpart:
   bit-identical to the unsharded answers.
 """
 
-from repro.exec.build import bulk_load_filters
 from repro.exec.columnar import build_csr, hash_set, intersect_counts, jaccard_values
 from repro.exec.parallel import ParallelExecutor
 from repro.exec.shard import (
@@ -77,7 +73,6 @@ __all__ = [
     "SnapshotFormatError",
     "SnapshotIntegrityError",
     "build_sharded",
-    "bulk_load_filters",
     "is_sharded",
     "build_csr",
     "hash_set",

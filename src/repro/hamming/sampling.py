@@ -19,13 +19,14 @@ import numpy as np
 from repro.obs import metrics
 
 #: Keys extracted by :func:`sampled_key_words`, one per (row, table):
-#: the bulk build, every probe (live and frozen) and every filter-index
+#: the bulk load, every probe (live and frozen) and every filter-index
 #: insert and delete -- all key extraction goes through it.
 _KEYS = metrics.counter("hamming.keys_extracted")
 
 
 class BitSampler:
-    """Extracts ``r`` fixed random bit positions from packed vectors.
+    """Draws ``r`` fixed random bit positions of a ``D``-bit space; the
+    keys are extracted by :func:`sampled_key_words`.
 
     Parameters
     ----------
@@ -35,8 +36,8 @@ class BitSampler:
         Number of positions to sample.
     rng:
         Source of randomness used once, at construction, to freeze the
-        sample.  The same sampler must be applied to both the data and
-        the query vectors.
+        sample.  The same sample must key both the data and the query
+        vectors.
     """
 
     def __init__(self, n_bits: int, r: int, rng: np.random.Generator):
@@ -49,23 +50,6 @@ class BitSampler:
         # Sampling with replacement matches the s**r collision analysis
         # exactly and permits r > n_bits.
         self.positions = rng.integers(0, n_bits, size=r, dtype=np.int64)
-        self._word_index = (self.positions // 64).astype(np.int64)
-        self._bit_offset = (self.positions % 64).astype(np.uint64)
-
-    @property
-    def key_bytes(self) -> int:
-        """Byte width of every key this sampler emits."""
-        return -(-self.r // 8)
-
-    def key_words(self, matrix: np.ndarray) -> np.ndarray:
-        """Every row's key as little-endian uint64 words, never leaving
-        numpy: row ``i`` holds the sampled bits of ``matrix[i]``, packed
-        into :attr:`key_bytes` bytes, with the last word zero-padded.
-        Feeds :func:`repro.storage.hashtable.hash_words` (with
-        :attr:`key_bytes`) so the bulk build fingerprints a whole
-        matrix without materializing per-row ``bytes`` objects.
-        """
-        return sampled_key_words(matrix, self._word_index, self._bit_offset)
 
     def __repr__(self) -> str:
         return f"BitSampler(n_bits={self.n_bits}, r={self.r})"

@@ -224,6 +224,8 @@ class CoalescerCore:
         for i, item in enumerate(queue):
             if item.rid == rid:
                 del queue[i]
+                if not queue:
+                    del self._queues[key]
                 self._n_pending -= 1
                 self.stats.cancelled += 1
                 return True

@@ -16,7 +16,8 @@ Components:
 * :mod:`repro.storage.iomodel` -- cost model and counters.
 * :mod:`repro.storage.pager` -- page allocation and access accounting.
 * :mod:`repro.storage.hashtable` -- paged bucket hash table (the
-  primitive both filter indices are made of).
+  primitive both filter indices are made of), dynamic per entry and
+  bulk-loaded a batch at a time in one call.
 * :mod:`repro.storage.heapfile` -- append-only record file supporting
   cheap sequential scans (the Scan baseline).
 * :mod:`repro.storage.btree` -- B-tree mapping set identifiers to heap

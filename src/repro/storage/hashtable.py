@@ -9,7 +9,11 @@ overflow chains so the structure stays correct for any input.
 The table is fully dynamic (insert and delete), which is what lets the
 paper claim the overall index "readily supports dynamic operations".
 Every write also patches the bucket's fingerprint directory in place,
-so a read after writes costs what any other read costs.
+so a read after writes costs what any other read costs.  A batch of
+entries loads in one :meth:`BucketHashTable.bulk_load_hashed` call --
+the build's and the snapshot thaw's only bulk load -- bit-identical in
+chains, pages, directories and I/O accounting to inserting the entries
+one by one.
 
 Each stored entry is a ``(fingerprint, sid)`` pair of 16 bytes.  The
 fingerprint is a 64-bit hash of the full key; matching on it avoids
@@ -119,51 +123,6 @@ def hash_keys(keys: Sequence[bytes]) -> np.ndarray:
     return hash_words(_key_word_matrix(keys, width), width)
 
 
-class UnresolvedTailError(RuntimeError):
-    """A bulk-load plan needs a tail page whose fill state is unknown.
-
-    Raised by :meth:`BucketHashTable.plan_bulk_load` when a target
-    bucket has a chain but no tracked tail occupancy (e.g. after a
-    delete).  Call :meth:`BucketHashTable.resolve_tails` first -- it
-    charges the same reads the per-insert path would have charged.
-    """
-
-
-class _BulkGroup:
-    """One bucket's slice of a bulk-load plan."""
-
-    __slots__ = ("bucket", "entries", "tail_take", "directory")
-
-    def __init__(self, bucket, entries, tail_take, directory):
-        self.bucket = bucket
-        #: (fingerprint, sid) tuples in insertion order.
-        self.entries = entries
-        #: How many lead entries the existing tail page absorbs.
-        self.tail_take = tail_take
-        #: Fingerprint -> sids runs of ``entries``, each in input order:
-        #: the bucket's whole directory if it was empty, else what
-        #: ``apply_bulk_load`` appends to it.
-        self.directory = directory
-
-
-class BulkLoadPlan:
-    """Pager-free image of one bulk load (see ``plan_bulk_load``).
-
-    Computing a plan touches no pages and mutates nothing, so plans for
-    independent tables can be prepared concurrently; ``apply_bulk_load``
-    then replays them against the pager on one thread.
-    """
-
-    __slots__ = ("n_entries", "groups", "alloc_buckets")
-
-    def __init__(self, n_entries, groups, alloc_buckets):
-        self.n_entries = n_entries
-        self.groups = groups
-        #: Bucket per page allocation, in the exact order the
-        #: sequential per-insert path would have allocated.
-        self.alloc_buckets = alloc_buckets
-
-
 class BucketHashTable:
     """A disk-simulated hash table from byte keys to set identifiers.
 
@@ -257,40 +216,31 @@ class BucketHashTable:
 
     # -- bulk loading ------------------------------------------------------
 
-    def resolve_tails(self, buckets) -> int:
-        """Read (charged) the tail page of every listed bucket whose
-        fill state is unknown; returns the number of reads charged.
+    def bulk_load(self, keys: Sequence[bytes], sids: Sequence[int]) -> dict:
+        """Bulk-insert many (key, sid) entries in one partitioned pass.
 
-        One random read per such bucket -- exactly what the per-insert
-        path would charge on its first insert into that bucket.
+        Equivalent -- in chains, page ids and contents, directories and
+        I/O accounting -- to ``for key, sid in zip(keys, sids):
+        self.insert(key, sid)``, but the keys are fingerprinted in one
+        pass, partitioned by bucket with a single argsort, and each
+        bucket's page chain and fingerprint directory are appended in
+        one sweep.
         """
-        reads = 0
-        for bucket in buckets:
-            chain = self._chains[bucket]
-            if chain and self._tail_slots[bucket] < 0:
-                page = self.pager.read(chain[-1], sequential=False)
-                self._tail_slots[bucket] = len(page.slots)
-                reads += 1
-        return reads
+        return self.bulk_load_hashed(hash_keys(keys), sids)
 
-    def plan_bulk_load(
+    def bulk_load_hashed(
         self, fingerprints: np.ndarray, sids: Sequence[int]
-    ) -> BulkLoadPlan:
-        """Vectorized bucket-partitioned layout of a bulk insertion.
+    ) -> dict:
+        """:meth:`bulk_load` for pre-computed ``hash_key`` fingerprints.
 
         Entries are grouped by bucket with one stable argsort, each
         group's page layout (existing-tail absorption, new-page count)
-        is array arithmetic, and the page-allocation *order* is derived
-        so it matches the sequential per-insert path exactly: a page is
-        opened at the first entry (in input order) that lands on it.
-        Each group's fingerprint runs are built here too, so applying
-        the plan keeps every directory equal to its slots.
-
-        Touches no pages and mutates nothing -- plans for independent
-        tables may be computed concurrently -- but requires every
-        target bucket's tail state to be known
-        (:class:`UnresolvedTailError` otherwise; see
-        :meth:`resolve_tails`).
+        is array arithmetic, and pages are allocated in the order the
+        per-insert path opens them: at the first entry (in input order)
+        that lands on each.  A target bucket whose tail fill state is
+        unknown (e.g. after a delete) has its tail read first -- one
+        charged random read, as the per-insert path's first write to
+        that bucket charges.  Returns a small load report.
         """
         fps = np.ascontiguousarray(fingerprints, dtype=np.uint64)
         n = len(fps)
@@ -299,7 +249,8 @@ class BucketHashTable:
                 f"{n} fingerprints but {len(sids)} sids given"
             )
         if n == 0:
-            return BulkLoadPlan(0, [], [])
+            return {"entries": 0, "new_pages": 0, "buckets": 0, "tail_reads": 0}
+        pager = self.pager
         slots = self.slots_per_page
         buckets = (fps % np.uint64(self.n_buckets)).astype(np.int64)
         order = np.argsort(buckets, kind="stable")
@@ -313,14 +264,14 @@ class BucketHashTable:
         # Free slots on each group's existing tail page (0 for fresh
         # buckets: their first entry opens a page, as in insert()).
         rems = np.zeros(len(group_buckets), dtype=np.int64)
+        tail_reads = 0
         for g, bucket in enumerate(group_buckets):
-            if self._chains[bucket]:
+            chain = self._chains[bucket]
+            if chain:
                 occupied = self._tail_slots[bucket]
                 if occupied < 0:
-                    raise UnresolvedTailError(
-                        f"bucket {bucket} has an unread tail page; "
-                        "call resolve_tails() before planning"
-                    )
+                    occupied = len(pager.read(chain[-1], sequential=False).slots)
+                    tail_reads += 1
                 rems[g] = slots - occupied
         # Within-bucket rank of every entry, then the page-opening
         # entries: rank == rem, rem + slots, rem + 2*slots, ...
@@ -337,8 +288,27 @@ class BucketHashTable:
         all_entries = list(
             zip(fps[order].tolist(), sids_arr[order].tolist())
         )
-        sizes_list = sizes.tolist()
-        rems_list = rems.tolist()
+        # Each group's lead entries top up its tail page; the rest fill
+        # fresh pages in allocation order.
+        entries_of: dict[int, list] = {}
+        cursors: dict[int, int] = {}
+        pos = 0
+        for bucket, size, rem in zip(group_buckets, sizes.tolist(), rems.tolist()):
+            entries = entries_of[bucket] = all_entries[pos : pos + size]
+            pos += size
+            take = min(rem, size)
+            if take:
+                pager.peek(self._chains[bucket][-1]).slots.extend(entries[:take])
+            cursors[bucket] = take
+        for bucket in alloc_buckets:
+            page = pager.allocate(slots)
+            self._chains[bucket].append(page.page_id)
+            start = cursors[bucket]
+            page.slots.extend(entries_of[bucket][start : start + slots])
+            cursors[bucket] = start + slots
+        # One charged write per entry, exactly as the per-insert loop
+        # charges them (allocation writes were charged by allocate()).
+        pager.io.write(n)
         # Directory runs: a second stable sort by (bucket, fingerprint)
         # makes every run a contiguous slice (stable, so slices keep
         # input order).  Bucket is the primary key, so group boundaries
@@ -359,107 +329,36 @@ class BucketHashTable:
         # Every group boundary starts a run, so side="left" lands
         # exactly on each group's first run index.
         grp_run = np.searchsorted(run_starts, bounds).tolist()
-        groups: list[_BulkGroup] = []
-        pos = 0
         for g, bucket in enumerate(group_buckets):
-            size = sizes_list[g]
-            entries = all_entries[pos : pos + size]
-            pos += size
-            a, b = grp_run[g], grp_run[g + 1]
-            directory = dict(
-                zip(
-                    run_keys[a:b],
-                    map(get_run, map(slice, run_s[a:b], run_e[a:b])),
-                )
-            )
-            tail_take = rems_list[g]
-            if tail_take > size:
-                tail_take = size
-            groups.append(_BulkGroup(bucket, entries, tail_take, directory))
-        return BulkLoadPlan(n, groups, alloc_buckets)
-
-    def apply_bulk_load(self, plan: BulkLoadPlan) -> dict:
-        """Replay a :meth:`plan_bulk_load` against the pager.
-
-        Produces chains, page contents, directories, ``n_pages`` and
-        write accounting identical to inserting the plan's entries one
-        by one (one charged write per entry plus one per allocated
-        page).  Returns a small load report.
-        """
-        pager = self.pager
-        slots = self.slots_per_page
-        cursors: dict[int, int] = {}
-        by_bucket: dict[int, _BulkGroup] = {}
-        for group in plan.groups:
-            take = group.tail_take
-            if take:
-                pager.peek(self._chains[group.bucket][-1]).slots.extend(
-                    group.entries[:take]
-                )
-            cursors[group.bucket] = take
-            by_bucket[group.bucket] = group
-        for bucket in plan.alloc_buckets:
-            page = pager.allocate(slots)
-            self._chains[bucket].append(page.page_id)
-            group = by_bucket[bucket]
-            start = cursors[bucket]
-            end = min(start + slots, len(group.entries))
-            page.slots.extend(group.entries[start:end])
-            cursors[bucket] = end
-        # One charged write per entry, exactly as the per-insert loop
-        # charges them (allocation writes were charged by allocate()).
-        pager.io.write(plan.n_entries)
-        for group in plan.groups:
-            bucket = group.bucket
             self._tail_slots[bucket] = len(
                 pager.peek(self._chains[bucket][-1]).slots
             )
+            a, b = grp_run[g], grp_run[g + 1]
+            runs = zip(
+                run_keys[a:b], map(get_run, map(slice, run_s[a:b], run_e[a:b]))
+            )
             # The new entries follow the bucket's old ones in slot
-            # order, so each planned run extends its fingerprint's run
-            # (an empty bucket simply takes the planned directory).
+            # order, so each run extends its fingerprint's run (an
+            # empty bucket simply takes the new runs as its directory).
             directory = self._directory[bucket]
             if directory:
-                for fingerprint, run in group.directory.items():
+                for fingerprint, run in runs:
                     have = directory.get(fingerprint)
                     if have is None:
                         directory[fingerprint] = run
                     else:
                         have.extend(run)
             else:
-                self._directory[bucket] = group.directory
-        self._n_entries += plan.n_entries
-        _BULK_ENTRIES.shard().count += plan.n_entries
-        _BULK_PAGES.shard().count += len(plan.alloc_buckets)
+                self._directory[bucket] = dict(runs)
+        self._n_entries += n
+        _BULK_ENTRIES.shard().count += n
+        _BULK_PAGES.shard().count += len(alloc_buckets)
         return {
-            "entries": plan.n_entries,
-            "new_pages": len(plan.alloc_buckets),
-            "buckets": len(plan.groups),
+            "entries": n,
+            "new_pages": len(alloc_buckets),
+            "buckets": len(group_buckets),
+            "tail_reads": tail_reads,
         }
-
-    def bulk_load(self, keys: Sequence[bytes], sids: Sequence[int]) -> dict:
-        """Bulk-insert many (key, sid) entries in one partitioned pass.
-
-        Equivalent -- in chains, page ids and contents, directories and
-        I/O accounting -- to ``for key, sid in zip(keys, sids):
-        self.insert(key, sid)``, but the keys are fingerprinted in one
-        pass, partitioned by bucket with a single argsort, and each
-        bucket's page chain and fingerprint directory are appended in
-        one sweep.
-        """
-        return self.bulk_load_hashed(hash_keys(keys), sids)
-
-    def bulk_load_hashed(
-        self, fingerprints: np.ndarray, sids: Sequence[int]
-    ) -> dict:
-        """:meth:`bulk_load` for pre-computed ``hash_key`` fingerprints."""
-        from repro.exec.columnar import sorted_unique
-
-        fps = np.ascontiguousarray(fingerprints, dtype=np.uint64)
-        touched = sorted_unique(fps % np.uint64(self.n_buckets)).astype(np.int64)
-        tail_reads = self.resolve_tails(touched.tolist())
-        report = self.apply_bulk_load(self.plan_bulk_load(fps, sids))
-        report["tail_reads"] = tail_reads
-        return report
 
     def probe(self, key: bytes) -> list[int]:
         """Return the sids stored under ``key``.

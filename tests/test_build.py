@@ -1,6 +1,7 @@
-"""Equivalence and report tests for the bulk build pipeline.
+"""Equivalence and report tests for the bulk build.
 
-The contract under test (repro.exec.build + the bulk paths it drives):
+The contract under test (``SetSimilarityIndex.from_plan`` loading every
+filter through ``insert_many`` -> ``BucketHashTable.bulk_load_hashed``):
 a bulk-built index is *bit-identical* to one whose tables were filled
 entry by entry through the dynamic insert path -- same page chains
 (including page ids), same page contents, same bucket directories,
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.distribution import SimilarityDistribution
+from repro.core.filter_index import SimilarityFilterIndex
 from repro.core.index import SetSimilarityIndex
 from repro.core.optimizer import plan_index
-from repro.exec.build import build_units, bulk_load_filters
+from repro.hamming.sampling import sampled_key_words
 from repro.obs.explain import BUILD_PHASE_SPANS, build_summaries
 
 
@@ -41,20 +43,25 @@ def _build(sets, dist, plan, **kwargs):
     )
 
 
-def _insert_loop(filters, matrix, sids):
-    """The reference load: every table filled one entry at a time with
-    the dynamic ``BucketHashTable.insert``, filter-major, table-major --
-    the order the bulk pipeline promises to reproduce."""
-    for fi in filters:
-        for sampler, table in fi.table_units():
-            for vector, sid in zip(matrix, sids):
-                key = sampler.key_words(vector[None])[0].tobytes()
-                table.insert(key[: sampler.key_bytes], sid)
+def _insert_loop(fi, matrix, sids):
+    """The reference ``insert_many``: every table filled one entry at a
+    time with the dynamic ``BucketHashTable.insert`` (which fingerprints
+    each key with the scalar ``hash_key``), table-major.  ``from_plan``
+    calls it filter-major -- the order the bulk load promises to
+    reproduce."""
+    key_bytes = -(-fi.r // 8)
+    for positions, table in zip(fi.positions, fi._tables):
+        keys = sampled_key_words(
+            matrix, positions // 64, (positions % 64).astype(np.uint64)
+        )
+        for key, sid in zip(keys, sids):
+            table.insert(key.tobytes()[:key_bytes], sid)
+    return {}
 
 
 def _build_by_insert(monkeypatch, sets, dist, plan):
     with monkeypatch.context() as patch:
-        patch.setattr("repro.exec.build.bulk_load_filters", _insert_loop)
+        patch.setattr(SimilarityFilterIndex, "insert_many", _insert_loop)
         return _build(sets, dist, plan)
 
 
@@ -130,16 +137,14 @@ class TestBuildEquivalence:
         assert index.build_report["filters"] is None
 
     def test_validation(self):
-        """The build has no ``workers`` option: the plan phase is one
-        loop on the calling thread, so every entry point rejects it."""
+        """The build has no ``workers`` option: every table loads on the
+        calling thread, so every entry point rejects it."""
         sets = _collection(n_sets=5, seed=1)
         dist, plan = _plan_for(sets)
         with pytest.raises(TypeError):
             _build(sets, dist, plan, workers=2)
         with pytest.raises(TypeError):
             SetSimilarityIndex.build(sets, budget=40, workers=2)
-        with pytest.raises(TypeError):
-            bulk_load_filters([], np.zeros((0, 1), dtype=np.uint8), [], workers=2)
 
 
 class TestBuildReport:
@@ -154,19 +159,18 @@ class TestBuildReport:
             "store_load_seconds", "embed_corpus_seconds",
         }
         filters = report["filters"]
-        n_units = len(build_units(list(index._all_filters())))
         assert set(filters) == {
-            "n_units", "entries", "new_pages", "tail_reads", "tail_replans",
-            "plan_wall_seconds", "apply_wall_seconds", "units",
+            "tables", "entries", "new_pages", "tail_reads", "wall_seconds",
         }
-        assert filters["n_units"] == n_units
-        assert filters["entries"] == len(sets) * n_units
-        assert filters["tail_replans"] == 0  # fresh tables: tails known
-        assert len(filters["units"]) == n_units
-        for unit in filters["units"]:
-            assert unit["entries"] == len(sets)
-            assert unit["plan_seconds"] >= 0.0
-            assert unit["label"]
+        all_filters = list(index._all_filters())
+        n_tables = sum(fi.n_tables for fi in all_filters)
+        assert filters["tables"] == n_tables
+        assert filters["entries"] == len(sets) * n_tables
+        assert filters["new_pages"] == sum(
+            fi.table_stats()["pages"] for fi in all_filters
+        )
+        assert filters["tail_reads"] == 0  # fresh tables: no tail to read
+        assert filters["wall_seconds"] >= 0.0
 
     def test_build_classmethod_adds_planning_phases(self):
         sets = _collection(n_sets=30, seed=2)
@@ -177,16 +181,15 @@ class TestBuildReport:
         assert "estimate_distribution_seconds" in phases
         assert "plan_index_seconds" in phases
 
-    def test_harness_build_summary_strips_units(self):
+    def test_harness_build_summary_is_the_report(self):
         from repro.eval.harness import ExperimentHarness
 
         sets = _collection(n_sets=30, seed=4)
         dist, plan = _plan_for(sets)
         index = _build(sets, dist, plan)
         summary = ExperimentHarness(sets, index).build_summary()
-        assert summary is not None
-        assert "units" not in summary["filters"]
-        assert summary["filters"]["entries"] == index.build_report["filters"]["entries"]
+        assert summary == index.build_report
+        assert summary["filters"]["entries"] > 0
 
 
 class TestBuildTrace:

@@ -294,6 +294,12 @@ class CoalescerMachine(RuleBasedStateMachine):
         assert self.core.in_flight == self.in_flight_batches
 
     @invariant()
+    def no_empty_queue_is_kept(self):
+        # A cancel or a dispatch that empties a key's queue drops the
+        # key, so deadline scans only ever visit waiting requests.
+        assert all(self.core._queues.values())
+
+    @invariant()
     def timer_deadline_respects_every_pending_request(self):
         # The deadline the wrapper would arm its timer at is never
         # later than the *oldest* pending request's enqueue + max_wait:

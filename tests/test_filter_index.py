@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.filter_index import DissimilarityFilterIndex, SimilarityFilterIndex
 from repro.hamming.bitvector import complement, pack_bits
+from repro.hamming.sampling import sampled_key_words
 from repro.storage.iomodel import IOCostModel
 from repro.storage.pager import PageManager
 
@@ -192,10 +193,12 @@ class TestInsertMany:
         sids = list(range(30))
         a.insert_many(matrix, sids)
         # Reference: the dynamic one-entry path, table by table.
-        for sampler, table in b.table_units():
-            for vector, sid in zip(matrix, sids):
-                key = sampler.key_words(vector[None])[0].tobytes()
-                table.insert(key[: sampler.key_bytes], sid)
+        for positions, table in zip(b.positions, b._tables):
+            keys = sampled_key_words(
+                matrix, positions // 64, (positions % 64).astype(np.uint64)
+            )
+            for key, sid in zip(keys, sids):
+                table.insert(key.tobytes()[: -(-b.r // 8)], sid)
         io_a = a._tables[0].pager.io.snapshot()
         io_b = b._tables[0].pager.io.snapshot()
         assert io_a.as_dict() == io_b.as_dict()
@@ -247,7 +250,8 @@ class TestInsertMany:
         matrix = _random_vectors(5, n_bits, seed=62)
         with pytest.raises(ValueError, match="duplicate sids"):
             dfi.insert_many(matrix, [0, 0, 1, 2, 3])
-        dfi.insert_many(matrix, list(range(5)))
+        report = dfi.insert_many(matrix, list(range(5)))
         assert dfi.n_entries == 5
-        units = dfi.table_units()
-        assert len(units) == 4
+        assert report["tables"] == dfi.n_tables == 4
+        assert report["entries"] == 20
+        assert report["tail_reads"] == 0

@@ -10,7 +10,6 @@ from repro.obs import metrics
 from repro.storage.hashtable import (
     ENTRY_BYTES,
     BucketHashTable,
-    UnresolvedTailError,
     hash_key,
     hash_keys,
 )
@@ -540,14 +539,11 @@ class TestBulkLoadEquivalence:
         assert mixed.load_stats() == seq.load_stats()
         assert mixed.pager.io.snapshot().as_dict() == seq.pager.io.snapshot().as_dict()
 
-    def test_unresolved_tail_raises_then_resolves(self):
+    def test_bulk_load_resolves_unknown_tail(self):
         table = _table(n_buckets=1, page_size=64)
         for i in range(5):  # two pages: 4 + 1
             table.insert(b"k", i)
         assert table.delete(b"k", 4)  # frees the tail page -> state unknown
-        fps = hash_keys([b"k2"])
-        with pytest.raises(UnresolvedTailError):
-            table.plan_bulk_load(fps, [99])
         before = table.pager.io.snapshot()
         report = table.bulk_load([b"k2"], [99])
         delta = table.pager.io.snapshot() - before
@@ -565,7 +561,7 @@ class TestBulkLoadEquivalence:
     def test_length_mismatch_raises(self):
         table = _table()
         with pytest.raises(ValueError):
-            table.plan_bulk_load(hash_keys([b"a", b"b"]), [1])
+            table.bulk_load_hashed(hash_keys([b"a", b"b"]), [1])
 
 
 class TestTailReadAccounting:

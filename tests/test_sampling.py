@@ -4,16 +4,28 @@ import numpy as np
 import pytest
 
 from repro.hamming.bitvector import pack_bits
-from repro.hamming.sampling import BitSampler
+from repro.hamming.sampling import BitSampler, sampled_key_words
 
 
 def _vec(bits):
     return pack_bits(np.array(bits, dtype=np.uint8))
 
 
+def _key_bytes(sampler):
+    return -(-sampler.r // 8)
+
+
+def _key_words(sampler, matrix):
+    """Every row's key words under one sampler's positions."""
+    positions = sampler.positions
+    return sampled_key_words(
+        matrix, positions // 64, (positions % 64).astype(np.uint64)
+    )
+
+
 def _key(sampler, vector):
     """One packed vector's key bytes, through the one-row matrix."""
-    return sampler.key_words(vector[None])[0].tobytes()[: sampler.key_bytes]
+    return _key_words(sampler, vector[None])[0].tobytes()[: _key_bytes(sampler)]
 
 
 class TestBitSampler:
@@ -57,8 +69,8 @@ class TestBitSampler:
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=(5, 96)).astype(np.uint8)
         matrix = pack_bits(bits)
-        words = sampler.key_words(matrix)
-        batch = [row.tobytes()[: sampler.key_bytes] for row in words]
+        words = _key_words(sampler, matrix)
+        batch = [row.tobytes()[: _key_bytes(sampler)] for row in words]
         singles = [_key(sampler, matrix[i]) for i in range(5)]
         assert batch == singles
         packed = [np.packbits(row[sampler.positions]).tobytes() for row in bits]
@@ -69,7 +81,7 @@ class TestBitSampler:
         sampler = BitSampler(8, 20, np.random.default_rng(8))
         assert sampler.r == 20
         v = _vec([1] * 8)
-        assert len(_key(sampler, v)) == sampler.key_bytes == 3
+        assert len(_key(sampler, v)) == _key_bytes(sampler) == 3
 
     def test_positions_in_range(self):
         sampler = BitSampler(50, 200, np.random.default_rng(9))

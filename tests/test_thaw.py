@@ -152,3 +152,19 @@ def test_buffer_pool_index_cannot_be_saved(clustered_sets, tmp_path):
     with pytest.raises(FrozenIndexError):
         index.save(tmp_path / "pooled")
     assert not (tmp_path / "pooled").exists()
+
+
+def test_positions_the_seed_does_not_draw_are_refused(pair, monkeypatch):
+    """A load re-draws every filter's bit positions from the embedder
+    seed; a stored filter whose positions differ is a format error,
+    not an index answering through the wrong keys."""
+    from repro.exec.snapfile import SnapshotFormatError
+
+    original = pair[2]
+    draw = SetSimilarityIndex._materialize_filters
+    monkeypatch.setattr(
+        SetSimilarityIndex, "_materialize_filters",
+        lambda self, expected_entries, seed: draw(self, expected_entries, seed + 1),
+    )
+    with pytest.raises(SnapshotFormatError, match="bit positions do not match"):
+        SetSimilarityIndex.load(original)
