@@ -3,11 +3,14 @@
 Checks the three files ``repro query --prom-out/--events-out/
 --trace-out`` writes (into ``DIR`` as ``obs_metrics.prom``,
 ``obs_events.jsonl``, ``obs_trace.json``) -- Prometheus text
-exposition, query-event JSONL, Chrome trace-event JSON -- against the validators in :mod:`repro.obs.export`, which pin
-the format invariants external tooling relies on (TYPE-declared
-families with cumulative ``le`` buckets; the full event schema on
+exposition, query-event JSONL, Chrome trace-event JSON -- against the
+validators in :mod:`repro.obs.export`, which pin the format
+invariants external tooling relies on (TYPE-declared families, every
+histogram a ``summary`` with quantile samples; the full event schema
+and a known kind -- ``query``, ``query_batch`` or ``serve`` -- on
 every line; well-formed complete events with non-negative
-timestamps).
+timestamps).  ``repro serve --events-out`` output checks the same
+way with ``--events``.
 
 Usage::
 

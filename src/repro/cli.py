@@ -399,7 +399,7 @@ def _print_fleet(sharded) -> None:
 
 
 def _print_histogram_tables() -> None:
-    """Quantile tables for every registered histogram (fixed and HDR).
+    """Quantile tables for every registered histogram.
 
     Part of ``repro stats``: all distribution instruments that have
     recorded observations this process -- candidates per query, batch
@@ -410,25 +410,20 @@ def _print_histogram_tables() -> None:
     from repro.obs import metrics
 
     instruments = [
-        ("fixed", hist)
-        for hist in metrics.registry.histograms().values()
-        if hist.count
-    ] + [
-        ("hdr", hist)
-        for hist in metrics.registry.hdr_histograms().values()
+        hist for hist in metrics.registry.hdr_histograms().values()
         if hist.count
     ]
     if not instruments:
         return
     print("histograms:")
     header = (
-        f"  {'name':<32}{'kind':>6}{'count':>9}{'mean':>11}"
+        f"  {'name':<32}{'count':>9}{'mean':>11}"
         f"{'p50':>11}{'p90':>11}{'p99':>11}{'p999':>11}"
     )
     print(header)
-    for kind, hist in sorted(instruments, key=lambda pair: pair[1].name):
+    for hist in instruments:
         print(
-            f"  {hist.name:<32}{kind:>6}{hist.count:>9}{hist.mean:>11.3f}"
+            f"  {hist.name:<32}{hist.count:>9}{hist.mean:>11.3f}"
             + "".join(
                 f"{hist.quantile(q):>11.3f}"
                 for q in (0.50, 0.90, 0.99, 0.999)

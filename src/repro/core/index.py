@@ -63,9 +63,9 @@ _QUERIES = metrics.counter("query.count")
 _QUERY_CANDIDATES = metrics.counter("query.candidates")
 _QUERY_VERIFIED = metrics.counter("query.verified_hits")
 _QUERY_FALSE_POSITIVES = metrics.counter("query.false_positives")
-_CANDIDATES_PER_QUERY = metrics.histogram("query.candidates_per_query")
+_CANDIDATES_PER_QUERY = metrics.hdr("query.candidates_per_query")
 _QUERY_BATCHES = metrics.counter("query.batches")
-_BATCH_SIZE = metrics.histogram("query.batch_size")
+_BATCH_SIZE = metrics.hdr("query.batch_size")
 _BATCH_FETCHES_SAVED = metrics.counter("query.batch_fetches_saved")
 
 

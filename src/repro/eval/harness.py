@@ -275,8 +275,10 @@ class ExperimentHarness:
     def telemetry_summary(self) -> dict:
         """JSON-safe snapshot of the query-telemetry layer.
 
-        Latency quantiles (every non-empty HDR histogram: end-to-end
-        wall, per-phase, simulated), the candidate funnel, buffer-pool
+        Distribution quantiles under ``latency`` (every non-empty
+        histogram: end-to-end wall, per-phase, simulated, and the
+        candidates-per-query and batch-size counts), the candidate
+        funnel, buffer-pool
         hit accounting and the event-log sampler statistics -- the
         numbers ``repro top`` renders, in one attachable dict.
         Registry instruments are process-wide and monotonic, so this

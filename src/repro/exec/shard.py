@@ -552,7 +552,7 @@ class ShardedExecutor:
         its own scan cost).
         """
         return self._run_batch(
-            "sharded_query_batch", queries, sigma_low, sigma_high,
+            "query_batch", queries, sigma_low, sigma_high,
             strategy, explain,
         )
 

@@ -14,9 +14,9 @@ system (and every future tuning experiment) builds on:
     A process-wide registry of named counters, gauges and histograms
     (buckets probed, candidates per filter, verification hits, ...).
 :mod:`repro.obs.hdr`
-    Log-bucketed HDR-style histograms with bounded relative error and
-    an exact merge/delta algebra (latency quantiles that survive
-    thread sharding and process folding).
+    The one histogram kind: log-bucketed, quantiles within 1%, with an
+    exact merge/delta algebra (latency, candidate-count and batch-size
+    distributions that survive thread sharding and process folding).
 :mod:`repro.obs.events`
     Ring-buffered structured query events with probabilistic sampling
     and an always-capture slow-query log; JSONL export for

@@ -7,10 +7,9 @@ keep the formats honest:
 :func:`prometheus_text`
     Renders a :class:`~repro.obs.metrics.MetricsRegistry` in the
     Prometheus text exposition format (version 0.0.4): counters and
-    gauges as single samples, fixed-bucket histograms as native
-    ``histogram`` families (cumulative ``le`` buckets), HDR histograms
-    as ``summary`` families (p50/p90/p99/p999 quantile samples).  The
-    output of an HTTP ``/metrics`` handler is exactly this string.
+    gauges as single samples, histograms as ``summary`` families
+    (p50/p90/p99/p999 quantile samples).  The output of an HTTP
+    ``/metrics`` handler is exactly this string.
 :func:`chrome_trace`
     Converts a completed :class:`~repro.obs.trace.Span` tree to the
     Chrome trace-event JSON format (``chrome://tracing`` /
@@ -39,7 +38,7 @@ _SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
 #: Prefix for every exported metric family.
 PROMETHEUS_PREFIX = "repro"
 
-#: Quantiles exported per HDR histogram.
+#: Quantiles exported per histogram.
 SUMMARY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 
 
@@ -83,19 +82,9 @@ def prometheus_text(registry: MetricsRegistry | None = None) -> str:
     for name in sorted(snapshot["gauges"]):
         fam = family(name, "gauge", f"repro gauge {name}")
         lines.append(f"{fam} {_fmt(snapshot['gauges'][name])}")
-    for name in sorted(snapshot["histograms"]):
-        state = snapshot["histograms"][name]
-        fam = family(name, "histogram", f"repro histogram {name}")
-        cumulative = 0
-        for bound, count in zip(state["bounds"], state["counts"]):
-            cumulative += count
-            lines.append(f'{fam}_bucket{{le="{_fmt(float(bound))}"}} {cumulative}')
-        lines.append(f'{fam}_bucket{{le="+Inf"}} {state["count"]}')
-        lines.append(f"{fam}_sum {_fmt(state['sum'])}")
-        lines.append(f"{fam}_count {state['count']}")
     hdr_histograms = registry.hdr_histograms()
     for name in sorted(snapshot["hdr"]):
-        fam = family(name, "summary", f"repro hdr histogram {name}")
+        fam = family(name, "summary", f"repro histogram {name}")
         hist = hdr_histograms.get(name)
         state = snapshot["hdr"][name]
         for q in SUMMARY_QUANTILES:
@@ -113,7 +102,9 @@ def validate_prometheus_text(text: str) -> dict[str, str]:
     :class:`ValueError` naming the first offending line otherwise.
     Validated invariants: every sample belongs to a ``# TYPE``-declared
     family, sample values parse as floats, histogram ``le`` buckets are
-    cumulative and end at ``+Inf`` equal to ``_count``.
+    cumulative and end at ``+Inf`` equal to ``_count``.  The exporter
+    writes no ``histogram`` family; those checks hold text written by
+    other programs to the same grammar.
     """
     types: dict[str, str] = {}
     buckets: dict[str, list[tuple[float, int]]] = {}
@@ -264,7 +255,9 @@ def validate_events_jsonl(path) -> int:
     """Check a query-event JSONL export; returns the line count.
 
     Every line must parse as a JSON object carrying the full
-    :data:`repro.obs.events.EVENT_FIELDS` schema with sane types.
+    :data:`repro.obs.events.EVENT_FIELDS` schema with sane types, and
+    a kind the library writes: ``query`` (one query), ``query_batch``
+    (a batch on any executor) or ``serve`` (one served request).
     """
     from repro.obs.events import EVENT_FIELDS
 
@@ -283,7 +276,7 @@ def validate_events_jsonl(path) -> int:
             missing = [k for k in EVENT_FIELDS if k not in record]
             if missing:
                 raise ValueError(f"line {lineno}: missing fields {missing}")
-            if record["kind"] not in ("query", "query_batch"):
+            if record["kind"] not in ("query", "query_batch", "serve"):
                 raise ValueError(
                     f"line {lineno}: bad kind {record['kind']!r}"
                 )

@@ -1,15 +1,14 @@
 """Log-bucketed HDR-style histograms: accurate tails, exact algebra.
 
-The fixed-bucket :class:`~repro.obs.metrics.Histogram` is fine for
-small-integer distributions (bucket occupancy, candidates per table)
-but cannot report a credible p99 latency: its buckets are hand-picked
-and its tail is one overflow bin.  :class:`HdrHistogram` instead
-buckets values on a *geometric* grid -- bucket ``i`` covers
-``(gamma**(i-1), gamma**i]`` with ``gamma = (1 + precision) /
-(1 - precision)`` -- so every recorded value is represented with at
-most ``precision`` relative error (default 1%), across the full float
-range, in O(1) memory per occupied bucket (the DDSketch scheme of
-Masson, Rim & Lee, VLDB 2019).
+:class:`HdrHistogram` is the registry's one distribution instrument:
+latencies, candidates per query and batch sizes all record into it.
+It buckets values on a *geometric* grid -- bucket ``i`` covers
+``(gamma**(i-1), gamma**i]`` with ``gamma = (1 + RELATIVE_ERROR) /
+(1 - RELATIVE_ERROR)`` -- so every recorded value is represented with
+at most 1% relative error, across the full float range, in O(1)
+memory per occupied bucket (the DDSketch scheme of Masson, Rim & Lee,
+VLDB 2019).  Integer-valued distributions read back within 1% as
+well: a stream of 64-query batches reports a p50 of 63.4.
 
 What makes it the serving-telemetry instrument is its *algebra*:
 
@@ -25,7 +24,7 @@ What makes it the serving-telemetry instrument is its *algebra*:
     Snapshot algebra for cross-process folding: a worker brackets a
     task with two :meth:`state` snapshots; the count-wise difference
     is exactly that task's observations and can be replayed into any
-    other histogram with the same precision.
+    other histogram.
 
 Thread model mirrors :class:`~repro.obs.metrics.Counter`: observations
 go to a per-thread shard (a private dict; no hot-path locking) and
@@ -43,9 +42,17 @@ import math
 import threading
 from typing import Any, Iterable
 
-#: Default relative-error bound (1%): quantiles are within +-1% of the
-#: true order statistic.
-DEFAULT_PRECISION = 0.01
+#: Relative-error bound (1%): quantiles are within +-1% of the true
+#: order statistic.
+RELATIVE_ERROR = 0.01
+
+#: Bucket growth factor; the harmonic-midpoint representative of a
+#: bucket is within RELATIVE_ERROR of any value the bucket holds.
+GAMMA = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR)
+_LOG_GAMMA = math.log(GAMMA)
+# Representative of bucket i: 2*gamma**i / (gamma + 1), the harmonic
+# midpoint of (gamma**(i-1), gamma**i].
+_REP_FACTOR = 2.0 / (GAMMA + 1.0)
 
 #: Values below this are indistinguishable from zero for bucketing
 #: purposes (a femtosecond latency is a clock artifact, not a signal).
@@ -69,32 +76,17 @@ class _HdrShard:
 class HdrHistogram:
     """A mergeable log-bucketed histogram with bounded relative error.
 
-    Parameters
-    ----------
-    name:
-        Instrument name (registry key; exported metric name).
-    precision:
-        Relative-error bound in (0, 1).  Buckets grow geometrically by
-        ``gamma = (1 + precision) / (1 - precision)``; the midpoint
-        representative of a bucket is then within ``precision`` of any
-        value the bucket holds.  1% precision costs ~920 buckets per
-        decade-spanning workload -- a few KiB, allocated sparsely.
+    ``name`` is the instrument name (registry key; exported metric
+    name).  Buckets grow geometrically by :data:`GAMMA`, which keeps
+    every reported value within :data:`RELATIVE_ERROR` (1%) of the
+    values its bucket holds; that costs ~920 buckets per
+    decade-spanning workload -- a few KiB, allocated sparsely.
     """
 
-    __slots__ = ("name", "precision", "gamma", "_log_gamma", "_rep_factor",
-                 "_lock", "_shards", "_local")
+    __slots__ = ("name", "_lock", "_shards", "_local")
 
-    def __init__(self, name: str, precision: float = DEFAULT_PRECISION):
-        if not 0.0 < precision < 1.0:
-            raise ValueError(f"precision must be in (0, 1), got {precision}")
+    def __init__(self, name: str):
         self.name = name
-        self.precision = precision
-        self.gamma = (1.0 + precision) / (1.0 - precision)
-        self._log_gamma = math.log(self.gamma)
-        # Representative of bucket i: 2*gamma**i / (gamma + 1), the
-        # harmonic midpoint -- at most `precision` relative error from
-        # every value in (gamma**(i-1), gamma**i].
-        self._rep_factor = 2.0 / (self.gamma + 1.0)
         self._lock = threading.Lock()
         self._shards: list[_HdrShard] = []
         self._local = threading.local()
@@ -113,13 +105,13 @@ class HdrHistogram:
 
     def bucket_index(self, value: float) -> int:
         """The geometric bucket holding ``value`` (> MIN_TRACKABLE)."""
-        return math.ceil(math.log(value) / self._log_gamma)
+        return math.ceil(math.log(value) / _LOG_GAMMA)
 
     def observe(self, value: float) -> None:
         """Record one observation (thread-safe, shard-local)."""
         cell = self.shard()
         if value > MIN_TRACKABLE:
-            i = math.ceil(math.log(value) / self._log_gamma)
+            i = math.ceil(math.log(value) / _LOG_GAMMA)
             counts = cell.counts
             counts[i] = counts.get(i, 0) + 1
         else:
@@ -177,10 +169,10 @@ class HdrHistogram:
 
     def representative(self, bucket: int) -> float:
         """The value reported for a bucket (its harmonic midpoint)."""
-        return self._rep_factor * self.gamma ** bucket
+        return _REP_FACTOR * GAMMA ** bucket
 
     def quantile(self, q: float) -> float:
-        """The q-quantile of the recorded stream, within ``precision``.
+        """The q-quantile of the recorded stream, within 1%.
 
         Uses the lower order statistic at rank ``ceil(q * count)``
         (rank 1 for q=0), matching ``sorted(values)[max(0,
@@ -218,7 +210,6 @@ class HdrHistogram:
         """
         agg = self._aggregate()
         return {
-            "precision": self.precision,
             "counts": {str(i): n for i, n in agg.counts.items()},
             "zero_count": agg.zero_count,
             "count": agg.count,
@@ -230,10 +221,10 @@ class HdrHistogram:
     def delta(self, before: dict[str, Any]) -> dict[str, Any]:
         """Count-wise difference of the current state against ``before``.
 
-        ``before`` must be an earlier :meth:`state` of this histogram
-        (or an equal-precision one); the result is itself a valid state
-        describing exactly the observations recorded in between, and
-        can be folded elsewhere with :meth:`apply_delta`.
+        ``before`` must be an earlier :meth:`state` of this histogram;
+        the result is itself a valid state describing exactly the
+        observations recorded in between, and can be folded elsewhere
+        with :meth:`apply_delta`.
         """
         after = self.state()
         return state_delta(before, after)
@@ -245,12 +236,6 @@ class HdrHistogram:
         as :meth:`~repro.obs.metrics.Counter` delta folding), so
         concurrent folds from several merge points stay exact.
         """
-        if not math.isclose(delta.get("precision", self.precision),
-                            self.precision, rel_tol=1e-9):
-            raise ValueError(
-                f"cannot fold precision={delta.get('precision')} state "
-                f"into precision={self.precision} histogram {self.name!r}"
-            )
         if state_is_empty(delta):
             # An empty delta's min/max envelope (inherited from the
             # `after` endpoint) describes zero observations; folding it
@@ -287,7 +272,8 @@ class HdrHistogram:
                 cell.max = None
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe summary (the metrics-snapshot representation)."""
+        """JSON-safe summary: count, sum, min, max, mean and, when
+        non-empty, p50/p90/p99/p999."""
         agg = self._aggregate()
         summary: dict[str, Any] = {
             "count": agg.count,
@@ -295,7 +281,6 @@ class HdrHistogram:
             "min": agg.min,
             "max": agg.max,
             "mean": agg.total / agg.count if agg.count else 0.0,
-            "precision": self.precision,
         }
         if agg.count:
             for label, q in (("p50", 0.50), ("p90", 0.90),
@@ -305,17 +290,13 @@ class HdrHistogram:
 
     def __repr__(self) -> str:
         agg = self._aggregate()
-        return (
-            f"HdrHistogram({self.name!r}, precision={self.precision}, "
-            f"count={agg.count})"
-        )
+        return f"HdrHistogram({self.name!r}, count={agg.count})"
 
 
 def state_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, Any]:
     """Count-wise ``after - before`` of two histogram states.
 
-    Both must come from equal-precision histograms, with ``before``
-    taken earlier on the same stream (all count deltas non-negative;
+    ``before`` must be taken earlier on the same stream (all count deltas non-negative;
     a shrinking count means the histogram was reset in between, which
     the caller must treat as a new epoch).  min/max of the delta are
     taken from ``after``: the true min/max of just the in-between
@@ -330,7 +311,6 @@ def state_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, Any]
         else:
             counts.pop(key, None)
     return {
-        "precision": after.get("precision"),
         "counts": counts,
         "zero_count": after.get("zero_count", 0) - before.get("zero_count", 0),
         "count": after.get("count", 0) - before.get("count", 0),

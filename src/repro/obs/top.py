@@ -11,8 +11,8 @@ follow mode, where the file is re-read every refresh interval so a
 harness appending events drives a live view.  All statistics are
 computed from the event sample itself: quantiles here are *exact* over
 the captured events (the HDR histograms backing the Prometheus export
-summarize the full population; at sample=1.0 the two agree within the
-histograms' documented precision).
+summarize the full population; at sample=1.0 the two agree within
+1%).
 """
 
 from __future__ import annotations
@@ -26,9 +26,13 @@ QUANTILES = (
 )
 
 
-def _quantile(values: list[float], q: float) -> float:
-    """Lower order statistic at rank ``ceil(q*n)`` (the repo-wide
-    quantile convention; see :meth:`repro.obs.hdr.HdrHistogram.quantile`)."""
+def quantile(values: list[float], q: float) -> float:
+    """Exact q-quantile of ``values``: the lower order statistic at rank
+    ``ceil(q*n)`` (rank 1 for q=0), 0.0 when empty.
+
+    The one exact-quantile rule: ``repro top`` and ``repro loadgen``
+    call it, and :meth:`repro.obs.hdr.HdrHistogram.quantile` follows
+    it within 1%."""
     if not values:
         return 0.0
     rank = max(1, math.ceil(q * len(values)))
@@ -45,6 +49,8 @@ def summarize(
     everything.  Returns a JSON-safe dict; see :func:`render` for the
     presentation.
     """
+    # A served request's "serve" event is also inside the batch event
+    # its coalesced batch records; counting both would double it.
     events = [e for e in records if e.get("kind") in ("query", "query_batch")]
     if window_s is not None and events:
         newest = max(e["ts"] for e in events)
@@ -78,15 +84,15 @@ def summarize(
         "span_s": span,
         "qps": n_queries / span if span > 0 else float(n_queries),
         "latency_ms": {
-            label: _quantile(latencies, q) for label, q in QUANTILES
+            label: quantile(latencies, q) for label, q in QUANTILES
         },
         "sim_time": {
-            label: _quantile(sim_times, q) for label, q in QUANTILES
+            label: quantile(sim_times, q) for label, q in QUANTILES
         },
         "phases_ms": {
             phase: {
                 "mean": sum(values) / len(values),
-                "p99": _quantile(values, 0.99),
+                "p99": quantile(values, 0.99),
             }
             for phase, values in sorted(phases.items())
         },

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.obs.top import quantile
 from repro.serve import protocol
 
 
@@ -45,11 +46,8 @@ class LoadgenResult:
         return self.n_ok / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def latency_quantile(self, q: float) -> float:
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        idx = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[idx]
+        """Exact client-latency quantile (:func:`repro.obs.top.quantile`)."""
+        return quantile(self.latencies_ms, q)
 
     def summary(self) -> dict[str, Any]:
         sizes = self.batch_sizes
@@ -65,9 +63,7 @@ class LoadgenResult:
                 "p99": round(self.latency_quantile(0.99), 3),
                 "max": round(max(self.latencies_ms, default=0.0), 3),
             },
-            "queue_ms_p50": round(
-                sorted(self.queue_ms)[len(self.queue_ms) // 2], 3
-            ) if self.queue_ms else 0.0,
+            "queue_ms_p50": round(quantile(self.queue_ms, 0.50), 3),
             "batch_size": {
                 "mean": round(sum(sizes) / len(sizes), 2) if sizes else 0.0,
                 "max": max(sizes, default=0),

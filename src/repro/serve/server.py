@@ -34,8 +34,8 @@ graceful drain: stop accepting, answer everything pending, flush
 writes, then close.
 
 Serving is instrumented end to end: ``serve.*`` counters/gauges, HDR
-latency and queue-wait histograms (:mod:`repro.obs.hdr`), a batch-size
-histogram showing the sizes the coalescer discovers, and one
+histograms (:mod:`repro.obs.hdr`) of request latency, queue wait and
+``serve.batch_size`` (the sizes the coalescer discovers), and one
 ``record_query`` event per request alongside the executor's per-batch
 events -- ``repro top`` over the exported event log shows the service
 live.
@@ -66,7 +66,7 @@ _RESPONSES = metrics.counter("serve.responses")
 _ERRORS = metrics.counter("serve.errors")
 _OVERLOADS = metrics.counter("serve.overloads")
 _BATCHES = metrics.counter("serve.batches")
-_BATCH_SIZE = metrics.histogram("serve.batch_size")
+_BATCH_SIZE = metrics.hdr("serve.batch_size")
 _QUEUE_DEPTH = metrics.gauge("serve.queue_depth")
 _LATENCY_MS = metrics.hdr("serve.request_latency_ms")
 _QUEUE_WAIT_MS = metrics.hdr("serve.queue_wait_ms")

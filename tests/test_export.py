@@ -27,9 +27,9 @@ def populated_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.counter("query.count").inc(7)
     reg.gauge("pager.cache_hit_ratio").set(0.625)
-    fixed = reg.histogram("bucket.occupancy", bounds=(1, 2, 5, 10))
+    occupancy = reg.hdr("bucket.occupancy")
     for v in (0.5, 1.5, 3.0, 7.0, 42.0):
-        fixed.observe(v)
+        occupancy.observe(v)
     latency = reg.hdr("query.latency_ms")
     latency.observe_many([1.0, 2.0, 5.0, 100.0])
     return reg
@@ -45,21 +45,28 @@ class TestPrometheus:
         families = validate_prometheus_text(text)
         assert families["repro_query_count"] == "counter"
         assert families["repro_pager_cache_hit_ratio"] == "gauge"
-        assert families["repro_bucket_occupancy"] == "histogram"
+        assert families["repro_bucket_occupancy"] == "summary"
         assert families["repro_query_latency_ms"] == "summary"
+        assert "{le=" not in text  # one histogram family form
 
-    def test_histogram_buckets_are_cumulative_with_inf(self, populated_registry):
-        text = prometheus_text(populated_registry)
-        buckets = {}
-        for line in text.splitlines():
-            if line.startswith("repro_bucket_occupancy_bucket"):
-                le = line.split('le="')[1].split('"')[0]
-                buckets[le] = float(line.rsplit(None, 1)[1])
-        assert buckets["+Inf"] == 5.0
-        finite = [buckets[k] for k in ("1.0", "2.0", "5.0", "10.0")]
-        assert finite == sorted(finite)
-        assert "repro_bucket_occupancy_count 5" in text
-        assert "repro_bucket_occupancy_sum" in text
+    def test_histogram_buckets_are_cumulative_with_inf(self):
+        """Exposition text from other programs may carry native
+        histograms; the validator checks their ``le`` buckets."""
+        head = "# TYPE repro_h histogram\n"
+        good = head + (
+            'repro_h_bucket{le="1.0"} 2\n'
+            'repro_h_bucket{le="5.0"} 4\n'
+            'repro_h_bucket{le="+Inf"} 5\n'
+            "repro_h_sum 54.0\n"
+            "repro_h_count 5\n"
+        )
+        assert validate_prometheus_text(good) == {"repro_h": "histogram"}
+        no_inf = head + 'repro_h_bucket{le="1.0"} 2\nrepro_h_count 2\n'
+        with pytest.raises(ValueError, match="Inf"):
+            validate_prometheus_text(no_inf)
+        inf_not_count = head + 'repro_h_bucket{le="+Inf"} 5\nrepro_h_count 6\n'
+        with pytest.raises(ValueError, match="_count"):
+            validate_prometheus_text(inf_not_count)
 
     def test_summary_carries_quantile_labels(self, populated_registry):
         text = prometheus_text(populated_registry)
@@ -165,6 +172,14 @@ class TestEventsJsonl:
         empty.write_text("")
         with pytest.raises(ValueError):
             validate_events_jsonl(empty)
+
+    def test_accepts_every_kind_the_library_writes(self, tmp_path):
+        path = tmp_path / "kinds.jsonl"
+        path.write_text("".join(
+            json.dumps(make_event(kind=kind).to_dict()) + "\n"
+            for kind in ("query", "query_batch", "serve")
+        ))
+        assert validate_events_jsonl(path) == 3
 
     def test_rejects_non_json_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

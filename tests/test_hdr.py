@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from repro.obs import metrics
 from repro.obs.hdr import (
-    DEFAULT_PRECISION,
     MIN_TRACKABLE,
+    RELATIVE_ERROR,
     HdrHistogram,
     state_delta,
     state_is_empty,
@@ -43,8 +43,8 @@ def exact_quantile(values: list[float], q: float) -> float:
     return sorted(values)[rank - 1]
 
 
-def build(values, precision=DEFAULT_PRECISION, name="h") -> HdrHistogram:
-    h = HdrHistogram(name, precision=precision)
+def build(values, name="h") -> HdrHistogram:
+    h = HdrHistogram(name)
     h.observe_many(values)
     return h
 
@@ -62,7 +62,7 @@ class TestQuantileAccuracy:
         h = build(values)
         exact = exact_quantile(values, q)
         got = h.quantile(q)
-        assert got == pytest.approx(exact, rel=h.precision)
+        assert got == pytest.approx(exact, rel=RELATIVE_ERROR)
 
     @given(values=value_lists)
     @settings(max_examples=60, deadline=None)
@@ -74,13 +74,12 @@ class TestQuantileAccuracy:
         assert h.total == pytest.approx(sum(values))
         assert h.mean == pytest.approx(sum(values) / len(values))
 
-    @given(precision=st.floats(min_value=0.001, max_value=0.2),
-           value=positive_values)
+    @given(value=positive_values)
     @settings(max_examples=100, deadline=None)
-    def test_representative_respects_configured_precision(self, precision, value):
-        h = HdrHistogram("p", precision=precision)
+    def test_representative_within_relative_error(self, value):
+        h = HdrHistogram("p")
         rep = h.representative(h.bucket_index(value))
-        assert abs(rep - value) <= precision * value * (1 + 1e-9)
+        assert abs(rep - value) <= RELATIVE_ERROR * value * (1 + 1e-9)
 
     def test_zero_and_negative_land_in_zero_bucket(self):
         h = HdrHistogram("z")
@@ -93,12 +92,6 @@ class TestQuantileAccuracy:
 
     def test_empty_quantile_is_zero(self):
         assert HdrHistogram("e").quantile(0.99) == 0.0
-
-    def test_bad_precision_rejected(self):
-        with pytest.raises(ValueError):
-            HdrHistogram("bad", precision=0.0)
-        with pytest.raises(ValueError):
-            HdrHistogram("bad", precision=1.0)
 
     def test_bad_quantile_rejected(self):
         with pytest.raises(ValueError):
@@ -126,13 +119,6 @@ class TestMergeAlgebra:
         right = build(zs, name="r").merge(build(xs)).merge(build(ys))
         assert _count_state(left.state()) == _count_state(right.state())
         assert left.total == pytest.approx(right.total)
-
-    def test_merge_rejects_mismatched_precision(self):
-        a = HdrHistogram("a", precision=0.01)
-        b = HdrHistogram("b", precision=0.05)
-        b.observe(1.0)
-        with pytest.raises(ValueError, match="precision"):
-            a.merge(b)
 
     @given(values=value_lists)
     @settings(max_examples=40, deadline=None)
@@ -200,7 +186,7 @@ class TestRegistryFold:
         reg.counter("task.count").inc(len(values))
         reg.gauge("task.gauge").set(gauge_value)
         reg.hdr("task.latency").observe_many(values)
-        reg.histogram("task.sizes").observe(len(values))
+        reg.hdr("task.sizes").observe(len(values))
         return metrics.registry_delta(before, reg.registry_values())
 
     @given(streams=st.lists(value_lists, min_size=2, max_size=5),
@@ -223,8 +209,8 @@ class TestRegistryFold:
         assert va["counters"] == vb["counters"]
         assert va["hdr"]["task.latency"]["counts"] == \
             vb["hdr"]["task.latency"]["counts"]
-        assert va["histograms"]["task.sizes"]["counts"] == \
-            vb["histograms"]["task.sizes"]["counts"]
+        assert va["hdr"]["task.sizes"]["counts"] == \
+            vb["hdr"]["task.sizes"]["counts"]
         # Gauges are last-write-wins point samples: order-dependent by
         # design, but always one of the observed values.
         assert vb["gauges"]["task.gauge"] in range(len(streams))
@@ -251,18 +237,15 @@ class TestRegistryFold:
         reg = metrics.MetricsRegistry()
         reg.counter("c").inc(3)
         reg.gauge("g").set(7.0)
-        reg.histogram("h").observe(2.0)
         reg.hdr("x").observe(1.5)
         populated = reg.registry_values()
         assert populated["counters"]["c"] == 3
         assert populated["gauges"]["g"] == 7.0
-        assert populated["histograms"]["h"]["count"] == 1
         assert populated["hdr"]["x"]["count"] == 1
         reg.reset()
         zeroed = reg.registry_values()
         assert zeroed["counters"]["c"] == 0
         assert zeroed["gauges"]["g"] == 0.0
-        assert zeroed["histograms"]["h"]["count"] == 0
         assert zeroed["hdr"]["x"]["count"] == 0
         # Cached instrument references stay live after reset.
         reg.counter("c").inc()

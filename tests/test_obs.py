@@ -12,7 +12,7 @@ from repro.core.index import SetSimilarityIndex
 from repro.obs import configure_logging, explain_json, metrics, render_trace, trace
 from repro.obs.explain import filter_summaries, probe_spans
 from repro.obs.logs import ROOT_LOGGER
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.storage.iomodel import IOCostModel, IOStats
 
 
@@ -185,35 +185,22 @@ class TestMetrics:
         g.set(0.75)
         assert g.value == 0.75
 
-    def test_histogram_buckets(self):
-        h = Histogram("h", bounds=(1, 10, 100))
-        for v in (0, 1, 5, 10, 11, 1000):
-            h.observe(v)
-        assert h.count == 6
-        assert h.min == 0 and h.max == 1000
-        assert h.mean == pytest.approx(1027 / 6)
-        d = h.to_dict()
-        assert d["buckets"] == {"<=1": 2, "<=10": 2, "<=100": 1, ">100": 1}
-
-    def test_histogram_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=(10, 1))
-
     def test_registry_get_or_create(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
         assert reg.gauge("x") is reg.gauge("x")
-        assert reg.histogram("x") is reg.histogram("x")
+        assert reg.hdr("x") is reg.hdr("x")
 
     def test_registry_snapshot(self):
         reg = MetricsRegistry()
         reg.counter("probes").inc(3)
         reg.gauge("load").set(0.5)
-        reg.histogram("occ").observe(7)
-        snap = reg.snapshot()
+        reg.hdr("occ").observe(7)
+        snap = reg.registry_values()
         assert snap["counters"] == {"probes": 3}
         assert snap["gauges"] == {"load": 0.5}
-        assert snap["histograms"]["occ"]["count"] == 1
+        assert set(snap) == {"counters", "gauges", "hdr"}
+        assert snap["hdr"]["occ"]["count"] == 1
 
     def test_reset_zeroes_in_place(self):
         """Module-cached instrument references survive a reset."""
@@ -224,13 +211,13 @@ class TestMetrics:
         assert cached.value == 0
         assert reg.counter("probes") is cached
         cached.inc()
-        assert reg.snapshot()["counters"]["probes"] == 1
+        assert reg.registry_values()["counters"]["probes"] == 1
 
     def test_default_registry_instrumented_by_query(self, traced_query):
         index, _ = traced_query
-        before = metrics.snapshot()["counters"].get("sfi.probes", 0)
+        before = metrics.registry_values()["counters"].get("sfi.probes", 0)
         index.query({1, 2, 3}, 0.5, 1.0)
-        after = metrics.snapshot()["counters"]["sfi.probes"]
+        after = metrics.registry_values()["counters"]["sfi.probes"]
         assert after > before
 
     def test_counter_values_snapshot(self):
@@ -239,12 +226,12 @@ class TestMetrics:
         reg.counter("b")  # untouched counters are reported too
         assert reg.counter_values() == {"a": 3, "b": 0}
 
-    def test_apply_counter_deltas_folds_in(self):
+    def test_apply_deltas_folds_counters_in(self):
         """The cross-process fold: worker deltas land in this registry."""
         reg = MetricsRegistry()
         reg.counter("a").inc(2)
         before = reg.counter_values()
-        reg.apply_counter_deltas({"a": 5, "new": 7, "zero": 0})
+        reg.apply_deltas({"counters": {"a": 5, "new": 7, "zero": 0}})
         values = reg.counter_values()
         assert values["a"] == before["a"] + 5
         assert values["new"] == 7
@@ -264,7 +251,7 @@ class TestMetrics:
             if after[name] != before.get(name, 0)
         }
         sink = MetricsRegistry()
-        sink.apply_counter_deltas(deltas)
+        sink.apply_deltas({"counters": deltas})
         assert sink.counter_values() == {"x": 6, "y": 1}
 
 

@@ -484,7 +484,24 @@ class TestOverloadAndDrain:
         assert metrics.counter("serve.requests").value - before == result.n_sent
         assert metrics.hdr("serve.request_latency_ms").count > 0
         assert metrics.hdr("serve.queue_wait_ms").count > 0
-        assert metrics.histogram("serve.batch_size").count >= server.stats()["batches"]
+        assert metrics.hdr("serve.batch_size").count >= server.stats()["batches"]
+
+
+class TestLoadgenSummary:
+    def test_quantiles_use_the_lower_order_statistic(self):
+        """Loadgen reports quantiles by the repo's one rule: the lower
+        order statistic at rank ceil(q*n), as ``repro top`` does."""
+        from repro.obs.top import quantile
+        from repro.serve.loadgen import LoadgenResult
+
+        values = [4.0, 1.0, 3.0, 2.0]
+        summary = LoadgenResult(
+            latencies_ms=list(values), queue_ms=list(values)
+        ).summary()
+        assert summary["latency_ms"]["p50"] == 2.0
+        assert summary["queue_ms_p50"] == 2.0
+        for label, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            assert summary["latency_ms"][label] == quantile(values, q)
 
 
 # ---------------------------------------------------------------------------

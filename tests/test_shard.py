@@ -246,6 +246,30 @@ class TestScatterGatherEquivalence:
             assert (single.count, batch.count) == (before[0] + 1, before[1] + 1)
             assert metrics.counter("query.batches").value == batches
 
+    def test_fleet_batch_event_validates_and_shows_in_top(self, tmp_path):
+        """A fleet batch is recorded as a ``query_batch`` event, so the
+        JSONL export validates and ``repro top`` counts its queries."""
+        from repro.obs import events, top
+        from repro.obs.export import validate_events_jsonl
+
+        sets, queries = _workload(seed=4)
+        plan, dist = _build_plan(sets, 4)
+        build_sharded(sets, tmp_path / "s", n_shards=2, k=24, b=4, seed=4,
+                      plan=plan, dist=dist)
+        events.log.clear()
+        events.log.configure(sample=1.0, enabled=True)
+        try:
+            with ShardedExecutor(open_sharded(tmp_path / "s")) as executor:
+                executor.query_batch(queries, *RANGE)
+            path = tmp_path / "events.jsonl"
+            assert events.log.export_jsonl(path) == 1
+        finally:
+            events.log.clear()
+        assert validate_events_jsonl(path) == 1
+        summary = top.summarize(events.read_jsonl(path))
+        assert summary["n_events"] == 1
+        assert summary["n_queries"] == len(queries)
+
     def test_empty_shards_tiny_collection(self, tmp_path):
         sets = [frozenset({1, 2, 3}), frozenset({7, 8, 9, 10})]
         build_sharded(sets, tmp_path / "s", n_shards=4, k=16, b=4, seed=0,

@@ -190,6 +190,32 @@ class TestCrossBackendQuantiles:
         assert quantiles["process"] == quantiles["live"]
 
 
+class TestOneHistogramKind:
+    def test_distribution_instruments_are_hdr(self, workload):
+        """Candidates per query and batch size record into the registry's
+        one histogram kind, and export as Prometheus summaries."""
+        from repro.obs.export import prometheus_text, validate_prometheus_text
+        from repro.obs.top import quantile
+
+        index, queries, _ = workload
+        per_query = metrics.hdr("query.candidates_per_query")
+        batch_size = metrics.hdr("query.batch_size")
+        before = per_query.state(), batch_size.state()
+        batch = index.query_batch(queries, 0.5, 1.0)
+        delta = per_query.delta(before[0])
+        assert delta["count"] == len(queries)
+        moved = HdrHistogram("moved")
+        moved.apply_delta(delta)
+        exact = quantile([r.n_candidates for r in batch.results], 0.5)
+        assert moved.quantile(0.5) == pytest.approx(exact, rel=0.01)
+        sizes = batch_size.delta(before[1])
+        assert sizes["count"] == 1
+        assert sizes["sum"] == len(queries)
+        families = validate_prometheus_text(prometheus_text())
+        assert families["repro_query_candidates_per_query"] == "summary"
+        assert families["repro_query_batch_size"] == "summary"
+
+
 class TestRegistryAcrossProcesses:
     """Gauges and histograms survive the worker->parent fold (the
     historical counter-only fold silently dropped both)."""
@@ -215,7 +241,7 @@ class TestRegistryAcrossProcesses:
         src = metrics.MetricsRegistry()
         src.counter("c").inc(4)
         src.gauge("g").set(2.5)
-        src.histogram("fixed", bounds=(1, 10)).observe(3.0)
+        src.hdr("sizes").observe(3.0)
         src.hdr("lat").observe_many([1.0, 50.0])
         payload = metrics.registry_delta(
             metrics.MetricsRegistry().registry_values(), src.registry_values()
@@ -225,6 +251,6 @@ class TestRegistryAcrossProcesses:
         got = dst.registry_values()
         assert got["counters"]["c"] == 4
         assert got["gauges"]["g"] == 2.5
-        assert got["histograms"]["fixed"]["count"] == 1
+        assert got["hdr"]["sizes"]["count"] == 1
         assert got["hdr"]["lat"]["counts"] == \
             src.registry_values()["hdr"]["lat"]["counts"]
