@@ -228,7 +228,7 @@ def estimate_in_range(
     one row each.  Wall-clock work only: never accounted as simulated
     CPU.
     """
-    from repro.exec.columnar import csr_rows, sorted_unique
+    from repro.exec.columnar import csr_rows, positions_in, sorted_unique
 
     if matrix is None or not rows:
         return 0
@@ -241,7 +241,7 @@ def estimate_in_range(
     if len(sids) == 0:
         return 0
     distinct = sorted_unique(sids)
-    c_cols = np.searchsorted(distinct, sids)
+    c_cols = positions_in(distinct, sids)
     # Codec-calibrated estimate: full64 inverts Theorem 1 with the
     # fixed-precision collision bias, b-bit applies the Li & Koenig
     # slot correction.

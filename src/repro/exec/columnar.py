@@ -5,8 +5,8 @@ their job: every (query, candidate) pair needs ``|A & B| / |A | B|``
 on the *actual* sets.  Doing that with Python ``frozenset``
 intersections costs an interpreter round-trip per pair.  These kernels
 instead represent every set as a **sorted array of 64-bit stable
-element hashes**; a whole candidate list is verified with one
-``searchsorted`` over the concatenated (CSR) hash arrays.
+element hashes**; a whole candidate list is verified in a few linear
+passes over the concatenated (CSR) hash arrays.
 
 Correctness: Jaccard only consumes element *identity*, so any
 injective mapping of elements preserves it.  The mapping here is the
@@ -28,7 +28,15 @@ floats are identical to :func:`repro.core.similarity.jaccard`.
 query path runs (live index, snapshot, executors): per batch it either
 verifies query by query (``pairwise``) or intersects each *distinct*
 candidate once against all the batch's queries (``join``), chosen from
-the batch's own counts.
+the batch's own counts.  The join screens every candidate hash through
+a bitmap of the queries' hashes and searches only the survivors.
+
+The candidate side sorts only when it must.  A batch's candidate keys
+and sids fill small dense ranges, so deduplicating them
+(:func:`sorted_unique`) and mapping sids to rows (:func:`positions_in`)
+mark or index one dense array whenever the range is at most
+``MARK_SPAN_FACTOR`` times the input (:func:`dense_span`), and sort or
+search otherwise.
 """
 
 from __future__ import annotations
@@ -235,21 +243,24 @@ def jaccard_values(query_len, sizes: np.ndarray, inter: np.ndarray) -> np.ndarra
     inter = np.asarray(inter, dtype=np.int64)
     union = sizes + np.asarray(query_len, dtype=np.int64) - inter
     values = np.ones(len(sizes), dtype=np.float64)
-    nonempty = union > 0
-    values[nonempty] = inter[nonempty] / union[nonempty]
+    np.divide(inter, union, out=values, where=union > 0)
     return values
 
 
 #: Sharing (candidate pairs over distinct candidates) from which the
 #: join is tried.  A join that runs beats pairwise from the start --
-#: verify stage 1.4x faster at sharing 1.4, 1.75x at 2.4, 2.5x at 4.6,
-#: 6x at 37 (live ``query_batch`` on the benchmark's planted collection,
+#: verify stage 3.2x faster at sharing 1.4, 4-5x at 2.4, 8x at 4.6, 22x
+#: at 37 (live ``query_batch`` on the benchmark's planted collection,
 #: batch size swept 2..64) -- so this is not that crossover.  It bounds
-#: what a try costs when the size rule then rejects it: the distinct CSR
-#: and its search are +35..70% of the verify stage at sharing 1..2.2
-#: (the benchmark's weblog collection, whose Zipf-hot elements reject
-#: every try, batches of 2..64) and about +20% at 4, falling as
-#: 1/sharing (synthetic sets with 32 of 40 elements hot).
+#: what a try costs when the size rule then rejects it: the distinct
+#: CSR, the query union's bitmap and the search are +95% of the verify
+#: stage at sharing 1..1.5 and +120% at 2.2 (the benchmark's weblog
+#: collection, whose Zipf-hot elements reject every try, batches of
+#: 2..64), and about +40% at 4, +25% at 8 and +15% at 16 (synthetic
+#: sets with 32 of 40 elements hot, where the bitmap screens nothing
+#: out).  3 would add joins only for the planted batches with sharing
+#: in [3, 4) (one batch of the sweep) while narrowing the margin over
+#: weblog's 2.2.
 JOIN_MIN_SHARING = 4
 
 
@@ -260,15 +271,59 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a 1-d integer array: ascending, each value once.
+#: Span (largest value + 1) over input length up to which a dense array
+#: replaces a sort.  Marking costs one pass over the span, sorting
+#: n log n: for 50k random int64 values marking beats ``np.sort`` plus
+#: a run mask 5-7x at span factor 1, 2-3x at 4 and breaks even near 8;
+#: at 200k values it is 4x at 1 and 1.8x at 4; at 5k, 2.5-3x at 1 and
+#: 1.2x at 4; at 500 they tie at 4.  The rule's min/max pass costs ~2%
+#: of a sort.  At 4 a bool mark array is half the int64 input it
+#: replaces.
+MARK_SPAN_FACTOR = 4
 
-    ``np.sort`` plus a run mask.  On int64 this is 15-40x faster than
-    ``np.unique`` on numpy 2.4 (0.98 vs 20.8 ms at 82k elements), which
-    is why the candidate CSR code below never calls the latter.
+
+def dense_span(values: np.ndarray) -> int:
+    """``max(values) + 1`` when ``values`` fit a dense array -- non-empty,
+    non-negative, that span at most ``MARK_SPAN_FACTOR x len(values)``
+    -- else 0.  The one rule every mark and lookup path here applies."""
+    if len(values) == 0 or (values.dtype.kind == "i" and values.min() < 0):
+        return 0
+    span = int(values.max()) + 1
+    return span if span <= MARK_SPAN_FACTOR * len(values) else 0
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d integer array: ascending, each value once,
+    in the input's dtype.
+
+    Values in a small dense range (:func:`dense_span`) set a bool mark
+    array whose ``np.flatnonzero`` is the answer; any others take
+    ``np.sort`` plus a run mask.  Either way this is far faster than
+    ``np.unique`` on numpy 2.4 (sorting: 0.98 vs 20.8 ms at 82k int64
+    elements), which is why the candidate CSR code below never calls
+    the latter.
     """
+    span = dense_span(values)
+    if span:
+        mark = np.zeros(span, dtype=bool)
+        mark[values] = True
+        return np.flatnonzero(mark).astype(values.dtype, copy=False)
     values = np.sort(values)
     return values[_run_starts(values)]
+
+
+def positions_in(distinct: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's index in ``distinct``, which is ascending and holds
+    every value (its :func:`sorted_unique`): one gather from a dense
+    lookup array when the values pass :func:`dense_span` (the array is
+    then at most ``MARK_SPAN_FACTOR`` times the int64 input), else a
+    binary search."""
+    span = dense_span(values)
+    if not span:
+        return np.searchsorted(distinct, values)
+    lookup = np.empty(span, dtype=np.int64)
+    lookup[distinct] = np.arange(len(distinct), dtype=np.int64)
+    return lookup[values]
 
 
 # -- candidate CSR -----------------------------------------------------------
@@ -298,13 +353,11 @@ def pairs_csr(
     rows: np.ndarray, sids: np.ndarray, n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The candidate CSR over ``n_rows`` rows of ``(row, sid)`` pairs
-    given in any order, repeats dropped: one sort of combined keys."""
+    given in any order, repeats dropped: one :func:`sorted_unique` of
+    combined keys."""
     sids = np.asarray(sids, dtype=np.int64)
     if len(sids) == 0:
         return np.zeros(n_rows + 1, dtype=np.int64), sids
-    if n_rows == 1:  # a single query's probe: the keys are the sids
-        sids = sorted_unique(sids)
-        return np.array([0, len(sids)], dtype=np.int64), sids
     span = int(sids.max()) + 1
     keys = sorted_unique(np.asarray(rows, dtype=np.int64) * span + sids)
     rows = keys // span
@@ -344,6 +397,15 @@ def csr_slice(
     )
 
 
+#: Bitmap slots (bools) per distinct query hash in :func:`join_counts`'
+#: screen, rounded up to a power of two: a non-member passes with odds
+#: of at most ``1 / BITMAP_SLOTS_PER_HASH``.  A planted benchmark batch
+#: of 64 queries has ~2.4k distinct query hashes -- a 2^18 bitmap (256
+#: KiB), which ~20k of its ~120k candidate hashes pass, ~19k of them
+#: members.
+BITMAP_SLOTS_PER_HASH = 64
+
+
 def join_counts(
     query_arrays: Sequence[np.ndarray],
     indptr: np.ndarray,
@@ -353,11 +415,15 @@ def join_counts(
     """``|row & query|`` for every (query, row), each row searched once.
 
     ``query_arrays[q]`` is query ``q``'s sorted duplicate-free hash array
-    and ``(indptr, data)`` the CSR of the rows.  One ``searchsorted`` of
-    ``data`` against the sorted union of the query hashes finds every row
-    element some query holds; only those hits are expanded into
-    (query, row) entries -- one per query holding the element -- and
-    counted into a ``len(query_arrays) x n_rows`` table.
+    and ``(indptr, data)`` the CSR of the rows.  A bitmap indexed by the
+    low bits of the union of the query hashes screens ``data`` in one
+    gather: a row element whose low bits no query hash has is held by
+    no query.  Element hashes are uniform, so at ``BITMAP_SLOTS_PER_HASH``
+    slots per query hash few non-members pass, and only the survivors are
+    searched in the sorted union and kept on exact equality -- the
+    counts stay exact.  The hits are expanded into (query, row) entries
+    -- one per query holding the element -- and counted into a
+    ``len(query_arrays) x n_rows`` table.
 
     Returns ``(table, join_size)``.  ``join_size`` is the number of
     entries the expansion holds, known before it is materialised; when
@@ -382,10 +448,15 @@ def join_counts(
     starts = np.flatnonzero(_run_starts(hashes))
     union = hashes[starts]
     runs = np.append(starts, len(hashes))
-    pos = np.minimum(np.searchsorted(union, data), len(union) - 1)
-    hit = np.flatnonzero(union[pos] == data)
-    first = runs[pos[hit]]
-    fan = runs[pos[hit] + 1] - first
+    mask = (1 << (BITMAP_SLOTS_PER_HASH * len(union)).bit_length()) - 1
+    bitmap = np.zeros(mask + 1, dtype=bool)
+    bitmap[union & np.uint64(mask)] = True
+    passed = np.flatnonzero(bitmap[data & np.uint64(mask)])
+    pos = np.minimum(np.searchsorted(union, data[passed]), len(union) - 1)
+    found = union[pos] == data[passed]
+    hit, pos = passed[found], pos[found]
+    first = runs[pos]
+    fan = runs[pos + 1] - first
     join_size = int(fan.sum())
     if join_size + n_queries * n_rows + len(data) > max_entries:
         return None, join_size
@@ -519,7 +590,7 @@ def _verify_join(
     would outgrow the pairwise path."""
     n = len(query_sets)
     pair_query = np.repeat(np.arange(n, dtype=np.int64), counts)
-    pair_row = np.searchsorted(distinct, pair_sid)
+    pair_row = positions_in(distinct, pair_sid)
     pair_size = sizes(distinct)[pair_row]
     pairwise_entries = int(pair_size.sum())
     # A query without candidates or a collided one joins as an empty

@@ -3,7 +3,8 @@
 A batch's candidates travel from probe to result as ``(indptr, sids)``
 over its query rows, each row's sids ascending and unique.  These tests
 pin every layer of that against the Python-set formulation it replaced:
-the ``sorted_unique`` primitive against ``np.unique``; the plan algebra
+the ``sorted_unique`` primitive (both its mark and its sort path)
+against ``np.unique``; the plan algebra
 against set algebra for every plan family; the filter-wide probe
 against the per-table probes (sids, charges, ``hashtable.*`` counter
 moves) on ``freeze()`` and mapped views; the traced EXPLAIN attributes
@@ -16,6 +17,7 @@ the stacked v4 snapshot layout against hostile manifests.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,13 @@ from hypothesis import strategies as st
 from repro.core.index import _LiveView
 from repro.core.query_plan import combine_candidates
 from repro.exec import ParallelExecutor, open_snapshot
-from repro.exec.columnar import csr_of, csr_split, sorted_unique
+from repro.exec.columnar import (
+    MARK_SPAN_FACTOR,
+    csr_of,
+    csr_split,
+    dense_span,
+    sorted_unique,
+)
 from repro.exec.shard import ShardedExecutor, build_sharded, open_sharded
 from repro.exec.snapfile import (
     MANIFEST_FILE,
@@ -60,20 +68,68 @@ def _assert_well_formed(csr, n_rows):
 # -- sorted_unique -----------------------------------------------------------
 
 
-@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60))
-def test_sorted_unique_int64(values):
-    array = np.array(values, dtype=np.int64)
+@st.composite
+def _dedup_inputs(draw, dtype):
+    """``(values, dense)``: an array of ``dtype`` whose span takes the
+    mark path (narrow) or the sort path (wide, or holding a negative)."""
+    n = draw(st.integers(0, 60))
+    lowest = -(2**63) if dtype is np.int64 else 0
+    highest = 2**63 - 1 if dtype is np.int64 else 2**64 - 1
+    shape = draw(st.sampled_from(
+        ["narrow", "wide", "negative"] if lowest else ["narrow", "wide"]
+    ))
+    if shape == "narrow" and n:
+        top = draw(st.integers(0, MARK_SPAN_FACTOR * n - 1))
+        values = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    elif shape == "wide" and n:
+        values = [draw(st.integers(MARK_SPAN_FACTOR * n, highest))] + draw(
+            st.lists(st.integers(0, highest), min_size=n - 1, max_size=n - 1)
+        )
+    elif n:
+        values = [draw(st.integers(lowest, -1))] + draw(st.lists(
+            st.integers(lowest, highest), min_size=n - 1, max_size=n - 1
+        ))
+    else:
+        values = []
+    array = np.array(draw(st.permutations(values)), dtype=dtype)
+    return array, shape == "narrow" and n > 0
+
+
+def _assert_sorted_unique(drawn, dtype):
+    array, dense = drawn
+    assert (dense_span(array) > 0) == dense
     got = sorted_unique(array)
-    assert got.dtype == np.int64
+    assert got.dtype == dtype
     np.testing.assert_array_equal(got, np.unique(array))
 
 
-@given(st.lists(st.integers(0, 2**64 - 1), max_size=60))
-def test_sorted_unique_uint64(values):
-    array = np.array(values, dtype=np.uint64)
-    got = sorted_unique(array)
-    assert got.dtype == np.uint64
-    np.testing.assert_array_equal(got, np.unique(array))
+@given(_dedup_inputs(np.int64))
+@settings(max_examples=200)
+def test_sorted_unique_int64(drawn):
+    """Property: the mark path (narrow spans) and the sort path (wide
+    spans, negatives) each equal ``np.unique`` and keep the dtype."""
+    _assert_sorted_unique(drawn, np.int64)
+
+
+@given(_dedup_inputs(np.uint64))
+@settings(max_examples=200)
+def test_sorted_unique_uint64(drawn):
+    _assert_sorted_unique(drawn, np.uint64)
+
+
+def test_sorted_unique_huge_value_allocates_no_span():
+    """One sid of 2**40 among three: the sort path, with nothing
+    allocated in proportion to the span."""
+    array = np.array([2**40, 3, 3, 0], dtype=np.int64)
+    assert dense_span(array) == 0
+    tracemalloc.start()
+    try:
+        got = sorted_unique(array)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, [0, 3, 2**40])
+    assert peak < 1 << 16
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])

@@ -28,9 +28,11 @@ from repro.data.generators import planted_clusters
 from repro.exec import ParallelExecutor, open_snapshot
 from repro.exec.columnar import (
     JOIN_MIN_SHARING,
+    MARK_SPAN_FACTOR,
     SMALL_VERIFY_CUTOFF,
     build_csr,
     csr_of,
+    dense_span,
     hash_set,
     intersect_counts,
     join_counts,
@@ -111,12 +113,77 @@ class TestJoinCounts:
         assert join_counts(arrays, indptr, data, exact)[0] is not None
 
 
+# -- the bitmap screen's false positives -----------------------------------
+
+TOP = 2**64 - 1
+
+
+def _u64(values):
+    return np.array(sorted(values), dtype=np.uint64)
+
+
+def _assert_screen_exact(query_arrays, row_arrays, want):
+    indptr, data = build_csr(row_arrays)
+    table, join_size = join_counts(query_arrays, indptr, data, NO_CAP)
+    for q, arr in enumerate(query_arrays):
+        assert list(table[q]) == list(intersect_counts(arr, indptr, data))
+    assert table.tolist() == want
+    assert join_size == int(table.sum())
+
+
+class TestBitmapScreen:
+    """A row hash whose low bits equal some query hash's passes the
+    bitmap; only the exact equality check after the search keeps it out
+    of the counts."""
+
+    def test_low_bit_twins_count_zero(self):
+        members = [0, 5, 1000, 2**40 + 3, 2**63 + 9, TOP]
+        queries = [_u64(members[:4]), _u64(members[2:]), _u64([0, TOP])]
+        # Each twin differs from a member only above bit 39, far beyond
+        # any bitmap a six-hash union gets.
+        twins = [m ^ (1 << bit) for m in members for bit in (40, 52, 63)]
+        assert not set(twins) & set(members)
+        rows = [
+            _u64([0, TOP]),                       # the extreme members
+            _u64(twins),                          # all false positives
+            _u64(twins[:6] + [5, 2**63 + 9]),     # mixed
+            _u64([]),
+        ]
+        _assert_screen_exact(queries, rows, [
+            [1, 0, 1, 0],
+            [1, 0, 1, 0],
+            [2, 0, 0, 0],
+        ])
+
+    @given(
+        st.lists(st.integers(0, TOP), min_size=1, max_size=40, unique=True),
+        st.lists(st.integers(32, 63), min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_twins_of_random_hashes(self, members, bits, data):
+        """Property: rows of members and their high-bit twins count
+        exactly the members the query holds."""
+        twins = {m ^ (1 << b) for m in members for b in bits} - set(members)
+        held = data.draw(st.lists(st.sampled_from(members), unique=True))
+        queries = [_u64(held), _u64(members)]
+        rows = [_u64(twins), _u64(set(members) | twins), _u64(members[:1])]
+        _assert_screen_exact(queries, rows, [
+            [0, len(held), int(members[0] in held)],
+            [0, len(members), 1],
+        ])
+
+
 # -- verify_batch over plain sets ------------------------------------------
 
 
 def _adapters(sets, fallback=()):
-    """The four adapters over a list of sets (sid = position)."""
-    hashes = [hash_set(s)[0] for s in sets]
+    """The four adapters over a list of sets (sid = position) or a
+    ``{sid: set}`` dict."""
+    hashes = {
+        sid: hash_set(s)[0]
+        for sid, s in (sets.items() if isinstance(sets, dict) else enumerate(sets))
+    }
     return dict(
         csr=lambda sids: build_csr([hashes[sid] for sid in sids.tolist()]),
         sizes=lambda sids: np.fromiter(
@@ -306,6 +373,38 @@ class TestEdgesThroughTheJoin:
         )
         assert answers_list[-1][0] == (victim, 1.0)
         assert dict(answers_list[-2])[victim] == jaccard(collided_query, sets[victim])
+
+
+class TestSidLookup:
+    """The join maps each pair's sid to its distinct-candidate row by a
+    dense lookup array when the sids pass ``dense_span`` and by binary
+    search otherwise; answers, order and charges are the same."""
+
+    def _batch(self, base, stride):
+        sets = {base + stride * i: s for i, s in enumerate(_clusters())}
+        queries = [sets[sid] for sid in list(sets)[::4]]
+        return sets, queries, [set(sets) for _ in queries]
+
+    @given(
+        st.sampled_from([0, 3, 2**20, 2**40]), st.integers(1, 100),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_sid_span(self, base, stride):
+        sets, queries, candidates_list = self._batch(base, stride)
+        _check(sets, queries, candidates_list, 0.3, 1.0, "join")
+
+    #: 12 queries x 48 candidates: sids ``0 .. 47 x stride`` pass the
+    #: rule up to this stride.
+    WIDEST = (MARK_SPAN_FACTOR * 12 * 48 - 1) // 47
+
+    @pytest.mark.parametrize("base, extra, dense", [
+        (0, -WIDEST + 1, True), (0, 0, True), (0, 1, False),
+        (2**40, -WIDEST + 1, False),
+    ])
+    def test_both_sides_are_reached(self, base, extra, dense):
+        sets, queries, candidates_list = self._batch(base, self.WIDEST + extra)
+        assert (dense_span(csr_of(candidates_list)[1]) > 0) == dense
+        _check(sets, queries, candidates_list, 0.3, 1.0, "join")
 
 
 def test_merge_verify_info():
