@@ -318,10 +318,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"embedding:         k={index.embedder.k}, b={index.embedder.b}, "
           f"codec={index.embedder.codec}, "
           f"D={index.embedder.dimension} bits")
-    sig_bytes = sum(v.nbytes for v in index._vectors.values())
+    sig_bytes = sum(codes.nbytes for codes in index._codes.values())
     arena = index._hashes
     verify_bytes = arena.data.itemsize * int(
-        arena.lens[list(index._vectors)].sum()
+        arena.lens[list(index._codes)].sum()
     )
     n_live = max(1, index.n_sets)
     print(f"bytes:             signatures {sig_bytes:,} "
@@ -727,9 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--bits", type=int, default=6, help="bits per min-hash value")
     p_build.add_argument(
         "--codec", default="full64",
-        help="signature codec: full64 (default, bit-identical to prior "
-             "builds), bbit:1|2|4|8 (b-bit minwise packing), superminhash, "
-             "or combinations like superminhash+bbit:2",
+        help="signature generator: full64 (MinHash, the default) or "
+             "superminhash (Ertl's lower-variance MinHash)",
     )
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--sample-pairs", type=int, default=100_000)
@@ -869,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard_build.add_argument("--bits", type=int, default=6)
     p_shard_build.add_argument(
         "--codec", default="full64",
-        help="signature codec (see `build --codec`); applied to every shard",
+        help="signature generator (see `build --codec`); applied to every shard",
     )
     p_shard_build.add_argument("--seed", type=int, default=0)
     p_shard_build.add_argument("--sample-pairs", type=int, default=100_000)

@@ -14,7 +14,7 @@ Pipeline (Sections 3-5):
 * :mod:`repro.core.metrics` -- precision/recall scoring.
 """
 
-from repro.core.codec import BBitPacker, CodecError, CodecSpec, parse_codec
+from repro.core.codec import CodecError, CodecSpec, parse_codec
 from repro.core.distribution import SimilarityDistribution
 from repro.core.ecc import HadamardCode
 from repro.core.embedding import SetEmbedder, hamming_to_jaccard, jaccard_to_hamming
@@ -56,7 +56,6 @@ from repro.core.weighted import (
 )
 
 __all__ = [
-    "BBitPacker",
     "CodecError",
     "CodecSpec",
     "DFI",

@@ -1,61 +1,34 @@
-"""Pluggable signature codecs: full64, b-bit minwise, SuperMinHash.
+"""The signature codec: which generator signs a set.
 
-The embedding of Sections 3.1 + 3.2 factors into two independent
-choices that this module makes explicit:
+The embedding of Sections 3.1 + 3.2 stores each set as its **codes**:
+the ``k`` values of its signature reduced to ``b`` bits (the paper's
+fixed-precision step), one ``uint8`` each (``uint16`` when ``b > 8``).
+The packed ``D = 2**b * k``-bit Hamming vector is the Hadamard code of
+those codes and is derived on demand
+(:class:`~repro.core.ecc.HadamardCode`), never stored.  The one choice
+left is the **generator** producing the length-``k`` value signature:
 
-* a **generator** producing the length-``k`` value signature of a set
-  (``minhash`` -- the paper's universal-hash MinHash -- or
-  ``superminhash``, Ertl's lower-variance drop-in, arXiv:1706.05698);
-* a **packing** turning the ``(k,)`` value vector into a packed bit
-  vector the Hamming kernels operate on (``full64`` -- the Hadamard
-  code of Section 3.2, ``m = 2**b`` bits per slot -- or ``bbit:β`` --
-  b-bit minwise hashing after Li & Koenig: keep only the low ``β``
-  bits of each value, ``β`` bits per slot).
+* ``minhash`` -- the paper's universal-hash MinHash (canonical name
+  ``"full64"``, the Hadamard-coded embedding of Section 3.2);
+* ``superminhash`` -- Ertl's lower-variance drop-in, arXiv:1706.05698.
 
-A codec *spec string* names one of each, e.g. ``"full64"``,
-``"bbit:2"``, ``"superminhash"`` or ``"superminhash+bbit:2"``; parts
-omitted take the defaults (``minhash`` generator, ``full64`` packing).
-:func:`parse_codec` normalizes a spec into a :class:`CodecSpec`.
-
-Calibration: under ``bbit:β`` packing, a *disagreeing* slot still
-matches bit-for-bit with probability about ``C = 2**-β`` because
-truncated values of distinct hashes collide.  Two corrections follow:
-
-* **per-bit** (used by the filter thresholds and the optimizer's
-  error curves): the low bits of distinct uniform values match
-  independently with probability 1/2 per bit, so the expected per-bit
-  Hamming agreement is exactly ``(1 + s) / 2`` -- the *uncorrected*
-  Theorem 1 curve.  b-bit indexes therefore plan with ``bias_bits =
-  None``, whereas full64 keeps the Hadamard fixed-precision bias
-  ``bias_bits = b``.
-* **slot-level** (used by pair similarity estimates): the fraction of
-  fully-agreeing slots ``m̂`` estimates ``s + (1 - s) * C``; the Li &
-  Koenig variance-corrected estimator ``ŝ = (m̂ - C) / (1 - C)``
-  inverts it.  See :meth:`repro.core.embedding.SetEmbedder.estimate_pairs`.
-
-``full64`` is the bit-identical default: an embedder built with
-``codec="full64"`` produces exactly the pre-codec vectors, plans and
-answers.
+A codec *spec string* names the generator, optionally joined with
+``full64`` (``"superminhash+full64"`` is ``"superminhash"``).
+:func:`parse_codec` normalizes a spec into a :class:`CodecSpec`; any
+other spec -- including the b-bit packings earlier snapshots could
+name -- raises :class:`CodecError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.ecc import HadamardCode
 from repro.core.minhash import MinHasher, SuperMinHasher
 
 
 class CodecError(ValueError):
     """Unknown or malformed signature-codec spec string."""
 
-
-#: Slot widths supported by the b-bit packing: must divide 64 so slots
-#: never straddle word boundaries (the masked-popcount kernels rely on
-#: this).
-SUPPORTED_BBITS = (1, 2, 4, 8)
 
 #: Generators a codec spec may name.
 GENERATORS = ("minhash", "superminhash")
@@ -68,91 +41,46 @@ class CodecSpec:
     Attributes
     ----------
     name:
-        Canonical spec string (defaults elided): ``"full64"``,
-        ``"bbit:2"``, ``"superminhash"``, ``"superminhash+bbit:2"``...
+        Canonical spec string: ``"full64"`` or ``"superminhash"``.
     generator:
         ``"minhash"`` or ``"superminhash"``.
-    packing:
-        ``"full64"`` (Hadamard code) or ``"bbit"`` (truncation).
-    bits:
-        Slot width for ``bbit`` packing; ``None`` for ``full64``.
     """
 
     name: str
     generator: str
-    packing: str
-    bits: int | None
 
-    def bias_bits(self, b: int) -> int | None:
-        """The ``b`` to feed Theorem-1 conversions and the optimizer.
-
-        ``full64`` keeps the Hadamard fixed-precision collision bias
-        (``2**-b`` per disagreeing slot-coordinate); ``bbit`` packing
-        has exact per-bit agreement ``(1 + s) / 2`` (the low bits of
-        distinct uniform values match with probability 1/2 each), so
-        its curves use the uncorrected form.
-        """
-        return b if self.packing == "full64" else None
+    def bias_bits(self, b: int) -> int:
+        """The ``b`` to feed Theorem-1 conversions and the optimizer:
+        every codec keeps the Hadamard fixed-precision collision bias
+        (``2**-b`` per disagreeing slot)."""
+        return b
 
 
 def parse_codec(spec: "str | CodecSpec") -> CodecSpec:
     """Parse and normalize a codec spec string.
 
-    Accepts ``"full64"``, ``"bbit:β"`` (β in 1/2/4/8),
-    ``"superminhash"`` and ``"generator+packing"`` combinations in
-    either order.  Raises :class:`CodecError` (a ``ValueError``) for
-    anything else -- snapshot open wraps this into a typed
-    ``SnapshotFormatError`` so stale tooling fails loudly.
+    Accepts ``"full64"``, ``"minhash"``, ``"superminhash"`` and a
+    generator joined with ``full64`` by ``+`` in either order.  Raises
+    :class:`CodecError` (a ``ValueError``) for anything else --
+    snapshot open wraps this into a typed ``SnapshotFormatError`` so
+    stale tooling fails loudly.
     """
     if isinstance(spec, CodecSpec):
         return spec
     if not isinstance(spec, str):
         raise CodecError(f"codec spec must be a string, got {type(spec).__name__}")
-    generator = "minhash"
-    packing = "full64"
-    bits: int | None = None
-    seen_generator = seen_packing = False
     parts = [p.strip() for p in spec.lower().split("+")]
     if not spec.strip() or any(not p for p in parts):
         raise CodecError(f"malformed codec spec: {spec!r}")
-    for part in parts:
-        if part in ("minhash", "superminhash"):
-            if seen_generator:
-                raise CodecError(f"codec spec names two generators: {spec!r}")
-            seen_generator = True
-            generator = part
-        elif part == "full64" or part.startswith("bbit"):
-            if seen_packing:
-                raise CodecError(f"codec spec names two packings: {spec!r}")
-            seen_packing = True
-            if part == "full64":
-                packing = "full64"
-            else:
-                head, sep, tail = part.partition(":")
-                if head != "bbit" or not sep:
-                    raise CodecError(f"malformed codec spec: {spec!r}")
-                try:
-                    bits = int(tail)
-                except ValueError:
-                    raise CodecError(f"malformed codec spec: {spec!r}") from None
-                if bits not in SUPPORTED_BBITS:
-                    raise CodecError(
-                        f"unsupported b-bit width {bits} in {spec!r}; "
-                        f"supported: {SUPPORTED_BBITS}"
-                    )
-                packing = "bbit"
-        else:
-            raise CodecError(f"unknown codec spec: {spec!r}")
-    name_parts = []
-    if generator != "minhash":
-        name_parts.append(generator)
-    if packing == "bbit":
-        name_parts.append(f"bbit:{bits}")
-    elif generator == "minhash":
-        name_parts.append("full64")
-    return CodecSpec(
-        name="+".join(name_parts), generator=generator, packing=packing, bits=bits
-    )
+    generators = [p for p in parts if p in GENERATORS]
+    unknown = [p for p in parts if p not in GENERATORS and p != "full64"]
+    if unknown:
+        raise CodecError(f"unknown codec spec: {spec!r}")
+    if len(generators) > 1 or len(parts) - len(generators) > 1:
+        raise CodecError(f"codec spec names a part twice: {spec!r}")
+    generator = generators[0] if generators else "minhash"
+    name = "full64" if generator == "minhash" else generator
+    return CodecSpec(name=name, generator=generator)
 
 
 def make_hasher(generator: str, k: int, seed: int):
@@ -162,66 +90,3 @@ def make_hasher(generator: str, k: int, seed: int):
     if generator == "superminhash":
         return SuperMinHasher(k=k, seed=seed)
     raise CodecError(f"unknown signature generator: {generator!r}")
-
-
-def make_packer(spec: CodecSpec, b: int):
-    """Instantiate the slot packer a codec names.
-
-    Both packers expose the same interface (``m``, ``encode``,
-    ``encode_many``), so :class:`~repro.core.embedding.SetEmbedder`
-    is agnostic to which one it holds.
-    """
-    if spec.packing == "full64":
-        return HadamardCode(b)
-    return BBitPacker(spec.bits)
-
-
-class BBitPacker:
-    """b-bit minwise packing: keep the low ``β`` bits of each value.
-
-    Li & Koenig's b-bit minwise hashing stores only ``β ∈ {1, 2, 4, 8}``
-    bits per signature slot instead of a full codeword, shrinking the
-    packed vector matrix by ``m / β`` (32x at the default ``b=6``,
-    ``β=2``).  Slot ``i`` of a length-``k`` signature occupies bit
-    positions ``[i*β, (i+1)*β)`` of the packed ``D = β * k``-bit
-    string, using the same little-endian word layout as
-    :func:`repro.hamming.bitvector.pack_bits`; ``β`` divides 64, so a
-    slot never straddles a word and the tail word's padding slots are
-    zero in every vector (they cancel under XOR).
-
-    The attribute ``m`` is the per-slot bit width, mirroring
-    :class:`~repro.core.ecc.HadamardCode` so ``D = m * k`` holds for
-    either packer.
-    """
-
-    def __init__(self, bits: int):
-        if bits not in SUPPORTED_BBITS:
-            raise CodecError(
-                f"b-bit width must be one of {SUPPORTED_BBITS}, got {bits}"
-            )
-        self.b = bits
-        #: Bits per signature slot (packer interface; ``D = m * k``).
-        self.m = bits
-        self.slots_per_word = 64 // bits
-
-    def encode(self, values: np.ndarray) -> np.ndarray:
-        """Packed truncation of one value vector: ``(k,) -> (words,)``."""
-        values = np.asarray(values, dtype=np.uint64)
-        return self.encode_many(values[np.newaxis, :])[0]
-
-    def encode_many(self, value_matrix: np.ndarray) -> np.ndarray:
-        """Pack many value vectors at once: ``(N, k) -> (N, ceil(k*β/64))``."""
-        value_matrix = np.asarray(value_matrix, dtype=np.uint64) & np.uint64(
-            (1 << self.b) - 1
-        )
-        n, k = value_matrix.shape
-        spw = self.slots_per_word
-        n_words = (k + spw - 1) // spw
-        padded = np.zeros((n, n_words * spw), dtype=np.uint64)
-        padded[:, :k] = value_matrix
-        shifts = np.arange(spw, dtype=np.uint64) * np.uint64(self.b)
-        grouped = padded.reshape(n, n_words, spw)
-        return np.bitwise_or.reduce(grouped << shifts, axis=2)
-
-    def __repr__(self) -> str:
-        return f"BBitPacker(bits={self.b})"

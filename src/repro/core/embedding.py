@@ -19,13 +19,13 @@ spurious agreement.  With the default ``b = 6`` that bias is under
 1.6% of the disagreeing mass; :func:`jaccard_to_hamming` optionally
 models it so analytic predictions match measurements.
 
-Both stages are pluggable via the signature *codec* layer
-(:mod:`repro.core.codec`): the generator may be the paper's MinHash or
-SuperMinHash, and the packing may be the Hadamard code above
-(``full64``) or b-bit minwise truncation (``bbit:β``), which stores
-``β`` bits per slot instead of ``m = 2**b`` and estimates similarity
-with the Li & Koenig variance-corrected slot estimator
-(:meth:`SetEmbedder.estimate_pairs`).
+The first stage is pluggable via the signature *codec*
+(:mod:`repro.core.codec`): the paper's MinHash or SuperMinHash.  What
+an index stores per set is its **codes** -- the ``k`` signature values
+reduced to ``b`` bits (:meth:`SetEmbedder.code_hashes`); the packed
+vector is their Hadamard code, derived when a probe needs it
+(:meth:`SetEmbedder.encode`), and pair similarity is estimated from the
+codes by slot agreement (:meth:`SetEmbedder.estimate_pairs`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.codec import make_hasher, make_packer, parse_codec
+from repro.core.codec import make_hasher, parse_codec
 from repro.core.ecc import HadamardCode
 from repro.core.minhash import hash_rows
 
@@ -76,11 +76,8 @@ class SetEmbedder:
         by an embedder with the same ``(k, b, seed, codec)`` as the
         index.
     codec:
-        Signature codec spec (see :mod:`repro.core.codec`).  The
-        default ``"full64"`` is bit-identical to the pre-codec format:
-        MinHash values, Hadamard-coded at ``m = 2**b`` bits per slot.
-        ``"bbit:β"`` packs ``β`` truncated bits per slot instead
-        (``D = β * k``); ``"superminhash"`` swaps the generator.
+        Signature codec spec (see :mod:`repro.core.codec`): ``"full64"``
+        (MinHash, the default) or ``"superminhash"``.
     """
 
     def __init__(self, k: int = 100, b: int = 6, seed: int = 0,
@@ -88,27 +85,17 @@ class SetEmbedder:
         spec = parse_codec(codec)
         self.codec = spec.name
         self.hasher = make_hasher(spec.generator, k, seed)
-        self.code = make_packer(spec, b)
+        self.code = HadamardCode(b)
         self.k = k
         self.b = b
         self.seed = seed
+        #: Dtype of one stored code: ``b`` bits fit a byte up to b = 8.
+        self.code_dtype = np.dtype(np.uint8 if b <= 8 else np.uint16)
 
     @property
     def m(self) -> int:
-        """Bits per signature slot (codeword length for full64)."""
+        """Codeword length in bits: ``2**b``."""
         return self.code.m
-
-    @property
-    def bias_bits(self) -> int | None:
-        """The ``b`` for Theorem-1 conversion curves under this codec.
-
-        full64 packing keeps the Hadamard fixed-precision collision
-        bias (``2**-b``); b-bit packing has exact per-bit agreement
-        ``(1 + s) / 2`` (low bits of distinct uniform values match
-        with probability 1/2 per bit), so its planner curves use the
-        uncorrected form (``None``).
-        """
-        return self.b if isinstance(self.code, HadamardCode) else None
 
     @property
     def dimension(self) -> int:
@@ -128,6 +115,23 @@ class SetEmbedder:
         """Signatures of many sets in one vectorized pass, ``(N, k)``."""
         return self.hasher.signature_matrix(sets)
 
+    def code_hashes(self, indptr: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+        """Codes of the sets whose element hashes are the rows of a
+        :func:`~repro.core.minhash.hash_rows` CSR: each signature value
+        reduced to its low ``b`` bits, shape ``(N, k)`` of
+        :attr:`code_dtype` -- what an index stores per set."""
+        if len(indptr) == 1:
+            return np.empty((0, self.k), dtype=self.code_dtype)
+        signatures = self.hasher.signature_csr(indptr, hashes)
+        return (signatures & np.uint64(self.m - 1)).astype(self.code_dtype)
+
+    def encode(self, codes: np.ndarray) -> np.ndarray:
+        """Packed Hadamard embeddings of ``(N, k)`` codes, shape
+        ``(N, n_words)``."""
+        if len(codes) == 0:
+            return np.empty((0, self.n_words), dtype=np.uint64)
+        return self.code.encode_many(codes)
+
     def embed(self, elements: Iterable) -> np.ndarray:
         """Packed ``D``-bit embedding of one set (space ``H``)."""
         return self.code.encode(self.hasher.signature(elements))
@@ -135,73 +139,29 @@ class SetEmbedder:
     def embed_many(self, sets: Iterable[Iterable]) -> np.ndarray:
         """Packed embeddings of many sets, shape ``(N, n_words)``."""
         indptr, data, _ = hash_rows(sets)
-        return self.embed_hashes(indptr, data)
-
-    def embed_hashes(self, indptr: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-        """Packed embeddings of the sets whose element hashes are the
-        rows of a :func:`~repro.core.minhash.hash_rows` CSR, shape
-        ``(N, n_words)``."""
-        if len(indptr) == 1:
-            return np.empty((0, self.n_words), dtype=np.uint64)
-        return self.code.encode_many(self.hasher.signature_csr(indptr, hashes))
+        return self.encode(self.code_hashes(indptr, data))
 
     def embed_signature(self, signature: np.ndarray) -> np.ndarray:
         """Embed an existing signature (useful when both are needed)."""
         return self.code.encode(signature)
 
-    # -- similarity estimation from packed vectors ---------------------
-
     def estimate_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Estimated Jaccard of row-aligned packed vector pairs.
+        """Estimated Jaccard of row-aligned code pairs by slot agreement.
 
-        ``(P, n_words) x (P, n_words) -> (P,)`` float64 in [0, 1].
-
-        full64: inverts Theorem 1 with the fixed-precision collision
-        bias (vectorized :func:`hamming_to_jaccard` at ``b``).
-
-        bbit: counts *fully agreeing slots* with the masked-popcount
-        slot kernel and applies the Li & Koenig variance correction
-        ``ŝ = (m̂ - C) / (1 - C)`` with ``C = 2**-β``, the probability
-        that truncations of distinct values collide.
+        ``(P, k) x (P, k) -> (P,)`` float64 in [0, 1].  The fraction of
+        agreeing slots estimates ``s + (1 - s) * 2**-b`` (distinct
+        values collide in ``b`` bits with probability ``2**-b``); the
+        estimate inverts that.  It is the same number as inverting
+        Theorem 1 on the Hamming distance of the two encodings, because
+        two Hadamard codewords differ in exactly ``m / 2`` bits: their
+        Hamming similarity is ``1 - x / (2k)`` for ``x`` disagreeing
+        slots, and the arithmetic below is that inversion's, so the
+        values are bit-identical to it.
         """
-        from repro.hamming.distance import (
-            hamming_distance_pairs,
-            slot_distance_pairs,
-        )
-
-        if isinstance(self.code, HadamardCode):
-            dists = hamming_distance_pairs(a, b)
-            sims = 1.0 - dists / self.dimension
-            collide = 2.0 ** (-self.b)
-            return np.clip(
-                (2.0 * sims - 1.0 - collide) / (1.0 - collide), 0.0, 1.0
-            )
-        diff = slot_distance_pairs(a, b, self.code.m)
-        matched = 1.0 - diff / self.k
-        collide = 2.0 ** (-self.code.m)
-        return np.clip((matched - collide) / (1.0 - collide), 0.0, 1.0)
-
-    def estimate_many(self, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        """Estimated Jaccard of one packed vector against many rows.
-
-        Same calibration as :meth:`estimate_pairs`, one-vs-many:
-        ``(N, n_words) x (n_words,) -> (N,)``.
-        """
-        from repro.hamming.distance import (
-            hamming_distance_many,
-            slot_distance_many,
-        )
-
-        if isinstance(self.code, HadamardCode):
-            s_h = 1.0 - hamming_distance_many(matrix, vector) / self.dimension
-            collide = 2.0 ** (-self.b)
-            return np.clip(
-                (2.0 * s_h - 1.0 - collide) / (1.0 - collide), 0.0, 1.0
-            )
-        diff = slot_distance_many(matrix, vector, self.code.m)
-        matched = 1.0 - diff / self.k
-        collide = 2.0 ** (-self.code.m)
-        return np.clip((matched - collide) / (1.0 - collide), 0.0, 1.0)
+        disagree = np.count_nonzero(np.asarray(a) != np.asarray(b), axis=1)
+        sims = 1.0 - disagree / (2.0 * self.k)
+        collide = 2.0 ** (-self.b)
+        return np.clip((2.0 * sims - 1.0 - collide) / (1.0 - collide), 0.0, 1.0)
 
     def __repr__(self) -> str:
         return (

@@ -73,7 +73,7 @@ class FrozenIndexError(RuntimeError):
     """Mutation of a frozen index, or a freeze the index cannot honor.
 
     A :meth:`SetSimilarityIndex.freeze` snapshot shares the index's
-    bucket directories and packed vectors by reference; any
+    bucket directories and stored sets by reference; any
     insert/delete while a snapshot is live would silently corrupt it,
     so mutation raises this instead.  Call
     :meth:`SetSimilarityIndex.thaw` first.
@@ -262,7 +262,7 @@ def assemble_batch(
     totals on the root span plus, per filter probe, how many of the
     (query, candidate) pairs it contributed passed that query's exact
     verification."""
-    from repro.exec.columnar import csr_rows, csr_split
+    from repro.exec.columnar import csr_rows, csr_split, row_keys
 
     batch = BatchQueryResult(
         results=[
@@ -323,8 +323,10 @@ def assemble_batch(
                 int(sids.max(initial=0)), int(answer_sids.max(initial=0))
             )
             hit_rows = np.asarray(rows, dtype=np.int64)[csr_rows(indptr)]
+            n_rows = len(answers_list)
             span.set(survived=int(np.isin(
-                hit_rows * width + sids, answer_rows * width + answer_sids
+                row_keys(hit_rows, sids, n_rows, width),
+                row_keys(answer_rows, answer_sids, n_rows, width),
             ).sum()))
     return batch
 
@@ -381,7 +383,7 @@ class _LiveView:
 
     :mod:`repro.exec.pipeline` lists the operations; here they run over
     the mutable structures themselves -- the filters' live bucket
-    tables, the per-sid vectors, and the hash arena (plus collision
+    tables, the per-sid codes, and the hash arena (plus collision
     fallback set) that insert and delete keep current, which verify
     gathers from as a snapshot gathers from its CSR.  A fetch charges
     the set store's page rule, exactly what reading the sets through
@@ -407,8 +409,8 @@ class _LiveView:
     @property
     def sid_array(self) -> np.ndarray:
         """Every stored sid, ascending."""
-        vectors = self.index._vectors
-        return np.sort(np.fromiter(vectors, dtype=np.int64, count=len(vectors)))
+        codes = self.index._codes
+        return np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
 
     def filter_probe(self, kind: str, point: float):
         return (self.sfis if kind == "sfi" else self.dfis)[point]
@@ -447,9 +449,9 @@ class _LiveView:
             query_hashes=query_hashes,
         )
 
-    def vectors_of(self, sids: np.ndarray) -> np.ndarray:
-        vectors = self.index._vectors
-        return np.stack([vectors[sid] for sid in sids.tolist()])
+    def codes_of(self, sids: np.ndarray) -> np.ndarray:
+        codes = self.index._codes
+        return np.stack([codes[sid] for sid in sids.tolist()])
 
 
 class SetSimilarityIndex:
@@ -492,7 +494,9 @@ class SetSimilarityIndex:
         self.pager = pager
         self.io = pager.io
         self.store = store
-        self._vectors: dict[int, np.ndarray] = {}
+        #: Per sid its ``(k,)`` signature codes; the packed vector a
+        #: filter keys on is derived from them (``embedder.encode``).
+        self._codes: dict[int, np.ndarray] = {}
         # Columnar verification state: per sid the size and sorted
         # uint64 element-hash array, plus the sids whose array is
         # unusable because two distinct elements collided (exact
@@ -556,14 +560,12 @@ class SetSimilarityIndex:
             dist_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
             with trace.span("plan_index", budget=budget):
-                # b-bit packing has exact per-bit agreement (1+s)/2, so
-                # its error curves use the uncorrected Theorem-1 form;
-                # full64 keeps the Hadamard collision bias.
+                # The error curves keep the Hadamard collision bias.
                 plan = plan_index(
                     dist,
                     budget,
                     recall_target=recall_target,
-                    b=spec.bias_bits(b),
+                    b=b,
                     max_intervals=max_intervals,
                     allocator=allocator,
                     max_per_filter=max_per_filter,
@@ -634,11 +636,13 @@ class SetSimilarityIndex:
             if sets:
                 t0 = time.perf_counter()
                 with trace.span("embed_corpus", k=k, n_sets=len(sets)):
-                    # One hash pass: the signatures and the verify rows
-                    # both come from it.
+                    # One hash pass: the codes and the verify rows both
+                    # come from it; the packed vectors live only for the
+                    # filter load.
                     indptr, data, collided = hash_rows(sets)
-                    matrix = embedder.embed_hashes(indptr, data)
-                    index._vectors = dict(zip(sids, matrix))
+                    codes = embedder.code_hashes(indptr, data)
+                    matrix = embedder.encode(codes)
+                    index._codes = dict(zip(sids, codes))
                     sid_array = np.asarray(sids, dtype=np.int64)
                     index._hashes = HashArena.from_csr(
                         sid_array, indptr, data, np.diff(indptr)
@@ -677,7 +681,7 @@ class SetSimilarityIndex:
         for offset, planned in enumerate(self.plan.filters):
             if planned.n_tables <= 0:
                 continue
-            threshold = planned.hamming_threshold(self.embedder.bias_bits)
+            threshold = planned.hamming_threshold(self.embedder.b)
             args = dict(
                 n_tables=planned.n_tables,
                 n_bits=n_bits,
@@ -716,11 +720,11 @@ class SetSimilarityIndex:
         self._invalidate()
         stored = frozenset(elements)
         sid = self.store.insert(stored)
-        # One hash pass: the signature and the verify row both come
-        # from it.
+        # One hash pass: the codes and the verify row both come from it.
         indptr, data, collided = hash_rows([stored])
-        vector = self.embedder.embed_hashes(indptr, data)[0]
-        self._vectors[sid] = vector
+        codes = self.embedder.code_hashes(indptr, data)
+        vector = self.embedder.encode(codes)[0]
+        self._codes[sid] = codes[0]
         self._hashes.put(sid, data, len(stored))
         if collided[0]:
             self._cfallback.add(sid)
@@ -735,10 +739,11 @@ class SetSimilarityIndex:
         Raises :class:`FrozenIndexError` while a :meth:`freeze` snapshot
         is active.
         """
-        if sid not in self._vectors:
+        if sid not in self._codes:
             raise KeyError(f"unknown sid: {sid}")
         self._invalidate()
-        vector = self._vectors.pop(sid)
+        # The filters key on the packed vector: re-encode this one row.
+        vector = self.embedder.encode(self._codes.pop(sid)[np.newaxis])[0]
         self._cfallback.discard(sid)
         for fi in self._all_filters():
             fi.delete(vector, sid)
@@ -750,8 +755,8 @@ class SetSimilarityIndex:
     def freeze(self):
         """Produce (and pin) a read-only :class:`~repro.exec.snapshot.IndexSnapshot`.
 
-        The snapshot pre-builds every bucket directory, packs the
-        stored vectors into one matrix and materializes the columnar
+        The snapshot pre-builds every bucket directory, stacks the
+        stored codes into one matrix and materializes the columnar
         CSR verification layout, so it can serve ``query_batch`` through
         an executor (see :class:`~repro.exec.parallel.ParallelExecutor`)
         with accounting identical to this index's own path.
@@ -798,9 +803,10 @@ class SetSimilarityIndex:
 
         The snapshot is opened and fully verified; nothing is
         re-embedded or re-hashed.  The store takes the sets under their
-        own sids (numbering on from the saved next sid), the hash arena
-        the verify CSR, and each filter table its stored fingerprint
-        runs in sid order (``bulk_load_hashed``).  Everything is copied
+        own sids (numbering on from the saved next sid), the code map
+        the stored codes, the hash arena the verify CSR, and each filter
+        table its stored fingerprint runs in sid order
+        (``bulk_load_hashed``).  Everything is copied
         off the mapping.  The result is a fresh bulk build of the saved
         contents: the saved index itself when that was bulk-built; a
         churned index keeps its sids but takes a bulk build's page
@@ -816,7 +822,7 @@ class SetSimilarityIndex:
         sids = snap.sid_array
         with gc_suspended():
             store.load(sids.tolist(), snap.all_sets(), snap.next_sid)
-            index._vectors = dict(zip(sids.tolist(), np.array(snap.vector_matrix)))
+            index._codes = dict(zip(sids.tolist(), np.array(snap.code_matrix)))
             index._hashes = HashArena.from_csr(
                 sids, snap.set_indptr, snap.set_data, snap.set_sizes
             )
@@ -849,12 +855,12 @@ class SetSimilarityIndex:
     @property
     def n_sets(self) -> int:
         """Number of currently indexed sets."""
-        return len(self._vectors)
+        return len(self._codes)
 
     @property
     def sids(self) -> set[int]:
         """Identifiers of the currently indexed sets."""
-        return set(self._vectors)
+        return set(self._codes)
 
     # -- query processing ------------------------------------------------------
 
@@ -907,8 +913,8 @@ class SetSimilarityIndex:
 
         if self._planner is None:
             avg_size = (
-                float(np.mean(self._hashes.size[list(self._vectors)]))
-                if self._vectors else 1.0
+                float(np.mean(self._hashes.size[list(self._codes)]))
+                if self._codes else 1.0
             )
             self._planner = QueryPlanner(
                 plan=self.plan,
@@ -950,9 +956,10 @@ class SetSimilarityIndex:
         3. candidates are fetched once per *distinct* candidate and
            verified exactly by the columnar kernels
            (:func:`repro.exec.columnar.verify_batch`); when a trace is
-           recording, the packed-matrix Hamming kernel additionally
-           estimates every pair's similarity for the ``est_in_range``
-           EXPLAIN aggregate (answer membership stays exactly verified).
+           recording, slot agreement of the stored and query codes
+           additionally estimates every pair's similarity for the
+           ``est_in_range`` EXPLAIN aggregate (answer membership stays
+           exactly verified).
 
         The batch's simulated page-read total is therefore never
         greater than the equivalent query loop, and strictly smaller

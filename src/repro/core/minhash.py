@@ -298,10 +298,9 @@ class SuperMinHasher:
 
     Values are quantized to uint64 as ``(j << 32) | floor(r_j * 2**32)``
     -- numeric order equals the algorithm's lexicographic ``(j, r)``
-    order, so per-set minima are plain uint64 minima and any packing
-    codec consumes the values unchanged (``full64`` reduces them mod
-    ``2**b``; ``bbit`` keeps the low bits -- both land in the uniform
-    fractional part).
+    order, so per-set minima are plain uint64 minima and the embedder
+    consumes the values unchanged (its codes are the values mod
+    ``2**b``, which land in the uniform fractional part).
 
     All randomness is counter-based splitmix64 keyed by the stable
     element hash and the seed, so signatures are deterministic across

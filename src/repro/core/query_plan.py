@@ -114,10 +114,10 @@ def plan_batch(
 
 def _keys(csr, span: int) -> np.ndarray:
     """A CSR's entries as ascending ``row * span + sid`` keys."""
-    from repro.exec.columnar import csr_rows
+    from repro.exec.columnar import csr_rows, row_keys
 
     indptr, sids = csr
-    return csr_rows(indptr) * span + sids
+    return row_keys(csr_rows(indptr), sids, len(indptr) - 1, span)
 
 
 def _difference(a, b):
@@ -213,37 +213,35 @@ def combine_candidates(
 def estimate_in_range(
     embedder,
     candidates: tuple[np.ndarray, np.ndarray],
-    matrix: np.ndarray | None,
+    codes: np.ndarray | None,
     rows: list[int],
-    vectors_of: Callable[[np.ndarray], np.ndarray],
+    codes_of: Callable[[np.ndarray], np.ndarray],
     sigma_low: float,
     sigma_high: float,
 ) -> int:
-    """How many (query, candidate) pairs the Hamming estimate already
+    """How many (query, candidate) pairs the signature estimate already
     places in range -- the ``est_in_range`` EXPLAIN aggregate.
 
-    ``candidates`` is the batch's candidate CSR, ``matrix`` holds the
-    embedded non-empty queries (``rows`` their batch positions) and
-    ``vectors_of(sids)`` the stored vectors of the given ascending sids,
-    one row each.  Wall-clock work only: never accounted as simulated
-    CPU.
+    ``candidates`` is the batch's candidate CSR, ``codes`` holds the
+    signature codes of the non-empty queries (``rows`` their batch
+    positions) and ``codes_of(sids)`` the stored codes of the given
+    ascending sids, one row each.  Wall-clock work only: never
+    accounted as simulated CPU.
     """
     from repro.exec.columnar import csr_rows, positions_in, sorted_unique
 
-    if matrix is None or not rows:
+    if codes is None or not rows:
         return 0
     indptr, sids = candidates
-    matrix_row = np.full(len(indptr) - 1, -1, dtype=np.int64)
-    matrix_row[rows] = np.arange(len(rows), dtype=np.int64)
-    q_rows = matrix_row[csr_rows(indptr)]
+    code_row = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    code_row[rows] = np.arange(len(rows), dtype=np.int64)
+    q_rows = code_row[csr_rows(indptr)]
     embedded = q_rows >= 0
     q_rows, sids = q_rows[embedded], sids[embedded]
     if len(sids) == 0:
         return 0
     distinct = sorted_unique(sids)
     c_cols = positions_in(distinct, sids)
-    # Codec-calibrated estimate: full64 inverts Theorem 1 with the
-    # fixed-precision collision bias, b-bit applies the Li & Koenig
-    # slot correction.
-    vals = embedder.estimate_pairs(matrix[q_rows], vectors_of(distinct)[c_cols])
+    # Slot agreement with the fixed-precision collision correction.
+    vals = embedder.estimate_pairs(codes[q_rows], codes_of(distinct)[c_cols])
     return int(((sigma_low <= vals) & (vals <= sigma_high)).sum())

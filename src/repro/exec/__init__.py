@@ -7,7 +7,7 @@ This package provides the serving-side counterpart:
 
 - :class:`~repro.exec.snapshot.IndexSnapshot` -- an immutable image of
   a built index (``index.freeze()``) with every bucket directory
-  pre-built, vectors packed into one matrix, and stored sets in a
+  pre-built, signature codes stacked into one matrix, and stored sets in a
   columnar CSR hash layout;
 - :class:`~repro.exec.parallel.ParallelExecutor` -- runs the one
   query pipeline (:mod:`~repro.exec.pipeline`) over a snapshot on a

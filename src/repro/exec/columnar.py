@@ -332,7 +332,26 @@ def positions_in(distinct: np.ndarray, values: np.ndarray) -> np.ndarray:
 # sids)``, row ``i`` owning ``sids[indptr[i]:indptr[i + 1]]``, ascending
 # and unique.  Sids are non-negative int64, so a row's entries and the
 # whole CSR sort as the keys ``row * span + sid`` for any ``span`` above
-# the largest sid -- the form the plan algebra and every merge use.
+# the largest sid -- the form the plan algebra and every merge use, all
+# built by :func:`row_keys`.
+
+
+class KeyOverflowError(ValueError):
+    """A candidate CSR's ``row * span + sid`` keys would not fit int64
+    (huge, sparse sids in a batch of several rows)."""
+
+
+def row_keys(rows: np.ndarray, sids: np.ndarray, n_rows: int, span: int) -> np.ndarray:
+    """The int64 keys ``row * span + sid`` of ``(row, sid)`` pairs with
+    rows in ``[0, n_rows)`` and sids in ``[0, span)``; raises
+    :class:`KeyOverflowError` before multiplying when the largest key,
+    ``n_rows * span - 1``, would not fit int64."""
+    if n_rows * span - 1 > np.iinfo(np.int64).max:
+        raise KeyOverflowError(
+            f"candidate keys of {n_rows} rows over sids below {span} "
+            "overflow int64"
+        )
+    return rows * span + sids
 
 
 def csr_rows(indptr: np.ndarray) -> np.ndarray:
@@ -359,7 +378,9 @@ def pairs_csr(
     if len(sids) == 0:
         return np.zeros(n_rows + 1, dtype=np.int64), sids
     span = int(sids.max()) + 1
-    keys = sorted_unique(np.asarray(rows, dtype=np.int64) * span + sids)
+    keys = sorted_unique(
+        row_keys(np.asarray(rows, dtype=np.int64), sids, n_rows, span)
+    )
     rows = keys // span
     return (
         csr_from_counts(np.bincount(rows, minlength=n_rows)),

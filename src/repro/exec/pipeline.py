@@ -24,7 +24,8 @@ the storage genuinely differs, and nothing above these operations does:
 - ``verify_batch(query_sets, candidates, lo, hi, io, query_hashes)``:
   exact verification over the view's per-set hash rows, which reads a
   set's elements only on the exact fallback paths;
-- ``vectors_of(sids)`` for the traced ``est_in_range`` aggregate.
+- ``codes_of(sids)``, the stored signature codes of the given sids,
+  for the traced ``est_in_range`` aggregate.
 
 Both views *account* each fetch into the ``io`` they are handed, from
 the set store's page rule (a snapshot froze it into arrays; the live
@@ -49,8 +50,8 @@ pager mid-task.
 
 A batch's queries are hashed once, on the calling thread
 (:func:`prepare_batch`): the embed stage makes each query's sorted
-element-hash row (:func:`repro.core.minhash.hash_rows`) and signs and
-packs it from those hashes; verify and scan tasks read the same rows,
+element-hash row (:func:`repro.core.minhash.hash_rows`) and signs, codes
+and packs it from those hashes; verify and scan tasks read the same rows,
 and a shard fleet hands every shard the one batch it prepared
 (:class:`Prepared`).
 
@@ -124,19 +125,21 @@ class Inline:
 class Prepared:
     """A batch's query side, computed once: every query's sorted
     element-hash row (``hashes``, the :func:`~repro.core.minhash.hash_rows`
-    CSR ``(indptr, data, collided)`` over all the batch's queries) and
-    the packed embedding of its non-empty queries, in batch order
-    (``matrix``; None when the batch was not embedded).
+    CSR ``(indptr, data, collided)`` over all the batch's queries), and
+    the signature codes of its non-empty queries, in batch order
+    (``codes``), with their packed embedding (``matrix``, what the
+    probes key on) -- both None when the batch was not embedded.
 
     Signatures, exact-verify rows and routing bits all come from the one
     hash pass.  Every shard of a fleet shares ``k``, ``b``, seed and
     codec, so one ``Prepared`` serves all of them.
     """
 
-    __slots__ = ("hashes", "matrix")
+    __slots__ = ("hashes", "codes", "matrix")
 
-    def __init__(self, hashes, matrix):
+    def __init__(self, hashes, codes, matrix):
         self.hashes = hashes
+        self.codes = codes
         self.matrix = matrix
 
     def chunk(self, start: int, stop: int):
@@ -147,14 +150,15 @@ class Prepared:
 
 def prepare_batch(embedder, query_sets: Sequence[frozenset],
                   embed: bool = True) -> Prepared:
-    """Hash a batch's queries once and (``embed``) sign and pack the
-    non-empty ones from those hashes."""
+    """Hash a batch's queries once and (``embed``) sign, code and pack
+    the non-empty ones from those hashes."""
     indptr, data, collided = hash_rows(query_sets)
-    matrix = None
+    codes = matrix = None
     if embed:
         starts = indptr[:-1][np.diff(indptr) > 0]
-        matrix = embedder.embed_hashes(np.append(starts, indptr[-1]), data)
-    return Prepared((indptr, data, collided), matrix)
+        codes = embedder.code_hashes(np.append(starts, indptr[-1]), data)
+        matrix = embedder.encode(codes)
+    return Prepared((indptr, data, collided), codes, matrix)
 
 
 def stage_seconds(tasks: list[Task]) -> dict[str, float]:
@@ -513,8 +517,8 @@ def _verify_stage(
                 false_positives=n_pairs - n_verified,
                 fetches_saved=fetches_saved,
                 est_in_range=estimate_in_range(
-                    view.embedder, candidates, prepared.matrix, rows,
-                    view.vectors_of, sigma_low, sigma_high,
+                    view.embedder, candidates, prepared.codes, rows,
+                    view.codes_of, sigma_low, sigma_high,
                 ),
                 **info,
             )

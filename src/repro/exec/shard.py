@@ -79,7 +79,7 @@ FORMAT_NAME = "repro-ssi-shards"
 #: v5: one fleet shape -- no ``tune`` key and no per-shard plan
 #: (every shard runs ``global_plan``, which lists its filters); the
 #: ``routing`` block is required and holds size ranges and bitsets
-#: only.  Shard snapshots are at snapshot format 6.  The only version
+#: only.  Shard snapshots are at snapshot format 7.  The only version
 #: read; rebuild older directories.
 FORMAT_VERSION = 5
 
@@ -175,9 +175,7 @@ def build_sharded(
             sets, sample_pairs=sample_pairs, seed=seed
         )
     if plan is None:
-        plan = plan_index(
-            dist, budget, recall_target=recall_target, b=spec.bias_bits(b)
-        )
+        plan = plan_index(dist, budget, recall_target=recall_target, b=b)
     assignment = partition_sets(sets, n_shards, seed=seed)
     shard_sets: list[list[frozenset]] = [[] for _ in range(n_shards)]
     shard_gsids: list[list[int]] = [[] for _ in range(n_shards)]

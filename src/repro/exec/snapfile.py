@@ -21,7 +21,9 @@ Layout of a snapshot directory::
                     its dtype/shape/offset/crc32
     arrays.bin      every array, 64-byte aligned, in manifest order
 
-The arrays: the packed ``(N, words)`` uint64 vector matrix, the CSR
+The arrays: the ``(N, k)`` signature code matrix (each set's ``k``
+MinHash values mod ``2**b``, ``uint8`` up to b = 8, else ``uint16``;
+the packed Hamming vectors are derived from it, never stored), the CSR
 of each set's sorted element hashes (the one element hash,
 :func:`~repro.core.minhash.stable_element_hash`, whose values the
 signatures were computed from; a lone-surrogate ``str`` hashes as it is
@@ -75,14 +77,16 @@ from repro.storage.hashtable import TableStack
 from repro.storage.iomodel import IOCostModel
 
 FORMAT_NAME = "repro-ssi-snapshot"
-#: v6: the verify rows (``set_data``) hold the one element hash,
+#: v7: each set's signature is stored as its codes (``code_matrix``),
+#: not as the packed vector matrix v6 stored.  Since v6 the verify rows
+#: (``set_data``) hold the one element hash,
 #: :func:`~repro.core.minhash.stable_element_hash` -- the values the
 #: signatures are computed from.  Since v5 the one on-disk format:
 #: embedder, plan, D_S and planner statistics in the manifest, sampled
 #: bit positions as arrays, set elements ``int64`` or ``tagged``, and
 #: the next sid to assign, so a live index thaws from it.  The only
 #: version read; re-save older directories from a live index.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 #: Byte alignment of every array in ``arrays.bin`` (cache-line sized,
 #: and a multiple of every dtype's itemsize so views never misalign).
@@ -228,10 +232,11 @@ _TABLE_FIELDS = {
 }
 
 #: Dtype and shape of every fixed-name array, checked at every open: a
-#: dimension is ``"n"`` (the set count), ``"n+1"``, ``"words"`` (packed
-#: vector width), ``"tags+1"``, or None (any length).
+#: dimension is ``"n"`` (the set count), ``"n+1"``, ``"k"`` (signature
+#: length), ``"tags+1"``, or None (any length); the dtype ``"codes"`` is
+#: the embedder's ``code_dtype``.
 _ARRAY_TYPES = {
-    "sid_array": ("<i8", ("n",)), "vector_matrix": ("<u8", ("n", "words")),
+    "sid_array": ("<i8", ("n",)), "code_matrix": ("codes", ("n", "k")),
     "set_indptr": ("<i8", ("n+1",)), "set_data": ("<u8", (None,)),
     "set_sizes": ("<i8", ("n",)), "fetch_random": ("<i8", ("n",)),
     "fetch_seq": ("<i8", ("n",)), "fallback_array": ("<i8", (None,)),
@@ -602,10 +607,12 @@ def _plan(doc: dict) -> IndexPlan:
 
 def _check_contents(snap: "MappedSnapshot") -> None:
     """The array contents a ``verify=True`` open checks -- everything a
-    thaw indexes with: sid order, CSR bounds, element tags, positions."""
+    thaw indexes with: sid order, CSR bounds, element tags, positions
+    -- and every code inside ``[0, 2**b)``."""
     sids, tagged = snap.sid_array, snap.sets_encoding == "tagged"
     if not (
-        (snap.n_sets == 0 or sids[0] >= 0 and sids[-1] < snap.next_sid)
+        (snap.n_sets == 0 or sids[0] >= 0 and sids[-1] < snap.next_sid
+         and int(snap.code_matrix.max()) < snap.embedder.m)
         and not np.any(sids[1:] <= sids[:-1])
         and _rises(snap.set_indptr, len(snap.set_data))
         and np.all(np.diff(snap.set_indptr) <= snap.set_sizes)
@@ -619,8 +626,8 @@ def _check_contents(snap: "MappedSnapshot") -> None:
         )
     ):
         raise SnapshotIntegrityError(
-            f"{snap.path}: arrays are inconsistent (sid order, CSR bounds, "
-            "set sizes, element tags or bit positions)"
+            f"{snap.path}: arrays are inconsistent (sid order, codes, CSR "
+            "bounds, set sizes, element tags or bit positions)"
         )
 
 
@@ -657,7 +664,7 @@ def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
     manifest = _read_manifest(path)
     with trace.span("snapshot_open", path=str(path), verify=verify) as sp:
         # An unknown codec fails loudly here so a stale reader never
-        # misinterprets packed bytes.
+        # misinterprets stored codes.
         emb = manifest.get("embedder")
         try:
             embedder = _embedder(
@@ -691,10 +698,12 @@ def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
         if encoding not in _ELEMENT_ARRAYS:
             raise SnapshotFormatError(f"unknown sets encoding: {encoding!r}")
         named = {**_ARRAY_TYPES, **_ELEMENT_ARRAYS[encoding]}
-        dims = {None: None, "n": n, "n+1": n + 1, "words": embedder.n_words}
+        dims = {None: None, "n": n, "n+1": n + 1, "k": embedder.k}
         for name, (dtype, shape) in named.items():
             if name == "elem_bytes_indptr":
                 dims["tags+1"] = specs["elem_tags"]["shape"][0] + 1
+            if dtype == "codes":
+                dtype = embedder.code_dtype.str
             _check_array(specs, name, dtype, tuple(dims[d] for d in shape))
         arrays = open_arrays(arrays_path, specs, verify=verify)
         probes: dict[tuple[str, float], FrozenFilterProbe] = {}
@@ -773,7 +782,7 @@ def verify_snapshot(path) -> dict:
 
 def _group(name: str) -> str:
     """``byte_breakdown`` group of one array."""
-    if name == "vector_matrix":
+    if name == "code_matrix":
         return "signatures"
     if name[0] == "f" and name[1:4].isdigit():
         return "buckets"
@@ -784,8 +793,8 @@ def byte_breakdown(manifest: dict) -> dict:
     """Per-group byte accounting of a snapshot's mapped arrays.
 
     Groups the manifest's array specs into the buckets that matter for
-    capacity planning -- the packed signature matrix (what the codec
-    compresses), the CSR verify arrays (exact columnar verification),
+    capacity planning -- the signature code matrix, the CSR verify
+    arrays (exact columnar verification),
     and the bucket directories (filter tables) -- and derives
     bytes-per-set figures.  Pure manifest arithmetic; nothing is
     mapped or read.

@@ -10,8 +10,9 @@ immutable, pre-computed state:
   into a :class:`~repro.storage.hashtable.TableView` (fingerprint runs
   in arrays, the same class a mapped snapshot serves from; page charges
   *accounted* into a caller-supplied ``IOStats``);
-- stored ECC vectors packed into one contiguous ``(N, words)`` uint64
-  matrix with a sid -> row map;
+- stored signature codes stacked into one contiguous ``(N, k)`` matrix
+  (``uint8`` up to b = 8) with a sid -> row map; the packed ECC vectors
+  are derived from it on demand (:attr:`IndexSnapshot.vector_matrix`);
 - the live index's hash arena gathered, in sid order, into one CSR
   ``(indptr, data)`` of sorted stable-hash uint64 arrays for columnar
   exact verification; the sets themselves are read (uncharged) from
@@ -83,26 +84,26 @@ class IndexSnapshot:
                 "make page charges history-dependent, so a snapshot "
                 "could not reproduce the live accounting"
             )
-        sids = sorted(index._vectors)
+        embedder = index.embedder
+        sids = sorted(index._codes)
         sid_array = np.asarray(sids, dtype=np.int64)
-        n_words = index.embedder.n_words
-        vector_matrix = (
-            np.stack([index._vectors[sid] for sid in sids])
-            if sids else np.empty((0, n_words), dtype=np.uint64)
+        code_matrix = (
+            np.stack([index._codes[sid] for sid in sids])
+            if sids else np.empty((0, embedder.k), dtype=embedder.code_dtype)
         )
         arena = index._hashes
         indptr, data = gather_csr(arena.start, arena.data, sid_array, arena.lens)
         sizes = arena.size[sid_array]
         return cls(
-            embedder=index.embedder,
+            embedder=embedder,
             plan=index.plan,
             cost=index.io,
             planner=index.planner(),
-            n_bits=index.embedder.dimension,
+            n_bits=embedder.dimension,
             sfis={p: fi.freeze() for p, fi in index._sfis.items()},
             dfis={p: fi.freeze() for p, fi in index._dfis.items()},
             sid_array=sid_array,
-            vector_matrix=vector_matrix,
+            code_matrix=code_matrix,
             set_indptr=indptr,
             set_data=data,
             set_sizes=sizes,
@@ -123,6 +124,13 @@ class IndexSnapshot:
     def sids(self) -> list[int]:
         """Every stored sid, ascending."""
         return self.sid_array.tolist()
+
+    @cached_property
+    def vector_matrix(self) -> np.ndarray:
+        """The packed ``(N, words)`` embeddings, derived from
+        ``code_matrix`` once, on first read (nothing on the query path
+        reads it)."""
+        return self.embedder.encode(self.code_matrix)
 
     @cached_property
     def row_of(self) -> dict[int, int]:
@@ -190,9 +198,9 @@ class IndexSnapshot:
         else:
             self.charge_fetches(sids, io)
 
-    def vectors_of(self, sids: list[int]) -> np.ndarray:
-        """Stored packed vectors of the given sids, one row each."""
-        return self.vector_matrix[self._rows(sids)]
+    def codes_of(self, sids: list[int]) -> np.ndarray:
+        """Stored codes of the given sids, one row each."""
+        return self.code_matrix[self._rows(sids)]
 
     def verify_batch(
         self,

@@ -23,9 +23,7 @@ from repro.hamming.bitvector import (
 )
 from repro.hamming.distance import (
     hamming_distance,
-    hamming_distance_many,
     hamming_similarity,
-    hamming_similarity_many,
 )
 from repro.hamming.sampling import BitSampler
 
@@ -34,9 +32,7 @@ __all__ = [
     "BitSampler",
     "complement",
     "hamming_distance",
-    "hamming_distance_many",
     "hamming_similarity",
-    "hamming_similarity_many",
     "n_words",
     "pack_bits",
     "unpack_bits",

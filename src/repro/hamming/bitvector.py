@@ -37,10 +37,10 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     returning shape ``(N, n_words(n))``).
 
     Padding guarantee: for widths that are not a multiple of 64, the
-    unused high bits of the tail word are **zero**.  Masked-popcount
-    kernels (:mod:`repro.hamming.distance`, including the b-bit slot
-    variants) and :func:`complement` rely on this -- padding cancels
-    under XOR only because every producer zeroes it.
+    unused high bits of the tail word are **zero**.  The popcount
+    kernels (:mod:`repro.hamming.distance`) and :func:`complement` rely
+    on this -- padding cancels under XOR only because every producer
+    zeroes it.
     """
     bits = np.asarray(bits)
     if bits.ndim not in (1, 2):

@@ -8,14 +8,6 @@ Hamming similarity as the fraction of positions in which they agree:
 
 for vectors of dimension ``t``.  The filter indices are described in
 terms of similarity, so both forms are provided.
-
-The ``slot_distance*`` family counts differing *β-bit slots* instead
-of differing bits, for vectors packed by the b-bit minwise codec
-(:class:`repro.core.codec.BBitPacker`): fold each slot's XOR down to
-its low bit with ``x |= x >> shift`` halvings, mask to one bit per
-slot, popcount.  ``β`` must divide 64 (slots never straddle words) and
-padding slots must be zero in both operands (they cancel under XOR) --
-exactly the layout guarantees the packer and :func:`pack_bits` make.
 """
 
 from __future__ import annotations
@@ -23,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 
-#: Target bytes of XOR intermediate per chunk in the batched kernels
+#: Target bytes of XOR intermediate per chunk in the batched kernel
 #: (tests shrink it to exercise chunk boundaries on small inputs).
 _CHUNK_BYTES = 8 << 20
 
@@ -42,50 +34,12 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
     return int(_popcount(a ^ b).sum())
 
 
-def hamming_distance_many(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Hamming distances between each row of a packed matrix and a query."""
-    matrix = np.asarray(matrix, dtype=np.uint64)
-    query = np.asarray(query, dtype=np.uint64)
-    if matrix.ndim != 2 or query.ndim != 1 or matrix.shape[1] != query.shape[0]:
-        raise ValueError(
-            f"expected (N, W) matrix and (W,) query, got {matrix.shape} and {query.shape}"
-        )
-    return _popcount(matrix ^ query[np.newaxis, :]).sum(axis=1).astype(np.int64)
-
-
-def hamming_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Hamming distances between two packed matrices.
-
-    For an ``(A, W)`` matrix and a ``(B, W)`` matrix the result is the
-    ``(A, B)`` int64 matrix of all pair distances, computed with a
-    single broadcast XOR + popcount kernel -- the batch counterpart of
-    :func:`hamming_distance_many`.  Large products are processed in row
-    chunks to bound the ``A * B * W``-word intermediate.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"expected (A, W) and (B, W) matrices, got {a.shape} and {b.shape}"
-        )
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
-    # ~64 MiB of uint64 intermediate per chunk.
-    chunk = max(1, _CHUNK_BYTES // max(1, b.shape[0] * b.shape[1]))
-    for lo in range(0, a.shape[0], chunk):
-        hi = min(lo + chunk, a.shape[0])
-        xored = a[lo:hi, np.newaxis, :] ^ b[np.newaxis, :, :]
-        out[lo:hi] = _popcount(xored).sum(axis=2)
-    return out
-
-
 def hamming_distance_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-aligned Hamming distances of two packed ``(N, W)`` matrices.
 
     ``result[i] == hamming_distance(a[i], b[i])`` -- the kernel for a
     pre-gathered pair list (each row of ``a`` already matched with its
     row of ``b``), computed with one chunked XOR + popcount pass.
-    Complements :func:`hamming_distance_matrix`, which produces all
-    ``A x B`` combinations.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
@@ -101,116 +55,8 @@ def hamming_distance_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slot_mask(slot_bits: int) -> np.uint64:
-    """Word mask selecting bit 0 of every ``slot_bits``-wide slot."""
-    if slot_bits < 1 or 64 % slot_bits != 0:
-        raise ValueError(f"slot_bits must divide 64, got {slot_bits}")
-    return np.uint64(((1 << 64) - 1) // ((1 << slot_bits) - 1))
-
-
-def _fold_slots(xored: np.ndarray, slot_bits: int) -> np.ndarray:
-    """OR-fold each slot's XOR onto its low bit and mask.
-
-    After folding, bit ``i * slot_bits`` of each word is 1 iff slot
-    ``i`` differed in *any* of its ``slot_bits`` bits; a popcount then
-    counts differing slots.  For ``slot_bits == 1`` this is the
-    identity and slot distance degenerates to Hamming distance.
-    """
-    shift = 1
-    while shift < slot_bits:
-        xored = xored | (xored >> np.uint64(shift))
-        shift <<= 1
-    return xored & _slot_mask(slot_bits)
-
-
-def slot_distance(a: np.ndarray, b: np.ndarray, slot_bits: int) -> int:
-    """Number of differing ``slot_bits``-wide slots of two packed vectors."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return int(_popcount(_fold_slots(a ^ b, slot_bits)).sum())
-
-
-def slot_distance_many(
-    matrix: np.ndarray, query: np.ndarray, slot_bits: int
-) -> np.ndarray:
-    """Differing-slot counts between each row of a matrix and a query."""
-    matrix = np.asarray(matrix, dtype=np.uint64)
-    query = np.asarray(query, dtype=np.uint64)
-    if matrix.ndim != 2 or query.ndim != 1 or matrix.shape[1] != query.shape[0]:
-        raise ValueError(
-            f"expected (N, W) matrix and (W,) query, got {matrix.shape} and {query.shape}"
-        )
-    folded = _fold_slots(matrix ^ query[np.newaxis, :], slot_bits)
-    return _popcount(folded).sum(axis=1).astype(np.int64)
-
-
-def slot_distance_matrix(
-    a: np.ndarray, b: np.ndarray, slot_bits: int
-) -> np.ndarray:
-    """Pairwise differing-slot counts, ``(A, B)``, of two packed matrices.
-
-    Same chunking discipline as :func:`hamming_distance_matrix`.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"expected (A, W) and (B, W) matrices, got {a.shape} and {b.shape}"
-        )
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
-    chunk = max(1, _CHUNK_BYTES // max(1, b.shape[0] * b.shape[1]))
-    for lo in range(0, a.shape[0], chunk):
-        hi = min(lo + chunk, a.shape[0])
-        xored = a[lo:hi, np.newaxis, :] ^ b[np.newaxis, :, :]
-        out[lo:hi] = _popcount(_fold_slots(xored, slot_bits)).sum(axis=2)
-    return out
-
-
-def slot_distance_pairs(
-    a: np.ndarray, b: np.ndarray, slot_bits: int
-) -> np.ndarray:
-    """Row-aligned differing-slot counts of two packed ``(N, W)`` matrices.
-
-    ``result[i] == slot_distance(a[i], b[i], slot_bits)``; the b-bit
-    codec's counterpart of :func:`hamming_distance_pairs`.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ValueError(
-            f"expected equal (N, W) matrices, got {a.shape} and {b.shape}"
-        )
-    out = np.empty(a.shape[0], dtype=np.int64)
-    chunk = max(1, _CHUNK_BYTES // max(1, a.shape[1]))
-    for lo in range(0, a.shape[0], chunk):
-        hi = min(lo + chunk, a.shape[0])
-        folded = _fold_slots(a[lo:hi] ^ b[lo:hi], slot_bits)
-        out[lo:hi] = _popcount(folded).sum(axis=1)
-    return out
-
-
 def hamming_similarity(a: np.ndarray, b: np.ndarray, n_bits: int) -> float:
     """Hamming similarity (Definition 4) of two packed ``n_bits`` vectors."""
     if n_bits <= 0:
         raise ValueError(f"n_bits must be positive, got {n_bits}")
     return 1.0 - hamming_distance(a, b) / n_bits
-
-
-def hamming_similarity_many(
-    matrix: np.ndarray, query: np.ndarray, n_bits: int
-) -> np.ndarray:
-    """Hamming similarity of each row of a packed matrix to a query."""
-    if n_bits <= 0:
-        raise ValueError(f"n_bits must be positive, got {n_bits}")
-    return 1.0 - hamming_distance_many(matrix, query) / n_bits
-
-
-def hamming_similarity_matrix(
-    a: np.ndarray, b: np.ndarray, n_bits: int
-) -> np.ndarray:
-    """Pairwise Hamming similarities, ``(A, B)``, of two packed matrices."""
-    if n_bits <= 0:
-        raise ValueError(f"n_bits must be positive, got {n_bits}")
-    return 1.0 - hamming_distance_matrix(a, b) / n_bits

@@ -89,9 +89,9 @@ def _assert_bit_identical(a, b):
                         ta.pager.peek(pid).slots == tb.pager.peek(pid).slots
                     ), key
             assert ta._directory == tb._directory, key
-    assert set(a._vectors) == set(b._vectors)
-    for sid in a._vectors:
-        assert np.array_equal(a._vectors[sid], b._vectors[sid])
+    assert set(a._codes) == set(b._codes)
+    for sid in a._codes:
+        assert np.array_equal(a._codes[sid], b._codes[sid])
     ha, hb = a._hashes, b._hashes
     assert (ha.used, ha.rows) == (hb.used, hb.rows)
     assert np.array_equal(ha.data[: ha.used], hb.data[: hb.used])

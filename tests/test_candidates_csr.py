@@ -25,10 +25,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.index import _LiveView
+from repro.core.minhash import hash_rows
 from repro.core.query_plan import combine_candidates
 from repro.exec import ParallelExecutor, open_snapshot
 from repro.exec.columnar import (
     MARK_SPAN_FACTOR,
+    KeyOverflowError,
     csr_of,
     csr_split,
     dense_span,
@@ -200,6 +202,32 @@ def test_csr_plan_algebra_equals_set_algebra(case):
     assert got == _set_algebra(plan, probed, probes, n_queries, rows, universe)
 
 
+@given(plan_cases())
+@settings(max_examples=200, deadline=None)
+def test_csr_plan_algebra_at_huge_sids(case):
+    """The algebra over sids from 2**62: equal to the set algebra where
+    every ``row * span + sid`` key fits int64; else refused with
+    ``KeyOverflowError`` -- which a single probed row never needs."""
+    plan, probed, probes, n_queries, rows, universe = case
+    base = 2**62
+    probed = {
+        key: [{base + sid for sid in sids} for sids in per_row]
+        for key, per_row in probed.items()
+    }
+    universe = [base + sid for sid in universe]
+    try:
+        csr = combine_candidates(
+            plan, {key: csr_of(sets) for key, sets in probed.items()}, probes,
+            n_queries, rows, lambda: np.asarray(universe, dtype=np.int64),
+        )
+    except KeyOverflowError:
+        assert len(rows) >= 2
+        return
+    _assert_well_formed(csr, n_queries)
+    got = [set(row.tolist()) for row in csr_split(*csr)]
+    assert got == _set_algebra(plan, probed, probes, n_queries, rows, universe)
+
+
 # -- the filter-wide probe ---------------------------------------------------
 
 
@@ -286,7 +314,9 @@ def test_explain_attributes_match_a_set_recount(views, clustered_sets, path, lo,
     cspan = next(batch.trace.find("candidates_batch"))
     assert cspan.attrs["plan"] == plan
     rows = [i for i, q in enumerate(queries) if q]
-    matrix = snap.embedder.embed_many([queries[i] for i in rows])
+    q_indptr, q_data, _ = hash_rows([queries[i] for i in rows])
+    codes = snap.embedder.code_hashes(q_indptr, q_data)
+    matrix = snap.embedder.encode(codes)
     answers = [r.answer_sids for r in batch.results]
     for span in probe_spans(cspan):
         kind = span.name.split("_")[0]
@@ -312,7 +342,7 @@ def test_explain_attributes_match_a_set_recount(views, clustered_sets, path, lo,
             cands = sorted(batch.results[i].candidates)
             if cands:
                 vals = snap.embedder.estimate_pairs(
-                    matrix[[row] * len(cands)], snap.vectors_of(cands)
+                    codes[[row] * len(cands)], snap.codes_of(cands)
                 )
                 est += int(((lo <= vals) & (vals <= hi)).sum())
     assert vspan.attrs["est_in_range"] == est

@@ -1,16 +1,15 @@
 """Codec format compatibility: old layouts and bad tags fail loudly.
 
-Snapshot manifests (version 6) carry the ``codec`` tag and shard
-manifests (version 4) carry ``build.codec`` and ``routing.sig_scheme``.
-These tests pin what a reader promises about them:
+Snapshot manifests (version 7) carry the ``codec`` tag and shard
+manifests (version 5) carry ``build.codec``.  These tests pin what a
+reader promises about them:
 
 * exactly one version of each is read: an older snapshot or shard
   manifest fails at open with a typed error naming the version found
   and the version read -- nothing converts or defaults an old layout;
-* an unknown codec tag raises a typed ``SnapshotFormatError`` instead
-  of silently mis-decoding signature bytes;
-* a manifest/embedder codec disagreement (a doctored or mixed-up
-  directory) is rejected the same way.
+* an unknown codec tag -- a b-bit packing among them, which only older
+  builds wrote -- raises a typed ``SnapshotFormatError`` instead of
+  silently mis-decoding signature bytes.
 """
 
 from __future__ import annotations
@@ -72,23 +71,24 @@ def _assert_batches_identical(got, want):
 class TestSnapshotCompat:
     def test_manifest_records_codec(self, tmp_path):
         sets = _sets()
-        _save(_build(sets, codec="bbit:2"), tmp_path / "snap")
+        _save(_build(sets, codec="superminhash"), tmp_path / "snap")
         manifest = json.loads((tmp_path / "snap" / MANIFEST_FILE).read_text())
-        assert manifest["version"] == 6
-        assert manifest["codec"] == "bbit:2"
+        assert manifest["version"] == 7
+        assert manifest["codec"] == "superminhash"
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_old_manifest_version_fails_loudly(self, tmp_path, version):
         """An older snapshot is refused by version, not converted: a
-        version-5 directory's verify rows hold another element hash."""
+        version-6 directory stores packed vectors instead of codes, a
+        version-5 one's verify rows hold another element hash."""
         _save(_build(_sets()), tmp_path / "snap")
         _edit_manifest(tmp_path / "snap", lambda m: m.update(version=version))
         with pytest.raises(SnapshotFormatError) as exc:
             open_snapshot(tmp_path / "snap")
         assert f"version {version};" in str(exc.value)
-        assert "only version 6" in str(exc.value)
+        assert "only version 7" in str(exc.value)
 
-    @pytest.mark.parametrize("codec", ["full64", "bbit:2", "superminhash"])
+    @pytest.mark.parametrize("codec", ["full64", "superminhash"])
     def test_roundtrip_answers_identical(self, tmp_path, codec):
         sets = _sets()
         index = _build(sets, codec=codec)
@@ -108,7 +108,9 @@ class TestSnapshotCompat:
             open_snapshot(tmp_path / "snap")
 
     def test_manifest_embedder_codec_mismatch_fails(self, tmp_path):
-        """A doctored manifest must not silently re-tag signature bytes."""
+        """A doctored manifest must not silently re-tag signature bytes:
+        a b-bit packing tag (what a format-6 build could write) is
+        refused typed."""
         sets = _sets()
         _save(_build(sets), tmp_path / "snap")
         _edit_manifest(
@@ -118,27 +120,25 @@ class TestSnapshotCompat:
             open_snapshot(tmp_path / "snap")
 
     def test_byte_breakdown_accounting(self, tmp_path):
-        """Groups partition the total; bbit shrinks only signatures."""
+        """Groups partition the total; a set's signature is its k codes,
+        one byte each at b <= 8, whatever the generator."""
         sets = _sets()
-        k = 32  # multiple of every slots-per-word
+        k = 32
         _save(_build(sets, codec="full64", k=k), tmp_path / "full")
-        _save(_build(sets, codec="bbit:2", k=k), tmp_path / "bbit")
+        _save(_build(sets, codec="superminhash", k=k), tmp_path / "super")
         full = byte_breakdown(
             json.loads((tmp_path / "full" / MANIFEST_FILE).read_text())
         )
-        bbit = byte_breakdown(
-            json.loads((tmp_path / "bbit" / MANIFEST_FILE).read_text())
+        sup = byte_breakdown(
+            json.loads((tmp_path / "super" / MANIFEST_FILE).read_text())
         )
-        for report in (full, bbit):
+        for report in (full, sup):
             assert sum(report["groups"].values()) == report["total_bytes"]
             assert report["n_sets"] == len(sets)
-        assert full["codec"] == "full64" and bbit["codec"] == "bbit:2"
-        # m=16 bits/slot at b=4 vs 2 bits/slot: 8x smaller signatures.
-        assert (
-            full["groups"]["signatures"] == 8 * bbit["groups"]["signatures"]
-        )
-        assert bbit["groups"]["verify_csr"] == full["groups"]["verify_csr"]
-        assert bbit["signature_bytes_per_set"] == 2 * k // 8
+            assert report["groups"]["signatures"] == len(sets) * k
+            assert report["signature_bytes_per_set"] == k
+        assert full["codec"] == "full64" and sup["codec"] == "superminhash"
+        assert sup["groups"]["verify_csr"] == full["groups"]["verify_csr"]
 
 
 class TestShardCompat:
@@ -150,9 +150,9 @@ class TestShardCompat:
 
     def test_manifest_records_codec(self, tmp_path):
         sets = _sets(seed=8)
-        manifest = self._build_sharded(tmp_path, sets, codec="bbit:2")
+        manifest = self._build_sharded(tmp_path, sets, codec="superminhash")
         assert manifest["version"] == 5
-        assert manifest["build"]["codec"] == "bbit:2"
+        assert manifest["build"]["codec"] == "superminhash"
         # Version 5 drops the universe profiles: bits and sizes only.
         assert set(manifest["routing"]) == {"m_bits", "shards", "arrays"}
         open_sharded(tmp_path / "s")  # version 5 is read
@@ -183,12 +183,23 @@ class TestShardCompat:
         with pytest.raises(SnapshotFormatError, match="zstd"):
             open_sharded(tmp_path / "s")
 
+    def test_bbit_build_codec_fails_loudly(self, tmp_path):
+        """A fleet tagged with a b-bit packing (which only older builds
+        wrote) fails typed at open."""
+        self._build_sharded(tmp_path, _sets(seed=8))
+        manifest_path = tmp_path / "s" / SHARD_MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        manifest["build"]["codec"] = "superminhash+bbit:2"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotFormatError, match="bbit:2"):
+            open_sharded(tmp_path / "s")
+
     def test_codec_round_trip_through_shards(self, tmp_path):
-        """Compressed shards answer with exact (verified) similarities."""
+        """SuperMinHash shards answer with exact (verified) similarities."""
         sets = _sets(seed=8)
-        self._build_sharded(tmp_path, sets, codec="superminhash+bbit:2")
+        self._build_sharded(tmp_path, sets, codec="superminhash")
         sharded = open_sharded(tmp_path / "s")
-        assert sharded.manifest["build"]["codec"] == "superminhash+bbit:2"
+        assert sharded.manifest["build"]["codec"] == "superminhash"
         with ShardedExecutor(sharded) as ex:
             batch = ex.query_batch([sets[0]], *RANGE)
         answers = batch.results[0].answers

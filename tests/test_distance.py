@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hamming.bitvector import complement, pack_bits
+from repro.hamming import distance as distance_mod
 from repro.hamming.distance import (
     hamming_distance,
-    hamming_distance_many,
-    hamming_distance_matrix,
     hamming_distance_pairs,
     hamming_similarity,
-    hamming_similarity_many,
-    hamming_similarity_matrix,
 )
 
 
@@ -34,15 +31,6 @@ def _matrix(n_rows, width):
         max_size=n_rows,
     )
 
-
-#: Two packed matrices of a shared width: (A, W) and (B, W).
-matrix_pairs = st.tuples(
-    st.integers(1, 6), st.integers(1, 6), st.integers(1, 150)
-).flatmap(
-    lambda dims: st.tuples(
-        _matrix(dims[0], dims[2]), _matrix(dims[1], dims[2])
-    )
-)
 
 #: Two equal-shape matrices: row-aligned pair lists for the gather kernel.
 aligned_pairs = st.tuples(st.integers(1, 8), st.integers(1, 150)).flatmap(
@@ -91,24 +79,6 @@ class TestHammingDistance:
         assert hamming_distance(a, b) == hamming_distance(b, a)
 
 
-class TestHammingDistanceMany:
-    def test_rows(self):
-        matrix = pack_bits(
-            np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=np.uint8)
-        )
-        query = pack_bits(np.array([1, 1, 1], dtype=np.uint8))
-        assert hamming_distance_many(matrix, query).tolist() == [1, 3, 0]
-
-    def test_empty_matrix(self):
-        matrix = np.empty((0, 1), dtype=np.uint64)
-        query = np.zeros(1, dtype=np.uint64)
-        assert hamming_distance_many(matrix, query).shape == (0,)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            hamming_distance_many(np.zeros(3, dtype=np.uint64), np.zeros(3, dtype=np.uint64))
-
-
 class TestHammingSimilarity:
     def test_identical_is_one(self):
         v = pack_bits(np.array([1, 0, 1], dtype=np.uint8))
@@ -127,14 +97,6 @@ class TestHammingSimilarity:
         v = pack_bits(np.array([1], dtype=np.uint8))
         with pytest.raises(ValueError):
             hamming_similarity(v, v, 0)
-
-    def test_many_matches_scalar(self):
-        bits = np.array([[1, 0, 1, 1], [0, 0, 0, 0]], dtype=np.uint8)
-        matrix = pack_bits(bits)
-        query = pack_bits(np.array([1, 1, 1, 1], dtype=np.uint8))
-        many = hamming_similarity_many(matrix, query, 4)
-        singles = [hamming_similarity(matrix[i], query, 4) for i in range(2)]
-        assert many.tolist() == singles
 
     @given(pairs)
     @settings(max_examples=30)
@@ -156,51 +118,6 @@ class TestHammingSimilarity:
         assert hamming_similarity(a, b, t) == pytest.approx(
             1.0 - hamming_distance(a, b) / t
         )
-
-
-class TestHammingDistanceMatrix:
-    """The (A, B) all-pairs kernel behind the batch query path."""
-
-    def test_known_values(self):
-        a = pack_bits(np.array([[1, 0, 1], [0, 0, 0]], dtype=np.uint8))
-        b = pack_bits(np.array([[1, 1, 1], [1, 0, 1]], dtype=np.uint8))
-        assert hamming_distance_matrix(a, b).tolist() == [[1, 0], [3, 2]]
-
-    def test_shape_validation(self):
-        a = np.zeros((2, 1), dtype=np.uint64)
-        with pytest.raises(ValueError):
-            hamming_distance_matrix(a, np.zeros(1, dtype=np.uint64))
-        with pytest.raises(ValueError):
-            hamming_distance_matrix(a, np.zeros((2, 2), dtype=np.uint64))
-
-    def test_empty_sides(self):
-        a = np.empty((0, 1), dtype=np.uint64)
-        b = np.zeros((3, 1), dtype=np.uint64)
-        assert hamming_distance_matrix(a, b).shape == (0, 3)
-        assert hamming_distance_matrix(b, a).shape == (3, 0)
-
-    @given(matrix_pairs)
-    @settings(max_examples=40)
-    def test_matches_per_pair_scalar(self, mats):
-        """Batched == every pairwise scalar distance, exactly."""
-        a_bits, b_bits = mats
-        a = pack_bits(np.array(a_bits, dtype=np.uint8))
-        b = pack_bits(np.array(b_bits, dtype=np.uint8))
-        got = hamming_distance_matrix(a, b)
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
-                assert got[i, j] == hamming_distance(a[i], b[j])
-
-    @given(matrix_pairs)
-    @settings(max_examples=20)
-    def test_similarity_matrix_consistent(self, mats):
-        a_bits, b_bits = mats
-        t = len(a_bits[0])
-        a = pack_bits(np.array(a_bits, dtype=np.uint8))
-        b = pack_bits(np.array(b_bits, dtype=np.uint8))
-        sims = hamming_similarity_matrix(a, b, t)
-        dists = hamming_distance_matrix(a, b)
-        assert np.allclose(sims, 1.0 - dists / t)
 
 
 class TestHammingDistancePairs:
@@ -232,18 +149,6 @@ class TestHammingDistancePairs:
         for i in range(a.shape[0]):
             assert got[i] == hamming_distance(a[i], b[i])
 
-    @given(aligned_pairs)
-    @settings(max_examples=20)
-    def test_diagonal_of_matrix_kernel(self, mats):
-        """pairs(a, b) == diag(matrix(a, b)): the two kernels agree."""
-        a_bits, b_bits = mats
-        a = pack_bits(np.array(a_bits, dtype=np.uint8))
-        b = pack_bits(np.array(b_bits, dtype=np.uint8))
-        assert np.array_equal(
-            hamming_distance_pairs(a, b),
-            np.diagonal(hamming_distance_matrix(a, b)),
-        )
-
     @given(aligned_pairs, aligned_pairs)
     @settings(max_examples=30)
     def test_linear_under_concatenation(self, left, right):
@@ -270,187 +175,13 @@ class TestHammingDistancePairs:
         ) + hamming_distance_pairs(pack_bits(a2), pack_bits(b2))
         assert np.array_equal(joined, split)
 
-
-# --- b-bit slot kernels -------------------------------------------------
-
-from repro.core.codec import SUPPORTED_BBITS, BBitPacker  # noqa: E402
-from repro.hamming import distance as distance_mod  # noqa: E402
-from repro.hamming.distance import (  # noqa: E402
-    slot_distance,
-    slot_distance_many,
-    slot_distance_matrix,
-    slot_distance_pairs,
-)
-
-
-def _slot_values(n_rows, k, bits):
-    return st.lists(
-        st.lists(st.integers(0, (1 << bits) - 1), min_size=k, max_size=k),
-        min_size=n_rows,
-        max_size=n_rows,
-    )
-
-
-#: (bits, (A, k) values, (B, k) values) for the all-pairs slot kernel.
-slot_matrix_pairs = st.tuples(
-    st.sampled_from(SUPPORTED_BBITS), st.integers(1, 5), st.integers(1, 5),
-    st.integers(1, 140),
-).flatmap(
-    lambda dims: st.tuples(
-        st.just(dims[0]),
-        _slot_values(dims[1], dims[3], dims[0]),
-        _slot_values(dims[2], dims[3], dims[0]),
-    )
-)
-
-#: (bits, (N, k) values, (N, k) values) for the row-aligned slot kernel.
-slot_aligned_pairs = st.tuples(
-    st.sampled_from(SUPPORTED_BBITS), st.integers(1, 8), st.integers(1, 140)
-).flatmap(
-    lambda dims: st.tuples(
-        st.just(dims[0]),
-        _slot_values(dims[1], dims[2], dims[0]),
-        _slot_values(dims[1], dims[2], dims[0]),
-    )
-)
-
-
-def _pack(values, bits):
-    return BBitPacker(bits).encode_many(np.array(values, dtype=np.uint64))
-
-
-def _naive_slot_dist(a_vals, b_vals):
-    """Brute-force count of differing slots on the unpacked values."""
-    return sum(x != y for x, y in zip(a_vals, b_vals))
-
-
-class TestSlotDistance:
-    """Differing-slot kernels over BBitPacker layouts (b-bit codec)."""
-
-    def test_identical(self):
-        v = _pack([[3, 0, 2, 1]], 2)[0]
-        assert slot_distance(v, v, 2) == 0
-
-    def test_known_value(self):
-        a = _pack([[3, 0, 2, 1]], 2)[0]
-        b = _pack([[3, 1, 2, 0]], 2)[0]
-        assert slot_distance(a, b, 2) == 2
-
-    def test_single_bit_flip_counts_once(self):
-        """A slot differing in one of its beta bits still counts as 1."""
-        a = _pack([[0b1111, 0b0000]], 4)[0]
-        b = _pack([[0b1110, 0b0000]], 4)[0]
-        assert slot_distance(a, b, 4) == 1
-
-    def test_invalid_slot_bits(self):
-        v = np.zeros(1, dtype=np.uint64)
-        for bad in (0, 3, 5, 7, 128):
-            with pytest.raises(ValueError):
-                slot_distance(v, v, bad)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            slot_distance(
-                np.zeros(1, dtype=np.uint64), np.zeros(2, dtype=np.uint64), 2
-            )
-
-    @given(slot_aligned_pairs)
-    @settings(max_examples=50)
-    def test_matches_naive(self, example):
-        bits, a_vals, b_vals = example
-        a, b = _pack(a_vals, bits), _pack(b_vals, bits)
-        for i in range(len(a_vals)):
-            assert slot_distance(a[i], b[i], bits) == _naive_slot_dist(
-                a_vals[i], b_vals[i]
-            )
-
-    @given(slot_aligned_pairs)
-    @settings(max_examples=30)
-    def test_bits_one_is_hamming(self, example):
-        """slot_bits=1 degenerates to plain Hamming distance."""
-        _, a_vals, b_vals = example
-        ones = [[v & 1 for v in row] for row in a_vals]
-        ones_b = [[v & 1 for v in row] for row in b_vals]
-        a, b = _pack(ones, 1), _pack(ones_b, 1)
-        assert np.array_equal(
-            slot_distance_pairs(a, b, 1), hamming_distance_pairs(a, b)
-        )
-        assert slot_distance(a[0], b[0], 1) == hamming_distance(a[0], b[0])
-
-    @given(slot_aligned_pairs)
-    @settings(max_examples=30)
-    def test_many_matches_scalar(self, example):
-        bits, a_vals, b_vals = example
-        a, b = _pack(a_vals, bits), _pack(b_vals, bits)
-        got = slot_distance_many(a, b[0], bits)
-        for i in range(a.shape[0]):
-            assert got[i] == slot_distance(a[i], b[0], bits)
-
-    @given(slot_matrix_pairs)
-    @settings(max_examples=40)
-    def test_matrix_matches_per_pair_scalar(self, example):
-        bits, a_vals, b_vals = example
-        a, b = _pack(a_vals, bits), _pack(b_vals, bits)
-        got = slot_distance_matrix(a, b, bits)
-        assert got.shape == (a.shape[0], b.shape[0])
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
-                assert got[i, j] == _naive_slot_dist(a_vals[i], b_vals[j])
-
-    @given(slot_aligned_pairs)
-    @settings(max_examples=30)
-    def test_pairs_is_diagonal_of_matrix(self, example):
-        bits, a_vals, b_vals = example
-        a, b = _pack(a_vals, bits), _pack(b_vals, bits)
-        assert np.array_equal(
-            slot_distance_pairs(a, b, bits),
-            np.diagonal(slot_distance_matrix(a, b, bits)),
-        )
-
-    def test_shape_validation_batched(self):
-        m = np.zeros((2, 1), dtype=np.uint64)
-        with pytest.raises(ValueError):
-            slot_distance_many(m[0], m[0], 2)
-        with pytest.raises(ValueError):
-            slot_distance_matrix(m, np.zeros((2, 2), dtype=np.uint64), 2)
-        with pytest.raises(ValueError):
-            slot_distance_pairs(m, np.zeros((3, 1), dtype=np.uint64), 2)
-
-    def test_empty(self):
-        empty = np.empty((0, 2), dtype=np.uint64)
-        assert slot_distance_pairs(empty, empty, 4).shape == (0,)
-        assert slot_distance_matrix(
-            empty, np.zeros((3, 2), dtype=np.uint64), 4
-        ).shape == (0, 3)
-
-    def test_accepts_other_integer_dtypes(self):
-        """Kernels asarray to uint64; smaller int dtypes must agree."""
-        rng = np.random.default_rng(7)
-        vals_a = rng.integers(0, 4, size=(5, 40), dtype=np.uint64)
-        vals_b = rng.integers(0, 4, size=(5, 40), dtype=np.uint64)
-        a, b = BBitPacker(2).encode_many(vals_a), BBitPacker(2).encode_many(vals_b)
-        # Packed words here fit in 63 bits only by luck, so cast through
-        # views that preserve the bit patterns exactly.
-        for cast in (np.int64, np.uint64):
-            a_cast = a.view(np.int64).astype(cast, copy=True).view(np.uint64)
-            got = slot_distance_pairs(a_cast, b, 2)
-            assert np.array_equal(got, slot_distance_pairs(a, b, 2))
-
     def test_chunk_boundaries(self, monkeypatch):
-        """Shrunk chunk budget must not change any batched kernel."""
+        """A shrunk chunk budget must not change any distance."""
         rng = np.random.default_rng(11)
-        vals_a = rng.integers(0, 16, size=(37, 90), dtype=np.uint64)
-        vals_b = rng.integers(0, 16, size=(37, 90), dtype=np.uint64)
-        a = BBitPacker(4).encode_many(vals_a)
-        b = BBitPacker(4).encode_many(vals_b)
-        full_matrix = slot_distance_matrix(a, b, 4)
-        full_pairs = slot_distance_pairs(a, b, 4)
-        full_h_matrix = hamming_distance_matrix(a, b)
-        full_h_pairs = hamming_distance_pairs(a, b)
-        # Chunk sizes of 1..3 rows force many boundary crossings.
-        for budget in (1, a.shape[1] * 2, a.shape[1] * b.shape[0] * 3):
+        a = rng.integers(0, 1 << 63, size=(37, 6), dtype=np.uint64)
+        b = rng.integers(0, 1 << 63, size=(37, 6), dtype=np.uint64)
+        full = hamming_distance_pairs(a, b)
+        # Chunks of 1..3 rows force many boundary crossings.
+        for budget in (1, a.shape[1] * 2, a.shape[1] * 3):
             monkeypatch.setattr(distance_mod, "_CHUNK_BYTES", budget)
-            assert np.array_equal(slot_distance_matrix(a, b, 4), full_matrix)
-            assert np.array_equal(slot_distance_pairs(a, b, 4), full_pairs)
-            assert np.array_equal(hamming_distance_matrix(a, b), full_h_matrix)
-            assert np.array_equal(hamming_distance_pairs(a, b), full_h_pairs)
+            assert np.array_equal(hamming_distance_pairs(a, b), full)

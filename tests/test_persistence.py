@@ -79,12 +79,11 @@ class TestSaveLoad:
             SetSimilarityIndex.load(saved)
 
     def test_older_version_names_both(self, saved):
-        """A version-5 directory (verify rows under another element
-        hash) fails at load, naming its version and the one this build
-        reads."""
-        _rewrite_manifest(saved, version=5)
-        assert FORMAT_VERSION == 6
-        with pytest.raises(SnapshotFormatError, match="version 5; this build reads only version 6"):
+        """A version-6 directory (packed vectors instead of codes) fails
+        at load, naming its version and the one this build reads."""
+        _rewrite_manifest(saved, version=6)
+        assert FORMAT_VERSION == 7
+        with pytest.raises(SnapshotFormatError, match="version 6; this build reads only version 7"):
             SetSimilarityIndex.load(saved)
 
     def test_load_type_check(self, saved):

@@ -9,8 +9,8 @@ round trip (including the int64 / tagged set-element encodings and
 lazy set materialization), property-test the raw array pack layer
 across dtypes and shapes, and check that every corruption mode --
 wrong format, wrong version, truncation, flipped bytes, overlapping
-extents, dtype lies, out-of-range manifest fields -- fails loudly with
-a :class:`~repro.exec.snapfile.SnapshotError`.
+extents, dtype lies, out-of-range manifest fields and codes -- fails
+loudly with a :class:`~repro.exec.snapfile.SnapshotError`.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ def test_roundtrip_state_matches_frozen(saved):
         assert mapped.row_of == frozen.row_of
         np.testing.assert_array_equal(mapped.sid_array, frozen.sid_array)
         assert mapped.fallback_sids == frozen.fallback_sids
+        np.testing.assert_array_equal(mapped.code_matrix, frozen.code_matrix)
         np.testing.assert_array_equal(mapped.vector_matrix, frozen.vector_matrix)
         np.testing.assert_array_equal(mapped.set_indptr, frozen.set_indptr)
         np.testing.assert_array_equal(mapped.set_data, frozen.set_data)
@@ -145,9 +146,9 @@ def test_mapped_tables_equal_frozen_views(saved):
 def test_mapped_arrays_are_readonly_memmaps(saved):
     _, _, _, path = saved
     mapped = open_snapshot(path)
-    assert not mapped.vector_matrix.flags.writeable
+    assert not mapped.code_matrix.flags.writeable
     with pytest.raises((ValueError, RuntimeError)):
-        mapped.vector_matrix[0, 0] = 1
+        mapped.code_matrix[0, 0] = 1
 
 
 def _assert_batches_identical(got, want):
@@ -544,7 +545,7 @@ def test_verify_catches_silent_array_corruption(saved, tmp_path):
     _, _, _, src = saved
     bad = _copy_snapshot(src, tmp_path / "bad")
     manifest = json.loads((bad / MANIFEST_FILE).read_text())
-    spec = manifest["arrays"]["vector_matrix"]
+    spec = manifest["arrays"]["code_matrix"]
     blob = bytearray((bad / ARRAYS_FILE).read_bytes())
     blob[spec["offset"] + 1] ^= 0xFF
     (bad / ARRAYS_FILE).write_bytes(bytes(blob))
@@ -619,6 +620,56 @@ def test_open_rejects_fixed_array_dtype_lies(saved, tmp_path, name):
         open_snapshot(bad)
 
 
+@pytest.mark.parametrize("lie", ["dtype", "width"])
+def test_open_rejects_code_matrix_lies(saved, tmp_path, lie):
+    """``code_matrix`` is ``(n, k)`` of the embedder's code dtype: the
+    same bytes declared as wider codes or as another width are refused
+    at every open."""
+    _, _, _, src = saved
+    bad = _copy_snapshot(src, tmp_path / "bad")
+    manifest = json.loads((bad / MANIFEST_FILE).read_text())
+    spec = manifest["arrays"]["code_matrix"]
+    n, k = spec["shape"]
+    assert spec["dtype"] == "|u1" and k % 2 == 0
+    if lie == "dtype":
+        spec.update(dtype="<u2", shape=[n, k // 2])
+    else:
+        spec["shape"] = [2 * n, k // 2]
+    (bad / MANIFEST_FILE).write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotFormatError, match="code_matrix"):
+        open_snapshot(bad)
+    with pytest.raises(SnapshotFormatError, match="code_matrix"):
+        SetSimilarityIndex.load(bad)
+
+
+def _plant_code(bad: Path, position: int, value: int) -> None:
+    """Overwrite one stored code and re-checksum the array, so only the
+    content check can see it."""
+    manifest = json.loads((bad / MANIFEST_FILE).read_text())
+    spec = manifest["arrays"]["code_matrix"]
+    blob = bytearray((bad / ARRAYS_FILE).read_bytes())
+    blob[spec["offset"] + position] = value
+    (bad / ARRAYS_FILE).write_bytes(bytes(blob))
+    spec["crc32"] = zlib.crc32(
+        bytes(blob[spec["offset"]: spec["offset"] + spec["nbytes"]])
+    )
+    (bad / MANIFEST_FILE).write_text(json.dumps(manifest))
+
+
+def test_verify_refuses_out_of_range_code(saved, tmp_path):
+    """A code of 2**b or more is no b-bit code: the O(ms) open maps it,
+    ``verify=True`` and ``load`` refuse it."""
+    _, _, _, src = saved
+    bad = _copy_snapshot(src, tmp_path / "bad")
+    b = json.loads((bad / MANIFEST_FILE).read_text())["embedder"]["b"]
+    _plant_code(bad, 5, 1 << b)
+    open_snapshot(bad)
+    with pytest.raises(SnapshotIntegrityError):
+        open_snapshot(bad, verify=True)
+    with pytest.raises(SnapshotIntegrityError):
+        SetSimilarityIndex.load(bad)
+
+
 # -- fuzzing the manifest and the arrays file ------------------------------
 
 #: (manifest path, lie): every one must be refused with a SnapshotError.
@@ -640,6 +691,7 @@ _FIELD_LIES = [
     (("filters", 0, "threshold"), 1.5), (("filters", 0, "point"), "a"),
     (("filters", 0, "n_buckets"), "x"), (("filters", 0, "run_offsets"), [0]),
     (("arrays",), []), (("arrays", "sid_array"), None),
+    (("arrays", "code_matrix", "shape"), [35, 23]),
     (("arrays", "set_sizes", "shape"), [1, 35]), (("arrays_bytes",), "big"),
     (("version",), None), (("format",), None),
 ]
@@ -664,9 +716,16 @@ def test_fuzzed_snapshots_fail_typed(saved, tmp_path_factory, data):
     specs = manifest["arrays"]
     filled = sorted(name for name, spec in specs.items() if spec["nbytes"])
     case = data.draw(st.sampled_from(
-        ["manifest_cut", "arrays_cut", "overlap", "dtype_lie", "field_lie"]
+        ["manifest_cut", "arrays_cut", "overlap", "dtype_lie", "field_lie",
+         "code_lie"]
     ))
-    if case == "manifest_cut":
+    if case == "code_lie":
+        b = manifest["embedder"]["b"]
+        _plant_code(
+            bad, data.draw(st.integers(0, specs["code_matrix"]["nbytes"] - 1)),
+            data.draw(st.integers(1 << b, 255)),
+        )
+    elif case == "manifest_cut":
         blob = (bad / MANIFEST_FILE).read_bytes()
         (bad / MANIFEST_FILE).write_bytes(
             blob[: data.draw(st.integers(0, len(blob) - 1))]

@@ -30,6 +30,7 @@ from repro.exec.columnar import (
     JOIN_MIN_SHARING,
     MARK_SPAN_FACTOR,
     SMALL_VERIFY_CUTOFF,
+    KeyOverflowError,
     build_csr,
     csr_of,
     dense_span,
@@ -396,6 +397,25 @@ class TestSidLookup:
     #: 12 queries x 48 candidates: sids ``0 .. 47 x stride`` pass the
     #: rule up to this stride.
     WIDEST = (MARK_SPAN_FACTOR * 12 * 48 - 1) // 47
+
+    @given(st.integers(1, 3), st.integers(0, 2**40), st.integers(1, 100))
+    @settings(max_examples=40, deadline=None)
+    def test_huge_sids_verify_or_refuse_typed(self, n_queries, offset, stride):
+        """Sids from 2**62: a batch whose ``row * span + sid`` keys fit
+        int64 verifies as the loop and the scalar reference do; one
+        whose keys would not is refused with ``KeyOverflowError`` before
+        any key is built -- never a wrapped key."""
+        sets, queries, candidates_list = self._batch(2**62 + offset, stride)
+        queries = queries[:n_queries]
+        candidates_list = candidates_list[:n_queries]
+        if n_queries * (max(sets) + 1) - 1 > 2**63 - 1:
+            with pytest.raises(KeyOverflowError):
+                verify_batch(
+                    queries, csr_of(candidates_list), 0.3, 1.0, IOStats(),
+                    **_adapters(sets), query_hashes=hash_rows(queries),
+                )
+        else:
+            _check(sets, queries, candidates_list, 0.3, 1.0, "pairwise")
 
     @pytest.mark.parametrize("base, extra, dense", [
         (0, -WIDEST + 1, True), (0, 0, True), (0, 1, False),
