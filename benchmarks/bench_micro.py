@@ -11,13 +11,13 @@ import pytest
 
 from repro.core.ecc import HadamardCode
 from repro.core.embedding import SetEmbedder
-from repro.core.filter_index import SimilarityFilterIndex
+from repro.core.filter_index import FilterIndex
 from repro.core.index import SetSimilarityIndex
 from repro.core.minhash import MinHasher
 from repro.data.weblog import make_weblog_collection
 from repro.obs.explain import explain_json
 from repro.storage.btree import BTree
-from repro.storage.iomodel import IOCostModel
+from repro.storage.iomodel import IOCostModel, IOStats
 from repro.storage.pager import PageManager
 
 
@@ -55,13 +55,13 @@ def test_embed_set(benchmark, sets, scale):
 def test_sfi_probe(benchmark, sets, scale):
     embedder = SetEmbedder(k=scale.k, b=6, seed=0)
     matrix = embedder.embed_many(sets)
-    sfi = SimilarityFilterIndex(
-        0.8, 32, embedder.dimension, PageManager(IOCostModel()),
+    sfi = FilterIndex(
+        "sfi", 0.8, 32, embedder.dimension, PageManager(IOCostModel()),
         expected_entries=len(sets), seed=1,
     )
     sfi.insert_many(matrix, list(range(len(sets))))
-    query = embedder.embed(sets[0])
-    benchmark(sfi.probe, query)
+    query = embedder.embed(sets[0])[None]
+    benchmark(sfi.probe_tables, 0, sfi.n_tables, query, IOStats())
 
 
 def test_query_untraced(benchmark, query_index, sets):

@@ -26,8 +26,8 @@ Subpackages: :mod:`repro.core` (the contribution), :mod:`repro.hamming`
 """
 
 from repro.core import (
-    DissimilarityFilterIndex,
     FilterFunction,
+    FilterIndex,
     HadamardCode,
     IndexPlan,
     MinHasher,
@@ -35,7 +35,6 @@ from repro.core import (
     SetEmbedder,
     SetSimilarityIndex,
     SimilarityDistribution,
-    SimilarityFilterIndex,
     jaccard,
     jaccard_distance,
     plan_index,
@@ -44,8 +43,8 @@ from repro.core import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "DissimilarityFilterIndex",
     "FilterFunction",
+    "FilterIndex",
     "HadamardCode",
     "IndexPlan",
     "MinHasher",
@@ -53,7 +52,6 @@ __all__ = [
     "SetEmbedder",
     "SetSimilarityIndex",
     "SimilarityDistribution",
-    "SimilarityFilterIndex",
     "__version__",
     "jaccard",
     "jaccard_distance",

@@ -13,10 +13,12 @@ The bit-sampling filter obeys the same formula but in *Hamming*
 similarity ``(1+s)/2``, which compresses all of Jaccard into [1/2, 1]:
 for equal table counts the banding curve is much steeper at low and
 mid thresholds.  ``BandingIndex`` implements the modern scheme with
-the same interface as
-:class:`~repro.core.filter_index.SimilarityFilterIndex` so the two can
+the same interface as an SFI
+(:class:`~repro.core.filter_index.FilterIndex`) so the two can
 be benchmarked head to head (ABL-BANDING), quantifying what the ECC
-detour costs.
+detour costs.  Both sit on the same fingerprint table API: a band's
+``r`` uint64 values are one ``8 r``-byte key, fingerprinted with
+:func:`~repro.storage.hashtable.hash_words`.
 
 Historical note: the embedding buys the paper a clean reduction to
 Hamming-space range queries (Theorems 1-2) and, uniquely, the
@@ -33,13 +35,13 @@ import numpy as np
 
 from repro.core.filter_function import FilterFunction
 from repro.obs import metrics, trace
-from repro.storage.hashtable import BucketHashTable
+from repro.storage.hashtable import BucketHashTable, hash_words
 from repro.storage.pager import PageManager
 
 _PROBES = metrics.counter("banding.probes")
 _CANDIDATES = metrics.counter("banding.candidates")
 _BATCHES = metrics.counter("banding.batch_probes")
-# Shared with the hash-table layer (see BucketHashTable.probe_many).
+# Shared with the hash-table layer (see BucketHashTable.probe_hashed).
 _PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
 
 
@@ -80,10 +82,11 @@ class BandingIndex:
         self.k = k
         self.filter = FilterFunction.for_threshold(threshold, n_tables)
         rng = np.random.default_rng(seed)
-        self._bands = [
+        #: The l bands' signature positions stacked (l, r).
+        self._bands = np.stack([
             rng.integers(0, k, size=self.filter.r, dtype=np.int64)
             for _ in range(n_tables)
-        ]
+        ])
         slots = pager.capacity_for(16)
         n_buckets = max(1, -(-expected_entries // slots)) * 2
         self._tables = [BucketHashTable(pager, n_buckets) for _ in range(n_tables)]
@@ -98,31 +101,49 @@ class BandingIndex:
         """Number of bands."""
         return len(self._tables)
 
-    def _keys(self, signature: np.ndarray) -> list[bytes]:
+    def _fingerprints(self, signatures: np.ndarray) -> np.ndarray:
+        """Every row's fingerprint in each band, ``(l, N)`` uint64, in
+        one vectorized pass: the band's ``r`` signature values as one
+        ``8 r``-byte key, equal to ``hash_key(row[band].tobytes())`` bit
+        for bit."""
+        n, (l, r) = signatures.shape[0], self._bands.shape
+        keys = signatures[:, self._bands].reshape(n * l, r)
+        return hash_words(keys, 8 * r).reshape(n, l).T
+
+    def _row_fingerprints(self, signature: np.ndarray) -> list[int]:
+        """One signature's fingerprint in each band."""
         if signature.shape != (self.k,):
             raise ValueError(
                 f"signature must have shape ({self.k},), got {signature.shape}"
             )
-        return [signature[band].tobytes() for band in self._bands]
+        return self._fingerprints(signature[None])[:, 0].tolist()
 
     def insert(self, signature: np.ndarray, sid: int) -> None:
         """Index one min-hash signature under its set identifier."""
-        for key, table in zip(self._keys(signature), self._tables):
-            table.insert(key, sid)
+        for fingerprint, table in zip(self._row_fingerprints(signature), self._tables):
+            table.insert_hashed(fingerprint, sid)
 
     def insert_many(self, signatures: np.ndarray, sids: Sequence[int]) -> None:
-        """Bulk-index rows of a ``(N, k)`` signature matrix."""
+        """Bulk-index rows of a ``(N, k)`` signature matrix: each band's
+        fingerprints load in one
+        :meth:`~repro.storage.hashtable.BucketHashTable.bulk_load_hashed`
+        call, bit-identical to inserting the rows one by one, band by
+        band."""
         if signatures.shape[0] != len(sids):
             raise ValueError(
                 f"matrix has {signatures.shape[0]} rows but {len(sids)} sids given"
             )
-        for row, sid in zip(signatures, sids):
-            self.insert(row, sid)
+        if signatures.ndim != 2 or signatures.shape[1] != self.k:
+            raise ValueError(
+                f"signatures must have shape (N, {self.k}), got {signatures.shape}"
+            )
+        for fingerprints, table in zip(self._fingerprints(signatures), self._tables):
+            table.bulk_load_hashed(fingerprints, sids)
 
     def delete(self, signature: np.ndarray, sid: int) -> None:
         """Remove a previously inserted (signature, sid) pair."""
-        for key, table in zip(self._keys(signature), self._tables):
-            table.delete(key, sid)
+        for fingerprint, table in zip(self._row_fingerprints(signature), self._tables):
+            table.delete_hashed(fingerprint, sid)
 
     def probe(self, signature: np.ndarray) -> set[int]:
         """Sids colliding with the query in at least one band."""
@@ -130,8 +151,10 @@ class BandingIndex:
             "banding_probe", s_star=self.threshold, r=self.r, l=self.n_tables
         ) as sp:
             sids: set[int] = set()
-            for key, table in zip(self._keys(signature), self._tables):
-                sids.update(table.probe(key))
+            for fingerprint, table in zip(
+                self._row_fingerprints(signature), self._tables
+            ):
+                sids.update(table.probe_hashed([fingerprint])[0])
             _PROBES.inc()
             _CANDIDATES.inc(len(sids))
             if sp.recording:
@@ -144,8 +167,8 @@ class BandingIndex:
         """Band-probe every row of a ``(N, k)`` signature matrix.
 
         Equivalent to ``[self.probe(row) for row in signatures]`` but
-        each band's keys are probed together with grouped bucket reads
-        (:meth:`~repro.storage.hashtable.BucketHashTable.probe_many`),
+        each band's fingerprints are probed together with grouped bucket
+        reads (:meth:`~repro.storage.hashtable.BucketHashTable.probe_hashed`),
         so bucket pages shared between queries are read once.
         """
         if signatures.ndim != 2 or signatures.shape[1] != self.k:
@@ -164,9 +187,8 @@ class BandingIndex:
             n_queries=n,
         ) as sp:
             sids: list[set[int]] = [set() for _ in range(n)]
-            for band, table in zip(self._bands, self._tables):
-                keys = [row.tobytes() for row in signatures[:, band]]
-                for i, got in enumerate(table.probe_many(keys)):
+            for fingerprints, table in zip(self._fingerprints(signatures), self._tables):
+                for i, got in enumerate(table.probe_hashed(fingerprints.tolist())):
                     sids[i].update(got)
             _BATCHES.inc()
             _PROBES.inc(n)

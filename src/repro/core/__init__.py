@@ -19,7 +19,7 @@ from repro.core.distribution import SimilarityDistribution
 from repro.core.ecc import HadamardCode
 from repro.core.embedding import SetEmbedder, hamming_to_jaccard, jaccard_to_hamming
 from repro.core.filter_function import FilterFunction, filter_probability, solve_r, turning_point
-from repro.core.filter_index import DissimilarityFilterIndex, SimilarityFilterIndex
+from repro.core.filter_index import FilterIndex
 from repro.core.index import QueryResult, SetSimilarityIndex
 from repro.core.metrics import QueryQuality, evaluate_query
 from repro.core.minhash import MinHasher, SuperMinHasher
@@ -61,7 +61,6 @@ __all__ = [
     "DFI",
     "SFI",
     "CaptureModel",
-    "DissimilarityFilterIndex",
     "SuperMinHasher",
     "parse_codec",
     "RangeStats",
@@ -72,6 +71,7 @@ __all__ = [
     "worst_precision",
     "worst_recall",
     "FilterFunction",
+    "FilterIndex",
     "HadamardCode",
     "IndexPlan",
     "MinHasher",
@@ -83,7 +83,6 @@ __all__ = [
     "SetEmbedder",
     "SetSimilarityIndex",
     "SimilarityDistribution",
-    "SimilarityFilterIndex",
     "WeightedSetSimilarityIndex",
     "chernoff_error_bound",
     "containment",

@@ -13,9 +13,11 @@ Theorem 2, complementing the query flips similarity around 1/2:
     S_H(h, ~q) = 1 - S_H(h, q),
 
 so a DFI is an ``SFI(1 - s*)`` probed with the complemented query;
-data vectors are stored unmodified.
+data vectors are stored unmodified.  One class, :class:`FilterIndex`,
+is both: its ``kind`` picks the tables' turning point and whether the
+caller complements the queries.
 
-Both structures are dynamic: vectors can be inserted or deleted at any
+Both kinds are dynamic: vectors can be inserted or deleted at any
 time, which is what the hash-table primitive buys the paper.
 
 Probing is one operation on the live filters and on their frozen image
@@ -23,9 +25,9 @@ Probing is one operation on the live filters and on their frozen image
 fingerprints a range of the filter's tables in one pass, probes them and
 returns the hits as one candidate CSR over the query rows (each row's
 sids ascending and unique; no per-row Python set is built).  The query
-pipeline's probe stage
-(:func:`repro.exec.pipeline.probe_filter`) calls it per worker; the
-public ``probe`` / ``probe_batch`` are that stage over the whole filter.
+pipeline's probe stage (:func:`repro.exec.pipeline.probe_filter`) calls
+it per worker and is the one probe stage: it complements DFI queries
+once per batch and moves the ``sfi.*`` / ``dfi.*`` counters.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.filter_function import FilterFunction
-from repro.hamming.bitvector import complement
 from repro.hamming.sampling import BitSampler, sampled_key_words
 from repro.obs import metrics
 from repro.storage.hashtable import BucketHashTable, TableStack, hash_words
@@ -116,44 +117,27 @@ def _hits_csr(rows: np.ndarray, sids: np.ndarray, n_rows: int):
     return pairs_csr(rows, sids, n_rows), len(sids)
 
 
-def _probe_alone(fi, tables, matrix: np.ndarray) -> list[set[int]]:
-    """A live filter's whole-table probe outside any index: the
-    pipeline's probe stage over a view that holds just this filter,
-    its candidate rows returned as sets."""
-    from repro.exec.columnar import csr_split
-    from repro.exec.pipeline import Inline, probe_filter
+class FilterIndex:
+    """``SFI(s*)`` or ``DFI(s*)``: ``l`` hash tables over sampled bits.
 
-    if matrix.shape[0] == 0:
-        return []
-    if fi.kind == "dfi":
-        matrix = complement(matrix, fi.n_bits)
-    csr, _ = probe_filter(
-        _Alone(fi, tables[0].pager.io), Inline, [], fi.kind, fi.sigma_point,
-        matrix,
-    )
-    return [set(row.tolist()) for row in csr_split(*csr)]
-
-
-class _Alone:
-    """What the probe stage asks of a view, for one live filter."""
-
-    def __init__(self, fi, cost):
-        self.fi, self.cost = fi, cost
-
-    def filter_probe(self, kind, point):
-        return self.fi
-
-
-class SimilarityFilterIndex:
-    """``SFI(s*)``: retrieves vectors at least ``s*``-Hamming-similar.
+    ``kind="sfi"`` retrieves vectors at least ``s*``-Hamming-similar to
+    the query.  ``kind="dfi"`` retrieves vectors at most ``s*``-similar:
+    by Theorem 2 that is an ``SFI(1 - s*)`` probed with the complemented
+    query, so a DFI samples and sizes its tables at ``1 - s*`` and is
+    otherwise the same structure -- data vectors are stored unmodified,
+    one insertion stream feeds both kinds, and the caller complements
+    the queries (once per batch) before :meth:`probe_tables`.
 
     Parameters
     ----------
+    kind:
+        ``"sfi"`` or ``"dfi"``.
     threshold:
         The turning point ``s*`` in Hamming similarity, in (0, 1).
     n_tables:
-        The number of hash tables ``l``; together with ``threshold``
-        this fixes ``r`` via the turning-point equation.
+        The number of hash tables ``l``; together with the tables'
+        turning point (``s*``, or ``1 - s*`` for a DFI) this fixes
+        ``r`` via the turning-point equation.
     n_bits:
         Dimensionality ``D`` of the stored vectors.
     pager:
@@ -169,10 +153,9 @@ class SimilarityFilterIndex:
         plan; purely observability metadata (surfaced by EXPLAIN).
     """
 
-    kind = "sfi"
-
     def __init__(
         self,
+        kind: str,
         threshold: float,
         n_tables: int,
         n_bits: int,
@@ -181,14 +164,21 @@ class SimilarityFilterIndex:
         seed: int = 0,
         sigma_point: float | None = None,
     ):
+        if kind not in ("sfi", "dfi"):
+            raise ValueError(f"kind must be 'sfi' or 'dfi', got {kind!r}")
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must be in (0, 1), got {threshold}")
         if n_tables <= 0:
             raise ValueError(f"n_tables must be positive, got {n_tables}")
+        self.kind = kind
         self.threshold = threshold
         self.n_bits = n_bits
         self.sigma_point = sigma_point
-        self.filter = FilterFunction.for_threshold(threshold, n_tables)
+        #: The tables' ``p_{r,l}``: turning point ``s*``, or ``1 - s*``
+        #: for a DFI (Theorem 2).
+        self.filter = FilterFunction.for_threshold(
+            threshold if kind == "sfi" else 1.0 - threshold, n_tables
+        )
         rng = np.random.default_rng(seed)
         #: The l tables' sampled bit positions stacked (l, r): a probe
         #: extracts and fingerprints the keys of every table in one
@@ -274,25 +264,11 @@ class SimilarityFilterIndex:
         ):
             table.delete_hashed(fingerprint, sid)
 
-    def probe(self, query: np.ndarray) -> set[int]:
-        """``SimVector(s*, q)``: union of the matching bucket of each
-        table -- the one-row case of :meth:`probe_batch`."""
-        return self.probe_batch(query[None, :])[0]
-
-    def probe_batch(self, matrix: np.ndarray) -> list[set[int]]:
-        """``SimVector(s*, q)`` for every row of a packed query matrix.
-
-        The whole-filter case of the query pipeline's probe stage
-        (:func:`repro.exec.pipeline.probe_filter`): one
-        ``sfi_probe_batch`` span, the ``sfi.*`` counters, and
-        :meth:`probe_tables` over all ``l`` tables.
-        """
-        return _probe_alone(self, self._tables, matrix)
-
     def probe_tables(self, start: int, stop: int, matrix: np.ndarray, io):
         """Probe tables ``start .. stop - 1`` with every row of a packed
-        query matrix: the candidate CSR over the matrix rows (see
-        :func:`repro.exec.columnar.pairs_csr`) and the hit total.
+        query matrix (complemented for a DFI): the candidate CSR over
+        the matrix rows (see :func:`repro.exec.columnar.pairs_csr`) and
+        the hit total.
 
         The sampled-bit keys of the tables are extracted and
         fingerprinted in one vectorized pass
@@ -345,117 +321,23 @@ class SimilarityFilterIndex:
         return stats
 
     def freeze(self) -> "FrozenFilterProbe":
-        """Read-only probe view over every table's fingerprint runs,
-        stacked into one :class:`~repro.storage.hashtable.TableStack`."""
+        """Read-only probe view: every table's fingerprint runs stacked
+        into one :class:`~repro.storage.hashtable.TableStack`; a DFI's
+        view expects complemented queries."""
         return FrozenFilterProbe(
-            kind="sfi",
+            kind=self.kind,
             threshold=self.threshold,
             sigma_point=self.sigma_point,
             r=self.filter.r,
             n_bits=self.n_bits,
             positions=self.positions,
-            stack=TableStack.from_views(
-                [table.freeze() for table in self._tables]
-            ),
+            stack=TableStack.from_tables(self._tables),
+            complement_query=self.kind == "dfi",
         )
 
     def __repr__(self) -> str:
         return (
-            f"SimilarityFilterIndex(threshold={self.threshold:.3f}, "
-            f"l={self.n_tables}, r={self.r})"
-        )
-
-
-class DissimilarityFilterIndex:
-    """``DFI(s*)``: retrieves vectors at most ``s*``-Hamming-similar.
-
-    Internally an ``SFI(1 - s*)``; probes complement the query vector
-    per Theorem 2.  Data vectors are stored unchanged, so one insertion
-    stream can feed SFIs and DFIs alike.
-    """
-
-    kind = "dfi"
-
-    def __init__(
-        self,
-        threshold: float,
-        n_tables: int,
-        n_bits: int,
-        pager: PageManager,
-        expected_entries: int = 1024,
-        seed: int = 0,
-        sigma_point: float | None = None,
-    ):
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-        self.threshold = threshold
-        self.n_bits = n_bits
-        self.sigma_point = sigma_point
-        self._sfi = SimilarityFilterIndex(
-            1.0 - threshold, n_tables, n_bits, pager, expected_entries, seed
-        )
-
-    @property
-    def n_tables(self) -> int:
-        return self._sfi.n_tables
-
-    @property
-    def r(self) -> int:
-        return self._sfi.r
-
-    @property
-    def filter(self) -> FilterFunction:
-        """The underlying ``p_{r,l}``, with turning point at ``1 - s*``."""
-        return self._sfi.filter
-
-    @property
-    def n_entries(self) -> int:
-        return self._sfi.n_entries
-
-    def insert(self, vector: np.ndarray, sid: int) -> None:
-        self._sfi.insert(vector, sid)
-
-    def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> dict:
-        return self._sfi.insert_many(matrix, sids)
-
-    def delete(self, vector: np.ndarray, sid: int) -> None:
-        self._sfi.delete(vector, sid)
-
-    def probe(self, query: np.ndarray) -> set[int]:
-        """``DissimVector(s*, q)``: the one-row case of :meth:`probe_batch`."""
-        return self.probe_batch(query[None, :])[0]
-
-    def probe_batch(self, matrix: np.ndarray) -> list[set[int]]:
-        """Batch ``DissimVector``: the inner tables probed with ``~rows``,
-        under one ``dfi_probe_batch`` span (see the SFI's method)."""
-        return _probe_alone(self, self._sfi._tables, matrix)
-
-    def probe_tables(self, start: int, stop: int, matrix: np.ndarray, io):
-        """The inner SFI's table range; ``matrix`` holds the already
-        *complemented* queries (Theorem 2), computed once per batch."""
-        return self._sfi.probe_tables(start, stop, matrix, io)
-
-    def table_stats(self, detail: bool = False) -> dict:
-        """Occupancy statistics of the underlying tables (see SFI)."""
-        return self._sfi.table_stats(detail=detail)
-
-    def freeze(self) -> "FrozenFilterProbe":
-        """Read-only probe view; queries must be complemented (see SFI)."""
-        inner = self._sfi.freeze()
-        return FrozenFilterProbe(
-            kind="dfi",
-            threshold=self.threshold,
-            sigma_point=self.sigma_point,
-            r=self.r,
-            n_bits=self.n_bits,
-            positions=inner.positions,
-            stack=inner.stack,
-            complement_query=True,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"DissimilarityFilterIndex(threshold={self.threshold:.3f}, "
+            f"FilterIndex({self.kind!r}, threshold={self.threshold:.3f}, "
             f"l={self.n_tables}, r={self.r})"
         )
 
@@ -465,12 +347,11 @@ class FrozenFilterProbe:
 
     Holds the filter's ``(l, r)`` stacked sampler positions plus its
     tables' fingerprint runs stacked into one
-    :class:`~repro.storage.hashtable.TableStack` (``tables`` lists the
-    per-table :class:`~repro.storage.hashtable.TableView` slices of it).
-    Probing takes a contiguous range of tables so a process pool can
-    split one filter's ``l`` tables across workers; page charges go
-    into the caller's :class:`~repro.storage.iomodel.IOStats` with
-    accounting identical to the live ``probe_batch``.
+    :class:`~repro.storage.hashtable.TableStack`.  Probing takes a
+    contiguous range of tables so a process pool can split one
+    filter's ``l`` tables across workers; page charges go into the
+    caller's :class:`~repro.storage.iomodel.IOStats` with accounting
+    identical to the live filter's.
 
     ``complement_query`` marks DFI views: the caller must pass the
     *complemented* query matrix (Theorem 2), computed once per batch
@@ -498,11 +379,6 @@ class FrozenFilterProbe:
     def n_tables(self) -> int:
         return self.stack.n_tables
 
-    @property
-    def tables(self) -> list:
-        """Every table's :class:`~repro.storage.hashtable.TableView`."""
-        return [self.stack.table(t) for t in range(self.n_tables)]
-
     def probe_tables(self, start: int, stop: int, matrix: np.ndarray, io):
         """Probe tables ``start .. stop - 1`` with every row of the
         (pre-complemented for DFIs) packed query matrix, all tables in
@@ -518,10 +394,16 @@ class FrozenFilterProbe:
         )
 
     def probe_table(self, t: int, matrix: np.ndarray, io) -> list[list[int]]:
-        """One table's per-row sid lists, as the table returns them."""
-        return self.stack.table(t).probe_hashed(
-            self._fingerprints(t, t + 1, matrix)[0], io
+        """Table ``t``'s hits split per query row: each row's sids in
+        run order, as the live table returns them (a one-table
+        :meth:`~repro.storage.hashtable.TableStack.probe`, whose hits
+        come out in row order)."""
+        rows, sids = self.stack.probe(
+            t, t + 1, self._fingerprints(t, t + 1, matrix), io
         )
+        bounds = np.searchsorted(rows, np.arange(matrix.shape[0] + 1)).tolist()
+        sids = sids.tolist()
+        return [sids[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def _fingerprints(self, start: int, stop: int, matrix: np.ndarray):
         return table_fingerprints(

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.distribution import SimilarityDistribution
 from repro.core.embedding import SetEmbedder
-from repro.core.filter_index import DissimilarityFilterIndex, SimilarityFilterIndex
+from repro.core.filter_index import FilterIndex
 from repro.core.minhash import hash_rows
 from repro.core.optimizer import SFI, IndexPlan, greedy_allocate, plan_index
 from repro.obs import events, metrics, trace
@@ -503,8 +503,8 @@ class SetSimilarityIndex:
         # fallback).
         self._hashes = HashArena()
         self._cfallback: set[int] = set()
-        self._sfis: dict[float, SimilarityFilterIndex] = {}
-        self._dfis: dict[float, DissimilarityFilterIndex] = {}
+        self._sfis: dict[float, FilterIndex] = {}
+        self._dfis: dict[float, FilterIndex] = {}
         self._planner = None
         self._frozen = None
 
@@ -606,7 +606,7 @@ class SetSimilarityIndex:
         optimizer (e.g. SFI-only placement, uniform allocation).
 
         Every filter is loaded by one
-        :meth:`~repro.core.filter_index.SimilarityFilterIndex.insert_many`
+        :meth:`~repro.core.filter_index.FilterIndex.insert_many`
         call, filter-major and table-major -- the order the per-insert
         path walks the tables, so chains, page ids, directories and I/O
         accounting are bit-identical to inserting every set one by one.
@@ -681,8 +681,10 @@ class SetSimilarityIndex:
         for offset, planned in enumerate(self.plan.filters):
             if planned.n_tables <= 0:
                 continue
-            threshold = planned.hamming_threshold(self.embedder.b)
-            args = dict(
+            filters = self._sfis if planned.kind == SFI else self._dfis
+            filters[planned.point] = FilterIndex(
+                planned.kind,
+                planned.hamming_threshold(self.embedder.b),
                 n_tables=planned.n_tables,
                 n_bits=n_bits,
                 pager=self.pager,
@@ -690,10 +692,6 @@ class SetSimilarityIndex:
                 seed=seed + 7919 * (offset + 1),
                 sigma_point=planned.point,
             )
-            if planned.kind == SFI:
-                self._sfis[planned.point] = SimilarityFilterIndex(threshold, **args)
-            else:
-                self._dfis[planned.point] = DissimilarityFilterIndex(threshold, **args)
 
     def _all_filters(self):
         yield from self._sfis.values()
@@ -832,18 +830,21 @@ class SetSimilarityIndex:
             )
             for kind, filters in (("sfi", index._sfis), ("dfi", index._dfis)):
                 for point, fi in filters.items():
-                    # A DFI stores data vectors unmodified in its inner SFI.
-                    sfi = fi._sfi if kind == "dfi" else fi
                     probe = snap.filter_probe(kind, point)
-                    if not np.array_equal(sfi.positions, probe.positions):
+                    if not np.array_equal(fi.positions, probe.positions):
                         raise SnapshotFormatError(
                             f"{path}: {kind}({point}) bit positions do not "
                             "match the embedder seed's")
-                    for table, view in zip(sfi._tables, probe.tables):
-                        first, last = view.run_indptr[[0, -1]].tolist()
-                        owners = view.run_sids[first:last]
+                    stack = probe.stack
+                    bounds = stack.run_offsets.tolist()
+                    for t, table in enumerate(fi._tables):
+                        indptr = stack.run_indptr[bounds[t]:bounds[t + 1] + 1]
+                        first, last = indptr[[0, -1]].tolist()
+                        owners = stack.run_sids[first:last]
                         order = np.argsort(owners, kind="stable")
-                        fps = np.repeat(view.run_fps, np.diff(view.run_indptr))
+                        fps = np.repeat(
+                            stack.run_fps[bounds[t]:bounds[t + 1]], np.diff(indptr)
+                        )
                         table.bulk_load_hashed(fps[order], owners[order])
         return index
 
@@ -992,7 +993,7 @@ class SetSimilarityIndex:
 
         One dict per SFI/DFI: its kind, cut point, turning point and
         the aggregate (optionally per-table) hash-table statistics from
-        :meth:`~repro.core.filter_index.SimilarityFilterIndex.table_stats`.
+        :meth:`~repro.core.filter_index.FilterIndex.table_stats`.
         Surfaced by ``repro stats``.
         """
         stats = []

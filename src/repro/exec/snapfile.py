@@ -44,8 +44,9 @@ leaves an earlier snapshot at ``path`` as it was, and a process that
 mapped the old one keeps its pages.
 
 Integrity: format, version, file sizes, disjoint array extents, every
-array's dtype, rank and shape, and the type and range of every manifest
-field are checked at every open.  Per-array crc32 and content checks
+array's dtype, rank and shape, the type and range of every manifest
+field, and that the manifest's embedder re-signs one stored set to its
+stored codes are checked at every open.  Per-array crc32 and content checks
 are opt-in (``verify=True`` / :func:`verify_snapshot`) to keep opening
 O(ms); ``load`` reads every byte anyway, so it always verifies.
 """
@@ -224,8 +225,7 @@ def open_arrays(path, specs: dict[str, dict], verify: bool = False) -> dict[str,
 
 
 #: Per-filter stacked table arrays (``f###_<field>``) and their dtypes:
-#: the array attributes of a :class:`~repro.storage.hashtable.TableStack`
-#: (and of each :class:`~repro.storage.hashtable.TableView` slice of it).
+#: the array attributes of a :class:`~repro.storage.hashtable.TableStack`.
 _TABLE_FIELDS = {
     "chain_pages": "<i8", "run_fps": "<u8", "run_indptr": "<i8",
     "run_sids": "<i8",
@@ -631,6 +631,39 @@ def _check_contents(snap: "MappedSnapshot") -> None:
         )
 
 
+def _check_signing(snap: "MappedSnapshot") -> None:
+    """Re-sign the first non-empty stored set with the manifest's
+    embedder and refuse the snapshot unless its stored codes come out.
+
+    The manifest's ``codec`` and ``embedder.seed`` say how queries are
+    signed; an edit to either would sign every query differently from
+    the stored sets, and answers would shrink without an error.  The
+    set's row of the verify CSR holds its element hashes exactly as
+    :func:`~repro.core.minhash.hash_rows` gave them to the build, so
+    only :meth:`~repro.core.embedding.SetEmbedder.code_hashes` runs:
+    the check costs a fraction of a millisecond at every open, whatever
+    the collection size."""
+    # Row 0 is almost always non-empty; scan the offsets only if not.
+    nonempty = np.flatnonzero(np.diff(snap.set_indptr[:2]) > 0)
+    if not len(nonempty):
+        nonempty = np.flatnonzero(np.diff(snap.set_indptr) > 0)
+        if not len(nonempty):
+            return
+    row = int(nonempty[0])
+    a, b = snap.set_indptr[[row, row + 1]].tolist()
+    hashes = snap.set_data[a:b]
+    # Offsets past the hash data (unverified) give no hashes.
+    if not len(hashes) or not np.array_equal(
+        snap.embedder.code_hashes(np.array([0, len(hashes)]), hashes)[0],
+        snap.code_matrix[row],
+    ):
+        raise SnapshotIntegrityError(
+            f"{snap.path}: the manifest's embedder (codec "
+            f"{snap.embedder.codec!r}, seed {snap.embedder.seed}) does not "
+            "re-sign the stored sets to their stored codes"
+        )
+
+
 def _read_manifest(path: Path) -> dict:
     """The manifest of a snapshot directory, refused unless it names
     this format and version."""
@@ -658,7 +691,10 @@ def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
     O(ms) regardless of collection size: only the manifest is read
     eagerly; every array is an ``np.memmap`` view paged in on use.
     ``verify=True`` additionally checksums every array and checks the
-    arrays' contents against each other (reads everything).
+    arrays' contents against each other (reads everything).  Every open
+    re-signs one stored set with the manifest's embedder
+    (:func:`_check_signing`), so an edited ``codec`` or seed is refused
+    with :class:`SnapshotIntegrityError`.
     """
     path = Path(path)
     manifest = _read_manifest(path)
@@ -756,6 +792,7 @@ def open_snapshot(path, verify: bool = False) -> MappedSnapshot:
         )
         if verify:
             _check_contents(snap)
+        _check_signing(snap)
         mapped_bytes = sum(int(s["nbytes"]) for s in specs.values())
         if sp.recording:
             sp.set(n_arrays=len(arrays), bytes_mapped=mapped_bytes,

@@ -6,9 +6,9 @@ counters, and the candidate algebra walks live dicts.  An
 :class:`IndexSnapshot` (``index.freeze()``) converts all of that into
 immutable, pre-computed state:
 
-- every :class:`~repro.storage.hashtable.BucketHashTable` flattened
-  into a :class:`~repro.storage.hashtable.TableView` (fingerprint runs
-  in arrays, the same class a mapped snapshot serves from; page charges
+- each filter's bucket hash tables flattened into one
+  :class:`~repro.storage.hashtable.TableStack` (fingerprint runs in
+  arrays, the same class a mapped snapshot serves from; page charges
   *accounted* into a caller-supplied ``IOStats``);
 - stored signature codes stacked into one contiguous ``(N, k)`` matrix
   (``uint8`` up to b = 8) with a sid -> row map; the packed ECC vectors

@@ -25,6 +25,7 @@ assumed to be allocated adjacently.
 
 from __future__ import annotations
 
+import itertools
 from operator import countOf, itemgetter
 from typing import Sequence
 
@@ -94,35 +95,6 @@ def hash_words(words: np.ndarray, key_bytes: int) -> np.ndarray:
     return h
 
 
-def _key_word_matrix(keys: Sequence[bytes], width: int) -> np.ndarray:
-    """Pack same-width byte keys into a little-endian uint64 word matrix."""
-    n_words = -(-width // 8)
-    if width == 0:
-        return np.zeros((len(keys), 0), dtype=np.uint64)
-    raw = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), width)
-    if width == n_words * 8:
-        return raw.view("<u8")
-    padded = np.zeros((len(keys), n_words * 8), dtype=np.uint8)
-    padded[:, :width] = raw
-    return padded.view("<u8")
-
-
-def hash_keys(keys: Sequence[bytes]) -> np.ndarray:
-    """:func:`hash_key` over many keys, as a uint64 array.
-
-    Same-width keys (the filter-index case: one bit sampler emits
-    fixed-width keys) take the vectorized :func:`hash_words` path;
-    mixed widths fall back to the scalar loop.
-    """
-    n = len(keys)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    width = len(keys[0])
-    if any(len(k) != width for k in keys):
-        return np.fromiter(map(hash_key, keys), dtype=np.uint64, count=n)
-    return hash_words(_key_word_matrix(keys, width), width)
-
-
 class BucketHashTable:
     """A disk-simulated hash table from byte keys to set identifiers.
 
@@ -170,11 +142,6 @@ class BucketHashTable:
         """Pages across all bucket chains."""
         return sum(len(chain) for chain in self._chains)
 
-    def insert(self, key: bytes, sid: int) -> None:
-        """Add a (key, sid) entry -- the one-key case of
-        :meth:`insert_hashed`."""
-        self.insert_hashed(hash_key(key), sid)
-
     def insert_hashed(self, fingerprint: int, sid: int) -> None:
         """Add a (fingerprint, sid) entry for a pre-computed
         ``hash_key`` fingerprint.  Duplicates are stored as given.
@@ -216,24 +183,15 @@ class BucketHashTable:
 
     # -- bulk loading ------------------------------------------------------
 
-    def bulk_load(self, keys: Sequence[bytes], sids: Sequence[int]) -> dict:
-        """Bulk-insert many (key, sid) entries in one partitioned pass.
-
-        Equivalent -- in chains, page ids and contents, directories and
-        I/O accounting -- to ``for key, sid in zip(keys, sids):
-        self.insert(key, sid)``, but the keys are fingerprinted in one
-        pass, partitioned by bucket with a single argsort, and each
-        bucket's page chain and fingerprint directory are appended in
-        one sweep.
-        """
-        return self.bulk_load_hashed(hash_keys(keys), sids)
-
     def bulk_load_hashed(
         self, fingerprints: np.ndarray, sids: Sequence[int]
     ) -> dict:
-        """:meth:`bulk_load` for pre-computed ``hash_key`` fingerprints.
+        """Bulk-insert many (fingerprint, sid) entries in one partitioned
+        pass, for pre-computed ``hash_key`` fingerprints.
 
-        Entries are grouped by bucket with one stable argsort, each
+        Equivalent -- in chains, page ids and contents, directories and
+        I/O accounting -- to ``for fp, sid in zip(fingerprints, sids):
+        self.insert_hashed(fp, sid)``.  Entries are grouped by bucket with one stable argsort, each
         group's page layout (existing-tail absorption, new-page count)
         is array arithmetic, and pages are allocated in the order the
         per-insert path opens them: at the first entry (in input order)
@@ -360,34 +318,19 @@ class BucketHashTable:
             "tail_reads": tail_reads,
         }
 
-    def probe(self, key: bytes) -> list[int]:
-        """Return the sids stored under ``key``.
-
-        Charges one random read for the bucket's head page and one
-        sequential read per overflow page.
-        """
-        return self.probe_hashed([hash_key(key)])[0]
-
-    def probe_many(self, keys: list[bytes]) -> list[list[int]]:
-        """Probe many keys, reading each touched bucket page once.
-
-        The batch counterpart of :meth:`probe`: keys are grouped by
-        bucket, every distinct bucket chain is read exactly once (head
-        page random, overflow pages sequential, as in :meth:`probe`)
-        and its entries are served to all keys of the group.  Result
-        ``i`` equals ``probe(keys[i])``; the page-read total is never
-        greater than the equivalent probe loop, and strictly smaller
-        whenever two keys of the batch share a bucket.
-        """
-        return self.probe_hashed(hash_keys(keys).tolist())
-
     def probe_hashed(self, fingerprints: list[int], io=None) -> list[list[int]]:
-        """:meth:`probe_many` for pre-computed ``hash_key`` fingerprints
-        (Python ints), so a filter index can fingerprint the keys of all
-        its tables in one vectorized pass.
+        """The sids stored under each of many pre-computed ``hash_key``
+        fingerprints (Python ints), reading each touched bucket page once.
 
-        ``io`` is accepted so a filter probes live tables and
-        :class:`TableView` images through one call; the live table reads
+        Fingerprints are grouped by bucket; every distinct bucket chain
+        is read exactly once (one random read for the head page,
+        sequential reads for overflow pages) and its directory serves
+        all fingerprints of the group.  The page-read total is never
+        greater than probing the fingerprints one at a time, and
+        strictly smaller whenever two of them share a bucket.
+
+        ``io`` is accepted so a filter probes live tables and a
+        :class:`TableStack` through one call shape; the live table reads
         through its pager, which charges the index's cost model.
         """
         results: list[list[int]] = [[] for _ in fingerprints]
@@ -415,11 +358,6 @@ class BucketHashTable:
                 results[i] = list(got) if got else []
         _PROBES.shard().count += len(fingerprints)
         return results
-
-    def delete(self, key: bytes, sid: int) -> bool:
-        """Remove one (key, sid) entry -- the one-key case of
-        :meth:`delete_hashed`."""
-        return self.delete_hashed(hash_key(key), sid)
 
     def delete_hashed(self, fingerprint: int, sid: int) -> bool:
         """Remove one (fingerprint, sid) entry for a pre-computed
@@ -517,51 +455,11 @@ class BucketHashTable:
                 page = self.pager.read(page_id, sequential=True)
                 yield from page.slots
 
-    def freeze(self) -> "TableView":
-        """A read-only probe view over this table's fingerprint runs.
-
-        Flattens the per-bucket fingerprint directories into runs
-        sorted by fingerprint across the whole table -- a fingerprint
-        lives in exactly one bucket, so the sort is strict -- with each
-        run's sids in slot-scan order, and snapshots the per-bucket
-        chain lengths.  The view answers probes without touching the pager,
-        charging the exact page reads :meth:`probe_hashed` would have
-        charged into a caller-supplied
-        :class:`~repro.storage.iomodel.IOStats` -- the building block of
-        a frozen index snapshot.  It copies what it needs, so later
-        mutation of the table cannot reach it.
-        """
-        fps: list[int] = []
-        lens: list[int] = []
-        sids: list[int] = []
-        for directory in self._directory:
-            for fingerprint, run in directory.items():
-                fps.append(fingerprint)
-                lens.append(len(run))
-                sids.extend(run)
-        run_fps = np.array(fps, dtype=np.uint64)
-        order = np.argsort(run_fps)
-        run_lens = np.array(lens, dtype=np.int64)
-        starts = np.cumsum(run_lens) - run_lens
-        sorted_lens = run_lens[order]
-        run_indptr = np.zeros(len(fps) + 1, dtype=np.int64)
-        np.cumsum(sorted_lens, out=run_indptr[1:])
-        # Entry i of the sorted layout comes from position gather[i] of
-        # the bucket-order sid list: each run moves as one block.
-        gather = np.repeat(starts[order] - run_indptr[:-1], sorted_lens)
-        gather += np.arange(len(sids), dtype=np.int64)
-        return TableView(
-            self.n_buckets,
-            np.array([len(chain) for chain in self._chains], dtype=np.int64),
-            run_fps[order],
-            run_indptr,
-            np.array(sids, dtype=np.int64)[gather],
-        )
-
 
 def _charge_grouped(buckets: np.ndarray, chain_pages: np.ndarray, io) -> None:
     """Charge a grouped probe of ``buckets`` (indices into
-    ``chain_pages``, one per probed key) as the live table charges it.
+    ``chain_pages``, one per probed key) as the live table's
+    :meth:`BucketHashTable.probe_hashed` charges it.
 
     Every distinct bucket's chain is read once: one random read for the
     head page, sequential reads for overflow pages.  After the sort a
@@ -582,82 +480,28 @@ def _charge_grouped(buckets: np.ndarray, chain_pages: np.ndarray, io) -> None:
     _PROBES.shard().count += len(buckets)
 
 
-class TableView:
-    """Immutable fingerprint-run image of one :class:`BucketHashTable`.
+class TableStack:
+    """Immutable fingerprint-run image of one filter's ``l`` tables.
 
-    ``chain_pages[b]`` is bucket ``b``'s page count; ``run_fps`` holds
-    every stored fingerprint once, ascending across the whole table (a
-    fingerprint's bucket is ``fp % n_buckets``, so no per-bucket index
-    is needed), and run ``p`` owns sids
-    ``run_sids[run_indptr[p]:run_indptr[p + 1]]`` in slot-scan order.
-    ``BucketHashTable.freeze()`` builds one standalone; the tables of a
-    frozen filter are zero-copy slices of its :class:`TableStack`, whose
-    ``run_sids`` they share (so their ``run_indptr`` need not start at
-    0).  The arrays may live on the heap or in a mapped snapshot file
-    (:func:`repro.exec.snapfile.open_snapshot`); the view is the same
+    Table ``t`` has ``n_buckets[t]`` buckets and owns entries
+    ``bucket_offsets[t] .. bucket_offsets[t + 1] - 1`` of ``chain_pages``
+    (each bucket's page count) and runs ``run_offsets[t] ..
+    run_offsets[t + 1] - 1`` of ``run_fps``, which holds every
+    fingerprint the table stores once, ascending within the table (a
+    fingerprint's bucket is ``fp % n_buckets[t]``, so no per-bucket
+    index is needed).  Any run ``p`` owns
+    ``run_sids[run_indptr[p]:run_indptr[p + 1]]`` in slot-scan order,
+    one ``indptr`` over every table's runs.  The arrays may live on the
+    heap (:meth:`from_tables`) or in a mapped snapshot file
+    (:func:`repro.exec.snapfile.open_snapshot`); the stack is the same
     either way.
 
-    Page reads are *accounted* (into the ``io`` argument) rather than
-    performed, with charges identical to the live table: per distinct
-    bucket touched, one random read for the head page and sequential
-    reads for overflow pages.  Safe for concurrent probing from many
-    threads -- nothing is mutated except the caller's ``io`` and the
-    calling thread's counter shards.
-    """
-
-    __slots__ = ("n_buckets", "chain_pages", "run_fps", "run_indptr", "run_sids")
-
-    def __init__(self, n_buckets, chain_pages, run_fps, run_indptr, run_sids):
-        self.n_buckets = n_buckets
-        self.chain_pages = chain_pages
-        self.run_fps = run_fps
-        self.run_indptr = run_indptr
-        self.run_sids = run_sids
-
-    def probe_hashed(self, fingerprints: np.ndarray, io) -> list[list[int]]:
-        """Grouped batch probe, bit-equivalent to the live table's.
-
-        Result ``i`` equals ``BucketHashTable.probe_hashed(fps)[i]``
-        (same sids, same order); the reads charged to ``io`` (an
-        :class:`~repro.storage.iomodel.IOStats`) and the module counters
-        move exactly as the live grouped probe moves them: every
-        distinct bucket's chain is read once, however many fingerprints
-        of the batch land in it.
-        """
-        fps = np.asarray(fingerprints, dtype=np.uint64)
-        n = len(fps)
-        results: list[list[int]] = [[] for _ in range(n)]
-        _charge_grouped(
-            (fps % np.uint64(self.n_buckets)).astype(np.intp),
-            self.chain_pages, io,
-        )
-        run_fps = self.run_fps
-        if len(run_fps):
-            pos = np.searchsorted(run_fps, fps)
-            pos[pos == len(run_fps)] = 0
-            hits = (run_fps[pos] == fps).nonzero()[0]
-            runs = pos[hits]
-            run_sids = self.run_sids
-            for i, a, b in zip(
-                hits.tolist(),
-                self.run_indptr[runs].tolist(),
-                self.run_indptr[runs + 1].tolist(),
-            ):
-                results[i] = run_sids[a:b].tolist()
-        return results
-
-
-class TableStack:
-    """The :class:`TableView` arrays of one filter's ``l`` tables, stacked.
-
-    Table ``t`` owns buckets ``bucket_offsets[t] .. bucket_offsets[t + 1]
-    - 1`` of ``chain_pages`` and runs ``run_offsets[t] .. run_offsets[t +
-    1] - 1`` of ``run_fps`` (ascending within the table); any run ``p``
-    owns ``run_sids[run_indptr[p]:run_indptr[p + 1]]``, one ``indptr``
-    over every table's runs.  :meth:`table` is table ``t``'s
-    :class:`TableView` as zero-copy slices, and :meth:`probe` serves a
-    range of tables in one pass whose charges and counter moves equal
-    those of probing each table's view in turn.
+    :meth:`probe` serves a range of tables in one pass.  Page reads are
+    *accounted* (into the ``io`` argument) rather than performed, with
+    charges and counter moves identical to probing each live table in
+    turn with :meth:`BucketHashTable.probe_hashed`.  Safe for
+    concurrent probing from many threads -- nothing is mutated except
+    the caller's ``io`` and the calling thread's counter shards.
     """
 
     __slots__ = ("n_buckets", "bucket_offsets", "chain_pages", "run_offsets",
@@ -675,36 +519,62 @@ class TableStack:
         self.run_sids = run_sids
 
     @classmethod
-    def from_views(cls, views: Sequence[TableView]) -> "TableStack":
-        """Stack standalone views (``BucketHashTable.freeze()``'s, whose
-        ``run_indptr`` starts at 0 over their own ``run_sids``)."""
-        run_offsets = np.zeros(len(views) + 1, dtype=np.int64)
-        np.cumsum([len(v.run_fps) for v in views], out=run_offsets[1:])
-        sid_offsets = np.cumsum([0] + [len(v.run_sids) for v in views])
-        indptr = [np.zeros(1, dtype=np.int64)] + [
-            v.run_indptr[1:] + base for v, base in zip(views, sid_offsets)
-        ]
+    def from_tables(cls, tables: Sequence[BucketHashTable]) -> "TableStack":
+        """The stacked image of live tables, copied off them (later
+        writes to the tables cannot reach it).
+
+        Every table's per-bucket fingerprint directories flatten into
+        runs sorted by fingerprint across the table -- a fingerprint
+        lives in exactly one bucket, so the sort is strict -- each run's
+        sids in slot-scan order, and the per-bucket chain lengths are
+        snapshotted.
+        """
+        run_offsets = [0]
+        for table in tables:
+            run_offsets.append(run_offsets[-1] + sum(map(len, table._directory)))
+        n_runs = run_offsets[-1]
+        # Streamed off the directories, table by table and bucket by
+        # bucket: no whole-filter Python list is built (it would add
+        # to the peak memory of every save).
+        buckets = [d for table in tables for d in table._directory]
+        run_fps = np.fromiter(
+            itertools.chain.from_iterable(buckets), dtype=np.uint64, count=n_runs
+        )
+        run_lens = np.fromiter(
+            (len(run) for d in buckets for run in d.values()), dtype=np.int64,
+            count=n_runs,
+        )
+        n_sids = int(run_lens.sum())
+        sids = np.fromiter(
+            itertools.chain.from_iterable(run for d in buckets for run in d.values()),
+            dtype=np.int64, count=n_sids,
+        )
+        order = np.concatenate([
+            a + np.argsort(run_fps[a:b])
+            for a, b in zip(run_offsets, run_offsets[1:])
+        ])
+        starts = np.cumsum(run_lens) - run_lens
+        sorted_lens = run_lens[order]
+        run_indptr = np.zeros(n_runs + 1, dtype=np.int64)
+        np.cumsum(sorted_lens, out=run_indptr[1:])
+        # Entry i of the sorted layout comes from position gather[i] of
+        # the bucket-order sid list: each run moves as one block.
+        gather = np.repeat(starts[order] - run_indptr[:-1], sorted_lens)
+        gather += np.arange(n_sids, dtype=np.int64)
         return cls(
-            [v.n_buckets for v in views],
-            np.concatenate([v.chain_pages for v in views]),
+            [table.n_buckets for table in tables],
+            np.array(
+                [len(c) for table in tables for c in table._chains], dtype=np.int64
+            ),
             run_offsets,
-            np.concatenate([v.run_fps for v in views]),
-            np.concatenate(indptr),
-            np.concatenate([v.run_sids for v in views]),
+            run_fps[order],
+            run_indptr,
+            sids[gather],
         )
 
     @property
     def n_tables(self) -> int:
         return len(self.n_buckets)
-
-    def table(self, t: int) -> TableView:
-        """Table ``t``'s view: slices of the stacked arrays."""
-        b0, b1 = self.bucket_offsets[t:t + 2].tolist()
-        r0, r1 = self.run_offsets[t:t + 2].tolist()
-        return TableView(
-            int(self.n_buckets[t]), self.chain_pages[b0:b1],
-            self.run_fps[r0:r1], self.run_indptr[r0:r1 + 1], self.run_sids,
-        )
 
     def probe(
         self, start: int, stop: int, fingerprints: np.ndarray, io
@@ -713,8 +583,9 @@ class TableStack:
         every query row's fingerprint in table ``start + k``.
 
         Returns every hit as parallel ``(row, sid)`` arrays, one entry per
-        sid of each matching run (the rows of
-        :meth:`TableView.probe_hashed`, flattened across tables).  Bucket
+        sid of each matching run: per table, hits come in row order and
+        each row's sids in run order, the lists
+        :meth:`BucketHashTable.probe_hashed` returns.  Bucket
         reads are grouped per table -- the tables' bucket ranges are
         disjoint, so one sort of global bucket indices groups them all --
         and run lookup is one ``searchsorted`` per table; the sid gather

@@ -74,15 +74,16 @@ class TestBufferPool:
 
     def test_cache_reduces_probe_cost_end_to_end(self):
         """A warm buffer pool makes repeated identical probes cheap."""
-        from repro.storage.hashtable import BucketHashTable
+        from repro.storage.hashtable import BucketHashTable, hash_key
 
         pager = _pager(64)
         table = BucketHashTable(pager, n_buckets=8)
+        hot = hash_key(b"hot")
         for i in range(20):
-            table.insert(b"hot", i)
-        table.probe(b"hot")  # warms the bucket page
+            table.insert_hashed(hot, i)
+        table.probe_hashed([hot])  # warms the bucket page
         before = pager.io.snapshot()
-        table.probe(b"hot")
+        table.probe_hashed([hot])
         delta = pager.io.snapshot() - before
         assert delta.random_reads == 0
 

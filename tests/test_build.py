@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from repro.core.distribution import SimilarityDistribution
-from repro.core.filter_index import SimilarityFilterIndex
+from repro.core.filter_index import FilterIndex
 from repro.core.index import SetSimilarityIndex
 from repro.core.optimizer import plan_index
 from repro.hamming.sampling import sampled_key_words
 from repro.obs.explain import BUILD_PHASE_SPANS, build_summaries
+from repro.storage.hashtable import hash_key
 
 
 def _collection(n_sets=60, seed=0, universe=400):
@@ -45,8 +46,8 @@ def _build(sets, dist, plan, **kwargs):
 
 def _insert_loop(fi, matrix, sids):
     """The reference ``insert_many``: every table filled one entry at a
-    time with the dynamic ``BucketHashTable.insert`` (which fingerprints
-    each key with the scalar ``hash_key``), table-major.  ``from_plan``
+    time with the dynamic ``BucketHashTable.insert_hashed``, each key
+    fingerprinted with the scalar ``hash_key``, table-major.  ``from_plan``
     calls it filter-major -- the order the bulk load promises to
     reproduce."""
     key_bytes = -(-fi.r // 8)
@@ -55,22 +56,22 @@ def _insert_loop(fi, matrix, sids):
             matrix, positions // 64, (positions % 64).astype(np.uint64)
         )
         for key, sid in zip(keys, sids):
-            table.insert(key.tobytes()[:key_bytes], sid)
+            table.insert_hashed(hash_key(key.tobytes()[:key_bytes]), sid)
     return {}
 
 
 def _build_by_insert(monkeypatch, sets, dist, plan):
     with monkeypatch.context() as patch:
-        patch.setattr(SimilarityFilterIndex, "insert_many", _insert_loop)
+        patch.setattr(FilterIndex, "insert_many", _insert_loop)
         return _build(sets, dist, plan)
 
 
 def _filters_of(index):
-    """(key, filter) pairs in a comparison-stable order, DFIs unwrapped."""
+    """(key, filter) pairs in a comparison-stable order."""
     out = []
     for kind, filters in (("sfi", index._sfis), ("dfi", index._dfis)):
         for point, fi in sorted(filters.items()):
-            out.append((f"{kind}({point})", fi._sfi if hasattr(fi, "_sfi") else fi))
+            out.append((f"{kind}({point})", fi))
     return out
 
 

@@ -9,7 +9,10 @@ reader promises about them:
   and the version read -- nothing converts or defaults an old layout;
 * an unknown codec tag -- a b-bit packing among them, which only older
   builds wrote -- raises a typed ``SnapshotFormatError`` instead of
-  silently mis-decoding signature bytes.
+  silently mis-decoding signature bytes;
+* a known tag or seed that does not sign the stored sets -- an edited
+  manifest -- raises ``SnapshotIntegrityError`` at every open instead
+  of signing queries differently from the stored sets.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ import pytest
 
 from repro.core.index import SetSimilarityIndex
 from repro.data.generators import planted_clusters
+from repro.cli import main
 from repro.exec import (
     ParallelExecutor,
     ShardedExecutor,
     SnapshotFormatError,
+    SnapshotIntegrityError,
     open_sharded,
     open_snapshot,
     save_snapshot,
@@ -118,6 +123,30 @@ class TestSnapshotCompat:
         )
         with pytest.raises(SnapshotFormatError, match="codec"):
             open_snapshot(tmp_path / "snap")
+
+    @pytest.mark.parametrize("edit", ["codec", "seed"])
+    @pytest.mark.parametrize("codec", ["full64", "superminhash"])
+    def test_resigning_manifest_edit_is_refused(self, tmp_path, capsys, codec, edit):
+        """An edited ``codec`` or ``embedder.seed`` would sign every query
+        differently from the stored sets and shrink answers silently:
+        every open re-signs a stored set and refuses the snapshot --
+        mapped with and without ``verify``, thawed by ``load``, and by
+        ``repro snapshot verify``."""
+        path = tmp_path / "snap"
+        _save(_build(_sets(), codec=codec), path)
+        other = {"full64": "superminhash", "superminhash": "full64"}[codec]
+        if edit == "codec":
+            _edit_manifest(path, lambda m: m.update(codec=other))
+        else:
+            _edit_manifest(path, lambda m: m["embedder"].update(seed=m["embedder"]["seed"] + 1))
+        for verify in (False, True):
+            with pytest.raises(SnapshotIntegrityError, match="re-sign"):
+                open_snapshot(path, verify=verify)
+        with pytest.raises(SnapshotIntegrityError, match="re-sign"):
+            SetSimilarityIndex.load(path)
+        capsys.readouterr()
+        assert main(["snapshot", "verify", "--path", str(path)]) == 1
+        assert "re-sign" in capsys.readouterr().err
 
     def test_byte_breakdown_accounting(self, tmp_path):
         """Groups partition the total; a set's signature is its k codes,

@@ -152,7 +152,7 @@ class TestEmpiricalConformance:
     The analytical filter function is the load-bearing model: the
     optimizer sizes every filter with it.  Here we *measure* the
     collision probability of an actual
-    :class:`~repro.core.filter_index.SimilarityFilterIndex` on pairs
+    :class:`~repro.core.filter_index.FilterIndex` SFI on pairs
     of packed vectors with controlled Hamming similarity and assert
     the empirical rate stays within a binomial confidence bound of the
     model (plus a small slack for sampling bit positions without
@@ -179,16 +179,18 @@ class TestEmpiricalConformance:
 
     def _measure(self, threshold, n_tables, seed):
         """Empirical collision rate per similarity point, plus (r, l)."""
-        from repro.core.filter_index import SimilarityFilterIndex
+        from repro.core.filter_index import FilterIndex
+        from repro.exec.columnar import csr_split
         from repro.hamming.bitvector import pack_bits
-        from repro.storage.iomodel import IOCostModel
+        from repro.storage.iomodel import IOCostModel, IOStats
         from repro.storage.pager import PageManager
 
         rng = np.random.default_rng(seed)
         rates = {}
         r = l = None
         for similarity in self.SIM_POINTS:
-            sfi = SimilarityFilterIndex(
+            sfi = FilterIndex(
+                "sfi",
                 threshold=threshold,
                 n_tables=n_tables,
                 n_bits=self.N_BITS,
@@ -202,8 +204,12 @@ class TestEmpiricalConformance:
             )
             sids = list(range(self.N_PAIRS))
             sfi.insert_many(pack_bits(stored_bits), sids)
-            per_query = sfi.probe_batch(pack_bits(query_bits))
-            hits = sum(1 for sid, got in enumerate(per_query) if sid in got)
+            csr, _ = sfi.probe_tables(
+                0, sfi.n_tables, pack_bits(query_bits), IOStats()
+            )
+            hits = sum(
+                1 for sid, got in enumerate(csr_split(*csr)) if sid in got
+            )
             rates[s_exact] = hits / self.N_PAIRS
         return rates, r, l
 

@@ -10,8 +10,8 @@ from repro.obs import metrics
 from repro.storage.hashtable import (
     ENTRY_BYTES,
     BucketHashTable,
+    TableStack,
     hash_key,
-    hash_keys,
 )
 from repro.storage.iomodel import IOCostModel, IOStats
 from repro.storage.pager import PageManager
@@ -19,6 +19,38 @@ from repro.storage.pager import PageManager
 
 def _table(n_buckets=8, page_size=4096):
     return BucketHashTable(PageManager(IOCostModel(), page_size=page_size), n_buckets)
+
+
+# The table takes fingerprints; these byte-key shorthands produce them
+# with the scalar ``hash_key``.
+
+
+def _fps(keys):
+    return np.array([hash_key(key) for key in keys], dtype=np.uint64)
+
+
+def _insert(table, key, sid):
+    table.insert_hashed(hash_key(key), sid)
+
+
+def _delete(table, key, sid):
+    return table.delete_hashed(hash_key(key), sid)
+
+
+def _probe(table, key):
+    return table.probe_hashed([hash_key(key)])[0]
+
+
+def _bulk_load(table, keys, sids):
+    return table.bulk_load_hashed(_fps(keys), sids)
+
+
+def _stack_probe(table, fps, io):
+    """``table`` frozen into a one-table :class:`TableStack` and probed
+    with ``fps`` (charges into ``io``): the per-row sid lists."""
+    rows, sids = TableStack.from_tables([table]).probe(0, 1, fps[None], io)
+    bounds = np.searchsorted(rows, np.arange(len(fps) + 1)).tolist()
+    return [sids[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
 class TestHashKey:
@@ -35,85 +67,85 @@ class TestHashKey:
 class TestBucketHashTable:
     def test_insert_probe(self):
         table = _table()
-        table.insert(b"k1", 10)
-        table.insert(b"k1", 11)
-        table.insert(b"k2", 20)
-        assert sorted(table.probe(b"k1")) == [10, 11]
-        assert table.probe(b"k2") == [20]
-        assert table.probe(b"nope") == []
+        _insert(table, b"k1", 10)
+        _insert(table, b"k1", 11)
+        _insert(table, b"k2", 20)
+        assert sorted(_probe(table, b"k1")) == [10, 11]
+        assert _probe(table, b"k2") == [20]
+        assert _probe(table, b"nope") == []
         assert table.n_entries == 3
 
     def test_no_bucket_cross_talk(self):
         """Keys sharing a bucket must not leak into each other's probes."""
         table = _table(n_buckets=1)
         for i in range(20):
-            table.insert(f"key-{i}".encode(), i)
+            _insert(table, f"key-{i}".encode(), i)
         for i in range(20):
-            assert table.probe(f"key-{i}".encode()) == [i]
+            assert _probe(table, f"key-{i}".encode()) == [i]
 
     def test_overflow_chains(self):
         table = _table(n_buckets=1, page_size=64)  # 4 entries per page
         for i in range(20):
-            table.insert(b"same", i)
+            _insert(table, b"same", i)
         assert table.n_pages == 5
-        assert sorted(table.probe(b"same")) == list(range(20))
+        assert sorted(_probe(table, b"same")) == list(range(20))
 
     def test_probe_io_chain_accounting(self):
         table = _table(n_buckets=1, page_size=64)
         for i in range(8):  # two pages in the chain
-            table.insert(b"k", i)
+            _insert(table, b"k", i)
         io = table.pager.io
         before = io.snapshot()
-        table.probe(b"k")
+        _probe(table, b"k")
         delta = io.snapshot() - before
         assert delta.random_reads == 1  # head page
         assert delta.sequential_reads == 1  # overflow page
 
     def test_delete_existing(self):
         table = _table()
-        table.insert(b"a", 1)
-        table.insert(b"a", 2)
-        assert table.delete(b"a", 1)
-        assert table.probe(b"a") == [2]
+        _insert(table, b"a", 1)
+        _insert(table, b"a", 2)
+        assert _delete(table, b"a", 1)
+        assert _probe(table, b"a") == [2]
         assert table.n_entries == 1
 
     def test_delete_missing(self):
         table = _table()
-        table.insert(b"a", 1)
-        assert not table.delete(b"a", 99)
-        assert not table.delete(b"zzz", 1)
+        _insert(table, b"a", 1)
+        assert not _delete(table, b"a", 99)
+        assert not _delete(table, b"zzz", 1)
         assert table.n_entries == 1
 
     def test_delete_last_entry_of_last_page(self):
         """The swap-remove edge case: hole == popped entry."""
         table = _table(n_buckets=1, page_size=64)
         for i in range(4):
-            table.insert(b"k", i)
-        assert table.delete(b"k", 3)  # last entry of the only page
-        assert sorted(table.probe(b"k")) == [0, 1, 2]
+            _insert(table, b"k", i)
+        assert _delete(table, b"k", 3)  # last entry of the only page
+        assert sorted(_probe(table, b"k")) == [0, 1, 2]
 
     def test_delete_frees_empty_pages(self):
         table = _table(n_buckets=1, page_size=64)
         for i in range(5):  # 2 pages
-            table.insert(b"k", i)
+            _insert(table, b"k", i)
         assert table.n_pages == 2
         for i in range(5):
-            table.delete(b"k", i)
+            _delete(table, b"k", i)
         assert table.n_pages == 0
-        assert table.probe(b"k") == []
+        assert _probe(table, b"k") == []
 
     def test_duplicate_entries_supported(self):
         table = _table()
-        table.insert(b"k", 7)
-        table.insert(b"k", 7)
-        assert table.probe(b"k") == [7, 7]
-        table.delete(b"k", 7)
-        assert table.probe(b"k") == [7]
+        _insert(table, b"k", 7)
+        _insert(table, b"k", 7)
+        assert _probe(table, b"k") == [7, 7]
+        _delete(table, b"k", 7)
+        assert _probe(table, b"k") == [7]
 
     def test_items_iterates_everything(self):
         table = _table(n_buckets=4)
         for i in range(10):
-            table.insert(str(i).encode(), i)
+            _insert(table, str(i).encode(), i)
         assert len(list(table.items())) == 10
 
     def test_invalid_buckets(self):
@@ -134,15 +166,15 @@ class TestBucketHashTable:
         rng = np.random.default_rng(0)
         for key, sid in operations:
             if rng.random() < 0.7:
-                table.insert(key, sid)
+                _insert(table, key, sid)
                 model.setdefault(key, []).append(sid)
             else:
                 expected = sid in model.get(key, [])
-                assert table.delete(key, sid) == expected
+                assert _delete(table, key, sid) == expected
                 if expected:
                     model[key].remove(sid)
         for key in (b"a", b"b", b"c", b"d"):
-            assert sorted(table.probe(key)) == sorted(model.get(key, []))
+            assert sorted(_probe(table, key)) == sorted(model.get(key, []))
         assert table.n_entries == sum(len(v) for v in model.values())
 
 
@@ -167,33 +199,33 @@ class TestDirectoryPatches:
 
     def test_delete_patches_run(self):
         table = _table(n_buckets=2)
-        table.insert(b"k1", 1)
-        table.insert(b"k1", 2)
+        _insert(table, b"k1", 1)
+        _insert(table, b"k1", 2)
         bucket = hash_key(b"k1") % 2
-        assert table.probe(b"k1") == [1, 2]
-        assert table.delete(b"k1", 1)
+        assert _probe(table, b"k1") == [1, 2]
+        assert _delete(table, b"k1", 1)
         assert table._directory[bucket] == {hash_key(b"k1"): [2]}
-        assert table.probe(b"k1") == [2]  # no ghost entry
-        assert table.delete(b"k1", 2)
+        assert _probe(table, b"k1") == [2]  # no ghost entry
+        assert _delete(table, b"k1", 2)
         assert table._directory[bucket] == {}  # an emptied run is dropped
 
     def test_insert_appends_to_run(self):
         table = _table(n_buckets=2)
-        table.insert(b"k1", 1)
+        _insert(table, b"k1", 1)
         directory = table._directory[hash_key(b"k1") % 2]
-        table.insert(b"k1", 9)
+        _insert(table, b"k1", 9)
         assert table._directory[hash_key(b"k1") % 2] is directory
         assert directory[hash_key(b"k1")] == [1, 9]
-        assert table.probe(b"k1") == [1, 9]
+        assert _probe(table, b"k1") == [1, 9]
 
     def test_delete_touches_only_its_bucket(self):
         table = _table(n_buckets=64)
         keys = [f"key-{i}".encode() for i in range(32)]
         for i, key in enumerate(keys):
-            table.insert(key, i)
+            _insert(table, key, i)
         before = [dict(d) for d in table._directory]
         victim_bucket = hash_key(keys[0]) % 64
-        assert table.delete(keys[0], 0)
+        assert _delete(table, keys[0], 0)
         for bucket in range(64):
             if bucket != victim_bucket:
                 assert table._directory[bucket] == before[bucket]
@@ -204,18 +236,18 @@ class TestDirectoryPatches:
         sid moves inside its run to the rank the hole gives it."""
         table = _table(n_buckets=1, page_size=64)  # 4 entries per page
         for key, sid in [(b"a", 1), (b"b", 2), (b"a", 3), (b"c", 4), (b"a", 5)]:
-            table.insert(key, sid)
-        assert table.delete(b"b", 2)  # a5 fills slot 1, tail page freed
+            _insert(table, key, sid)
+        assert _delete(table, b"b", 2)  # a5 fills slot 1, tail page freed
         assert table.pager.peek(table._chains[0][0]).slots[1] == (hash_key(b"a"), 5)
-        assert table.probe(b"a") == [1, 5, 3]
+        assert _probe(table, b"a") == [1, 5, 3]
         _assert_directories_current(table)
 
     def test_bulk_load_extends_non_empty_buckets(self):
         table = _table(n_buckets=2, page_size=64)
         for i in range(6):
-            table.insert(b"k", i)
-        table.bulk_load([b"k", b"j", b"k"], [10, 11, 12])
-        assert table.probe(b"k") == [0, 1, 2, 3, 4, 5, 10, 12]
+            _insert(table, b"k", i)
+        _bulk_load(table, [b"k", b"j", b"k"], [10, 11, 12])
+        assert _probe(table, b"k") == [0, 1, 2, 3, 4, 5, 10, 12]
         _assert_directories_current(table)
 
 
@@ -359,7 +391,7 @@ class DirectoryMachine(RuleBasedStateMachine):
     held after every step to: directories equal to a rebuild from the
     slots (run order included); pages, tail tracking, I/O and counter
     moves equal to the slot-scanning reference's; and the live grouped
-    probe equal to the frozen view's."""
+    probe equal to the one-table stack's."""
 
     @initialize(n_buckets=st.integers(1, 4))
     def setup(self, n_buckets):
@@ -385,7 +417,7 @@ class DirectoryMachine(RuleBasedStateMachine):
         )
 
     def _probe(self, keys):
-        fps = hash_keys(keys)
+        fps = _fps(keys)
         io_before = self.table.pager.io.snapshot()
         live = self.both(
             lambda: self.table.probe_hashed(fps.tolist()),
@@ -393,13 +425,13 @@ class DirectoryMachine(RuleBasedStateMachine):
         )
         live_io = self.table.pager.io.snapshot() - io_before
         io = IOStats()
-        assert self.table.freeze().probe_hashed(fps, io) == live
+        assert _stack_probe(self.table, fps, io) == live
         assert io == live_io
 
     @rule(key=st.sampled_from(_WRITE_KEYS), sid=st.integers(0, 5))
     def insert(self, key, sid):
         self.both(
-            lambda: self.table.insert(key, sid),
+            lambda: _insert(self.table, key, sid),
             lambda: self.reference.insert(hash_key(key), sid),
         )
 
@@ -448,8 +480,8 @@ class DirectoryMachine(RuleBasedStateMachine):
         sids = list(range(self.next_sid, self.next_sid + len(keys)))
         self.next_sid += len(keys)
         self.both(
-            lambda: self.table.bulk_load(keys, sids),
-            lambda: self.reference.bulk_load(hash_keys(keys).tolist(), sids),
+            lambda: _bulk_load(self.table, keys, sids),
+            lambda: self.reference.bulk_load(_fps(keys).tolist(), sids),
         )
 
     @rule(keys=st.lists(st.sampled_from(_WRITE_KEYS + _MISSES), max_size=8))
@@ -498,9 +530,9 @@ class TestBulkLoadEquivalence:
         keys, sids = _keyed_workload(60, seed)
         seq = _table(n_buckets=n_buckets, page_size=64)
         for key, sid in zip(keys, sids):
-            seq.insert(key, sid)
+            _insert(seq, key, sid)
         bulk = _table(n_buckets=n_buckets, page_size=64)
-        bulk.bulk_load(keys, sids)
+        _bulk_load(bulk, keys, sids)
         assert bulk.load_stats() == seq.load_stats()
         assert bulk._chains == seq._chains
         assert bulk.bucket_occupancies() == seq.bucket_occupancies()
@@ -513,16 +545,16 @@ class TestBulkLoadEquivalence:
         keys, sids = _keyed_workload(40, 3)
         seq = _table(n_buckets=4, page_size=64)
         for key, sid in zip(keys, sids):
-            seq.insert(key, sid)
+            _insert(seq, key, sid)
         bulk = _table(n_buckets=4, page_size=64)
-        bulk.bulk_load(keys, sids)
+        _bulk_load(bulk, keys, sids)
         for key in set(keys):
-            assert bulk.probe(key) == seq.probe(key)
+            assert _probe(bulk, key) == _probe(seq, key)
 
     def test_fresh_buckets_get_eager_directories(self):
         keys, sids = _keyed_workload(30, 4)
         bulk = _table(n_buckets=4, page_size=64)
-        bulk.bulk_load(keys, sids)
+        _bulk_load(bulk, keys, sids)
         _assert_directories_current(bulk)
 
     def test_bulk_load_onto_existing_entries(self):
@@ -530,11 +562,11 @@ class TestBulkLoadEquivalence:
         seq = _table(n_buckets=2, page_size=64)
         mixed = _table(n_buckets=2, page_size=64)
         for key, sid in zip(keys[:20], sids[:20]):
-            seq.insert(key, sid)
-            mixed.insert(key, sid)
+            _insert(seq, key, sid)
+            _insert(mixed, key, sid)
         for key, sid in zip(keys[20:], sids[20:]):
-            seq.insert(key, sid)
-        mixed.bulk_load(keys[20:], sids[20:])
+            _insert(seq, key, sid)
+        _bulk_load(mixed, keys[20:], sids[20:])
         assert mixed._chains == seq._chains
         assert mixed.load_stats() == seq.load_stats()
         assert mixed.pager.io.snapshot().as_dict() == seq.pager.io.snapshot().as_dict()
@@ -542,18 +574,18 @@ class TestBulkLoadEquivalence:
     def test_bulk_load_resolves_unknown_tail(self):
         table = _table(n_buckets=1, page_size=64)
         for i in range(5):  # two pages: 4 + 1
-            table.insert(b"k", i)
-        assert table.delete(b"k", 4)  # frees the tail page -> state unknown
+            _insert(table, b"k", i)
+        assert _delete(table, b"k", 4)  # frees the tail page -> state unknown
         before = table.pager.io.snapshot()
-        report = table.bulk_load([b"k2"], [99])
+        report = _bulk_load(table, [b"k2"], [99])
         delta = table.pager.io.snapshot() - before
         assert report["tail_reads"] == 1
         assert delta.random_reads == 1  # the one charged tail resolve
-        assert table.probe(b"k2") == [99]
+        assert _probe(table, b"k2") == [99]
 
     def test_empty_bulk_load(self):
         table = _table()
-        report = table.bulk_load([], [])
+        report = _bulk_load(table, [], [])
         assert report["entries"] == 0
         assert table.n_entries == 0
         assert table.pager.io.snapshot().as_dict()["page_writes"] == 0
@@ -561,11 +593,11 @@ class TestBulkLoadEquivalence:
     def test_length_mismatch_raises(self):
         table = _table()
         with pytest.raises(ValueError):
-            table.bulk_load_hashed(hash_keys([b"a", b"b"]), [1])
+            table.bulk_load_hashed(_fps([b"a", b"b"]), [1])
 
 
 class TestTailReadAccounting:
-    """insert() must not re-read a tail page whose fill state it wrote
+    """insert_hashed() must not re-read a tail page whose fill state it wrote
     itself; only genuinely unknown tails (post-delete) cost a read."""
 
     def test_consecutive_inserts_charge_no_reads(self):
@@ -574,7 +606,7 @@ class TestTailReadAccounting:
         skipped_before = skipped.local_value
         before = table.pager.io.snapshot()
         for i in range(10):  # 3 pages: 4 + 4 + 2
-            table.insert(b"k", i)
+            _insert(table, b"k", i)
         delta = table.pager.io.snapshot() - before
         assert delta.random_reads == 0
         assert delta.sequential_reads == 0
@@ -587,23 +619,23 @@ class TestTailReadAccounting:
     def test_delete_freeing_tail_forces_one_reread(self):
         table = _table(n_buckets=1, page_size=64)
         for i in range(5):  # pages of 4 + 1
-            table.insert(b"k", i)
-        assert table.delete(b"k", 4)  # tail page freed, survivor unread
+            _insert(table, b"k", i)
+        assert _delete(table, b"k", 4)  # tail page freed, survivor unread
         before = table.pager.io.snapshot()
-        table.insert(b"k", 5)
+        _insert(table, b"k", 5)
         delta = table.pager.io.snapshot() - before
         assert delta.random_reads == 1  # the unavoidable tail re-read
 
     def test_delete_keeping_tail_tracks_state(self):
         table = _table(n_buckets=1, page_size=64)
         for i in range(6):  # pages of 4 + 2
-            table.insert(b"k", i)
-        assert table.delete(b"k", 0)  # tail shrinks to 1, state tracked
+            _insert(table, b"k", i)
+        assert _delete(table, b"k", 0)  # tail shrinks to 1, state tracked
         before = table.pager.io.snapshot()
-        table.insert(b"k", 6)
+        _insert(table, b"k", 6)
         delta = table.pager.io.snapshot() - before
         assert delta.random_reads == 0
-        assert sorted(table.probe(b"k")) == [1, 2, 3, 4, 5, 6]
+        assert sorted(_probe(table, b"k")) == [1, 2, 3, 4, 5, 6]
 
 
 _PROBE_COUNTERS = [
@@ -632,8 +664,9 @@ _probe_keys = st.lists(
 
 
 class TestFrozenViewEquivalence:
-    """``table.freeze()`` is the live grouped probe over arrays: same
-    sids in the same order, same page charges, same counter movements."""
+    """A one-table :class:`TableStack` of a live table is its grouped
+    probe over arrays: same sids in the same order, same page charges,
+    same counter movements."""
 
     @given(_table_ops, st.integers(1, 5), _probe_keys)
     @settings(max_examples=80, deadline=None)
@@ -642,13 +675,12 @@ class TestFrozenViewEquivalence:
         table = _table(n_buckets=n_buckets, page_size=64)
         for op, key, arg in operations:
             if op == "insert":
-                table.insert(key, arg)
+                _insert(table, key, arg)
             elif op == "delete":
-                table.delete(key, arg)
+                _delete(table, key, arg)
             else:
-                table.bulk_load(key, list(range(arg, arg + len(key))))
-        view = table.freeze()
-        fps = hash_keys(probe_keys)
+                _bulk_load(table, key, list(range(arg, arg + len(key))))
+        fps = _fps(probe_keys)
 
         def moved(probe):
             before = [c.local_value for c in _PROBE_COUNTERS]
@@ -661,7 +693,7 @@ class TestFrozenViewEquivalence:
         live, live_moved = moved(lambda: table.probe_hashed(fps.tolist()))
         live_io = table.pager.io.snapshot() - io_before
         io = IOStats()
-        frozen, frozen_moved = moved(lambda: view.probe_hashed(fps, io))
+        frozen, frozen_moved = moved(lambda: _stack_probe(table, fps, io))
         assert frozen == live
         assert io == live_io
         assert frozen_moved == live_moved

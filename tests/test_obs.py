@@ -279,38 +279,27 @@ class TestExplain:
             assert s["candidates"] >= 0
             assert 0 <= s["survived"] <= s["candidates"]
 
-    def test_probe_spans_one_span_per_filter(self):
+    def test_probe_spans_one_span_per_filter(self, clustered_sets):
         """A DFI is an SFI probed with complemented queries, but its
         probe is one ``dfi_probe_batch`` span with no ``sfi_probe_batch``
         inside (the shape every execution path emits)."""
-        import numpy as np
+        from tests.test_index import build_planned_index
 
-        from repro.core.filter_index import (
-            DissimilarityFilterIndex,
-            SimilarityFilterIndex,
-        )
-        from repro.storage.pager import PageManager
-
-        pager = PageManager(IOCostModel())
-        dfi = DissimilarityFilterIndex(0.3, 4, 64, pager, seed=1)
-        sfi = SimilarityFilterIndex(0.9, 4, 64, pager, seed=2)
-        matrix = np.random.default_rng(0).integers(
-            0, 2**63, size=(3, 1), dtype=np.uint64
-        )
-        for sid, row in enumerate(matrix):
-            dfi.insert(row, sid)
-            sfi.insert(row, sid)
-        with trace.capture("query", io=pager.io, force=True) as root:
-            dfi.probe_batch(matrix)
-            assert sfi.probe_batch(matrix) == [{0}, {1}, {2}]
-        names = [(s.name, s.attrs["s_star"]) for s in probe_spans(root)]
-        assert names == [("dfi_probe_batch", 0.3), ("sfi_probe_batch", 0.9)]
-        assert [s.name for s in root.walk()] == [
-            "query", "dfi_probe_batch", "sfi_probe_batch"
-        ]
+        index = build_planned_index(clustered_sets)
+        # [0.2, 0.7] is the pivot-union plan: it probes DFIs and SFIs.
+        batch = index.query_batch(clustered_sets[:3], 0.2, 0.7, explain=True)
+        cspan = next(batch.trace.find("candidates_batch"))
+        spans = probe_spans(cspan)
+        assert {s.name for s in spans} == {"dfi_probe_batch", "sfi_probe_batch"}
+        filters = {"dfi": index._dfis, "sfi": index._sfis}
+        for s in spans:
+            assert [c.name for c in s.walk()] == [s.name]
+            kind = s.name.split("_")[0]
+            assert s.attrs["s_star"] == filters[kind][s.attrs["sigma"]].threshold
+        embed = next(cspan.find("embed_batch"))
         assert sum(
-            (s.io_delta for s in probe_spans(root)), IOStats()
-        ) == root.io_delta
+            (s.io_delta for s in spans), IOStats()
+        ) == cspan.io_delta - embed.io_delta
 
     def test_explain_json_schema(self, traced_query):
         _, result = traced_query

@@ -121,7 +121,7 @@ def test_roundtrip_state_matches_frozen(saved):
 
 
 def test_mapped_tables_equal_frozen_views(saved):
-    """The table arrays a snapshot maps are the ``freeze()`` view's own."""
+    """The table stack a snapshot maps is the ``freeze()`` view's own."""
     index, _, _, path = saved
     mapped = open_snapshot(path)
     frozen = index.freeze()
@@ -132,13 +132,12 @@ def test_mapped_tables_equal_frozen_views(saved):
                 np.testing.assert_array_equal(got.positions, want.positions)
                 assert got.complement_query == want.complement_query
                 assert got.n_tables == want.n_tables
-                for g, w in zip(got.tables, want.tables):
-                    assert type(g) is type(w)
-                    assert g.n_buckets == w.n_buckets
-                    for field in _TABLE_FIELDS:
-                        a, b = getattr(g, field), getattr(w, field)
-                        assert a.dtype == b.dtype
-                        np.testing.assert_array_equal(a, b)
+                g, w = got.stack, want.stack
+                assert type(g) is type(w)
+                for field in ("n_buckets", "run_offsets", *_TABLE_FIELDS):
+                    a, b = getattr(g, field), getattr(w, field)
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
     finally:
         index.thaw()
 
@@ -541,19 +540,42 @@ def test_open_rejects_missing_arrays_file(saved, tmp_path):
 
 
 def test_verify_catches_silent_array_corruption(saved, tmp_path):
-    """A flipped array byte passes the O(ms) open but fails verify."""
+    """A flipped code byte passes the O(ms) open but fails verify -- in
+    any row but the first non-empty set's, whose codes every open
+    re-signs and so refuses."""
+    _, _, _, src = saved
+    manifest = json.loads((src / MANIFEST_FILE).read_text())
+    spec = manifest["arrays"]["code_matrix"]
+    for position, caught_at_open in ((spec["nbytes"] - 1, False), (1, True)):
+        bad = _copy_snapshot(src, tmp_path / f"bad{position}")
+        blob = bytearray((bad / ARRAYS_FILE).read_bytes())
+        blob[spec["offset"] + position] ^= 0xFF
+        (bad / ARRAYS_FILE).write_bytes(bytes(blob))
+        if caught_at_open:
+            with pytest.raises(SnapshotIntegrityError, match="re-sign"):
+                open_snapshot(bad)
+        else:
+            open_snapshot(bad)  # structural open cannot see it
+        with pytest.raises(SnapshotIntegrityError):
+            open_snapshot(bad, verify=True)
+        with pytest.raises(SnapshotIntegrityError):
+            verify_snapshot(bad)
+
+
+def test_open_refuses_hash_offsets_past_the_data(saved, tmp_path):
+    """The set the open re-signs must have element hashes: verify-CSR
+    offsets past the hash data are refused typed even without
+    ``verify``."""
     _, _, _, src = saved
     bad = _copy_snapshot(src, tmp_path / "bad")
     manifest = json.loads((bad / MANIFEST_FILE).read_text())
-    spec = manifest["arrays"]["code_matrix"]
+    spec = manifest["arrays"]["set_indptr"]
     blob = bytearray((bad / ARRAYS_FILE).read_bytes())
-    blob[spec["offset"] + 1] ^= 0xFF
+    past = np.array([10**6, 10**6 + 5], dtype="<i8").tobytes()
+    blob[spec["offset"]: spec["offset"] + len(past)] = past
     (bad / ARRAYS_FILE).write_bytes(bytes(blob))
-    open_snapshot(bad)  # structural open cannot see it
-    with pytest.raises(SnapshotIntegrityError):
-        open_snapshot(bad, verify=True)
-    with pytest.raises(SnapshotIntegrityError):
-        verify_snapshot(bad)
+    with pytest.raises(SnapshotIntegrityError, match="re-sign"):
+        open_snapshot(bad)
 
 
 def test_verify_snapshot_summary(saved):
@@ -657,12 +679,14 @@ def _plant_code(bad: Path, position: int, value: int) -> None:
 
 
 def test_verify_refuses_out_of_range_code(saved, tmp_path):
-    """A code of 2**b or more is no b-bit code: the O(ms) open maps it,
-    ``verify=True`` and ``load`` refuse it."""
+    """A code of 2**b or more is no b-bit code: the O(ms) open maps it
+    (outside the one set it re-signs), ``verify=True`` and ``load``
+    refuse it."""
     _, _, _, src = saved
     bad = _copy_snapshot(src, tmp_path / "bad")
-    b = json.loads((bad / MANIFEST_FILE).read_text())["embedder"]["b"]
-    _plant_code(bad, 5, 1 << b)
+    manifest = json.loads((bad / MANIFEST_FILE).read_text())
+    b = manifest["embedder"]["b"]
+    _plant_code(bad, manifest["arrays"]["code_matrix"]["nbytes"] - 5, 1 << b)
     open_snapshot(bad)
     with pytest.raises(SnapshotIntegrityError):
         open_snapshot(bad, verify=True)

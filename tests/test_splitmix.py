@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamming.splitmix import GOLDEN, MASK64, mix64, mix64_array
-from repro.storage.hashtable import hash_key, hash_keys
+from repro.storage.hashtable import hash_key, hash_words
 
 #: Outputs of the finalizer as every stored image was written with it.
 PINNED = {
@@ -45,4 +45,18 @@ def test_scalar_form_wraps_mod_2_64():
 def test_key_fingerprint_pinned():
     """The hash-table fingerprint folds the finalizer over key words."""
     assert hash_key(b"abcdefghij") == 0x04B36BA606A96E84
-    assert hash_keys([b"abcdefghij"]).tolist() == [0x04B36BA606A96E84]
+    words = np.frombuffer(b"abcdefghij" + bytes(6), dtype="<u8")[None]
+    assert hash_words(words, 10).tolist() == [0x04B36BA606A96E84]
+
+
+def test_vector_fingerprints_equal_scalar_ones():
+    """``hash_words`` over a key-word matrix is ``hash_key`` of each
+    row's key bytes, for whole-word and zero-padded key widths."""
+    rng = np.random.default_rng(5)
+    for key_bytes in (1, 7, 8, 13, 24):
+        n_words = -(-key_bytes // 8)
+        raw = rng.integers(0, 256, size=(50, key_bytes), dtype=np.uint8)
+        padded = np.zeros((50, n_words * 8), dtype=np.uint8)
+        padded[:, :key_bytes] = raw
+        got = hash_words(padded.view("<u8"), key_bytes)
+        assert got.tolist() == [hash_key(row.tobytes()) for row in raw]
