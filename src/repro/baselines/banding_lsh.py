@@ -16,9 +16,10 @@ mid thresholds.  ``BandingIndex`` implements the modern scheme with
 the same interface as an SFI
 (:class:`~repro.core.filter_index.FilterIndex`) so the two can
 be benchmarked head to head (ABL-BANDING), quantifying what the ECC
-detour costs.  Both sit on the same fingerprint table API: a band's
-``r`` uint64 values are one ``8 r``-byte key, fingerprinted with
-:func:`~repro.storage.hashtable.hash_words`.
+detour costs.  Both sit on the same live tables
+(:class:`~repro.storage.hashtable.LiveTables`) and so the same probe
+kernel: a band's ``r`` uint64 values are one ``8 r``-byte key,
+fingerprinted with :func:`~repro.storage.hashtable.hash_words`.
 
 Historical note: the embedding buys the paper a clean reduction to
 Hamming-space range queries (Theorems 1-2) and, uniquely, the
@@ -35,13 +36,13 @@ import numpy as np
 
 from repro.core.filter_function import FilterFunction
 from repro.obs import metrics, trace
-from repro.storage.hashtable import BucketHashTable, hash_words
+from repro.storage.hashtable import LiveTables, hash_words
 from repro.storage.pager import PageManager
 
 _PROBES = metrics.counter("banding.probes")
 _CANDIDATES = metrics.counter("banding.candidates")
 _BATCHES = metrics.counter("banding.batch_probes")
-# Shared with the hash-table layer (see BucketHashTable.probe_hashed).
+# Shared with the hash-table layer (see LiveTables.probe).
 _PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
 
 
@@ -89,7 +90,7 @@ class BandingIndex:
         ])
         slots = pager.capacity_for(16)
         n_buckets = max(1, -(-expected_entries // slots)) * 2
-        self._tables = [BucketHashTable(pager, n_buckets) for _ in range(n_tables)]
+        self._live = LiveTables(pager, n_tables, n_buckets)
 
     @property
     def r(self) -> int:
@@ -99,7 +100,7 @@ class BandingIndex:
     @property
     def n_tables(self) -> int:
         """Number of bands."""
-        return len(self._tables)
+        return self._live.n_tables
 
     def _fingerprints(self, signatures: np.ndarray) -> np.ndarray:
         """Every row's fingerprint in each band, ``(l, N)`` uint64, in
@@ -110,24 +111,35 @@ class BandingIndex:
         keys = signatures[:, self._bands].reshape(n * l, r)
         return hash_words(keys, 8 * r).reshape(n, l).T
 
-    def _row_fingerprints(self, signature: np.ndarray) -> list[int]:
-        """One signature's fingerprint in each band."""
+    def _row_fingerprints(self, signature: np.ndarray) -> np.ndarray:
+        """One signature's fingerprint in each band, ``(l, 1)``."""
         if signature.shape != (self.k,):
             raise ValueError(
                 f"signature must have shape ({self.k},), got {signature.shape}"
             )
-        return self._fingerprints(signature[None])[:, 0].tolist()
+        return self._fingerprints(signature[None])
+
+    def _probe(self, fingerprints: np.ndarray) -> list[set[int]]:
+        """Each query column's colliding sids, every band probed in one
+        stacked pass with grouped bucket reads."""
+        from repro.exec.columnar import pairs_csr
+
+        indptr, sids = pairs_csr(
+            *self._live.probe(0, self.n_tables, fingerprints),
+            fingerprints.shape[1],
+        )
+        sids, bounds = sids.tolist(), indptr.tolist()
+        return [set(sids[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def insert(self, signature: np.ndarray, sid: int) -> None:
-        """Index one min-hash signature under its set identifier."""
-        for fingerprint, table in zip(self._row_fingerprints(signature), self._tables):
-            table.insert_hashed(fingerprint, sid)
+        """Index one min-hash signature under a new set identifier."""
+        self._live.insert(self._row_fingerprints(signature)[:, 0], sid)
 
     def insert_many(self, signatures: np.ndarray, sids: Sequence[int]) -> None:
         """Bulk-index rows of a ``(N, k)`` signature matrix: each band's
         fingerprints load in one
-        :meth:`~repro.storage.hashtable.BucketHashTable.bulk_load_hashed`
-        call, bit-identical to inserting the rows one by one, band by
+        :meth:`~repro.storage.hashtable.LiveTables.bulk_load` pass,
+        pages bit-identical to inserting the rows one by one, band by
         band."""
         if signatures.shape[0] != len(sids):
             raise ValueError(
@@ -137,24 +149,18 @@ class BandingIndex:
             raise ValueError(
                 f"signatures must have shape (N, {self.k}), got {signatures.shape}"
             )
-        for fingerprints, table in zip(self._fingerprints(signatures), self._tables):
-            table.bulk_load_hashed(fingerprints, sids)
+        self._live.bulk_load(self._fingerprints(signatures), sids)
 
     def delete(self, signature: np.ndarray, sid: int) -> None:
         """Remove a previously inserted (signature, sid) pair."""
-        for fingerprint, table in zip(self._row_fingerprints(signature), self._tables):
-            table.delete_hashed(fingerprint, sid)
+        self._live.delete(self._row_fingerprints(signature)[:, 0], sid)
 
     def probe(self, signature: np.ndarray) -> set[int]:
         """Sids colliding with the query in at least one band."""
         with trace.span(
             "banding_probe", s_star=self.threshold, r=self.r, l=self.n_tables
         ) as sp:
-            sids: set[int] = set()
-            for fingerprint, table in zip(
-                self._row_fingerprints(signature), self._tables
-            ):
-                sids.update(table.probe_hashed([fingerprint])[0])
+            (sids,) = self._probe(self._row_fingerprints(signature))
             _PROBES.inc()
             _CANDIDATES.inc(len(sids))
             if sp.recording:
@@ -168,8 +174,8 @@ class BandingIndex:
 
         Equivalent to ``[self.probe(row) for row in signatures]`` but
         each band's fingerprints are probed together with grouped bucket
-        reads (:meth:`~repro.storage.hashtable.BucketHashTable.probe_hashed`),
-        so bucket pages shared between queries are read once.
+        reads (:meth:`~repro.storage.hashtable.LiveTables.probe`), so
+        bucket pages shared between queries are read once.
         """
         if signatures.ndim != 2 or signatures.shape[1] != self.k:
             raise ValueError(
@@ -186,10 +192,7 @@ class BandingIndex:
             l=self.n_tables,
             n_queries=n,
         ) as sp:
-            sids: list[set[int]] = [set() for _ in range(n)]
-            for fingerprints, table in zip(self._fingerprints(signatures), self._tables):
-                for i, got in enumerate(table.probe_hashed(fingerprints.tolist())):
-                    sids[i].update(got)
+            sids = self._probe(self._fingerprints(signatures))
             _BATCHES.inc()
             _PROBES.inc(n)
             _CANDIDATES.inc(sum(len(s) for s in sids))

@@ -66,6 +66,7 @@ histogram.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -87,6 +88,25 @@ def read_sets(path: Path) -> list[frozenset[str]]:
     if not sets:
         raise ValueError(f"{path} contains no sets")
     return sets
+
+
+def _opening_saved(command):
+    """A command that opens a saved index or snapshot: one it cannot
+    open (missing, garbled or edited files) is reported as one
+    ``error: <reason>`` line on stderr and exit status 1."""
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        from repro.exec.shard import ShardError
+        from repro.exec.snapfile import SnapshotError
+
+        try:
+            return command(args)
+        except (SnapshotError, ShardError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+    return run
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -216,6 +236,7 @@ def _write_telemetry(args: argparse.Namespace, trace_root) -> None:
                   file=sys.stderr)
 
 
+@_opening_saved
 def cmd_query(args: argparse.Namespace) -> int:
     """``query``: run similarity range queries against a saved index.
 
@@ -278,6 +299,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
+@_opening_saved
 def cmd_explain(args: argparse.Namespace) -> int:
     """``explain``: trace one query and print its plan tree (or JSON).
 
@@ -297,6 +319,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+@_opening_saved
 def cmd_stats(args: argparse.Namespace) -> int:
     """``stats``: describe a saved index's plan, parameters and tables.
 

@@ -22,9 +22,12 @@ time, which is what the hash-table primitive buys the paper.
 
 Probing is one operation on the live filters and on their frozen image
 (:class:`FrozenFilterProbe`): ``probe_tables(start, stop, matrix, io)``
-fingerprints a range of the filter's tables in one pass, probes them and
-returns the hits as one candidate CSR over the query rows (each row's
-sids ascending and unique; no per-row Python set is built).  The query
+fingerprints a range of the filter's tables in one pass, probes them
+through the one stacked kernel (:class:`~repro.storage.hashtable.TableStack`:
+a live filter's :class:`~repro.storage.hashtable.LiveTables` probes its
+stacked base and write delta with it) and returns the hits as one
+candidate CSR over the query rows (each row's sids ascending and
+unique; no per-row Python set is built).  The query
 pipeline's probe stage (:func:`repro.exec.pipeline.probe_filter`) calls
 it per worker and is the one probe stage: it complements DFI queries
 once per batch and moves the ``sfi.*`` / ``dfi.*`` counters.
@@ -32,7 +35,6 @@ once per batch and moves the ``sfi.*`` / ``dfi.*`` counters.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +42,7 @@ import numpy as np
 from repro.core.filter_function import FilterFunction
 from repro.hamming.sampling import BitSampler, sampled_key_words
 from repro.obs import metrics
-from repro.storage.hashtable import BucketHashTable, TableStack, hash_words
+from repro.storage.hashtable import LiveTables, hash_words
 from repro.storage.pager import PageManager
 
 # Probe instruments (shared across all SFI/DFI instances).
@@ -88,25 +90,6 @@ def table_fingerprints(
     words = sampled_key_words(matrix, word_index, bit_offset)
     fingerprints = hash_words(words.reshape(n * t, -1), -(-r // 8))
     return np.ascontiguousarray(fingerprints.reshape(n, t).T)
-
-
-def _probe_live(tables, columns, n_rows: int, io):
-    """Probe each live table with its column of fingerprints and collect
-    every hit as flat ``(row, sid)`` arrays.
-
-    A :class:`~repro.storage.hashtable.BucketHashTable` reads through
-    its pager (which charges the index's cost model), so ``io`` is only
-    passed along.
-    """
-    per_row: list[list[int]] = [[] for _ in range(n_rows)]
-    for table, column in zip(tables, columns):
-        for hits, got in zip(per_row, table.probe_hashed(column, io)):
-            hits += got
-    counts = [len(hits) for hits in per_row]
-    return (
-        np.repeat(np.arange(n_rows, dtype=np.int64), counts),
-        np.fromiter(chain.from_iterable(per_row), dtype=np.int64, count=sum(counts)),
-    )
 
 
 def _hits_csr(rows: np.ndarray, sids: np.ndarray, n_rows: int):
@@ -191,11 +174,13 @@ class FilterIndex:
         self._bit_offset = (self.positions % 64).astype(np.uint64)
         slots = pager.capacity_for(16)
         n_buckets = max(1, -(-expected_entries // slots)) * 2
-        self._tables = [BucketHashTable(pager, n_buckets) for _ in range(n_tables)]
+        #: The l tables: pages for the write-side accounting, a stacked
+        #: base plus write delta for probes.
+        self._live = LiveTables(pager, n_tables, n_buckets)
 
     @property
     def n_tables(self) -> int:
-        return len(self._tables)
+        return self._live.n_tables
 
     @property
     def r(self) -> int:
@@ -205,33 +190,29 @@ class FilterIndex:
     @property
     def n_entries(self) -> int:
         """Entries per table (each vector appears once in every table)."""
-        return self._tables[0].n_entries if self._tables else 0
+        return self._live.tables[0].n_entries
 
-    def _vector_fingerprints(self, vector: np.ndarray) -> list[int]:
+    def _vector_fingerprints(self, vector: np.ndarray) -> np.ndarray:
         """One vector's fingerprint in each of the ``l`` tables, from
         the probe's one :func:`table_fingerprints` pass."""
         return table_fingerprints(
             vector[None], self._word_index, self._bit_offset, self.filter.r
-        )[:, 0].tolist()
+        )[:, 0]
 
     def insert(self, vector: np.ndarray, sid: int) -> None:
-        """Index one packed vector under its set identifier."""
-        for table, fingerprint in zip(
-            self._tables, self._vector_fingerprints(vector)
-        ):
-            table.insert_hashed(fingerprint, sid)
+        """Index one packed vector under a new set identifier."""
+        self._live.insert(self._vector_fingerprints(vector), sid)
 
     def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> dict:
         """Bulk-index the rows of a packed matrix (vectorized keying).
 
         Table by table, the rows' keys are fingerprinted
         (:func:`table_fingerprints`, one table's keys alive at a time)
-        and loaded in one
-        :meth:`~repro.storage.hashtable.BucketHashTable.bulk_load_hashed`
-        call, which produces chains, directories and accounting
-        bit-identical to inserting the rows one by one, table by table.
-        Returns the load's totals: tables, entries, new pages and tail
-        pages read.
+        and loaded by :meth:`~repro.storage.hashtable.LiveTables.bulk_load`:
+        pages and accounting bit-identical to inserting the rows one by
+        one, table by table, and (into an empty filter) the stacked base
+        built straight from the fingerprints.  Returns the load's
+        totals: tables, entries, new pages and tail pages read.
 
         The rows of ``matrix`` need not be contiguous (column views and
         strided slices are accepted); ``sids`` must be unique within
@@ -244,25 +225,21 @@ class FilterIndex:
             )
         if len(set(sids)) != len(sids):
             raise ValueError("duplicate sids in insert_many")
-        report = dict.fromkeys(("entries", "new_pages", "tail_reads"), 0)
-        if matrix.shape[0]:
-            matrix = np.ascontiguousarray(matrix)
-            for t, table in enumerate(self._tables):
-                fingerprints = table_fingerprints(
+        matrix = np.ascontiguousarray(matrix)
+        return self._live.bulk_load(
+            (
+                table_fingerprints(
                     matrix, self._word_index[t : t + 1],
                     self._bit_offset[t : t + 1], self.filter.r,
                 )[0]
-                loaded = table.bulk_load_hashed(fingerprints, sids)
-                for key in report:
-                    report[key] += loaded[key]
-        return {"tables": len(self._tables), **report}
+                for t in range(self.n_tables)
+            ),
+            sids,
+        )
 
     def delete(self, vector: np.ndarray, sid: int) -> None:
         """Remove a previously inserted (vector, sid) pair."""
-        for table, fingerprint in zip(
-            self._tables, self._vector_fingerprints(vector)
-        ):
-            table.delete_hashed(fingerprint, sid)
+        self._live.delete(self._vector_fingerprints(vector), sid)
 
     def probe_tables(self, start: int, stop: int, matrix: np.ndarray, io):
         """Probe tables ``start .. stop - 1`` with every row of a packed
@@ -272,22 +249,20 @@ class FilterIndex:
 
         The sampled-bit keys of the tables are extracted and
         fingerprinted in one vectorized pass
-        (:func:`table_fingerprints`), then each table serves its
-        fingerprints with grouped bucket reads
-        (:meth:`~repro.storage.hashtable.BucketHashTable.probe_hashed`),
-        so a bucket page shared by several queries of the batch is read
-        once instead of once per query.
+        (:func:`table_fingerprints`), then the tables' base and delta
+        serve them in one stacked pass with grouped bucket reads
+        (:meth:`~repro.storage.hashtable.LiveTables.probe`), so a bucket
+        page shared by several queries of the batch is read once instead
+        of once per query.  The tables read through their pager, which
+        charges the index's cost model, so ``io`` (the frozen view's
+        call shape) is not charged.
         """
         fingerprints = table_fingerprints(
             matrix, self._word_index[start:stop], self._bit_offset[start:stop],
             self.filter.r,
         )
-        n_rows = matrix.shape[0]
         return _hits_csr(
-            *_probe_live(
-                self._tables[start:stop], fingerprints.tolist(), n_rows, io
-            ),
-            n_rows,
+            *self._live.probe(start, stop, fingerprints), matrix.shape[0]
         )
 
     def table_stats(self, detail: bool = False) -> dict:
@@ -297,9 +272,9 @@ class FilterIndex:
         :meth:`~repro.storage.hashtable.BucketHashTable.load_stats`
         dicts are included under ``"tables"``.
         """
-        per_table = [table.load_stats() for table in self._tables]
+        per_table = [table.load_stats() for table in self._live.tables]
         stats = {
-            "n_tables": len(self._tables),
+            "n_tables": self.n_tables,
             "r": self.filter.r,
             "entries_per_table": self.n_entries,
             "pages": sum(t["n_pages"] for t in per_table),
@@ -321,9 +296,10 @@ class FilterIndex:
         return stats
 
     def freeze(self) -> "FrozenFilterProbe":
-        """Read-only probe view: every table's fingerprint runs stacked
-        into one :class:`~repro.storage.hashtable.TableStack`; a DFI's
-        view expects complemented queries."""
+        """Read-only probe view: the tables compacted and their base
+        pinned as the view's :class:`~repro.storage.hashtable.TableStack`
+        (shared, not copied); a DFI's view expects complemented
+        queries."""
         return FrozenFilterProbe(
             kind=self.kind,
             threshold=self.threshold,
@@ -331,7 +307,7 @@ class FilterIndex:
             r=self.filter.r,
             n_bits=self.n_bits,
             positions=self.positions,
-            stack=TableStack.from_tables(self._tables),
+            stack=self._live.freeze(),
             complement_query=self.kind == "dfi",
         )
 
@@ -394,8 +370,8 @@ class FrozenFilterProbe:
         )
 
     def probe_table(self, t: int, matrix: np.ndarray, io) -> list[list[int]]:
-        """Table ``t``'s hits split per query row: each row's sids in
-        run order, as the live table returns them (a one-table
+        """Table ``t``'s hits split per query row, each row's sids in
+        run order (a one-table
         :meth:`~repro.storage.hashtable.TableStack.probe`, whose hits
         come out in row order)."""
         rows, sids = self.stack.probe(

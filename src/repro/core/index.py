@@ -47,7 +47,7 @@ logger = logging.getLogger(__name__)
 @contextmanager
 def gc_suspended():
     """Suspend cyclic GC for a bulk load: nearly every object it
-    allocates (page entry tuples, directory lists, stored sets) is still
+    allocates (page entry tuples, stored sets) is still
     live when it finishes, so mid-load collections only re-scan a
     growing heap for garbage that is not there."""
     was_enabled = gc.isenabled()
@@ -73,7 +73,7 @@ class FrozenIndexError(RuntimeError):
     """Mutation of a frozen index, or a freeze the index cannot honor.
 
     A :meth:`SetSimilarityIndex.freeze` snapshot shares the index's
-    bucket directories and stored sets by reference; any
+    stacked filter bases and stored sets by reference; any
     insert/delete while a snapshot is live would silently corrupt it,
     so mutation raises this instead.  Call
     :meth:`SetSimilarityIndex.thaw` first.
@@ -382,10 +382,14 @@ class _LiveView:
     """The query pipeline's view of a live index, for one batch.
 
     :mod:`repro.exec.pipeline` lists the operations; here they run over
-    the mutable structures themselves -- the filters' live bucket
-    tables, the per-sid codes, and the hash arena (plus collision
-    fallback set) that insert and delete keep current, which verify
-    gathers from as a snapshot gathers from its CSR.  A fetch charges
+    the mutable structures themselves -- each filter's
+    :class:`~repro.storage.hashtable.LiveTables` (a stacked base probed
+    by the kernel a snapshot probes, plus the delta of sets inserted
+    since its last compaction, minus the tombstones of sets deleted
+    from it; reads charged from the live chain lengths), the per-sid
+    codes, and the hash arena (plus collision fallback set) that insert
+    and delete keep current, which verify gathers from as a snapshot
+    gathers from its CSR.  A fetch charges
     the set store's page rule, exactly what reading the sets through
     the store costs; a set is read (uncharged) only when exact
     verification needs its elements.  Behind a buffer pool charges
@@ -608,8 +612,9 @@ class SetSimilarityIndex:
         Every filter is loaded by one
         :meth:`~repro.core.filter_index.FilterIndex.insert_many`
         call, filter-major and table-major -- the order the per-insert
-        path walks the tables, so chains, page ids, directories and I/O
-        accounting are bit-identical to inserting every set one by one.
+        path walks the tables, so chains, page ids and I/O accounting
+        are bit-identical to inserting every set one by one -- and each
+        filter's stacked base is built from its tables' fingerprints.
         The load's totals and wall time are attached as
         :attr:`build_report`.
         """
@@ -753,11 +758,14 @@ class SetSimilarityIndex:
     def freeze(self):
         """Produce (and pin) a read-only :class:`~repro.exec.snapshot.IndexSnapshot`.
 
-        The snapshot pre-builds every bucket directory, stacks the
-        stored codes into one matrix and materializes the columnar
-        CSR verification layout, so it can serve ``query_batch`` through
-        an executor (see :class:`~repro.exec.parallel.ParallelExecutor`)
-        with accounting identical to this index's own path.
+        Compact-and-pin: every filter merges its write delta and
+        tombstones into its stacked base, which the snapshot then shares
+        without a copy (with a copy of the chain lengths).  The snapshot
+        also stacks the stored codes into one matrix and materializes
+        the columnar CSR verification layout, so it can serve
+        ``query_batch`` through an executor (see
+        :class:`~repro.exec.parallel.ParallelExecutor`) with accounting
+        identical to this index's own path.
         While frozen, :meth:`insert`/:meth:`delete` raise
         :class:`FrozenIndexError`; call :meth:`thaw` to resume
         mutation (existing snapshots must then be discarded).
@@ -803,9 +811,10 @@ class SetSimilarityIndex:
         re-embedded or re-hashed.  The store takes the sets under their
         own sids (numbering on from the saved next sid), the code map
         the stored codes, the hash arena the verify CSR, and each filter
-        table its stored fingerprint runs in sid order
-        (``bulk_load_hashed``).  Everything is copied
-        off the mapping.  The result is a fresh bulk build of the saved
+        its stored stack as its base, while its tables' pages bulk-load
+        the stored entries in sid order for the write-side accounting
+        (:meth:`~repro.storage.hashtable.LiveTables.load`).  Everything
+        is copied off the mapping.  The result is a fresh bulk build of the saved
         contents: the saved index itself when that was bulk-built; a
         churned index keeps its sids but takes a bulk build's page
         layout, and so its I/O charges.
@@ -835,17 +844,7 @@ class SetSimilarityIndex:
                         raise SnapshotFormatError(
                             f"{path}: {kind}({point}) bit positions do not "
                             "match the embedder seed's")
-                    stack = probe.stack
-                    bounds = stack.run_offsets.tolist()
-                    for t, table in enumerate(fi._tables):
-                        indptr = stack.run_indptr[bounds[t]:bounds[t + 1] + 1]
-                        first, last = indptr[[0, -1]].tolist()
-                        owners = stack.run_sids[first:last]
-                        order = np.argsort(owners, kind="stable")
-                        fps = np.repeat(
-                            stack.run_fps[bounds[t]:bounds[t + 1]], np.diff(indptr)
-                        )
-                        table.bulk_load_hashed(fps[order], owners[order])
+                    fi._live.load(probe.stack)
         return index
 
     @property

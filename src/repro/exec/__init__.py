@@ -1,13 +1,14 @@
 """Execution engine: frozen index snapshots and executor batch queries.
 
 The live :class:`~repro.core.index.SetSimilarityIndex` mutates shared
-storage structures (bucket-directory memos, page chains, counters) even
-on read paths, so it cannot be probed from several threads at once.
+storage structures (page chains, write deltas, counters) and, behind a
+buffer pool, reads through its pager, so it cannot be probed from
+several threads at once.
 This package provides the serving-side counterpart:
 
 - :class:`~repro.exec.snapshot.IndexSnapshot` -- an immutable image of
-  a built index (``index.freeze()``) with every bucket directory
-  pre-built, signature codes stacked into one matrix, and stored sets in a
+  a built index (``index.freeze()``) sharing every filter's compacted
+  table stack, signature codes stacked into one matrix, and stored sets in a
   columnar CSR hash layout;
 - :class:`~repro.exec.parallel.ParallelExecutor` -- runs the one
   query pipeline (:mod:`~repro.exec.pipeline`) over a snapshot on a

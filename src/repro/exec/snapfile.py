@@ -832,7 +832,7 @@ def byte_breakdown(manifest: dict) -> dict:
     Groups the manifest's array specs into the buckets that matter for
     capacity planning -- the signature code matrix, the CSR verify
     arrays (exact columnar verification),
-    and the bucket directories (filter tables) -- and derives
+    and the filter tables' stacked fingerprint runs -- and derives
     bytes-per-set figures.  Pure manifest arithmetic; nothing is
     mapped or read.
     """

@@ -1,15 +1,16 @@
 """Frozen, thread-shareable images of a built set-similarity index.
 
-``SetSimilarityIndex`` is single-threaded by construction: probing
-lazily builds bucket-directory memos, fetches mutate shared I/O
-counters, and the candidate algebra walks live dicts.  An
+``SetSimilarityIndex`` is single-threaded by construction: writes
+reshape its filters' deltas and tombstones, fetches mutate shared I/O
+counters, and behind a buffer pool every read moves the pool.  An
 :class:`IndexSnapshot` (``index.freeze()``) converts all of that into
 immutable, pre-computed state:
 
-- each filter's bucket hash tables flattened into one
+- each filter's tables compacted and their stacked base pinned: one
   :class:`~repro.storage.hashtable.TableStack` (fingerprint runs in
-  arrays, the same class a mapped snapshot serves from; page charges
-  *accounted* into a caller-supplied ``IOStats``);
+  arrays, the same class a mapped snapshot serves from and the live
+  index probes; page charges *accounted* into a caller-supplied
+  ``IOStats``);
 - stored signature codes stacked into one contiguous ``(N, k)`` matrix
   (``uint8`` up to b = 8) with a sid -> row map; the packed ECC vectors
   are derived from it on demand (:attr:`IndexSnapshot.vector_matrix`);

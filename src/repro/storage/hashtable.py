@@ -1,4 +1,4 @@
-"""Paged bucket hash table -- the filter indices' building block.
+"""Paged bucket hash tables -- the filter indices' building block.
 
 Section 4.1 builds each filter index out of plain hash tables: keys are
 the ``r`` sampled bits of a vector, values are set identifiers, and a
@@ -6,14 +6,22 @@ bucket holds up to ``sid_count`` identifiers per page.  The paper sizes
 the table so bucket overflows are rare; we nevertheless support
 overflow chains so the structure stays correct for any input.
 
-The table is fully dynamic (insert and delete), which is what lets the
+The tables are fully dynamic (insert and delete), which is what lets the
 paper claim the overall index "readily supports dynamic operations".
-Every write also patches the bucket's fingerprint directory in place,
-so a read after writes costs what any other read costs.  A batch of
-entries loads in one :meth:`BucketHashTable.bulk_load_hashed` call --
-the build's and the snapshot thaw's only bulk load -- bit-identical in
-chains, pages, directories and I/O accounting to inserting the entries
-one by one.
+Three pieces carry that here:
+
+- :class:`BucketHashTable` keeps one table's pages -- chains, slots,
+  tail tracking -- and charges every write; a batch of entries loads in
+  one :meth:`~BucketHashTable.bulk_load_hashed` call, bit-identical in
+  chains, pages and I/O accounting to inserting the entries one by one.
+  It answers no probes.
+- :class:`TableStack` is the one probe kernel: the fingerprint runs of a
+  filter's ``l`` tables in a few flat arrays, probed for a whole batch
+  in one pass.  Frozen and mapped snapshots serve from it.
+- :class:`LiveTables` is a live filter: its tables' pages, an immutable
+  stacked base, a small stacked delta of the entries inserted since the
+  last compaction and a tombstone mask over the base's deleted sids.  A
+  probe is the base's plus the delta's, minus the tombstones.
 
 Each stored entry is a ``(fingerprint, sid)`` pair of 16 bytes.  The
 fingerprint is a 64-bit hash of the full key; matching on it avoids
@@ -25,30 +33,28 @@ assumed to be allocated adjacently.
 
 from __future__ import annotations
 
-import itertools
-from operator import countOf, itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.hamming.splitmix import GOLDEN, mix64, mix64_array
 from repro.obs import metrics
+from repro.storage.iomodel import IOStats
 from repro.storage.pager import PageManager
 
 #: Bytes per (fingerprint, sid) entry; determines slots per page.
 ENTRY_BYTES = 16
-_FP = itemgetter(0)
 
 # Hot-path instruments, resolved once at import (see repro.obs.metrics).
 # Candidate counts are deliberately NOT tracked here: the filter index
 # already accounts them (sfi.candidates + sfi.duplicate_candidates is
-# the sum of per-table bucket sizes), and probe() is the innermost loop.
+# the sum of per-table bucket sizes).
 _PROBES = metrics.counter("hashtable.probes")
 _PROBE_PAGES = metrics.counter("hashtable.probe_pages")
 #: Bucket pages a batched probe did NOT read because several keys of
 #: the batch resolved to the same bucket (read once, served to all).
 _PROBE_PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
-#: Chain-tail reads :meth:`BucketHashTable.insert` skipped because the
+#: Chain-tail reads :meth:`BucketHashTable.insert_hashed` skipped because the
 #: tail page's fill state was still known from this table's own last
 #: write to the bucket (the page is logically in the writer's buffer).
 _TAIL_READS_SKIPPED = metrics.counter("hashtable.tail_reads_skipped")
@@ -96,7 +102,8 @@ def hash_words(words: np.ndarray, key_bytes: int) -> np.ndarray:
 
 
 class BucketHashTable:
-    """A disk-simulated hash table from byte keys to set identifiers.
+    """The pages of one disk-simulated hash table from key fingerprints
+    to set identifiers: what its writes cost and what a probe reads.
 
     Parameters
     ----------
@@ -106,9 +113,13 @@ class BucketHashTable:
         Number of hash buckets.  The paper chooses enough buckets that
         no overflows occur; a sensible choice is
         ``ceil(expected_entries / slots_per_page)``.
+    chain_pages:
+        Optional int64 array of ``n_buckets`` zeros the table keeps as
+        its per-bucket chain lengths (a :class:`LiveTables` passes a
+        slice of one filter-wide array); a fresh one by default.
     """
 
-    def __init__(self, pager: PageManager, n_buckets: int):
+    def __init__(self, pager: PageManager, n_buckets: int, chain_pages=None):
         if n_buckets <= 0:
             raise ValueError(f"n_buckets must be positive, got {n_buckets}")
         self.pager = pager
@@ -116,16 +127,13 @@ class BucketHashTable:
         self.slots_per_page = pager.capacity_for(ENTRY_BYTES)
         # Chains of page ids per bucket; pages allocated lazily.
         self._chains: list[list[int]] = [[] for _ in range(n_buckets)]
+        #: Pages in each bucket's chain, kept current by every write:
+        #: what a grouped probe of the bucket charges.
+        self.chain_pages = (
+            np.zeros(n_buckets, dtype=np.int64) if chain_pages is None
+            else chain_pages
+        )
         self._n_entries = 0
-        # Fingerprint -> sids image of each bucket's slots, maintained
-        # by every write: ``_directory[b]`` always equals the map built
-        # by scanning bucket ``b``'s chain in slot order, each run's
-        # sids in that order.  It is a pure CPU-side accelerator:
-        # probes still charge the same page reads, the directory only
-        # replaces re-scanning the slots.
-        self._directory: list[dict[int, list[int]]] = [
-            {} for _ in range(n_buckets)
-        ]
         # Occupied slots on each bucket's tail page, when known from
         # this table's own last write (-1 = unknown, must read).  Lets
         # consecutive inserts into one bucket skip re-reading a page
@@ -150,7 +158,7 @@ class BucketHashTable:
         when its fill state is unknown; consecutive inserts into one
         bucket know the tail from their own last write and skip the
         redundant read entirely.  The entry lands in the chain's last
-        slot, so its sid ends its fingerprint's directory run.
+        slot.
         """
         bucket = fingerprint % self.n_buckets
         chain = self._chains[bucket]
@@ -170,16 +178,11 @@ class BucketHashTable:
         if last is None:
             last = self.pager.allocate(self.slots_per_page)
             chain.append(last.page_id)
+            self.chain_pages[bucket] += 1
         last.append((fingerprint, sid))
         self.pager.write(last.page_id)
         self._tail_slots[bucket] = len(last.slots)
         self._n_entries += 1
-        directory = self._directory[bucket]
-        run = directory.get(fingerprint)
-        if run is None:
-            directory[fingerprint] = [sid]
-        else:
-            run.append(sid)
 
     # -- bulk loading ------------------------------------------------------
 
@@ -189,11 +192,12 @@ class BucketHashTable:
         """Bulk-insert many (fingerprint, sid) entries in one partitioned
         pass, for pre-computed ``hash_key`` fingerprints.
 
-        Equivalent -- in chains, page ids and contents, directories and
-        I/O accounting -- to ``for fp, sid in zip(fingerprints, sids):
-        self.insert_hashed(fp, sid)``.  Entries are grouped by bucket with one stable argsort, each
-        group's page layout (existing-tail absorption, new-page count)
-        is array arithmetic, and pages are allocated in the order the
+        Equivalent -- in chains, page ids and contents and I/O
+        accounting -- to ``for fp, sid in zip(fingerprints, sids):
+        self.insert_hashed(fp, sid)``.  Entries are grouped by bucket
+        with one stable argsort, each group's page layout (existing-tail
+        absorption, new-page count) is array arithmetic, and pages are
+        allocated in the order the
         per-insert path opens them: at the first entry (in input order)
         that lands on each.  A target bucket whose tail fill state is
         unknown (e.g. after a delete) has its tail read first -- one
@@ -267,47 +271,10 @@ class BucketHashTable:
         # One charged write per entry, exactly as the per-insert loop
         # charges them (allocation writes were charged by allocate()).
         pager.io.write(n)
-        # Directory runs: a second stable sort by (bucket, fingerprint)
-        # makes every run a contiguous slice (stable, so slices keep
-        # input order).  Bucket is the primary key, so group boundaries
-        # coincide with ``bounds`` and every group's runs are a
-        # contiguous run-index range -- each group's runs then assemble
-        # at C speed from slice objects, one dict store per distinct
-        # fingerprint instead of a per-entry append loop.
-        order2 = np.lexsort((fps, buckets))
-        fp2 = fps[order2]
-        get_run = sids_arr[order2].tolist().__getitem__
-        b2 = buckets[order2]
-        run_starts = np.flatnonzero(
-            np.r_[True, (b2[1:] != b2[:-1]) | (fp2[1:] != fp2[:-1])]
-        )
-        run_keys = fp2[run_starts].tolist()
-        run_s = run_starts.tolist()
-        run_e = np.append(run_starts[1:], n).tolist()
-        # Every group boundary starts a run, so side="left" lands
-        # exactly on each group's first run index.
-        grp_run = np.searchsorted(run_starts, bounds).tolist()
-        for g, bucket in enumerate(group_buckets):
-            self._tail_slots[bucket] = len(
-                pager.peek(self._chains[bucket][-1]).slots
-            )
-            a, b = grp_run[g], grp_run[g + 1]
-            runs = zip(
-                run_keys[a:b], map(get_run, map(slice, run_s[a:b], run_e[a:b]))
-            )
-            # The new entries follow the bucket's old ones in slot
-            # order, so each run extends its fingerprint's run (an
-            # empty bucket simply takes the new runs as its directory).
-            directory = self._directory[bucket]
-            if directory:
-                for fingerprint, run in runs:
-                    have = directory.get(fingerprint)
-                    if have is None:
-                        directory[fingerprint] = run
-                    else:
-                        have.extend(run)
-            else:
-                self._directory[bucket] = dict(runs)
+        chains = self._chains
+        for bucket in group_buckets:
+            self._tail_slots[bucket] = len(pager.peek(chains[bucket][-1]).slots)
+        self.chain_pages[group_buckets] = [len(chains[b]) for b in group_buckets]
         self._n_entries += n
         _BULK_ENTRIES.shard().count += n
         _BULK_PAGES.shard().count += len(alloc_buckets)
@@ -318,56 +285,12 @@ class BucketHashTable:
             "tail_reads": tail_reads,
         }
 
-    def probe_hashed(self, fingerprints: list[int], io=None) -> list[list[int]]:
-        """The sids stored under each of many pre-computed ``hash_key``
-        fingerprints (Python ints), reading each touched bucket page once.
-
-        Fingerprints are grouped by bucket; every distinct bucket chain
-        is read exactly once (one random read for the head page,
-        sequential reads for overflow pages) and its directory serves
-        all fingerprints of the group.  The page-read total is never
-        greater than probing the fingerprints one at a time, and
-        strictly smaller whenever two of them share a bucket.
-
-        ``io`` is accepted so a filter probes live tables and a
-        :class:`TableStack` through one call shape; the live table reads
-        through its pager, which charges the index's cost model.
-        """
-        results: list[list[int]] = [[] for _ in fingerprints]
-        by_bucket: dict[int, list[tuple[int, int]]] = {}
-        n_buckets = self.n_buckets
-        for i, fingerprint in enumerate(fingerprints):
-            bucket = fingerprint % n_buckets
-            if bucket in by_bucket:
-                by_bucket[bucket].append((i, fingerprint))
-            else:
-                by_bucket[bucket] = [(i, fingerprint)]
-        pages_cell = _PROBE_PAGES.shard()
-        saved_cell = _PROBE_PAGES_SAVED.shard()
-        for bucket, members in by_bucket.items():
-            chain = self._chains[bucket]
-            for rank, page_id in enumerate(chain):
-                self.pager.read(page_id, sequential=rank > 0)
-            directory = self._directory[bucket]
-            pages_cell.count += len(chain)
-            saved_cell.count += len(chain) * (len(members) - 1)
-            for i, fingerprint in members:
-                got = directory.get(fingerprint)
-                # Copy so callers own their lists (two keys of the batch
-                # may share a fingerprint).
-                results[i] = list(got) if got else []
-        _PROBES.shard().count += len(fingerprints)
-        return results
-
     def delete_hashed(self, fingerprint: int, sid: int) -> bool:
         """Remove one (fingerprint, sid) entry for a pre-computed
         ``hash_key`` fingerprint; returns whether one was found.
 
         The first matching slot in chain order is the hole; compaction
-        moves the chain's last entry into it.  The directory follows
-        the slots: the sid leaves its run (its first occurrence is the
-        hole's), and the moved entry's sid, the last of its run, takes
-        the rank the hole gives it among its fingerprint's slots.
+        moves the chain's last entry into it.
         """
         bucket = fingerprint % self.n_buckets
         chain = self._chains[bucket]
@@ -382,12 +305,12 @@ class BucketHashTable:
             last_page = self.pager.read(chain[-1], sequential=True)
             moved = last_page.slots.pop()
             # Unless the popped entry *was* the hole, fill the hole.
-            filled = not (page is last_page and index == len(last_page.slots))
-            if filled:
+            if not (page is last_page and index == len(last_page.slots)):
                 page.slots[index] = moved
                 self.pager.write(page.page_id)
             if not last_page.slots:
                 self.pager.free(chain.pop())
+                self.chain_pages[bucket] -= 1
                 # The surviving tail was not touched here; forget its
                 # fill state so the next insert re-reads it.
                 self._tail_slots[bucket] = -1
@@ -395,25 +318,6 @@ class BucketHashTable:
                 self.pager.write(last_page.page_id)
                 self._tail_slots[bucket] = len(last_page.slots)
             self._n_entries -= 1
-            directory = self._directory[bucket]
-            run = directory[fingerprint]
-            if len(run) == 1:
-                del directory[fingerprint]
-            else:
-                run.remove(sid)
-            if filled:
-                moved_fp, moved_sid = moved
-                moved_run = directory[moved_fp]
-                if len(moved_run) > 1:
-                    # It now follows exactly the run's slots before the
-                    # hole (uncharged peeks: those pages were just read).
-                    moved_run.pop()
-                    before = countOf(map(_FP, page.slots[:index]), moved_fp)
-                    for prior in chain[:rank]:
-                        before += countOf(
-                            map(_FP, self.pager.peek(prior).slots), moved_fp
-                        )
-                    moved_run.insert(before, moved_sid)
             return True
         return False
 
@@ -458,8 +362,8 @@ class BucketHashTable:
 
 def _charge_grouped(buckets: np.ndarray, chain_pages: np.ndarray, io) -> None:
     """Charge a grouped probe of ``buckets`` (indices into
-    ``chain_pages``, one per probed key) as the live table's
-    :meth:`BucketHashTable.probe_hashed` charges it.
+    ``chain_pages``, one per probed key) and move the ``hashtable.*``
+    probe counters.
 
     Every distinct bucket's chain is read once: one random read for the
     head page, sequential reads for overflow pages.  After the sort a
@@ -480,6 +384,49 @@ def _charge_grouped(buckets: np.ndarray, chain_pages: np.ndarray, io) -> None:
     _PROBES.shard().count += len(buckets)
 
 
+def _run_starts(fps: np.ndarray, table_starts: np.ndarray) -> np.ndarray:
+    """Where a run begins in entries sorted by fingerprint within each
+    table: at every fingerprint change and at every table start
+    (``table_starts``, the first entry of each table)."""
+    new = np.ones(len(fps), dtype=bool)
+    np.not_equal(fps[1:], fps[:-1], out=new[1:])
+    new[table_starts[table_starts < len(fps)]] = True
+    return np.flatnonzero(new)
+
+
+class _RunArrays:
+    """A stack's run arrays written one table at a time into
+    whole-filter arrays sized up front, so that only one table's
+    temporaries are alive at once."""
+
+    def __init__(self, n_tables: int, n_entries: int):
+        self.offsets = np.zeros(n_tables + 1, dtype=np.int64)
+        self.fps = np.empty(n_entries, dtype=np.uint64)
+        self.indptr = np.empty(n_entries + 1, dtype=np.int64)
+        self.sids = np.empty(n_entries, dtype=np.int64)
+        self._tables = self._entries = 0
+
+    def add(self, fps: np.ndarray, sids: np.ndarray) -> None:
+        """Append the next table's entries, sorted by fingerprint."""
+        starts = _run_starts(fps, np.zeros(1, dtype=np.int64))
+        t, e = self._tables, self._entries
+        r0 = int(self.offsets[t])
+        r1 = self.offsets[t + 1] = r0 + len(starts)
+        self.fps[r0:r1] = fps[starts]
+        self.indptr[r0:r1] = starts + e
+        self.sids[e:e + len(sids)] = sids
+        self._tables, self._entries = t + 1, e + len(sids)
+
+    def arrays(self) -> tuple:
+        """``(run_offsets, run_fps, run_indptr, run_sids)``, the run
+        arrays shrunk in place to the runs written."""
+        n_runs = int(self.offsets[self._tables])
+        self.indptr[n_runs] = self._entries
+        self.fps.resize(n_runs, refcheck=False)
+        self.indptr.resize(n_runs + 1, refcheck=False)
+        return self.offsets, self.fps, self.indptr, self.sids
+
+
 class TableStack:
     """Immutable fingerprint-run image of one filter's ``l`` tables.
 
@@ -490,22 +437,25 @@ class TableStack:
     fingerprint the table stores once, ascending within the table (a
     fingerprint's bucket is ``fp % n_buckets[t]``, so no per-bucket
     index is needed).  Any run ``p`` owns
-    ``run_sids[run_indptr[p]:run_indptr[p + 1]]`` in slot-scan order,
-    one ``indptr`` over every table's runs.  The arrays may live on the
-    heap (:meth:`from_tables`) or in a mapped snapshot file
+    ``run_sids[run_indptr[p]:run_indptr[p + 1]]``, one ``indptr`` over
+    every table's runs; runs are sid-ascending (a snapshot saved before
+    they were may hold a churned index's runs in slot order, which no
+    probe depends on).  The arrays may live on the heap
+    (a :class:`LiveTables` base or delta) or in a mapped snapshot file
     (:func:`repro.exec.snapfile.open_snapshot`); the stack is the same
     either way.
 
-    :meth:`probe` serves a range of tables in one pass.  Page reads are
-    *accounted* (into the ``io`` argument) rather than performed, with
-    charges and counter moves identical to probing each live table in
-    turn with :meth:`BucketHashTable.probe_hashed`.  Safe for
-    concurrent probing from many threads -- nothing is mutated except
-    the caller's ``io`` and the calling thread's counter shards.
+    :meth:`probe` serves a range of tables in one pass: :meth:`lookup`
+    finds every hit and :func:`_charge_grouped` *accounts* the page
+    reads (into the ``io`` argument) rather than performing them, with
+    charges and counter moves identical to the live filter's.  Safe
+    for concurrent probing from many threads -- nothing is mutated
+    except the caller's ``io``, the calling thread's counter shards and
+    the lazily built per-table run views (an idempotent cache).
     """
 
     __slots__ = ("n_buckets", "bucket_offsets", "chain_pages", "run_offsets",
-                 "run_fps", "run_indptr", "run_sids")
+                 "run_fps", "run_indptr", "run_sids", "_views")
 
     def __init__(self, n_buckets, chain_pages, run_offsets, run_fps,
                  run_indptr, run_sids):
@@ -517,99 +467,376 @@ class TableStack:
         self.run_fps = run_fps
         self.run_indptr = run_indptr
         self.run_sids = run_sids
-
-    @classmethod
-    def from_tables(cls, tables: Sequence[BucketHashTable]) -> "TableStack":
-        """The stacked image of live tables, copied off them (later
-        writes to the tables cannot reach it).
-
-        Every table's per-bucket fingerprint directories flatten into
-        runs sorted by fingerprint across the table -- a fingerprint
-        lives in exactly one bucket, so the sort is strict -- each run's
-        sids in slot-scan order, and the per-bucket chain lengths are
-        snapshotted.
-        """
-        run_offsets = [0]
-        for table in tables:
-            run_offsets.append(run_offsets[-1] + sum(map(len, table._directory)))
-        n_runs = run_offsets[-1]
-        # Streamed off the directories, table by table and bucket by
-        # bucket: no whole-filter Python list is built (it would add
-        # to the peak memory of every save).
-        buckets = [d for table in tables for d in table._directory]
-        run_fps = np.fromiter(
-            itertools.chain.from_iterable(buckets), dtype=np.uint64, count=n_runs
-        )
-        run_lens = np.fromiter(
-            (len(run) for d in buckets for run in d.values()), dtype=np.int64,
-            count=n_runs,
-        )
-        n_sids = int(run_lens.sum())
-        sids = np.fromiter(
-            itertools.chain.from_iterable(run for d in buckets for run in d.values()),
-            dtype=np.int64, count=n_sids,
-        )
-        order = np.concatenate([
-            a + np.argsort(run_fps[a:b])
-            for a, b in zip(run_offsets, run_offsets[1:])
-        ])
-        starts = np.cumsum(run_lens) - run_lens
-        sorted_lens = run_lens[order]
-        run_indptr = np.zeros(n_runs + 1, dtype=np.int64)
-        np.cumsum(sorted_lens, out=run_indptr[1:])
-        # Entry i of the sorted layout comes from position gather[i] of
-        # the bucket-order sid list: each run moves as one block.
-        gather = np.repeat(starts[order] - run_indptr[:-1], sorted_lens)
-        gather += np.arange(n_sids, dtype=np.int64)
-        return cls(
-            [table.n_buckets for table in tables],
-            np.array(
-                [len(c) for table in tables for c in table._chains], dtype=np.int64
-            ),
-            run_offsets,
-            run_fps[order],
-            run_indptr,
-            sids[gather],
-        )
+        self._views = None
 
     @property
     def n_tables(self) -> int:
         return len(self.n_buckets)
 
-    def probe(
-        self, start: int, stop: int, fingerprints: np.ndarray, io
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe tables ``start .. stop - 1``, ``fingerprints[k]`` holding
-        every query row's fingerprint in table ``start + k``.
+    @property
+    def n_entries(self) -> int:
+        """Entries over all tables."""
+        return int(self.run_indptr[-1])
 
-        Returns every hit as parallel ``(row, sid)`` arrays, one entry per
-        sid of each matching run: per table, hits come in row order and
-        each row's sids in run order, the lists
-        :meth:`BucketHashTable.probe_hashed` returns.  Bucket
-        reads are grouped per table -- the tables' bucket ranges are
-        disjoint, so one sort of global bucket indices groups them all --
-        and run lookup is one ``searchsorted`` per table; the sid gather
-        is one pass over all tables.
-        """
-        from repro.exec.columnar import gather_csr
-
-        n_tables, n_rows = fingerprints.shape
+    def buckets(self, start: int, stop: int, fingerprints: np.ndarray) -> np.ndarray:
+        """The stack-wide bucket index (into ``chain_pages``) of every
+        fingerprint, ``fingerprints[k]`` holding table ``start + k``'s."""
         buckets = (
             fingerprints % self.n_buckets[start:stop, None].astype(np.uint64)
         ).astype(np.int64)
         buckets += self.bucket_offsets[start:stop, None]
-        _charge_grouped(buckets.ravel(), self.chain_pages, io)
-        bounds = self.run_offsets[start:stop + 1].tolist()
-        run_fps = self.run_fps
+        return buckets
+
+    def _run_views(self) -> list[np.ndarray]:
+        """Each table's slice of ``run_fps`` as a plain ``ndarray`` view
+        (not a ``memmap``, whose per-call overhead would dominate a
+        one-row probe), built on first use so opening a snapshot does
+        not pay for it."""
+        views = self._views
+        if views is None:
+            fps = self.run_fps.view(np.ndarray)
+            bounds = self.run_offsets.tolist()
+            views = self._views = [
+                fps[a:b] for a, b in zip(bounds, bounds[1:])
+            ]
+        return views
+
+    def lookup(
+        self, start: int, stop: int, fingerprints: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every hit of tables ``start .. stop - 1`` as parallel
+        ``(row, sid)`` arrays, ``fingerprints[k]`` holding every query
+        row's fingerprint in table ``start + k``: per table, hits come
+        in row order and each row's sids in run order.  Charges
+        nothing.  Run lookup is one ``searchsorted`` per table on its
+        cached run view; the match test and the sid gather are one pass
+        over all tables."""
+        from repro.exec.columnar import gather_csr
+
+        n_tables, n_rows = fingerprints.shape
+        views = self._run_views()[start:stop]
         pos = np.empty((n_tables, n_rows), dtype=np.int64)
-        for k in range(n_tables):
-            a, b = bounds[k], bounds[k + 1]
-            pos[k] = np.searchsorted(run_fps[a:b], fingerprints[k])
-            pos[k] += a
-        inside = pos < np.asarray(bounds[1:], dtype=np.int64)[:, None]
+        for k, view in enumerate(views):
+            pos[k] = view.searchsorted(fingerprints[k])
+        offsets = self.run_offsets[start:stop + 1]
+        pos += offsets[:-1, None]
+        inside = pos < offsets[1:, None]
         runs = pos[inside]
         rows = np.nonzero(inside)[1]
-        hit = run_fps[runs] == fingerprints[inside]
+        hit = self.run_fps.view(np.ndarray)[runs] == fingerprints[inside]
         runs, rows = runs[hit], rows[hit]
         indptr, sids = gather_csr(self.run_indptr, self.run_sids, runs)
         return np.repeat(rows, np.diff(indptr)), sids
+
+    def probe(
+        self, start: int, stop: int, fingerprints: np.ndarray, io
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`lookup` of tables ``start .. stop - 1``, charging the
+        grouped bucket reads into ``io`` from ``chain_pages`` -- the
+        tables' bucket ranges are disjoint, so one sort of stack-wide
+        bucket indices groups them all."""
+        _charge_grouped(
+            self.buckets(start, stop, fingerprints).ravel(), self.chain_pages, io
+        )
+        return self.lookup(start, stop, fingerprints)
+
+
+#: Compaction point of a :class:`LiveTables`: the delta and the
+#: tombstones are merged into the base once, together, they pass this
+#: share of the base's entries per table.  A merge rewrites the whole
+#: filter, while a pending write costs every probe a little (a second
+#: run lookup per table, tombstoned hits dropped) and every insert an
+#: O(l * delta) sorted insertion.  Measured on the weblog bench
+#: collection (3,000 sets, 200 tables in 5 filters, 2-vCPU host): merging
+#: ~750 pending writes takes ~32 ms; a batch of 32 probes 0.5 ms slower
+#: once any write is pending and 0.9 ms slower at 800; a delta insert
+#: costs 0.04-0.08 ms a filter.  At 1/4 the churn cycle (16 inserts,
+#: 16 deletes, one batch) merges every ~23 cycles, ~1.4 ms a cycle,
+#: about what the probes and the delta upkeep add; 1/8 merges twice as
+#: often, 1/2 doubles the upkeep, and the cycle's wall (~115 ms, mostly
+#: the writes' page work) stayed within noise from 1/32 to 1/2.
+COMPACT_SHARE = 0.25
+
+
+class LiveTables:
+    """One live filter's ``l`` tables: pages for the write-side
+    accounting, and a stacked image for probes.
+
+    - ``tables``: one :class:`BucketHashTable` per table, whose pages,
+      chains and tail tracking charge every insert, delete and bulk
+      load, and whose chain lengths (``chain_pages``, one filter-wide
+      array) price every probe.
+    - ``base``: an immutable :class:`TableStack` of the entries present
+      at the last compaction (bulk load, :meth:`load` or merge).
+    - the delta: each set inserted since, by sid with its ``l``
+      fingerprints, stacked into a small :class:`TableStack` when a
+      probe first needs it.
+    - the tombstones: a mask over the sids deleted from the base.
+      Deleting a delta sid drops it from the delta instead.
+
+    A probe is the base's hits minus the tombstoned sids plus the
+    delta's, one ``(row, sid)`` hit list with exactly the entries the
+    pages hold; its reads are charged once, from the live chain lengths.
+    Every sid is stored at most once (one set, one identifier), and sids
+    only grow (a bulk load takes them ascending), so every run of the
+    base and the delta is sid-ascending -- the layout a bulk build
+    gives.  When the delta and the tombstones pass
+    :data:`COMPACT_SHARE` of the base, a write merges them into a new
+    base (:meth:`compact`), so no probe pays for the merge.
+    """
+
+    def __init__(self, pager: PageManager, n_tables: int, n_buckets: int):
+        self.pager = pager
+        self.n_buckets = np.full(n_tables, n_buckets, dtype=np.int64)
+        self.chain_pages = np.zeros(n_tables * n_buckets, dtype=np.int64)
+        self.tables = [
+            BucketHashTable(
+                pager, n_buckets,
+                self.chain_pages[t * n_buckets:(t + 1) * n_buckets],
+            )
+            for t in range(n_tables)
+        ]
+        self._set_base(
+            np.zeros(n_tables + 1, dtype=np.int64), np.zeros(0, dtype=np.uint64),
+            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+        )
+        self._clear_delta()
+
+    def _set_base(self, run_offsets, run_fps, run_indptr, run_sids) -> None:
+        self.base = TableStack(
+            self.n_buckets, self.chain_pages, run_offsets, run_fps,
+            run_indptr, run_sids,
+        )
+        #: Base entries per table, tombstoned ones included.
+        self._n_base = self.base.n_entries // self.n_tables
+        #: The tombstone mask, by sid (made at the first tombstone).
+        self._dead = None
+        self._n_dead = 0
+
+    def _clear_delta(self) -> None:
+        #: The delta's sids.
+        self._in_delta: set[int] = set()
+        #: The delta's entries, ``(l, n)``: each table's row sorted by
+        #: fingerprint, then sid.
+        self._delta_fps = np.zeros((self.n_tables, 0), dtype=np.uint64)
+        self._delta_sids = np.zeros((self.n_tables, 0), dtype=np.int64)
+        self._delta_stack: TableStack | None = None
+
+    @property
+    def n_tables(self) -> int:
+        return len(self.tables)
+
+    # -- writes ------------------------------------------------------------
+
+    def insert(self, fingerprints: np.ndarray, sid: int) -> None:
+        """Store one set's entry in every table (``fingerprints[t]`` its
+        fingerprint in table ``t``) under a new sid."""
+        for table, fingerprint in zip(self.tables, fingerprints.tolist()):
+            table.insert_hashed(fingerprint, sid)
+        # One entry into each table's sorted delta row, after the equal
+        # fingerprints (a new sid is the largest): O(l n), no sort.
+        n_tables, n = self._delta_fps.shape
+        at = np.count_nonzero(self._delta_fps <= fingerprints[:, None], axis=1)
+        at += np.arange(n_tables) * n
+        self._delta_fps = np.insert(
+            self._delta_fps.ravel(), at, fingerprints
+        ).reshape(n_tables, n + 1)
+        self._delta_sids = np.insert(
+            self._delta_sids.ravel(), at, sid
+        ).reshape(n_tables, n + 1)
+        self._in_delta.add(sid)
+        self._delta_stack = None
+        self._maybe_compact()
+
+    def delete(self, fingerprints: np.ndarray, sid: int) -> bool:
+        """Remove one set's entries; returns whether it was stored."""
+        found = False
+        for table, fingerprint in zip(self.tables, fingerprints.tolist()):
+            found |= table.delete_hashed(fingerprint, sid)
+        if not found:
+            return False
+        if sid in self._in_delta:
+            self._in_delta.remove(sid)
+            keep = self._delta_sids != sid
+            shape = (self.n_tables, len(self._in_delta))
+            self._delta_fps = self._delta_fps[keep].reshape(shape)
+            self._delta_sids = self._delta_sids[keep].reshape(shape)
+            self._delta_stack = None
+        else:
+            if self._dead is None:
+                self._dead = np.zeros(int(self.base.run_sids.max()) + 1, dtype=bool)
+            self._dead[sid] = True
+            self._n_dead += 1
+        self._maybe_compact()
+        return True
+
+    def bulk_load(self, columns: Iterable[np.ndarray], sids: Sequence[int]) -> dict:
+        """Load many sets at once: ``columns`` yields each table's
+        fingerprint vector in table order, one entry per sid.
+
+        Each table's pages take its vector in one
+        :meth:`BucketHashTable.bulk_load_hashed` call, in input order.
+        Into empty tables the base is then built straight from the
+        vectors, one table at a time into whole-filter arrays sized up
+        front (a stable sort per table), so only one table's temporaries
+        are alive at once; onto stored entries the sets join the delta.
+        Returns the load's totals: tables, entries, new pages and tail
+        pages read.
+        """
+        sids = np.asarray(sids, dtype=np.int64)
+        n, n_tables = len(sids), self.n_tables
+        report = dict.fromkeys(("entries", "new_pages", "tail_reads"), 0)
+        if n == 0:
+            return {"tables": n_tables, **report}
+        fresh = not (self._n_base or self._in_delta)
+        if fresh:
+            runs = _RunArrays(n_tables, n_tables * n)
+        else:
+            block = np.empty((n_tables, n), dtype=np.uint64)
+        for t, (table, fps) in enumerate(zip(self.tables, columns)):
+            loaded = table.bulk_load_hashed(fps, sids)
+            for key in report:
+                report[key] += loaded[key]
+            if fresh:
+                order = np.argsort(fps, kind="stable")
+                runs.add(fps[order], sids[order])
+            else:
+                block[t] = fps
+        if fresh:
+            self._set_base(*runs.arrays())
+        else:
+            fps = np.concatenate((self._delta_fps, block), axis=1)
+            owners = np.concatenate(
+                (self._delta_sids, np.broadcast_to(sids, block.shape)), axis=1
+            )
+            order = np.lexsort((owners, fps), axis=1)
+            self._delta_fps = np.take_along_axis(fps, order, axis=1)
+            self._delta_sids = np.take_along_axis(owners, order, axis=1)
+            self._in_delta.update(sids.tolist())
+            self._delta_stack = None
+            self._maybe_compact()
+        return {"tables": n_tables, **report}
+
+    def load(self, stack: TableStack) -> None:
+        """Take a stored filter's :class:`TableStack` (e.g. a mapped
+        snapshot's) into these empty tables: the base is a heap copy of
+        its runs, each run's sids put in ascending order; each table's
+        pages bulk-load its entries in sid order, as a bulk build
+        lays them out, for the write-side accounting only."""
+        offsets = stack.run_offsets.tolist()
+        run_indptr = np.array(stack.run_indptr)
+        run_sids = np.array(stack.run_sids)
+        lens = np.diff(run_indptr)
+        for t, table in enumerate(self.tables):
+            first, last = run_indptr[[offsets[t], offsets[t + 1]]].tolist()
+            owners = run_sids[first:last]
+            order = np.argsort(owners, kind="stable")
+            fps = np.repeat(stack.run_fps[offsets[t]:offsets[t + 1]],
+                            lens[offsets[t]:offsets[t + 1]])
+            table.bulk_load_hashed(fps[order], owners[order])
+        # A run written in another order (slot-scan order, by older
+        # saves of churned indexes) is sorted here; sid-ascending runs
+        # are the rule, so this is one check.
+        within = np.ones(len(run_sids), dtype=bool)
+        within[run_indptr[:-1][lens > 0]] = False
+        if np.any(within[1:] & (run_sids[1:] <= run_sids[:-1])):
+            run_of = np.repeat(np.arange(len(lens)), lens)
+            run_sids = run_sids[np.lexsort((run_sids, run_of))]
+        self._set_base(offsets, np.array(stack.run_fps), run_indptr, run_sids)
+
+    def _maybe_compact(self) -> None:
+        if len(self._in_delta) + self._n_dead > COMPACT_SHARE * self._n_base:
+            self.compact()
+
+    def compact(self) -> None:
+        """Merge the delta into the base minus its tombstoned entries:
+        a sorted merge over arrays, table by table into the new base's
+        run arrays, the delta's entries placed after the base's equal
+        fingerprints (their sids are larger), so every run stays
+        sid-ascending."""
+        if not self._in_delta and not self._n_dead:
+            return
+        base, dead = self.base, self._dead
+        delta_fps, delta_sids = self._delta_fps, self._delta_sids
+        offsets = base.run_offsets.tolist()
+        runs = _RunArrays(
+            self.n_tables,
+            base.n_entries + self.n_tables * (delta_fps.shape[1] - self._n_dead),
+        )
+        for t, (r0, r1) in enumerate(zip(offsets, offsets[1:])):
+            indptr = base.run_indptr[r0:r1 + 1]
+            fps = np.repeat(base.run_fps[r0:r1], np.diff(indptr))
+            sids = base.run_sids[indptr[0]:indptr[-1]]
+            if self._n_dead:
+                keep = ~dead[sids]
+                fps, sids = fps[keep], sids[keep]
+            if delta_fps.shape[1]:
+                at = fps.searchsorted(delta_fps[t], side="right")
+                fps = np.insert(fps, at, delta_fps[t])
+                sids = np.insert(sids, at, delta_sids[t])
+            runs.add(fps, sids)
+        self._set_base(*runs.arrays())
+        self._clear_delta()
+
+    def _delta_image(self) -> TableStack:
+        """The delta stacked like the base (once per change: its rows
+        are kept sorted, so this only finds the runs)."""
+        if self._delta_stack is None:
+            fps = self._delta_fps.ravel()
+            bounds = np.arange(self.n_tables + 1) * self._delta_fps.shape[1]
+            starts = _run_starts(fps, bounds[:-1])
+            self._delta_stack = TableStack(
+                self.n_buckets, self.chain_pages, np.searchsorted(starts, bounds),
+                fps[starts], np.append(starts, len(fps)), self._delta_sids.ravel(),
+            )
+        return self._delta_stack
+
+    # -- reads ---------------------------------------------------------------
+
+    def probe(
+        self, start: int, stop: int, fingerprints: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every hit of tables ``start .. stop - 1`` as ``(row, sid)``
+        arrays (see :meth:`TableStack.lookup`): the base's minus the
+        tombstones, then the delta's.
+
+        The tables read through their pager, which charges its cost
+        model: once for the whole range, from the live chain lengths.
+        Behind a buffer pool (whose charges depend on what it holds)
+        every distinct bucket chain is read through the pool instead,
+        table by table, buckets in the order the rows first reach them
+        and each chain head first.
+        """
+        base, pager = self.base, self.pager
+        buckets = base.buckets(start, stop, fingerprints)
+        if pager.cache_pages:
+            # The counters move as always; the pool decides the charges.
+            _charge_grouped(buckets.ravel(), self.chain_pages, IOStats())
+            read = pager.read
+            local = buckets - base.bucket_offsets[start:stop, None]
+            for table, column in zip(self.tables[start:stop], local.tolist()):
+                chains = table._chains
+                for bucket in dict.fromkeys(column):
+                    for rank, page_id in enumerate(chains[bucket]):
+                        read(page_id, sequential=rank > 0)
+        else:
+            _charge_grouped(buckets.ravel(), self.chain_pages, pager.io.stats)
+        rows, sids = base.lookup(start, stop, fingerprints)
+        if self._n_dead:
+            keep = ~self._dead[sids]
+            rows, sids = rows[keep], sids[keep]
+        if self._in_delta:
+            more_rows, more_sids = self._delta_image().lookup(start, stop, fingerprints)
+            rows = np.concatenate((rows, more_rows))
+            sids = np.concatenate((sids, more_sids))
+        return rows, sids
+
+    def freeze(self) -> TableStack:
+        """Compact, then the base as a snapshot's stack: its run arrays
+        shared (the base is never written), the chain lengths copied."""
+        self.compact()
+        base = self.base
+        return TableStack(
+            base.n_buckets, self.chain_pages.copy(), base.run_offsets,
+            base.run_fps, base.run_indptr, base.run_sids,
+        )

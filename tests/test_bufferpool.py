@@ -1,5 +1,6 @@
 """Tests for the pager's LRU buffer pool."""
 
+import numpy as np
 import pytest
 
 from repro.storage.iomodel import IOCostModel
@@ -74,18 +75,19 @@ class TestBufferPool:
 
     def test_cache_reduces_probe_cost_end_to_end(self):
         """A warm buffer pool makes repeated identical probes cheap."""
-        from repro.storage.hashtable import BucketHashTable, hash_key
+        from repro.storage.hashtable import LiveTables, hash_key
 
         pager = _pager(64)
-        table = BucketHashTable(pager, n_buckets=8)
-        hot = hash_key(b"hot")
+        live = LiveTables(pager, n_tables=1, n_buckets=8)
+        hot = np.array([[hash_key(b"hot")]], dtype=np.uint64)
         for i in range(20):
-            table.insert_hashed(hot, i)
-        table.probe_hashed([hot])  # warms the bucket page
+            live.insert(hot[:, 0], i)
+        live.probe(0, 1, hot)  # warms the bucket page
         before = pager.io.snapshot()
-        table.probe_hashed([hot])
+        _, sids = live.probe(0, 1, hot)
         delta = pager.io.snapshot() - before
         assert delta.random_reads == 0
+        assert sorted(sids.tolist()) == list(range(20))
 
 
 class TestHitRatio:

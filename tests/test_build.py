@@ -1,11 +1,13 @@
 """Equivalence and report tests for the bulk build.
 
 The contract under test (``SetSimilarityIndex.from_plan`` loading every
-filter through ``insert_many`` -> ``BucketHashTable.bulk_load_hashed``):
-a bulk-built index is *bit-identical* to one whose tables were filled
+filter through ``insert_many`` -> ``LiveTables.bulk_load``): a
+bulk-built index is *bit-identical* to one whose tables were filled
 entry by entry through the dynamic insert path -- same page chains
-(including page ids), same page contents, same bucket directories,
-same I/O accounting.
+(including page ids), same page contents, same I/O accounting -- and
+each filter's stacked base is the stack of its tables' slots.  An index
+whose sets were inserted one by one (write deltas, compactions) answers
+as the bulk-built one.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.core.optimizer import plan_index
 from repro.hamming.sampling import sampled_key_words
 from repro.obs.explain import BUILD_PHASE_SPANS, build_summaries
 from repro.storage.hashtable import hash_key
+from tests.slot_oracle import slot_stack
 
 
 def _collection(n_sets=60, seed=0, universe=400):
@@ -45,13 +48,14 @@ def _build(sets, dist, plan, **kwargs):
 
 
 def _insert_loop(fi, matrix, sids):
-    """The reference ``insert_many``: every table filled one entry at a
-    time with the dynamic ``BucketHashTable.insert_hashed``, each key
-    fingerprinted with the scalar ``hash_key``, table-major.  ``from_plan``
-    calls it filter-major -- the order the bulk load promises to
-    reproduce."""
+    """The reference ``insert_many`` for pages: every table filled one
+    entry at a time with the dynamic ``BucketHashTable.insert_hashed``,
+    each key fingerprinted with the scalar ``hash_key``, table-major.
+    ``from_plan`` calls it filter-major -- the order the bulk load
+    promises to reproduce.  (It fills pages only: such an index is
+    compared, not queried.)"""
     key_bytes = -(-fi.r // 8)
-    for positions, table in zip(fi.positions, fi._tables):
+    for positions, table in zip(fi.positions, fi._live.tables):
         keys = sampled_key_words(
             matrix, positions // 64, (positions % 64).astype(np.uint64)
         )
@@ -60,9 +64,17 @@ def _insert_loop(fi, matrix, sids):
     return {}
 
 
-def _build_by_insert(monkeypatch, sets, dist, plan):
+def _set_loop(fi, matrix, sids):
+    """The reference ``insert_many`` for answers: one dynamic
+    ``FilterIndex.insert`` per set (write delta, compactions)."""
+    for row, sid in zip(matrix, sids):
+        fi.insert(row, sid)
+    return {}
+
+
+def _build_by_insert(monkeypatch, sets, dist, plan, loop=_insert_loop):
     with monkeypatch.context() as patch:
-        patch.setattr(FilterIndex, "insert_many", _insert_loop)
+        patch.setattr(FilterIndex, "insert_many", loop)
         return _build(sets, dist, plan)
 
 
@@ -76,11 +88,12 @@ def _filters_of(index):
 
 
 def _assert_bit_identical(a, b):
-    """Every chain, page, directory and counter of ``b`` matches ``a``."""
+    """Every chain, page and counter of ``b`` matches ``a``, and each
+    filter's stacked base of ``b`` is the stack of ``a``'s slots."""
     filters_a, filters_b = _filters_of(a), _filters_of(b)
     assert [k for k, _ in filters_a] == [k for k, _ in filters_b]
     for (key, fa), (_, fb) in zip(filters_a, filters_b):
-        for ta, tb in zip(fa._tables, fb._tables):
+        for ta, tb in zip(fa._live.tables, fb._live.tables):
             assert ta._chains == tb._chains, key  # page ids included
             assert ta.n_entries == tb.n_entries
             assert ta.load_stats() == tb.load_stats()
@@ -89,7 +102,12 @@ def _assert_bit_identical(a, b):
                     assert (
                         ta.pager.peek(pid).slots == tb.pager.peek(pid).slots
                     ), key
-            assert ta._directory == tb._directory, key
+        want = slot_stack(fa._live.tables)
+        for name in ("chain_pages", "run_offsets", "run_fps", "run_indptr",
+                     "run_sids"):
+            assert np.array_equal(
+                getattr(fb._live.base, name), getattr(want, name)
+            ), (key, name)
     assert set(a._codes) == set(b._codes)
     for sid in a._codes:
         assert np.array_equal(a._codes[sid], b._codes[sid])
@@ -117,7 +135,7 @@ class TestBuildEquivalence:
     def test_query_results_identical(self, seed, monkeypatch):
         sets = _collection(n_sets=50, seed=seed)
         dist, plan = _plan_for(sets)
-        a = _build_by_insert(monkeypatch, sets, dist, plan)
+        a = _build_by_insert(monkeypatch, sets, dist, plan, _set_loop)
         b = _build(sets, dist, plan)
         rng = np.random.default_rng(seed)
         for _ in range(6):

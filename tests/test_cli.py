@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import shutil
+
 import pytest
 
 from repro.cli import build_parser, main, read_sets
@@ -243,6 +246,32 @@ class TestSnapshotCommands:
         rc = main(["query", "--set", "a b"])
         assert rc == 2
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["query", "--index"], ["query", "--snapshot"], ["explain", "--index"],
+        ["stats", "--index"],
+    ])
+    def test_edited_snapshot_is_one_error_line(
+        self, built_index_path, tmp_path, capsys, command
+    ):
+        """A snapshot whose manifest seed was edited is refused with one
+        ``error:`` line and exit status 1, not a traceback."""
+        edited = tmp_path / "edited.d"
+        shutil.copytree(built_index_path, edited)
+        manifest_path = edited / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["embedder"]["seed"] += 1
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        argv = command + [str(edited)]
+        if command[0] != "stats":
+            argv += ["--set", "apple banana cherry", "--low", "0.2", "--high", "1.0"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert "re-sign" in lines[0]
+        assert captured.out == ""
 
     def test_process_backend_requires_snapshot(self, built_index_path, capsys):
         rc = main(

@@ -238,19 +238,26 @@ class TestInsertMany:
         matrix = _random_vectors(30, n_bits, seed=52)
         sids = list(range(30))
         a.insert_many(matrix, sids)
-        # Reference: the dynamic one-entry path, table by table.
-        for positions, table in zip(b.positions, b._tables):
-            keys = sampled_key_words(
-                matrix, positions // 64, (positions % 64).astype(np.uint64)
-            )
-            for key, sid in zip(keys, sids):
-                table.insert_hashed(hash_key(key.tobytes()[: -(-b.r // 8)]), sid)
-        io_a = a._tables[0].pager.io.snapshot()
-        io_b = b._tables[0].pager.io.snapshot()
+        # Reference: the dynamic one-set path (write delta, compactions).
+        for row, sid in zip(matrix, sids):
+            b.insert(row, sid)
+        io_a = a._live.pager.io.snapshot()
+        io_b = b._live.pager.io.snapshot()
         assert io_a.as_dict() == io_b.as_dict()
         q = _random_vectors(1, n_bits, seed=53)[0]
         assert _probe(a, q) == _probe(b, q)
+        assert _probe_rows(a, matrix) == _probe_rows(b, matrix)
         assert a.n_entries == b.n_entries
+        # Each stored entry's fingerprint is its key's scalar hash_key.
+        for positions, table in zip(a.positions, a._live.tables):
+            keys = sampled_key_words(
+                matrix, positions // 64, (positions % 64).astype(np.uint64)
+            )
+            want = {
+                (hash_key(key.tobytes()[: -(-a.r // 8)]), sid)
+                for key, sid in zip(keys, sids)
+            }
+            assert set(table.items()) == want
 
     def test_duplicate_sids_raise(self):
         sfi, _ = self._pair()
@@ -268,10 +275,10 @@ class TestInsertMany:
     def test_empty_matrix_is_a_noop(self):
         sfi, _ = self._pair()
         matrix = _random_vectors(4, 256, seed=57)[:0]
-        before = sfi._tables[0].pager.io.snapshot()
+        before = sfi._live.pager.io.snapshot()
         sfi.insert_many(matrix, [])
         assert sfi.n_entries == 0
-        assert sfi._tables[0].pager.io.snapshot().as_dict() == before.as_dict()
+        assert sfi._live.pager.io.snapshot().as_dict() == before.as_dict()
 
     def test_non_contiguous_matrix_accepted(self):
         n_bits = 256

@@ -1,4 +1,5 @@
-"""Unit tests for the paged bucket hash table."""
+"""Unit tests for the paged bucket hash table, the stacked probe kernel
+and the live tables (stacked base + write delta + tombstones)."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from repro.obs import metrics
 from repro.storage.hashtable import (
     ENTRY_BYTES,
     BucketHashTable,
+    LiveTables,
     TableStack,
     hash_key,
 )
 from repro.storage.iomodel import IOCostModel, IOStats
 from repro.storage.pager import PageManager
+from tests.slot_oracle import slot_probe, slot_stack
 
 
 def _table(n_buckets=8, page_size=4096):
@@ -38,19 +41,26 @@ def _delete(table, key, sid):
 
 
 def _probe(table, key):
-    return table.probe_hashed([hash_key(key)])[0]
+    return slot_probe([table], _fps([key])[None])[0][0]
 
 
 def _bulk_load(table, keys, sids):
     return table.bulk_load_hashed(_fps(keys), sids)
 
 
-def _stack_probe(table, fps, io):
-    """``table`` frozen into a one-table :class:`TableStack` and probed
-    with ``fps`` (charges into ``io``): the per-row sid lists."""
-    rows, sids = TableStack.from_tables([table]).probe(0, 1, fps[None], io)
-    bounds = np.searchsorted(rows, np.arange(len(fps) + 1)).tolist()
+def _per_row(rows, sids, n_rows):
+    """Hits split per row, each row's in hit order."""
+    order = np.argsort(rows, kind="stable")
+    rows, sids = rows[order], sids[order]
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
     return [sids[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+
+
+def _stack_probe(table, fps, io):
+    """``table``'s slots stacked into a one-table :class:`TableStack` and
+    probed with ``fps`` (charges into ``io``): the per-row sid lists."""
+    rows, sids = slot_stack([table]).probe(0, 1, fps[None], io)
+    return _per_row(rows, sids, len(fps))
 
 
 class TestHashKey:
@@ -91,13 +101,15 @@ class TestBucketHashTable:
         assert sorted(_probe(table, b"same")) == list(range(20))
 
     def test_probe_io_chain_accounting(self):
-        table = _table(n_buckets=1, page_size=64)
+        live = LiveTables(PageManager(IOCostModel(), page_size=64), 1, 1)
+        fp = np.array([hash_key(b"k")], dtype=np.uint64)
         for i in range(8):  # two pages in the chain
-            _insert(table, b"k", i)
-        io = table.pager.io
+            live.insert(fp, i)
+        io = live.pager.io
         before = io.snapshot()
-        _probe(table, b"k")
+        rows, sids = live.probe(0, 1, fp[:, None])
         delta = io.snapshot() - before
+        assert sorted(sids.tolist()) == list(range(8))
         assert delta.random_reads == 1  # head page
         assert delta.sequential_reads == 1  # overflow page
 
@@ -178,24 +190,21 @@ class TestBucketHashTable:
         assert table.n_entries == sum(len(v) for v in model.values())
 
 
-def _rebuilt(table, bucket):
-    """Bucket ``bucket``'s directory rebuilt from its slots (uncharged
-    peeks, chain order): what the maintained directory must equal."""
-    image: dict[int, list[int]] = {}
-    for page_id in table._chains[bucket]:
-        for fp, sid in table.pager.peek(page_id).slots:
-            image.setdefault(fp, []).append(sid)
-    return image
+def _assert_chain_pages_current(table):
+    """The kept chain lengths equal the chains'."""
+    assert table.chain_pages.tolist() == [len(c) for c in table._chains]
 
 
-def _assert_directories_current(table):
-    for bucket in range(table.n_buckets):
-        assert table._directory[bucket] == _rebuilt(table, bucket), bucket
+def _slots(table, bucket):
+    return [
+        slot for page_id in table._chains[bucket]
+        for slot in table.pager.peek(page_id).slots
+    ]
 
 
 class TestDirectoryPatches:
-    """Every write patches its bucket's fingerprint directory in place,
-    so the directory always equals the one rebuilt from the slots."""
+    """Every write patches its bucket's slots and kept chain length in
+    place -- the state a probe reads and charges."""
 
     def test_delete_patches_run(self):
         table = _table(n_buckets=2)
@@ -204,18 +213,19 @@ class TestDirectoryPatches:
         bucket = hash_key(b"k1") % 2
         assert _probe(table, b"k1") == [1, 2]
         assert _delete(table, b"k1", 1)
-        assert table._directory[bucket] == {hash_key(b"k1"): [2]}
+        assert _slots(table, bucket) == [(hash_key(b"k1"), 2)]
         assert _probe(table, b"k1") == [2]  # no ghost entry
         assert _delete(table, b"k1", 2)
-        assert table._directory[bucket] == {}  # an emptied run is dropped
+        assert _slots(table, bucket) == []
+        assert table.chain_pages[bucket] == 0  # an emptied page is freed
 
     def test_insert_appends_to_run(self):
         table = _table(n_buckets=2)
         _insert(table, b"k1", 1)
-        directory = table._directory[hash_key(b"k1") % 2]
         _insert(table, b"k1", 9)
-        assert table._directory[hash_key(b"k1") % 2] is directory
-        assert directory[hash_key(b"k1")] == [1, 9]
+        bucket = hash_key(b"k1") % 2
+        assert _slots(table, bucket) == [(hash_key(b"k1"), 1), (hash_key(b"k1"), 9)]
+        assert table.chain_pages[bucket] == 1
         assert _probe(table, b"k1") == [1, 9]
 
     def test_delete_touches_only_its_bucket(self):
@@ -223,24 +233,24 @@ class TestDirectoryPatches:
         keys = [f"key-{i}".encode() for i in range(32)]
         for i, key in enumerate(keys):
             _insert(table, key, i)
-        before = [dict(d) for d in table._directory]
+        before = [_slots(table, bucket) for bucket in range(64)]
         victim_bucket = hash_key(keys[0]) % 64
         assert _delete(table, keys[0], 0)
         for bucket in range(64):
             if bucket != victim_bucket:
-                assert table._directory[bucket] == before[bucket]
-        _assert_directories_current(table)
+                assert _slots(table, bucket) == before[bucket]
+        _assert_chain_pages_current(table)
 
     def test_moved_entry_takes_the_hole_rank(self):
-        """Compaction moves the chain's last entry into the hole; its
-        sid moves inside its run to the rank the hole gives it."""
+        """Compaction moves the chain's last entry into the hole."""
         table = _table(n_buckets=1, page_size=64)  # 4 entries per page
         for key, sid in [(b"a", 1), (b"b", 2), (b"a", 3), (b"c", 4), (b"a", 5)]:
             _insert(table, key, sid)
+        assert table.chain_pages[0] == 2
         assert _delete(table, b"b", 2)  # a5 fills slot 1, tail page freed
         assert table.pager.peek(table._chains[0][0]).slots[1] == (hash_key(b"a"), 5)
         assert _probe(table, b"a") == [1, 5, 3]
-        _assert_directories_current(table)
+        _assert_chain_pages_current(table)
 
     def test_bulk_load_extends_non_empty_buckets(self):
         table = _table(n_buckets=2, page_size=64)
@@ -248,7 +258,7 @@ class TestDirectoryPatches:
             _insert(table, b"k", i)
         _bulk_load(table, [b"k", b"j", b"k"], [10, 11, 12])
         assert _probe(table, b"k") == [0, 1, 2, 3, 4, 5, 10, 12]
-        _assert_directories_current(table)
+        _assert_chain_pages_current(table)
 
 
 _HT_COUNTERS = {
@@ -275,8 +285,8 @@ def _nonzero(**moves):
 
 class _SlotScanTable:
     """Reference model: the table's writes and probes restated as their
-    page operations and charges, on a pager of its own, with no
-    directory -- probes scan slots.  Each method returns its result and
+    page operations and charges, on a pager of its own -- probes scan
+    slots.  Each method returns its result and
     the ``hashtable.*`` counter moves the table must make, so the live
     table can be held to both."""
 
@@ -388,10 +398,10 @@ _MISSES = [b"miss-0", b"miss-1"]
 
 class DirectoryMachine(RuleBasedStateMachine):
     """Interleaved writes of every kind on a 4-entries-a-page table,
-    held after every step to: directories equal to a rebuild from the
-    slots (run order included); pages, tail tracking, I/O and counter
-    moves equal to the slot-scanning reference's; and the live grouped
-    probe equal to the one-table stack's."""
+    held after every step to: pages, tail tracking, kept chain lengths,
+    I/O and counter moves equal to the slot-scanning reference's; and
+    the stack of its slots probing like scanning them (same sids in the
+    same order, same charges and counter moves)."""
 
     @initialize(n_buckets=st.integers(1, 4))
     def setup(self, n_buckets):
@@ -418,15 +428,18 @@ class DirectoryMachine(RuleBasedStateMachine):
 
     def _probe(self, keys):
         fps = _fps(keys)
-        io_before = self.table.pager.io.snapshot()
-        live = self.both(
-            lambda: self.table.probe_hashed(fps.tolist()),
-            lambda: self.reference.probe(fps.tolist()),
-        )
-        live_io = self.table.pager.io.snapshot() - io_before
+        reference_before = self.reference.pager.io.snapshot()
+        want, want_moves = self.reference.probe(fps.tolist())
+        reference_io = self.reference.pager.io.snapshot() - reference_before
         io = IOStats()
-        assert _stack_probe(self.table, fps, io) == live
-        assert io == live_io
+        got, moves = _counter_moves(lambda: _stack_probe(self.table, fps, io))
+        assert got == want
+        assert moves == want_moves
+        assert io == reference_io
+        # The probe's reads, charged where the reference charged them.
+        stats = self.table.pager.io.stats
+        stats.random_reads += io.random_reads
+        stats.sequential_reads += io.sequential_reads
 
     @rule(key=st.sampled_from(_WRITE_KEYS), sid=st.integers(0, 5))
     def insert(self, key, sid):
@@ -489,8 +502,8 @@ class DirectoryMachine(RuleBasedStateMachine):
         self._probe(keys)
 
     @invariant()
-    def directories_equal_slots(self):
-        _assert_directories_current(self.table)
+    def pages_equal_reference(self):
+        _assert_chain_pages_current(self.table)
         assert self.table._chains == self.reference.chains
         for chain in self.reference.chains:
             for page_id in chain:
@@ -502,7 +515,7 @@ class DirectoryMachine(RuleBasedStateMachine):
         assert self.table.n_entries == len(self.reference.entries())
 
     @invariant()
-    def live_probe_equals_frozen(self):
+    def stack_probe_equals_slot_scan(self):
         self._probe(_WRITE_KEYS + _MISSES)
 
 
@@ -552,10 +565,15 @@ class TestBulkLoadEquivalence:
             assert _probe(bulk, key) == _probe(seq, key)
 
     def test_fresh_buckets_get_eager_directories(self):
+        """A bulk load into fresh buckets keeps their chain lengths, and
+        the stack of its slots probes like scanning them."""
         keys, sids = _keyed_workload(30, 4)
         bulk = _table(n_buckets=4, page_size=64)
         _bulk_load(bulk, keys, sids)
-        _assert_directories_current(bulk)
+        _assert_chain_pages_current(bulk)
+        fps = _fps(sorted(set(keys)) + _MISSES)
+        want, _ = slot_probe([bulk], fps[None])
+        assert _stack_probe(bulk, fps, IOStats()) == want
 
     def test_bulk_load_onto_existing_entries(self):
         keys, sids = _keyed_workload(50, 5)
@@ -638,62 +656,174 @@ class TestTailReadAccounting:
         assert sorted(_probe(table, b"k")) == [1, 2, 3, 4, 5, 6]
 
 
-_PROBE_COUNTERS = [
-    metrics.counter(f"hashtable.{name}")
-    for name in ("probes", "probe_pages", "probe_pages_saved")
-]
-
 _KEYS = [f"key-{i}".encode() for i in range(12)]
-_table_ops = st.lists(
+_MISS_KEYS = [b"miss-0", b"miss-1", b"miss-2"]
+_N_TABLES = 3
+# One set's key in each of the three tables.
+_set_keys = st.lists(st.sampled_from(_KEYS), min_size=_N_TABLES, max_size=_N_TABLES)
+_live_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), st.sampled_from(_KEYS), st.integers(0, 9)),
-        st.tuples(st.just("delete"), st.sampled_from(_KEYS), st.integers(0, 9)),
-        st.tuples(
-            st.just("bulk"),
-            st.lists(st.sampled_from(_KEYS), max_size=12),
-            st.integers(10, 90),
-        ),
+        st.tuples(st.just("insert"), _set_keys),
+        # Which stored sid to delete (0: a sid never stored).
+        st.tuples(st.just("delete"), st.integers(0, 50)),
+        st.tuples(st.just("bulk"), st.lists(_set_keys, max_size=8)),
+        st.tuples(st.just("compact"), st.none()),
     ),
-    max_size=30,
+    max_size=40,
 )
 # Stored keys, keys never stored (misses), with repeats and the
-# empty and one-key batches.
-_probe_keys = st.lists(
-    st.sampled_from(_KEYS + [b"miss-0", b"miss-1", b"miss-2"]), max_size=20
+# empty and one-row batches.
+_probe_rows = st.lists(
+    st.lists(
+        st.sampled_from(_KEYS + _MISS_KEYS), min_size=_N_TABLES,
+        max_size=_N_TABLES,
+    ),
+    max_size=12,
 )
+
+
+def _key_fps(keys_per_row):
+    """``(tables, rows)`` fingerprints of rows of per-table keys."""
+    fps = np.array(
+        [[hash_key(key) for key in row] for row in keys_per_row],
+        dtype=np.uint64,
+    ).reshape(len(keys_per_row), _N_TABLES)
+    return np.ascontiguousarray(fps.T)
+
+
+def _replay(live, operations):
+    """Apply ``operations`` to ``live``; returns the stored sids."""
+    stored: dict[int, np.ndarray] = {}
+    next_sid = 0
+    for op, arg in operations:
+        if op == "insert":
+            stored[next_sid] = _key_fps([arg])[:, 0]
+            live.insert(stored[next_sid], next_sid)
+            next_sid += 1
+        elif op == "delete":
+            if arg and stored:
+                sid = sorted(stored)[arg % len(stored)]
+                assert live.delete(stored.pop(sid), sid)
+            else:
+                assert not live.delete(_key_fps([_MISS_KEYS])[:, 0], 10**6)
+        elif op == "bulk":
+            sids = list(range(next_sid, next_sid + len(arg)))
+            next_sid += len(arg)
+            block = _key_fps(arg)
+            live.bulk_load(block, sids)
+            stored.update(zip(sids, block.T))
+        else:
+            live.compact()
+    return stored
 
 
 class TestFrozenViewEquivalence:
-    """A one-table :class:`TableStack` of a live table is its grouped
-    probe over arrays: same sids in the same order, same page charges,
-    same counter movements."""
+    """A live filter's probe -- its stacked base minus the tombstones
+    plus its write delta -- equals the from-slots oracle over its pages
+    after any interleaving of inserts, deletes, bulk loads and
+    compactions: the same sids per row, the same page reads in the same
+    order (so the same charges and buffer-pool state), the same counter
+    moves.  Its frozen stack probes alike."""
 
-    @given(_table_ops, st.integers(1, 5), _probe_keys)
+    @given(_live_ops, st.integers(1, 5), _probe_rows, st.sampled_from([0, 3]))
     @settings(max_examples=80, deadline=None)
-    def test_probe_hashed_matches_live(self, operations, n_buckets, probe_keys):
-        # 4 entries per page: overflow chains and emptied buckets occur.
-        table = _table(n_buckets=n_buckets, page_size=64)
-        for op, key, arg in operations:
-            if op == "insert":
-                _insert(table, key, arg)
-            elif op == "delete":
-                _delete(table, key, arg)
-            else:
-                _bulk_load(table, key, list(range(arg, arg + len(key))))
-        fps = _fps(probe_keys)
+    def test_probe_hashed_matches_live(self, operations, n_buckets, probe_rows,
+                                       cache_pages):
+        def tables():
+            # 4 entries per page: overflow chains and emptied buckets.
+            pager = PageManager(IOCostModel(), page_size=64, cache_pages=cache_pages)
+            return LiveTables(pager, _N_TABLES, n_buckets)
 
-        def moved(probe):
-            before = [c.local_value for c in _PROBE_COUNTERS]
-            got = probe()
-            return got, [
-                c.local_value - b for c, b in zip(_PROBE_COUNTERS, before)
-            ]
-
-        io_before = table.pager.io.snapshot()
-        live, live_moved = moved(lambda: table.probe_hashed(fps.tolist()))
-        live_io = table.pager.io.snapshot() - io_before
+        live, twin = tables(), tables()
+        stored = _replay(live, operations)
+        _replay(twin, operations)
+        fps = _key_fps(probe_rows)
+        before = live.pager.io.snapshot()
+        (rows, sids), moves = _counter_moves(
+            lambda: live.probe(0, _N_TABLES, fps)
+        )
+        live_io = live.pager.io.snapshot() - before
+        before = twin.pager.io.snapshot()
+        want, want_moves = slot_probe(twin.tables, fps)
+        assert twin.pager.io.snapshot() - before == live_io
+        assert moves == want_moves
+        assert list(live.pager._cache) == list(twin.pager._cache)
+        got = _per_row(rows, sids, len(probe_rows))
+        assert [sorted(row) for row in got] == [sorted(row) for row in want]
+        for row in want:
+            assert set(row) <= set(stored)
+        if cache_pages:
+            return
+        stack = live.freeze()
         io = IOStats()
-        frozen, frozen_moved = moved(lambda: _stack_probe(table, fps, io))
-        assert frozen == live
+        frozen = _per_row(*stack.probe(0, _N_TABLES, fps, io), len(probe_rows))
+        assert [sorted(row) for row in frozen] == [sorted(row) for row in want]
         assert io == live_io
-        assert frozen_moved == live_moved
+        # Compacted runs are sid-ascending, the layout of a bulk build.
+        for a, b in zip(stack.run_indptr[:-1], stack.run_indptr[1:]):
+            run = stack.run_sids[a:b]
+            assert np.all(run[1:] > run[:-1])
+        assert stack.n_entries == _N_TABLES * len(stored)
+
+
+class TestLiveTables:
+    def _live(self, n_buckets=4):
+        return LiveTables(PageManager(IOCostModel(), page_size=64), 2, n_buckets)
+
+    def test_bulk_base_equals_compacted_inserts(self):
+        """A bulk load into empty tables builds the base a compaction of
+        the same sets inserted one by one builds."""
+        rng = np.random.default_rng(0)
+        block = rng.integers(0, 6, size=(2, 40)).astype(np.uint64)
+        sids = list(range(40))
+        bulk, one_by_one = self._live(), self._live()
+        bulk.bulk_load(block, sids)
+        for sid in sids:
+            one_by_one.insert(block[:, sid], sid)
+        one_by_one.compact()
+        for name in ("run_offsets", "run_fps", "run_indptr", "run_sids"):
+            assert np.array_equal(
+                getattr(bulk.base, name), getattr(one_by_one.base, name)
+            ), name
+        assert np.array_equal(bulk.chain_pages, one_by_one.chain_pages)
+
+    def test_compaction_starts_past_its_share(self):
+        from repro.storage.hashtable import COMPACT_SHARE
+
+        live = self._live()
+        live.bulk_load(np.arange(80, dtype=np.uint64).reshape(2, 40), range(40))
+        base = live.base
+        writes = int(COMPACT_SHARE * 40)
+        for sid in range(writes):
+            live.delete(np.array([sid, 40 + sid], dtype=np.uint64), sid)
+        assert live.base is base  # not yet past the share
+        live.delete(np.array([writes, 40 + writes], dtype=np.uint64), writes)
+        assert live.base is not base
+        assert live.base.n_entries == 2 * (40 - writes - 1)
+
+    def test_freeze_shares_the_base(self):
+        live = self._live()
+        live.bulk_load(np.arange(20, dtype=np.uint64).reshape(2, 10), range(10))
+        live.insert(np.array([3, 13], dtype=np.uint64), 10)
+        stack = live.freeze()
+        assert stack.run_sids is live.base.run_sids  # compacted, not copied
+        assert stack.chain_pages is not live.chain_pages
+        assert np.array_equal(stack.chain_pages, live.chain_pages)
+        live.insert(np.array([4, 14], dtype=np.uint64), 11)
+        assert stack.n_entries == 22  # later writes cannot reach it
+
+    def test_load_sorts_runs_written_in_slot_order(self):
+        """A stored stack whose runs are not sid-ascending loads with
+        each run sorted; its pages take the entries in sid order."""
+        fps = np.array([5, 5, 5, 9], dtype=np.uint64)
+        stack = TableStack(
+            [4], np.array([1, 1, 0, 0]), [0, 2], np.array([5, 9], dtype=np.uint64),
+            np.array([0, 3, 4]), np.array([2, 0, 1, 3]),
+        )
+        live = LiveTables(PageManager(IOCostModel(), page_size=64), 1, 4)
+        live.load(stack)
+        assert live.base.run_sids.tolist() == [0, 1, 2, 3]
+        reference = _table(n_buckets=4, page_size=64)
+        reference.bulk_load_hashed(fps[[1, 2, 0, 3]], [0, 1, 2, 3])
+        assert live.tables[0]._chains == reference._chains
+        assert live.tables[0].pager.peek(0).slots == reference.pager.peek(0).slots
