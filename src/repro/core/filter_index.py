@@ -190,7 +190,7 @@ class FilterIndex:
     @property
     def n_entries(self) -> int:
         """Entries per table (each vector appears once in every table)."""
-        return self._live.tables[0].n_entries
+        return self._live.n_entries
 
     def _vector_fingerprints(self, vector: np.ndarray) -> np.ndarray:
         """One vector's fingerprint in each of the ``l`` tables, from
@@ -200,7 +200,8 @@ class FilterIndex:
         )[:, 0]
 
     def insert(self, vector: np.ndarray, sid: int) -> None:
-        """Index one packed vector under a new set identifier."""
+        """Index one packed vector under a set identifier not stored
+        yet (``ValueError`` otherwise)."""
         self._live.insert(self._vector_fingerprints(vector), sid)
 
     def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> dict:
@@ -215,16 +216,14 @@ class FilterIndex:
         totals: tables, entries, new pages and tail pages read.
 
         The rows of ``matrix`` need not be contiguous (column views and
-        strided slices are accepted); ``sids`` must be unique within
-        the call -- one set is one identifier, and a duplicate would
-        silently double-index it in every table.
+        strided slices are accepted); ``sids`` must be unique and not
+        stored yet -- one set is one identifier -- or the load raises
+        ``ValueError`` before it writes anything.
         """
         if matrix.shape[0] != len(sids):
             raise ValueError(
                 f"matrix has {matrix.shape[0]} rows but {len(sids)} sids given"
             )
-        if len(set(sids)) != len(sids):
-            raise ValueError("duplicate sids in insert_many")
         matrix = np.ascontiguousarray(matrix)
         return self._live.bulk_load(
             (
@@ -269,10 +268,10 @@ class FilterIndex:
         """Aggregate occupancy/load statistics over the ``l`` tables.
 
         With ``detail=True`` the per-table
-        :meth:`~repro.storage.hashtable.BucketHashTable.load_stats`
-        dicts are included under ``"tables"``.
+        :meth:`~repro.storage.hashtable.LiveTables.table_stats` dicts
+        are included under ``"tables"``.
         """
-        per_table = [table.load_stats() for table in self._live.tables]
+        per_table = self._live.table_stats()
         stats = {
             "n_tables": self.n_tables,
             "r": self.filter.r,

@@ -15,9 +15,10 @@ Components:
 
 * :mod:`repro.storage.iomodel` -- cost model and counters.
 * :mod:`repro.storage.pager` -- page allocation and access accounting.
-* :mod:`repro.storage.hashtable` -- paged bucket hash table (the
-  primitive both filter indices are made of), dynamic per entry and
-  bulk-loaded a batch at a time in one call.
+* :mod:`repro.storage.hashtable` -- a filter's paged bucket hash tables
+  (the primitive both filter indices are made of) as page arrays: each
+  insert or delete one array pass over the tables, a batch bulk-loaded
+  a table at a time; and the stacked probe kernel.
 * :mod:`repro.storage.heapfile` -- append-only record file supporting
   cheap sequential scans (the Scan baseline).
 * :mod:`repro.storage.btree` -- B-tree mapping set identifiers to heap
@@ -28,7 +29,7 @@ Components:
 """
 
 from repro.storage.btree import BTree
-from repro.storage.hashtable import BucketHashTable
+from repro.storage.hashtable import LiveTables, TableStack
 from repro.storage.heapfile import HeapFile
 from repro.storage.iomodel import IOCostModel, IOStats
 from repro.storage.pager import Page, PageManager
@@ -36,11 +37,12 @@ from repro.storage.setstore import SetStore
 
 __all__ = [
     "BTree",
-    "BucketHashTable",
     "HeapFile",
     "IOCostModel",
     "IOStats",
+    "LiveTables",
     "Page",
     "PageManager",
     "SetStore",
+    "TableStack",
 ]

@@ -8,20 +8,23 @@ overflow chains so the structure stays correct for any input.
 
 The tables are fully dynamic (insert and delete), which is what lets the
 paper claim the overall index "readily supports dynamic operations".
-Three pieces carry that here:
+Two pieces carry that here:
 
-- :class:`BucketHashTable` keeps one table's pages -- chains, slots,
-  tail tracking -- and charges every write; a batch of entries loads in
-  one :meth:`~BucketHashTable.bulk_load_hashed` call, bit-identical in
-  chains, pages and I/O accounting to inserting the entries one by one.
-  It answers no probes.
+- :class:`LiveTables` is a live filter's ``l`` tables.  Their pages are
+  rows of two page arrays (fingerprints, sids), each row a page the
+  :class:`~repro.storage.pager.PageManager` reserved; every bucket's
+  chain, entry count and tail state is an array entry over all ``l``
+  tables' buckets, and a slot index gives each sid's slot in every
+  table.  An insert or a delete is one array pass over the ``l`` tables,
+  and a batch loads a table at a time, each charging exactly what the
+  page operations of ``l`` tables written one after another charge.
+  Probes read an immutable stacked base, a small sorted delta of the
+  sets inserted since the last compaction and a tombstone mask over the
+  deleted sids.
 - :class:`TableStack` is the one probe kernel: the fingerprint runs of a
   filter's ``l`` tables in a few flat arrays, probed for a whole batch
-  in one pass.  Frozen and mapped snapshots serve from it.
-- :class:`LiveTables` is a live filter: its tables' pages, an immutable
-  stacked base, a small stacked delta of the entries inserted since the
-  last compaction and a tombstone mask over the base's deleted sids.  A
-  probe is the base's plus the delta's, minus the tombstones.
+  in one pass.  Frozen and mapped snapshots serve from it, and a live
+  filter's base and delta are stacks.
 
 Each stored entry is a ``(fingerprint, sid)`` pair of 16 bytes.  The
 fingerprint is a 64-bit hash of the full key; matching on it avoids
@@ -54,9 +57,9 @@ _PROBE_PAGES = metrics.counter("hashtable.probe_pages")
 #: Bucket pages a batched probe did NOT read because several keys of
 #: the batch resolved to the same bucket (read once, served to all).
 _PROBE_PAGES_SAVED = metrics.counter("hashtable.probe_pages_saved")
-#: Chain-tail reads :meth:`BucketHashTable.insert_hashed` skipped because the
-#: tail page's fill state was still known from this table's own last
-#: write to the bucket (the page is logically in the writer's buffer).
+#: Chain-tail reads :meth:`LiveTables.insert` skipped because the tail
+#: page's fill state was still known from the filter's own last write to
+#: the bucket (the page is logically in the writer's buffer).
 _TAIL_READS_SKIPPED = metrics.counter("hashtable.tail_reads_skipped")
 #: Entries and fresh pages loaded through the bulk (build-time) path.
 _BULK_ENTRIES = metrics.counter("hashtable.bulk_entries")
@@ -99,265 +102,6 @@ def hash_words(words: np.ndarray, key_bytes: int) -> np.ndarray:
     for j in range(words.shape[1]):
         h = mix64_array(h ^ words[:, j])
     return h
-
-
-class BucketHashTable:
-    """The pages of one disk-simulated hash table from key fingerprints
-    to set identifiers: what its writes cost and what a probe reads.
-
-    Parameters
-    ----------
-    pager:
-        Page source; also supplies the I/O accounting.
-    n_buckets:
-        Number of hash buckets.  The paper chooses enough buckets that
-        no overflows occur; a sensible choice is
-        ``ceil(expected_entries / slots_per_page)``.
-    chain_pages:
-        Optional int64 array of ``n_buckets`` zeros the table keeps as
-        its per-bucket chain lengths (a :class:`LiveTables` passes a
-        slice of one filter-wide array); a fresh one by default.
-    """
-
-    def __init__(self, pager: PageManager, n_buckets: int, chain_pages=None):
-        if n_buckets <= 0:
-            raise ValueError(f"n_buckets must be positive, got {n_buckets}")
-        self.pager = pager
-        self.n_buckets = n_buckets
-        self.slots_per_page = pager.capacity_for(ENTRY_BYTES)
-        # Chains of page ids per bucket; pages allocated lazily.
-        self._chains: list[list[int]] = [[] for _ in range(n_buckets)]
-        #: Pages in each bucket's chain, kept current by every write:
-        #: what a grouped probe of the bucket charges.
-        self.chain_pages = (
-            np.zeros(n_buckets, dtype=np.int64) if chain_pages is None
-            else chain_pages
-        )
-        self._n_entries = 0
-        # Occupied slots on each bucket's tail page, when known from
-        # this table's own last write (-1 = unknown, must read).  Lets
-        # consecutive inserts into one bucket skip re-reading a page
-        # that is logically still in the writer's buffer.
-        self._tail_slots: list[int] = [-1] * n_buckets
-
-    @property
-    def n_entries(self) -> int:
-        """Number of stored (key, sid) entries."""
-        return self._n_entries
-
-    @property
-    def n_pages(self) -> int:
-        """Pages across all bucket chains."""
-        return sum(len(chain) for chain in self._chains)
-
-    def insert_hashed(self, fingerprint: int, sid: int) -> None:
-        """Add a (fingerprint, sid) entry for a pre-computed
-        ``hash_key`` fingerprint.  Duplicates are stored as given.
-
-        The chain-tail page is re-read (one charged random read) only
-        when its fill state is unknown; consecutive inserts into one
-        bucket know the tail from their own last write and skip the
-        redundant read entirely.  The entry lands in the chain's last
-        slot.
-        """
-        bucket = fingerprint % self.n_buckets
-        chain = self._chains[bucket]
-        last = None
-        if chain:
-            known = self._tail_slots[bucket]
-            if known < 0:
-                last = self.pager.read(chain[-1], sequential=False)
-                if last.is_full:
-                    last = None
-            elif known < self.slots_per_page:
-                last = self.pager.peek(chain[-1])
-                _TAIL_READS_SKIPPED.shard().count += 1
-            else:
-                # Tail known full: allocate without touching it.
-                _TAIL_READS_SKIPPED.shard().count += 1
-        if last is None:
-            last = self.pager.allocate(self.slots_per_page)
-            chain.append(last.page_id)
-            self.chain_pages[bucket] += 1
-        last.append((fingerprint, sid))
-        self.pager.write(last.page_id)
-        self._tail_slots[bucket] = len(last.slots)
-        self._n_entries += 1
-
-    # -- bulk loading ------------------------------------------------------
-
-    def bulk_load_hashed(
-        self, fingerprints: np.ndarray, sids: Sequence[int]
-    ) -> dict:
-        """Bulk-insert many (fingerprint, sid) entries in one partitioned
-        pass, for pre-computed ``hash_key`` fingerprints.
-
-        Equivalent -- in chains, page ids and contents and I/O
-        accounting -- to ``for fp, sid in zip(fingerprints, sids):
-        self.insert_hashed(fp, sid)``.  Entries are grouped by bucket
-        with one stable argsort, each group's page layout (existing-tail
-        absorption, new-page count) is array arithmetic, and pages are
-        allocated in the order the
-        per-insert path opens them: at the first entry (in input order)
-        that lands on each.  A target bucket whose tail fill state is
-        unknown (e.g. after a delete) has its tail read first -- one
-        charged random read, as the per-insert path's first write to
-        that bucket charges.  Returns a small load report.
-        """
-        fps = np.ascontiguousarray(fingerprints, dtype=np.uint64)
-        n = len(fps)
-        if n != len(sids):
-            raise ValueError(
-                f"{n} fingerprints but {len(sids)} sids given"
-            )
-        if n == 0:
-            return {"entries": 0, "new_pages": 0, "buckets": 0, "tail_reads": 0}
-        pager = self.pager
-        slots = self.slots_per_page
-        buckets = (fps % np.uint64(self.n_buckets)).astype(np.int64)
-        order = np.argsort(buckets, kind="stable")
-        sorted_buckets = buckets[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_buckets[1:] != sorted_buckets[:-1]]
-        )
-        bounds = np.append(starts, n)
-        sizes = np.diff(bounds)
-        group_buckets = sorted_buckets[starts].tolist()
-        # Free slots on each group's existing tail page (0 for fresh
-        # buckets: their first entry opens a page, as in insert()).
-        rems = np.zeros(len(group_buckets), dtype=np.int64)
-        tail_reads = 0
-        for g, bucket in enumerate(group_buckets):
-            chain = self._chains[bucket]
-            if chain:
-                occupied = self._tail_slots[bucket]
-                if occupied < 0:
-                    occupied = len(pager.read(chain[-1], sequential=False).slots)
-                    tail_reads += 1
-                rems[g] = slots - occupied
-        # Within-bucket rank of every entry, then the page-opening
-        # entries: rank == rem, rem + slots, rem + 2*slots, ...
-        ranks = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-        rem_rep = np.repeat(rems, sizes)
-        opens = (ranks >= rem_rep) & ((ranks - rem_rep) % slots == 0)
-        # Allocation schedule in original input order -- the order the
-        # sequential path reaches each page-opening entry.
-        open_orig = order[opens]
-        alloc_buckets = sorted_buckets[opens][np.argsort(open_orig)].tolist()
-        # Materialize entries as the exact Python objects the
-        # per-insert path stores: int fingerprints, caller's sids.
-        sids_arr = np.asarray(sids, dtype=np.int64)
-        all_entries = list(
-            zip(fps[order].tolist(), sids_arr[order].tolist())
-        )
-        # Each group's lead entries top up its tail page; the rest fill
-        # fresh pages in allocation order.
-        entries_of: dict[int, list] = {}
-        cursors: dict[int, int] = {}
-        pos = 0
-        for bucket, size, rem in zip(group_buckets, sizes.tolist(), rems.tolist()):
-            entries = entries_of[bucket] = all_entries[pos : pos + size]
-            pos += size
-            take = min(rem, size)
-            if take:
-                pager.peek(self._chains[bucket][-1]).slots.extend(entries[:take])
-            cursors[bucket] = take
-        for bucket in alloc_buckets:
-            page = pager.allocate(slots)
-            self._chains[bucket].append(page.page_id)
-            start = cursors[bucket]
-            page.slots.extend(entries_of[bucket][start : start + slots])
-            cursors[bucket] = start + slots
-        # One charged write per entry, exactly as the per-insert loop
-        # charges them (allocation writes were charged by allocate()).
-        pager.io.write(n)
-        chains = self._chains
-        for bucket in group_buckets:
-            self._tail_slots[bucket] = len(pager.peek(chains[bucket][-1]).slots)
-        self.chain_pages[group_buckets] = [len(chains[b]) for b in group_buckets]
-        self._n_entries += n
-        _BULK_ENTRIES.shard().count += n
-        _BULK_PAGES.shard().count += len(alloc_buckets)
-        return {
-            "entries": n,
-            "new_pages": len(alloc_buckets),
-            "buckets": len(group_buckets),
-            "tail_reads": tail_reads,
-        }
-
-    def delete_hashed(self, fingerprint: int, sid: int) -> bool:
-        """Remove one (fingerprint, sid) entry for a pre-computed
-        ``hash_key`` fingerprint; returns whether one was found.
-
-        The first matching slot in chain order is the hole; compaction
-        moves the chain's last entry into it.
-        """
-        bucket = fingerprint % self.n_buckets
-        chain = self._chains[bucket]
-        target = (fingerprint, sid)
-        for rank, page_id in enumerate(chain):
-            page = self.pager.read(page_id, sequential=rank > 0)
-            try:
-                index = page.slots.index(target)
-            except ValueError:
-                continue
-            # Compact: move the chain's globally last entry into the hole.
-            last_page = self.pager.read(chain[-1], sequential=True)
-            moved = last_page.slots.pop()
-            # Unless the popped entry *was* the hole, fill the hole.
-            if not (page is last_page and index == len(last_page.slots)):
-                page.slots[index] = moved
-                self.pager.write(page.page_id)
-            if not last_page.slots:
-                self.pager.free(chain.pop())
-                self.chain_pages[bucket] -= 1
-                # The surviving tail was not touched here; forget its
-                # fill state so the next insert re-reads it.
-                self._tail_slots[bucket] = -1
-            else:
-                self.pager.write(last_page.page_id)
-                self._tail_slots[bucket] = len(last_page.slots)
-            self._n_entries -= 1
-            return True
-        return False
-
-    def bucket_occupancies(self) -> list[int]:
-        """Entries stored per bucket (uncharged; statistics only)."""
-        return [
-            sum(len(self.pager.peek(page_id)) for page_id in chain)
-            for chain in self._chains
-        ]
-
-    def load_stats(self) -> dict:
-        """Occupancy and load-factor statistics for this table.
-
-        Uses uncharged page peeks so reporting does not perturb the
-        I/O accounting.  ``load_factor`` is entries over provisioned
-        slots (buckets x slots per page); under the paper's
-        "no bucket overflows" provisioning it stays below 1 and
-        ``max_chain_pages`` stays at 1.
-        """
-        occupancies = self.bucket_occupancies()
-        return {
-            "n_buckets": self.n_buckets,
-            "n_entries": self._n_entries,
-            "n_pages": self.n_pages,
-            "slots_per_page": self.slots_per_page,
-            "load_factor": self._n_entries / (self.n_buckets * self.slots_per_page),
-            "avg_occupancy": self._n_entries / self.n_buckets,
-            "max_occupancy": max(occupancies, default=0),
-            "nonempty_buckets": sum(1 for n in occupancies if n),
-            "max_chain_pages": max(
-                (len(chain) for chain in self._chains), default=0
-            ),
-        }
-
-    def items(self):
-        """Iterate over all (fingerprint, sid) entries (testing aid)."""
-        for chain in self._chains:
-            for page_id in chain:
-                page = self.pager.read(page_id, sequential=True)
-                yield from page.slots
 
 
 def _charge_grouped(buckets: np.ndarray, chain_pages: np.ndarray, io) -> None:
@@ -544,63 +288,109 @@ class TableStack:
 #: Compaction point of a :class:`LiveTables`: the delta and the
 #: tombstones are merged into the base once, together, they pass this
 #: share of the base's entries per table.  A merge rewrites the whole
-#: filter, while a pending write costs every probe a little (a second
-#: run lookup per table, tombstoned hits dropped) and every insert an
-#: O(l * delta) sorted insertion.  Measured on the weblog bench
-#: collection (3,000 sets, 200 tables in 5 filters, 2-vCPU host): merging
-#: ~750 pending writes takes ~32 ms; a batch of 32 probes 0.5 ms slower
-#: once any write is pending and 0.9 ms slower at 800; a delta insert
-#: costs 0.04-0.08 ms a filter.  At 1/4 the churn cycle (16 inserts,
-#: 16 deletes, one batch) merges every ~23 cycles, ~1.4 ms a cycle,
-#: about what the probes and the delta upkeep add; 1/8 merges twice as
-#: often, 1/2 doubles the upkeep, and the cycle's wall (~115 ms, mostly
-#: the writes' page work) stayed within noise from 1/32 to 1/2.
+#: filter, while a pending write costs every insert an O(l * delta)
+#: in-place shift of the sorted delta rows and every probe a second run
+#: lookup per table and the tombstone filter.  Measured on the weblog
+#: bench collection (3,000 sets, 200 tables in 5 filters, 2-vCPU host;
+#: four rounds of 200 churn cycles of 16 inserts, 16 deletes and a batch
+#: of 32): at 1/4 a filter merges every ~25 cycles at 5.6-7.7 ms a
+#: merge, 1.1-1.5 ms a cycle, the delta upkeep takes 3.8-5.0 ms a cycle
+#: and the live probes 2.0-2.5 ms.  Merges, upkeep and probes together
+#: took 6.5-8.7 ms a cycle at 1/8, 7.0-9.1 at 1/4 and 8.9-11.4 at 1/2,
+#: of a cycle wall of 29-46 ms that the host's state moved more than
+#: the share did: 1/8 and 1/4 are within noise of each other, and 1/2
+#: pays for its larger delta.
 COMPACT_SHARE = 0.25
 
 
 class LiveTables:
-    """One live filter's ``l`` tables: pages for the write-side
-    accounting, and a stacked image for probes.
+    """One live filter's ``l`` tables: array-backed pages for the
+    write-side accounting, and stacked images for probes.
 
-    - ``tables``: one :class:`BucketHashTable` per table, whose pages,
-      chains and tail tracking charge every insert, delete and bulk
-      load, and whose chain lengths (``chain_pages``, one filter-wide
-      array) price every probe.
+    The pages.  Bucket ``b`` of table ``t`` is the filter's bucket
+    ``g = t * n_buckets + b``.  Its chain is ``chain_pages[g]`` pages,
+    rows ``_chain_rows[g, :chain_pages[g]]`` (head first) of the page
+    arrays ``_page_fps`` / ``_page_sids``, one row of
+    ``slots_per_page`` entries per page.  The chain holds ``_count[g]``
+    entries densely in chain order -- entry ``i`` in slot
+    ``i % slots_per_page`` of the chain's page ``i // slots_per_page``
+    -- since a delete moves the chain's last entry into its hole, so
+    every page but the tail is full.  ``_tail_known[g]`` says whether
+    the tail's fill state is known from this filter's own last write to
+    the bucket (an insert then skips re-reading it).  The slot index
+    gives each stored set a row ``_set_row[sid]`` of ``_slot``, whose
+    column ``t`` is the position of the set's entry in its table-``t``
+    bucket's chain (-1: none), so a delete finds its hole without a
+    scan; a deleted set's row is reused, so the index grows with the
+    sets stored, not with the sids ever used.  Page ids
+    come from the pager (:meth:`~repro.storage.pager.PageManager.reserve`)
+    and pages are allocated, read and freed in table order, so ids,
+    charges and buffer-pool traffic are those of ``l`` tables written
+    one after another.  Each write is one array pass over the ``l``
+    tables; only behind a buffer pool, whose charges depend on what it
+    holds, are its page reads replayed through the pager table by table.
+
+    The probes.
+
     - ``base``: an immutable :class:`TableStack` of the entries present
       at the last compaction (bulk load, :meth:`load` or merge).
-    - the delta: each set inserted since, by sid with its ``l``
-      fingerprints, stacked into a small :class:`TableStack` when a
+    - the delta: the entries of the sets inserted since, one row per
+      table of a preallocated buffer, each row kept sorted by
+      fingerprint; stacked into a small :class:`TableStack` when a
       probe first needs it.
-    - the tombstones: a mask over the sids deleted from the base.
-      Deleting a delta sid drops it from the delta instead.
+    - the tombstones: a mask over the sids deleted since the last
+      compaction, from the base and the delta alike.
 
-    A probe is the base's hits minus the tombstoned sids plus the
-    delta's, one ``(row, sid)`` hit list with exactly the entries the
-    pages hold; its reads are charged once, from the live chain lengths.
-    Every sid is stored at most once (one set, one identifier), and sids
-    only grow (a bulk load takes them ascending), so every run of the
-    base and the delta is sid-ascending -- the layout a bulk build
-    gives.  When the delta and the tombstones pass
-    :data:`COMPACT_SHARE` of the base, a write merges them into a new
-    base (:meth:`compact`), so no probe pays for the merge.
+    A probe is the base's hits plus the delta's, minus the tombstoned
+    sids: one ``(row, sid)`` hit list with exactly the entries the pages
+    hold; its reads are charged once, from the live chain lengths.
+    Every sid is stored at most once (one set, one identifier: a write
+    of a stored sid is refused), and sids only grow (a bulk load takes
+    them ascending), so every run of the base and the delta is
+    sid-ascending -- the layout a bulk build gives.  When the delta and
+    the tombstones pass :data:`COMPACT_SHARE` of the base, a write
+    merges them into a new base (:meth:`compact`), so no probe pays for
+    the merge.
     """
 
     def __init__(self, pager: PageManager, n_tables: int, n_buckets: int):
+        if n_buckets <= 0:
+            raise ValueError(f"n_buckets must be positive, got {n_buckets}")
         self.pager = pager
+        self.slots_per_page = slots = pager.capacity_for(ENTRY_BYTES)
         self.n_buckets = np.full(n_tables, n_buckets, dtype=np.int64)
-        self.chain_pages = np.zeros(n_tables * n_buckets, dtype=np.int64)
-        self.tables = [
-            BucketHashTable(
-                pager, n_buckets,
-                self.chain_pages[t * n_buckets:(t + 1) * n_buckets],
-            )
-            for t in range(n_tables)
-        ]
+        self._modulus = np.uint64(n_buckets)
+        #: Each table's first bucket.
+        self._first = np.arange(n_tables, dtype=np.int64) * n_buckets
+        n_all = n_tables * n_buckets
+        #: Pages in each bucket's chain, kept current by every write:
+        #: what a grouped probe of the bucket charges.
+        self.chain_pages = np.zeros(n_all, dtype=np.int64)
+        self._count = np.zeros(n_all, dtype=np.int64)
+        self._tail_known = np.zeros(n_all, dtype=bool)
+        self._chain_rows = np.full((n_all, 1), -1, dtype=np.int64)
+        self._page_fps = np.empty((0, slots), dtype=np.uint64)
+        self._page_sids = np.empty((0, slots), dtype=np.int64)
+        #: The page id of each page-array row.
+        self._row_page = np.empty(0, dtype=np.int64)
+        self._free_rows: list[int] = []
+        self._slot = np.empty((0, n_tables), dtype=np.int32)
+        self._free_slot_rows: list[int] = []
+        #: Each sid's row of ``_slot`` (-1: not stored) and the
+        #: tombstone mask, by sid.
+        self._set_row = np.empty(0, dtype=np.int32)
+        self._dead = np.empty(0, dtype=bool)
         self._set_base(
             np.zeros(n_tables + 1, dtype=np.int64), np.zeros(0, dtype=np.uint64),
             np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
         )
-        self._clear_delta()
+        #: The delta's entries, ``(l, capacity)``: the first
+        #: ``_n_delta`` of each table's row, sorted by fingerprint, then
+        #: sid.
+        self._delta_fps = np.empty((n_tables, 0), dtype=np.uint64)
+        self._delta_sids = np.empty((n_tables, 0), dtype=np.int64)
+        self._n_delta = 0
+        self._delta_stack: TableStack | None = None
 
     def _set_base(self, run_offsets, run_fps, run_indptr, run_sids) -> None:
         self.base = TableStack(
@@ -609,62 +399,111 @@ class LiveTables:
         )
         #: Base entries per table, tombstoned ones included.
         self._n_base = self.base.n_entries // self.n_tables
-        #: The tombstone mask, by sid (made at the first tombstone).
-        self._dead = None
+        self._dead[:] = False
         self._n_dead = 0
-
-    def _clear_delta(self) -> None:
-        #: The delta's sids.
-        self._in_delta: set[int] = set()
-        #: The delta's entries, ``(l, n)``: each table's row sorted by
-        #: fingerprint, then sid.
-        self._delta_fps = np.zeros((self.n_tables, 0), dtype=np.uint64)
-        self._delta_sids = np.zeros((self.n_tables, 0), dtype=np.int64)
-        self._delta_stack: TableStack | None = None
 
     @property
     def n_tables(self) -> int:
-        return len(self.tables)
+        return len(self.n_buckets)
 
     # -- writes ------------------------------------------------------------
 
     def insert(self, fingerprints: np.ndarray, sid: int) -> None:
         """Store one set's entry in every table (``fingerprints[t]`` its
-        fingerprint in table ``t``) under a new sid."""
-        for table, fingerprint in zip(self.tables, fingerprints.tolist()):
-            table.insert_hashed(fingerprint, sid)
-        # One entry into each table's sorted delta row, after the equal
-        # fingerprints (a new sid is the largest): O(l n), no sort.
-        n_tables, n = self._delta_fps.shape
-        at = np.count_nonzero(self._delta_fps <= fingerprints[:, None], axis=1)
-        at += np.arange(n_tables) * n
-        self._delta_fps = np.insert(
-            self._delta_fps.ravel(), at, fingerprints
-        ).reshape(n_tables, n + 1)
-        self._delta_sids = np.insert(
-            self._delta_sids.ravel(), at, sid
-        ).reshape(n_tables, n + 1)
-        self._in_delta.add(sid)
-        self._delta_stack = None
+        fingerprint in table ``t``) under a sid not stored here.
+
+        In each table a chain tail whose fill state is unknown is read
+        (one random read), a full or missing tail opens a page (one
+        allocation write), and the entry takes the chain's next slot
+        (one write).
+        """
+        row = self._admit(np.array([sid], dtype=np.int64))[0]
+        fingerprints = np.asarray(fingerprints, dtype=np.uint64)
+        buckets = (fingerprints % self._modulus).astype(np.int64) + self._first
+        count, chain = self._count[buckets], self.chain_pages[buckets]
+        stored, known = chain > 0, self._tail_known[buckets]
+        self._read_tails(buckets[stored & ~known])
+        _TAIL_READS_SKIPPED.shard().count += int(np.count_nonzero(stored & known))
+        self._open_pages(buckets[count == chain * self.slots_per_page])
+        cells = self._cells(buckets, count)
+        self._page_fps.reshape(-1)[cells] = fingerprints
+        self._page_sids.reshape(-1)[cells] = sid
+        self.pager.io.write(len(buckets))
+        self._count[buckets] = count + 1
+        self._tail_known[buckets] = True
+        self._slot[row] = count
+        self._delta_insert(fingerprints, sid)
         self._maybe_compact()
 
     def delete(self, fingerprints: np.ndarray, sid: int) -> bool:
-        """Remove one set's entries; returns whether it was stored."""
-        found = False
-        for table, fingerprint in zip(self.tables, fingerprints.tolist()):
-            found |= table.delete_hashed(fingerprint, sid)
-        if not found:
-            return False
-        if sid in self._in_delta:
-            self._in_delta.remove(sid)
-            keep = self._delta_sids != sid
-            shape = (self.n_tables, len(self._in_delta))
-            self._delta_fps = self._delta_fps[keep].reshape(shape)
-            self._delta_sids = self._delta_sids[keep].reshape(shape)
-            self._delta_stack = None
+        """Remove one set's entries; returns whether it was stored.
+
+        In each table that holds ``(fingerprints[t], sid)`` the chain is
+        read up to the entry's page (a random read for the head,
+        sequential after it) and its tail re-read (sequential); the
+        chain's last entry moves into the hole (one write, unless it was
+        the hole), and the tail is then freed if emptied -- forgetting
+        the new tail's fill state -- or written.  A table that does not
+        hold it reads the whole chain.  The sid is tombstoned.
+        """
+        fingerprints = np.asarray(fingerprints, dtype=np.uint64)
+        buckets = (fingerprints % self._modulus).astype(np.int64) + self._first
+        slots, n_tables = self.slots_per_page, len(buckets)
+        count = self._count[buckets]
+        row = self._set_row[sid] if 0 <= sid < len(self._set_row) else -1
+        at = self._slot[row] if row >= 0 else np.full(n_tables, -1, dtype=np.int32)
+        # A table holds the entry if the slot its index names, in the
+        # bucket fingerprints[t] reaches, is (fingerprints[t], sid).
+        tables = np.flatnonzero((at >= 0) & (at < count))
+        touched, hole = buckets[tables], at[tables].astype(np.int64)
+        cells = self._cells(touched, hole)
+        held = ((self._page_sids.reshape(-1)[cells] == sid)
+                & (self._page_fps.reshape(-1)[cells] == fingerprints[tables]))
+        if not held.all():
+            tables, touched, hole, cells = (
+                tables[held], touched[held], hole[held], cells[held]
+            )
+        last = count[tables] - 1
+        freed = last % slots == 0
+        tails = self._chain_rows[touched[freed], last[freed] // slots]
+        freed_ids = self._row_page[tails].tolist()
+        if self.pager.cache_pages:
+            self._replay_delete(buckets, tables, hole // slots, tables[freed], freed_ids)
         else:
-            if self._dead is None:
-                self._dead = np.zeros(int(self.base.run_sids.max()) + 1, dtype=bool)
+            random = len(tables)
+            sequential = int((hole // slots).sum()) + len(tables)
+            if len(tables) < n_tables:
+                missed = np.delete(self.chain_pages[buckets], tables)
+                heads = int(np.count_nonzero(missed))
+                random += heads
+                sequential += int(missed.sum()) - heads
+            self.pager.io.read_random(random)
+            self.pager.io.read_sequential(sequential)
+            for page_id in freed_ids:
+                self.pager.free(page_id)
+        if not len(tables):
+            return False
+        # The chain's last entry fills the hole (unless it is the hole).
+        last_cells = self._cells(touched, last)
+        moves = cells != last_cells
+        fps, owners = self._page_fps.reshape(-1), self._page_sids.reshape(-1)
+        moved = owners[last_cells[moves]]
+        fps[cells[moves]] = fps[last_cells[moves]]
+        owners[cells[moves]] = moved
+        self._slot[self._set_row[moved], tables[moves]] = hole[moves]
+        self._slot[row, tables] = -1
+        if self._slot[row].max() < 0:
+            self._set_row[sid] = -1
+            self._free_slot_rows.append(int(row))
+        self.pager.io.write(len(moved) + len(tables) - len(freed_ids))
+        self._count[touched] = last
+        self._tail_known[touched] = ~freed
+        if freed_ids:
+            emptied = touched[freed]
+            self.chain_pages[emptied] -= 1
+            self._chain_rows[emptied, self.chain_pages[emptied]] = -1
+            self._free_rows += tails.tolist()
+        if not self._dead[sid]:
             self._dead[sid] = True
             self._n_dead += 1
         self._maybe_compact()
@@ -672,31 +511,41 @@ class LiveTables:
 
     def bulk_load(self, columns: Iterable[np.ndarray], sids: Sequence[int]) -> dict:
         """Load many sets at once: ``columns`` yields each table's
-        fingerprint vector in table order, one entry per sid.
+        fingerprint vector in table order, one entry per sid; no sid may
+        repeat or be stored here already.
 
-        Each table's pages take its vector in one
-        :meth:`BucketHashTable.bulk_load_hashed` call, in input order.
-        Into empty tables the base is then built straight from the
-        vectors, one table at a time into whole-filter arrays sized up
-        front (a stable sort per table), so only one table's temporaries
-        are alive at once; onto stored entries the sets join the delta.
-        Returns the load's totals: tables, entries, new pages and tail
-        pages read.
+        Each table's pages take its vector as inserting its entries one
+        by one would (:meth:`_load_table`).  Into empty tables the base
+        is then built straight from the vectors, one table at a time
+        into whole-filter arrays sized up front (a stable sort per
+        table), so only one table's temporaries are alive at once; onto
+        stored entries the sets join the delta.  Returns the load's
+        totals: tables, entries, new pages and tail pages read.
         """
         sids = np.asarray(sids, dtype=np.int64)
         n, n_tables = len(sids), self.n_tables
         report = dict.fromkeys(("entries", "new_pages", "tail_reads"), 0)
         if n == 0:
             return {"tables": n_tables, **report}
-        fresh = not (self._n_base or self._in_delta)
+        ordered = np.sort(sids)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("duplicate sids in a bulk load: one set is one identifier")
+        self._admit(sids)
+        fresh = not (self._n_base or self._n_delta)
         if fresh:
             runs = _RunArrays(n_tables, n_tables * n)
         else:
             block = np.empty((n_tables, n), dtype=np.uint64)
-        for t, (table, fps) in enumerate(zip(self.tables, columns)):
-            loaded = table.bulk_load_hashed(fps, sids)
-            for key in report:
-                report[key] += loaded[key]
+        for t, fps in zip(range(n_tables), columns):
+            if t == 1:
+                # Room for the other tables' pages at the first one's
+                # count (and a sixteenth more), so the page arrays grow
+                # about once.
+                self._reserve_rows(report["new_pages"] * (n_tables - 1) * 17 // 16)
+            new_pages, tail_reads = self._load_table(t, fps, sids)
+            report["entries"] += n
+            report["new_pages"] += new_pages
+            report["tail_reads"] += tail_reads
             if fresh:
                 order = np.argsort(fps, kind="stable")
                 runs.add(fps[order], sids[order])
@@ -705,14 +554,17 @@ class LiveTables:
         if fresh:
             self._set_base(*runs.arrays())
         else:
-            fps = np.concatenate((self._delta_fps, block), axis=1)
+            n_old = self._n_delta
+            fps = np.concatenate((self._delta_fps[:, :n_old], block), axis=1)
             owners = np.concatenate(
-                (self._delta_sids, np.broadcast_to(sids, block.shape)), axis=1
+                (self._delta_sids[:, :n_old], np.broadcast_to(sids, block.shape)),
+                axis=1,
             )
             order = np.lexsort((owners, fps), axis=1)
-            self._delta_fps = np.take_along_axis(fps, order, axis=1)
-            self._delta_sids = np.take_along_axis(owners, order, axis=1)
-            self._in_delta.update(sids.tolist())
+            self._reserve_delta(n_old + n)
+            self._delta_fps[:, :n_old + n] = np.take_along_axis(fps, order, axis=1)
+            self._delta_sids[:, :n_old + n] = np.take_along_axis(owners, order, axis=1)
+            self._n_delta = n_old + n
             self._delta_stack = None
             self._maybe_compact()
         return {"tables": n_tables, **report}
@@ -727,13 +579,19 @@ class LiveTables:
         run_indptr = np.array(stack.run_indptr)
         run_sids = np.array(stack.run_sids)
         lens = np.diff(run_indptr)
-        for t, table in enumerate(self.tables):
+        if len(run_sids):
+            ordered = np.sort(run_sids)
+            sids = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+            self._reserve_sids(int(sids[-1]) + 1)
+            self._set_row[sids] = self._take_slot_rows(len(sids))
+        self._reserve_rows(int(np.sum(stack.chain_pages)))
+        for t in range(self.n_tables):
             first, last = run_indptr[[offsets[t], offsets[t + 1]]].tolist()
             owners = run_sids[first:last]
             order = np.argsort(owners, kind="stable")
             fps = np.repeat(stack.run_fps[offsets[t]:offsets[t + 1]],
                             lens[offsets[t]:offsets[t + 1]])
-            table.bulk_load_hashed(fps[order], owners[order])
+            self._load_table(t, fps[order], owners[order])
         # A run written in another order (slot-scan order, by older
         # saves of churned indexes) is sorted here; sid-ascending runs
         # are the rule, so this is one check.
@@ -744,50 +602,261 @@ class LiveTables:
             run_sids = run_sids[np.lexsort((run_sids, run_of))]
         self._set_base(offsets, np.array(stack.run_fps), run_indptr, run_sids)
 
+    def _load_table(self, t: int, fps: np.ndarray, sids: np.ndarray) -> tuple[int, int]:
+        """Table ``t``'s pages take ``fps[i]`` under ``sids[i]``, in one
+        bucket-partitioned pass equivalent -- in chains, page ids, slots
+        and I/O accounting -- to inserting the entries one by one in
+        input order.  Returns the pages opened and the tails read.
+
+        Entries are grouped by bucket with one stable argsort; each
+        entry's chain slot follows from its bucket's count and its rank
+        in the group, and a page opens at each slot that starts a page
+        past the chain's end.  Pages are allocated in the order the
+        one-by-one path opens them: at the first entry (in input order)
+        that lands on each.  A target bucket whose tail fill state is
+        unknown (e.g. after a delete) has its tail read first -- one
+        charged random read, as the one-by-one path's first write to
+        that bucket charges.
+        """
+        fps = np.ascontiguousarray(fps, dtype=np.uint64)
+        n, slots = len(fps), self.slots_per_page
+        if n != len(sids):
+            raise ValueError(f"{n} fingerprints but {len(sids)} sids given")
+        if not n:
+            return 0, 0
+        local = (fps % self._modulus).astype(np.int64)
+        order = np.argsort(local, kind="stable")
+        local = local[order]
+        starts = np.flatnonzero(np.r_[True, local[1:] != local[:-1]])
+        sizes = np.diff(np.append(starts, n))
+        groups = local[starts] + self._first[t]
+        count, chain = self._count[groups], self.chain_pages[groups]
+        unknown = groups[(chain > 0) & ~self._tail_known[groups]]
+        self._read_tails(unknown)
+        owner = np.repeat(groups, sizes)
+        at = np.repeat(count - starts, sizes) + np.arange(n)
+        opens = (at % slots == 0) & (at >= np.repeat(chain, sizes) * slots)
+        n_new = int(np.count_nonzero(opens))
+        if n_new:
+            first = self.pager.reserve(n_new)
+            rows = self._take_rows(n_new)
+            # Page ids in the input order of the entries opening them.
+            self._row_page[rows[np.argsort(order[opens], kind="stable")]] = (
+                np.arange(first, first + n_new)
+            )
+            ranks = at[opens] // slots
+            self._widen(int(ranks.max()) + 1)
+            self._chain_rows[owner[opens], ranks] = rows
+        rows, cells = self._chain_rows[owner, at // slots], at % slots
+        sids = np.asarray(sids)[order]
+        self._page_fps[rows, cells] = fps[order]
+        self._page_sids[rows, cells] = sids
+        self._slot[self._set_row[sids], t] = at
+        self._count[groups] = count + sizes
+        self.chain_pages[groups] = -(-(count + sizes) // slots)
+        self._tail_known[groups] = True
+        self.pager.io.write(n)
+        _BULK_ENTRIES.shard().count += n
+        _BULK_PAGES.shard().count += n_new
+        return n_new, len(unknown)
+
+    def _admit(self, sids: np.ndarray) -> np.ndarray:
+        """Refuse a negative sid or one stored here (one set, one
+        identifier); give each sid a row of the slot index and return
+        the rows.  A sid deleted since the last compaction is still
+        tombstoned: the write compacts first, so the tombstone cannot
+        mask the new entries."""
+        if sids.min() < 0:
+            raise ValueError(f"sids must be non-negative, got {int(sids.min())}")
+        known = sids[sids < len(self._set_row)]
+        rows = self._set_row[known]
+        if rows.max(initial=-1) >= 0:
+            raise ValueError(f"sid {int(known[rows >= 0][0])} is already stored")
+        if self._n_dead and self._dead[known].any():
+            self.compact()
+        self._reserve_sids(int(sids.max()) + 1)
+        rows = self._take_slot_rows(len(sids))
+        self._set_row[sids] = rows
+        return rows
+
+    def _reserve_sids(self, size: int) -> None:
+        """Grow the sid-indexed arrays to ``size`` sids."""
+        old = len(self._set_row)
+        if size > old:
+            size = max(size, old + old // 2)
+            set_row = np.full(size, -1, dtype=np.int32)
+            set_row[:old] = self._set_row
+            dead = np.zeros(size, dtype=bool)
+            dead[:old] = self._dead
+            self._set_row, self._dead = set_row, dead
+
+    def _take_slot_rows(self, n: int) -> np.ndarray:
+        """``n`` free rows of the slot index; short of them, it grows by
+        at least half."""
+        short = n - len(self._free_slot_rows)
+        if short > 0:
+            old = len(self._slot)
+            size = old + max(short, old // 2)
+            slot = np.full((size, self.n_tables), -1, dtype=np.int32)
+            slot[:old] = self._slot
+            self._slot = slot
+            self._free_slot_rows += range(size - 1, old - 1, -1)
+        return _pop(self._free_slot_rows, n)
+
+    def _read_tails(self, buckets: np.ndarray) -> None:
+        """Charge one random read of each bucket's chain tail, in order."""
+        if self.pager.cache_pages:
+            tails = self._chain_rows[buckets, self.chain_pages[buckets] - 1]
+            for page_id in self._row_page[tails].tolist():
+                self.pager.read(page_id)
+        else:
+            self.pager.io.read_random(len(buckets))
+
+    def _replay_delete(self, buckets, tables, hole_ranks, emptied, freed_ids) -> None:
+        """A delete's page reads and frees through the buffer pool,
+        table by table: a table holding the entry (``tables``) reads its
+        chain up to the hole's page and then the tail, any other table
+        the whole chain; ``emptied`` tables then free their tails."""
+        ranks = dict(zip(tables.tolist(), hole_ranks.tolist()))
+        frees = dict(zip(emptied.tolist(), freed_ids))
+        for t, bucket in enumerate(buckets.tolist()):
+            chain = self._chain_ids(bucket)
+            if t in ranks:
+                chain = chain[:ranks[t] + 1] + chain[-1:]
+            for rank, page_id in enumerate(chain):
+                self.pager.read(page_id, sequential=rank > 0)
+            if t in frees:
+                self.pager.free(frees[t])
+
+    def _open_pages(self, buckets: np.ndarray) -> None:
+        """Append a fresh page to each bucket's chain, allocated in
+        order (one write each)."""
+        n = len(buckets)
+        if n:
+            first = self.pager.reserve(n)
+            rows = self._take_rows(n)
+            self._row_page[rows] = np.arange(first, first + n)
+            ranks = self.chain_pages[buckets]
+            self._widen(int(ranks.max()) + 1)
+            self._chain_rows[buckets, ranks] = rows
+            self.chain_pages[buckets] = ranks + 1
+
+    def _reserve_rows(self, n: int) -> None:
+        """Room for ``n`` more pages: short of free rows, the page
+        arrays grow by at least half."""
+        short = n - len(self._free_rows)
+        if short > 0:
+            old = len(self._row_page)
+            size = old + max(short, old // 2)
+            self._page_fps = _grown(self._page_fps, size)
+            self._page_sids = _grown(self._page_sids, size)
+            self._row_page = _grown(self._row_page, size)
+            self._free_rows += range(size - 1, old - 1, -1)
+
+    def _take_rows(self, n: int) -> np.ndarray:
+        """``n`` free page-array rows."""
+        self._reserve_rows(n)
+        return _pop(self._free_rows, n)
+
+    def _widen(self, width: int) -> None:
+        """Make room for chains of ``width`` pages."""
+        old = self._chain_rows.shape[1]
+        if width > old:
+            wide = np.full((len(self._chain_rows), max(width, 2 * old)), -1,
+                           dtype=np.int64)
+            wide[:, :old] = self._chain_rows
+            self._chain_rows = wide
+
+    def _cells(self, buckets: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Flat page-array index of entry ``at[i]`` of bucket
+        ``buckets[i]``'s chain."""
+        slots = self.slots_per_page
+        return self._chain_rows[buckets, at // slots] * slots + at % slots
+
+    def _chain_ids(self, bucket: int) -> list[int]:
+        rows = self._chain_rows[bucket, :self.chain_pages[bucket]]
+        return self._row_page[rows].tolist()
+
+    # -- the delta -----------------------------------------------------------
+
+    def _reserve_delta(self, size: int) -> None:
+        """Grow the delta buffer to hold ``size`` sets."""
+        old = self._delta_fps.shape[1]
+        if size > old:
+            size = max(size, 2 * old, 16)
+            for name in ("_delta_fps", "_delta_sids"):
+                grown = np.empty((self.n_tables, size), dtype=getattr(self, name).dtype)
+                grown[:, :self._n_delta] = getattr(self, name)[:, :self._n_delta]
+                setattr(self, name, grown)
+
+    def _delta_insert(self, fingerprints: np.ndarray, sid: int) -> None:
+        """One entry into each table's sorted delta row, after the equal
+        fingerprints (a new sid is the largest): the row's larger
+        entries shift one slot right in place, O(l n), no sort."""
+        n = self._n_delta
+        self._reserve_delta(n + 1)
+        fps, owners = self._delta_fps, self._delta_sids
+        larger = np.empty((self.n_tables, n + 1), dtype=bool)
+        larger[:, n] = True
+        np.greater(fps[:, :n], fingerprints[:, None], out=larger[:, :n])
+        at = larger.argmax(axis=1)
+        np.copyto(fps[:, 1:n + 1], fps[:, :n], where=larger[:, :n])
+        np.copyto(owners[:, 1:n + 1], owners[:, :n], where=larger[:, :n])
+        tables = np.arange(self.n_tables)
+        fps[tables, at] = fingerprints
+        owners[tables, at] = sid
+        self._n_delta = n + 1
+        self._delta_stack = None
+
     def _maybe_compact(self) -> None:
-        if len(self._in_delta) + self._n_dead > COMPACT_SHARE * self._n_base:
+        if self._n_delta + self._n_dead > COMPACT_SHARE * self._n_base:
             self.compact()
 
     def compact(self) -> None:
-        """Merge the delta into the base minus its tombstoned entries:
+        """Merge the delta into the base minus the tombstoned entries:
         a sorted merge over arrays, table by table into the new base's
         run arrays, the delta's entries placed after the base's equal
         fingerprints (their sids are larger), so every run stays
         sid-ascending."""
-        if not self._in_delta and not self._n_dead:
+        n, dead = self._n_delta, self._dead
+        if not n and not self._n_dead:
             return
-        base, dead = self.base, self._dead
-        delta_fps, delta_sids = self._delta_fps, self._delta_sids
+        base = self.base
         offsets = base.run_offsets.tolist()
         runs = _RunArrays(
-            self.n_tables,
-            base.n_entries + self.n_tables * (delta_fps.shape[1] - self._n_dead),
+            self.n_tables, base.n_entries + self.n_tables * (n - self._n_dead)
         )
         for t, (r0, r1) in enumerate(zip(offsets, offsets[1:])):
             indptr = base.run_indptr[r0:r1 + 1]
             fps = np.repeat(base.run_fps[r0:r1], np.diff(indptr))
             sids = base.run_sids[indptr[0]:indptr[-1]]
+            more_fps, more_sids = self._delta_fps[t, :n], self._delta_sids[t, :n]
             if self._n_dead:
                 keep = ~dead[sids]
                 fps, sids = fps[keep], sids[keep]
-            if delta_fps.shape[1]:
-                at = fps.searchsorted(delta_fps[t], side="right")
-                fps = np.insert(fps, at, delta_fps[t])
-                sids = np.insert(sids, at, delta_sids[t])
+                keep = ~dead[more_sids]
+                more_fps, more_sids = more_fps[keep], more_sids[keep]
+            if len(more_fps):
+                at = fps.searchsorted(more_fps, side="right")
+                fps = np.insert(fps, at, more_fps)
+                sids = np.insert(sids, at, more_sids)
             runs.add(fps, sids)
         self._set_base(*runs.arrays())
-        self._clear_delta()
+        self._n_delta = 0
+        self._delta_stack = None
 
     def _delta_image(self) -> TableStack:
         """The delta stacked like the base (once per change: its rows
         are kept sorted, so this only finds the runs)."""
         if self._delta_stack is None:
-            fps = self._delta_fps.ravel()
-            bounds = np.arange(self.n_tables + 1) * self._delta_fps.shape[1]
+            n = self._n_delta
+            fps = self._delta_fps[:, :n].ravel()
+            bounds = np.arange(self.n_tables + 1) * n
             starts = _run_starts(fps, bounds[:-1])
             self._delta_stack = TableStack(
                 self.n_buckets, self.chain_pages, np.searchsorted(starts, bounds),
-                fps[starts], np.append(starts, len(fps)), self._delta_sids.ravel(),
+                fps[starts], np.append(starts, len(fps)),
+                self._delta_sids[:, :n].flatten(),
             )
         return self._delta_stack
 
@@ -797,8 +866,8 @@ class LiveTables:
         self, start: int, stop: int, fingerprints: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Every hit of tables ``start .. stop - 1`` as ``(row, sid)``
-        arrays (see :meth:`TableStack.lookup`): the base's minus the
-        tombstones, then the delta's.
+        arrays (see :meth:`TableStack.lookup`): the base's, then the
+        delta's, minus the tombstones.
 
         The tables read through their pager, which charges its cost
         model: once for the whole range, from the live chain lengths.
@@ -812,23 +881,20 @@ class LiveTables:
         if pager.cache_pages:
             # The counters move as always; the pool decides the charges.
             _charge_grouped(buckets.ravel(), self.chain_pages, IOStats())
-            read = pager.read
-            local = buckets - base.bucket_offsets[start:stop, None]
-            for table, column in zip(self.tables[start:stop], local.tolist()):
-                chains = table._chains
+            for column in buckets.tolist():
                 for bucket in dict.fromkeys(column):
-                    for rank, page_id in enumerate(chains[bucket]):
-                        read(page_id, sequential=rank > 0)
+                    for rank, page_id in enumerate(self._chain_ids(bucket)):
+                        pager.read(page_id, sequential=rank > 0)
         else:
             _charge_grouped(buckets.ravel(), self.chain_pages, pager.io.stats)
         rows, sids = base.lookup(start, stop, fingerprints)
-        if self._n_dead:
-            keep = ~self._dead[sids]
-            rows, sids = rows[keep], sids[keep]
-        if self._in_delta:
+        if self._n_delta:
             more_rows, more_sids = self._delta_image().lookup(start, stop, fingerprints)
             rows = np.concatenate((rows, more_rows))
             sids = np.concatenate((sids, more_sids))
+        if self._n_dead:
+            keep = ~self._dead[sids]
+            rows, sids = rows[keep], sids[keep]
         return rows, sids
 
     def freeze(self) -> TableStack:
@@ -840,3 +906,79 @@ class LiveTables:
             base.n_buckets, self.chain_pages.copy(), base.run_offsets,
             base.run_fps, base.run_indptr, base.run_sids,
         )
+
+    # -- introspection (uncharged) -------------------------------------------
+
+    @property
+    def n_entries(self) -> int:
+        """Entries per table (each stored set has one in every table)."""
+        return int(self._count[:self.n_buckets[0]].sum())
+
+    @property
+    def n_pages(self) -> int:
+        """Pages over all tables' chains."""
+        return int(self.chain_pages.sum())
+
+    def chain(self, t: int, bucket: int) -> list[int]:
+        """The page ids of table ``t``'s bucket chain, head first."""
+        return self._chain_ids(int(self._first[t]) + bucket)
+
+    def bucket_entries(self, t: int, bucket: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(fingerprints, sids)`` of table ``t``'s bucket, in chain
+        order (page by page, slot by slot)."""
+        bucket = int(self._first[t]) + bucket
+        rows = self._chain_rows[bucket, :self.chain_pages[bucket]]
+        n = self._count[bucket]
+        return self._page_fps[rows].ravel()[:n], self._page_sids[rows].ravel()[:n]
+
+    def tail_slots(self) -> np.ndarray:
+        """Per bucket, the entries on its chain's tail page where this
+        filter knows them from its own last write to the bucket, else
+        -1 (the next write there must read the tail)."""
+        fill = self._count - (self.chain_pages - 1) * self.slots_per_page
+        return np.where(self._tail_known, fill, -1)
+
+    def table_stats(self) -> list[dict]:
+        """Occupancy and load statistics of each table, from the count
+        and chain arrays.  ``load_factor`` is entries over provisioned
+        slots (buckets x slots per page); under the paper's "no bucket
+        overflows" provisioning it stays below 1 and
+        ``max_chain_pages`` stays at 1."""
+        n_buckets, slots = int(self.n_buckets[0]), self.slots_per_page
+        counts = self._count.reshape(self.n_tables, n_buckets)
+        chains = self.chain_pages.reshape(self.n_tables, n_buckets)
+        return [
+            {
+                "n_buckets": n_buckets,
+                "n_entries": n,
+                "n_pages": pages,
+                "slots_per_page": slots,
+                "load_factor": n / (n_buckets * slots),
+                "avg_occupancy": n / n_buckets,
+                "max_occupancy": most,
+                "nonempty_buckets": used,
+                "max_chain_pages": longest,
+            }
+            for n, pages, most, used, longest in zip(
+                counts.sum(axis=1).tolist(), chains.sum(axis=1).tolist(),
+                counts.max(axis=1).tolist(),
+                np.count_nonzero(counts, axis=1).tolist(),
+                chains.max(axis=1).tolist(),
+            )
+        ]
+
+
+def _pop(free: list[int], n: int) -> np.ndarray:
+    """The last ``n`` rows of the free-row stack ``free``, taken off it
+    (lowest first)."""
+    cut = len(free) - n
+    rows = free[cut:]
+    del free[cut:]
+    return np.array(rows[::-1], dtype=np.int64)
+
+
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` with room for ``rows`` rows, the first ones copied."""
+    grown = np.empty((rows,) + array.shape[1:], dtype=array.dtype)
+    grown[:len(array)] = array
+    return grown

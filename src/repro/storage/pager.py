@@ -8,7 +8,11 @@ hash entries -- mirroring the paper's ``sid_count`` bucket capacity.
 
 The :class:`PageManager` hands out pages and routes every read through
 the shared :class:`~repro.storage.iomodel.IOCostModel` so that callers
-cannot touch a page without it being accounted.
+cannot touch a page without it being accounted.  A structure that keeps
+its records in arrays of its own (the live hash tables) reserves page
+ids instead (:meth:`PageManager.reserve`): such a page holds no
+:class:`Page` object, but is read, charged, cached and freed like any
+other.
 
 An optional LRU buffer pool (``cache_pages > 0``) absorbs repeated
 reads: a hit costs nothing, a miss is charged and cached.  The default
@@ -101,7 +105,9 @@ class PageManager:
         self._cache: OrderedDict[int, None] = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
-        self._pages: dict[int, Page] = {}
+        #: Live pages by id; ``None`` for a page :meth:`reserve` handed
+        #: out, whose records live with its owner.
+        self._pages: dict[int, Page | None] = {}
         self._next_id = 0
 
     def capacity_for(self, record_bytes: int) -> int:
@@ -118,15 +124,24 @@ class PageManager:
         self.io.write()
         return page
 
-    def read(self, page_id: int, sequential: bool = False) -> Page:
-        """Fetch a page, charging one random (default) or sequential read.
+    def reserve(self, n: int) -> int:
+        """Allocate ``n`` pages whose records live in the caller's own
+        arrays, with consecutive ids; returns the first.  Charged like
+        ``n`` :meth:`allocate` calls (one write each)."""
+        first = self._next_id
+        self._pages.update(dict.fromkeys(range(first, first + n)))
+        self._next_id += n
+        self.io.write(n)
+        return first
+
+    def read(self, page_id: int, sequential: bool = False) -> Page | None:
+        """Fetch a page, charging one random (default) or sequential read
+        (``None`` for a reserved page).
 
         With a buffer pool configured, a cached page costs nothing and
         is refreshed in LRU order.
         """
-        page = self._pages.get(page_id)
-        if page is None:
-            raise KeyError(f"no such page: {page_id}")
+        page = self.peek(page_id)
         if self.cache_pages:
             if page_id in self._cache:
                 self._cache.move_to_end(page_id)
@@ -146,14 +161,14 @@ class PageManager:
             self.io.read_random()
         return page
 
-    def peek(self, page_id: int) -> Page:
+    def peek(self, page_id: int) -> Page | None:
         """Fetch a page *without* charging I/O (statistics/introspection
         only -- e.g. bucket-occupancy reports must not perturb the cost
         accounting of the queries they describe)."""
-        page = self._pages.get(page_id)
-        if page is None:
-            raise KeyError(f"no such page: {page_id}")
-        return page
+        try:
+            return self._pages[page_id]
+        except KeyError:
+            raise KeyError(f"no such page: {page_id}") from None
 
     def write(self, page_id: int) -> None:
         """Charge one page write (the page object is mutated in place)."""

@@ -3,11 +3,11 @@
 The contract under test (``SetSimilarityIndex.from_plan`` loading every
 filter through ``insert_many`` -> ``LiveTables.bulk_load``): a
 bulk-built index is *bit-identical* to one whose tables were filled
-entry by entry through the dynamic insert path -- same page chains
-(including page ids), same page contents, same I/O accounting -- and
-each filter's stacked base is the stack of its tables' slots.  An index
-whose sets were inserted one by one (write deltas, compactions) answers
-as the bulk-built one.
+entry by entry through the slot-scanning reference model of the pages
+-- same page chains (including page ids), same page contents, same I/O
+accounting -- and each filter's stacked base is the stack of those
+pages' entries.  An index whose sets were inserted one by one (write
+deltas, compactions) answers as the bulk-built one.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.core.optimizer import plan_index
 from repro.hamming.sampling import sampled_key_words
 from repro.obs.explain import BUILD_PHASE_SPANS, build_summaries
 from repro.storage.hashtable import hash_key
-from tests.slot_oracle import slot_stack
+from tests.slot_oracle import SlotScanTables, slot_stack, tables_state
 
 
 def _collection(n_sets=60, seed=0, universe=400):
@@ -48,19 +48,22 @@ def _build(sets, dist, plan, **kwargs):
 
 
 def _insert_loop(fi, matrix, sids):
-    """The reference ``insert_many`` for pages: every table filled one
-    entry at a time with the dynamic ``BucketHashTable.insert_hashed``,
-    each key fingerprinted with the scalar ``hash_key``, table-major.
-    ``from_plan`` calls it filter-major -- the order the bulk load
-    promises to reproduce.  (It fills pages only: such an index is
-    compared, not queried.)"""
+    """The reference ``insert_many`` for pages: the slot-scanning model
+    of the filter's tables (:class:`~tests.slot_oracle.SlotScanTables`,
+    on the index's pager, kept as ``fi.reference``) filled one entry at a
+    time, each key fingerprinted with the scalar ``hash_key``,
+    table-major.  ``from_plan`` calls it filter-major -- the order the
+    bulk load promises to reproduce.  (It fills the model only: such an
+    index is compared, not queried.)"""
     key_bytes = -(-fi.r // 8)
-    for positions, table in zip(fi.positions, fi._live.tables):
+    live = fi._live
+    fi.reference = SlotScanTables(live.pager, live.n_tables, int(live.n_buckets[0]))
+    for t, positions in enumerate(fi.positions):
         keys = sampled_key_words(
             matrix, positions // 64, (positions % 64).astype(np.uint64)
         )
         for key, sid in zip(keys, sids):
-            table.insert_hashed(hash_key(key.tobytes()[:key_bytes]), sid)
+            fi.reference.insert_one(t, hash_key(key.tobytes()[:key_bytes]), sid)
     return {}
 
 
@@ -88,26 +91,24 @@ def _filters_of(index):
 
 
 def _assert_bit_identical(a, b):
-    """Every chain, page and counter of ``b`` matches ``a``, and each
-    filter's stacked base of ``b`` is the stack of ``a``'s slots."""
+    """Every chain, page and counter of ``b`` matches ``a``'s reference
+    model, and each filter's stacked base of ``b`` is the stack of the
+    model's entries."""
     filters_a, filters_b = _filters_of(a), _filters_of(b)
     assert [k for k, _ in filters_a] == [k for k, _ in filters_b]
     for (key, fa), (_, fb) in zip(filters_a, filters_b):
-        for ta, tb in zip(fa._live.tables, fb._live.tables):
-            assert ta._chains == tb._chains, key  # page ids included
-            assert ta.n_entries == tb.n_entries
-            assert ta.load_stats() == tb.load_stats()
-            for chain in ta._chains:
-                for pid in chain:
-                    assert (
-                        ta.pager.peek(pid).slots == tb.pager.peek(pid).slots
-                    ), key
-        want = slot_stack(fa._live.tables)
+        reference = fa.reference
+        # Page ids included.
+        assert tables_state(fb._live) == tables_state(reference), key
+        assert fb._live.table_stats() == reference.table_stats(), key
+        assert fb.n_entries == reference.n_entries
+        want = slot_stack(reference)
         for name in ("chain_pages", "run_offsets", "run_fps", "run_indptr",
                      "run_sids"):
             assert np.array_equal(
                 getattr(fb._live.base, name), getattr(want, name)
             ), (key, name)
+    assert a.pager.n_pages == b.pager.n_pages
     assert set(a._codes) == set(b._codes)
     for sid in a._codes:
         assert np.array_equal(a._codes[sid], b._codes[sid])

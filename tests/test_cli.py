@@ -169,6 +169,41 @@ class TestObservabilityCommands:
         assert "load factor" in out
         assert "longest chain" in out
 
+    def test_stats_occupancy_pinned_on_weblog(self, tmp_path, capsys):
+        """The occupancy lines, read from the tables' count and chain
+        arrays, equal those the page-by-page statistics printed for a
+        churned 400-set weblog index at the benchmark's build
+        parameters."""
+        from repro.core.index import SetSimilarityIndex
+        from repro.data.weblog import make_set1
+
+        sets = make_set1(400, seed=7)
+        index = SetSimilarityIndex.build(
+            sets, seed=11, k=100, b=6, budget=200, recall_target=0.9,
+            sample_pairs=20000,
+        )
+        for sid in sorted(index._codes)[:60]:
+            index.delete(sid)
+        for elements in sets[:30]:
+            index.insert(elements)
+        index.save(tmp_path / "w.d")
+        capsys.readouterr()
+        assert main(["stats", "--index", str(tmp_path / "w.d")]) == 0
+        out = capsys.readouterr().out
+        occupancy = out[out.index("per-filter occupancy:"):out.index("buffer pool:")]
+        tail = (
+            "370 entries/table over {} pages, load factor 0.361, "
+            "occupancy avg/max 92.50/{}, longest chain 1 page(s)"
+        )
+        assert occupancy.splitlines() == [
+            "per-filter occupancy:",
+            "  SFI @ 0.051 (s*=0.533, r=5, l=19): " + tail.format(76, 235),
+            "  SFI @ 0.076 (s*=0.545, r=7, l=36): " + tail.format(144, 149),
+            "  SFI @ 0.359 (s*=0.685, r=14, l=115): " + tail.format(460, 127),
+            "  DFI @ 0.031 (s*=0.523, r=4, l=9): " + tail.format(36, 153),
+            "  DFI @ 0.051 (s*=0.533, r=5, l=21): " + tail.format(84, 184),
+        ]
+
     def test_verbose_flag_logs_to_stderr(self, sets_file, tmp_path, capsys):
         import logging
 

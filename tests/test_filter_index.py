@@ -249,7 +249,8 @@ class TestInsertMany:
         assert _probe_rows(a, matrix) == _probe_rows(b, matrix)
         assert a.n_entries == b.n_entries
         # Each stored entry's fingerprint is its key's scalar hash_key.
-        for positions, table in zip(a.positions, a._live.tables):
+        live = a._live
+        for t, positions in enumerate(a.positions):
             keys = sampled_key_words(
                 matrix, positions // 64, (positions % 64).astype(np.uint64)
             )
@@ -257,7 +258,12 @@ class TestInsertMany:
                 (hash_key(key.tobytes()[: -(-a.r // 8)]), sid)
                 for key, sid in zip(keys, sids)
             }
-            assert set(table.items()) == want
+            got = {
+                entry
+                for b in range(int(live.n_buckets[t]))
+                for entry in zip(*(x.tolist() for x in live.bucket_entries(t, b)))
+            }
+            assert got == want
 
     def test_duplicate_sids_raise(self):
         sfi, _ = self._pair()

@@ -1,5 +1,7 @@
-"""Unit tests for the paged bucket hash table, the stacked probe kernel
-and the live tables (stacked base + write delta + tombstones)."""
+"""Unit tests for the live tables' array-backed pages (one table at a
+time here; ``tests/test_live_pages.py`` holds many tables to the
+slot-scanning reference), the stacked probe kernel and the live probe
+(stacked base + write delta + tombstones)."""
 
 import numpy as np
 import pytest
@@ -8,23 +10,24 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.obs import metrics
-from repro.storage.hashtable import (
-    ENTRY_BYTES,
-    BucketHashTable,
-    LiveTables,
-    TableStack,
-    hash_key,
-)
+from repro.storage.hashtable import LiveTables, TableStack, hash_key
 from repro.storage.iomodel import IOCostModel, IOStats
 from repro.storage.pager import PageManager
-from tests.slot_oracle import slot_probe, slot_stack
+from tests.slot_oracle import (
+    SlotScanTables,
+    counter_moves,
+    slot_probe,
+    slot_stack,
+    tables_state,
+)
 
 
 def _table(n_buckets=8, page_size=4096):
-    return BucketHashTable(PageManager(IOCostModel(), page_size=page_size), n_buckets)
+    """One table's pages: a one-table :class:`LiveTables`."""
+    return LiveTables(PageManager(IOCostModel(), page_size=page_size), 1, n_buckets)
 
 
-# The table takes fingerprints; these byte-key shorthands produce them
+# The tables take fingerprints; these byte-key shorthands produce them
 # with the scalar ``hash_key``.
 
 
@@ -33,19 +36,19 @@ def _fps(keys):
 
 
 def _insert(table, key, sid):
-    table.insert_hashed(hash_key(key), sid)
+    table.insert(_fps([key]), sid)
 
 
 def _delete(table, key, sid):
-    return table.delete_hashed(hash_key(key), sid)
+    return table.delete(_fps([key]), sid)
 
 
 def _probe(table, key):
-    return slot_probe([table], _fps([key])[None])[0][0]
+    return slot_probe(table, _fps([key])[None])[0][0]
 
 
 def _bulk_load(table, keys, sids):
-    return table.bulk_load_hashed(_fps(keys), sids)
+    return table.bulk_load([_fps(keys)], sids)
 
 
 def _per_row(rows, sids, n_rows):
@@ -57,10 +60,16 @@ def _per_row(rows, sids, n_rows):
 
 
 def _stack_probe(table, fps, io):
-    """``table``'s slots stacked into a one-table :class:`TableStack` and
-    probed with ``fps`` (charges into ``io``): the per-row sid lists."""
-    rows, sids = slot_stack([table]).probe(0, 1, fps[None], io)
+    """``table``'s entries stacked into a one-table :class:`TableStack`
+    and probed with ``fps`` (charges into ``io``): the per-row sid
+    lists."""
+    rows, sids = slot_stack(table).probe(0, 1, fps[None], io)
     return _per_row(rows, sids, len(fps))
+
+
+def _slots(table, bucket):
+    """A bucket's entries in chain order, as ``(fingerprint, sid)``."""
+    return list(zip(*(a.tolist() for a in table.bucket_entries(0, bucket))))
 
 
 class TestHashKey:
@@ -75,6 +84,8 @@ class TestHashKey:
 
 
 class TestBucketHashTable:
+    """One table's pages (a one-table :class:`LiveTables`)."""
+
     def test_insert_probe(self):
         table = _table()
         _insert(table, b"k1", 10)
@@ -144,25 +155,48 @@ class TestBucketHashTable:
         for i in range(5):
             _delete(table, b"k", i)
         assert table.n_pages == 0
+        assert table.pager.n_pages == 0
         assert _probe(table, b"k") == []
 
-    def test_duplicate_entries_supported(self):
+    def test_stored_sid_refused(self):
+        """One set, one identifier: inserting a stored sid raises and
+        changes nothing; once deleted, the sid may be stored again."""
         table = _table()
         _insert(table, b"k", 7)
-        _insert(table, b"k", 7)
-        assert _probe(table, b"k") == [7, 7]
-        _delete(table, b"k", 7)
+        before = table.pager.io.snapshot()
+        state = tables_state(table)
+        for key in (b"k", b"other"):
+            with pytest.raises(ValueError, match="already stored"):
+                _insert(table, key, 7)
+        with pytest.raises(ValueError, match="already stored"):
+            _bulk_load(table, [b"j", b"k"], [8, 7])
+        with pytest.raises(ValueError, match="duplicate sids"):
+            _bulk_load(table, [b"j", b"k"], [8, 8])
+        with pytest.raises(ValueError, match="non-negative"):
+            _insert(table, b"j", -1)
+        assert table.pager.io.snapshot() == before
+        assert tables_state(table) == state
         assert _probe(table, b"k") == [7]
+        assert _delete(table, b"k", 7)
+        _insert(table, b"j", 7)
+        assert _probe(table, b"k") == []
+        assert _probe(table, b"j") == [7]
+        rows, sids = table.probe(0, 1, _fps([b"j", b"k"])[None])
+        assert _per_row(rows, sids, 2) == [[7], []]
 
     def test_items_iterates_everything(self):
+        """The buckets' entries, chain by chain, are every stored entry."""
         table = _table(n_buckets=4)
         for i in range(10):
             _insert(table, str(i).encode(), i)
-        assert len(list(table.items())) == 10
+        entries = [entry for b in range(4) for entry in _slots(table, b)]
+        assert sorted(entries) == sorted(
+            (hash_key(str(i).encode()), i) for i in range(10)
+        )
 
     def test_invalid_buckets(self):
         with pytest.raises(ValueError):
-            BucketHashTable(PageManager(IOCostModel()), 0)
+            _table(n_buckets=0)
 
     @given(
         st.lists(
@@ -172,33 +206,35 @@ class TestBucketHashTable:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_dict_model(self, operations):
-        """Insert/delete sequences behave like a multiset dictionary."""
+        """Insert/delete sequences behave like a dictionary from sid to
+        key: a stored sid is refused, a delete finds only its own key."""
         table = _table(n_buckets=2, page_size=64)
-        model: dict[bytes, list[int]] = {}
+        model: dict[int, bytes] = {}
         rng = np.random.default_rng(0)
         for key, sid in operations:
             if rng.random() < 0.7:
-                _insert(table, key, sid)
-                model.setdefault(key, []).append(sid)
+                if sid in model:
+                    with pytest.raises(ValueError):
+                        _insert(table, key, sid)
+                else:
+                    _insert(table, key, sid)
+                    model[sid] = key
             else:
-                expected = sid in model.get(key, [])
+                expected = model.get(sid) == key
                 assert _delete(table, key, sid) == expected
                 if expected:
-                    model[key].remove(sid)
+                    del model[sid]
         for key in (b"a", b"b", b"c", b"d"):
-            assert sorted(_probe(table, key)) == sorted(model.get(key, []))
-        assert table.n_entries == sum(len(v) for v in model.values())
+            assert sorted(_probe(table, key)) == sorted(
+                sid for sid, k in model.items() if k == key
+            )
+        assert table.n_entries == len(model)
 
 
 def _assert_chain_pages_current(table):
     """The kept chain lengths equal the chains'."""
-    assert table.chain_pages.tolist() == [len(c) for c in table._chains]
-
-
-def _slots(table, bucket):
-    return [
-        slot for page_id in table._chains[bucket]
-        for slot in table.pager.peek(page_id).slots
+    assert table.chain_pages.tolist() == [
+        len(table.chain(0, b)) for b in range(int(table.n_buckets[0]))
     ]
 
 
@@ -248,7 +284,7 @@ class TestDirectoryPatches:
             _insert(table, key, sid)
         assert table.chain_pages[0] == 2
         assert _delete(table, b"b", 2)  # a5 fills slot 1, tail page freed
-        assert table.pager.peek(table._chains[0][0]).slots[1] == (hash_key(b"a"), 5)
+        assert _slots(table, 0)[1] == (hash_key(b"a"), 5)
         assert _probe(table, b"a") == [1, 5, 3]
         _assert_chain_pages_current(table)
 
@@ -261,137 +297,6 @@ class TestDirectoryPatches:
         _assert_chain_pages_current(table)
 
 
-_HT_COUNTERS = {
-    name: metrics.counter(f"hashtable.{name}")
-    for name in (
-        "probes", "probe_pages", "probe_pages_saved", "tail_reads_skipped",
-        "bulk_entries", "bulk_pages",
-    )
-}
-
-
-def _counter_moves(op):
-    """Run ``op``; its result and the nonzero ``hashtable.*`` moves."""
-    before = {name: c.local_value for name, c in _HT_COUNTERS.items()}
-    result = op()
-    return result, _nonzero(**{
-        name: c.local_value - before[name] for name, c in _HT_COUNTERS.items()
-    })
-
-
-def _nonzero(**moves):
-    return {name: d for name, d in moves.items() if d}
-
-
-class _SlotScanTable:
-    """Reference model: the table's writes and probes restated as their
-    page operations and charges, on a pager of its own -- probes scan
-    slots.  Each method returns its result and
-    the ``hashtable.*`` counter moves the table must make, so the live
-    table can be held to both."""
-
-    def __init__(self, n_buckets):
-        self.pager = PageManager(IOCostModel(), page_size=64)
-        self.n_buckets = n_buckets
-        self.slots = self.pager.capacity_for(ENTRY_BYTES)
-        self.chains = [[] for _ in range(n_buckets)]
-        self.tail = [-1] * n_buckets
-
-    def insert(self, fp, sid):
-        bucket = fp % self.n_buckets
-        chain, page, skipped = self.chains[bucket], None, 0
-        if chain:
-            if self.tail[bucket] < 0:
-                page = self.pager.read(chain[-1], sequential=False)
-                if page.is_full:
-                    page = None
-            else:
-                skipped = 1
-                if self.tail[bucket] < self.slots:
-                    page = self.pager.peek(chain[-1])
-        if page is None:
-            page = self.pager.allocate(self.slots)
-            chain.append(page.page_id)
-        page.append((fp, sid))
-        self.pager.write(page.page_id)
-        self.tail[bucket] = len(page.slots)
-        return None, _nonzero(tail_reads_skipped=skipped)
-
-    def delete(self, fp, sid):
-        bucket = fp % self.n_buckets
-        chain = self.chains[bucket]
-        for rank, page_id in enumerate(chain):
-            page = self.pager.read(page_id, sequential=rank > 0)
-            if (fp, sid) not in page.slots:
-                continue
-            index = page.slots.index((fp, sid))
-            last = self.pager.read(chain[-1], sequential=True)
-            moved = last.slots.pop()
-            if not (page is last and index == len(last.slots)):
-                page.slots[index] = moved
-                self.pager.write(page.page_id)
-            if last.slots:
-                self.pager.write(last.page_id)
-                self.tail[bucket] = len(last.slots)
-            else:
-                self.pager.free(chain.pop())
-                self.tail[bucket] = -1
-            return True, {}
-        return False, {}
-
-    def bulk_load(self, fps, sids):
-        touched = sorted({fp % self.n_buckets for fp in fps})
-        tail_reads = 0
-        for bucket in touched:
-            if self.chains[bucket] and self.tail[bucket] < 0:
-                page = self.pager.read(self.chains[bucket][-1], sequential=False)
-                self.tail[bucket] = len(page.slots)
-                tail_reads += 1
-        new_pages = 0
-        for fp, sid in zip(fps, sids):
-            bucket = fp % self.n_buckets
-            chain = self.chains[bucket]
-            if chain and self.tail[bucket] < self.slots:
-                page = self.pager.peek(chain[-1])
-            else:
-                page = self.pager.allocate(self.slots)
-                chain.append(page.page_id)
-                new_pages += 1
-            page.append((fp, sid))
-            self.tail[bucket] = len(page.slots)
-        self.pager.io.write(len(fps))
-        report = {
-            "entries": len(fps), "new_pages": new_pages,
-            "buckets": len(touched), "tail_reads": tail_reads,
-        }
-        return report, _nonzero(bulk_entries=len(fps), bulk_pages=new_pages)
-
-    def probe(self, fps):
-        members: dict[int, list[int]] = {}
-        for i, fp in enumerate(fps):
-            members.setdefault(fp % self.n_buckets, []).append(i)
-        results = [[] for _ in fps]
-        pages = saved = 0
-        for bucket, rows in members.items():
-            chain = self.chains[bucket]
-            slots = []
-            for rank, page_id in enumerate(chain):
-                slots += self.pager.read(page_id, sequential=rank > 0).slots
-            pages += len(chain)
-            saved += len(chain) * (len(rows) - 1)
-            for i in rows:
-                results[i] = [sid for fp, sid in slots if fp == fps[i]]
-        return results, _nonzero(
-            probes=len(fps), probe_pages=pages, probe_pages_saved=saved
-        )
-
-    def entries(self):
-        return [
-            slot for chain in self.chains for page_id in chain
-            for slot in self.pager.peek(page_id).slots
-        ]
-
-
 _WRITE_KEYS = [f"key-{i}".encode() for i in range(6)]
 _MISSES = [b"miss-0", b"miss-1"]
 
@@ -400,18 +305,20 @@ class DirectoryMachine(RuleBasedStateMachine):
     """Interleaved writes of every kind on a 4-entries-a-page table,
     held after every step to: pages, tail tracking, kept chain lengths,
     I/O and counter moves equal to the slot-scanning reference's; and
-    the stack of its slots probing like scanning them (same sids in the
-    same order, same charges and counter moves)."""
+    the stack of its entries probing like scanning them (same sids in
+    the same order, same charges and counter moves)."""
 
     @initialize(n_buckets=st.integers(1, 4))
     def setup(self, n_buckets):
         self.table = _table(n_buckets=n_buckets, page_size=64)
-        self.reference = _SlotScanTable(n_buckets)
+        self.reference = SlotScanTables(
+            PageManager(IOCostModel(), page_size=64), 1, n_buckets
+        )
         self.next_sid = 100
 
     def both(self, live, reference):
-        got, moves = _counter_moves(live)
-        want, reference_moves = reference()
+        got, moves = counter_moves(live)
+        want, reference_moves = counter_moves(reference)
         assert got == want
         assert moves == reference_moves
         assert (
@@ -420,19 +327,28 @@ class DirectoryMachine(RuleBasedStateMachine):
         )
         return got
 
+    def _stored(self):
+        return {
+            sid: fp for b in range(int(self.table.n_buckets[0]))
+            for fp, sid in _slots(self.reference, b)
+        }
+
     def _delete(self, fp, sid):
+        fps = np.array([fp], dtype=np.uint64)
         return self.both(
-            lambda: self.table.delete_hashed(fp, sid),
-            lambda: self.reference.delete(fp, sid),
+            lambda: self.table.delete(fps, sid),
+            lambda: self.reference.delete(fps, sid),
         )
 
     def _probe(self, keys):
         fps = _fps(keys)
         reference_before = self.reference.pager.io.snapshot()
-        want, want_moves = self.reference.probe(fps.tolist())
+        (want, want_moves), _ = counter_moves(
+            lambda: slot_probe(self.reference, fps[None])
+        )
         reference_io = self.reference.pager.io.snapshot() - reference_before
         io = IOStats()
-        got, moves = _counter_moves(lambda: _stack_probe(self.table, fps, io))
+        got, moves = counter_moves(lambda: _stack_probe(self.table, fps, io))
         assert got == want
         assert moves == want_moves
         assert io == reference_io
@@ -443,20 +359,29 @@ class DirectoryMachine(RuleBasedStateMachine):
 
     @rule(key=st.sampled_from(_WRITE_KEYS), sid=st.integers(0, 5))
     def insert(self, key, sid):
-        self.both(
-            lambda: _insert(self.table, key, sid),
-            lambda: self.reference.insert(hash_key(key), sid),
-        )
-
-    @rule(data=st.data())
-    def insert_duplicate(self, data):
-        entries = self.reference.entries()
-        if entries:
-            fp, sid = data.draw(st.sampled_from(entries))
+        fps = _fps([key])
+        if sid in self._stored():
+            self.insert_stored_refused(key, sid)
+        else:
             self.both(
-                lambda: self.table.insert_hashed(fp, sid),
-                lambda: self.reference.insert(fp, sid),
+                lambda: self.table.insert(fps, sid),
+                lambda: self.reference.insert(fps, sid),
             )
+
+    def insert_stored_refused(self, key, sid):
+        before = self.table.pager.io.snapshot()
+        state = tables_state(self.table)
+        with pytest.raises(ValueError, match="already stored"):
+            _insert(self.table, key, sid)
+        assert self.table.pager.io.snapshot() == before
+        assert tables_state(self.table) == state
+
+    @rule(data=st.data(), key=st.sampled_from(_WRITE_KEYS))
+    def insert_duplicate(self, data, key):
+        """A stored sid is refused, under its own key or another."""
+        stored = self._stored()
+        if stored:
+            self.insert_stored_refused(key, data.draw(st.sampled_from(sorted(stored))))
 
     @rule(key=st.sampled_from(_WRITE_KEYS), sid=st.integers(0, 5))
     def delete(self, key, sid):
@@ -464,25 +389,26 @@ class DirectoryMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def delete_chain_last(self, data):
-        chains = [c for c in self.reference.chains if c]
+        chains = [c for c in self.reference.chains[0] if c]
         if chains:
             chain = data.draw(st.sampled_from(chains))
             assert self._delete(*self.reference.pager.peek(chain[-1]).slots[-1])
 
     @rule(data=st.data())
     def delete_freeing_tail(self, data):
+        chains = self.reference.chains[0]
         buckets = [
-            b for b, c in enumerate(self.reference.chains)
+            b for b, c in enumerate(chains)
             if c and len(self.reference.pager.peek(c[-1]).slots) == 1
         ]
         if buckets:
             bucket = data.draw(st.sampled_from(buckets))
-            chain = self.reference.chains[bucket]
+            chain = chains[bucket]
             page_id = data.draw(st.sampled_from(chain))
             entry = data.draw(st.sampled_from(self.reference.pager.peek(page_id).slots))
             tail = chain[-1]
             assert self._delete(*entry)
-            assert tail not in self.table._chains[bucket]
+            assert tail not in self.table.chain(0, bucket)
 
     @rule(key=st.sampled_from(_WRITE_KEYS + _MISSES))
     def delete_miss(self, key):
@@ -494,7 +420,7 @@ class DirectoryMachine(RuleBasedStateMachine):
         self.next_sid += len(keys)
         self.both(
             lambda: _bulk_load(self.table, keys, sids),
-            lambda: self.reference.bulk_load(_fps(keys).tolist(), sids),
+            lambda: self.reference.bulk_load([_fps(keys)], sids),
         )
 
     @rule(keys=st.lists(st.sampled_from(_WRITE_KEYS + _MISSES), max_size=8))
@@ -504,15 +430,9 @@ class DirectoryMachine(RuleBasedStateMachine):
     @invariant()
     def pages_equal_reference(self):
         _assert_chain_pages_current(self.table)
-        assert self.table._chains == self.reference.chains
-        for chain in self.reference.chains:
-            for page_id in chain:
-                assert (
-                    self.table.pager.peek(page_id).slots
-                    == self.reference.pager.peek(page_id).slots
-                )
-        assert self.table._tail_slots == self.reference.tail
-        assert self.table.n_entries == len(self.reference.entries())
+        assert tables_state(self.table) == tables_state(self.reference)
+        assert self.table.n_entries == self.reference.n_entries
+        assert self.table.pager.n_pages == self.reference.pager.n_pages
 
     @invariant()
     def stack_probe_equals_slot_scan(self):
@@ -535,7 +455,7 @@ def _keyed_workload(n, seed):
 class TestBulkLoadEquivalence:
     """The bulk path must be indistinguishable from the insert loop:
     same chains (page ids included), same page contents, same
-    load_stats, same I/O accounting."""
+    table statistics, same I/O accounting."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n_buckets", [1, 7])
@@ -546,12 +466,8 @@ class TestBulkLoadEquivalence:
             _insert(seq, key, sid)
         bulk = _table(n_buckets=n_buckets, page_size=64)
         _bulk_load(bulk, keys, sids)
-        assert bulk.load_stats() == seq.load_stats()
-        assert bulk._chains == seq._chains
-        assert bulk.bucket_occupancies() == seq.bucket_occupancies()
-        for chain in seq._chains:
-            for pid in chain:
-                assert bulk.pager.peek(pid).slots == seq.pager.peek(pid).slots
+        assert bulk.table_stats() == seq.table_stats()
+        assert tables_state(bulk) == tables_state(seq)
         assert bulk.pager.io.snapshot().as_dict() == seq.pager.io.snapshot().as_dict()
 
     def test_probe_equivalence(self):
@@ -566,13 +482,13 @@ class TestBulkLoadEquivalence:
 
     def test_fresh_buckets_get_eager_directories(self):
         """A bulk load into fresh buckets keeps their chain lengths, and
-        the stack of its slots probes like scanning them."""
+        the stack of its entries probes like scanning them."""
         keys, sids = _keyed_workload(30, 4)
         bulk = _table(n_buckets=4, page_size=64)
         _bulk_load(bulk, keys, sids)
         _assert_chain_pages_current(bulk)
         fps = _fps(sorted(set(keys)) + _MISSES)
-        want, _ = slot_probe([bulk], fps[None])
+        want, _ = slot_probe(bulk, fps[None])
         assert _stack_probe(bulk, fps, IOStats()) == want
 
     def test_bulk_load_onto_existing_entries(self):
@@ -585,8 +501,8 @@ class TestBulkLoadEquivalence:
         for key, sid in zip(keys[20:], sids[20:]):
             _insert(seq, key, sid)
         _bulk_load(mixed, keys[20:], sids[20:])
-        assert mixed._chains == seq._chains
-        assert mixed.load_stats() == seq.load_stats()
+        assert tables_state(mixed) == tables_state(seq)
+        assert mixed.table_stats() == seq.table_stats()
         assert mixed.pager.io.snapshot().as_dict() == seq.pager.io.snapshot().as_dict()
 
     def test_bulk_load_resolves_unknown_tail(self):
@@ -611,11 +527,11 @@ class TestBulkLoadEquivalence:
     def test_length_mismatch_raises(self):
         table = _table()
         with pytest.raises(ValueError):
-            table.bulk_load_hashed(_fps([b"a", b"b"]), [1])
+            table.bulk_load([_fps([b"a", b"b"])], [1])
 
 
 class TestTailReadAccounting:
-    """insert_hashed() must not re-read a tail page whose fill state it wrote
+    """An insert must not re-read a tail page whose fill state it wrote
     itself; only genuinely unknown tails (post-delete) cost a read."""
 
     def test_consecutive_inserts_charge_no_reads(self):
@@ -718,8 +634,8 @@ def _replay(live, operations):
 
 
 class TestFrozenViewEquivalence:
-    """A live filter's probe -- its stacked base minus the tombstones
-    plus its write delta -- equals the from-slots oracle over its pages
+    """A live filter's probe -- its stacked base plus its write delta,
+    minus the tombstones -- equals the from-slots oracle over its pages
     after any interleaving of inserts, deletes, bulk loads and
     compactions: the same sids per row, the same page reads in the same
     order (so the same charges and buffer-pool state), the same counter
@@ -739,12 +655,12 @@ class TestFrozenViewEquivalence:
         _replay(twin, operations)
         fps = _key_fps(probe_rows)
         before = live.pager.io.snapshot()
-        (rows, sids), moves = _counter_moves(
+        (rows, sids), moves = counter_moves(
             lambda: live.probe(0, _N_TABLES, fps)
         )
         live_io = live.pager.io.snapshot() - before
         before = twin.pager.io.snapshot()
-        want, want_moves = slot_probe(twin.tables, fps)
+        want, want_moves = slot_probe(twin, fps)
         assert twin.pager.io.snapshot() - before == live_io
         assert moves == want_moves
         assert list(live.pager._cache) == list(twin.pager._cache)
@@ -824,6 +740,49 @@ class TestLiveTables:
         live.load(stack)
         assert live.base.run_sids.tolist() == [0, 1, 2, 3]
         reference = _table(n_buckets=4, page_size=64)
-        reference.bulk_load_hashed(fps[[1, 2, 0, 3]], [0, 1, 2, 3])
-        assert live.tables[0]._chains == reference._chains
-        assert live.tables[0].pager.peek(0).slots == reference.pager.peek(0).slots
+        reference.bulk_load([fps[[1, 2, 0, 3]]], [0, 1, 2, 3])
+        assert tables_state(live) == tables_state(reference)
+
+    def test_load_of_empty_tables(self):
+        """A stored filter with no entries (an empty index's) loads, and
+        its tables then take writes."""
+        live = self._live()
+        live.load(self._live().freeze())
+        assert live.n_entries == 0 and live.pager.n_pages == 0
+        live.insert(np.array([3, 13], dtype=np.uint64), 0)
+        rows, sids = live.probe(0, 2, np.array([[3], [13]], dtype=np.uint64))
+        assert sids.tolist() == [0, 0]
+
+    def test_slot_rows_are_reused(self):
+        """The slot index grows with the sets stored, not with the sids
+        ever used: a deleted set's row serves the next insert."""
+        live = self._live()
+
+        def fps(sid):
+            return np.array([sid % 7, 7 + sid % 5], dtype=np.uint64)
+
+        for sid in range(8):
+            live.insert(fps(sid), sid)
+        rows = len(live._slot)
+        for sid in range(8, 400):
+            assert live.delete(fps(sid - 8), sid - 8)
+            live.insert(fps(sid), sid)
+        assert len(live._slot) == rows < 16
+        assert live.n_entries == 8
+        hits = live.probe(0, 2, np.stack([fps(sid) for sid in range(392, 400)], axis=1))[1]
+        assert sorted(set(hits.tolist())) == list(range(392, 400))
+
+    def test_delta_delete_is_a_tombstone(self):
+        """Deleting a set still in the delta tombstones it like a base
+        set: probes drop it at once, the merge drops its entries."""
+        live = self._live()
+        live.bulk_load(np.arange(40, dtype=np.uint64).reshape(2, 20), range(20))
+        fps = np.array([3, 23], dtype=np.uint64)
+        live.insert(fps, 20)
+        live.insert(fps, 21)
+        assert live.delete(fps, 20)
+        rows, sids = live.probe(0, 2, fps[:, None])
+        assert sorted(sids.tolist()) == [3, 3, 21, 21]
+        live.compact()
+        assert 20 not in live.base.run_sids.tolist()
+        assert live.base.n_entries == 2 * 21
