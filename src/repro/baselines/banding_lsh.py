@@ -151,9 +151,9 @@ class BandingIndex:
             )
         self._live.bulk_load(self._fingerprints(signatures), sids)
 
-    def delete(self, signature: np.ndarray, sid: int) -> None:
-        """Remove a previously inserted (signature, sid) pair."""
-        self._live.delete(self._row_fingerprints(signature)[:, 0], sid)
+    def delete(self, sid: int) -> None:
+        """Remove a stored set (``KeyError`` for a sid not stored)."""
+        self._live.delete(sid)
 
     def probe(self, signature: np.ndarray) -> set[int]:
         """Sids colliding with the query in at least one band."""

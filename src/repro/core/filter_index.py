@@ -83,8 +83,8 @@ def table_fingerprints(
     positions of the tables (see
     :func:`~repro.hamming.sampling.sampled_key_words`).  Keys are
     extracted and fingerprinted in one vectorized pass; the bulk load,
-    the live and the frozen probe, insert and delete all fingerprint
-    through here.
+    the live and the frozen probe and insert all fingerprint through
+    here.
     """
     n, t = matrix.shape[0], word_index.shape[0]
     words = sampled_key_words(matrix, word_index, bit_offset)
@@ -192,17 +192,14 @@ class FilterIndex:
         """Entries per table (each vector appears once in every table)."""
         return self._live.n_entries
 
-    def _vector_fingerprints(self, vector: np.ndarray) -> np.ndarray:
-        """One vector's fingerprint in each of the ``l`` tables, from
-        the probe's one :func:`table_fingerprints` pass."""
-        return table_fingerprints(
-            vector[None], self._word_index, self._bit_offset, self.filter.r
-        )[:, 0]
-
     def insert(self, vector: np.ndarray, sid: int) -> None:
         """Index one packed vector under a set identifier not stored
-        yet (``ValueError`` otherwise)."""
-        self._live.insert(self._vector_fingerprints(vector), sid)
+        yet (``ValueError`` otherwise), its fingerprint in each of the
+        ``l`` tables from the probe's one :func:`table_fingerprints`
+        pass."""
+        self._live.insert(table_fingerprints(
+            vector[None], self._word_index, self._bit_offset, self.filter.r
+        )[:, 0], sid)
 
     def insert_many(self, matrix: np.ndarray, sids: Sequence[int]) -> dict:
         """Bulk-index the rows of a packed matrix (vectorized keying).
@@ -236,9 +233,9 @@ class FilterIndex:
             sids,
         )
 
-    def delete(self, vector: np.ndarray, sid: int) -> None:
-        """Remove a previously inserted (vector, sid) pair."""
-        self._live.delete(self._vector_fingerprints(vector), sid)
+    def delete(self, sid: int) -> None:
+        """Remove a stored set (``KeyError`` for a sid not stored)."""
+        self._live.delete(sid)
 
     def probe_tables(self, start: int, stop: int, matrix: np.ndarray, io):
         """Probe tables ``start .. stop - 1`` with every row of a packed

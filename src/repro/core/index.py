@@ -745,11 +745,10 @@ class SetSimilarityIndex:
         if sid not in self._codes:
             raise KeyError(f"unknown sid: {sid}")
         self._invalidate()
-        # The filters key on the packed vector: re-encode this one row.
-        vector = self.embedder.encode(self._codes.pop(sid)[np.newaxis])[0]
+        del self._codes[sid]
         self._cfallback.discard(sid)
         for fi in self._all_filters():
-            fi.delete(vector, sid)
+            fi.delete(sid)
         self.store.delete(sid)
         logger.debug("deleted sid=%d", sid)
 
@@ -813,14 +812,17 @@ class SetSimilarityIndex:
         the stored codes, the hash arena the verify CSR, and each filter
         its stored stack as its base, while its tables' pages bulk-load
         the stored entries in sid order for the write-side accounting
-        (:meth:`~repro.storage.hashtable.LiveTables.load`).  Everything
+        (:meth:`~repro.storage.hashtable.LiveTables.load`); a table
+        that does not hold one entry of every stored set is a
+        :class:`~repro.exec.snapfile.SnapshotIntegrityError`.  Everything
         is copied off the mapping.  The result is a fresh bulk build of the saved
         contents: the saved index itself when that was bulk-built; a
         churned index keeps its sids but takes a bulk build's page
         layout, and so its I/O charges.
         """
         from repro.exec.columnar import HashArena
-        from repro.exec.snapfile import SnapshotFormatError, open_snapshot
+        from repro.exec.snapfile import (
+            SnapshotFormatError, SnapshotIntegrityError, open_snapshot)
 
         snap = open_snapshot(path, verify=True)
         pager = PageManager(snap.cost, page_size=snap.page_size)
@@ -844,7 +846,11 @@ class SetSimilarityIndex:
                         raise SnapshotFormatError(
                             f"{path}: {kind}({point}) bit positions do not "
                             "match the embedder seed's")
-                    fi._live.load(probe.stack)
+                    try:
+                        fi._live.load(probe.stack, sids)
+                    except ValueError as exc:
+                        raise SnapshotIntegrityError(
+                            f"{path}: {kind}({point}): {exc}") from exc
         return index
 
     @property

@@ -14,8 +14,9 @@ Two pieces carry that here:
   rows of two page arrays (fingerprints, sids), each row a page the
   :class:`~repro.storage.pager.PageManager` reserved; every bucket's
   chain, entry count and tail state is an array entry over all ``l``
-  tables' buckets, and a slot index gives each sid's slot in every
-  table.  An insert or a delete is one array pass over the ``l`` tables,
+  tables' buckets, and a slot index gives each stored set's page cell
+  in every table, so a delete names the set by its sid alone.  An
+  insert or a delete is one array pass over the ``l`` tables,
   and a batch loads a table at a time, each charging exactly what the
   page operations of ``l`` tables written one after another charge.
   Probes read an immutable stacked base, a small sorted delta of the
@@ -319,10 +320,13 @@ class LiveTables:
     the tail's fill state is known from this filter's own last write to
     the bucket (an insert then skips re-reading it).  The slot index
     gives each stored set a row ``_set_row[sid]`` of ``_slot``, whose
-    column ``t`` is the position of the set's entry in its table-``t``
-    bucket's chain (-1: none), so a delete finds its hole without a
-    scan; a deleted set's row is reused, so the index grows with the
-    sets stored, not with the sids ever used.  Page ids
+    column ``t`` is the page-array cell (``row * slots_per_page +
+    slot``) of the set's one entry in table ``t`` (:meth:`load` refuses
+    a stack without one entry a set in every table): the fingerprint
+    there gives the bucket and ``_chain_rows`` the page's rank, so a
+    delete takes only the sid and finds its hole without a scan.  A
+    deleted set's row is reused, so the index grows with the sets
+    stored, not with the sids ever used.  Page ids
     come from the pager (:meth:`~repro.storage.pager.PageManager.reserve`)
     and pages are allocated, read and freed in table order, so ids,
     charges and buffer-pool traffic are those of ``l`` tables written
@@ -374,7 +378,7 @@ class LiveTables:
         #: The page id of each page-array row.
         self._row_page = np.empty(0, dtype=np.int64)
         self._free_rows: list[int] = []
-        self._slot = np.empty((0, n_tables), dtype=np.int32)
+        self._slot = np.empty((0, n_tables), dtype=np.int64)
         self._free_slot_rows: list[int] = []
         #: Each sid's row of ``_slot`` (-1: not stored) and the
         #: tombstone mask, by sid.
@@ -431,83 +435,60 @@ class LiveTables:
         self.pager.io.write(len(buckets))
         self._count[buckets] = count + 1
         self._tail_known[buckets] = True
-        self._slot[row] = count
+        self._slot[row] = cells
         self._delta_insert(fingerprints, sid)
         self._maybe_compact()
 
-    def delete(self, fingerprints: np.ndarray, sid: int) -> bool:
-        """Remove one set's entries; returns whether it was stored.
+    def delete(self, sid: int) -> None:
+        """Remove a stored set's entry from every table (``KeyError``,
+        before anything is read, written or counted, if not stored).
 
-        In each table that holds ``(fingerprints[t], sid)`` the chain is
-        read up to the entry's page (a random read for the head,
-        sequential after it) and its tail re-read (sequential); the
-        chain's last entry moves into the hole (one write, unless it was
-        the hole), and the tail is then freed if emptied -- forgetting
-        the new tail's fill state -- or written.  A table that does not
-        hold it reads the whole chain.  The sid is tombstoned.
+        Each table reads the chain up to the entry's page (a random
+        read for the head, sequential after it) and re-reads its tail
+        (sequential); the chain's last entry moves into the hole (one
+        write, unless it was the hole), and the tail is then freed if
+        emptied -- forgetting the new tail's fill state -- or written.
+        The sid is tombstoned.
         """
-        fingerprints = np.asarray(fingerprints, dtype=np.uint64)
-        buckets = (fingerprints % self._modulus).astype(np.int64) + self._first
-        slots, n_tables = self.slots_per_page, len(buckets)
-        count = self._count[buckets]
         row = self._set_row[sid] if 0 <= sid < len(self._set_row) else -1
-        at = self._slot[row] if row >= 0 else np.full(n_tables, -1, dtype=np.int32)
-        # A table holds the entry if the slot its index names, in the
-        # bucket fingerprints[t] reaches, is (fingerprints[t], sid).
-        tables = np.flatnonzero((at >= 0) & (at < count))
-        touched, hole = buckets[tables], at[tables].astype(np.int64)
-        cells = self._cells(touched, hole)
-        held = ((self._page_sids.reshape(-1)[cells] == sid)
-                & (self._page_fps.reshape(-1)[cells] == fingerprints[tables]))
-        if not held.all():
-            tables, touched, hole, cells = (
-                tables[held], touched[held], hole[held], cells[held]
-            )
-        last = count[tables] - 1
+        if row < 0:
+            raise KeyError(f"sid {sid} is not stored")
+        slots, n_tables = self.slots_per_page, self.n_tables
+        fps, owners = self._page_fps.reshape(-1), self._page_sids.reshape(-1)
+        cells = self._slot[row]
+        buckets = (fps[cells] % self._modulus).astype(np.int64) + self._first
+        hole_ranks = (self._chain_rows[buckets] == (cells // slots)[:, None]).argmax(axis=1)
+        last = self._count[buckets] - 1
         freed = last % slots == 0
-        tails = self._chain_rows[touched[freed], last[freed] // slots]
+        tails = self._chain_rows[buckets[freed], last[freed] // slots]
         freed_ids = self._row_page[tails].tolist()
         if self.pager.cache_pages:
-            self._replay_delete(buckets, tables, hole // slots, tables[freed], freed_ids)
+            self._replay_delete(buckets, hole_ranks, freed, freed_ids)
         else:
-            random = len(tables)
-            sequential = int((hole // slots).sum()) + len(tables)
-            if len(tables) < n_tables:
-                missed = np.delete(self.chain_pages[buckets], tables)
-                heads = int(np.count_nonzero(missed))
-                random += heads
-                sequential += int(missed.sum()) - heads
-            self.pager.io.read_random(random)
-            self.pager.io.read_sequential(sequential)
+            self.pager.io.read_random(n_tables)
+            self.pager.io.read_sequential(int(hole_ranks.sum()) + n_tables)
             for page_id in freed_ids:
                 self.pager.free(page_id)
-        if not len(tables):
-            return False
         # The chain's last entry fills the hole (unless it is the hole).
-        last_cells = self._cells(touched, last)
+        last_cells = self._cells(buckets, last)
         moves = cells != last_cells
-        fps, owners = self._page_fps.reshape(-1), self._page_sids.reshape(-1)
         moved = owners[last_cells[moves]]
         fps[cells[moves]] = fps[last_cells[moves]]
         owners[cells[moves]] = moved
-        self._slot[self._set_row[moved], tables[moves]] = hole[moves]
-        self._slot[row, tables] = -1
-        if self._slot[row].max() < 0:
-            self._set_row[sid] = -1
-            self._free_slot_rows.append(int(row))
-        self.pager.io.write(len(moved) + len(tables) - len(freed_ids))
-        self._count[touched] = last
-        self._tail_known[touched] = ~freed
+        self._slot[self._set_row[moved], np.flatnonzero(moves)] = cells[moves]
+        self._set_row[sid] = -1
+        self._free_slot_rows.append(int(row))
+        self.pager.io.write(len(moved) + n_tables - len(freed_ids))
+        self._count[buckets] = last
+        self._tail_known[buckets] = ~freed
         if freed_ids:
-            emptied = touched[freed]
+            emptied = buckets[freed]
             self.chain_pages[emptied] -= 1
             self._chain_rows[emptied, self.chain_pages[emptied]] = -1
             self._free_rows += tails.tolist()
-        if not self._dead[sid]:
-            self._dead[sid] = True
-            self._n_dead += 1
+        self._dead[sid] = True  # a stored sid is never dead: see _admit
+        self._n_dead += 1
         self._maybe_compact()
-        return True
 
     def bulk_load(self, columns: Iterable[np.ndarray], sids: Sequence[int]) -> dict:
         """Load many sets at once: ``columns`` yields each table's
@@ -569,19 +550,21 @@ class LiveTables:
             self._maybe_compact()
         return {"tables": n_tables, **report}
 
-    def load(self, stack: TableStack) -> None:
+    def load(self, stack: TableStack, sids: np.ndarray) -> None:
         """Take a stored filter's :class:`TableStack` (e.g. a mapped
-        snapshot's) into these empty tables: the base is a heap copy of
-        its runs, each run's sids put in ascending order; each table's
-        pages bulk-load its entries in sid order, as a bulk build
-        lays them out, for the write-side accounting only."""
+        snapshot's) of the stored sets ``sids`` (ascending, unique) into
+        these empty tables: the base is a heap copy of its runs, each
+        run's sids put in ascending order; each table's pages bulk-load
+        its entries in sid order, as a bulk build lays them out, for the
+        write-side accounting only.
+
+        A table that does not hold one entry of each set in ``sids`` is
+        refused (``ValueError``) before its sids index anything."""
         offsets = stack.run_offsets.tolist()
         run_indptr = np.array(stack.run_indptr)
         run_sids = np.array(stack.run_sids)
         lens = np.diff(run_indptr)
-        if len(run_sids):
-            ordered = np.sort(run_sids)
-            sids = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+        if len(sids):
             self._reserve_sids(int(sids[-1]) + 1)
             self._set_row[sids] = self._take_slot_rows(len(sids))
         self._reserve_rows(int(np.sum(stack.chain_pages)))
@@ -589,9 +572,15 @@ class LiveTables:
             first, last = run_indptr[[offsets[t], offsets[t + 1]]].tolist()
             owners = run_sids[first:last]
             order = np.argsort(owners, kind="stable")
+            owners = owners[order]
+            if not np.array_equal(owners, sids):
+                raise ValueError(
+                    f"table {t} does not hold one entry of each of the "
+                    f"{len(sids)} stored sets"
+                )
             fps = np.repeat(stack.run_fps[offsets[t]:offsets[t + 1]],
                             lens[offsets[t]:offsets[t + 1]])
-            self._load_table(t, fps[order], owners[order])
+            self._load_table(t, fps[order], owners)
         # A run written in another order (slot-scan order, by older
         # saves of churned indexes) is sorted here; sid-ascending runs
         # are the rule, so this is one check.
@@ -647,11 +636,11 @@ class LiveTables:
             ranks = at[opens] // slots
             self._widen(int(ranks.max()) + 1)
             self._chain_rows[owner[opens], ranks] = rows
-        rows, cells = self._chain_rows[owner, at // slots], at % slots
+        cells = self._cells(owner, at)
         sids = np.asarray(sids)[order]
-        self._page_fps[rows, cells] = fps[order]
-        self._page_sids[rows, cells] = sids
-        self._slot[self._set_row[sids], t] = at
+        self._page_fps.reshape(-1)[cells] = fps[order]
+        self._page_sids.reshape(-1)[cells] = sids
+        self._slot[self._set_row[sids], t] = cells
         self._count[groups] = count + sizes
         self.chain_pages[groups] = -(-(count + sizes) // slots)
         self._tail_known[groups] = True
@@ -697,7 +686,7 @@ class LiveTables:
         if short > 0:
             old = len(self._slot)
             size = old + max(short, old // 2)
-            slot = np.full((size, self.n_tables), -1, dtype=np.int32)
+            slot = np.full((size, self.n_tables), -1, dtype=np.int64)
             slot[:old] = self._slot
             self._slot = slot
             self._free_slot_rows += range(size - 1, old - 1, -1)
@@ -712,21 +701,18 @@ class LiveTables:
         else:
             self.pager.io.read_random(len(buckets))
 
-    def _replay_delete(self, buckets, tables, hole_ranks, emptied, freed_ids) -> None:
+    def _replay_delete(self, buckets, hole_ranks, freed, freed_ids) -> None:
         """A delete's page reads and frees through the buffer pool,
-        table by table: a table holding the entry (``tables``) reads its
-        chain up to the hole's page and then the tail, any other table
-        the whole chain; ``emptied`` tables then free their tails."""
-        ranks = dict(zip(tables.tolist(), hole_ranks.tolist()))
-        frees = dict(zip(emptied.tolist(), freed_ids))
-        for t, bucket in enumerate(buckets.tolist()):
+        table by table: each table reads its chain up to the hole's page
+        and then the tail, and a ``freed`` table then frees its tail."""
+        frees = iter(freed_ids)
+        for bucket, hole, free in zip(buckets.tolist(), hole_ranks.tolist(),
+                                      freed.tolist()):
             chain = self._chain_ids(bucket)
-            if t in ranks:
-                chain = chain[:ranks[t] + 1] + chain[-1:]
-            for rank, page_id in enumerate(chain):
+            for rank, page_id in enumerate(chain[:hole + 1] + chain[-1:]):
                 self.pager.read(page_id, sequential=rank > 0)
-            if t in frees:
-                self.pager.free(frees[t])
+            if free:
+                self.pager.free(next(frees))
 
     def _open_pages(self, buckets: np.ndarray) -> None:
         """Append a fresh page to each bucket's chain, allocated in

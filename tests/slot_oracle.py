@@ -226,6 +226,31 @@ def tables_state(tables):
     return chains, tables.tail_slots().tolist(), tables.chain_pages.tolist()
 
 
+def assert_pages_hold_the_stacks(live):
+    """Per table of a :class:`~repro.storage.hashtable.LiveTables`, the
+    multiset of ``(fingerprint, sid)`` entries on its pages equals the
+    entries of its stacked base and its write delta minus the
+    tombstoned sids' -- what a probe reads must be what the pages
+    hold, entry for entry."""
+    base, n_delta = live.base, live._n_delta
+    bounds = base.run_offsets.tolist()
+    for t in range(live.n_tables):
+        pages = sorted(
+            entry for b in range(int(live.n_buckets[t]))
+            for entry in zip(*(a.tolist() for a in live.bucket_entries(t, b)))
+        )
+        indptr = base.run_indptr[bounds[t]:bounds[t + 1] + 1]
+        fps = np.concatenate((
+            np.repeat(base.run_fps[bounds[t]:bounds[t + 1]], np.diff(indptr)),
+            live._delta_fps[t, :n_delta],
+        ))
+        sids = np.concatenate((
+            base.run_sids[indptr[0]:indptr[-1]], live._delta_sids[t, :n_delta]
+        ))
+        keep = ~live._dead[sids]
+        assert pages == sorted(zip(fps[keep].tolist(), sids[keep].tolist())), t
+
+
 def slot_probe(tables, fps, start=0):
     """The from-slots oracle of a grouped probe of tables ``start ..
     start + len(fps) - 1`` (``fps[k]`` holding every row's fingerprint

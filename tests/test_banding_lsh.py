@@ -58,8 +58,10 @@ class TestRetrieval:
         rng = np.random.default_rng(2)
         sig = rng.integers(0, 2**31, size=64, dtype=np.uint64)
         index.insert(sig, 1)
-        index.delete(sig, 1)
+        index.delete(1)
         assert 1 not in index.probe(sig)
+        with pytest.raises(KeyError):
+            index.delete(1)
 
     def test_insert_many_validates(self):
         index = _index()

@@ -10,7 +10,8 @@ a twin whose filters answer every probe from their pages' slots
 (:func:`tests.slot_oracle.oracle_probe_tables`).  After every step the
 two must agree on each filter's candidate CSR, hit total, ``IOStats``
 and ``hashtable.*`` / ``sfi.*`` / ``dfi.*`` counter moves, and on every
-batch's answers -- with no buffer pool, and behind pools small enough
+batch's answers; every filter's pages must hold exactly the entries its
+stacks probe -- with no buffer pool, and behind pools small enough
 to evict (16 pages) and large enough to hold everything (10,000), where
 the two must also leave their pools in the same state.
 """
@@ -36,7 +37,7 @@ from repro.exec import ParallelExecutor
 from repro.hamming.bitvector import pack_bits
 from repro.obs import metrics
 from repro.storage.iomodel import IOStats
-from tests.slot_oracle import oracle_probe_tables
+from tests.slot_oracle import assert_pages_hold_the_stacks, oracle_probe_tables
 from tests.test_index import build_planned_index
 
 _COUNTERS = {
@@ -175,6 +176,12 @@ class ChurnOracleMachine(RuleBasedStateMachine):
             self.twin = _with_oracle(SetSimilarityIndex.load(path))
         self._pool()
         self._same_pagers()
+
+    @invariant()
+    def pages_hold_the_stacks(self):
+        for index in (self.live, self.twin):
+            for fi in index._all_filters():
+                assert_pages_hold_the_stacks(fi._live)
 
     @invariant()
     def probes_equal_the_slots(self):

@@ -109,9 +109,24 @@ class TestSimilarityFilterIndex:
         v = _random_vectors(1, n_bits, seed=12)[0]
         sfi.insert(v, 42)
         assert 42 in _probe(sfi, v)
-        sfi.delete(v, 42)
+        sfi.delete(42)
         assert 42 not in _probe(sfi, v)
         assert sfi.n_entries == 0
+
+    def test_delete_of_an_unknown_sid_is_refused(self):
+        """A delete names the set by its sid: a sid not stored is a
+        ``KeyError`` that charges nothing and changes nothing."""
+        pager = _pager()
+        sfi = SFI(0.8, 6, 256, pager, seed=11)
+        v = _random_vectors(1, 256, seed=12)[0]
+        sfi.insert(v, 42)
+        before = pager.io.snapshot()
+        for sid in (7, -1, 10**12):
+            with pytest.raises(KeyError):
+                sfi.delete(sid)
+        assert pager.io.snapshot() == before
+        assert sfi.n_entries == 1
+        assert 42 in _probe(sfi, v)
 
     def test_probe_accounts_io(self):
         pager = _pager()
@@ -213,7 +228,7 @@ class TestDissimilarityFilterIndex:
         dfi = DFI(0.5, 4, n_bits, _pager(), seed=41)
         v = _random_vectors(1, n_bits, seed=42)[0]
         dfi.insert(v, 5)
-        dfi.delete(v, 5)
+        dfi.delete(5)
         assert 5 not in _probe(dfi, complement(v, n_bits))
         assert dfi.n_entries == 0
 

@@ -39,10 +39,6 @@ def _insert(table, key, sid):
     table.insert(_fps([key]), sid)
 
 
-def _delete(table, key, sid):
-    return table.delete(_fps([key]), sid)
-
-
 def _probe(table, key):
     return slot_probe(table, _fps([key])[None])[0][0]
 
@@ -128,23 +124,34 @@ class TestBucketHashTable:
         table = _table()
         _insert(table, b"a", 1)
         _insert(table, b"a", 2)
-        assert _delete(table, b"a", 1)
+        table.delete(1)
         assert _probe(table, b"a") == [2]
         assert table.n_entries == 1
 
     def test_delete_missing(self):
+        """A sid not stored is a ``KeyError`` that reads, writes and
+        counts nothing."""
         table = _table()
         _insert(table, b"a", 1)
-        assert not _delete(table, b"a", 99)
-        assert not _delete(table, b"zzz", 1)
-        assert table.n_entries == 1
+        table.delete(1)
+        before, state = table.pager.io.snapshot(), tables_state(table)
+
+        def refused(sid):
+            with pytest.raises(KeyError):
+                table.delete(sid)
+
+        for sid in (99, 1, -1):
+            assert counter_moves(lambda: refused(sid))[1] == {}
+        assert table.pager.io.snapshot() == before
+        assert tables_state(table) == state
+        assert table.n_entries == 0
 
     def test_delete_last_entry_of_last_page(self):
         """The swap-remove edge case: hole == popped entry."""
         table = _table(n_buckets=1, page_size=64)
         for i in range(4):
             _insert(table, b"k", i)
-        assert _delete(table, b"k", 3)  # last entry of the only page
+        table.delete(3)  # last entry of the only page
         assert sorted(_probe(table, b"k")) == [0, 1, 2]
 
     def test_delete_frees_empty_pages(self):
@@ -153,7 +160,7 @@ class TestBucketHashTable:
             _insert(table, b"k", i)
         assert table.n_pages == 2
         for i in range(5):
-            _delete(table, b"k", i)
+            table.delete(i)
         assert table.n_pages == 0
         assert table.pager.n_pages == 0
         assert _probe(table, b"k") == []
@@ -177,7 +184,7 @@ class TestBucketHashTable:
         assert table.pager.io.snapshot() == before
         assert tables_state(table) == state
         assert _probe(table, b"k") == [7]
-        assert _delete(table, b"k", 7)
+        table.delete(7)
         _insert(table, b"j", 7)
         assert _probe(table, b"k") == []
         assert _probe(table, b"j") == [7]
@@ -207,7 +214,8 @@ class TestBucketHashTable:
     @settings(max_examples=40, deadline=None)
     def test_matches_dict_model(self, operations):
         """Insert/delete sequences behave like a dictionary from sid to
-        key: a stored sid is refused, a delete finds only its own key."""
+        key: an insert of a stored sid is refused, and so is a delete of
+        one not stored."""
         table = _table(n_buckets=2, page_size=64)
         model: dict[int, bytes] = {}
         rng = np.random.default_rng(0)
@@ -219,11 +227,12 @@ class TestBucketHashTable:
                 else:
                     _insert(table, key, sid)
                     model[sid] = key
+            elif sid in model:
+                table.delete(sid)
+                del model[sid]
             else:
-                expected = model.get(sid) == key
-                assert _delete(table, key, sid) == expected
-                if expected:
-                    del model[sid]
+                with pytest.raises(KeyError):
+                    table.delete(sid)
         for key in (b"a", b"b", b"c", b"d"):
             assert sorted(_probe(table, key)) == sorted(
                 sid for sid, k in model.items() if k == key
@@ -248,10 +257,10 @@ class TestDirectoryPatches:
         _insert(table, b"k1", 2)
         bucket = hash_key(b"k1") % 2
         assert _probe(table, b"k1") == [1, 2]
-        assert _delete(table, b"k1", 1)
+        table.delete(1)
         assert _slots(table, bucket) == [(hash_key(b"k1"), 2)]
         assert _probe(table, b"k1") == [2]  # no ghost entry
-        assert _delete(table, b"k1", 2)
+        table.delete(2)
         assert _slots(table, bucket) == []
         assert table.chain_pages[bucket] == 0  # an emptied page is freed
 
@@ -271,7 +280,7 @@ class TestDirectoryPatches:
             _insert(table, key, i)
         before = [_slots(table, bucket) for bucket in range(64)]
         victim_bucket = hash_key(keys[0]) % 64
-        assert _delete(table, keys[0], 0)
+        table.delete(0)
         for bucket in range(64):
             if bucket != victim_bucket:
                 assert _slots(table, bucket) == before[bucket]
@@ -283,7 +292,7 @@ class TestDirectoryPatches:
         for key, sid in [(b"a", 1), (b"b", 2), (b"a", 3), (b"c", 4), (b"a", 5)]:
             _insert(table, key, sid)
         assert table.chain_pages[0] == 2
-        assert _delete(table, b"b", 2)  # a5 fills slot 1, tail page freed
+        table.delete(2)  # a5 fills slot 1, tail page freed
         assert _slots(table, 0)[1] == (hash_key(b"a"), 5)
         assert _probe(table, b"a") == [1, 5, 3]
         _assert_chain_pages_current(table)
@@ -333,12 +342,13 @@ class DirectoryMachine(RuleBasedStateMachine):
             for fp, sid in _slots(self.reference, b)
         }
 
-    def _delete(self, fp, sid):
-        fps = np.array([fp], dtype=np.uint64)
-        return self.both(
-            lambda: self.table.delete(fps, sid),
-            lambda: self.reference.delete(fps, sid),
-        )
+    def _delete(self, sid):
+        fps = np.array([self._stored()[sid]], dtype=np.uint64)
+
+        def reference():
+            assert self.reference.delete(fps, sid)
+
+        self.both(lambda: self.table.delete(sid), reference)
 
     def _probe(self, keys):
         fps = _fps(keys)
@@ -383,16 +393,19 @@ class DirectoryMachine(RuleBasedStateMachine):
         if stored:
             self.insert_stored_refused(key, data.draw(st.sampled_from(sorted(stored))))
 
-    @rule(key=st.sampled_from(_WRITE_KEYS), sid=st.integers(0, 5))
-    def delete(self, key, sid):
-        self._delete(hash_key(key), sid)
+    @rule(sid=st.integers(0, 5))
+    def delete(self, sid):
+        if sid in self._stored():
+            self._delete(sid)
+        else:
+            self.delete_unknown(sid)
 
     @rule(data=st.data())
     def delete_chain_last(self, data):
         chains = [c for c in self.reference.chains[0] if c]
         if chains:
             chain = data.draw(st.sampled_from(chains))
-            assert self._delete(*self.reference.pager.peek(chain[-1]).slots[-1])
+            self._delete(self.reference.pager.peek(chain[-1]).slots[-1][1])
 
     @rule(data=st.data())
     def delete_freeing_tail(self, data):
@@ -407,12 +420,23 @@ class DirectoryMachine(RuleBasedStateMachine):
             page_id = data.draw(st.sampled_from(chain))
             entry = data.draw(st.sampled_from(self.reference.pager.peek(page_id).slots))
             tail = chain[-1]
-            assert self._delete(*entry)
+            self._delete(entry[1])
             assert tail not in self.table.chain(0, bucket)
 
-    @rule(key=st.sampled_from(_WRITE_KEYS + _MISSES))
-    def delete_miss(self, key):
-        assert not self._delete(hash_key(key), 999)
+    @rule(sid=st.sampled_from([6, 999, -1]))
+    def delete_unknown(self, sid):
+        """A sid not stored is refused before anything is read,
+        written or counted."""
+        before = self.table.pager.io.snapshot()
+        state = tables_state(self.table)
+
+        def refused():
+            with pytest.raises(KeyError):
+                self.table.delete(sid)
+
+        assert counter_moves(refused)[1] == {}
+        assert self.table.pager.io.snapshot() == before
+        assert tables_state(self.table) == state
 
     @rule(keys=st.lists(st.sampled_from(_WRITE_KEYS), max_size=8))
     def bulk_load(self, keys):
@@ -509,7 +533,7 @@ class TestBulkLoadEquivalence:
         table = _table(n_buckets=1, page_size=64)
         for i in range(5):  # two pages: 4 + 1
             _insert(table, b"k", i)
-        assert _delete(table, b"k", 4)  # frees the tail page -> state unknown
+        table.delete(4)  # frees the tail page -> state unknown
         before = table.pager.io.snapshot()
         report = _bulk_load(table, [b"k2"], [99])
         delta = table.pager.io.snapshot() - before
@@ -554,7 +578,7 @@ class TestTailReadAccounting:
         table = _table(n_buckets=1, page_size=64)
         for i in range(5):  # pages of 4 + 1
             _insert(table, b"k", i)
-        assert _delete(table, b"k", 4)  # tail page freed, survivor unread
+        table.delete(4)  # tail page freed, survivor unread
         before = table.pager.io.snapshot()
         _insert(table, b"k", 5)
         delta = table.pager.io.snapshot() - before
@@ -564,7 +588,7 @@ class TestTailReadAccounting:
         table = _table(n_buckets=1, page_size=64)
         for i in range(6):  # pages of 4 + 2
             _insert(table, b"k", i)
-        assert _delete(table, b"k", 0)  # tail shrinks to 1, state tracked
+        table.delete(0)  # tail shrinks to 1, state tracked
         before = table.pager.io.snapshot()
         _insert(table, b"k", 6)
         delta = table.pager.io.snapshot() - before
@@ -619,9 +643,11 @@ def _replay(live, operations):
         elif op == "delete":
             if arg and stored:
                 sid = sorted(stored)[arg % len(stored)]
-                assert live.delete(stored.pop(sid), sid)
+                stored.pop(sid)
+                live.delete(sid)
             else:
-                assert not live.delete(_key_fps([_MISS_KEYS])[:, 0], 10**6)
+                with pytest.raises(KeyError):
+                    live.delete(10**6)
         elif op == "bulk":
             sids = list(range(next_sid, next_sid + len(arg)))
             next_sid += len(arg)
@@ -711,9 +737,9 @@ class TestLiveTables:
         base = live.base
         writes = int(COMPACT_SHARE * 40)
         for sid in range(writes):
-            live.delete(np.array([sid, 40 + sid], dtype=np.uint64), sid)
+            live.delete(sid)
         assert live.base is base  # not yet past the share
-        live.delete(np.array([writes, 40 + writes], dtype=np.uint64), writes)
+        live.delete(writes)
         assert live.base is not base
         assert live.base.n_entries == 2 * (40 - writes - 1)
 
@@ -737,17 +763,32 @@ class TestLiveTables:
             np.array([0, 3, 4]), np.array([2, 0, 1, 3]),
         )
         live = LiveTables(PageManager(IOCostModel(), page_size=64), 1, 4)
-        live.load(stack)
+        live.load(stack, np.arange(4))
         assert live.base.run_sids.tolist() == [0, 1, 2, 3]
         reference = _table(n_buckets=4, page_size=64)
         reference.bulk_load([fps[[1, 2, 0, 3]]], [0, 1, 2, 3])
         assert tables_state(live) == tables_state(reference)
 
+    def test_load_refuses_a_table_without_one_entry_a_set(self):
+        """Every table must hold one entry of each stored set: a table
+        with a set twice, a foreign sid or a sid of 2**40 is a
+        ``ValueError`` before that table's sids index anything."""
+        stored = self._live()
+        stored.bulk_load(np.arange(8, dtype=np.uint64).reshape(2, 4), range(4))
+        stack = stored.freeze()
+        for planted in (0, 9, 2**40):
+            run_sids = stack.run_sids.copy()
+            run_sids[4 + 1] = planted  # table 1's entry of sid 1
+            bad = TableStack(stack.n_buckets, stack.chain_pages, stack.run_offsets,
+                             stack.run_fps, stack.run_indptr, run_sids)
+            with pytest.raises(ValueError, match="table 1 does not hold"):
+                self._live().load(bad, np.arange(4))
+
     def test_load_of_empty_tables(self):
         """A stored filter with no entries (an empty index's) loads, and
         its tables then take writes."""
         live = self._live()
-        live.load(self._live().freeze())
+        live.load(self._live().freeze(), np.zeros(0, dtype=np.int64))
         assert live.n_entries == 0 and live.pager.n_pages == 0
         live.insert(np.array([3, 13], dtype=np.uint64), 0)
         rows, sids = live.probe(0, 2, np.array([[3], [13]], dtype=np.uint64))
@@ -765,7 +806,7 @@ class TestLiveTables:
             live.insert(fps(sid), sid)
         rows = len(live._slot)
         for sid in range(8, 400):
-            assert live.delete(fps(sid - 8), sid - 8)
+            live.delete(sid - 8)
             live.insert(fps(sid), sid)
         assert len(live._slot) == rows < 16
         assert live.n_entries == 8
@@ -780,7 +821,7 @@ class TestLiveTables:
         fps = np.array([3, 23], dtype=np.uint64)
         live.insert(fps, 20)
         live.insert(fps, 21)
-        assert live.delete(fps, 20)
+        live.delete(20)
         rows, sids = live.probe(0, 2, fps[:, None])
         assert sorted(sids.tolist()) == [3, 3, 21, 21]
         live.compact()

@@ -6,13 +6,17 @@ a time.  This machine keeps one next to a
 :class:`~tests.slot_oracle.SlotScanTables` (``l`` tables of tuple pages
 written one table after another, a delete finding its hole with a
 ``list.index`` scan) through the same interleaving of inserts, refused
-inserts of stored sids, deletes (hits, misses, chain-last entries,
-tail-freeing ones), bulk loads, compactions and probes.  After every
-step the two must agree on every bucket's page ids and entries in chain
-order, the tail states, the chain lengths, ``pager.n_pages``,
-``IOStats``, the ``hashtable.*`` counter moves and the buffer pool's
-contents, order and hit counts -- with no pool, a pool small enough to
-evict (16 pages) and one that holds everything (10,000).
+inserts of stored sids, deletes (of any stored set, chain-last entries,
+tail-freeing ones; refused deletes of unknown sids), bulk loads,
+compactions and probes.  The live tables delete by sid alone; the
+reference is handed the fingerprints the machine holds for each sid.
+After every step the two must agree on every bucket's page ids and
+entries in chain order, the tail states, the chain lengths,
+``pager.n_pages``, ``IOStats``, the ``hashtable.*`` counter moves and
+the buffer pool's contents, order and hit counts -- with no pool, a
+pool small enough to evict (16 pages) and one that holds everything
+(10,000) -- and the live tables' pages must hold exactly the entries
+their stacks probe.
 """
 
 from __future__ import annotations
@@ -26,7 +30,13 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.storage.hashtable import LiveTables
 from repro.storage.iomodel import IOCostModel
 from repro.storage.pager import PageManager
-from tests.slot_oracle import SlotScanTables, counter_moves, slot_probe, tables_state
+from tests.slot_oracle import (
+    SlotScanTables,
+    assert_pages_hold_the_stacks,
+    counter_moves,
+    slot_probe,
+    tables_state,
+)
 
 _N_TABLES = 4
 #: Fingerprints drawn from a few values, so buckets share keys and
@@ -65,11 +75,13 @@ class LivePagesMachine(RuleBasedStateMachine):
         assert moved == want_moved
         return got
 
-    def _delete(self, fps, sid):
-        return self.both(
-            lambda: self.live.delete(fps, sid),
-            lambda: self.reference.delete(fps, sid),
-        )
+    def _delete(self, sid):
+        fps = self.stored.pop(sid)
+
+        def reference():
+            assert self.reference.delete(fps, sid)
+
+        self.both(lambda: self.live.delete(sid), reference)
 
     @rule(fps=_FPS)
     def insert(self, fps):
@@ -99,7 +111,7 @@ class LivePagesMachine(RuleBasedStateMachine):
     def delete(self, data):
         if self.stored:
             sid = data.draw(st.sampled_from(sorted(self.stored)))
-            assert self._delete(self.stored.pop(sid), sid)
+            self._delete(sid)
 
     @rule(data=st.data())
     def delete_chain_last(self, data):
@@ -112,7 +124,7 @@ class LivePagesMachine(RuleBasedStateMachine):
         }
         if lasts:
             sid = data.draw(st.sampled_from(sorted(lasts)))
-            assert self._delete(self.stored.pop(sid), sid)
+            self._delete(sid)
 
     @rule(data=st.data())
     def delete_freeing_tail(self, data):
@@ -126,17 +138,24 @@ class LivePagesMachine(RuleBasedStateMachine):
                     sids.update(self.reference.bucket_entries(t, b)[1].tolist())
         if sids:
             sid = data.draw(st.sampled_from(sorted(sids)))
-            assert self._delete(self.stored.pop(sid), sid)
+            self._delete(sid)
 
-    @rule(fps=_FPS, data=st.data())
-    def delete_miss(self, fps, data):
-        """An unknown sid, or a stored one under other fingerprints,
-        reads every chain it reaches and changes nothing."""
-        unknown = self.next_sid + 1000
-        sid = data.draw(st.sampled_from(sorted(self.stored) + [unknown]))
-        if sid in self.stored and np.any(fps == self.stored[sid]):
-            return
-        assert not self._delete(fps, sid)
+    @rule(data=st.data())
+    def delete_unknown(self, data):
+        """A sid never stored, or deleted since, is refused before
+        anything is read, written or counted."""
+        sid = data.draw(st.sampled_from(
+            [self.next_sid, self.next_sid + 1000, -1]
+            + sorted(set(range(self.next_sid)) - set(self.stored))
+        ))
+        state = tables_state(self.live), _pager_state(self.live.pager)
+
+        def refused():
+            with pytest.raises(KeyError):
+                self.live.delete(sid)
+
+        assert counter_moves(refused)[1] == {}
+        assert (tables_state(self.live), _pager_state(self.live.pager)) == state
 
     @rule(block=st.lists(_FPS, max_size=6))
     def bulk_load(self, block):
@@ -173,6 +192,10 @@ class LivePagesMachine(RuleBasedStateMachine):
         assert _pager_state(self.live.pager) == _pager_state(self.reference.pager)
         assert self.live.table_stats() == self.reference.table_stats()
         assert self.live.n_entries == len(self.stored)
+
+    @invariant()
+    def pages_hold_the_stacks(self):
+        assert_pages_hold_the_stacks(self.live)
 
 
 _SETTINGS = settings(max_examples=40, stateful_step_count=40, deadline=None)

@@ -694,6 +694,41 @@ def test_verify_refuses_out_of_range_code(saved, tmp_path):
         SetSimilarityIndex.load(bad)
 
 
+def _plant_run_sid(bad: Path, sid: int, value: int) -> None:
+    """Overwrite ``sid``'s entry in the first stored table with
+    ``value`` and re-checksum the array, so that only the thaw's
+    one-entry-a-set check can see it."""
+    manifest = json.loads((bad / MANIFEST_FILE).read_text())
+    spec = manifest["arrays"][_first_table(manifest) + "run_sids"]
+    blob = bytearray((bad / ARRAYS_FILE).read_bytes())
+    start, end = spec["offset"], spec["offset"] + spec["nbytes"]
+    run_sids = np.frombuffer(bytes(blob[start:end]), dtype=spec["dtype"]).copy()
+    # Table 0 holds the first n_sets entries, one per stored set.
+    table = run_sids[: len(open_snapshot(bad).sid_array)]
+    table[np.flatnonzero(table == sid)[0]] = value
+    blob[start:end] = run_sids.tobytes()
+    spec["crc32"] = zlib.crc32(bytes(blob[start:end]))
+    (bad / ARRAYS_FILE).write_bytes(bytes(blob))
+    (bad / MANIFEST_FILE).write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("planted", ["duplicate", "foreign", "huge"])
+def test_thaw_refuses_a_table_without_one_entry_a_set(saved, tmp_path, planted):
+    """A delete finds a set's entries through the slot index, so every
+    table must hold one entry of every stored set.  A table that holds
+    one set twice and drops another, holds a sid that is not stored, or
+    holds a sid of 2**40 (which would size the sid-indexed arrays at
+    terabytes) is refused with a typed error, not loaded half-consistent
+    or killed by a ``MemoryError``."""
+    _, _, _, src = saved
+    bad = _copy_snapshot(src, tmp_path / "bad")
+    sids = open_snapshot(src).sid_array
+    value = {"duplicate": sids[0], "foreign": sids[-1] + 1, "huge": 2**40}[planted]
+    _plant_run_sid(bad, int(sids[1]), int(value))
+    with pytest.raises(SnapshotIntegrityError, match="table 0 does not hold"):
+        SetSimilarityIndex.load(bad)
+
+
 # -- fuzzing the manifest and the arrays file ------------------------------
 
 #: (manifest path, lie): every one must be refused with a SnapshotError.
