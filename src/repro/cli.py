@@ -58,8 +58,7 @@ query-event ring as JSON Lines) and ``--trace-out`` (the traced span
 tree in Chrome trace-event format, loadable in ``chrome://tracing`` /
 Perfetto; implies tracing).  ``top`` renders a saved or growing event
 log as a live dashboard: QPS, p50/p90/p99/p999 latency, phase
-breakdown, candidate funnel, buffer-pool hit rate and the slow-query
-log.  ``stats`` appends quantile tables for every registered
+breakdown, candidate funnel, pages read and the slow-query log.  ``stats`` appends quantile tables for every registered
 histogram.
 """
 
@@ -366,13 +365,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"occupancy avg/max {fs['avg_occupancy']:.2f}/{fs['max_occupancy']}, "
             f"longest chain {fs['max_chain_pages']} page(s)"
         )
-    pager = index.pager
-    print(
-        f"buffer pool:       cache_pages={pager.cache_pages}, "
-        f"hits={pager.cache_hits}, misses={pager.cache_misses}, "
-        f"hit ratio {pager.cache_hit_ratio:.3f}"
-        + ("" if pager.cache_pages else " (disabled)")
-    )
     _print_histogram_tables()
     return 0
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import gc
 import logging
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -336,7 +335,6 @@ def record_batch(
     batch: BatchQueryResult,
     wall0: float,
     *,
-    cache_hits: int,
     backend: str,
     workers: int,
     strategy: str,
@@ -358,7 +356,6 @@ def record_batch(
         n_candidates=batch.n_candidates,
         n_verified=batch.n_verified,
         pages_read=batch.io.random_reads + batch.io.sequential_reads,
-        cache_hits=cache_hits,
         backend=backend,
         workers=workers,
         strategy=strategy,
@@ -392,9 +389,7 @@ class _LiveView:
     gathers from its CSR.  A fetch charges
     the set store's page rule, exactly what reading the sets through
     the store costs; a set is read (uncharged) only when exact
-    verification needs its elements.  Behind a buffer pool charges
-    depend on what the pool holds, so there a fetch reads the sets
-    through the pager, which charges ``cost`` as it goes.
+    verification needs its elements.
     """
 
     def __init__(self, index: "SetSimilarityIndex"):
@@ -422,19 +417,11 @@ class _LiveView:
     def fetch(self, sids, io: IOStats) -> None:
         """Charge reading the given sets (a sequence or array of sids;
         ``None``: the whole heap, sequentially): one random read plus
-        ``span - 1`` sequential reads per set, or through the buffer
-        pool when there is one."""
-        store = self.index.store
-        if self.index.pager.cache_pages:
-            deque(
-                store.scan() if sids is None
-                else map(store.get, np.asarray(sids).tolist()),
-                0,
-            )
-        elif sids is None:
+        ``span - 1`` sequential reads per set."""
+        if sids is None:
             io.sequential_reads += self.scan_pages
         elif len(sids):
-            spans = store.set_pages(self.index._hashes.size[sids])
+            spans = self.index.store.set_pages(self.index._hashes.size[sids])
             io.random_reads += len(sids)
             io.sequential_reads += int(spans.sum()) - len(sids)
 
@@ -785,8 +772,7 @@ class SetSimilarityIndex:
         on-disk format, :mod:`repro.exec.snapfile`) of its frozen image,
         then restore the previous frozen/thawed state.  :meth:`load`
         thaws it back into a live index; ``repro.exec.open_snapshot``
-        maps it in O(ms) for serving.  An index behind a buffer pool
-        cannot freeze, so saving it raises :class:`FrozenIndexError`.
+        maps it in O(ms) for serving.
         """
         from repro.exec.snapfile import save_snapshot
 
@@ -806,23 +792,22 @@ class SetSimilarityIndex:
         """The index saved at ``path`` by :meth:`save`, thawed into a
         live index through the bulk build path.
 
-        The snapshot is opened and fully verified; nothing is
+        The snapshot is opened and fully verified (a table that does
+        not hold one entry of every stored set is a
+        :class:`~repro.exec.snapfile.SnapshotIntegrityError`); nothing is
         re-embedded or re-hashed.  The store takes the sets under their
         own sids (numbering on from the saved next sid), the code map
         the stored codes, the hash arena the verify CSR, and each filter
         its stored stack as its base, while its tables' pages bulk-load
         the stored entries in sid order for the write-side accounting
-        (:meth:`~repro.storage.hashtable.LiveTables.load`); a table
-        that does not hold one entry of every stored set is a
-        :class:`~repro.exec.snapfile.SnapshotIntegrityError`.  Everything
+        (:meth:`~repro.storage.hashtable.LiveTables.load`).  Everything
         is copied off the mapping.  The result is a fresh bulk build of the saved
         contents: the saved index itself when that was bulk-built; a
         churned index keeps its sids but takes a bulk build's page
         layout, and so its I/O charges.
         """
         from repro.exec.columnar import HashArena
-        from repro.exec.snapfile import (
-            SnapshotFormatError, SnapshotIntegrityError, open_snapshot)
+        from repro.exec.snapfile import SnapshotFormatError, open_snapshot
 
         snap = open_snapshot(path, verify=True)
         pager = PageManager(snap.cost, page_size=snap.page_size)
@@ -846,11 +831,7 @@ class SetSimilarityIndex:
                         raise SnapshotFormatError(
                             f"{path}: {kind}({point}) bit positions do not "
                             "match the embedder seed's")
-                    try:
-                        fi._live.load(probe.stack, sids)
-                    except ValueError as exc:
-                        raise SnapshotIntegrityError(
-                            f"{path}: {kind}({point}): {exc}") from exc
+                    fi._live.load(probe.stack, sids)
         return index
 
     @property

@@ -278,8 +278,7 @@ class ExperimentHarness:
         Distribution quantiles under ``latency`` (every non-empty
         histogram: end-to-end wall, per-phase, simulated, and the
         candidates-per-query and batch-size counts), the candidate
-        funnel, buffer-pool
-        hit accounting and the event-log sampler statistics -- the
+        funnel and the event-log sampler statistics -- the
         numbers ``repro top`` renders, in one attachable dict.
         Registry instruments are process-wide and monotonic, so this
         describes everything recorded since the last
@@ -295,8 +294,6 @@ class ExperimentHarness:
         counters = metrics.counter_values()
         n_candidates = counters.get("query.candidates", 0)
         n_verified = counters.get("query.verified_hits", 0)
-        hits = counters.get("pager.cache_hits", 0)
-        misses = counters.get("pager.cache_misses", 0)
         return {
             "latency": latency,
             "funnel": {
@@ -305,11 +302,6 @@ class ExperimentHarness:
                 "candidates": n_candidates,
                 "verified": n_verified,
                 "precision": n_verified / n_candidates if n_candidates else 0.0,
-            },
-            "cache": {
-                "hits": hits,
-                "misses": misses,
-                "hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
             },
             "events": events.log.stats(),
         }

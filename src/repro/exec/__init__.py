@@ -1,9 +1,8 @@
 """Execution engine: frozen index snapshots and executor batch queries.
 
 The live :class:`~repro.core.index.SetSimilarityIndex` mutates shared
-storage structures (page chains, write deltas, counters) and, behind a
-buffer pool, reads through its pager, so it cannot be probed from
-several threads at once.
+storage structures (page chains, write deltas, counters), so it cannot
+be probed from several threads at once.
 This package provides the serving-side counterpart:
 
 - :class:`~repro.exec.snapshot.IndexSnapshot` -- an immutable image of

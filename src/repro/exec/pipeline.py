@@ -29,10 +29,7 @@ the storage genuinely differs, and nothing above these operations does:
 
 Both views *account* each fetch into the ``io`` they are handed, from
 the set store's page rule (a snapshot froze it into arrays; the live
-view applies it to the sizes in its hash arena).  The one exception is
-a live index behind a buffer pool: cached reads make charges depend on
-read order, so its fetch reads the sets through the pager, which
-charges ``cost`` as the reads happen.
+view applies it to the sizes in its hash arena).
 
 **The scheduler** is where a stage's tasks run: ``workers``,
 ``backend``, ``run(view, specs)`` and ``report(tasks, strategy,
@@ -96,15 +93,10 @@ from repro.exec.columnar import (
 )
 from repro.exec.procpool import Task, run_task
 from repro.hamming.bitvector import complement
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.storage.iomodel import IOStats
 
 logger = logging.getLogger(__name__)
-
-# Shared with the pager: buffer-pool hits, bracketed per batch with the
-# calling thread's shard (only a live view has a pool, and it runs
-# inline).
-_CACHE_HITS = metrics.counter("pager.cache_hits")
 
 
 class Inline:
@@ -250,7 +242,6 @@ def run_batch(
     n = len(query_sets)
     cost = view.cost
     wall0 = time.perf_counter()
-    hits_before = _CACHE_HITS.local_value
     tasks: list[Task] = []
     with trace.capture(
         kind,
@@ -311,7 +302,6 @@ def run_batch(
             kind,
             batch,
             wall0,
-            cache_hits=_CACHE_HITS.local_value - hits_before,
             backend=sched.backend,
             workers=sched.workers,
             strategy=strategy,

@@ -790,7 +790,6 @@ class ShardedExecutor:
             kind,
             batch,
             wall0,
-            cache_hits=0,
             backend=self.backend,
             workers=self.workers,
             strategy=strategy,

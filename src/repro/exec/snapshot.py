@@ -1,8 +1,8 @@
 """Frozen, thread-shareable images of a built set-similarity index.
 
 ``SetSimilarityIndex`` is single-threaded by construction: writes
-reshape its filters' deltas and tombstones, fetches mutate shared I/O
-counters, and behind a buffer pool every read moves the pool.  An
+reshape its filters' deltas and tombstones, and fetches mutate shared
+I/O counters.  An
 :class:`IndexSnapshot` (``index.freeze()``) converts all of that into
 immutable, pre-computed state:
 
@@ -76,15 +76,6 @@ class IndexSnapshot:
 
     @classmethod
     def from_index(cls, index) -> "IndexSnapshot":
-        from repro.core.index import FrozenIndexError
-
-        if index.pager.cache_pages > 0:
-            raise FrozenIndexError(
-                "cannot freeze an index with a buffer pool "
-                f"(cache_pages={index.pager.cache_pages}): cached reads "
-                "make page charges history-dependent, so a snapshot "
-                "could not reproduce the live accounting"
-            )
         embedder = index.embedder
         sids = sorted(index._codes)
         sid_array = np.asarray(sids, dtype=np.int64)

@@ -3,8 +3,8 @@
 Metrics aggregate; events *explain*.  A p99 regression in
 ``query.latency_ms`` says something got slow -- the matching
 :class:`QueryEvent` says which query: its range, strategy, backend,
-candidate funnel (``n_candidates`` -> ``n_verified``), pages read,
-buffer-pool hits and per-phase latency breakdown.
+candidate funnel (``n_candidates`` -> ``n_verified``), pages read and
+per-phase latency breakdown.
 
 The subsystem is built to stay on in production:
 
@@ -74,7 +74,6 @@ class QueryEvent:
     n_candidates: int              #: Funnel in: candidates fetched.
     n_verified: int                #: Funnel out: exact in-range answers.
     pages_read: int                #: Simulated pages (random + sequential).
-    cache_hits: int                #: Buffer-pool hits during the query.
     backend: str                   #: ``thread`` (in-process) / ``process``.
     workers: int                   #: Process-pool width (1 in-process).
     strategy: str                  #: ``index`` / ``scan``.
@@ -94,7 +93,7 @@ class QueryEvent:
 #: (the format checker and ``repro top`` both validate against it).
 EVENT_FIELDS = (
     "ts", "kind", "latency_ms", "sim_time", "n_queries", "n_candidates",
-    "n_verified", "pages_read", "cache_hits", "backend", "workers",
+    "n_verified", "pages_read", "backend", "workers",
     "strategy", "sigma_low", "sigma_high", "timings", "slow", "sampled",
 )
 
@@ -289,7 +288,6 @@ def record_query(
     n_candidates: int,
     n_verified: int,
     pages_read: int,
-    cache_hits: int,
     backend: str,
     workers: int,
     strategy: str,
@@ -331,7 +329,6 @@ def record_query(
         n_candidates=n_candidates,
         n_verified=n_verified,
         pages_read=pages_read,
-        cache_hits=cache_hits,
         backend=backend,
         workers=workers,
         strategy=strategy,

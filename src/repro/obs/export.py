@@ -284,7 +284,7 @@ def validate_events_jsonl(path) -> int:
                 if not isinstance(record[key], (int, float)):
                     raise ValueError(f"line {lineno}: non-numeric {key!r}")
             for key in ("n_queries", "n_candidates", "n_verified",
-                        "pages_read", "cache_hits", "workers"):
+                        "pages_read", "workers"):
                 if not isinstance(record[key], int):
                     raise ValueError(f"line {lineno}: non-integer {key!r}")
             if not isinstance(record["timings"], dict):

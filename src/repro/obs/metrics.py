@@ -33,8 +33,9 @@ one thread, but ``repro serve`` has two that record into the same
 instruments: the event loop's per-request ``record_query("serve")``
 and the dispatch thread's per-batch record both observe
 ``query.sim_time``, for example.  The private cell also gives
-:attr:`Counter.local_value`, the calling thread's own count, which the
-query pipeline brackets ``pager.cache_hits`` with.  Gauges are
+:attr:`Counter.local_value`, the calling thread's own count, which a
+process-pool task and a batched banding probe bracket
+``hashtable.probe_pages_saved`` with.  Gauges are
 last-write-wins point samples and are not sharded.
 
 Snapshots and cross-process folding:

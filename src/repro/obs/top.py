@@ -2,7 +2,7 @@
 
 Renders the operator's four questions -- how fast (QPS, latency
 quantiles), how selective (candidate -> verified funnel), how much I/O
-(pages read, buffer-pool hit rate), and what's slow (the slow-query
+(pages read), and what's slow (the slow-query
 log) -- from a stream of :mod:`repro.obs.events` records.
 
 The input is a JSONL event export (``EventLog.export_jsonl``), read
@@ -65,8 +65,6 @@ def summarize(
     n_candidates = sum(e["n_candidates"] for e in events)
     n_verified = sum(e["n_verified"] for e in events)
     pages_read = sum(e["pages_read"] for e in events)
-    cache_hits = sum(e["cache_hits"] for e in events)
-    lookups = pages_read + cache_hits
     phases: dict[str, list[float]] = {}
     for e in events:
         for phase, ms in (e.get("timings") or {}).items():
@@ -101,11 +99,7 @@ def summarize(
             "verified": n_verified,
             "precision": n_verified / n_candidates if n_candidates else 0.0,
         },
-        "io": {
-            "pages_read": pages_read,
-            "cache_hits": cache_hits,
-            "hit_ratio": cache_hits / lookups if lookups else 0.0,
-        },
+        "io": {"pages_read": pages_read},
         "backends": backends,
         "n_slow": len(slow),
         "slowest": [
@@ -161,10 +155,7 @@ def render(summary: dict[str, Any], source: str = "") -> str:
         f"{funnel['verified']} verified "
         f"(precision {funnel['precision']:.3f})"
     )
-    lines.append(
-        f"io: {io['pages_read']} pages read, {io['cache_hits']} pool hits "
-        f"(hit ratio {io['hit_ratio']:.3f})"
-    )
+    lines.append(f"io: {io['pages_read']} pages read")
     backends = ", ".join(
         f"{name}={count}" for name, count in sorted(summary["backends"].items())
     )

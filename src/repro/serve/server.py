@@ -410,7 +410,6 @@ class QueryServer:
             n_candidates=result["n_candidates"],
             n_verified=len(result["answers"]),
             pages_read=0,  # charged on the batch event the executor records
-            cache_hits=0,
             backend=self.config.backend,
             workers=self._executor.workers,
             strategy=request.strategy,

@@ -48,7 +48,7 @@ class BTree:
     cache:
         Which node visits are charged to the I/O model:
         ``"none"`` charges every node on the search path;
-        ``"inner"`` (default) assumes inner nodes are buffer-pool
+        ``"inner"`` (default) assumes inner nodes are memory
         resident and charges leaf visits only -- standard costing for a
         warm index;
         ``"all"`` charges nothing -- the whole index is hot, which is

@@ -11,10 +11,9 @@ paper claim the overall index "readily supports dynamic operations".
 Two pieces carry that here:
 
 - :class:`LiveTables` is a live filter's ``l`` tables.  Their pages are
-  rows of two page arrays (fingerprints, sids), each row a page the
-  :class:`~repro.storage.pager.PageManager` reserved; every bucket's
-  chain, entry count and tail state is an array entry over all ``l``
-  tables' buckets, and a slot index gives each stored set's page cell
+  rows of two page arrays (fingerprints, sids); every bucket's chain,
+  entry count and tail state is an array entry over all ``l`` tables'
+  buckets, and a slot index gives each stored set's page cell
   in every table, so a delete names the set by its sid alone.  An
   insert or a delete is one array pass over the ``l`` tables,
   and a batch loads a table at a time, each charging exactly what the
@@ -43,7 +42,6 @@ import numpy as np
 
 from repro.hamming.splitmix import GOLDEN, mix64, mix64_array
 from repro.obs import metrics
-from repro.storage.iomodel import IOStats
 from repro.storage.pager import PageManager
 
 #: Bytes per (fingerprint, sid) entry; determines slots per page.
@@ -232,6 +230,23 @@ class TableStack:
         buckets += self.bucket_offsets[start:stop, None]
         return buckets
 
+    def sid_order(self, t: int, sids: np.ndarray) -> np.ndarray:
+        """The order that sorts table ``t``'s entries by sid, refusing
+        (``ValueError``) a table that does not hold exactly one entry of
+        each stored set ``sids`` (ascending, unique) -- the invariant a
+        delete by sid rests on."""
+        first, last = self.run_indptr[self.run_offsets[[t, t + 1]]].tolist()
+        owners = np.asarray(self.run_sids[first:last])
+        # Not a stable sort (3x faster): a table that passes holds each
+        # sid once, so every sort gives it the same order.
+        order = np.argsort(owners)
+        if not np.array_equal(owners[order], sids):
+            raise ValueError(
+                f"table {t} does not hold one entry of each of the "
+                f"{len(sids)} stored sets"
+            )
+        return order
+
     def _run_views(self) -> list[np.ndarray]:
         """Each table's slice of ``run_fps`` as a plain ``ndarray`` view
         (not a ``memmap``, whose per-call overhead would dominate a
@@ -326,13 +341,12 @@ class LiveTables:
     there gives the bucket and ``_chain_rows`` the page's rank, so a
     delete takes only the sid and finds its hole without a scan.  A
     deleted set's row is reused, so the index grows with the sets
-    stored, not with the sids ever used.  Page ids
-    come from the pager (:meth:`~repro.storage.pager.PageManager.reserve`)
-    and pages are allocated, read and freed in table order, so ids,
-    charges and buffer-pool traffic are those of ``l`` tables written
-    one after another.  Each write is one array pass over the ``l``
-    tables; only behind a buffer pool, whose charges depend on what it
-    holds, are its page reads replayed through the pager table by table.
+    stored, not with the sids ever used.  Pages take no ids: every read
+    is charged, so a write's charges follow from the chain page counts,
+    the tail states and the hole's rank alone, and are charged to the
+    pager's cost model once for all ``l`` tables -- exactly what ``l``
+    tables written one after another charge.  Each write is one array
+    pass over the ``l`` tables.
 
     The probes.
 
@@ -375,8 +389,6 @@ class LiveTables:
         self._chain_rows = np.full((n_all, 1), -1, dtype=np.int64)
         self._page_fps = np.empty((0, slots), dtype=np.uint64)
         self._page_sids = np.empty((0, slots), dtype=np.int64)
-        #: The page id of each page-array row.
-        self._row_page = np.empty(0, dtype=np.int64)
         self._free_rows: list[int] = []
         self._slot = np.empty((0, n_tables), dtype=np.int64)
         self._free_slot_rows: list[int] = []
@@ -426,7 +438,7 @@ class LiveTables:
         buckets = (fingerprints % self._modulus).astype(np.int64) + self._first
         count, chain = self._count[buckets], self.chain_pages[buckets]
         stored, known = chain > 0, self._tail_known[buckets]
-        self._read_tails(buckets[stored & ~known])
+        self.pager.io.read_random(int(np.count_nonzero(stored & ~known)))
         _TAIL_READS_SKIPPED.shard().count += int(np.count_nonzero(stored & known))
         self._open_pages(buckets[count == chain * self.slots_per_page])
         cells = self._cells(buckets, count)
@@ -461,14 +473,8 @@ class LiveTables:
         last = self._count[buckets] - 1
         freed = last % slots == 0
         tails = self._chain_rows[buckets[freed], last[freed] // slots]
-        freed_ids = self._row_page[tails].tolist()
-        if self.pager.cache_pages:
-            self._replay_delete(buckets, hole_ranks, freed, freed_ids)
-        else:
-            self.pager.io.read_random(n_tables)
-            self.pager.io.read_sequential(int(hole_ranks.sum()) + n_tables)
-            for page_id in freed_ids:
-                self.pager.free(page_id)
+        self.pager.io.read_random(n_tables)
+        self.pager.io.read_sequential(int(hole_ranks.sum()) + n_tables)
         # The chain's last entry fills the hole (unless it is the hole).
         last_cells = self._cells(buckets, last)
         moves = cells != last_cells
@@ -478,10 +484,10 @@ class LiveTables:
         self._slot[self._set_row[moved], np.flatnonzero(moves)] = cells[moves]
         self._set_row[sid] = -1
         self._free_slot_rows.append(int(row))
-        self.pager.io.write(len(moved) + n_tables - len(freed_ids))
+        self.pager.io.write(len(moved) + n_tables - len(tails))
         self._count[buckets] = last
         self._tail_known[buckets] = ~freed
-        if freed_ids:
+        if len(tails):
             emptied = buckets[freed]
             self.chain_pages[emptied] -= 1
             self._chain_rows[emptied, self.chain_pages[emptied]] = -1
@@ -559,7 +565,8 @@ class LiveTables:
         write-side accounting only.
 
         A table that does not hold one entry of each set in ``sids`` is
-        refused (``ValueError``) before its sids index anything."""
+        refused (:meth:`TableStack.sid_order`) before its sids index
+        anything."""
         offsets = stack.run_offsets.tolist()
         run_indptr = np.array(stack.run_indptr)
         run_sids = np.array(stack.run_sids)
@@ -569,18 +576,10 @@ class LiveTables:
             self._set_row[sids] = self._take_slot_rows(len(sids))
         self._reserve_rows(int(np.sum(stack.chain_pages)))
         for t in range(self.n_tables):
-            first, last = run_indptr[[offsets[t], offsets[t + 1]]].tolist()
-            owners = run_sids[first:last]
-            order = np.argsort(owners, kind="stable")
-            owners = owners[order]
-            if not np.array_equal(owners, sids):
-                raise ValueError(
-                    f"table {t} does not hold one entry of each of the "
-                    f"{len(sids)} stored sets"
-                )
+            order = stack.sid_order(t, sids)
             fps = np.repeat(stack.run_fps[offsets[t]:offsets[t + 1]],
                             lens[offsets[t]:offsets[t + 1]])
-            self._load_table(t, fps[order], owners)
+            self._load_table(t, fps[order], sids)
         # A run written in another order (slot-scan order, by older
         # saves of churned indexes) is sorted here; sid-ascending runs
         # are the rule, so this is one check.
@@ -593,19 +592,17 @@ class LiveTables:
 
     def _load_table(self, t: int, fps: np.ndarray, sids: np.ndarray) -> tuple[int, int]:
         """Table ``t``'s pages take ``fps[i]`` under ``sids[i]``, in one
-        bucket-partitioned pass equivalent -- in chains, page ids, slots
-        and I/O accounting -- to inserting the entries one by one in
-        input order.  Returns the pages opened and the tails read.
+        bucket-partitioned pass equivalent -- in chains, slots and I/O
+        accounting -- to inserting the entries one by one in input
+        order.  Returns the pages opened and the tails read.
 
         Entries are grouped by bucket with one stable argsort; each
         entry's chain slot follows from its bucket's count and its rank
-        in the group, and a page opens at each slot that starts a page
-        past the chain's end.  Pages are allocated in the order the
-        one-by-one path opens them: at the first entry (in input order)
-        that lands on each.  A target bucket whose tail fill state is
-        unknown (e.g. after a delete) has its tail read first -- one
-        charged random read, as the one-by-one path's first write to
-        that bucket charges.
+        in the group, and a page opens (one write) at each slot that
+        starts a page past the chain's end.  A target bucket whose tail
+        fill state is unknown (e.g. after a delete) has its tail read
+        first -- one charged random read, as the one-by-one path's first
+        write to that bucket charges.
         """
         fps = np.ascontiguousarray(fps, dtype=np.uint64)
         n, slots = len(fps), self.slots_per_page
@@ -620,22 +617,16 @@ class LiveTables:
         sizes = np.diff(np.append(starts, n))
         groups = local[starts] + self._first[t]
         count, chain = self._count[groups], self.chain_pages[groups]
-        unknown = groups[(chain > 0) & ~self._tail_known[groups]]
-        self._read_tails(unknown)
+        n_unknown = int(np.count_nonzero((chain > 0) & ~self._tail_known[groups]))
+        self.pager.io.read_random(n_unknown)
         owner = np.repeat(groups, sizes)
         at = np.repeat(count - starts, sizes) + np.arange(n)
         opens = (at % slots == 0) & (at >= np.repeat(chain, sizes) * slots)
         n_new = int(np.count_nonzero(opens))
         if n_new:
-            first = self.pager.reserve(n_new)
-            rows = self._take_rows(n_new)
-            # Page ids in the input order of the entries opening them.
-            self._row_page[rows[np.argsort(order[opens], kind="stable")]] = (
-                np.arange(first, first + n_new)
-            )
             ranks = at[opens] // slots
             self._widen(int(ranks.max()) + 1)
-            self._chain_rows[owner[opens], ranks] = rows
+            self._chain_rows[owner[opens], ranks] = self._take_rows(n_new)
         cells = self._cells(owner, at)
         sids = np.asarray(sids)[order]
         self._page_fps.reshape(-1)[cells] = fps[order]
@@ -644,10 +635,10 @@ class LiveTables:
         self._count[groups] = count + sizes
         self.chain_pages[groups] = -(-(count + sizes) // slots)
         self._tail_known[groups] = True
-        self.pager.io.write(n)
+        self.pager.io.write(n_new + n)
         _BULK_ENTRIES.shard().count += n
         _BULK_PAGES.shard().count += n_new
-        return n_new, len(unknown)
+        return n_new, n_unknown
 
     def _admit(self, sids: np.ndarray) -> np.ndarray:
         """Refuse a negative sid or one stored here (one set, one
@@ -692,39 +683,14 @@ class LiveTables:
             self._free_slot_rows += range(size - 1, old - 1, -1)
         return _pop(self._free_slot_rows, n)
 
-    def _read_tails(self, buckets: np.ndarray) -> None:
-        """Charge one random read of each bucket's chain tail, in order."""
-        if self.pager.cache_pages:
-            tails = self._chain_rows[buckets, self.chain_pages[buckets] - 1]
-            for page_id in self._row_page[tails].tolist():
-                self.pager.read(page_id)
-        else:
-            self.pager.io.read_random(len(buckets))
-
-    def _replay_delete(self, buckets, hole_ranks, freed, freed_ids) -> None:
-        """A delete's page reads and frees through the buffer pool,
-        table by table: each table reads its chain up to the hole's page
-        and then the tail, and a ``freed`` table then frees its tail."""
-        frees = iter(freed_ids)
-        for bucket, hole, free in zip(buckets.tolist(), hole_ranks.tolist(),
-                                      freed.tolist()):
-            chain = self._chain_ids(bucket)
-            for rank, page_id in enumerate(chain[:hole + 1] + chain[-1:]):
-                self.pager.read(page_id, sequential=rank > 0)
-            if free:
-                self.pager.free(next(frees))
-
     def _open_pages(self, buckets: np.ndarray) -> None:
-        """Append a fresh page to each bucket's chain, allocated in
-        order (one write each)."""
+        """Append a fresh page to each bucket's chain (one write each)."""
         n = len(buckets)
         if n:
-            first = self.pager.reserve(n)
-            rows = self._take_rows(n)
-            self._row_page[rows] = np.arange(first, first + n)
+            self.pager.io.write(n)
             ranks = self.chain_pages[buckets]
             self._widen(int(ranks.max()) + 1)
-            self._chain_rows[buckets, ranks] = rows
+            self._chain_rows[buckets, ranks] = self._take_rows(n)
             self.chain_pages[buckets] = ranks + 1
 
     def _reserve_rows(self, n: int) -> None:
@@ -732,11 +698,10 @@ class LiveTables:
         arrays grow by at least half."""
         short = n - len(self._free_rows)
         if short > 0:
-            old = len(self._row_page)
+            old = len(self._page_fps)
             size = old + max(short, old // 2)
             self._page_fps = _grown(self._page_fps, size)
             self._page_sids = _grown(self._page_sids, size)
-            self._row_page = _grown(self._row_page, size)
             self._free_rows += range(size - 1, old - 1, -1)
 
     def _take_rows(self, n: int) -> np.ndarray:
@@ -758,10 +723,6 @@ class LiveTables:
         ``buckets[i]``'s chain."""
         slots = self.slots_per_page
         return self._chain_rows[buckets, at // slots] * slots + at % slots
-
-    def _chain_ids(self, bucket: int) -> list[int]:
-        rows = self._chain_rows[bucket, :self.chain_pages[bucket]]
-        return self._row_page[rows].tolist()
 
     # -- the delta -----------------------------------------------------------
 
@@ -855,24 +816,14 @@ class LiveTables:
         arrays (see :meth:`TableStack.lookup`): the base's, then the
         delta's, minus the tombstones.
 
-        The tables read through their pager, which charges its cost
-        model: once for the whole range, from the live chain lengths.
-        Behind a buffer pool (whose charges depend on what it holds)
-        every distinct bucket chain is read through the pool instead,
-        table by table, buckets in the order the rows first reach them
-        and each chain head first.
+        The reads are charged to the pager's cost model once for the
+        whole range, from the live chain lengths.
         """
-        base, pager = self.base, self.pager
-        buckets = base.buckets(start, stop, fingerprints)
-        if pager.cache_pages:
-            # The counters move as always; the pool decides the charges.
-            _charge_grouped(buckets.ravel(), self.chain_pages, IOStats())
-            for column in buckets.tolist():
-                for bucket in dict.fromkeys(column):
-                    for rank, page_id in enumerate(self._chain_ids(bucket)):
-                        pager.read(page_id, sequential=rank > 0)
-        else:
-            _charge_grouped(buckets.ravel(), self.chain_pages, pager.io.stats)
+        base = self.base
+        _charge_grouped(
+            base.buckets(start, stop, fingerprints).ravel(), self.chain_pages,
+            self.pager.io.stats,
+        )
         rows, sids = base.lookup(start, stop, fingerprints)
         if self._n_delta:
             more_rows, more_sids = self._delta_image().lookup(start, stop, fingerprints)
@@ -904,10 +855,6 @@ class LiveTables:
     def n_pages(self) -> int:
         """Pages over all tables' chains."""
         return int(self.chain_pages.sum())
-
-    def chain(self, t: int, bucket: int) -> list[int]:
-        """The page ids of table ``t``'s bucket chain, head first."""
-        return self._chain_ids(int(self._first[t]) + bucket)
 
     def bucket_entries(self, t: int, bucket: int) -> tuple[np.ndarray, np.ndarray]:
         """``(fingerprints, sids)`` of table ``t``'s bucket, in chain

@@ -6,42 +6,23 @@ slots is derived from a byte budget so that, e.g., a 4 KiB page holds
 512 eight-byte set elements or 256 sixteen-byte (key-fingerprint, sid)
 hash entries -- mirroring the paper's ``sid_count`` bucket capacity.
 
-The :class:`PageManager` hands out pages and routes every read through
-the shared :class:`~repro.storage.iomodel.IOCostModel` so that callers
-cannot touch a page without it being accounted.  A structure that keeps
-its records in arrays of its own (the live hash tables) reserves page
-ids instead (:meth:`PageManager.reserve`): such a page holds no
-:class:`Page` object, but is read, charged, cached and freed like any
-other.
-
-An optional LRU buffer pool (``cache_pages > 0``) absorbs repeated
-reads: a hit costs nothing, a miss is charged and cached.  The default
-is no cache -- the paper's cost analysis charges every bucket access --
-but the pool lets experiments quantify how much a warm buffer changes
-the scan/index trade-off.
+The :class:`PageManager` hands out the pages of the B-tree and the set
+heap and routes every read through the shared
+:class:`~repro.storage.iomodel.IOCostModel` so that callers cannot touch
+a page without it being accounted.  Every read is charged, as the
+paper's cost analysis charges every bucket and set-page access.  The
+live hash tables keep their pages in arrays of their own and charge the
+cost model directly (:mod:`repro.storage.hashtable`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any
 
-from repro.obs import metrics
 from repro.storage.iomodel import IOCostModel
 
 #: Default page size in bytes (a common DBMS page size).
 DEFAULT_PAGE_SIZE = 4096
-
-# Process-wide buffer-pool instruments (surfaced by `repro stats`, the
-# metrics snapshot and the Prometheus exporter); the per-instance
-# attributes below track one pager's own history and are what
-# `cache_hit_ratio` reads.
-_CACHE_HITS = metrics.counter("pager.cache_hits")
-_CACHE_MISSES = metrics.counter("pager.cache_misses")
-# Point samples of the most recently active pager: pool occupancy and
-# hit rate as a scrapable gauge pair (`repro top`'s hit-rate panel).
-_CACHE_ENTRIES = metrics.gauge("pager.cache_entries")
-_CACHE_HIT_RATIO = metrics.gauge("pager.cache_hit_ratio")
 
 
 class Page:
@@ -84,30 +65,18 @@ class PageManager:
     page_size:
         Page size in bytes, used by :meth:`capacity_for` to derive slot
         counts from record sizes.
-    cache_pages:
-        Capacity of the LRU buffer pool in pages; 0 (default) disables
-        caching so every read is charged.
     """
 
     def __init__(
         self,
         io: IOCostModel | None = None,
         page_size: int = DEFAULT_PAGE_SIZE,
-        cache_pages: int = 0,
     ):
         if page_size <= 0:
             raise ValueError(f"page_size must be positive, got {page_size}")
-        if cache_pages < 0:
-            raise ValueError(f"cache_pages must be non-negative, got {cache_pages}")
         self.io = io if io is not None else IOCostModel()
         self.page_size = page_size
-        self.cache_pages = cache_pages
-        self._cache: OrderedDict[int, None] = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: Live pages by id; ``None`` for a page :meth:`reserve` handed
-        #: out, whose records live with its owner.
-        self._pages: dict[int, Page | None] = {}
+        self._pages: dict[int, Page] = {}
         self._next_id = 0
 
     def capacity_for(self, record_bytes: int) -> int:
@@ -124,44 +93,16 @@ class PageManager:
         self.io.write()
         return page
 
-    def reserve(self, n: int) -> int:
-        """Allocate ``n`` pages whose records live in the caller's own
-        arrays, with consecutive ids; returns the first.  Charged like
-        ``n`` :meth:`allocate` calls (one write each)."""
-        first = self._next_id
-        self._pages.update(dict.fromkeys(range(first, first + n)))
-        self._next_id += n
-        self.io.write(n)
-        return first
-
-    def read(self, page_id: int, sequential: bool = False) -> Page | None:
-        """Fetch a page, charging one random (default) or sequential read
-        (``None`` for a reserved page).
-
-        With a buffer pool configured, a cached page costs nothing and
-        is refreshed in LRU order.
-        """
+    def read(self, page_id: int, sequential: bool = False) -> Page:
+        """Fetch a page, charging one random (default) or sequential read."""
         page = self.peek(page_id)
-        if self.cache_pages:
-            if page_id in self._cache:
-                self._cache.move_to_end(page_id)
-                self.cache_hits += 1
-                _CACHE_HITS.inc()
-                self.publish_gauges()
-                return page
-            self.cache_misses += 1
-            _CACHE_MISSES.inc()
-            self._cache[page_id] = None
-            if len(self._cache) > self.cache_pages:
-                self._cache.popitem(last=False)
-            self.publish_gauges()
         if sequential:
             self.io.read_sequential()
         else:
             self.io.read_random()
         return page
 
-    def peek(self, page_id: int) -> Page | None:
+    def peek(self, page_id: int) -> Page:
         """Fetch a page *without* charging I/O (statistics/introspection
         only -- e.g. bucket-occupancy reports must not perturb the cost
         accounting of the queries they describe)."""
@@ -177,40 +118,8 @@ class PageManager:
         self.io.write()
 
     def free(self, page_id: int) -> None:
-        """Release a page (and drop it from the buffer pool)."""
+        """Release a page."""
         del self._pages[page_id]
-        self._cache.pop(page_id, None)
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Fraction of buffer-pool lookups served from the pool.
-
-        0.0 when the pool is disabled or has never been consulted.
-        """
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def publish_gauges(self) -> None:
-        """Export this pager's pool occupancy and hit rate as gauges.
-
-        Called on every buffer-pool lookup (two attribute stores and a
-        division) and safe to call ad hoc; with several pagers alive the
-        gauges describe the most recently active one (point samples are
-        last-write-wins by design).
-        """
-        _CACHE_ENTRIES.set(len(self._cache))
-        _CACHE_HIT_RATIO.set(self.cache_hit_ratio)
-
-    def reset_cache(self) -> None:
-        """Empty the buffer pool and zero this pager's hit/miss counts.
-
-        The process-wide ``pager.cache_hits``/``pager.cache_misses``
-        metrics are monotonic and unaffected.  Useful between
-        experiment phases: the next reads start from a cold pool.
-        """
-        self._cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     @property
     def n_pages(self) -> int:

@@ -14,11 +14,11 @@ element types.
 
 The sid B-tree is held fully in memory (the regime the paper's
 crossover estimate assumes: a candidate lookup costs just its data
-pages), so without a buffer pool a set's fetch charge is a pure
-function of its size: one random read plus ``span - 1`` sequential
-reads (:meth:`SetStore.set_pages`).  Views that know the sizes charge
-that rule directly and read a set through :meth:`SetStore.peek` only
-when they need its elements.
+pages), so a set's fetch charge is a pure function of its size: one
+random read plus ``span - 1`` sequential reads
+(:meth:`SetStore.set_pages`).  Views that know the sizes charge that
+rule directly and read a set through :meth:`SetStore.peek` only when
+they need its elements.
 """
 
 from __future__ import annotations

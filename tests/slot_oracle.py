@@ -9,18 +9,18 @@ and tombstones.  Here both are restated the plain way:
   :class:`~repro.storage.pager.Page` objects holding ``(fingerprint,
   sid)`` tuples and performs every write as its page operations, table
   by table -- a delete finds its hole with ``list.index`` over the
-  chain's pages.  Its page ids, slots, tail states, charges, counter
-  moves and buffer-pool traffic are what the array pass must reproduce.
-- :func:`slot_probe` reads the bucket chains of either kind through the
-  pager and scans their entries, the way a probe of the paper's hash
-  tables reads them.  Equal results, page reads (in the same order, so
-  the same buffer-pool state) and counter moves pin the stacked probe to
+  chain's pages.  Its chain lengths, entries in chain order, tail
+  states, charges and counter moves are what the array pass must
+  reproduce.
+- :func:`slot_probe` reads the bucket chains of either kind and scans
+  their entries, the way a probe of the paper's hash tables reads them.
+  Equal results, page reads and counter moves pin the stacked probe to
   the pages.
 
 Both kinds answer the same introspection calls (``n_tables``,
-``n_buckets``, ``pager``, ``chain(t, b)``, ``bucket_entries(t, b)``,
-``tail_slots()``, ``chain_pages``, ``table_stats()``), which is what the
-oracle and the comparisons below read.
+``n_buckets``, ``pager``, ``bucket_entries(t, b)``, ``tail_slots()``,
+``chain_pages``, ``table_stats()``), which is what the oracle and the
+comparisons below read.
 """
 
 from __future__ import annotations
@@ -216,10 +216,10 @@ class SlotScanTables:
 
 def tables_state(tables):
     """Everything a write leaves in the pages of ``tables`` (live or
-    reference): per table and bucket the chain's page ids, its entries
-    in chain order; the tail states; the chain lengths."""
+    reference): per table and bucket the chain's entries in chain
+    order; the tail states; the chain lengths."""
     chains = [
-        (tables.chain(t, b), *(a.tolist() for a in tables.bucket_entries(t, b)))
+        tuple(a.tolist() for a in tables.bucket_entries(t, b))
         for t in range(tables.n_tables)
         for b in range(int(tables.n_buckets[t]))
     ]
@@ -255,25 +255,29 @@ def slot_probe(tables, fps, start=0):
     """The from-slots oracle of a grouped probe of tables ``start ..
     start + len(fps) - 1`` (``fps[k]`` holding every row's fingerprint
     in table ``start + k``): per table, the bucket chain of every
-    distinct bucket, in the order the rows first reach them, read
-    through the pager (one random read for the head page, sequential
-    reads for overflow pages) and its entries scanned.  Returns each
-    row's sids (table by table, chain order) and the ``hashtable.*``
-    probe counter moves a probe must make."""
+    distinct bucket read (one random read for the head page, sequential
+    reads for overflow pages, charged to the pager's cost model) and its
+    entries scanned.  Returns each row's sids (table by table, chain
+    order) and the ``hashtable.*`` probe counter moves a probe must
+    make."""
     results = [[] for _ in range(fps.shape[1])]
     pages = saved = 0
+    chain_pages = tables.chain_pages.tolist()
+    io = tables.pager.io
     for k, column in enumerate(fps.tolist()):
         t = start + k
+        first = int(tables.n_buckets[:t].sum())
         members: dict[int, list[int]] = {}
         for i, fp in enumerate(column):
             members.setdefault(fp % int(tables.n_buckets[t]), []).append(i)
         for bucket, rows in members.items():
-            chain = tables.chain(t, bucket)
-            for rank, page_id in enumerate(chain):
-                tables.pager.read(page_id, sequential=rank > 0)
+            n_pages = chain_pages[first + bucket]
+            if n_pages:
+                io.read_random()
+                io.read_sequential(n_pages - 1)
             entry_fps, entry_sids = (a.tolist() for a in tables.bucket_entries(t, bucket))
-            pages += len(chain)
-            saved += len(chain) * (len(rows) - 1)
+            pages += n_pages
+            saved += n_pages * (len(rows) - 1)
             for i in rows:
                 results[i] += [
                     sid for fp, sid in zip(entry_fps, entry_sids) if fp == column[i]

@@ -98,7 +98,6 @@ def _assert_bit_identical(a, b):
     assert [k for k, _ in filters_a] == [k for k, _ in filters_b]
     for (key, fa), (_, fb) in zip(filters_a, filters_b):
         reference = fa.reference
-        # Page ids included.
         assert tables_state(fb._live) == tables_state(reference), key
         assert fb._live.table_stats() == reference.table_stats(), key
         assert fb.n_entries == reference.n_entries
@@ -108,7 +107,7 @@ def _assert_bit_identical(a, b):
             assert np.array_equal(
                 getattr(fb._live.base, name), getattr(want, name)
             ), (key, name)
-    assert a.pager.n_pages == b.pager.n_pages
+    assert a.io.snapshot() == b.io.snapshot()
     assert set(a._codes) == set(b._codes)
     for sid in a._codes:
         assert np.array_equal(a._codes[sid], b._codes[sid])

@@ -11,9 +11,7 @@ a twin whose filters answer every probe from their pages' slots
 two must agree on each filter's candidate CSR, hit total, ``IOStats``
 and ``hashtable.*`` / ``sfi.*`` / ``dfi.*`` counter moves, and on every
 batch's answers; every filter's pages must hold exactly the entries its
-stacks probe -- with no buffer pool, and behind pools small enough
-to evict (16 pages) and large enough to hold everything (10,000), where
-the two must also leave their pools in the same state.
+stacks probe.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
 )
 
@@ -86,24 +83,16 @@ def _collection():
 
 
 class ChurnOracleMachine(RuleBasedStateMachine):
-    cache_pages = 0
-
     @initialize()
     def setup(self):
         sets = _collection()
         self.live = build_planned_index(sets)
         self.twin = _with_oracle(build_planned_index(sets))
         self.model = dict(enumerate(sets))
-        self._pool()
-
-    def _pool(self):
-        self.live.pager.cache_pages = self.twin.pager.cache_pages = self.cache_pages
 
     def _same_pagers(self):
         a, b = self.live.pager, self.twin.pager
         assert a.io.snapshot().as_dict() == b.io.snapshot().as_dict()
-        assert (a.cache_hits, a.cache_misses) == (b.cache_hits, b.cache_misses)
-        assert list(a._cache) == list(b._cache)
 
     @rule(elements=element_sets)
     def insert(self, elements):
@@ -150,7 +139,6 @@ class ChurnOracleMachine(RuleBasedStateMachine):
         for fi in self.live._all_filters():
             fi._live.compact()
 
-    @precondition(lambda self: self.cache_pages == 0)
     @rule(data=st.data())
     def freeze_thaw(self, data):
         queries = [self.model[sid] for sid in sorted(self.model)[:4]] + [
@@ -166,7 +154,6 @@ class ChurnOracleMachine(RuleBasedStateMachine):
         assert got.io == want.io
         self.live.thaw()
 
-    @precondition(lambda self: self.cache_pages == 0)
     @rule()
     def save_load(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -174,7 +161,6 @@ class ChurnOracleMachine(RuleBasedStateMachine):
             self.live.save(path)
             self.live = SetSimilarityIndex.load(path)
             self.twin = _with_oracle(SetSimilarityIndex.load(path))
-        self._pool()
         self._same_pagers()
 
     @invariant()
@@ -216,20 +202,4 @@ _SETTINGS = settings(max_examples=15, stateful_step_count=30, deadline=None)
 
 
 class TestChurnOracle(ChurnOracleMachine.TestCase):
-    settings = _SETTINGS
-
-
-class _Pool16(ChurnOracleMachine):
-    cache_pages = 16
-
-
-class TestChurnOraclePool16(_Pool16.TestCase):
-    settings = _SETTINGS
-
-
-class _Pool10k(ChurnOracleMachine):
-    cache_pages = 10_000
-
-
-class TestChurnOraclePool10k(_Pool10k.TestCase):
     settings = _SETTINGS

@@ -190,7 +190,7 @@ class TestObservabilityCommands:
         capsys.readouterr()
         assert main(["stats", "--index", str(tmp_path / "w.d")]) == 0
         out = capsys.readouterr().out
-        occupancy = out[out.index("per-filter occupancy:"):out.index("buffer pool:")]
+        occupancy = out[out.index("per-filter occupancy:"):].split("histograms:")[0]
         tail = (
             "370 entries/table over {} pages, load factor 0.361, "
             "occupancy avg/max 92.50/{}, longest chain 1 page(s)"

@@ -20,7 +20,7 @@ def make_event(latency_ms=1.0, **overrides) -> QueryEvent:
     fields = dict(
         ts=1000.0, kind="query", latency_ms=latency_ms, sim_time=12.5,
         n_queries=1, n_candidates=8, n_verified=5, pages_read=20,
-        cache_hits=3, backend="thread", workers=1, strategy="index",
+        backend="thread", workers=1, strategy="index",
         sigma_low=0.5, sigma_high=1.0,
         timings={"embed": 0.1, "probe": 0.4, "fetch": 0.05, "verify": 0.3},
     )
@@ -148,7 +148,7 @@ class TestRecordQuery:
     def _record(self, **overrides):
         kwargs = dict(
             kind="query", latency_ms=3.0, sim_time=40.0, n_queries=1,
-            n_candidates=6, n_verified=4, pages_read=10, cache_hits=2,
+            n_candidates=6, n_verified=4, pages_read=10,
             backend="thread", workers=1, strategy="index",
             sigma_low=0.4, sigma_high=0.9,
             timings={"embed": 0.2, "probe": 1.0, "fetch": 0.1, "verify": 1.5},

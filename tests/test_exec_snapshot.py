@@ -84,18 +84,6 @@ def test_freeze_after_mutation_is_fresh(index):
         index.thaw()
 
 
-def test_freeze_refuses_buffer_pool(index):
-    """A warm LRU cache makes page charges history-dependent, which
-    would break the engine's determinism guarantee -- refuse loudly."""
-    index.pager.cache_pages = 4
-    with pytest.raises(FrozenIndexError):
-        index.freeze()
-    assert not index.frozen
-    index.pager.cache_pages = 0
-    index.freeze()  # fine again without the cache
-    index.thaw()
-
-
 def test_snapshot_not_pickled_with_index(index, tmp_path):
     """Saving a frozen index keeps it frozen; the loaded index is a
     live one that answers as the saved index and can freeze anew."""

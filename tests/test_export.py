@@ -26,7 +26,7 @@ from tests.test_events import make_event
 def populated_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.counter("query.count").inc(7)
-    reg.gauge("pager.cache_hit_ratio").set(0.625)
+    reg.gauge("serve.queue_depth").set(0.625)
     occupancy = reg.hdr("bucket.occupancy")
     for v in (0.5, 1.5, 3.0, 7.0, 42.0):
         occupancy.observe(v)
@@ -44,7 +44,7 @@ class TestPrometheus:
         text = prometheus_text(populated_registry)
         families = validate_prometheus_text(text)
         assert families["repro_query_count"] == "counter"
-        assert families["repro_pager_cache_hit_ratio"] == "gauge"
+        assert families["repro_serve_queue_depth"] == "gauge"
         assert families["repro_bucket_occupancy"] == "summary"
         assert families["repro_query_latency_ms"] == "summary"
         assert "{le=" not in text  # one histogram family form
@@ -147,6 +147,22 @@ class TestChromeTrace:
 
 
 class TestEventsJsonl:
+    def test_accepts_and_renders_a_log_with_cache_hits(self, tmp_path, capsys):
+        """Event logs written while events still carried buffer-pool
+        hits (a ``cache_hits`` field) validate -- extra keys are
+        allowed -- and render in ``repro top``."""
+        from repro.cli import main
+
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(
+            json.dumps({**make_event(ts=float(i)).to_dict(), "cache_hits": 3}) + "\n"
+            for i in range(4)
+        ))
+        assert validate_events_jsonl(path) == 4
+        capsys.readouterr()
+        assert main(["top", "--events", str(path)]) == 0
+        assert "io: 80 pages read\n" in capsys.readouterr().out
+
     def test_accepts_real_export(self, tmp_path):
         log = EventLog()
         for i in range(6):

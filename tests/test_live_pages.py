@@ -10,13 +10,10 @@ inserts of stored sids, deletes (of any stored set, chain-last entries,
 tail-freeing ones; refused deletes of unknown sids), bulk loads,
 compactions and probes.  The live tables delete by sid alone; the
 reference is handed the fingerprints the machine holds for each sid.
-After every step the two must agree on every bucket's page ids and
-entries in chain order, the tail states, the chain lengths,
-``pager.n_pages``, ``IOStats``, the ``hashtable.*`` counter moves and
-the buffer pool's contents, order and hit counts -- with no pool, a
-pool small enough to evict (16 pages) and one that holds everything
-(10,000) -- and the live tables' pages must hold exactly the entries
-their stacks probe.
+After every step the two must agree on every bucket's entries in chain
+order, the tail states, the chain lengths, ``IOStats`` and the
+``hashtable.*`` counter moves, and the live tables' pages must hold
+exactly the entries their stacks probe.
 """
 
 from __future__ import annotations
@@ -45,22 +42,16 @@ _FPS = st.lists(
     st.integers(0, 11), min_size=_N_TABLES, max_size=_N_TABLES
 ).map(lambda values: np.array(values, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))
 
-def _pager_state(pager):
-    return (
-        pager.io.snapshot().as_dict(), pager.n_pages, list(pager._cache),
-        pager.cache_hits, pager.cache_misses,
-    )
+
+def _io(tables):
+    return tables.pager.io.snapshot().as_dict()
 
 
 class LivePagesMachine(RuleBasedStateMachine):
-    cache_pages = 0
-
     @initialize(n_buckets=st.integers(1, 3))
     def setup(self, n_buckets):
         def pager():
-            return PageManager(
-                IOCostModel(), page_size=64, cache_pages=self.cache_pages
-            )
+            return PageManager(IOCostModel(), page_size=64)
 
         self.live = LiveTables(pager(), _N_TABLES, n_buckets)
         self.reference = SlotScanTables(pager(), _N_TABLES, n_buckets)
@@ -98,14 +89,14 @@ class LivePagesMachine(RuleBasedStateMachine):
         before anything is read, written or counted."""
         if self.stored:
             sid = data.draw(st.sampled_from(sorted(self.stored)))
-            state = tables_state(self.live), _pager_state(self.live.pager)
+            state = tables_state(self.live), _io(self.live)
 
             def refused():
                 with pytest.raises(ValueError, match="already stored"):
                     self.live.insert(fps, sid)
 
             assert counter_moves(refused)[1] == {}
-            assert (tables_state(self.live), _pager_state(self.live.pager)) == state
+            assert (tables_state(self.live), _io(self.live)) == state
 
     @rule(data=st.data())
     def delete(self, data):
@@ -148,14 +139,14 @@ class LivePagesMachine(RuleBasedStateMachine):
             [self.next_sid, self.next_sid + 1000, -1]
             + sorted(set(range(self.next_sid)) - set(self.stored))
         ))
-        state = tables_state(self.live), _pager_state(self.live.pager)
+        state = tables_state(self.live), _io(self.live)
 
         def refused():
             with pytest.raises(KeyError):
                 self.live.delete(sid)
 
         assert counter_moves(refused)[1] == {}
-        assert (tables_state(self.live), _pager_state(self.live.pager)) == state
+        assert (tables_state(self.live), _io(self.live)) == state
 
     @rule(block=st.lists(_FPS, max_size=6))
     def bulk_load(self, block):
@@ -189,7 +180,7 @@ class LivePagesMachine(RuleBasedStateMachine):
     @invariant()
     def pages_equal_the_reference(self):
         assert tables_state(self.live) == tables_state(self.reference)
-        assert _pager_state(self.live.pager) == _pager_state(self.reference.pager)
+        assert _io(self.live) == _io(self.reference)
         assert self.live.table_stats() == self.reference.table_stats()
         assert self.live.n_entries == len(self.stored)
 
@@ -202,20 +193,4 @@ _SETTINGS = settings(max_examples=40, stateful_step_count=40, deadline=None)
 
 
 class TestLivePages(LivePagesMachine.TestCase):
-    settings = _SETTINGS
-
-
-class _Pool16(LivePagesMachine):
-    cache_pages = 16
-
-
-class TestLivePagesPool16(_Pool16.TestCase):
-    settings = _SETTINGS
-
-
-class _Pool10k(LivePagesMachine):
-    cache_pages = 10_000
-
-
-class TestLivePagesPool10k(_Pool10k.TestCase):
     settings = _SETTINGS

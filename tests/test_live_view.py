@@ -1,11 +1,9 @@
 """The live view's fetch (``repro.core.index._LiveView``).
 
-Without a buffer pool a fetch only charges the set store's page rule --
-one random read plus ``span - 1`` sequential reads per set, or one
-sequential pass for a scan -- and verification gathers hash rows from
-the index's arena, reading a set (uncharged) only for the exact
-fallback paths.  Behind a pool the charges depend on what the pool
-holds, so the sets are read through it.
+A fetch only charges the set store's page rule -- one random read plus
+``span - 1`` sequential reads per set, or one sequential pass for a
+scan -- and verification gathers hash rows from the index's arena,
+reading a set (uncharged) only for the exact fallback paths.
 """
 
 from __future__ import annotations
@@ -77,18 +75,3 @@ def test_verify_reads_no_set(index, monkeypatch, strategy):
     assert result.io.random_reads + result.io.sequential_reads > 0
     assert reads == []
 
-
-@pytest.mark.parametrize("strategy", ["index", "scan"])
-def test_buffer_pool_reads_through(strategy):
-    """Behind a pool the fetch still reads every set through it: a warm
-    repeat hits the pool once per set page it would have read at
-    random, and charges no random read."""
-    index = _index()
-    index.pager.cache_pages = 10_000
-    query = index.store.peek(0)
-    cold = index.query(query, 0.0, 1.0, strategy=strategy)
-    hits = index.pager.cache_hits
-    warm = index.query(query, 0.0, 1.0, strategy=strategy)
-    assert index.pager.cache_hits - hits == warm.n_candidates
-    assert warm.io.random_reads == 0 < cold.io.random_reads + cold.io.sequential_reads
-    assert warm.answers == cold.answers

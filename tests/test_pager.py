@@ -67,23 +67,6 @@ class TestPageManager:
         with pytest.raises(KeyError):
             pager.read(page.page_id)
 
-    def test_reserve_is_allocation_without_page_objects(self):
-        """Reserved pages take the next ids, cost one write each and are
-        read, cached and freed like allocated ones, holding no records."""
-        pager = PageManager(IOCostModel(), cache_pages=2)
-        pager.allocate(1)
-        assert pager.reserve(3) == 1
-        assert pager.allocate(1).page_id == 4
-        assert pager.n_pages == 5
-        assert pager.io.stats.page_writes == 5
-        assert pager.read(2) is None
-        assert pager.read(2, sequential=True) is None  # a pool hit
-        assert (pager.io.stats.random_reads, pager.io.stats.sequential_reads) == (1, 0)
-        pager.free(2)
-        assert pager.n_pages == 4 and list(pager._cache) == []
-        with pytest.raises(KeyError):
-            pager.read(2)
-
     def test_capacity_for(self):
         pager = PageManager(IOCostModel(), page_size=4096)
         assert pager.capacity_for(16) == 256

@@ -20,13 +20,10 @@ from repro.obs.explain import PROBE_SPANS
 from repro.storage.iomodel import IOStats
 from tests.test_index import PLAN_CASES, build_planned_index, oracle_queries
 
-#: ``view -> whether a pool runs its tasks``.  ``live_pool`` is the live
-#: index behind a buffer pool: cached reads make its page charges
-#: history-dependent, so only its answers are comparable.
+#: ``view -> whether a pool runs its tasks``.
 #: ``mapped_thread2`` asks the thread backend for two workers, which it
 #: ignores: its tasks run inline like ``mapped_thread1``'s.
 VIEWS = {
-    "live_pool": False,
     "frozen": False,
     "mapped_thread1": False,
     "mapped_thread2": False,
@@ -39,8 +36,6 @@ STAGE_SPANS = ("embed_batch", *PROBE_SPANS, "verify_batch", "scan_batch")
 def paths(clustered_sets, tmp_path_factory):
     """``name -> query_batch`` over one collection and plan."""
     index = build_planned_index(clustered_sets)
-    pooled = build_planned_index(clustered_sets)
-    pooled.pager.cache_pages = 64
     snap_dir = tmp_path_factory.mktemp("pipeline") / "snap"
     index.save_snapshot(snap_dir)
     shard_dir = tmp_path_factory.mktemp("pipeline") / "shards"
@@ -60,7 +55,6 @@ def paths(clustered_sets, tmp_path_factory):
     yield {
         "live": index.query_batch,
         "live_single": lambda qs, *a, **kw: index.query(qs[0], *a, **kw),
-        "live_pool": pooled.query_batch,
         **{name: ex.query_batch for name, ex in executors.items()},
     }
     for executor in executors.values():
@@ -126,8 +120,6 @@ def test_views_conform(paths, clustered_sets, view, case, lo, hi, strategy, plan
     assert len(pool_spans) == (1 if VIEWS[view] else 0)
     assert not list(want.trace.find("parallel_exec"))
 
-    if view == "live_pool":
-        return
     assert got.io == want.io
     assert got.pages_saved == want.pages_saved
     assert got.fetches_saved == want.fetches_saved

@@ -694,12 +694,12 @@ def test_verify_refuses_out_of_range_code(saved, tmp_path):
         SetSimilarityIndex.load(bad)
 
 
-def _plant_run_sid(bad: Path, sid: int, value: int) -> None:
-    """Overwrite ``sid``'s entry in the first stored table with
-    ``value`` and re-checksum the array, so that only the thaw's
-    one-entry-a-set check can see it."""
+def _plant_run_sid(bad: Path, sid: int, value: int, prefix: str = "") -> None:
+    """Overwrite ``sid``'s entry in table 0 of the filter ``prefix``
+    (default: the first stored) with ``value`` and re-checksum the
+    array, so that only the one-entry-a-set check can see it."""
     manifest = json.loads((bad / MANIFEST_FILE).read_text())
-    spec = manifest["arrays"][_first_table(manifest) + "run_sids"]
+    spec = manifest["arrays"][(prefix or _first_table(manifest)) + "run_sids"]
     blob = bytearray((bad / ARRAYS_FILE).read_bytes())
     start, end = spec["offset"], spec["offset"] + spec["nbytes"]
     run_sids = np.frombuffer(bytes(blob[start:end]), dtype=spec["dtype"]).copy()
@@ -727,6 +727,36 @@ def test_thaw_refuses_a_table_without_one_entry_a_set(saved, tmp_path, planted):
     _plant_run_sid(bad, int(sids[1]), int(value))
     with pytest.raises(SnapshotIntegrityError, match="table 0 does not hold"):
         SetSimilarityIndex.load(bad)
+
+
+def test_verify_refuses_a_table_without_one_entry_a_set(tmp_path, capsys):
+    """A verifying open checks the one-entry-a-set rule a thaw relies
+    on, so ``verify_snapshot`` and ``repro snapshot verify`` refuse a
+    150-set snapshot whose SFI table 0 holds one sid twice and drops
+    another (the array re-checksummed), while a plain open maps it."""
+    from repro.cli import main
+    from repro.data.weblog import make_weblog_collection
+
+    index = SetSimilarityIndex.build(
+        make_weblog_collection(n_sets=150, seed=9), budget=60, k=32, seed=9,
+        sample_pairs=10_000,
+    )
+    index.save(tmp_path / "w.d")
+    verify_snapshot(tmp_path / "w.d")
+    bad = _copy_snapshot((tmp_path / "w.d").resolve(), tmp_path / "bad")
+    manifest = json.loads((bad / MANIFEST_FILE).read_text())
+    sfi = next(i for i, f in enumerate(manifest["filters"]) if f["kind"] == "sfi")
+    sids = open_snapshot(bad).sid_array
+    assert len(sids) == 150
+    _plant_run_sid(bad, int(sids[1]), int(sids[0]), prefix=f"f{sfi:03d}_")
+    open_snapshot(bad)
+    with pytest.raises(SnapshotIntegrityError, match="table 0 does not hold"):
+        verify_snapshot(bad)
+    capsys.readouterr()
+    assert main(["snapshot", "verify", "--path", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: ")
+    assert "table 0 does not hold one entry of each of the 150 stored sets" in err
 
 
 # -- fuzzing the manifest and the arrays file ------------------------------

@@ -143,17 +143,6 @@ def test_churned_index_loads_as_a_bulk_build(clustered_sets, tmp_path):
         assert got.io == want.io
 
 
-def test_buffer_pool_index_cannot_be_saved(clustered_sets, tmp_path):
-    """Saving freezes, and an index behind a buffer pool cannot freeze."""
-    from repro.core.index import FrozenIndexError
-
-    index = build_planned_index(clustered_sets[:40])
-    index.pager.cache_pages = 16
-    with pytest.raises(FrozenIndexError):
-        index.save(tmp_path / "pooled")
-    assert not (tmp_path / "pooled").exists()
-
-
 def test_positions_the_seed_does_not_draw_are_refused(pair, monkeypatch):
     """A load re-draws every filter's bit positions from the embedder
     seed; a stored filter whose positions differ is a format error,
