@@ -28,8 +28,9 @@ floats are identical to :func:`repro.core.similarity.jaccard`.
 query path runs (live index, snapshot, executors): per batch it either
 verifies query by query (``pairwise``) or intersects each *distinct*
 candidate once against all the batch's queries (``join``), chosen from
-the batch's own counts.  The join screens every candidate hash through
-a bitmap of the queries' hashes and searches only the survivors.
+the batch's own counts.  Both screen every candidate hash through a
+bitmap of the query hashes' low bits and search only the survivors
+(:func:`screened_search`).
 
 The candidate side sorts only when it must.  A batch's candidate keys
 and sids fill small dense ranges, so deduplicating them
@@ -57,11 +58,11 @@ _PAIRWISE_BATCHES = metrics.counter("verify.pairwise_batches")
 
 _NO_HASHES = np.empty(0, dtype=np.uint64)
 
-#: Candidate-list length below which the kernels lose to a plain
-#: Python loop: the pipeline costs ~15 fixed-overhead numpy calls per
-#: query, while exact per-pair Jaccard on already-fetched frozensets
-#: is ~1-2us.  Callers fall back to the exact loop at or under this
-#: size -- answers and accounting are identical either way.
+#: Candidate-list length at or under which one query verifies in a plain
+#: Python loop (same answers and accounting).  With the screened kernel on
+#: the live index (both benchmark collections, median of 40 queries) the
+#: kernel loses below 12-16 candidates -- its ~30us of fixed numpy calls
+#: against ~2-3us a pair -- and takes 0.68-0.70x the loop's time at 24.
 SMALL_VERIFY_CUTOFF = 24
 
 
@@ -197,20 +198,12 @@ def intersect_counts(
     """``|row_i & query|`` for every CSR row, as an int64 array.
 
     ``query`` must be sorted and duplicate-free (a :func:`hash_set`
-    array without collisions).  One vectorized ``searchsorted`` +
-    cumulative-sum pass serves all rows; empty rows correctly count 0
-    (which ``np.add.reduceat`` would get wrong).
+    array without collisions).  One :func:`screened_search` finds the
+    row elements the query holds; each row's count is the number of
+    those hits inside its bounds (empty rows correctly count 0).
     """
-    n_rows = len(indptr) - 1
-    if len(query) == 0 or len(data) == 0:
-        return np.zeros(n_rows, dtype=np.int64)
-    pos = np.searchsorted(query, data)
-    found = (pos < len(query)) & (
-        query[np.minimum(pos, len(query) - 1)] == data
-    )
-    cs = np.zeros(len(data) + 1, dtype=np.int64)
-    np.cumsum(found, out=cs[1:])
-    return cs[indptr[1:]] - cs[indptr[:-1]]
+    hits, _ = screened_search(query, data)
+    return np.diff(np.searchsorted(hits, indptr))
 
 
 def in_range_answers(
@@ -418,13 +411,37 @@ def csr_slice(
     )
 
 
-#: Bitmap slots (bools) per distinct query hash in :func:`join_counts`'
-#: screen, rounded up to a power of two: a non-member passes with odds
-#: of at most ``1 / BITMAP_SLOTS_PER_HASH``.  A planted benchmark batch
-#: of 64 queries has ~2.4k distinct query hashes -- a 2^18 bitmap (256
-#: KiB), which ~20k of its ~120k candidate hashes pass, ~19k of them
-#: members.
+#: Bitmap slots (bools) per distinct query hash in :func:`screened_search`,
+#: both verify kernels' screen, rounded up to a power of two: a non-member
+#: passes with odds of at most ``1 / BITMAP_SLOTS_PER_HASH``.  A planted
+#: batch of 64 queries has ~2.4k distinct query hashes -- a 2^18 bitmap
+#: (256 KiB), which ~20k of its ~120k candidate hashes pass, ~19k of them
+#: members; one planted query's 40 hashes take a 2^12 bitmap (4 KiB).
 BITMAP_SLOTS_PER_HASH = 64
+
+
+def screened_search(
+    union: np.ndarray, data: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of ``data`` that ``union`` (sorted, duplicate-free)
+    holds: ``(hits, at)``, ascending ``hits`` with ``data[hits] ==
+    union[at]``.
+
+    A bitmap of ``BITMAP_SLOTS_PER_HASH x len(union)`` slots, rounded
+    up to a power of two, is set at the low bits of every ``union``
+    hash; one gather of ``data``'s low bits screens out every element
+    whose slot no union hash set, so only the survivors are searched in
+    ``union`` and kept on exact equality.  Element hashes are uniform,
+    so few non-members survive -- and the result is exact either way.
+    """
+    mask = (1 << (BITMAP_SLOTS_PER_HASH * len(union)).bit_length()) - 1
+    bitmap = np.zeros(mask + 1, dtype=bool)
+    bitmap[union & mask] = True
+    passed = np.flatnonzero(bitmap[data & mask])
+    survivors = data[passed]
+    at = np.minimum(np.searchsorted(union, survivors), len(union) - 1)
+    found = union[at] == survivors
+    return passed[found], at[found]
 
 
 def join_counts(
@@ -436,13 +453,10 @@ def join_counts(
     """``|row & query|`` for every (query, row), each row searched once.
 
     ``query_arrays[q]`` is query ``q``'s sorted duplicate-free hash array
-    and ``(indptr, data)`` the CSR of the rows.  A bitmap indexed by the
-    low bits of the union of the query hashes screens ``data`` in one
-    gather: a row element whose low bits no query hash has is held by
-    no query.  Element hashes are uniform, so at ``BITMAP_SLOTS_PER_HASH``
-    slots per query hash few non-members pass, and only the survivors are
-    searched in the sorted union and kept on exact equality -- the
-    counts stay exact.  The hits are expanded into (query, row) entries
+    and ``(indptr, data)`` the CSR of the rows.  One
+    :func:`screened_search` of ``data`` in the sorted union of the query
+    hashes finds the row elements some query holds; the hits are
+    expanded into (query, row) entries
     -- one per query holding the element -- and counted into a
     ``len(query_arrays) x n_rows`` table.
 
@@ -469,13 +483,7 @@ def join_counts(
     starts = np.flatnonzero(_run_starts(hashes))
     union = hashes[starts]
     runs = np.append(starts, len(hashes))
-    mask = (1 << (BITMAP_SLOTS_PER_HASH * len(union)).bit_length()) - 1
-    bitmap = np.zeros(mask + 1, dtype=bool)
-    bitmap[union & np.uint64(mask)] = True
-    passed = np.flatnonzero(bitmap[data & np.uint64(mask)])
-    pos = np.minimum(np.searchsorted(union, data[passed]), len(union) - 1)
-    found = union[pos] == data[passed]
-    hit, pos = passed[found], pos[found]
+    hit, pos = screened_search(union, data)
     first = runs[pos]
     fan = runs[pos + 1] - first
     join_size = int(fan.sum())

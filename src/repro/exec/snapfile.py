@@ -609,8 +609,8 @@ def _check_contents(snap: "MappedSnapshot") -> None:
     """The array contents a ``verify=True`` open checks -- everything a
     thaw indexes with: sid order, CSR bounds, element tags, positions,
     one entry of each stored set in every table
-    (:meth:`~repro.storage.hashtable.TableStack.sid_order`) -- and every
-    code inside ``[0, 2**b)``."""
+    (:meth:`~repro.storage.hashtable.TableStack.sid_orders`, kept for a
+    thaw of this open) -- and every code inside ``[0, 2**b)``."""
     sids, tagged = snap.sid_array, snap.sets_encoding == "tagged"
     if not (
         (snap.n_sets == 0 or sids[0] >= 0 and sids[-1] < snap.next_sid
@@ -632,13 +632,12 @@ def _check_contents(snap: "MappedSnapshot") -> None:
             "bounds, set sizes, element tags or bit positions)"
         )
     for point, probe in (*snap.sfis.items(), *snap.dfis.items()):
-        for t in range(probe.n_tables):
-            try:
-                probe.stack.sid_order(t, sids)
-            except ValueError as exc:
-                raise SnapshotIntegrityError(
-                    f"{snap.path}: {probe.kind} at {point}: {exc}"
-                ) from None
+        try:
+            probe.stack.sid_orders(sids)
+        except ValueError as exc:
+            raise SnapshotIntegrityError(
+                f"{snap.path}: {probe.kind} at {point}: {exc}"
+            ) from None
 
 
 def _check_signing(snap: "MappedSnapshot") -> None:

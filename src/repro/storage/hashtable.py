@@ -198,7 +198,7 @@ class TableStack:
     """
 
     __slots__ = ("n_buckets", "bucket_offsets", "chain_pages", "run_offsets",
-                 "run_fps", "run_indptr", "run_sids", "_views")
+                 "run_fps", "run_indptr", "run_sids", "_views", "_orders")
 
     def __init__(self, n_buckets, chain_pages, run_offsets, run_fps,
                  run_indptr, run_sids):
@@ -210,7 +210,7 @@ class TableStack:
         self.run_fps = run_fps
         self.run_indptr = run_indptr
         self.run_sids = run_sids
-        self._views = None
+        self._views = self._orders = None
 
     @property
     def n_tables(self) -> int:
@@ -246,6 +246,16 @@ class TableStack:
                 f"{len(sids)} stored sets"
             )
         return order
+
+    def sid_orders(self, sids: np.ndarray) -> list[np.ndarray]:
+        """Every table's :meth:`sid_order`, sorted once per stack and
+        ``sids`` array (the stack never changes): a verifying open
+        checks them and the thaw of that open loads its pages in them."""
+        if self._orders is None or self._orders[0] is not sids:
+            self._orders = sids, [
+                self.sid_order(t, sids) for t in range(self.n_tables)
+            ]
+        return self._orders[1]
 
     def _run_views(self) -> list[np.ndarray]:
         """Each table's slice of ``run_fps`` as a plain ``ndarray`` view
@@ -565,8 +575,9 @@ class LiveTables:
         write-side accounting only.
 
         A table that does not hold one entry of each set in ``sids`` is
-        refused (:meth:`TableStack.sid_order`) before its sids index
+        refused (:meth:`TableStack.sid_orders`) before its sids index
         anything."""
+        orders = stack.sid_orders(sids)
         offsets = stack.run_offsets.tolist()
         run_indptr = np.array(stack.run_indptr)
         run_sids = np.array(stack.run_sids)
@@ -575,8 +586,7 @@ class LiveTables:
             self._reserve_sids(int(sids[-1]) + 1)
             self._set_row[sids] = self._take_slot_rows(len(sids))
         self._reserve_rows(int(np.sum(stack.chain_pages)))
-        for t in range(self.n_tables):
-            order = stack.sid_order(t, sids)
+        for t, order in enumerate(orders):
             fps = np.repeat(stack.run_fps[offsets[t]:offsets[t + 1]],
                             lens[offsets[t]:offsets[t + 1]])
             self._load_table(t, fps[order], sids)

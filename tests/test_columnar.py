@@ -29,6 +29,16 @@ SETS = st.frozensets(
     st.one_of(st.integers(-50, 50), st.text(max_size=4)), max_size=20
 )
 
+#: uint64 hashes from 16 low-bit patterns: distinct hashes often share
+#: their low 40 bits, so they pass one another's bitmap screen.
+TWIN_HASHES = st.builds(
+    lambda low, high: low | high << 40, st.integers(0, 15), st.integers(0, 2**24 - 1)
+)
+
+
+def _u64(values):
+    return np.array(sorted(values), dtype=np.uint64)
+
 
 class TestHashing:
     def test_element_hash_deterministic_and_typed(self):
@@ -122,6 +132,37 @@ class TestIntersectCounts:
         assert list(
             intersect_counts(hash_set(frozenset({1}))[0], empty_indptr, empty_data)
         ) == [0]
+
+
+    def test_low_bit_twins_pass_the_screen_and_count_zero(self):
+        """Row hashes that differ from a query hash only above bit 39
+        pass the bitmap screen (its slots index far fewer bits); only
+        the exact equality check after the search keeps them out."""
+        query = [0, 5, 1000, 2**40 + 3, 2**63 + 9, 2**64 - 1]
+        twins = [h ^ (1 << bit) for h in query for bit in (40, 52, 63)]
+        assert not set(twins) & set(query)
+        rows = [
+            set(twins), set(twins[:7]) | {5, 2**64 - 1}, set(query), set(),
+            {2**63 + 9 ^ 1 << 62},
+        ]
+        indptr, data = build_csr([_u64(row) for row in rows])
+        counts = intersect_counts(_u64(query), indptr, data)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [len(row & set(query)) for row in rows]
+        assert counts.tolist() == [0, 2, 6, 0, 0]
+
+    @given(
+        st.lists(st.frozensets(TWIN_HASHES, max_size=12), max_size=8),
+        st.frozensets(TWIN_HASHES, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_set_intersection(self, rows, query):
+        """Property: over uint64 rows whose hashes often share their low
+        bits -- empty rows, an empty query and no data included -- every
+        count is the frozenset intersection's size."""
+        indptr, data = build_csr([_u64(row) for row in rows])
+        counts = intersect_counts(_u64(query), indptr, data)
+        assert counts.tolist() == [len(row & query) for row in rows]
 
 
 class TestJaccardValues:

@@ -461,6 +461,32 @@ class TestManifest:
         assert summary["n_sets"] == len(sets)
         assert summary["live_shards"] == 2
 
+    def test_verify_checks_each_live_shard_once(self, tmp_path, monkeypatch):
+        """``verify_sharded`` makes one verifying pass per live shard --
+        its arrays checksummed and contents checked once -- and sums the
+        shards' own ``verify_snapshot`` summaries."""
+        from repro.exec import snapfile
+
+        sets, _ = _workload(seed=8, n_sets=40)
+        build_sharded(sets, tmp_path / "s", n_shards=3, k=16, b=4, seed=8,
+                      budget=16, sample_pairs=500)
+        sharded = open_sharded(tmp_path / "s")
+        shard_sums = [
+            snapfile.verify_snapshot(
+                sharded.path / sharded.manifest["shards"][i]["dir"])
+            for i in sharded.live_shards
+        ]
+        checked = []
+        check = snapfile._check_contents
+        monkeypatch.setattr(
+            snapfile, "_check_contents",
+            lambda snap: checked.append(snap.path) or check(snap),
+        )
+        summary = verify_sharded(tmp_path / "s")
+        assert len(checked) == len(set(checked)) == summary["live_shards"] > 1
+        for key in ("n_arrays", "arrays_bytes"):
+            assert summary[key] == sum(s[key] for s in shard_sums)
+
     def test_detects_shard_corruption(self, tmp_path):
         sets, _ = _workload(seed=8, n_sets=40)
         build_sharded(sets, tmp_path / "s", n_shards=2, k=16, b=4, seed=8,

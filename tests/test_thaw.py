@@ -157,3 +157,26 @@ def test_positions_the_seed_does_not_draw_are_refused(pair, monkeypatch):
     )
     with pytest.raises(SnapshotFormatError, match="bit positions do not match"):
         SetSimilarityIndex.load(original)
+
+
+def test_load_sorts_each_table_once(pair, monkeypatch):
+    """The verifying open sorts every table's sids to check one entry a
+    set, and the thaw loads its pages in those orders: one
+    ``sid_order`` per table per load, not one for the check and one for
+    the pages."""
+    from repro.storage.hashtable import TableStack
+
+    original = pair[2]
+    snap = open_snapshot(original)
+    n_tables = sum(
+        probe.n_tables for probe in (*snap.sfis.values(), *snap.dfis.values())
+    )
+    assert n_tables > 1
+    calls = []
+    sid_order = TableStack.sid_order
+    monkeypatch.setattr(
+        TableStack, "sid_order",
+        lambda self, t, sids: calls.append(t) or sid_order(self, t, sids),
+    )
+    SetSimilarityIndex.load(original)
+    assert len(calls) == n_tables

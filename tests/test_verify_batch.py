@@ -25,7 +25,7 @@ from repro.core.index import SetSimilarityIndex
 from repro.core.minhash import hash_rows
 from repro.core.similarity import jaccard
 from repro.data.generators import planted_clusters
-from repro.exec import ParallelExecutor, open_snapshot
+from repro.exec import ParallelExecutor, columnar, open_snapshot
 from repro.exec.columnar import (
     JOIN_MIN_SHARING,
     MARK_SPAN_FACTOR,
@@ -155,6 +155,29 @@ class TestBitmapScreen:
             [1, 0, 1, 0],
             [2, 0, 0, 0],
         ])
+
+    def test_both_kernels_search_through_the_one_screen(self, monkeypatch):
+        """``join_counts`` and ``intersect_counts`` both find their hits
+        with ``screened_search``: a join table row equals the pairwise
+        count of the same query, one screened search per call."""
+        calls = []
+        screen = columnar.screened_search
+
+        def spy(union, data):
+            calls.append(len(union))
+            return screen(union, data)
+
+        monkeypatch.setattr(columnar, "screened_search", spy)
+        members = [3, 2**41 + 3, 2**62 + 3, 7, 2**50 + 7]
+        queries = [_u64(members[:3]), _u64(members[2:])]
+        rows = [_u64(members), _u64([3 ^ 1 << 45, 7 ^ 1 << 33]), _u64([])]
+        indptr, data = build_csr(rows)
+        table, _ = join_counts(queries, indptr, data, NO_CAP)
+        assert calls == [len(members)]
+        for q, arr in enumerate(queries):
+            assert table[q].tolist() == intersect_counts(arr, indptr, data).tolist()
+        assert calls == [len(members), 3, 3]
+        assert table.tolist() == [[3, 0, 0], [3, 0, 0]]
 
     @given(
         st.lists(st.integers(0, TOP), min_size=1, max_size=40, unique=True),
